@@ -16,17 +16,35 @@ import (
 	"typecoin/internal/wire"
 )
 
-// blockNode is one block in the block tree. "Each block contains a
-// cryptographic hash of the previous block, thereby turning the set into
-// a tree"; chain selection makes the tree behave as a list.
+// blockNode is one entry of the block index: a validated header and, once
+// it arrives, the body. "Each block contains a cryptographic hash of the
+// previous block, thereby turning the set into a tree"; chain selection
+// makes the tree behave as a list.
 type blockNode struct {
 	hash    chainhash.Hash
 	parent  *blockNode
 	height  int
 	workSum *big.Int // cumulative work from genesis
-	block   *wire.MsgBlock
+	header  wire.BlockHeader
+	block   *wire.MsgBlock // nil while status is statusHeaderOnly
+	status  nodeStatus
 	inMain  bool
+	// failed marks a body that broke a consensus rule, or a descendant of
+	// one. It is resident only (no store row): a restarted node re-learns
+	// it from the first re-delivery.
+	failed bool
 }
+
+// nodeStatus is how far a block has come: header validated, body held
+// until its predecessor is accepted, body accepted into the block tree
+// (main or side chain, and persisted).
+type nodeStatus uint8
+
+const (
+	statusHeaderOnly nodeStatus = iota
+	statusParked
+	statusAccepted
+)
 
 // undoItem is one row of a block's spend journal: an outpoint the block
 // consumed and the entry it held. The journal is persisted with the
@@ -42,7 +60,7 @@ type undoItem struct {
 func (n *blockNode) medianTimePast() time.Time {
 	times := make([]time.Time, 0, medianTimeBlocks)
 	for iter := n; iter != nil && len(times) < medianTimeBlocks; iter = iter.parent {
-		times = append(times, iter.block.Header.Timestamp)
+		times = append(times, iter.header.Timestamp)
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i].Before(times[j]) })
 	return times[len(times)/2]
@@ -89,18 +107,17 @@ type Chain struct {
 	persisters []PersistFunc
 
 	mu            sync.RWMutex
-	index         map[chainhash.Hash]*blockNode
-	tip           *blockNode
-	headers       map[chainhash.Hash]*headerNode      // full header index (see headers.go)
-	headerTip     *headerNode                         // best-header tip; work >= tip's
-	hmain         []*headerNode                       // best header chain by height
-	hdrDirty      []*headerNode                       // accepted headers awaiting a commit batch
-	parked        map[chainhash.Hash]*wire.MsgBlock   // validated-header bodies awaiting predecessors
+	index         map[chainhash.Hash]*blockNode // every validated header, with or without its body
+	tip           *blockNode                    // connected main-chain tip
+	mainChain     []*blockNode                  // connected main chain by height
+	headerTip     *blockNode                    // best-header tip; work >= tip's (see headers.go)
+	bestHeaders   []*blockNode                  // best header chain by height
+	hdrDirty      []*blockNode                  // accepted headers awaiting a commit batch
+	parked        []*blockNode                  // nodes holding a body that awaits its predecessor
 	parkedBytes   int64
 	utxo          *UtxoView
 	spent         map[wire.OutPoint]SpendRecord
 	txToBlock     map[chainhash.Hash]txLoc            // main-chain txid -> location
-	mainChain     []*blockNode                        // by height
 	orphans       map[chainhash.Hash][]*wire.MsgBlock // parent hash -> waiting blocks
 	orphanIndex   map[chainhash.Hash]orphanMeta       // orphan hash -> metadata
 	orphanFIFO    []chainhash.Hash                    // orphan hashes in arrival order
@@ -271,24 +288,30 @@ func (c *Chain) ProcessBlock(blk *wire.MsgBlock) (BlockStatus, error) {
 
 func (c *Chain) processLocked(blk *wire.MsgBlock) (BlockStatus, []Notification, error) {
 	hash := blk.BlockHash()
-	if _, known := c.index[hash]; known {
-		return StatusDuplicate, nil, nil
+	node := c.index[hash]
+	if node != nil {
+		if node.failed {
+			return StatusInvalid, nil, fmt.Errorf("%w: %s", errKnownInvalid, hash)
+		}
+		if node.status == statusAccepted {
+			return StatusDuplicate, nil, nil
+		}
 	}
 	if err := c.checkBlockSanity(blk); err != nil {
 		return StatusInvalid, nil, err
 	}
-	parent, ok := c.index[blk.Header.PrevBlock]
-	if !ok {
-		if _, held := c.parked[hash]; held {
-			return StatusDuplicate, nil, nil
-		}
-		// A body ahead of the connected chain whose header is already
-		// validated in the header index is parked, not orphaned: the
-		// skeleton vouches for it, and the download scheduler delivers
-		// bodies out of order by design. Blocks with unknown headers
-		// still take the (penalizable, tightly bounded) orphan path.
-		if hn, known := c.headers[hash]; known && hn.parent != nil {
-			c.parkBlockLocked(hash, blk)
+	parent := c.index[blk.Header.PrevBlock]
+	if parent == nil || parent.status != statusAccepted {
+		if node != nil {
+			if node.status == statusParked {
+				return StatusDuplicate, nil, nil
+			}
+			// A body ahead of the connected chain whose header is already
+			// validated is parked, not orphaned: the skeleton vouches for
+			// it, and the download scheduler delivers bodies out of order
+			// by design. Blocks with unknown headers still take the
+			// (penalizable, tightly bounded) orphan path.
+			c.parkBlockLocked(node, blk)
 			return StatusParked, nil, nil
 		}
 		if _, held := c.orphanIndex[hash]; held {
@@ -322,11 +345,7 @@ func (c *Chain) adoptOrphans(parentHash chainhash.Hash) []Notification {
 				delete(c.orphanIndex, h)
 				c.orphanBytes -= meta.size
 			}
-			parent := c.index[ph]
-			if parent == nil {
-				continue
-			}
-			if _, evs, err := c.acceptBlock(blk, parent); err == nil {
+			if _, evs, err := c.acceptBlock(blk, c.index[ph]); err == nil {
 				events = append(events, evs...)
 				queue = append(queue, h)
 			}
@@ -390,53 +409,39 @@ func (c *Chain) removeOrphanLocked(hash chainhash.Hash, meta orphanMeta) {
 	}
 }
 
-// acceptBlock adds a block whose parent is known. Contextual validation
-// (difficulty schedule, timestamps) happens on the block's header via
-// the header index: a body whose header the skeleton already validated
-// is not re-checked, and a body arriving ahead of its header extends
-// the header index as a side effect.
+// acceptBlock adds a body whose parent is accepted, on the node its
+// header created. Contextual validation (difficulty schedule, timestamps)
+// is header validation: a body whose header the skeleton already
+// validated is not re-checked, and a body arriving ahead of its header
+// indexes the header as a side effect. A body the chain turns down leaves
+// its node header-only, flagged failed if it broke a consensus rule.
 func (c *Chain) acceptBlock(blk *wire.MsgBlock, parent *blockNode) (BlockStatus, []Notification, error) {
-	if _, err := c.acceptHeaderLocked(&blk.Header); err != nil {
+	node, err := c.acceptHeaderLocked(&blk.Header)
+	if err != nil {
 		return StatusInvalid, nil, err
 	}
-	node := &blockNode{
-		hash:    blk.BlockHash(),
-		parent:  parent,
-		height:  parent.height + 1,
-		workSum: new(big.Int).Add(parent.workSum, CalcWork(blk.Header.Bits)),
-		block:   blk,
-	}
-
-	if node.workSum.Cmp(c.tip.workSum) <= 0 {
+	node.block = blk
+	status := StatusMainChain
+	var events []Notification
+	switch {
+	case node.workSum.Cmp(c.tip.workSum) <= 0:
 		// Not enough work to become the best chain: store on the side.
 		// Side blocks are persisted too (a restart must still be able to
 		// reorganize onto them), but outside any commit batch — they
 		// carry no state of their own.
-		if err := c.persistSideBlock(node); err != nil {
-			return StatusInvalid, nil, err
-		}
-		c.index[node.hash] = node
-		return StatusSideChain, nil, nil
+		status, err = StatusSideChain, c.persistSideBlock(node)
+	case parent == c.tip:
+		events, err = c.connectBlock(node)
+	default:
+		// The new block's branch has more work than the current tip.
+		events, err = c.reorganize(node)
 	}
-
-	if parent == c.tip {
-		// Simple extension of the main chain.
-		events, err := c.connectBlock(node)
-		if err != nil {
-			return StatusInvalid, nil, err
-		}
-		c.index[node.hash] = node
-		return StatusMainChain, events, nil
-	}
-
-	// The new block's branch has more work than the current tip: attempt
-	// a reorganization.
-	events, err := c.reorganize(node)
 	if err != nil {
+		node.block = nil
 		return StatusInvalid, events, err
 	}
-	c.index[node.hash] = node
-	return StatusMainChain, events, nil
+	node.status = statusAccepted
+	return status, events, nil
 }
 
 // connectBlock attaches node (whose parent is the current tip) to the
@@ -449,7 +454,9 @@ func (c *Chain) acceptBlock(blk *wire.MsgBlock, parent *blockNode) (BlockStatus,
 // input with the locking script it resolved. Phase two fans all captured
 // script/signature checks out across a bounded worker pool (consulting
 // the shared signature cache), with fail-fast cancellation; on failure
-// the phase-one mutations are rolled back via the undo journal.
+// the phase-one mutations are rolled back via the undo journal. A body
+// that fails either phase is flagged failed; a store that refuses the
+// commit says nothing about the body, so that path leaves the flag alone.
 func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	start := time.Now()
 	blk := node.block
@@ -464,6 +471,11 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 			delete(c.txToBlock, tx.TxHash())
 		}
 	}
+	reject := func(err error) ([]Notification, error) {
+		rollback()
+		c.markFailedLocked(node)
+		return nil, err
+	}
 
 	var totalFees int64
 	var jobs []scriptJob
@@ -471,8 +483,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 		if i > 0 {
 			fee, entries, err := CheckTransactionInputs(tx, node.height, c.utxo, c.params.CoinbaseMaturity)
 			if err != nil {
-				rollback()
-				return nil, err
+				return reject(err)
 			}
 			totalFees += fee
 			txid := tx.TxHash()
@@ -480,8 +491,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 				jobs = append(jobs, scriptJob{tx: tx, txIdx: i, in: j, pkScript: entries[j].Out.PkScript})
 				entry, err := c.utxo.spend(in.PreviousOutPoint)
 				if err != nil {
-					rollback()
-					return nil, err
+					return reject(err)
 				}
 				undo = append(undo, undoItem{op: in.PreviousOutPoint, entry: entry})
 				c.spent[in.PreviousOutPoint] = SpendRecord{
@@ -501,8 +511,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 		cbOut += out.Value
 	}
 	if maxOut := c.params.CalcBlockSubsidy(node.height) + totalFees; cbOut > maxOut {
-		rollback()
-		return nil, fmt.Errorf("%w: coinbase pays %d, max %d", ErrBadCoinbase, cbOut, maxOut)
+		return reject(fmt.Errorf("%w: coinbase pays %d, max %d", ErrBadCoinbase, cbOut, maxOut))
 	}
 
 	// Phase two: parallel script/signature verification of every input.
@@ -510,8 +519,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	// of the (already mutated) UTXO view.
 	scriptStart := time.Now()
 	if err := runScriptJobs(jobs, c.scriptWorkers, c.sigCache); err != nil {
-		rollback()
-		return nil, err
+		return reject(err)
 	}
 	if c.tel.scriptSeconds != nil {
 		observeSince(c.tel.scriptSeconds, scriptStart)
@@ -530,6 +538,10 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	node.inMain = true
 	c.tip = node
 	c.mainChain = append(c.mainChain, node)
+	if c.betterHeader(node, c.headerTip) {
+		// The connected tip wins work ties on the best-header view.
+		c.setHeaderTipLocked(node)
+	}
 	c.tel.connects.Inc()
 	if c.tel.connectSeconds != nil {
 		observeSince(c.tel.connectSeconds, start)
@@ -661,14 +673,6 @@ func (c *Chain) reorganize(newTip *blockNode) ([]Notification, error) {
 	return events, nil
 }
 
-// nextRequiredDifficulty computes the difficulty for the block following
-// parent. Every block node has a header node (acceptBlock indexes the
-// header first), so this delegates to the header-index implementation —
-// the single copy of the retargeting rules.
-func (c *Chain) nextRequiredDifficulty(parent *blockNode) uint32 {
-	return c.nextRequiredDifficultyHeader(c.headers[parent.hash])
-}
-
 // NextRequiredDifficulty returns the difficulty bits required of the next
 // block on the main chain.
 func (c *Chain) NextRequiredDifficulty() uint32 {
@@ -695,7 +699,7 @@ func (c *Chain) BestHash() chainhash.Hash {
 func (c *Chain) TipHeader() wire.BlockHeader {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.tip.block.Header
+	return c.tip.header
 }
 
 // MedianTimePast returns the median-time-past of the tip, the monotone
@@ -731,7 +735,7 @@ func (c *Chain) snapshotLocked() Snapshot {
 	return Snapshot{
 		Hash:       c.tip.hash,
 		Height:     c.tip.height,
-		Bits:       c.tip.block.Header.Bits,
+		Bits:       c.tip.header.Bits,
 		NextBits:   c.nextRequiredDifficulty(c.tip),
 		Work:       new(big.Int).Set(c.tip.workSum),
 		MedianTime: c.tip.medianTimePast(),
@@ -868,8 +872,8 @@ func (c *Chain) TxByID(txid chainhash.Hash) (*wire.MsgTx, bool) {
 func (c *Chain) BlockByHash(h chainhash.Hash) (*wire.MsgBlock, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	node, ok := c.index[h]
-	if !ok {
+	node := c.index[h]
+	if node == nil || node.status != statusAccepted {
 		return nil, false
 	}
 	return node.block, true
@@ -890,50 +894,9 @@ func (c *Chain) BlockAtHeight(h int) (*wire.MsgBlock, bool) {
 func (c *Chain) HaveBlock(h chainhash.Hash) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if _, ok := c.index[h]; ok {
-		return true
-	}
-	if _, held := c.parked[h]; held {
+	if node := c.index[h]; node != nil && node.block != nil {
 		return true
 	}
 	_, held := c.orphanIndex[h]
 	return held
-}
-
-// Locator builds a block locator for the main chain: recent hashes
-// densely, then exponentially sparser back to genesis.
-func (c *Chain) Locator() []chainhash.Hash {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []chainhash.Hash
-	step := 1
-	for h := c.tip.height; h >= 0; h -= step {
-		out = append(out, c.mainChain[h].hash)
-		if len(out) >= 10 {
-			step *= 2
-		}
-	}
-	if out[len(out)-1] != c.mainChain[0].hash {
-		out = append(out, c.mainChain[0].hash)
-	}
-	return out
-}
-
-// BlocksAfter returns up to limit main-chain blocks after the first
-// locator hash found on the main chain (genesis if none match).
-func (c *Chain) BlocksAfter(locator []chainhash.Hash, limit int) []*wire.MsgBlock {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	start := 0
-	for _, h := range locator {
-		if node, ok := c.index[h]; ok && node.inMain {
-			start = node.height
-			break
-		}
-	}
-	var out []*wire.MsgBlock
-	for h := start + 1; h <= c.tip.height && len(out) < limit; h++ {
-		out = append(out, c.mainChain[h].block)
-	}
-	return out
 }

@@ -427,33 +427,6 @@ func TestSpentJournal(t *testing.T) {
 	}
 }
 
-func TestLocatorAndBlocksAfter(t *testing.T) {
-	c, clk := newTestChain(t)
-	extend(t, c, clk, 30, 0)
-	loc := c.Locator()
-	if loc[0] != c.BestHash() {
-		t.Error("locator does not start at tip")
-	}
-	if loc[len(loc)-1] != c.Params().GenesisBlock.BlockHash() {
-		t.Error("locator does not end at genesis")
-	}
-	// A peer at height 10 supplies its locator; we should get blocks
-	// 11..30.
-	blk10, _ := c.BlockAtHeight(10)
-	blocks := c.BlocksAfter([]chainhash.Hash{blk10.BlockHash()}, 500)
-	if len(blocks) != 20 {
-		t.Fatalf("BlocksAfter returned %d blocks, want 20", len(blocks))
-	}
-	if blocks[0].Header.PrevBlock != blk10.BlockHash() {
-		t.Error("first block does not follow the locator point")
-	}
-	// Unknown locator falls back to genesis.
-	all := c.BlocksAfter([]chainhash.Hash{chainhash.HashB([]byte("nope"))}, 500)
-	if len(all) != 30 {
-		t.Errorf("fallback returned %d blocks, want 30", len(all))
-	}
-}
-
 func TestCompactBigRoundTrip(t *testing.T) {
 	f := func(v uint32) bool {
 		// Interpret v as a compact; skip negatives and zero mantissas.

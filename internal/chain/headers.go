@@ -1,18 +1,17 @@
 package chain
 
-// Headers-first synchronization: the chain tracks a header index beside
-// the block tree. Headers are cheap to validate (80 bytes: proof of
-// work, linkage, difficulty schedule, timestamps) so a syncing node
-// first extends a best-header skeleton from its peers, then downloads
-// block bodies for the skeleton in parallel from many peers and
-// connects them in height order. The header index therefore tracks a
-// best-header tip that runs ahead of the fully-connected tip, and
-// bodies that arrive before their predecessor has connected are parked
-// until the gap fills.
+// Headers-first synchronization. Headers are cheap to validate (80
+// bytes: proof of work, linkage, difficulty schedule, timestamps) so a
+// syncing node first extends a best-header skeleton from its peers, then
+// downloads block bodies for the skeleton in parallel from many peers
+// and connects them in height order. The block index therefore holds
+// nodes whose body has not arrived yet, the best-header tip runs ahead
+// of the fully-connected tip, and bodies that arrive before their
+// predecessor has been accepted are parked on their node until the gap
+// fills.
 //
-// Every connected or side block keeps an entry in the header index (its
-// header was necessarily accepted first), so the header tip's work is
-// always >= the connected tip's work.
+// Every body is accepted onto the node its header created, so the header
+// tip's work is always >= the connected tip's work.
 
 import (
 	"bytes"
@@ -27,32 +26,13 @@ import (
 	"typecoin/internal/wire"
 )
 
-// ErrOrphanHeader reports a header whose parent is not in the header
+// ErrOrphanHeader reports a header whose parent is not in the block
 // index: the skeleton a peer sent does not connect to anything we know.
 var ErrOrphanHeader = errors.New("chain: header does not connect")
 
-// headerNode is one entry in the header index. It mirrors blockNode but
-// carries only the 80-byte header; the body may not have arrived yet.
-type headerNode struct {
-	hash    chainhash.Hash
-	parent  *headerNode
-	height  int
-	workSum *big.Int // cumulative work from genesis
-	header  wire.BlockHeader
-}
-
-// medianTimePast computes the median timestamp of the last
-// medianTimeBlocks ancestors (including the node itself), over the
-// header index. Identical to blockNode.medianTimePast — headers and
-// bodies share timestamps — but usable before any body arrives.
-func (n *headerNode) medianTimePast() time.Time {
-	times := make([]time.Time, 0, medianTimeBlocks)
-	for iter := n; iter != nil && len(times) < medianTimeBlocks; iter = iter.parent {
-		times = append(times, iter.header.Timestamp)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i].Before(times[j]) })
-	return times[len(times)/2]
-}
+// errKnownInvalid reports a block or header already flagged failed, or
+// one that extends a flagged block.
+var errKnownInvalid = errors.New("chain: block or ancestor failed validation")
 
 // Parked-body bounds. Parked blocks have validated headers (real proof
 // of work on their chain), so they are far harder to fabricate than
@@ -64,16 +44,14 @@ const (
 	defaultMaxParkedBytes = 32 << 20
 )
 
-// checkHeaderContext validates hdr against its parent header: proof of
-// work against its own claimed bits, the difficulty schedule, and the
-// timestamp rules. These are exactly the contextual checks bodies used
-// to get from checkBlockContext, now applied to the skeleton before any
-// body is trusted.
-func (c *Chain) checkHeaderContext(hdr *wire.BlockHeader, parent *headerNode) error {
+// checkHeaderContext validates hdr against its parent: proof of work
+// against its own claimed bits, the difficulty schedule, and the
+// timestamp rules, applied to the skeleton before any body is trusted.
+func (c *Chain) checkHeaderContext(hdr *wire.BlockHeader, parent *blockNode) error {
 	if err := CheckProofOfWork(hdr.BlockHash(), hdr.Bits, c.params.PowLimit); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadProofOfWork, err)
 	}
-	wantBits := c.nextRequiredDifficultyHeader(parent)
+	wantBits := c.nextRequiredDifficulty(parent)
 	if hdr.Bits != wantBits {
 		return fmt.Errorf("%w: header bits %08x, want %08x", ErrBadProofOfWork,
 			hdr.Bits, wantBits)
@@ -87,11 +65,10 @@ func (c *Chain) checkHeaderContext(hdr *wire.BlockHeader, parent *headerNode) er
 	return nil
 }
 
-// nextRequiredDifficultyHeader computes the difficulty for the block
-// following parent, walking the header index. nextRequiredDifficulty
-// (the blockNode variant) delegates here: every block node has a header
-// node, and headers carry everything retargeting needs.
-func (c *Chain) nextRequiredDifficultyHeader(parent *headerNode) uint32 {
+// nextRequiredDifficulty computes the difficulty for the block following
+// parent. Headers carry everything retargeting needs, so it works above
+// the connected tip.
+func (c *Chain) nextRequiredDifficulty(parent *blockNode) uint32 {
 	if c.params.NoRetarget || c.params.RetargetInterval <= 0 {
 		return c.params.PowLimitBits
 	}
@@ -122,63 +99,123 @@ func (c *Chain) nextRequiredDifficultyHeader(parent *headerNode) uint32 {
 	return BigToCompact(newTarget)
 }
 
-// acceptHeaderLocked validates hdr and adds it to the header index,
-// staging its store row for the next commit batch. Known headers return
-// their existing node; the parent header must already be indexed.
-// Callers hold c.mu.
-func (c *Chain) acceptHeaderLocked(hdr *wire.BlockHeader) (*headerNode, error) {
-	hash := hdr.BlockHash()
-	if hn, ok := c.headers[hash]; ok {
-		return hn, nil
-	}
-	parent, ok := c.headers[hdr.PrevBlock]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s links to unknown %s", ErrOrphanHeader, hash, hdr.PrevBlock)
-	}
-	if err := c.checkHeaderContext(hdr, parent); err != nil {
-		return nil, err
-	}
-	hn := &headerNode{
+// linkNode builds the index entry for hdr under parent; height and work
+// derive from the parent.
+func linkNode(hash chainhash.Hash, hdr *wire.BlockHeader, parent *blockNode) *blockNode {
+	return &blockNode{
 		hash:    hash,
 		parent:  parent,
 		height:  parent.height + 1,
 		workSum: new(big.Int).Add(parent.workSum, CalcWork(hdr.Bits)),
 		header:  *hdr,
 	}
-	c.addHeaderNodeLocked(hn, true)
-	c.tel.headersAcc.Inc()
-	return hn, nil
 }
 
-// addHeaderNodeLocked indexes hn, advances the best-header tip when it
-// carries strictly more work, and optionally stages its store row
-// (nodes rebuilt during load are already persisted).
-func (c *Chain) addHeaderNodeLocked(hn *headerNode, stage bool) {
-	c.headers[hn.hash] = hn
-	if stage {
-		c.hdrDirty = append(c.hdrDirty, hn)
-	}
-	if c.headerTip == nil || hn.workSum.Cmp(c.headerTip.workSum) > 0 {
-		c.setHeaderTipLocked(hn)
-	}
-}
-
-// setHeaderTipLocked moves the best-header tip to hn and reconciles the
-// by-height view: walk hn's ancestry down until it rejoins the existing
-// best header chain, rewriting only the divergent suffix.
-func (c *Chain) setHeaderTipLocked(hn *headerNode) {
-	c.headerTip = hn
-	if len(c.hmain) > hn.height+1 {
-		c.hmain = c.hmain[:hn.height+1]
-	}
-	for len(c.hmain) < hn.height+1 {
-		c.hmain = append(c.hmain, nil)
-	}
-	for n := hn; n != nil; n = n.parent {
-		if c.hmain[n.height] == n {
-			break
+// acceptHeaderLocked validates hdr and adds a header-only node for it to
+// the block index, staging its store row for the next commit batch and
+// advancing the best-header tip. Known headers return their existing
+// node; the parent must already be indexed. Callers hold c.mu.
+func (c *Chain) acceptHeaderLocked(hdr *wire.BlockHeader) (*blockNode, error) {
+	hash := hdr.BlockHash()
+	if node, known := c.index[hash]; known {
+		if node.failed {
+			return nil, fmt.Errorf("%w: %s", errKnownInvalid, hash)
 		}
-		c.hmain[n.height] = n
+		return node, nil
+	}
+	parent, ok := c.index[hdr.PrevBlock]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s links to unknown %s", ErrOrphanHeader, hash, hdr.PrevBlock)
+	}
+	if parent.failed {
+		return nil, fmt.Errorf("%w: %s extends %s", errKnownInvalid, hash, parent.hash)
+	}
+	if err := c.checkHeaderContext(hdr, parent); err != nil {
+		return nil, err
+	}
+	node := linkNode(hash, hdr, parent)
+	c.index[hash] = node
+	c.hdrDirty = append(c.hdrDirty, node)
+	if c.betterHeader(node, c.headerTip) {
+		c.setHeaderTipLocked(node)
+	}
+	c.tel.headersAcc.Inc()
+	return node, nil
+}
+
+// betterHeader reports whether n should replace best as the best-header
+// tip: more work wins; on equal work the connected tip wins, then the
+// lower hash. The order depends on nothing but the index and the
+// connected tip, so a restart (which rebuilds the index in map order)
+// selects the same tip the running node held.
+func (c *Chain) betterHeader(n, best *blockNode) bool {
+	switch cmp := n.workSum.Cmp(best.workSum); {
+	case cmp != 0:
+		return cmp > 0
+	case n == c.tip || best == c.tip:
+		return n == c.tip
+	default:
+		return bytes.Compare(n.hash[:], best.hash[:]) < 0
+	}
+}
+
+// selectHeaderTipLocked recomputes the best-header tip over every node
+// not flagged failed.
+func (c *Chain) selectHeaderTipLocked() {
+	best := c.tip
+	for _, n := range c.index {
+		if !n.failed && c.betterHeader(n, best) {
+			best = n
+		}
+	}
+	c.setHeaderTipLocked(best)
+}
+
+// setHeaderTipLocked moves the best-header tip to n and reconciles the
+// by-height view: walk n's ancestry down until it rejoins the existing
+// best header chain, rewriting only the divergent suffix.
+func (c *Chain) setHeaderTipLocked(n *blockNode) {
+	c.headerTip = n
+	if len(c.bestHeaders) > n.height+1 {
+		c.bestHeaders = c.bestHeaders[:n.height+1]
+	}
+	for len(c.bestHeaders) < n.height+1 {
+		c.bestHeaders = append(c.bestHeaders, nil)
+	}
+	for ; n != nil && c.bestHeaders[n.height] != n; n = n.parent {
+		c.bestHeaders[n.height] = n
+	}
+}
+
+// onBestHeaders reports whether n is on the best header chain.
+func (c *Chain) onBestHeaders(n *blockNode) bool {
+	return n.height < len(c.bestHeaders) && c.bestHeaders[n.height] == n
+}
+
+// markFailedLocked flags node, whose body broke a consensus rule, and
+// every indexed descendant: none of them can ever join the main chain.
+// Their parked bodies are dropped and the best-header tip moves off the
+// branch, so the body schedule stops naming it.
+func (c *Chain) markFailedLocked(node *blockNode) {
+	node.failed = true
+	for _, n := range c.index {
+		a := n
+		for a.height > node.height && !a.failed {
+			a = a.parent
+		}
+		n.failed = a.failed
+	}
+	kept := c.parked[:0]
+	for _, n := range c.parked {
+		if n.failed {
+			c.unparkLocked(n)
+		} else {
+			kept = append(kept, n)
+		}
+	}
+	c.parked = kept
+	if c.headerTip.failed {
+		c.selectHeaderTipLocked()
 	}
 }
 
@@ -187,18 +224,18 @@ func (c *Chain) setHeaderTipLocked(hn *headerNode) {
 // same atomic batches as the state they justify (and a headers-only
 // batch in ProcessHeaders when no body commit is in flight).
 func (c *Chain) stageHeaderRows(b *store.Batch) {
-	for _, hn := range c.hdrDirty {
-		b.Put(keyHeader(hn.hash), hn.header.Bytes())
+	for _, n := range c.hdrDirty {
+		b.Put(keyHeader(n.hash), n.header.Bytes())
 	}
 	c.hdrDirty = c.hdrDirty[:0]
 }
 
 // ProcessHeaders validates a batch of headers (in order) against the
-// header index, persisting accepted ones as one atomic batch. It
-// returns how many of the headers are now indexed (including ones
-// already known) and the first validation error, if any. A header whose
-// parent is unknown fails with ErrOrphanHeader, which the p2p layer
-// treats as a stale-locator signal rather than hostility.
+// block index, persisting accepted ones as one atomic batch. It returns
+// how many of the headers are now indexed (including ones already known)
+// and the first validation error, if any. A header whose parent is
+// unknown fails with ErrOrphanHeader, which the p2p layer treats as a
+// stale-locator signal rather than hostility.
 func (c *Chain) ProcessHeaders(headers []wire.BlockHeader) (int, error) {
 	if len(headers) == 0 {
 		return 0, nil
@@ -250,13 +287,13 @@ func (c *Chain) HeaderLocator() []chainhash.Hash {
 	var out []chainhash.Hash
 	step := 1
 	for h := c.headerTip.height; h >= 0; h -= step {
-		out = append(out, c.hmain[h].hash)
+		out = append(out, c.bestHeaders[h].hash)
 		if len(out) >= 10 {
 			step *= 2
 		}
 	}
-	if out[len(out)-1] != c.hmain[0].hash {
-		out = append(out, c.hmain[0].hash)
+	if out[len(out)-1] != c.bestHeaders[0].hash {
+		out = append(out, c.bestHeaders[0].hash)
 	}
 	return out
 }
@@ -273,18 +310,18 @@ func (c *Chain) HeadersAfter(locator []chainhash.Hash, limit int) []wire.BlockHe
 	defer c.mu.RUnlock()
 	start := 0
 	for _, h := range locator {
-		if hn, ok := c.headers[h]; ok && hn.height < len(c.hmain) && c.hmain[hn.height] == hn {
-			start = hn.height
+		if n, ok := c.index[h]; ok && c.onBestHeaders(n) {
+			start = n.height
 			break
 		}
 	}
 	var out []wire.BlockHeader
 	for h := start + 1; h <= c.headerTip.height && len(out) < limit; h++ {
-		hn := c.hmain[h]
-		if _, have := c.index[hn.hash]; !have {
+		n := c.bestHeaders[h]
+		if n.status != statusAccepted {
 			break
 		}
-		out = append(out, hn.header)
+		out = append(out, n.header)
 	}
 	return out
 }
@@ -307,23 +344,15 @@ func (c *Chain) NextNeededBodies(max int) []NeededBody {
 	defer c.mu.RUnlock()
 	// Find the fork point between the connected tip and the best header
 	// chain; everything above it is the sync backlog.
-	fork := 0
-	for n := c.tip; n != nil; n = n.parent {
-		if n.height < len(c.hmain) && c.hmain[n.height] != nil && c.hmain[n.height].hash == n.hash {
-			fork = n.height
-			break
-		}
+	fork := c.tip
+	for !c.onBestHeaders(fork) {
+		fork = fork.parent
 	}
 	var out []NeededBody
-	for h := fork + 1; h <= c.headerTip.height && len(out) < max; h++ {
-		hn := c.hmain[h]
-		if _, have := c.index[hn.hash]; have {
-			continue
+	for h := fork.height + 1; h <= c.headerTip.height && len(out) < max; h++ {
+		if n := c.bestHeaders[h]; n.block == nil {
+			out = append(out, NeededBody{Hash: n.hash, Height: h})
 		}
-		if _, held := c.parked[hn.hash]; held {
-			continue
-		}
-		out = append(out, NeededBody{Hash: hn.hash, Height: h})
 	}
 	return out
 }
@@ -338,13 +367,9 @@ func (c *Chain) NextNeededBodies(max int) []NeededBody {
 func (c *Chain) ServableHeight(bestKnown chainhash.Hash) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	hn, ok := c.headers[bestKnown]
-	if !ok {
-		return 0
-	}
-	for ; hn != nil; hn = hn.parent {
-		if hn.height < len(c.hmain) && c.hmain[hn.height] == hn {
-			return hn.height
+	for n := c.index[bestKnown]; n != nil; n = n.parent {
+		if c.onBestHeaders(n) {
+			return n.height
 		}
 	}
 	return 0
@@ -358,58 +383,66 @@ func (c *Chain) ParkedCount() int {
 	return len(c.parked)
 }
 
-// parkBlockLocked holds a body whose header is validated but whose
-// predecessor body has not connected yet. Past the pool bounds the
-// block is dropped instead: NextNeededBodies will list it again and the
+// parkBlockLocked holds a body on its header-only node until the
+// predecessor body is accepted. Past the pool bounds the block is
+// dropped instead: NextNeededBodies will list it again and the
 // scheduler refetches it once the backlog drains.
-func (c *Chain) parkBlockLocked(hash chainhash.Hash, blk *wire.MsgBlock) {
+func (c *Chain) parkBlockLocked(node *blockNode, blk *wire.MsgBlock) {
 	size := int64(len(blk.Bytes()))
 	if len(c.parked)+1 > defaultMaxParked || c.parkedBytes+size > defaultMaxParkedBytes {
 		return
 	}
-	c.parked[hash] = blk
+	// A copy that arrived before its header sits in the orphan pool; one
+	// body must not be adopted through both.
+	if meta, held := c.orphanIndex[node.hash]; held {
+		c.removeOrphanLocked(node.hash, meta)
+	}
+	node.block, node.status = blk, statusParked
+	c.parked = append(c.parked, node)
 	c.parkedBytes += size
 	c.tel.parked.Inc()
 }
 
-// adoptParked connects parked bodies whose predecessors have arrived,
-// lowest height first (deterministically — map order must not influence
-// which sibling connects first), cascading until no parked block can
-// make progress. Callers hold c.mu.
+// unparkLocked takes the parked body off node, which returns to
+// header-only. The caller removes node from c.parked.
+func (c *Chain) unparkLocked(node *blockNode) *wire.MsgBlock {
+	blk := node.block
+	node.block, node.status = nil, statusHeaderOnly
+	c.parkedBytes -= int64(len(blk.Bytes()))
+	return blk
+}
+
+// adoptParked accepts parked bodies whose predecessors have been
+// accepted, lowest height first (deterministically — arrival order must
+// not influence which sibling connects first), cascading until no
+// parked block can make progress. Callers hold c.mu.
 func (c *Chain) adoptParked() []Notification {
 	var events []Notification
 	for {
-		type ready struct {
-			hash chainhash.Hash
-			blk  *wire.MsgBlock
-		}
-		var batch []ready
-		for hash, blk := range c.parked {
-			if _, ok := c.index[blk.Header.PrevBlock]; ok {
-				batch = append(batch, ready{hash, blk})
+		var ready []*blockNode
+		waiting := c.parked[:0]
+		for _, n := range c.parked {
+			if n.parent.status == statusAccepted {
+				ready = append(ready, n)
+			} else {
+				waiting = append(waiting, n)
 			}
 		}
-		if len(batch) == 0 {
+		c.parked = waiting
+		if len(ready) == 0 {
 			return events
 		}
-		sort.Slice(batch, func(i, j int) bool {
-			hi, hj := c.headers[batch[i].hash].height, c.headers[batch[j].hash].height
-			if hi != hj {
-				return hi < hj
+		sort.Slice(ready, func(i, j int) bool {
+			if ready[i].height != ready[j].height {
+				return ready[i].height < ready[j].height
 			}
-			return bytes.Compare(batch[i].hash[:], batch[j].hash[:]) < 0
+			return bytes.Compare(ready[i].hash[:], ready[j].hash[:]) < 0
 		})
-		for _, r := range batch {
-			delete(c.parked, r.hash)
-			c.parkedBytes -= int64(len(r.blk.Bytes()))
-			parent, ok := c.index[r.blk.Header.PrevBlock]
-			if !ok {
-				continue // a sibling earlier in the batch replaced its branch
-			}
-			if _, evs, err := c.acceptBlock(r.blk, parent); err == nil {
+		for _, n := range ready {
+			if _, evs, err := c.acceptBlock(c.unparkLocked(n), n.parent); err == nil {
 				events = append(events, evs...)
 				// A connected body can in turn free orphans waiting on it.
-				events = append(events, c.adoptOrphans(r.hash)...)
+				events = append(events, c.adoptOrphans(n.hash)...)
 			}
 		}
 	}

@@ -328,22 +328,15 @@ type PersistEvent struct {
 type PersistFunc func(ev PersistEvent, b *store.Batch)
 
 // SubscribePersist registers fn to contribute to every future commit
-// batch. Register before processing blocks.
-func (c *Chain) SubscribePersist(fn PersistFunc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.persisters = append(c.persisters, fn)
-}
-
-// SubscribePersistWithTip registers fn like SubscribePersist and
-// returns the tip snapshot taken under the same lock acquisition: every
-// main-chain change at heights above the returned snapshot is
-// guaranteed to reach fn, and nothing at or below it will. A subsystem
-// that builds derived state by scanning history (the chain indexer's
-// bulk initial sync) uses this to know exactly where its scan must stop
-// and its event-driven updates begin — with two separate calls a block
-// could connect in between and be missed by both.
-func (c *Chain) SubscribePersistWithTip(fn PersistFunc) Snapshot {
+// batch; register before processing blocks. It returns the tip snapshot
+// taken under the same lock acquisition: every main-chain change at
+// heights above the snapshot is guaranteed to reach fn, and nothing at
+// or below it will. A subsystem that builds derived state by scanning
+// history (the chain indexer's bulk initial sync) uses this to know
+// exactly where its scan must stop and its event-driven updates begin —
+// with two separate calls a block could connect in between and be
+// missed by both.
+func (c *Chain) SubscribePersist(fn PersistFunc) Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.persisters = append(c.persisters, fn)
@@ -416,8 +409,6 @@ func Open(cfg Config) (*Chain, error) {
 		sigCache:    cfg.SigCache,
 		st:          st,
 		index:       make(map[chainhash.Hash]*blockNode),
-		headers:     make(map[chainhash.Hash]*headerNode),
-		parked:      make(map[chainhash.Hash]*wire.MsgBlock),
 		utxo:        NewUtxoView(),
 		spent:       make(map[wire.OutPoint]SpendRecord),
 		txToBlock:   make(map[chainhash.Hash]txLoc),
@@ -449,18 +440,15 @@ func (c *Chain) bootstrap() error {
 		hash:    genesis.BlockHash(),
 		height:  0,
 		workSum: CalcWork(genesis.Header.Bits),
+		header:  genesis.Header,
 		block:   genesis,
+		status:  statusAccepted,
 		inMain:  true,
 	}
 	c.index[gnode.hash] = gnode
 	c.tip = gnode
 	c.mainChain = []*blockNode{gnode}
-	c.addHeaderNodeLocked(&headerNode{
-		hash:    gnode.hash,
-		height:  0,
-		workSum: new(big.Int).Set(gnode.workSum),
-		header:  genesis.Header,
-	}, false)
+	c.setHeaderTipLocked(gnode)
 
 	b := store.NewBatch()
 	ref, err := c.st.AppendBlock(genesis.Bytes())
@@ -509,8 +497,8 @@ func (c *Chain) readBlock(h chainhash.Hash) (*wire.MsgBlock, error) {
 
 // load rebuilds the resident chain state from the store: the linked
 // main chain (verifying hashes and linkage — the tip integrity check),
-// any stored side-chain blocks that still attach, the UTXO table and
-// the spend journal.
+// any stored side-chain blocks and skeleton headers that still attach,
+// the UTXO table and the spend journal.
 func (c *Chain) load() error {
 	tipRaw, err := c.st.Get(keyTip)
 	if err != nil {
@@ -555,7 +543,9 @@ func (c *Chain) load() error {
 			parent:  parent,
 			height:  h,
 			workSum: new(big.Int).Set(work),
+			header:  blk.Header,
 			block:   blk,
+			status:  statusAccepted,
 			inMain:  true,
 		}
 		c.index[want] = node
@@ -571,9 +561,18 @@ func (c *Chain) load() error {
 	}
 	c.tip = parent
 
-	// Side-chain blocks: reattach everything that still links to a
-	// known block. Blocks whose branch point is gone are dropped.
-	pending := make(map[chainhash.Hash]*wire.MsgBlock)
+	// Everything off the main chain: stored side-chain blocks ('b' rows)
+	// and the persisted skeleton — headers validated ahead of their
+	// bodies ('h' rows) — so a node killed mid-sync restarts with its
+	// header tip at or ahead of the connected tip. Both are linked
+	// progressively from the main chain (height and work derive from the
+	// parent); rows whose ancestry no longer reaches a known block are
+	// dropped, to be refetched from peers.
+	type offMain struct {
+		header wire.BlockHeader
+		block  *wire.MsgBlock // nil for a bare 'h' row
+	}
+	pending := make(map[chainhash.Hash]offMain)
 	err = c.st.Iterate([]byte("b"), func(k, v []byte) error {
 		var h chainhash.Hash
 		if len(k) != 1+32 {
@@ -587,58 +586,11 @@ func (c *Chain) load() error {
 		if err != nil {
 			return err
 		}
-		pending[h] = blk
+		pending[h] = offMain{header: blk.Header, block: blk}
 		return nil
 	})
 	if err != nil {
 		return err
-	}
-	for progressed := true; progressed && len(pending) > 0; {
-		progressed = false
-		for h, blk := range pending {
-			p, ok := c.index[blk.Header.PrevBlock]
-			if !ok {
-				continue
-			}
-			c.index[h] = &blockNode{
-				hash:    h,
-				parent:  p,
-				height:  p.height + 1,
-				workSum: new(big.Int).Add(p.workSum, CalcWork(blk.Header.Bits)),
-				block:   blk,
-			}
-			delete(pending, h)
-			progressed = true
-		}
-	}
-
-	// Header index. Every stored block contributes its header; the 'h'
-	// rows add the persisted skeleton — headers validated ahead of their
-	// bodies — on top, so a node killed mid-sync restarts with its
-	// header tip at or ahead of the connected tip. Both sets are linked
-	// progressively from genesis (height and work derive from the
-	// parent); rows whose ancestry no longer reaches a known header are
-	// dropped, to be refetched from peers.
-	c.addHeaderNodeLocked(&headerNode{
-		hash:    c.mainChain[0].hash,
-		height:  0,
-		workSum: new(big.Int).Set(c.mainChain[0].workSum),
-		header:  c.mainChain[0].block.Header,
-	}, false)
-	for _, node := range c.mainChain[1:] {
-		c.addHeaderNodeLocked(&headerNode{
-			hash:    node.hash,
-			parent:  c.headers[node.parent.hash],
-			height:  node.height,
-			workSum: new(big.Int).Set(node.workSum),
-			header:  node.block.Header,
-		}, false)
-	}
-	pendingHdrs := make(map[chainhash.Hash]wire.BlockHeader)
-	for h, node := range c.index {
-		if _, ok := c.headers[h]; !ok {
-			pendingHdrs[h] = node.block.Header
-		}
 	}
 	err = c.st.Iterate([]byte("h"), func(k, v []byte) error {
 		if len(k) != 1+32 {
@@ -646,10 +598,10 @@ func (c *Chain) load() error {
 		}
 		var h chainhash.Hash
 		copy(h[:], k[1:])
-		if _, ok := c.headers[h]; ok {
+		if _, ok := c.index[h]; ok {
 			return nil
 		}
-		if _, ok := pendingHdrs[h]; ok {
+		if _, ok := pending[h]; ok {
 			return nil
 		}
 		var hdr wire.BlockHeader
@@ -659,42 +611,31 @@ func (c *Chain) load() error {
 		if hdr.BlockHash() != h {
 			return fmt.Errorf("%w: header row %s hashes to %s", ErrCorruptState, h, hdr.BlockHash())
 		}
-		pendingHdrs[h] = hdr
+		pending[h] = offMain{header: hdr}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for progressed := true; progressed && len(pendingHdrs) > 0; {
+	for progressed := true; progressed && len(pending) > 0; {
 		progressed = false
-		for h, hdr := range pendingHdrs {
-			parent, ok := c.headers[hdr.PrevBlock]
+		for h, row := range pending {
+			p, ok := c.index[row.header.PrevBlock]
 			if !ok {
 				continue
 			}
-			c.addHeaderNodeLocked(&headerNode{
-				hash:    h,
-				parent:  parent,
-				height:  parent.height + 1,
-				workSum: new(big.Int).Add(parent.workSum, CalcWork(hdr.Bits)),
-				header:  hdr,
-			}, false)
-			delete(pendingHdrs, h)
+			node := linkNode(h, &row.header, p)
+			// A body is only ever accepted onto an accepted parent; one
+			// stored without it is refetched with the rest of its branch.
+			if row.block != nil && p.status == statusAccepted {
+				node.block, node.status = row.block, statusAccepted
+			}
+			c.index[h] = node
+			delete(pending, h)
 			progressed = true
 		}
 	}
-	// Recompute the best-header tip deterministically: map iteration
-	// order above must not pick among equal-work branches. The connected
-	// tip's header wins ties; among strictly heavier candidates, lowest
-	// hash wins.
-	best := c.headers[c.tip.hash]
-	for _, hn := range c.headers {
-		cmp := hn.workSum.Cmp(best.workSum)
-		if cmp > 0 || (cmp == 0 && best != c.headers[c.tip.hash] && bytes.Compare(hn.hash[:], best.hash[:]) < 0) {
-			best = hn
-		}
-	}
-	c.setHeaderTipLocked(best)
+	c.selectHeaderTipLocked()
 
 	// UTXO table and spend journal.
 	err = c.st.Iterate([]byte("u"), func(k, v []byte) error {

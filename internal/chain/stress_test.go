@@ -71,7 +71,7 @@ func TestConcurrentReadersDuringReorg(t *testing.T) {
 				}
 				c.BlockOf(txid)
 				c.LookupUtxo(wire.OutPoint{Hash: txid, Index: 0})
-				c.BlocksAfter(c.Locator(), 5)
+				c.HeadersAfter(c.HeaderLocator(), 5)
 			}
 		}(g)
 	}

@@ -79,7 +79,7 @@ func Open(c *chain.Chain) (*Indexer, error) {
 	}
 	ix.tipHeight.Store(-1)
 	c.Subscribe(ix.onChainChange)
-	snap := c.SubscribePersistWithTip(ix.contribute)
+	snap := c.SubscribePersist(ix.contribute)
 	if err := ix.catchUp(snap); err != nil {
 		return nil, err
 	}

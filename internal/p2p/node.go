@@ -773,22 +773,6 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdPing:
 		return p.send(wire.CmdPong, msg.Payload)
 
-	case wire.CmdGetBlocks:
-		locator, _, err := wire.DecodeLocator(msg.Payload)
-		if err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed locator")
-			return err
-		}
-		blocks := n.chain.BlocksAfter(locator, 500)
-		if len(blocks) == 0 {
-			return nil
-		}
-		invs := make([]wire.InvVect, len(blocks))
-		for i, blk := range blocks {
-			invs[i] = wire.InvVect{Type: wire.InvTypeBlock, Hash: blk.BlockHash()}
-		}
-		return p.send(wire.CmdInv, wire.EncodeInv(invs))
-
 	case wire.CmdGetHeaders:
 		locator, _, err := wire.DecodeLocator(msg.Payload)
 		if err != nil {
@@ -852,8 +836,8 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			return err
 		}
 		if len(invs) > pol.MaxInvEntries {
-			// The protocol never batches more than 500 blocks per inv;
-			// outsized batches are advertisement spam. Ignore entirely.
+			// Honest peers announce objects one at a time; outsized
+			// batches are advertisement spam. Ignore entirely.
 			n.penalize(p, pol.PenaltyOversized,
 				fmt.Sprintf("inv with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
 			return nil

@@ -65,8 +65,7 @@ type Policy struct {
 	ByteRate  float64
 	ByteBurst float64
 
-	// MaxInvEntries caps inv/getdata/tcget batch sizes. The protocol
-	// itself sends at most 500 blocks per getblocks response.
+	// MaxInvEntries caps inv/getdata/tcget batch sizes.
 	MaxInvEntries int
 	// MaxInflight caps tracked outstanding getdata requests per peer.
 	MaxInflight int

@@ -180,7 +180,7 @@ func FuzzMsgHeadersDecode(f *testing.F) {
 }
 
 // FuzzLocatorDecode feeds arbitrary bytes to the block-locator decoder,
-// the request side of getheaders/getblocks. Depth bombs (huge declared
+// the request side of getheaders. Depth bombs (huge declared
 // hash counts) must be rejected before allocation and accepted locators
 // must round-trip canonically.
 func FuzzLocatorDecode(f *testing.F) {

@@ -30,7 +30,6 @@ const (
 	CmdGetData    = "getdata"
 	CmdTx         = "tx"
 	CmdBlock      = "block"
-	CmdGetBlocks  = "getblocks"
 	CmdGetHeaders = "getheaders"
 	CmdHeaders    = "headers"
 	CmdPing       = "ping"
@@ -181,7 +180,7 @@ func DecodeInv(b []byte) ([]InvVect, error) {
 }
 
 // EncodeLocator serializes a block locator: a list of block hashes from
-// the sender's tip backwards, used by getblocks.
+// the sender's tip backwards, used by getheaders.
 func EncodeLocator(hashes []chainhash.Hash, stop chainhash.Hash) []byte {
 	var buf bytes.Buffer
 	_ = WriteVarInt(&buf, uint64(len(hashes)))
