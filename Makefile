@@ -1,9 +1,10 @@
 GO ?= go
 
 # Packages whose correctness depends on concurrency (the parallel block
-# validation pipeline, the p2p node and its fault simulator) get a
-# dedicated -race pass.
-RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/...
+# validation pipeline, the p2p node and its fault simulator, the ledger
+# whose mutex chain subscribers, p2p and RPC all take) get a dedicated
+# -race pass.
+RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/...
 
 # Native fuzz targets over the three attacker-facing decoders. Each runs
 # for a short smoke budget; override FUZZTIME for longer campaigns.
@@ -82,13 +83,14 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -fuzz FuzzIndexQuery -fuzztime $(FUZZTIME)
 
 # Crash-recovery suite: store-level torn-write tests, the fault-injected
-# full-stack recovery test, and the SIGKILL daemon end-to-end tests
-# (chain state and the chain index).
+# full-stack recovery test, the SIGKILL daemon end-to-end tests (chain
+# state and the chain index), and the ledger's reopen-time marker rule.
 recovery:
 	$(GO) test ./internal/store/ -count=1 -v
 	$(GO) test ./internal/chain/ -run 'TestReopen|TestReorgAfterReopen|TestIntraBlockSpendDisconnect|TestStoreFailure|TestOpenRejectsTampered' -count=1 -v
 	$(GO) test ./cmd/typecoind/ -run 'TestCrash|TestMempoolPersist|TestDaemonKillRecovery|TestDaemonKillIndexRecovery' -count=1 -v
 	$(GO) test ./internal/index/ -run TestIndexCrashMidCommitRecovers -count=1 -v
+	$(GO) test ./internal/typecoin/ -run 'TestLedgerMarkers|TestLedgerReopen' -count=1 -v
 	$(GO) test ./internal/p2p/ -run TestSimRestartResync -count=1 -v
 
 # The adversarial network-simulation suite. SIM_SEED=<n> replays a

@@ -70,7 +70,9 @@ func TestCrashMidCommitRecoversConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := store.NewFault(fileSt, 17, 10)
+	fault := store.NewFaultEngine(fileSt, 0)
+	fault.Inject(store.FaultRule{Op: store.OpApply, Kind: store.KindKill,
+		Mode: store.ModeOneShot, After: 16, TearBytes: 10})
 	chF, err := chain.Open(chain.Config{Params: params, Clock: clk, Store: fault})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +174,7 @@ func TestCrashMidCommitRecoversConsistent(t *testing.T) {
 	mine()
 	mine()
 	if !crashed {
-		t.Fatalf("fault never fired: %d applies", fault.Applies())
+		t.Fatalf("fault never fired: %d applies", fault.OpCalls(store.OpApply))
 	}
 	_ = fault.Close()
 
@@ -270,15 +272,17 @@ func TestCrashInGroupCommitWindowRecovers(t *testing.T) {
 	ledgerC := typecoin.NewLedger(chC, 1)
 	minerC := miner.New(chC, poolC, clk)
 
-	// Crash node: File under Fault under Group. Fault does not implement
-	// ApplyGroup, so the committer applies batch by batch and the tear
-	// lands mid-coalesced-group rather than before or after it.
+	// Crash node: File under FaultEngine under Group. The engine does not
+	// implement ApplyGroup, so the committer applies batch by batch and the
+	// tear lands mid-coalesced-group rather than before or after it.
 	dir := t.TempDir()
 	fileSt, err := store.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := store.NewFault(fileSt, 17, 10)
+	fault := store.NewFaultEngine(fileSt, 0)
+	fault.Inject(store.FaultRule{Op: store.OpApply, Kind: store.KindKill,
+		Mode: store.ModeOneShot, After: 16, TearBytes: 10})
 	g := store.NewGroup(fault, store.GroupConfig{Interval: time.Hour, MaxBatches: 1 << 30})
 	chF, err := chain.Open(chain.Config{Params: params, Clock: clk, Store: g})
 	if err != nil {

@@ -273,7 +273,9 @@ func TestStoreFailureRejectsBlock(t *testing.T) {
 	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
 	// Apply 1 is the genesis bootstrap; applies 2-4 connect three blocks;
 	// apply 5 dies mid-commit.
-	faulty := store.NewFault(store.NewMem(), 5, -1)
+	faulty := store.NewFaultEngine(store.NewMem(), 0)
+	faulty.Inject(store.FaultRule{Op: store.OpApply, Kind: store.KindKill,
+		Mode: store.ModeOneShot, After: 4, TearBytes: -1})
 	c, err := Open(Config{Params: params, Clock: clk, Store: faulty})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -30,7 +30,9 @@ func TestIndexCrashMidCommitRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := store.NewFault(fileSt, 18, 10)
+	fault := store.NewFaultEngine(fileSt, 0)
+	fault.Inject(store.FaultRule{Op: store.OpApply, Kind: store.KindKill,
+		Mode: store.ModeOneShot, After: 17, TearBytes: 10})
 	chF, err := chain.Open(chain.Config{Params: ctl.params, Clock: ctl.clk, Store: fault})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +68,7 @@ func TestIndexCrashMidCommitRecovers(t *testing.T) {
 		}
 	}
 	if !crashed {
-		t.Fatalf("fault never fired: %d applies", fault.Applies())
+		t.Fatalf("fault never fired: %d applies", fault.OpCalls(store.OpApply))
 	}
 	_ = fault.Close()
 

@@ -8,14 +8,13 @@ import (
 )
 
 // FaultEngine is the scriptable disk-adversity model: a Store decorator
-// that injects chosen failures into chosen operations. Where the old
-// Fault wrapper knew exactly one move (die on the Nth Apply, optionally
-// tearing the frame), the engine enumerates the moves a hostile disk
-// actually has — transient EIO, a full device, short writes, fsyncs
-// that report success and drop the data, read-side bit-rot — each
-// firable once, forever, or probabilistically under a seeded RNG so a
-// chaos run replays bit-exactly from its FAULT_SEED (the same replay
-// discipline netsim uses for SIM_SEED).
+// that injects chosen failures into chosen operations. The engine
+// enumerates the moves a hostile disk actually has — transient EIO, a
+// full device, short writes, fsyncs that report success and drop the
+// data, read-side bit-rot, a kill mid-commit — each firable once,
+// forever, or probabilistically under a seeded RNG so a chaos run
+// replays bit-exactly from its FAULT_SEED (the same replay discipline
+// netsim uses for SIM_SEED).
 //
 // The engine is a test/scenario wrapper: production nodes never stack
 // it, so its cost is irrelevant to the hot path. It deliberately does
@@ -76,7 +75,7 @@ const (
 	// KindKill poisons the whole store: the op fails with ErrClosed and
 	// every later op does too, as if the device vanished mid-commit.
 	// With TearBytes >= 0 over a *File the dying Apply first leaves a
-	// torn frame (the legacy Fault behavior).
+	// torn frame.
 	KindKill
 )
 
@@ -206,7 +205,7 @@ func (e *FaultEngine) DroppedFsyncs() uint64 {
 }
 
 // OpCalls reports how many calls of op have been attempted while the
-// store was alive (the legacy Fault.Applies counter, generalized).
+// store was alive.
 func (e *FaultEngine) OpCalls(op FaultOp) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -56,8 +55,9 @@ type File struct {
 	blocks     *os.File
 	blocksSize int64
 
-	data      map[string][]byte
-	liveBytes int64 // payload bytes of live pairs, for the compaction trigger
+	// tab is the resident working set; its liveBytes feeds the
+	// compaction trigger.
+	tab *table
 
 	// compactMin is the journal size below which compaction never
 	// triggers; compaction fires when the journal exceeds it and holds
@@ -121,7 +121,7 @@ func OpenFile(dir string) (*File, error) {
 	}
 	f := &File{
 		dir:        dir,
-		data:       make(map[string][]byte),
+		tab:        newTable(),
 		compactMin: defaultCompactMin,
 		crashBytes: -1,
 		tearNext:   -1,
@@ -243,7 +243,7 @@ func (f *File) replayJournal() error {
 		if err != nil {
 			break
 		}
-		f.applyToTable(ops)
+		f.tab.apply(ops)
 		off += n
 	}
 	f.truncatedBytes = int64(len(raw) - off)
@@ -255,23 +255,6 @@ func (f *File) replayJournal() error {
 	f.logSize = int64(off)
 	f.logCap = int64(off)
 	return nil
-}
-
-// applyToTable folds ops into the resident table, maintaining the
-// live-bytes estimate.
-func (f *File) applyToTable(ops []op) {
-	for _, o := range ops {
-		k := string(o.key)
-		if prev, ok := f.data[k]; ok {
-			f.liveBytes -= int64(len(k) + len(prev))
-		}
-		if o.delete {
-			delete(f.data, k)
-		} else {
-			f.data[k] = o.value
-			f.liveBytes += int64(len(k) + len(o.value))
-		}
-	}
 }
 
 // TruncatedBytes reports how many trailing journal bytes the last Open
@@ -329,7 +312,7 @@ func (f *File) Get(key []byte) ([]byte, error) {
 	if f.closed {
 		return nil, ErrClosed
 	}
-	v, ok := f.data[string(key)]
+	v, ok := f.tab.get(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -343,28 +326,16 @@ func (f *File) Has(key []byte) (bool, error) {
 	if f.closed {
 		return false, ErrClosed
 	}
-	_, ok := f.data[string(key)]
+	_, ok := f.tab.get(key)
 	return ok, nil
 }
 
 // Iterate implements Store.
 func (f *File) Iterate(prefix []byte, fn func(key, value []byte) error) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
-	}
-	pairs := sortedPairs(f.data, prefix)
-	f.mu.Unlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.IterateFrom(prefix, prefix, fn)
 }
 
-// IterateFrom implements the seek fast path: only keys >= start within
+// IterateFrom is the seek form of Iterate: only keys >= start within
 // the prefix are snapshotted and visited.
 func (f *File) IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error {
 	f.mu.Lock()
@@ -372,24 +343,9 @@ func (f *File) IterateFrom(prefix, start []byte, fn func(key, value []byte) erro
 		f.mu.Unlock()
 		return ErrClosed
 	}
-	keys := make([]string, 0, len(f.data))
-	for k := range f.data {
-		if strings.HasPrefix(k, string(prefix)) && k >= string(start) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	pairs := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, [2][]byte{[]byte(k), append([]byte(nil), f.data[k]...)})
-	}
+	pairs := f.tab.scan(prefix, start)
 	f.mu.Unlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return visit(pairs, fn)
 }
 
 // Apply implements Store: encode the batch as one frame, append it to
@@ -404,7 +360,7 @@ func (f *File) Apply(b *Batch) error {
 	if err := f.writeFramesLocked(f.scratch); err != nil {
 		return err
 	}
-	f.applyToTable(b.ops)
+	f.tab.apply(b.ops)
 	f.maybeCompactLocked()
 	return nil
 }
@@ -429,7 +385,7 @@ func (f *File) ApplyGroup(batches []*Batch) error {
 		return err
 	}
 	for _, b := range batches {
-		f.applyToTable(b.ops)
+		f.tab.apply(b.ops)
 	}
 	f.maybeCompactLocked()
 	return nil
@@ -442,7 +398,7 @@ func (f *File) ApplyGroup(batches []*Batch) error {
 // grows another preallocation chunk, and the error is kept for
 // telemetry (CompactionErr).
 func (f *File) maybeCompactLocked() {
-	if f.logSize <= f.compactMin || f.liveBytes*4 >= f.logSize {
+	if f.logSize <= f.compactMin || f.tab.liveBytes*4 >= f.logSize {
 		return
 	}
 	if f.compactRetrySize > 0 && f.logSize < f.compactRetrySize {
@@ -516,7 +472,7 @@ func (f *File) kvName() string { return fmt.Sprintf("kv-%d.log", f.gen) }
 // next generation and atomically swings the manifest over.
 func (f *File) compactLocked() error {
 	snap := &Batch{}
-	for _, kv := range sortedPairs(f.data, nil) {
+	for _, kv := range f.tab.scan(nil, nil) {
 		snap.ops = append(snap.ops, op{key: kv[0], value: kv[1]})
 	}
 	frame := appendFrame(nil, encodeBatchPayload(snap))
@@ -691,21 +647,4 @@ func (f *File) Close() error {
 	f.log.Close()
 	f.blocks.Close()
 	return err
-}
-
-// sortedPairs snapshots the table's pairs with the given prefix in
-// ascending key order. Caller holds the store lock.
-func sortedPairs(data map[string][]byte, prefix []byte) [][2][]byte {
-	keys := make([]string, 0, len(data))
-	for k := range data {
-		if len(prefix) == 0 || strings.HasPrefix(k, string(prefix)) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, [2][]byte{[]byte(k), append([]byte(nil), data[k]...)})
-	}
-	return out
 }

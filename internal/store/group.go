@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -277,8 +278,9 @@ func (g *Group) committer() {
 }
 
 // groupApplier is the engine fast path: commit a run of batches with
-// one write. File implements it; Fault deliberately does not, so fault
-// injection keeps counting individual Apply calls even under a Group.
+// one write. File implements it; FaultEngine deliberately does not, so
+// fault injection keeps counting individual Apply calls even under a
+// Group.
 type groupApplier interface {
 	ApplyGroup(batches []*Batch) error
 }
@@ -501,12 +503,17 @@ func (g *Group) Has(key []byte) (bool, error) {
 	return g.inner.Has(key)
 }
 
-// Iterate implements Store: a sorted merge of the inner store's pairs
-// with a point-in-time snapshot of the overlay (overlay wins, deletes
-// mask inner keys). The stores above only Iterate from a single writer
-// or at startup, so the two snapshots observing slightly different
-// instants is not visible in practice.
+// Iterate implements Store.
 func (g *Group) Iterate(prefix []byte, fn func(key, value []byte) error) error {
+	return g.IterateFrom(prefix, prefix, fn)
+}
+
+// IterateFrom is the seek form of Iterate: a sorted merge of the inner
+// store's pairs from start on with a point-in-time snapshot of the
+// overlay's (overlay wins, deletes mask inner keys). The stores above
+// only iterate from a single writer or at startup, so the two snapshots
+// observing slightly different instants is not visible in practice.
+func (g *Group) IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error {
 	g.mu.Lock()
 	if err := g.stateErrLocked(); err != nil {
 		g.mu.Unlock()
@@ -518,9 +525,9 @@ func (g *Group) Iterate(prefix []byte, fn func(key, value []byte) error) error {
 		del   bool
 	}
 	var over []kv
-	p := string(prefix)
+	p, from := string(prefix), string(start)
 	for k, e := range g.overlay {
-		if len(p) == 0 || (len(k) >= len(p) && k[:len(p)] == p) {
+		if strings.HasPrefix(k, p) && k >= from {
 			over = append(over, kv{key: k, value: e.value, del: e.del})
 		}
 	}
@@ -534,7 +541,7 @@ func (g *Group) Iterate(prefix []byte, fn func(key, value []byte) error) error {
 		}
 		return fn([]byte(e.key), append([]byte(nil), e.value...))
 	}
-	err := g.inner.Iterate(prefix, func(key, value []byte) error {
+	err := IterateFrom(g.inner, prefix, start, func(key, value []byte) error {
 		ks := string(key)
 		for i < len(over) && over[i].key < ks {
 			if err := emitOverlay(over[i]); err != nil {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -109,10 +108,15 @@ func TestGroupFatalErrorStaysSticky(t *testing.T) {
 	g := faultGroup(e, GroupConfig{Interval: 0, SyncEvery: 1})
 	defer g.Close()
 
-	var fatalSeen atomic.Bool
+	// The hook fires outside the group lock, after Drain's waiters have
+	// been woken, so the test waits for it and does not read a flag.
+	fatalSeen := make(chan struct{}, 1)
 	g.SetOnError(func(err error, fatal bool, consecutive int) {
 		if fatal {
-			fatalSeen.Store(true)
+			select {
+			case fatalSeen <- struct{}{}:
+			default:
+			}
 		}
 	})
 	if err := applyOne(t, g, "k", "v"); err != nil {
@@ -125,7 +129,9 @@ func TestGroupFatalErrorStaysSticky(t *testing.T) {
 	if err := applyOne(t, g, "k2", "v2"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("apply after poison: %v, want sticky ErrClosed", err)
 	}
-	if !fatalSeen.Load() {
+	select {
+	case <-fatalSeen:
+	case <-time.After(5 * time.Second):
 		t.Fatal("onError never reported the fatal flush")
 	}
 }

@@ -120,19 +120,24 @@ func TestGroupCoalescesAndMarksWatermark(t *testing.T) {
 		t.Fatalf("PendingBatches() = %d, want 5", got)
 	}
 
-	var flushedGroups, flushedBatches int
-	g.SetOnFlush(func(batches int, lag time.Duration) {
-		flushedGroups++
-		flushedBatches += batches
-	})
+	// The hook fires after Drain's waiter has been woken, so the test
+	// waits for it on a channel instead of reading a counter. The buffer
+	// holds one send per batch, the most a broken coalescer could make.
+	groups := make(chan int, 5)
+	g.SetOnFlush(func(batches int, lag time.Duration) { groups <- batches })
 	if err := g.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Flushed(); got != 5 {
 		t.Fatalf("Flushed() = %d after drain, want 5", got)
 	}
-	if flushedGroups != 1 || flushedBatches != 5 {
-		t.Fatalf("drain flushed %d groups / %d batches, want 1 / 5 (coalesced)", flushedGroups, flushedBatches)
+	select {
+	case batches := <-groups:
+		if batches != 5 {
+			t.Fatalf("first group flushed %d batches, want all 5 coalesced", batches)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("flush hook never fired")
 	}
 	// The journal grew by exactly the five frames, written in one call —
 	// verify per-batch framing survived by reopening.
@@ -142,7 +147,7 @@ func TestGroupCoalescesAndMarksWatermark(t *testing.T) {
 }
 
 // TestGroupCrashMidWindowRecoversPrefix is the crash-inside-the-window
-// scenario at the store level: a Fault store under the pipeline tears
+// scenario at the store level: a FaultEngine under the pipeline tears
 // the journal mid-coalesced-group. Recovery must yield a clean prefix
 // of whole batches — the unflushed tail is simply gone, nothing is
 // half-applied.
@@ -152,10 +157,12 @@ func TestGroupCrashMidWindowRecoversPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fault does not implement ApplyGroup, so the committer falls back
-	// to per-batch Apply and the 3rd batch of the group dies, tearing
-	// 7 bytes of its frame onto disk.
-	fault := NewFault(inner, 3, 7)
+	// FaultEngine does not implement ApplyGroup, so the committer falls
+	// back to per-batch Apply and the 3rd batch of the group dies,
+	// tearing 7 bytes of its frame onto disk.
+	fault := NewFaultEngine(inner, 0)
+	fault.Inject(FaultRule{Op: OpApply, Kind: KindKill,
+		Mode: ModeOneShot, After: 2, TearBytes: 7})
 	g := longGroup(fault)
 
 	for h := 1; h <= 5; h++ {

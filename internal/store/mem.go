@@ -1,17 +1,14 @@
 package store
 
-import (
-	"bytes"
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Mem is the in-memory engine: plain maps with the same atomicity
-// contract as File. It is the default for tests and non-persistent
-// nodes; "durability" lasts exactly as long as the process.
+// Mem is the in-memory engine: File's resident table without the
+// journal under it, and the same atomicity contract. It is the default
+// for tests and non-persistent nodes; "durability" lasts exactly as long
+// as the process.
 type Mem struct {
 	mu     sync.RWMutex
-	data   map[string][]byte
+	tab    *table
 	blobs  map[uint64][]byte
 	nextBl uint64
 	closed bool
@@ -20,7 +17,7 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
 	return &Mem{
-		data:  make(map[string][]byte),
+		tab:   newTable(),
 		blobs: make(map[uint64][]byte),
 	}
 }
@@ -32,7 +29,7 @@ func (m *Mem) Get(key []byte) ([]byte, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	v, ok := m.data[string(key)]
+	v, ok := m.tab.get(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -46,64 +43,26 @@ func (m *Mem) Has(key []byte) (bool, error) {
 	if m.closed {
 		return false, ErrClosed
 	}
-	_, ok := m.data[string(key)]
+	_, ok := m.tab.get(key)
 	return ok, nil
 }
 
 // Iterate implements Store.
 func (m *Mem) Iterate(prefix []byte, fn func(key, value []byte) error) error {
-	m.mu.RLock()
-	if m.closed {
-		m.mu.RUnlock()
-		return ErrClosed
-	}
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		if bytes.HasPrefix([]byte(k), prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	// Copy the visited pairs so fn may call back into the store.
-	pairs := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, [2][]byte{[]byte(k), append([]byte(nil), m.data[k]...)})
-	}
-	m.mu.RUnlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.IterateFrom(prefix, prefix, fn)
 }
 
-// IterateFrom implements the seek fast path: only keys >= start within
-// the prefix are collected and visited.
+// IterateFrom is the seek form of Iterate: only keys >= start within
+// the prefix are snapshotted and visited.
 func (m *Mem) IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error {
 	m.mu.RLock()
 	if m.closed {
 		m.mu.RUnlock()
 		return ErrClosed
 	}
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		if bytes.HasPrefix([]byte(k), prefix) && k >= string(start) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	pairs := make([][2][]byte, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, [2][]byte{[]byte(k), append([]byte(nil), m.data[k]...)})
-	}
+	pairs := m.tab.scan(prefix, start)
 	m.mu.RUnlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return visit(pairs, fn)
 }
 
 // Apply implements Store.
@@ -113,13 +72,7 @@ func (m *Mem) Apply(b *Batch) error {
 	if m.closed {
 		return ErrClosed
 	}
-	for _, o := range b.ops {
-		if o.delete {
-			delete(m.data, string(o.key))
-		} else {
-			m.data[string(o.key)] = o.value
-		}
-	}
+	m.tab.apply(b.ops)
 	return nil
 }
 

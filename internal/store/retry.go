@@ -347,17 +347,10 @@ func (r *Retry) Iterate(prefix []byte, fn func(key, value []byte) error) error {
 	return err
 }
 
-// IterateFrom implements the range fast path when the inner store does.
+// IterateFrom keeps the inner store's seek reachable through the
+// wrapper.
 func (r *Retry) IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error {
-	type fromIterator interface {
-		IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error
-	}
-	var err error
-	if fi, ok := r.inner.(fromIterator); ok {
-		err = fi.IterateFrom(prefix, start, fn)
-	} else {
-		err = IterateFrom(r.inner, prefix, start, fn)
-	}
+	err := IterateFrom(r.inner, prefix, start, fn)
 	r.readFault("iterate", err)
 	return err
 }

@@ -4,10 +4,11 @@
 //
 // The paper piggybacks on Bitcoin precisely because the chain provides
 // durable commitment — a typecoin proposition must survive node
-// restarts. Two engines implement the same contract: Mem (plain maps,
-// the default for tests and in-memory nodes) and File (a CRC-framed
-// log-structured KV whose journal doubles as the write-ahead log, with
-// an atomic manifest swap on compaction). Everything above the seam —
+// restarts. Two engines implement the same contract over one ordered
+// resident table (table.go): Mem (the table alone, the default for
+// tests and in-memory nodes) and File (the table fed by a CRC-framed
+// journal that doubles as the write-ahead log, with an atomic manifest
+// swap on compaction). Everything above the seam —
 // chain, wallet, ledger, mempool — speaks only this interface, so a
 // node is made durable by swapping the engine.
 package store
@@ -119,19 +120,18 @@ type Store interface {
 	Close() error
 }
 
-// fromIterator is an optional fast path for seek-style iteration: an
-// engine that keeps its keys sorted can start the scan at an arbitrary
-// key instead of filtering from the beginning of the prefix.
+// fromIterator is the seek form of Iterate. Both engines and the Group
+// and Retry wrappers implement it; it stays out of Store so that a
+// decorator written against Store alone keeps compiling.
 type fromIterator interface {
 	IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error
 }
 
 // IterateFrom visits every key with the given prefix that is >= start,
 // in ascending byte order — the seek primitive behind cursor-paginated
-// index queries. Engines that implement the fromIterator fast path skip
-// straight to start; any other Store (including wrappers like Fault and
-// Group) falls back to a filtered full-prefix scan, so the helper works
-// against every engine unmodified.
+// index queries. A store that implements fromIterator seeks straight to
+// start; any other Store (FaultEngine, so that its OpIterate rules see
+// every scan) falls back to a filtered full-prefix scan.
 func IterateFrom(st Store, prefix, start []byte, fn func(key, value []byte) error) error {
 	if fi, ok := st.(fromIterator); ok {
 		return fi.IterateFrom(prefix, start, fn)

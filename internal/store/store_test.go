@@ -4,22 +4,36 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// engines returns a fresh instance of each engine for contract tests.
+// engines returns a fresh instance of each engine, and of each wrapper
+// that forwards the seek, for contract tests. The group never flushes on
+// its own, so what a test leaves un-Flushed is served from its overlay.
 func engines(t *testing.T) map[string]Store {
 	t.Helper()
-	file, err := OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	openFile := func() *File {
+		f, err := OpenFile(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	t.Cleanup(func() { file.Close() })
-	mem := NewMem()
-	t.Cleanup(func() { mem.Close() })
-	return map[string]Store{"mem": mem, "file": file}
+	all := map[string]Store{
+		"mem":         NewMem(),
+		"file":        openFile(),
+		"retry(file)": NewRetry(openFile(), RetryConfig{}),
+		"group(mem)":  longGroup(NewMem()),
+	}
+	for _, st := range all {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	return all
 }
 
 func TestStoreContract(t *testing.T) {
@@ -95,7 +109,94 @@ func TestStoreContract(t *testing.T) {
 			if err := st.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			testIterateFromContract(t, st)
 		})
+	}
+}
+
+// testIterateFromContract pins the seek: where a scan starts for every
+// position of start relative to the prefix, that fn sees a snapshot it
+// may mutate the store under, and that fn's error stops the scan.
+func testIterateFromContract(t *testing.T, st Store) {
+	// Half the rows are flushed and half are not, so a Group merges its
+	// overlay with the inner store's seek.
+	b := NewBatch()
+	b.Put([]byte("o/z"), []byte("below"))
+	b.Put([]byte("p/a"), []byte("1"))
+	b.Put([]byte("p/e"), []byte("3"))
+	if err := st.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b = NewBatch()
+	b.Put([]byte("p/c"), []byte("2"))
+	b.Put([]byte("q/a"), []byte("above"))
+	if err := st.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+
+	scan := func(prefix, start string) string {
+		t.Helper()
+		var got []string
+		err := IterateFrom(st, []byte(prefix), []byte(start), func(k, v []byte) error {
+			got = append(got, string(k)+"="+string(v))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("IterateFrom(%q, %q): %v", prefix, start, err)
+		}
+		return strings.Join(got, " ")
+	}
+	const all = "p/a=1 p/c=2 p/e=3"
+	for _, tc := range []struct{ name, prefix, start, want string }{
+		{"start == prefix", "p/", "p/", all},
+		{"start on a key", "p/", "p/c", "p/c=2 p/e=3"},
+		{"start between keys", "p/", "p/b", "p/c=2 p/e=3"},
+		{"start below the prefix", "p/", "o", all},
+		{"start empty", "p/", "", all},
+		{"start past the last key", "p/", "p/f", ""},
+		{"start past the prefix", "p/", "q", ""},
+		{"empty prefix", "", "p/c", "p/c=2 p/e=3 q/a=above"},
+		{"prefix with no rows", "p/d", "p/d", ""},
+	} {
+		if got := scan(tc.prefix, tc.start); got != tc.want {
+			t.Errorf("%s: IterateFrom(%q, %q) = [%s], want [%s]", tc.name, tc.prefix, tc.start, got, tc.want)
+		}
+	}
+
+	// fn reads and writes the store it is scanning: the scan keeps
+	// yielding the rows as they were when it began.
+	var got []string
+	err := IterateFrom(st, []byte("p/"), []byte("p/a"), func(k, v []byte) error {
+		got = append(got, string(k))
+		if v, err := st.Get([]byte("p/e")); len(got) == 1 && (err != nil || string(v) != "3") {
+			return fmt.Errorf("Get mid-scan = %q, %v", v, err)
+		}
+		m := NewBatch()
+		m.Delete([]byte("p/e"))
+		m.Put([]byte("p/d"), []byte("new"))
+		return st.Apply(m)
+	})
+	if err != nil || strings.Join(got, " ") != "p/a p/c p/e" {
+		t.Fatalf("mutating scan visited %v, err %v; want the snapshot p/a p/c p/e", got, err)
+	}
+	if got := scan("p/", "p/b"); got != "p/c=2 p/d=new" {
+		t.Fatalf("scan after the mutating scan = [%s]", got)
+	}
+
+	// fn's error stops the scan after exactly the rows it accepted.
+	stop := errors.New("stop")
+	visited := 0
+	err = IterateFrom(st, []byte("p/"), nil, func(k, v []byte) error {
+		if visited++; visited == 2 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || visited != 2 {
+		t.Fatalf("early stop: visited %d rows, err %v; want 2 rows and the sentinel", visited, err)
 	}
 }
 
@@ -335,7 +436,9 @@ func TestFaultWrapperKillsNthApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewFault(inner, 3, 10)
+	st := NewFaultEngine(inner, 0)
+	st.Inject(FaultRule{Op: OpApply, Kind: KindKill,
+		Mode: ModeOneShot, After: 2, TearBytes: 10})
 	for i := 0; i < 2; i++ {
 		b := NewBatch()
 		b.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
@@ -378,7 +481,7 @@ func TestMemAndFileAgree(t *testing.T) {
 	defer file.Close()
 	mem := NewMem()
 	// A deterministic mixed workload applied to both engines must yield
-	// identical iteration results.
+	// identical iteration results, from the start and from any seek.
 	for round := 0; round < 50; round++ {
 		b1, b2 := NewBatch(), NewBatch()
 		for j := 0; j < 8; j++ {
@@ -399,21 +502,62 @@ func TestMemAndFileAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dump := func(st Store) []string {
+	dump := func(st Store, prefix, start string) []string {
 		var out []string
-		st.Iterate(nil, func(k, v []byte) error {
+		IterateFrom(st, []byte(prefix), []byte(start), func(k, v []byte) error {
 			out = append(out, string(k)+"="+string(v))
 			return nil
 		})
 		return out
 	}
-	fd, md := dump(file), dump(mem)
-	if len(fd) != len(md) {
-		t.Fatalf("engines diverge: file %d keys, mem %d keys", len(fd), len(md))
-	}
-	for i := range fd {
-		if fd[i] != md[i] {
-			t.Fatalf("engines diverge at %d: %q vs %q", i, fd[i], md[i])
+	agree := func(when string, file Store) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(16))
+		for i := 0; i < 64; i++ {
+			prefix, start := "", ""
+			if i > 0 {
+				// Starts land on live keys, on deleted ones, past both ends
+				// of the key space and, truncated, between keys.
+				prefix = "key-"[:rng.Intn(5)]
+				start = fmt.Sprintf("key-%02d", rng.Intn(44)-2)
+				if rng.Intn(3) == 0 {
+					start = start[:rng.Intn(len(start))]
+				}
+			}
+			fd, md := dump(file, prefix, start), dump(mem, prefix, start)
+			if len(fd) != len(md) {
+				t.Fatalf("%s: IterateFrom(%q, %q): file %d keys, mem %d keys", when, prefix, start, len(fd), len(md))
+			}
+			for j := range fd {
+				if fd[j] != md[j] {
+					t.Fatalf("%s: IterateFrom(%q, %q) diverges at %d: %q vs %q", when, prefix, start, j, fd[j], md[j])
+				}
+			}
 		}
 	}
+	if len(dump(mem, "", "")) == 0 {
+		t.Fatal("workload left no rows to compare")
+	}
+	agree("after the mixed rounds", file)
+
+	// The same state must come back from a compacted generation.
+	file.mu.Lock()
+	err = file.compactLocked()
+	file.mu.Unlock()
+	if err != nil {
+		t.Fatalf("forced compaction: %v", err)
+	}
+	agree("after compaction", file)
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.gen != 2 {
+		t.Fatalf("reopened generation %d, want the compacted generation 2", reopened.gen)
+	}
+	agree("after compaction and reopen", reopened)
 }

@@ -3,6 +3,7 @@ package typecoin
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,30 +41,40 @@ type Ledger struct {
 	// yet-deep-enough carriers.
 	waiting map[chainhash.Hash]chainhash.Hash
 	// seen maps every commitment hash observed on the main chain to its
-	// carrier txid, so announcements arriving after confirmation still
-	// apply (announce-after-mine).
-	seen    map[chainhash.Hash]chainhash.Hash
+	// carrier txids in blockchain order, so announcements arriving after
+	// confirmation still apply (announce-after-mine). Usually one carrier;
+	// the hash is public, so anyone can mine another.
+	seen    map[chainhash.Hash][]chainhash.Hash
 	applied map[chainhash.Hash]bool // carrier txids already applied
+	// unwritten is a batch the store refused; it rides in front of the
+	// next mutation's rows so the markers never fall behind for good.
+	unwritten *store.Batch
 }
 
 // NewLedger creates a ledger over c that applies Typecoin transactions
 // once their carriers have minConf confirmations (the paper uses about
 // five; tests use one).
 func NewLedger(c *chain.Chain, minConf int) *Ledger {
+	l := newLedger(c, minConf, nil)
+	c.Subscribe(l.onChainChange)
+	return l
+}
+
+// newLedger is the empty ledger NewLedger and OpenLedger start from.
+func newLedger(c *chain.Chain, minConf int, st store.Store) *Ledger {
 	if minConf < 1 {
 		minConf = 1
 	}
-	l := &Ledger{
+	return &Ledger{
 		chain:   c,
 		minConf: minConf,
+		st:      st,
 		state:   NewState(),
 		known:   make(map[chainhash.Hash]interface{}),
 		waiting: make(map[chainhash.Hash]chainhash.Hash),
-		seen:    make(map[chainhash.Hash]chainhash.Hash),
+		seen:    make(map[chainhash.Hash][]chainhash.Hash),
 		applied: make(map[chainhash.Hash]bool),
 	}
-	c.Subscribe(l.onChainChange)
-	return l
 }
 
 // MinConf returns the ledger's confirmation depth.
@@ -87,31 +98,40 @@ func (l *Ledger) AnnounceBatch(b *Batch) {
 }
 
 func (l *Ledger) announce(h chainhash.Hash, obj interface{}) {
+	// l.mu is held from the known insert to the store write: the
+	// announcement row and the marker changes it causes are one batch.
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	// Announcements travel out of band and cannot be rederived from the
+	// chain, so a new one is persisted the moment it arrives.
+	var fresh interface{}
 	if _, ok := l.known[h]; !ok {
-		l.known[h] = obj
-		// Announcements travel out of band and cannot be rederived from
-		// the chain, so they are persisted the moment they arrive.
-		l.persistAnnouncementLocked(h, obj)
+		l.known[h], fresh = obj, obj
 	}
-	// The carrier may already be on chain (announce-after-mine): the
-	// seen index remembers every metadata-bearing carrier.
+	// Carriers may already be on chain (announce-after-mine): the seen
+	// index remembers every metadata-bearing carrier. All of them are
+	// queued, as a replay would queue them, so the sweep and the replay
+	// pick the same one.
 	rebuild := false
-	if carrierID, ok := l.seen[h]; ok && !l.applied[carrierID] {
+	for _, carrierID := range l.seen[h] {
+		if l.applied[carrierID] {
+			continue
+		}
 		l.waiting[carrierID] = h
 		// If carriers later in blockchain order have already been
 		// applied, merely sweeping would apply this one out of order —
 		// and a Typecoin double-spend would then be resolved by arrival
 		// order instead of blockchain order, diverging between nodes.
 		// Replay from scratch so blockchain order decides.
-		rebuild = l.appliedAfterLocked(carrierID)
+		rebuild = rebuild || l.appliedAfterLocked(carrierID)
 	}
-	l.mu.Unlock()
+	var applied, dropped []chainhash.Hash
 	if rebuild {
-		l.rebuild()
-		return
+		applied, dropped = l.rebuildLocked()
+	} else {
+		applied = l.sweepLocked()
 	}
-	l.sweep()
+	l.persistLocked(h, fresh, applied, dropped)
 }
 
 // appliedAfterLocked reports whether any already-applied carrier sits
@@ -157,27 +177,32 @@ func (l *Ledger) onChainChange(n chain.Notification) {
 		return
 	}
 	l.mu.Lock()
-	for _, btx := range n.Block.Transactions {
+	defer l.mu.Unlock()
+	l.observeLocked(n.Block)
+	l.persistLocked(chainhash.Hash{}, nil, l.sweepLocked(), nil)
+}
+
+// observeLocked records a main-chain block's metadata-bearing carriers
+// in the seen index and queues those whose object is known.
+func (l *Ledger) observeLocked(blk *wire.MsgBlock) {
+	for _, btx := range blk.Transactions {
 		if h, ok := ExtractMetaHash(btx); ok {
-			l.seen[h] = btx.TxHash()
+			// A reorg's rebuild has already read the blocks whose connect
+			// notifications follow it.
+			if id := btx.TxHash(); !slices.Contains(l.seen[h], id) {
+				l.seen[h] = append(l.seen[h], id)
+			}
 			if _, known := l.known[h]; known {
 				l.waiting[btx.TxHash()] = h
 			}
 		}
 	}
-	l.mu.Unlock()
-	l.sweep()
 }
 
-// sweep applies every waiting transaction whose carrier is deep enough,
-// in blockchain order (the order the global basis accumulates in).
-func (l *Ledger) sweep() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sweepLocked()
-}
-
-func (l *Ledger) sweepLocked() {
+// sweepLocked applies every waiting transaction whose carrier is deep
+// enough, in blockchain order (the order the global basis accumulates
+// in), and returns the carriers it applied.
+func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 	type entry struct {
 		carrierID chainhash.Hash
 		tch       chainhash.Hash
@@ -193,16 +218,9 @@ func (l *Ledger) sweepLocked() {
 		if l.chain.Confirmations(carrierID) < l.minConf {
 			continue
 		}
-		blk, height, ok := l.chain.BlockOf(carrierID)
+		height, pos, ok := l.carrierPosLocked(carrierID)
 		if !ok {
 			continue
-		}
-		pos := 0
-		for i, btx := range blk.Transactions {
-			if btx.TxHash() == carrierID {
-				pos = i
-				break
-			}
 		}
 		ready = append(ready, entry{carrierID, tch, height, pos})
 	}
@@ -229,6 +247,7 @@ func (l *Ledger) sweepLocked() {
 			if err := l.applyLocked(obj, e.carrierID); err == nil {
 				progressed = true
 				done[e.carrierID] = true
+				applied = append(applied, e.carrierID)
 				delete(l.waiting, e.carrierID)
 			}
 		}
@@ -242,7 +261,7 @@ func (l *Ledger) sweepLocked() {
 	// (a false condition at their block — the "spoiled inputs" hazard of
 	// Section 5) are simply re-rejected each time, which is cheap and
 	// bounded by the number of such carriers.
-	l.syncAppliedLocked()
+	return applied
 }
 
 // readyLocked reports whether the announced object's inputs all resolve
@@ -316,26 +335,38 @@ func (l *Ledger) applyLocked(obj interface{}, carrierID chainhash.Hash) error {
 func (l *Ledger) rebuild() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	applied, dropped := l.rebuildLocked()
+	l.persistLocked(chainhash.Hash{}, nil, applied, dropped)
+}
+
+// rebuildLocked is the replay itself. It returns how the applied set
+// changed: the carriers applied now and not before the call, and those
+// applied before and not now.
+func (l *Ledger) rebuildLocked() (applied, dropped []chainhash.Hash) {
+	before := l.applied
 	l.state = NewState()
 	l.waiting = make(map[chainhash.Hash]chainhash.Hash)
-	l.seen = make(map[chainhash.Hash]chainhash.Hash)
+	l.seen = make(map[chainhash.Hash][]chainhash.Hash)
 	l.applied = make(map[chainhash.Hash]bool)
 	for h := 0; ; h++ {
 		blk, ok := l.chain.BlockAtHeight(h)
 		if !ok {
 			break
 		}
-		for _, btx := range blk.Transactions {
-			if mh, ok := ExtractMetaHash(btx); ok {
-				l.seen[mh] = btx.TxHash()
-				if _, known := l.known[mh]; known {
-					l.waiting[btx.TxHash()] = mh
-				}
-			}
-		}
+		l.observeLocked(blk)
 	}
 	// Apply in blockchain order.
-	l.sweepLocked()
+	for _, id := range l.sweepLocked() {
+		if !before[id] {
+			applied = append(applied, id)
+		}
+	}
+	for id := range before {
+		if !l.applied[id] {
+			dropped = append(dropped, id)
+		}
+	}
+	return applied, dropped
 }
 
 // State queries (all consistent snapshots under the ledger lock).

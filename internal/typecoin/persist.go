@@ -9,15 +9,30 @@ package typecoin
 //	                        batch). Announcements arrive out of band and
 //	                        are written at Announce time — the one piece
 //	                        of ledger state the chain cannot reproduce.
-//	ls + commitment hash -> carrier txid. The seen index, contributed to
-//	                        each block's atomic commit batch; redundant
-//	                        with the chain and cross-checked on startup.
-//	la + carrier txid    -> marker. Written after a carrier's Typecoin
-//	                        transaction is applied. On startup every
-//	                        marker must be reproduced by the replay —
-//	                        a marker the replay cannot justify means the
-//	                        store and chain diverged, and OpenLedger
-//	                        refuses to proceed.
+//	ls + commitment hash -> carrier txid (the last in chain order when
+//	                        several carry one hash). The seen index,
+//	                        contributed to each block's atomic commit
+//	                        batch; redundant with the chain and
+//	                        cross-checked on startup.
+//	la + carrier txid    -> marker: this carrier's Typecoin transaction
+//	                        is applied. A witness of what a previous run
+//	                        concluded, never an input to the replay.
+//
+// Every ledger mutation (an announcement, the sweep after a block
+// connects, a rebuild) knows which carriers it applied and which it
+// un-applied, and writes exactly that as one batch: the new ka row if
+// any, Put(la) per carrier newly applied, Delete(la) per carrier no
+// longer applied. The running ledger never reads the store.
+//
+// OpenLedger reads ka and la once. A marker the replay reproduces is
+// kept; a missing one is written (the crash cut it off after the block
+// committed). A marker the replay does not reproduce is deleted when its
+// carrier has fewer than minConf confirmations on the recovered chain —
+// the trace of a crash between a disconnect commit and the ledger's
+// delete, since notifications fire only after the whole reorg has
+// committed — and is ErrStateDiverged otherwise: a confirmed carrier was
+// applied by a previous run and cannot be now, so the announcement rows
+// or the chain under them are not the ones that run saw.
 
 import (
 	"bytes"
@@ -34,8 +49,8 @@ import (
 // was applied.
 var ErrStateDiverged = errors.New("typecoin: persisted ledger state diverges from chain replay")
 
-func keyKnown(h chainhash.Hash) []byte   { return append([]byte("ka"), h[:]...) }
-func keySeen(h chainhash.Hash) []byte    { return append([]byte("ls"), h[:]...) }
+func keyKnown(h chainhash.Hash) []byte    { return append([]byte("ka"), h[:]...) }
+func keySeen(h chainhash.Hash) []byte     { return append([]byte("ls"), h[:]...) }
 func keyApplied(id chainhash.Hash) []byte { return append([]byte("la"), id[:]...) }
 
 const (
@@ -102,30 +117,24 @@ func decodeAnnouncement(b []byte) (interface{}, error) {
 
 // OpenLedger creates a ledger persisted in c's store: previously
 // announced objects are reloaded, the typed state is replayed from the
-// recovered chain, and every persisted applied marker is verified
-// against the replay (a marker the replay cannot reproduce returns
-// ErrStateDiverged). New announcements and applied markers are written
-// through as they happen.
+// recovered chain, and the persisted applied markers are settled against
+// the replay by the rule in the header comment (ErrStateDiverged when a
+// confirmed carrier's marker is not reproduced). From then on every
+// ledger mutation writes its own rows; nothing is read back.
 func OpenLedger(c *chain.Chain, minConf int) (*Ledger, error) {
-	if minConf < 1 {
-		minConf = 1
+	l := newLedger(c, minConf, c.Store())
+	// rows visits the 2+32-byte-keyed rows under a prefix.
+	rows := func(prefix string, fn func(h chainhash.Hash, v []byte) error) error {
+		return l.st.Iterate([]byte(prefix), func(k, v []byte) error {
+			if len(k) != 2+32 {
+				return fmt.Errorf("typecoin: malformed %s key", prefix)
+			}
+			var h chainhash.Hash
+			copy(h[:], k[2:])
+			return fn(h, v)
+		})
 	}
-	l := &Ledger{
-		chain:   c,
-		minConf: minConf,
-		st:      c.Store(),
-		state:   NewState(),
-		known:   make(map[chainhash.Hash]interface{}),
-		waiting: make(map[chainhash.Hash]chainhash.Hash),
-		seen:    make(map[chainhash.Hash]chainhash.Hash),
-		applied: make(map[chainhash.Hash]bool),
-	}
-	err := l.st.Iterate([]byte("ka"), func(k, v []byte) error {
-		if len(k) != 2+32 {
-			return errors.New("typecoin: malformed announcement key")
-		}
-		var h chainhash.Hash
-		copy(h[:], k[2:])
+	err := rows("ka", func(h chainhash.Hash, v []byte) error {
 		obj, err := decodeAnnouncement(v)
 		if err != nil {
 			return err
@@ -136,47 +145,31 @@ func OpenLedger(c *chain.Chain, minConf int) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Subscribe(l.onChainChange)
-	c.SubscribePersist(l.contribute)
-
-	// Replay the recovered chain against the reloaded announcement set.
-	// rebuild takes l.mu itself and ends in a sweep, which also rewrites
-	// the applied markers to match the replay.
-	l.rebuild()
-
-	// Divergence check: anything a previous run recorded as applied must
-	// be reproduced by this replay. (The converse — replay applying more
-	// than was recorded — is normal: the crash may have cut markers that
-	// the journal-recovered chain still justifies.)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var diverged error
-	check := func(prefix string, verify func(h chainhash.Hash, v []byte) error) error {
-		return l.st.Iterate([]byte(prefix), func(k, v []byte) error {
-			if diverged != nil {
-				return diverged
-			}
-			if len(k) != 2+32 {
-				return fmt.Errorf("typecoin: malformed %s key", prefix)
-			}
-			var h chainhash.Hash
-			copy(h[:], k[2:])
-			diverged = verify(h, v)
-			return diverged
-		})
-	}
-	err = check("la", func(id chainhash.Hash, _ []byte) error {
-		if !l.applied[id] {
-			return fmt.Errorf("%w: recorded applied carrier %s not reproduced", ErrStateDiverged, id)
-		}
+	// The markers a previous run wrote stand in as the applied set "before"
+	// the replay, so the replay's delta is exactly what the store lacks
+	// (markers to add) and what it holds unjustified (markers to judge).
+	err = rows("la", func(id chainhash.Hash, _ []byte) error {
+		l.applied[id] = true
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	err = check("ls", func(h chainhash.Hash, v []byte) error {
-		carrier, ok := l.seen[h]
-		if !ok || !bytes.Equal(carrier[:], v) {
+	c.Subscribe(l.onChainChange)
+	c.SubscribePersist(l.contribute)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	applied, dropped := l.rebuildLocked()
+	for _, id := range dropped {
+		if c.Confirmations(id) >= l.minConf {
+			return nil, fmt.Errorf("%w: recorded applied carrier %s not reproduced", ErrStateDiverged, id)
+		}
+	}
+	// The seen index is redundant with the chain; cross-check what exists.
+	err = rows("ls", func(h chainhash.Hash, v []byte) error {
+		// The row holds the last carrier connected, the last in chain order.
+		if cs := l.seen[h]; len(cs) == 0 || !bytes.Equal(cs[len(cs)-1][:], v) {
 			return fmt.Errorf("%w: seen index row %s not reproduced", ErrStateDiverged, h)
 		}
 		return nil
@@ -184,25 +177,45 @@ func OpenLedger(c *chain.Chain, minConf int) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.persistLocked(chainhash.Hash{}, nil, applied, dropped)
 	return l, nil
 }
 
-// persistAnnouncementLocked writes a ka row; caller holds l.mu. A no-op
-// for memory-only ledgers.
-func (l *Ledger) persistAnnouncementLocked(h chainhash.Hash, obj interface{}) {
+// persistLocked issues the one store batch of a ledger mutation: the ka
+// row of a newly announced obj (nil when the mutation announced nothing),
+// a marker Put per newly applied carrier and a marker Delete per dropped
+// one. Caller holds l.mu. A no-op for memory-only ledgers and for
+// mutations that changed nothing persistent.
+func (l *Ledger) persistLocked(h chainhash.Hash, obj interface{}, applied, dropped []chainhash.Hash) {
 	if l.st == nil {
 		return
 	}
-	enc := encodeAnnouncement(obj)
-	if enc == nil {
+	b := l.unwritten
+	if b == nil {
+		b = store.NewBatch()
+	}
+	if enc := encodeAnnouncement(obj); enc != nil {
+		b.Put(keyKnown(h), enc)
+	}
+	for _, id := range applied {
+		b.Put(keyApplied(id), []byte{1})
+	}
+	for _, id := range dropped {
+		b.Delete(keyApplied(id))
+	}
+	if b.Len() == 0 {
 		return
 	}
-	b := store.NewBatch()
-	b.Put(keyKnown(h), enc)
-	// A dead store cannot be helped from here; the resident announcement
-	// still works for this process and re-announcement after restart is
-	// the overlay's job (tcget).
-	_ = l.st.Apply(b)
+	// A refused Apply took nothing. Its rows are kept and retried, in
+	// order, ahead of the next mutation's: a ka row must not be lost while
+	// a later marker for its carrier lands, nor a Delete while its carrier
+	// stays confirmed, or the next open would refuse the datadir. If the
+	// process dies first, OpenLedger rewrites lost markers and peers
+	// re-supply a lost announcement (tcget).
+	l.unwritten = nil
+	if l.st.Apply(b) != nil {
+		l.unwritten = b
+	}
 }
 
 // contribute adds the seen-index rows for a block to its chain commit
@@ -224,37 +237,5 @@ func (l *Ledger) contribute(ev chain.PersistEvent, b *store.Batch) {
 			// exist.
 			b.Delete(keySeen(h))
 		}
-	}
-}
-
-// syncAppliedLocked reconciles the persisted applied markers with the
-// resident applied set; caller holds l.mu. A no-op for memory-only
-// ledgers.
-func (l *Ledger) syncAppliedLocked() {
-	if l.st == nil {
-		return
-	}
-	b := store.NewBatch()
-	present := make(map[chainhash.Hash]bool)
-	_ = l.st.Iterate([]byte("la"), func(k, v []byte) error {
-		if len(k) != 2+32 {
-			return nil
-		}
-		var id chainhash.Hash
-		copy(id[:], k[2:])
-		if l.applied[id] {
-			present[id] = true
-		} else {
-			b.Delete(append([]byte(nil), k...))
-		}
-		return nil
-	})
-	for id := range l.applied {
-		if !present[id] {
-			b.Put(keyApplied(id), []byte{1})
-		}
-	}
-	if b.Len() > 0 {
-		_ = l.st.Apply(b)
 	}
 }
