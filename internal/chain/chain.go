@@ -852,6 +852,18 @@ func (c *Chain) BlockOf(txid chainhash.Hash) (*wire.MsgBlock, int, bool) {
 	return node.block, node.height, true
 }
 
+// TxPosition returns a main-chain transaction's place in blockchain
+// order: its block's height and its index within that block.
+func (c *Chain) TxPosition(txid chainhash.Hash) (height, index int, ok bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	node := c.mainNodeOf(txid)
+	if node == nil {
+		return 0, 0, false
+	}
+	return node.height, c.txToBlock[txid].index, true
+}
+
 // TxByID returns a main-chain transaction by id in O(1) via the location
 // index, rather than rehashing every transaction of the containing block.
 func (c *Chain) TxByID(txid chainhash.Hash) (*wire.MsgTx, bool) {

@@ -1,9 +1,6 @@
 package lf
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Signature resolves constants to their classifiers. The logic package's
 // Basis implements this interface (adding proposition-sorted constants,
@@ -53,15 +50,14 @@ func (globalSig) LookupTermConst(r Ref) (Family, bool) {
 	return nil, false
 }
 
-// Basis is a concrete, extendable signature: a set of constant
-// declarations layered over the built-in globals. In Typecoin each
-// transaction carries a local basis whose declarations (after the
-// [txid/this] substitution) accumulate into the global basis (Section 4).
+// Basis is a concrete, extendable signature: one layer of family and
+// term constant declarations over a parent signature. (The Typecoin
+// bases, which add proposition-sorted constants and accumulate into the
+// chain's global basis, are logic.Basis.)
 type Basis struct {
 	parent Signature
 	fams   map[Ref]Kind
 	terms  map[Ref]Family
-	order  []Ref // declaration order, for deterministic iteration
 }
 
 // NewBasis creates an empty basis over parent (Globals when nil).
@@ -82,7 +78,6 @@ func (b *Basis) DeclareFam(r Ref, k Kind) error {
 		return fmt.Errorf("lf: constant %s already declared", r)
 	}
 	b.fams[r] = k
-	b.order = append(b.order, r)
 	return nil
 }
 
@@ -92,26 +87,13 @@ func (b *Basis) DeclareTerm(r Ref, f Family) error {
 		return fmt.Errorf("lf: constant %s already declared", r)
 	}
 	b.terms[r] = f
-	b.order = append(b.order, r)
 	return nil
 }
 
 func (b *Basis) has(r Ref) bool {
-	if _, ok := b.fams[r]; ok {
-		return true
-	}
-	if _, ok := b.terms[r]; ok {
-		return true
-	}
-	if b.parent != nil {
-		if _, ok := b.parent.LookupFamConst(r); ok {
-			return true
-		}
-		if _, ok := b.parent.LookupTermConst(r); ok {
-			return true
-		}
-	}
-	return false
+	_, fam := b.LookupFamConst(r)
+	_, term := b.LookupTermConst(r)
+	return fam || term
 }
 
 // LookupFamConst implements Signature.
@@ -119,10 +101,7 @@ func (b *Basis) LookupFamConst(r Ref) (Kind, bool) {
 	if k, ok := b.fams[r]; ok {
 		return k, true
 	}
-	if b.parent != nil {
-		return b.parent.LookupFamConst(r)
-	}
-	return nil, false
+	return b.parent.LookupFamConst(r)
 }
 
 // LookupTermConst implements Signature.
@@ -130,50 +109,5 @@ func (b *Basis) LookupTermConst(r Ref) (Family, bool) {
 	if f, ok := b.terms[r]; ok {
 		return f, true
 	}
-	if b.parent != nil {
-		return b.parent.LookupTermConst(r)
-	}
-	return nil, false
-}
-
-// Decls returns the declared refs in declaration order.
-func (b *Basis) Decls() []Ref {
-	out := make([]Ref, len(b.order))
-	copy(out, b.order)
-	return out
-}
-
-// FamDecls returns family declarations sorted by label (test helper).
-func (b *Basis) FamDecls() map[Ref]Kind {
-	out := make(map[Ref]Kind, len(b.fams))
-	for r, k := range b.fams {
-		out[r] = k
-	}
-	return out
-}
-
-// Fam returns the kind directly declared for r in this layer, if any.
-func (b *Basis) Fam(r Ref) (Kind, bool) {
-	k, ok := b.fams[r]
-	return k, ok
-}
-
-// Term returns the family directly declared for r in this layer, if any.
-func (b *Basis) Term(r Ref) (Family, bool) {
-	f, ok := b.terms[r]
-	return f, ok
-}
-
-// SortedLocalRefs returns this layer's refs sorted by label, used by the
-// canonical encoder.
-func (b *Basis) SortedLocalRefs() []Ref {
-	out := make([]Ref, len(b.order))
-	copy(out, b.order)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Label != out[j].Label {
-			return out[i].Label < out[j].Label
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
+	return b.parent.LookupTermConst(r)
 }

@@ -301,6 +301,7 @@ func (s *State) ApplyBatch(b *Batch, carrierID chainhash.Hash) error {
 	}
 	s.batches[bh] = b
 	s.carriers[bh] = carrierID
+	s.byCarrier[carrierID] = bh
 	for _, src := range b.Sources {
 		delete(s.outTypes, src.Source)
 		s.spends[src.Source] = bh
@@ -334,9 +335,8 @@ func CarrierOutputsBatch(b *Batch) ([]*wire.TxOut, error) {
 // typed output prefix, plus the source spends in order.
 func VerifyBatchEmbedding(b *Batch, carrier *wire.MsgTx) error {
 	pseudo := &Tx{Outputs: b.Leaves}
-	for i, src := range b.Sources {
+	for _, src := range b.Sources {
 		pseudo.Inputs = append(pseudo.Inputs, Input{Source: src.Source, Type: src.Type, Amount: src.Amount})
-		_ = i
 	}
 	return verifyEmbeddingWithHash(pseudo, b.Hash(), carrier)
 }

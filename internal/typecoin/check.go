@@ -26,13 +26,14 @@ var (
 // carrier outpoint. Chain formation (the judgement 𝔗 : Σ) is the
 // sequence of Apply calls.
 type State struct {
-	global   *logic.Basis
-	outTypes map[wire.OutPoint]outRecord
-	txs      map[chainhash.Hash]*Tx            // by Typecoin hash
-	batches  map[chainhash.Hash]*Batch         // by batch hash
-	carriers map[chainhash.Hash]chainhash.Hash // Typecoin/batch hash -> carrier txid
-	origin   map[wire.OutPoint]chainhash.Hash  // carrier outpoint -> producing hash
-	spends   map[wire.OutPoint]chainhash.Hash  // consumed outpoint -> consuming hash
+	global    *logic.Basis
+	outTypes  map[wire.OutPoint]outRecord
+	txs       map[chainhash.Hash]*Tx            // by Typecoin hash
+	batches   map[chainhash.Hash]*Batch         // by batch hash
+	carriers  map[chainhash.Hash]chainhash.Hash // Typecoin/batch hash -> carrier txid
+	byCarrier map[chainhash.Hash]chainhash.Hash // carrier txid -> Typecoin/batch hash
+	origin    map[wire.OutPoint]chainhash.Hash  // carrier outpoint -> producing hash
+	spends    map[wire.OutPoint]chainhash.Hash  // consumed outpoint -> consuming hash
 }
 
 type outRecord struct {
@@ -44,13 +45,14 @@ type outRecord struct {
 // NewState creates an empty Typecoin chain state.
 func NewState() *State {
 	return &State{
-		global:   logic.NewBasis(nil),
-		outTypes: make(map[wire.OutPoint]outRecord),
-		txs:      make(map[chainhash.Hash]*Tx),
-		batches:  make(map[chainhash.Hash]*Batch),
-		carriers: make(map[chainhash.Hash]chainhash.Hash),
-		origin:   make(map[wire.OutPoint]chainhash.Hash),
-		spends:   make(map[wire.OutPoint]chainhash.Hash),
+		global:    logic.NewBasis(nil),
+		outTypes:  make(map[wire.OutPoint]outRecord),
+		txs:       make(map[chainhash.Hash]*Tx),
+		batches:   make(map[chainhash.Hash]*Batch),
+		carriers:  make(map[chainhash.Hash]chainhash.Hash),
+		byCarrier: make(map[chainhash.Hash]chainhash.Hash),
+		origin:    make(map[wire.OutPoint]chainhash.Hash),
+		spends:    make(map[wire.OutPoint]chainhash.Hash),
 	}
 }
 
@@ -270,6 +272,7 @@ func (s *State) Apply(tx *Tx, carrierID chainhash.Hash) error {
 	s.global = newGlobal
 	s.txs[tch] = tx
 	s.carriers[tch] = carrierID
+	s.byCarrier[carrierID] = tch
 	for _, in := range tx.Inputs {
 		delete(s.outTypes, in.Source)
 		s.spends[in.Source] = tch

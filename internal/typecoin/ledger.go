@@ -46,6 +46,8 @@ type Ledger struct {
 	// the hash is public, so anyone can mine another.
 	seen    map[chainhash.Hash][]chainhash.Hash
 	applied map[chainhash.Hash]bool // carrier txids already applied
+	// high is the blockchain position of the last applied carrier.
+	high chainPos
 	// unwritten is a batch the store refused; it rides in front of the
 	// next mutation's rows so the markers never fall behind for good.
 	unwritten *store.Batch
@@ -75,6 +77,13 @@ func newLedger(c *chain.Chain, minConf int, st store.Store) *Ledger {
 		seen:    make(map[chainhash.Hash][]chainhash.Hash),
 		applied: make(map[chainhash.Hash]bool),
 	}
+}
+
+// chainPos is a transaction's place in blockchain order.
+type chainPos struct{ height, index int }
+
+func (p chainPos) after(q chainPos) bool {
+	return p.height > q.height || (p.height == q.height && p.index > q.index)
 }
 
 // MinConf returns the ledger's confirmation depth.
@@ -135,36 +144,16 @@ func (l *Ledger) announce(h chainhash.Hash, obj interface{}) {
 }
 
 // appliedAfterLocked reports whether any already-applied carrier sits
-// after carrierID in blockchain (height, position) order.
+// after carrierID in blockchain order.
 func (l *Ledger) appliedAfterLocked(carrierID chainhash.Hash) bool {
-	height, pos, ok := l.carrierPosLocked(carrierID)
-	if !ok {
-		return false
-	}
-	for applied := range l.applied {
-		ah, apos, ok := l.carrierPosLocked(applied)
-		if !ok {
-			continue
-		}
-		if ah > height || (ah == height && apos > pos) {
-			return true
-		}
-	}
-	return false
+	pos, ok := l.carrierPos(carrierID)
+	return ok && l.high.after(pos)
 }
 
-// carrierPosLocked locates a carrier on the main chain.
-func (l *Ledger) carrierPosLocked(carrierID chainhash.Hash) (height, pos int, ok bool) {
-	blk, height, ok := l.chain.BlockOf(carrierID)
-	if !ok {
-		return 0, 0, false
-	}
-	for i, btx := range blk.Transactions {
-		if btx.TxHash() == carrierID {
-			return height, i, true
-		}
-	}
-	return 0, 0, false
+// carrierPos locates a carrier on the main chain.
+func (l *Ledger) carrierPos(carrierID chainhash.Hash) (chainPos, bool) {
+	height, index, ok := l.chain.TxPosition(carrierID)
+	return chainPos{height, index}, ok
 }
 
 // onChainChange reacts to block connects/disconnects.
@@ -206,8 +195,7 @@ func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 	type entry struct {
 		carrierID chainhash.Hash
 		tch       chainhash.Hash
-		height    int
-		pos       int
+		pos       chainPos
 	}
 	var ready []entry
 	for carrierID, tch := range l.waiting {
@@ -218,21 +206,16 @@ func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 		if l.chain.Confirmations(carrierID) < l.minConf {
 			continue
 		}
-		height, pos, ok := l.carrierPosLocked(carrierID)
+		pos, ok := l.carrierPos(carrierID)
 		if !ok {
 			continue
 		}
-		ready = append(ready, entry{carrierID, tch, height, pos})
+		ready = append(ready, entry{carrierID, tch, pos})
 	}
 	// Blockchain order makes the common case a single pass; the retry
 	// loop below handles same-block basis dependencies that the miner
 	// (which cannot see Typecoin-level references) ordered backwards.
-	sort.Slice(ready, func(i, j int) bool {
-		if ready[i].height != ready[j].height {
-			return ready[i].height < ready[j].height
-		}
-		return ready[i].pos < ready[j].pos
-	})
+	sort.Slice(ready, func(i, j int) bool { return ready[j].pos.after(ready[i].pos) })
 	done := make(map[chainhash.Hash]bool, len(ready))
 	for {
 		progressed := false
@@ -249,6 +232,9 @@ func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 				done[e.carrierID] = true
 				applied = append(applied, e.carrierID)
 				delete(l.waiting, e.carrierID)
+				if e.pos.after(l.high) {
+					l.high = e.pos
+				}
 			}
 		}
 		if !progressed {
@@ -348,6 +334,7 @@ func (l *Ledger) rebuildLocked() (applied, dropped []chainhash.Hash) {
 	l.waiting = make(map[chainhash.Hash]chainhash.Hash)
 	l.seen = make(map[chainhash.Hash][]chainhash.Hash)
 	l.applied = make(map[chainhash.Hash]bool)
+	l.high = chainPos{}
 	for h := 0; ; h++ {
 		blk, ok := l.chain.BlockAtHeight(h)
 		if !ok {
@@ -450,16 +437,12 @@ func (l *Ledger) UpstreamBundles(op wire.OutPoint) ([]*Bundle, error) {
 				if err := walk(origin); err != nil {
 					return err
 				}
-			} else if upstream, ok := l.originOfSpentLocked(in.Source); ok {
-				if err := walk(upstream); err != nil {
-					return err
-				}
 			}
 		}
 		// Basis edges: the transactions whose constants this one mentions
 		// (needed even when no resource flows from them).
 		for _, carrierID := range refs {
-			if origin, ok := l.originByCarrierLocked(carrierID); ok {
+			if origin, ok := l.state.byCarrier[carrierID]; ok {
 				if err := walk(origin); err != nil {
 					return err
 				}
@@ -471,21 +454,6 @@ func (l *Ledger) UpstreamBundles(op wire.OutPoint) ([]*Bundle, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// originOfSpentLocked finds the producing transaction of an already
-// consumed output by scanning applied transactions.
-func (l *Ledger) originOfSpentLocked(op wire.OutPoint) (chainhash.Hash, bool) {
-	for tch := range l.state.txs {
-		carrier := l.state.carriers[tch]
-		if carrier == op.Hash {
-			tx := l.state.txs[tch]
-			if int(op.Index) < len(tx.Outputs) {
-				return tch, true
-			}
-		}
-	}
-	return chainhash.Hash{}, false
 }
 
 // CheckInstance validates a transaction against the current ledger state
@@ -501,17 +469,6 @@ func (l *Ledger) CheckInstance(tx *Tx) error {
 	}
 	_, err := l.state.CheckTx(tx, OracleAt(l.chain, blk, height))
 	return err
-}
-
-// originByCarrierLocked finds the applied Typecoin/batch hash whose
-// carrier is carrierID.
-func (l *Ledger) originByCarrierLocked(carrierID chainhash.Hash) (chainhash.Hash, bool) {
-	for tch, c := range l.state.carriers {
-		if c == carrierID {
-			return tch, true
-		}
-	}
-	return chainhash.Hash{}, false
 }
 
 // Rescan rebuilds the ledger state from the whole main chain against the

@@ -72,6 +72,34 @@ func (n *ledgerNode) mine(t *testing.T, blocks int) {
 	}
 }
 
+// reorgAbove replaces the main chain above forkHeight with empty blocks,
+// one more than it had: a second chain shares the history up to
+// forkHeight and outgrows the first.
+func (n *ledgerNode) reorgAbove(t *testing.T, forkHeight int) {
+	t.Helper()
+	other := chain.New(chain.RegTestParams(), n.clk)
+	for h := 1; h <= forkHeight; h++ {
+		blk, _ := n.chain.BlockAtHeight(h)
+		if _, err := other.ProcessBlock(blk); err != nil {
+			t.Fatalf("fork: shared block %d: %v", h, err)
+		}
+	}
+	otherMiner := miner.New(other, nil, n.clk)
+	for i := n.chain.BestHeight() - forkHeight; i >= 0; i-- {
+		n.clk.Advance(time.Minute)
+		blk, _, err := otherMiner.Mine(n.payout)
+		if err != nil {
+			t.Fatalf("fork: mine: %v", err)
+		}
+		if _, err := n.chain.ProcessBlock(blk); err != nil {
+			t.Fatalf("fork: feed: %v", err)
+		}
+	}
+	if n.chain.BestHash() != other.BestHash() {
+		t.Fatal("reorg did not take")
+	}
+}
+
 // grant is a no-input transaction granting a fresh token; name keeps
 // the hashes of a test's grants apart.
 func (n *ledgerNode) grant(t *testing.T, name string) *typecoin.Tx {
@@ -208,27 +236,7 @@ func TestLedgerMarkersTrackApplied(t *testing.T) {
 
 	// (iv) a reorg drops c5: a second chain shares the history below the
 	// tip and outgrows it with empty blocks.
-	other := chain.New(chain.RegTestParams(), clk)
-	for h := 1; h <= forkHeight; h++ {
-		blk, _ := n.chain.BlockAtHeight(h)
-		if _, err := other.ProcessBlock(blk); err != nil {
-			t.Fatalf("fork: shared block %d: %v", h, err)
-		}
-	}
-	otherMiner := miner.New(other, nil, clk)
-	for i := 0; i < 2; i++ {
-		clk.Advance(time.Minute)
-		blk, _, err := otherMiner.Mine(n.payout)
-		if err != nil {
-			t.Fatalf("fork: mine: %v", err)
-		}
-		if _, err := n.chain.ProcessBlock(blk); err != nil {
-			t.Fatalf("fork: feed: %v", err)
-		}
-	}
-	if n.chain.BestHash() != other.BestHash() {
-		t.Fatal("reorg did not take")
-	}
+	n.reorgAbove(t, forkHeight)
 	wantMarkers(t, "reorg", file, n.ledger, c1, c2, cL)
 
 	if got := eng.OpCalls(store.OpIterate); got != scans {
@@ -253,6 +261,44 @@ func TestLedgerMarkersTrackApplied(t *testing.T) {
 	}
 	if got := file2.JournalBytes(); got != before {
 		t.Fatalf("reopening a consistent datadir wrote %d journal bytes", got-before)
+	}
+}
+
+// The late-announcement rule compares blockchain positions, not heights:
+// cL (the list {t, tx}) and c (t alone) are mined in one block, cL first.
+// With only t announced c applies; announcing the list then finds cL in
+// the same block ahead of an applied carrier, and must replay so that cL
+// takes t and c is refused, as on a node that knew the list all along.
+func TestLedgerMarkersLateAnnounceSameBlock(t *testing.T) {
+	clk := clock.NewSimulated(chain.RegTestParams().GenesisBlock.Header.Timestamp.Add(time.Minute))
+	st := store.NewMem()
+	n := openLedgerNode(t, st, clk)
+	n.mine(t, n.chain.Params().CoinbaseMaturity+2)
+	tx, txx := n.grant(t, "same"), n.grant(t, "sameX")
+	list := &typecoin.FallbackList{Txs: []*typecoin.Tx{tx, txx}}
+	listOuts, err := typecoin.CarrierOutputsList(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cL := n.carryOuts(t, listOuts)
+	c := n.carry(t, tx)
+	n.mine(t, 1)
+	hL, iL, okL := n.chain.TxPosition(cL)
+	h, i, ok := n.chain.TxPosition(c)
+	if !okL || !ok || hL != h || iL >= i {
+		t.Fatalf("carriers at (%d,%d) and (%d,%d): want one block, the list's carrier first", hL, iL, h, i)
+	}
+	n.ledger.Announce(tx)
+	wantMarkers(t, "later carrier applied", st, n.ledger, c)
+	n.ledger.AnnounceList(list)
+	wantMarkers(t, "late announcement, same block", st, n.ledger, cL)
+
+	fresh := typecoin.NewLedger(n.chain, 1)
+	fresh.Announce(tx)
+	fresh.AnnounceList(list)
+	fresh.Rescan()
+	if !fresh.Applied(cL) || fresh.Applied(c) {
+		t.Fatalf("a replay applies cL %v, c %v; want cL only", fresh.Applied(cL), fresh.Applied(c))
 	}
 }
 
