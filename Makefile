@@ -4,8 +4,9 @@ GO ?= go
 # validation pipeline, the p2p node and its fault simulator, the ledger
 # whose mutex chain subscribers, p2p and RPC all take, the global basis
 # whose immutable layers the ledger, batch servers and verifiers read
-# without a lock) get a dedicated -race pass.
-RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/...
+# without a lock, the script engine and the signer the connect worker
+# pool and the wallet call) get a dedicated -race pass.
+RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/...
 
 # Native fuzz targets over the three attacker-facing decoders. Each runs
 # for a short smoke budget; override FUZZTIME for longer campaigns.

@@ -154,7 +154,7 @@ func run() error {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := typecoin.VerifyListEmbedding(list, carrier); err != nil {
+		if err := typecoin.VerifyListEmbedding(list, list.Hash(), carrier); err != nil {
 			return nil, nil, err
 		}
 		if _, err := env.Pool.Accept(carrier); err != nil {

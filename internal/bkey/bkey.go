@@ -10,10 +10,8 @@
 package bkey
 
 import (
-	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/asn1"
@@ -200,50 +198,66 @@ func (k *PrivateKey) Sign(digest []byte) (*Signature, error) {
 
 // nonceRFC6979 is the HMAC-SHA256 DRBG of RFC 6979 section 3.2,
 // specialized to qlen == hlen == 256: it yields the deterministic
-// candidate nonces for signing digest under private scalar x.
+// candidate nonces for signing digest under private scalar x. K and V
+// are arrays and every HMAC is computed on the stack (see mac), so the
+// generator allocates only the nonce it returns.
 type nonceRFC6979 struct {
 	q    *big.Int
-	kmac []byte
-	v    []byte
+	k, v [sha256.Size]byte
 }
 
 func newNonceRFC6979(q, x *big.Int, digest []byte) *nonceRFC6979 {
 	h1 := new(big.Int).SetBytes(digest)
 	h1.Mod(h1, q) // bits2octets
-	seed := make([]byte, 0, 64)
-	seed = append(seed, x.FillBytes(make([]byte, 32))...)
-	seed = append(seed, h1.FillBytes(make([]byte, 32))...)
+	var seed [64]byte
+	x.FillBytes(seed[:32])
+	h1.FillBytes(seed[32:])
 
-	g := &nonceRFC6979{
-		q:    q,
-		kmac: make([]byte, 32), // K = 0x00..00
-		v:    bytes.Repeat([]byte{0x01}, 32),
+	g := &nonceRFC6979{q: q} // K = 0x00..00
+	for i := range g.v {
+		g.v[i] = 0x01
 	}
-	g.update(0x00, seed)
-	g.update(0x01, seed)
+	g.update(0x00, seed[:])
+	g.update(0x01, seed[:])
 	return g
 }
 
 // update performs one K/V ratchet step: K = HMAC_K(V || sep || seed),
-// V = HMAC_K(V).
+// V = HMAC_K(V). seed is empty or the 64-byte x || h1.
 func (g *nonceRFC6979) update(sep byte, seed []byte) {
-	mac := hmac.New(sha256.New, g.kmac)
-	mac.Write(g.v)
-	mac.Write([]byte{sep})
-	mac.Write(seed)
-	g.kmac = mac.Sum(nil)
-	mac = hmac.New(sha256.New, g.kmac)
-	mac.Write(g.v)
-	g.v = mac.Sum(nil)
+	var tail [1 + 64]byte
+	tail[0] = sep
+	g.k = g.mac(tail[:1+copy(tail[1:], seed)])
+	g.v = g.mac(nil)
+}
+
+// mac returns HMAC-SHA256_K(V || tail) (RFC 2104, with K shorter than the
+// 64-byte block), for a tail of at most 65 bytes. crypto/hmac computes
+// the same value but allocates two hash states per key and marshals one
+// per reuse, which was half of what a signature allocated.
+func (g *nonceRFC6979) mac(tail []byte) [sha256.Size]byte {
+	const block = 64
+	var inner [block + sha256.Size + 1 + 64]byte
+	var outer [block + sha256.Size]byte
+	for i := 0; i < block; i++ {
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, b := range g.k {
+		inner[i] ^= b
+		outer[i] ^= b
+	}
+	n := block + copy(inner[block:], g.v[:])
+	n += copy(inner[n:], tail)
+	sum := sha256.Sum256(inner[:n])
+	copy(outer[block:], sum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // next returns the next candidate nonce in [1, q-1].
 func (g *nonceRFC6979) next() *big.Int {
 	for {
-		mac := hmac.New(sha256.New, g.kmac)
-		mac.Write(g.v)
-		g.v = mac.Sum(nil)
-		k := new(big.Int).SetBytes(g.v)
+		g.v = g.mac(nil)
+		k := new(big.Int).SetBytes(g.v[:])
 		if k.Sign() > 0 && k.Cmp(g.q) < 0 {
 			return k
 		}

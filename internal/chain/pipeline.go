@@ -30,7 +30,7 @@ type scriptJob struct {
 	pkScript []byte
 }
 
-func (j scriptJob) run(sv script.SigVerifier) error {
+func (j scriptJob) run(sv *sigcache.Cache) error {
 	if err := script.VerifyInputCached(j.tx, j.in, j.pkScript, sv); err != nil {
 		return fmt.Errorf("chain: input %d of %s: %w", j.in, j.tx.TxHash(), err)
 	}

@@ -1,7 +1,6 @@
 package lf
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -48,11 +47,6 @@ const MaxDecodeDepth = 512
 
 var errTooDeep = fmt.Errorf("%w: nesting deeper than %d", ErrBadEncoding, MaxDecodeDepth)
 
-func writeByte(w io.Writer, b byte) error {
-	_, err := w.Write([]byte{b})
-	return err
-}
-
 func readByte(r io.Reader) (byte, error) {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -61,28 +55,23 @@ func readByte(r io.Reader) (byte, error) {
 	return b[0], nil
 }
 
-// EncodeRef writes a constant reference.
-func EncodeRef(w io.Writer, r Ref) error {
+// The encoders append to a caller's buffer and return it extended, so a
+// whole transaction is encoded into one allocation. They fail only on a
+// value outside the syntax (a nil or foreign node).
+
+// AppendRef appends the encoding of a constant reference.
+func AppendRef(dst []byte, r Ref) ([]byte, error) {
 	switch r.Kind {
 	case RefGlobal:
-		if err := writeByte(w, tagRefGlobal); err != nil {
-			return err
-		}
+		dst = append(dst, tagRefGlobal)
 	case RefThis:
-		if err := writeByte(w, tagRefThis); err != nil {
-			return err
-		}
+		dst = append(dst, tagRefThis)
 	case RefTx:
-		if err := writeByte(w, tagRefTx); err != nil {
-			return err
-		}
-		if _, err := w.Write(r.Tx[:]); err != nil {
-			return err
-		}
+		dst = append(append(dst, tagRefTx), r.Tx[:]...)
 	default:
-		return fmt.Errorf("lf: unknown ref kind %d", r.Kind)
+		return nil, fmt.Errorf("lf: unknown ref kind %d", r.Kind)
 	}
-	return wire.WriteVarBytes(w, []byte(r.Label))
+	return append(wire.AppendVarInt(dst, uint64(len(r.Label))), r.Label...), nil
 }
 
 // DecodeRef reads a constant reference.
@@ -115,23 +104,21 @@ func DecodeRef(r io.Reader) (Ref, error) {
 	return out, nil
 }
 
-// EncodeKind writes a kind.
-func EncodeKind(w io.Writer, k Kind) error {
+// AppendKind appends the encoding of a kind.
+func AppendKind(dst []byte, k Kind) ([]byte, error) {
 	switch k := k.(type) {
 	case KType:
-		return writeByte(w, tagKType)
+		return append(dst, tagKType), nil
 	case KProp:
-		return writeByte(w, tagKProp)
+		return append(dst, tagKProp), nil
 	case KPi:
-		if err := writeByte(w, tagKPi); err != nil {
-			return err
+		dst, err := AppendFamily(append(dst, tagKPi), k.Arg)
+		if err != nil {
+			return nil, err
 		}
-		if err := EncodeFamily(w, k.Arg); err != nil {
-			return err
-		}
-		return EncodeKind(w, k.Body)
+		return AppendKind(dst, k.Body)
 	default:
-		return fmt.Errorf("lf: unknown kind %T", k)
+		return nil, fmt.Errorf("lf: unknown kind %T", k)
 	}
 }
 
@@ -166,33 +153,26 @@ func decodeKind(r io.Reader, depth int) (Kind, error) {
 	}
 }
 
-// EncodeFamily writes a family. Binder hints are NOT encoded: two
-// alpha-equivalent families encode identically.
-func EncodeFamily(w io.Writer, f Family) error {
+// AppendFamily appends the encoding of a family. Binder hints are NOT
+// encoded: two alpha-equivalent families encode identically.
+func AppendFamily(dst []byte, f Family) ([]byte, error) {
 	switch f := f.(type) {
 	case FConst:
-		if err := writeByte(w, tagFConst); err != nil {
-			return err
-		}
-		return EncodeRef(w, f.Ref)
+		return AppendRef(append(dst, tagFConst), f.Ref)
 	case FApp:
-		if err := writeByte(w, tagFApp); err != nil {
-			return err
+		dst, err := AppendFamily(append(dst, tagFApp), f.Fam)
+		if err != nil {
+			return nil, err
 		}
-		if err := EncodeFamily(w, f.Fam); err != nil {
-			return err
-		}
-		return EncodeTerm(w, f.Arg)
+		return AppendTerm(dst, f.Arg)
 	case FPi:
-		if err := writeByte(w, tagFPi); err != nil {
-			return err
+		dst, err := AppendFamily(append(dst, tagFPi), f.Arg)
+		if err != nil {
+			return nil, err
 		}
-		if err := EncodeFamily(w, f.Arg); err != nil {
-			return err
-		}
-		return EncodeFamily(w, f.Body)
+		return AppendFamily(dst, f.Body)
 	default:
-		return fmt.Errorf("lf: unknown family %T", f)
+		return nil, fmt.Errorf("lf: unknown family %T", f)
 	}
 }
 
@@ -239,48 +219,31 @@ func decodeFamily(r io.Reader, depth int) (Family, error) {
 	}
 }
 
-// EncodeTerm writes a term.
-func EncodeTerm(w io.Writer, t Term) error {
+// AppendTerm appends the encoding of a term.
+func AppendTerm(dst []byte, t Term) ([]byte, error) {
 	switch t := t.(type) {
 	case TVar:
-		if err := writeByte(w, tagTVar); err != nil {
-			return err
-		}
-		return wire.WriteVarInt(w, uint64(t.Index))
+		return wire.AppendVarInt(append(dst, tagTVar), uint64(t.Index)), nil
 	case TConst:
-		if err := writeByte(w, tagTConst); err != nil {
-			return err
-		}
-		return EncodeRef(w, t.Ref)
+		return AppendRef(append(dst, tagTConst), t.Ref)
 	case TLam:
-		if err := writeByte(w, tagTLam); err != nil {
-			return err
+		dst, err := AppendFamily(append(dst, tagTLam), t.Arg)
+		if err != nil {
+			return nil, err
 		}
-		if err := EncodeFamily(w, t.Arg); err != nil {
-			return err
-		}
-		return EncodeTerm(w, t.Body)
+		return AppendTerm(dst, t.Body)
 	case TApp:
-		if err := writeByte(w, tagTApp); err != nil {
-			return err
+		dst, err := AppendTerm(append(dst, tagTApp), t.Fn)
+		if err != nil {
+			return nil, err
 		}
-		if err := EncodeTerm(w, t.Fn); err != nil {
-			return err
-		}
-		return EncodeTerm(w, t.Arg)
+		return AppendTerm(dst, t.Arg)
 	case TPrincipal:
-		if err := writeByte(w, tagTPrincipal); err != nil {
-			return err
-		}
-		_, err := w.Write(t.K[:])
-		return err
+		return append(append(dst, tagTPrincipal), t.K[:]...), nil
 	case TNat:
-		if err := writeByte(w, tagTNat); err != nil {
-			return err
-		}
-		return wire.WriteVarInt(w, t.N)
+		return wire.AppendVarInt(append(dst, tagTNat), t.N), nil
 	default:
-		return fmt.Errorf("lf: unknown term %T", t)
+		return nil, fmt.Errorf("lf: unknown term %T", t)
 	}
 }
 
@@ -350,18 +313,18 @@ func decodeTerm(r io.Reader, depth int) (Term, error) {
 
 // TermBytes returns the canonical encoding of a term.
 func TermBytes(t Term) []byte {
-	var buf bytes.Buffer
-	if err := EncodeTerm(&buf, t); err != nil {
+	b, err := AppendTerm(nil, t)
+	if err != nil {
 		panic("lf: impossible encode failure: " + err.Error())
 	}
-	return buf.Bytes()
+	return b
 }
 
 // FamilyBytes returns the canonical encoding of a family.
 func FamilyBytes(f Family) []byte {
-	var buf bytes.Buffer
-	if err := EncodeFamily(&buf, f); err != nil {
+	b, err := AppendFamily(nil, f)
+	if err != nil {
 		panic("lf: impossible encode failure: " + err.Error())
 	}
-	return buf.Bytes()
+	return b
 }

@@ -11,11 +11,12 @@ import (
 
 func termRoundTrip(t *testing.T, m Term) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeTerm(&buf, m); err != nil {
-		t.Fatalf("EncodeTerm(%s): %v", m, err)
+	enc, err := AppendTerm(nil, m)
+	buf := bytes.NewBuffer(enc)
+	if err != nil {
+		t.Fatalf("AppendTerm(%s): %v", m, err)
 	}
-	back, err := DecodeTerm(&buf)
+	back, err := DecodeTerm(buf)
 	if err != nil {
 		t.Fatalf("DecodeTerm(%s): %v", m, err)
 	}
@@ -61,11 +62,12 @@ func TestFamilyKindEncodeRoundTrip(t *testing.T) {
 		Arrow(NatFam, Arrow(PrincipalFam, NatFam)),
 	}
 	for _, f := range fams {
-		var buf bytes.Buffer
-		if err := EncodeFamily(&buf, f); err != nil {
+		enc, err := AppendFamily(nil, f)
+		buf := bytes.NewBuffer(enc)
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeFamily(&buf)
+		back, err := DecodeFamily(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +85,12 @@ func TestFamilyKindEncodeRoundTrip(t *testing.T) {
 		KPi{Hint: "n", Arg: NatFam, Body: KArrow(FamApp(PlusFam, Var(0, "n"), Nat(0), Var(0, "n")), KType{})},
 	}
 	for _, k := range kinds {
-		var buf bytes.Buffer
-		if err := EncodeKind(&buf, k); err != nil {
+		enc, err := AppendKind(nil, k)
+		buf := bytes.NewBuffer(enc)
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeKind(&buf)
+		back, err := DecodeKind(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,11 +160,12 @@ func TestPropertyTermEncodeRoundTrip(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		m := build(4, 0, seed)
-		var buf bytes.Buffer
-		if err := EncodeTerm(&buf, m); err != nil {
+		enc, err := AppendTerm(nil, m)
+		buf := bytes.NewBuffer(enc)
+		if err != nil {
 			return false
 		}
-		back, err := DecodeTerm(&buf)
+		back, err := DecodeTerm(buf)
 		if err != nil {
 			return false
 		}

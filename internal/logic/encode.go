@@ -1,7 +1,6 @@
 package logic
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -48,11 +47,6 @@ var ErrBadEncoding = errors.New("logic: malformed encoding")
 // errTooDeep bounds Prop/Cond recursion, mirroring the lf decoder cap.
 var errTooDeep = fmt.Errorf("%w: nesting deeper than %d", ErrBadEncoding, lf.MaxDecodeDepth)
 
-func writeByte(w io.Writer, b byte) error {
-	_, err := w.Write([]byte{b})
-	return err
-}
-
 func readByte(r io.Reader) (byte, error) {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -63,92 +57,75 @@ func readByte(r io.Reader) (byte, error) {
 
 // EncodeProp writes a proposition.
 func EncodeProp(w io.Writer, p Prop) error {
+	b, err := AppendProp(nil, p)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendProp appends the encoding of a proposition to dst (see the lf
+// encoders: one buffer per encoded object).
+func AppendProp(dst []byte, p Prop) ([]byte, error) {
+	var err error
 	switch p := p.(type) {
 	case PAtom:
-		if err := writeByte(w, tagPAtom); err != nil {
-			return err
-		}
-		return lf.EncodeFamily(w, p.Fam)
+		return lf.AppendFamily(append(dst, tagPAtom), p.Fam)
 	case PLolli:
-		return encodeBinary(w, tagPLolli, p.A, p.B)
+		return appendBinary(dst, tagPLolli, p.A, p.B)
 	case PTensor:
-		return encodeBinary(w, tagPTensor, p.A, p.B)
+		return appendBinary(dst, tagPTensor, p.A, p.B)
 	case PWith:
-		return encodeBinary(w, tagPWith, p.A, p.B)
+		return appendBinary(dst, tagPWith, p.A, p.B)
 	case PPlus:
-		return encodeBinary(w, tagPPlus, p.A, p.B)
+		return appendBinary(dst, tagPPlus, p.A, p.B)
 	case PZero:
-		return writeByte(w, tagPZero)
+		return append(dst, tagPZero), nil
 	case POne:
-		return writeByte(w, tagPOne)
+		return append(dst, tagPOne), nil
 	case PBang:
-		if err := writeByte(w, tagPBang); err != nil {
-			return err
-		}
-		return EncodeProp(w, p.A)
+		return AppendProp(append(dst, tagPBang), p.A)
 	case PForall:
-		return encodeBinder(w, tagPForall, p.Ty, p.Body)
+		return appendBinder(dst, tagPForall, p.Ty, p.Body)
 	case PExists:
-		return encodeBinder(w, tagPExists, p.Ty, p.Body)
+		return appendBinder(dst, tagPExists, p.Ty, p.Body)
 	case PSays:
-		if err := writeByte(w, tagPSays); err != nil {
-			return err
+		if dst, err = lf.AppendTerm(append(dst, tagPSays), p.Prin); err != nil {
+			return nil, err
 		}
-		if err := lf.EncodeTerm(w, p.Prin); err != nil {
-			return err
-		}
-		return EncodeProp(w, p.Body)
+		return AppendProp(dst, p.Body)
 	case PReceipt:
-		if err := writeByte(w, tagPReceipt); err != nil {
-			return err
+		if p.Res == nil {
+			dst = append(dst, tagPReceipt, 0)
+		} else if dst, err = AppendProp(append(dst, tagPReceipt, 1), p.Res); err != nil {
+			return nil, err
 		}
-		hasRes := byte(0)
-		if p.Res != nil {
-			hasRes = 1
-		}
-		if err := writeByte(w, hasRes); err != nil {
-			return err
-		}
-		if p.Res != nil {
-			if err := EncodeProp(w, p.Res); err != nil {
-				return err
-			}
-		}
-		if err := wire.WriteVarInt(w, uint64(p.Amount)); err != nil {
-			return err
-		}
-		return lf.EncodeTerm(w, p.To)
+		return lf.AppendTerm(wire.AppendVarInt(dst, uint64(p.Amount)), p.To)
 	case PIf:
-		if err := writeByte(w, tagPIf); err != nil {
-			return err
+		if dst, err = AppendCond(append(dst, tagPIf), p.Cond); err != nil {
+			return nil, err
 		}
-		if err := EncodeCond(w, p.Cond); err != nil {
-			return err
-		}
-		return EncodeProp(w, p.Body)
+		return AppendProp(dst, p.Body)
 	default:
-		return fmt.Errorf("logic: unknown proposition %T", p)
+		return nil, fmt.Errorf("logic: unknown proposition %T", p)
 	}
 }
 
-func encodeBinary(w io.Writer, tag byte, a, b Prop) error {
-	if err := writeByte(w, tag); err != nil {
-		return err
+func appendBinary(dst []byte, tag byte, a, b Prop) ([]byte, error) {
+	dst, err := AppendProp(append(dst, tag), a)
+	if err != nil {
+		return nil, err
 	}
-	if err := EncodeProp(w, a); err != nil {
-		return err
-	}
-	return EncodeProp(w, b)
+	return AppendProp(dst, b)
 }
 
-func encodeBinder(w io.Writer, tag byte, ty lf.Family, body Prop) error {
-	if err := writeByte(w, tag); err != nil {
-		return err
+func appendBinder(dst []byte, tag byte, ty lf.Family, body Prop) ([]byte, error) {
+	dst, err := lf.AppendFamily(append(dst, tag), ty)
+	if err != nil {
+		return nil, err
 	}
-	if err := lf.EncodeFamily(w, ty); err != nil {
-		return err
-	}
-	return EncodeProp(w, body)
+	return AppendProp(dst, body)
 }
 
 // DecodeProp reads a proposition.
@@ -261,39 +238,26 @@ func decodeProp(r io.Reader, depth int) (Prop, error) {
 	}
 }
 
-// EncodeCond writes a condition.
-func EncodeCond(w io.Writer, c Cond) error {
+// AppendCond appends the encoding of a condition.
+func AppendCond(dst []byte, c Cond) ([]byte, error) {
 	switch c := c.(type) {
 	case CTrue:
-		return writeByte(w, tagCTrue)
+		return append(dst, tagCTrue), nil
 	case CAnd:
-		if err := writeByte(w, tagCAnd); err != nil {
-			return err
+		dst, err := AppendCond(append(dst, tagCAnd), c.L)
+		if err != nil {
+			return nil, err
 		}
-		if err := EncodeCond(w, c.L); err != nil {
-			return err
-		}
-		return EncodeCond(w, c.R)
+		return AppendCond(dst, c.R)
 	case CNot:
-		if err := writeByte(w, tagCNot); err != nil {
-			return err
-		}
-		return EncodeCond(w, c.C)
+		return AppendCond(append(dst, tagCNot), c.C)
 	case CBefore:
-		if err := writeByte(w, tagCBefore); err != nil {
-			return err
-		}
-		return lf.EncodeTerm(w, c.T)
+		return lf.AppendTerm(append(dst, tagCBefore), c.T)
 	case CSpent:
-		if err := writeByte(w, tagCSpent); err != nil {
-			return err
-		}
-		if _, err := w.Write(c.Out.Hash[:]); err != nil {
-			return err
-		}
-		return wire.WriteVarInt(w, uint64(c.Out.Index))
+		dst = append(append(dst, tagCSpent), c.Out.Hash[:]...)
+		return wire.AppendVarInt(dst, uint64(c.Out.Index)), nil
 	default:
-		return fmt.Errorf("logic: unknown condition %T", c)
+		return nil, fmt.Errorf("logic: unknown condition %T", c)
 	}
 }
 
@@ -352,51 +316,36 @@ func decodeCond(r io.Reader, depth int) (Cond, error) {
 	}
 }
 
-// EncodeBasis writes the local declarations of b in declaration order.
-func EncodeBasis(w io.Writer, b *Basis) error {
-	type decl struct {
-		tag byte
-		ref lf.Ref
-	}
-	var decls []decl
-	for _, r := range b.LocalFamRefs() {
-		decls = append(decls, decl{tagDeclFam, r})
-	}
-	for _, r := range b.LocalTermRefs() {
-		decls = append(decls, decl{tagDeclTerm, r})
-	}
-	for _, r := range b.LocalPropRefs() {
-		decls = append(decls, decl{tagDeclProp, r})
-	}
-	if err := wire.WriteVarInt(w, uint64(len(decls))); err != nil {
-		return err
-	}
-	for _, d := range decls {
-		if err := writeByte(w, d.tag); err != nil {
-			return err
+// AppendBasis appends the local declarations of b in declaration order:
+// families, then terms, then proof constants.
+func AppendBasis(dst []byte, b *Basis) ([]byte, error) {
+	dst = wire.AppendVarInt(dst, uint64(len(b.fams)+len(b.terms)+len(b.props)))
+	var err error
+	for _, r := range b.fams {
+		if dst, err = lf.AppendRef(append(dst, tagDeclFam), r); err != nil {
+			return nil, err
 		}
-		if err := lf.EncodeRef(w, d.ref); err != nil {
-			return err
-		}
-		switch d.tag {
-		case tagDeclFam:
-			k, _ := b.LocalFam(d.ref)
-			if err := lf.EncodeKind(w, k); err != nil {
-				return err
-			}
-		case tagDeclTerm:
-			f, _ := b.LocalTerm(d.ref)
-			if err := lf.EncodeFamily(w, f); err != nil {
-				return err
-			}
-		case tagDeclProp:
-			p, _ := b.LocalProp(d.ref)
-			if err := EncodeProp(w, p); err != nil {
-				return err
-			}
+		if dst, err = lf.AppendKind(dst, b.decls[r].kind); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	for _, r := range b.terms {
+		if dst, err = lf.AppendRef(append(dst, tagDeclTerm), r); err != nil {
+			return nil, err
+		}
+		if dst, err = lf.AppendFamily(dst, b.decls[r].fam); err != nil {
+			return nil, err
+		}
+	}
+	for _, r := range b.props {
+		if dst, err = lf.AppendRef(append(dst, tagDeclProp), r); err != nil {
+			return nil, err
+		}
+		if dst, err = AppendProp(dst, b.decls[r].prop); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // DecodeBasis reads local declarations into a fresh basis over parent.
@@ -452,11 +401,11 @@ func DecodeBasis(r io.Reader, parent *Basis) (*Basis, error) {
 
 // PropBytes returns the canonical encoding of a proposition.
 func PropBytes(p Prop) []byte {
-	var buf bytes.Buffer
-	if err := EncodeProp(&buf, p); err != nil {
+	b, err := AppendProp(nil, p)
+	if err != nil {
 		panic("logic: impossible encode failure: " + err.Error())
 	}
-	return buf.Bytes()
+	return b
 }
 
 // PropHash returns a tagged hash of a proposition; assert! signatures

@@ -38,11 +38,11 @@ func FuzzLogicDecode(f *testing.F) {
 	}
 	// A condition encoding, so the fuzzer starts with DecodeCond-shaped
 	// bytes too (both decoders run on every input).
-	var cbuf bytes.Buffer
-	if err := EncodeCond(&cbuf, And(Spent(op), Before(7))); err != nil {
+	cbuf, err := AppendCond(nil, And(Spent(op), Before(7)))
+	if err != nil {
 		f.Fatalf("seed encode cond: %v", err)
 	}
-	f.Add(cbuf.Bytes())
+	f.Add(cbuf)
 	// Depth bomb: nesting past the decoder cap must be rejected, not
 	// recursed into.
 	deep := One
@@ -73,11 +73,11 @@ func FuzzLogicDecode(f *testing.F) {
 			}
 		}
 		if c, err := DecodeCond(bytes.NewReader(data)); err == nil {
-			var out bytes.Buffer
-			if err := EncodeCond(&out, c); err != nil {
+			out, err := AppendCond(nil, c)
+			if err != nil {
 				t.Fatalf("decoded cond fails to encode: %v", err)
 			}
-			if _, err := DecodeCond(bytes.NewReader(out.Bytes())); err != nil {
+			if _, err := DecodeCond(bytes.NewReader(out)); err != nil {
 				t.Fatalf("re-decode cond failed: %v", err)
 			}
 		}

@@ -402,11 +402,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeBasisRoundTrip(t *testing.T) {
 	b := newcoinBasis(t)
-	var buf bytes.Buffer
-	if err := EncodeBasis(&buf, b); err != nil {
+	enc, err := AppendBasis(nil, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeBasis(&buf, nil)
+	back, err := DecodeBasis(bytes.NewReader(enc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

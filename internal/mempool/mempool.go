@@ -291,11 +291,6 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 				script.Disassemble(out.PkScript))
 		}
 	}
-	for _, in := range tx.TxIn {
-		if !script.IsPushOnly(in.SignatureScript) {
-			return 0, fmt.Errorf("%w: input script not push-only", ErrNonStandard)
-		}
-	}
 
 	txid := tx.TxHash()
 	p.mu.Lock()
@@ -342,9 +337,15 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 
 	// Verify every input script, recording successful signature checks in
 	// the chain's shared cache so block connect can skip the ECDSA work
-	// for transactions already verified at relay time.
+	// for transactions already verified at relay time. The verifier scans
+	// each signature script for non-push opcodes before running it; a
+	// script it refuses on that ground is a policy matter here.
 	for i := range tx.TxIn {
-		if err := script.VerifyInputCached(tx, i, pkScripts[i], p.chain.SigCache()); err != nil {
+		err := script.VerifyInputCached(tx, i, pkScripts[i], p.chain.SigCache())
+		if errors.Is(err, script.ErrSigScriptNotPush) {
+			return 0, fmt.Errorf("%w: input script not push-only", ErrNonStandard)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}

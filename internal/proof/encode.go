@@ -57,21 +57,12 @@ var ErrBadEncoding = errors.New("proof: malformed encoding")
 // errTooDeep bounds proof-term recursion, mirroring the lf decoder cap.
 var errTooDeep = fmt.Errorf("%w: nesting deeper than %d", ErrBadEncoding, lf.MaxDecodeDepth)
 
-func writeByte(w io.Writer, b byte) error {
-	_, err := w.Write([]byte{b})
-	return err
-}
-
 func readByte(r io.Reader) (byte, error) {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return b[0], nil
-}
-
-func writeName(w io.Writer, s string) error {
-	return wire.WriteVarBytes(w, []byte(s))
 }
 
 func readName(r io.Reader) (string, error) {
@@ -87,237 +78,138 @@ func readName(r io.Reader) (string, error) {
 
 // Encode writes a proof term.
 func Encode(w io.Writer, m Term) error {
+	b, err := Append(nil, m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+func appendName(dst []byte, s string) []byte {
+	return append(wire.AppendVarInt(dst, uint64(len(s))), s...)
+}
+
+// Append appends the encoding of a proof term to dst (see the lf
+// encoders: one buffer per encoded object).
+func Append(dst []byte, m Term) ([]byte, error) {
+	var err error
 	switch m := m.(type) {
 	case Var:
-		if err := writeByte(w, tagVar); err != nil {
-			return err
-		}
-		return writeName(w, m.Name)
+		return appendName(append(dst, tagVar), m.Name), nil
 	case Const:
-		if err := writeByte(w, tagConst); err != nil {
-			return err
-		}
-		return lf.EncodeRef(w, m.Ref)
+		return lf.AppendRef(append(dst, tagConst), m.Ref)
 	case Lam:
-		if err := writeByte(w, tagLam); err != nil {
-			return err
+		if dst, err = logic.AppendProp(appendName(append(dst, tagLam), m.Name), m.Ty); err != nil {
+			return nil, err
 		}
-		if err := writeName(w, m.Name); err != nil {
-			return err
-		}
-		if err := logic.EncodeProp(w, m.Ty); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return Append(dst, m.Body)
 	case App:
-		return encode2(w, tagApp, m.Fn, m.Arg)
+		return append2(append(dst, tagApp), m.Fn, m.Arg)
 	case Pair:
-		return encode2(w, tagPair, m.L, m.R)
+		return append2(append(dst, tagPair), m.L, m.R)
 	case LetPair:
-		if err := writeByte(w, tagLetPair); err != nil {
-			return err
-		}
-		if err := writeName(w, m.LName); err != nil {
-			return err
-		}
-		if err := writeName(w, m.RName); err != nil {
-			return err
-		}
-		if err := Encode(w, m.Of); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return append2(appendName(appendName(append(dst, tagLetPair), m.LName), m.RName), m.Of, m.Body)
 	case Unit:
-		return writeByte(w, tagUnit)
+		return append(dst, tagUnit), nil
 	case LetUnit:
-		return encode2(w, tagLetUnit, m.Of, m.Body)
+		return append2(append(dst, tagLetUnit), m.Of, m.Body)
 	case WithPair:
-		return encode2(w, tagWithPair, m.L, m.R)
+		return append2(append(dst, tagWithPair), m.L, m.R)
 	case Fst:
-		return encode1(w, tagFst, m.Of)
+		return Append(append(dst, tagFst), m.Of)
 	case Snd:
-		return encode1(w, tagSnd, m.Of)
+		return Append(append(dst, tagSnd), m.Of)
 	case Inl:
-		if err := writeByte(w, tagInl); err != nil {
-			return err
-		}
-		if err := logic.EncodeProp(w, m.As); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return appendAs(append(dst, tagInl), m.As, m.Of)
 	case Inr:
-		if err := writeByte(w, tagInr); err != nil {
-			return err
-		}
-		if err := logic.EncodeProp(w, m.As); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return appendAs(append(dst, tagInr), m.As, m.Of)
 	case Case:
-		if err := writeByte(w, tagCase); err != nil {
-			return err
+		if dst, err = Append(append(dst, tagCase), m.Of); err != nil {
+			return nil, err
 		}
-		if err := Encode(w, m.Of); err != nil {
-			return err
+		if dst, err = Append(appendName(dst, m.LName), m.L); err != nil {
+			return nil, err
 		}
-		if err := writeName(w, m.LName); err != nil {
-			return err
-		}
-		if err := Encode(w, m.L); err != nil {
-			return err
-		}
-		if err := writeName(w, m.RName); err != nil {
-			return err
-		}
-		return Encode(w, m.R)
+		return Append(appendName(dst, m.RName), m.R)
 	case Abort:
-		if err := writeByte(w, tagAbort); err != nil {
-			return err
-		}
-		if err := logic.EncodeProp(w, m.As); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return appendAs(append(dst, tagAbort), m.As, m.Of)
 	case BangI:
-		return encode1(w, tagBangI, m.Of)
+		return Append(append(dst, tagBangI), m.Of)
 	case LetBang:
-		if err := writeByte(w, tagLetBang); err != nil {
-			return err
-		}
-		if err := writeName(w, m.Name); err != nil {
-			return err
-		}
-		if err := Encode(w, m.Of); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return append2(appendName(append(dst, tagLetBang), m.Name), m.Of, m.Body)
 	case TLam:
-		if err := writeByte(w, tagTLam); err != nil {
-			return err
+		if dst, err = lf.AppendFamily(append(dst, tagTLam), m.Ty); err != nil {
+			return nil, err
 		}
-		if err := lf.EncodeFamily(w, m.Ty); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return Append(dst, m.Body)
 	case TApp:
-		if err := writeByte(w, tagTApp); err != nil {
-			return err
+		if dst, err = Append(append(dst, tagTApp), m.Fn); err != nil {
+			return nil, err
 		}
-		if err := Encode(w, m.Fn); err != nil {
-			return err
-		}
-		return lf.EncodeTerm(w, m.Arg)
+		return lf.AppendTerm(dst, m.Arg)
 	case Pack:
-		if err := writeByte(w, tagPack); err != nil {
-			return err
+		if dst, err = lf.AppendTerm(append(dst, tagPack), m.Witness); err != nil {
+			return nil, err
 		}
-		if err := lf.EncodeTerm(w, m.Witness); err != nil {
-			return err
-		}
-		if err := logic.EncodeProp(w, m.As); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return appendAs(dst, m.As, m.Of)
 	case Unpack:
-		if err := writeByte(w, tagUnpack); err != nil {
-			return err
-		}
-		if err := writeName(w, m.Name); err != nil {
-			return err
-		}
-		if err := Encode(w, m.Of); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return append2(appendName(append(dst, tagUnpack), m.Name), m.Of, m.Body)
 	case SayReturn:
-		if err := writeByte(w, tagSayReturn); err != nil {
-			return err
+		if dst, err = lf.AppendTerm(append(dst, tagSayReturn), m.Prin); err != nil {
+			return nil, err
 		}
-		if err := lf.EncodeTerm(w, m.Prin); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return Append(dst, m.Of)
 	case SayBind:
-		if err := writeByte(w, tagSayBind); err != nil {
-			return err
-		}
-		if err := writeName(w, m.Name); err != nil {
-			return err
-		}
-		if err := Encode(w, m.Of); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return append2(appendName(append(dst, tagSayBind), m.Name), m.Of, m.Body)
 	case Assert:
-		if err := writeByte(w, tagAssert); err != nil {
-			return err
+		if m.Key == nil || m.Sig == nil {
+			return nil, errors.New("proof: encoding assert without key or signature")
 		}
 		persistent := byte(0)
 		if m.Persistent {
 			persistent = 1
 		}
-		if err := writeByte(w, persistent); err != nil {
-			return err
-		}
-		if m.Key == nil || m.Sig == nil {
-			return errors.New("proof: encoding assert without key or signature")
-		}
-		if _, err := w.Write(m.Key.Serialize()); err != nil {
-			return err
-		}
-		if err := wire.WriteVarBytes(w, m.Sig.Serialize()); err != nil {
-			return err
-		}
-		return logic.EncodeProp(w, m.Prop)
+		dst = append(append(dst, tagAssert, persistent), m.Key.Serialize()...)
+		return logic.AppendProp(wire.AppendVarBytes(dst, m.Sig.Serialize()), m.Prop)
 	case IfReturn:
-		if err := writeByte(w, tagIfReturn); err != nil {
-			return err
-		}
-		if err := logic.EncodeCond(w, m.Cond); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return appendCond(append(dst, tagIfReturn), m.Cond, m.Of)
 	case IfBind:
-		if err := writeByte(w, tagIfBind); err != nil {
-			return err
-		}
-		if err := writeName(w, m.Name); err != nil {
-			return err
-		}
-		if err := Encode(w, m.Of); err != nil {
-			return err
-		}
-		return Encode(w, m.Body)
+		return append2(appendName(append(dst, tagIfBind), m.Name), m.Of, m.Body)
 	case IfWeaken:
-		if err := writeByte(w, tagIfWeaken); err != nil {
-			return err
-		}
-		if err := logic.EncodeCond(w, m.Cond); err != nil {
-			return err
-		}
-		return Encode(w, m.Of)
+		return appendCond(append(dst, tagIfWeaken), m.Cond, m.Of)
 	case IfSay:
-		return encode1(w, tagIfSay, m.Of)
+		return Append(append(dst, tagIfSay), m.Of)
 	default:
-		return fmt.Errorf("proof: unknown term %T", m)
+		return nil, fmt.Errorf("proof: unknown term %T", m)
 	}
 }
 
-func encode1(w io.Writer, tag byte, a Term) error {
-	if err := writeByte(w, tag); err != nil {
-		return err
+// append2 appends two subterms.
+func append2(dst []byte, a, b Term) ([]byte, error) {
+	dst, err := Append(dst, a)
+	if err != nil {
+		return nil, err
 	}
-	return Encode(w, a)
+	return Append(dst, b)
 }
 
-func encode2(w io.Writer, tag byte, a, b Term) error {
-	if err := writeByte(w, tag); err != nil {
-		return err
+// appendAs appends a type annotation and the term it annotates.
+func appendAs(dst []byte, as logic.Prop, of Term) ([]byte, error) {
+	dst, err := logic.AppendProp(dst, as)
+	if err != nil {
+		return nil, err
 	}
-	if err := Encode(w, a); err != nil {
-		return err
+	return Append(dst, of)
+}
+
+// appendCond appends a condition and the term under it.
+func appendCond(dst []byte, c logic.Cond, of Term) ([]byte, error) {
+	dst, err := logic.AppendCond(dst, c)
+	if err != nil {
+		return nil, err
 	}
-	return Encode(w, b)
+	return Append(dst, of)
 }
 
 // Decode reads a proof term.

@@ -7,6 +7,7 @@ import (
 
 	"typecoin/internal/bkey"
 	"typecoin/internal/chainhash"
+	"typecoin/internal/sigcache"
 	"typecoin/internal/wire"
 )
 
@@ -35,24 +36,12 @@ var (
 	ErrCleanStack       = errors.New("script: stack not clean after execution")
 )
 
-// SigVerifier caches known-good ECDSA verifications. Exists reports
-// whether the (signature hash, signature, public key) triple verified
-// before; Add records a triple that just verified. Implementations must
-// be safe for concurrent use — the chain consults one from many script
-// workers at once. Both methods must tolerate being the no-op (the
-// sigcache package's nil *Cache satisfies this), so callers may inject
-// whatever they were handed.
-type SigVerifier interface {
-	Exists(sigHash chainhash.Hash, sig, pubKey []byte) bool
-	Add(sigHash chainhash.Hash, sig, pubKey []byte)
-}
-
 // engine executes one script over a shared stack.
 type engine struct {
 	tx        *wire.MsgTx
 	idx       int
-	subscript []byte // the script being signed (pkScript of the spent output)
-	sigCache  SigVerifier
+	subscript []byte          // the script being signed (pkScript of the spent output)
+	sigCache  *sigcache.Cache // nil verifies uncached
 	stack     [][]byte
 	altStack  [][]byte
 	condStack []bool // conditional execution states, innermost last
@@ -128,16 +117,36 @@ func (e *engine) executing() bool {
 	return true
 }
 
-// run executes one script.
+// scan walks s once without executing it, reporting whether it consists
+// solely of data pushes; the error is the script's parse error, if any.
+func scan(s []byte) (pushOnly bool, err error) {
+	pushOnly = true
+	t := tokenizer{s: s}
+	for t.next() {
+		if t.in.Opcode > OP_16 {
+			pushOnly = false
+		}
+	}
+	return pushOnly, t.err
+}
+
+// run executes one script. A script that does not parse fails before any
+// of it executes.
 func (e *engine) run(s []byte) error {
 	if len(s) > maxScriptSize {
 		return ErrScriptTooBig
 	}
-	instrs, err := Parse(s)
-	if err != nil {
+	if _, err := scan(s); err != nil {
 		return err
 	}
-	for _, in := range instrs {
+	return e.exec(s)
+}
+
+// exec executes a script scan has accepted.
+func (e *engine) exec(s []byte) error {
+	t := tokenizer{s: s}
+	for t.next() {
+		in := t.in
 		op := in.Opcode
 		if op > OP_16 {
 			e.numOps++
@@ -181,6 +190,9 @@ func (e *engine) run(s []byte) error {
 		if err := e.step(in); err != nil {
 			return err
 		}
+	}
+	if t.err != nil {
+		return t.err
 	}
 	if len(e.condStack) != 0 {
 		return ErrUnbalancedIf
@@ -521,8 +533,9 @@ func (e *engine) step(in Instruction) error {
 
 // checkSig verifies a script signature (DER signature || 1-byte hash type)
 // against a serialized public key over the transaction's signature hash.
-// When a SigVerifier is injected, a cached triple skips both the parsing
-// and the ECDSA verification; fresh successes are added to the cache.
+// A cached triple skips both the parsing and the ECDSA verification;
+// fresh successes are added to the cache. The cache key (two SHA-256s)
+// is built once and serves both the look-up and the insert.
 func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 	if len(sigBytes) < 2 {
 		return false
@@ -532,8 +545,12 @@ func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 	if err != nil {
 		return false
 	}
-	if e.sigCache != nil && e.sigCache.Exists(digest, sigBytes, pkBytes) {
-		return true
+	var key sigcache.Key
+	if e.sigCache != nil {
+		key = sigcache.NewKey(digest, sigBytes, pkBytes)
+		if e.sigCache.Exists(key) {
+			return true
+		}
 	}
 	sig, err := bkey.ParseSignature(sigBytes[:len(sigBytes)-1])
 	if err != nil {
@@ -546,9 +563,7 @@ func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 	if !pk.Verify(digest[:], sig) {
 		return false
 	}
-	if e.sigCache != nil {
-		e.sigCache.Add(digest, sigBytes, pkBytes)
-	}
+	e.sigCache.Add(key)
 	return true
 }
 
@@ -606,16 +621,8 @@ func (e *engine) checkMultiSig() (bool, error) {
 
 // IsPushOnly reports whether the script consists solely of data pushes.
 func IsPushOnly(s []byte) bool {
-	instrs, err := Parse(s)
-	if err != nil {
-		return false
-	}
-	for _, in := range instrs {
-		if in.Opcode > OP_16 {
-			return false
-		}
-	}
-	return true
+	pushOnly, err := scan(s)
+	return pushOnly && err == nil
 }
 
 // VerifyInput executes the signature script of tx's input idx followed by
@@ -626,10 +633,11 @@ func VerifyInput(tx *wire.MsgTx, idx int, pkScript []byte) error {
 }
 
 // VerifyInputCached is VerifyInput with an injected signature
-// verification cache; sv may be nil for uncached verification. The
+// verification cache; sc may be nil for uncached verification. The
 // mempool and the chain pass the same cache so relay-time verification
-// pays for block connect.
-func VerifyInputCached(tx *wire.MsgTx, idx int, pkScript []byte, sv SigVerifier) error {
+// pays for block connect. A signature script that is not push-only fails
+// with ErrSigScriptNotPush before anything executes.
+func VerifyInputCached(tx *wire.MsgTx, idx int, pkScript []byte, sc *sigcache.Cache) error {
 	if idx < 0 || idx >= len(tx.TxIn) {
 		return fmt.Errorf("script: input index %d out of range", idx)
 	}
@@ -637,8 +645,12 @@ func VerifyInputCached(tx *wire.MsgTx, idx int, pkScript []byte, sv SigVerifier)
 	if !IsPushOnly(sigScript) {
 		return ErrSigScriptNotPush
 	}
-	e := &engine{tx: tx, idx: idx, subscript: pkScript, sigCache: sv}
-	if err := e.run(sigScript); err != nil {
+	e := engine{tx: tx, idx: idx, subscript: pkScript, sigCache: sc}
+	// The push-only scan has parsed the signature script already.
+	if len(sigScript) > maxScriptSize {
+		return fmt.Errorf("script: signature script: %w", ErrScriptTooBig)
+	}
+	if err := e.exec(sigScript); err != nil {
 		return fmt.Errorf("script: signature script: %w", err)
 	}
 	if err := e.run(pkScript); err != nil {

@@ -3,6 +3,7 @@ package script
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -14,57 +15,81 @@ type Instruction struct {
 	Data   []byte // nil unless the opcode pushes literal data
 }
 
+// tokenizer walks a script one instruction at a time without building
+// the instruction list: the matchers, the push-only scan and the engine
+// all read scripts this way, so recognising a 25-byte template allocates
+// nothing. It accepts and rejects exactly what Parse does (Parse is a
+// loop over it), non-minimal push encodings included.
+type tokenizer struct {
+	s   []byte
+	i   int
+	in  Instruction
+	err error
+}
+
+// next decodes the instruction at the cursor into t.in. It returns false
+// at the end of the script and on a malformed push, which sets t.err.
+func (t *tokenizer) next() bool {
+	s, i := t.s, t.i
+	if t.err != nil || i >= len(s) {
+		return false
+	}
+	op := s[i]
+	i++
+	n, what := 0, ""
+	switch {
+	case op >= 1 && op <= 0x4b:
+		n, what = int(op), "push"
+	case op == OP_PUSHDATA1:
+		if i+1 > len(s) {
+			t.err = errors.New("script: truncated OP_PUSHDATA1")
+			return false
+		}
+		n, what = int(s[i]), "OP_PUSHDATA1"
+		i++
+	case op == OP_PUSHDATA2:
+		if i+2 > len(s) {
+			t.err = errors.New("script: truncated OP_PUSHDATA2")
+			return false
+		}
+		n, what = int(binary.LittleEndian.Uint16(s[i:])), "OP_PUSHDATA2"
+		i += 2
+	case op == OP_PUSHDATA4:
+		if i+4 > len(s) {
+			t.err = errors.New("script: truncated OP_PUSHDATA4")
+			return false
+		}
+		v := binary.LittleEndian.Uint32(s[i:])
+		if v > maxScriptElementSize*2 {
+			t.err = fmt.Errorf("script: OP_PUSHDATA4 of %d bytes overruns script", v)
+			return false
+		}
+		n, what = int(v), "OP_PUSHDATA4"
+		i += 4
+	default:
+		t.in, t.i = Instruction{Opcode: op}, i
+		return true
+	}
+	if i+n > len(s) {
+		t.err = fmt.Errorf("script: %s of %d bytes overruns script", what, n)
+		return false
+	}
+	t.in, t.i = Instruction{Opcode: op, Data: s[i : i+n]}, i+n
+	return true
+}
+
+// atEnd reports whether the whole script has been read without error.
+func (t *tokenizer) atEnd() bool { return t.err == nil && t.i >= len(t.s) }
+
 // Parse splits a script into instructions, validating push lengths.
 func Parse(s []byte) ([]Instruction, error) {
 	var out []Instruction
-	i := 0
-	for i < len(s) {
-		op := s[i]
-		i++
-		switch {
-		case op >= 1 && op <= 0x4b:
-			n := int(op)
-			if i+n > len(s) {
-				return nil, fmt.Errorf("script: push of %d bytes overruns script", n)
-			}
-			out = append(out, Instruction{Opcode: op, Data: s[i : i+n]})
-			i += n
-		case op == OP_PUSHDATA1:
-			if i+1 > len(s) {
-				return nil, fmt.Errorf("script: truncated OP_PUSHDATA1")
-			}
-			n := int(s[i])
-			i++
-			if i+n > len(s) {
-				return nil, fmt.Errorf("script: OP_PUSHDATA1 of %d bytes overruns script", n)
-			}
-			out = append(out, Instruction{Opcode: op, Data: s[i : i+n]})
-			i += n
-		case op == OP_PUSHDATA2:
-			if i+2 > len(s) {
-				return nil, fmt.Errorf("script: truncated OP_PUSHDATA2")
-			}
-			n := int(binary.LittleEndian.Uint16(s[i : i+2]))
-			i += 2
-			if i+n > len(s) {
-				return nil, fmt.Errorf("script: OP_PUSHDATA2 of %d bytes overruns script", n)
-			}
-			out = append(out, Instruction{Opcode: op, Data: s[i : i+n]})
-			i += n
-		case op == OP_PUSHDATA4:
-			if i+4 > len(s) {
-				return nil, fmt.Errorf("script: truncated OP_PUSHDATA4")
-			}
-			n := int(binary.LittleEndian.Uint32(s[i : i+4]))
-			i += 4
-			if n > maxScriptElementSize*2 || i+n > len(s) {
-				return nil, fmt.Errorf("script: OP_PUSHDATA4 of %d bytes overruns script", n)
-			}
-			out = append(out, Instruction{Opcode: op, Data: s[i : i+n]})
-			i += n
-		default:
-			out = append(out, Instruction{Opcode: op})
-		}
+	t := tokenizer{s: s}
+	for t.next() {
+		out = append(out, t.in)
+	}
+	if t.err != nil {
+		return nil, t.err
 	}
 	return out, nil
 }

@@ -1,7 +1,7 @@
 package script
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 
 	"typecoin/internal/chainhash"
@@ -39,60 +39,78 @@ var ErrSigHashSingleIndex = errors.New("script: sighash single index out of rang
 // CalcSignatureHash computes the digest that a signature for input idx of
 // tx signs, given the subscript (the pkScript of the output being spent)
 // and the hash type.
+//
+// The digest is the double SHA-256 of the transaction's wire encoding
+// with parts erased as the hash type says, followed by the hash type.
+// The erased encoding is written straight into one buffer sized for it
+// (on the stack for all but unusually large transactions); tx is only
+// read.
 func CalcSignatureHash(subscript []byte, hashType SigHashType, tx *wire.MsgTx, idx int) (chainhash.Hash, error) {
 	if idx < 0 || idx >= len(tx.TxIn) {
 		return chainhash.Hash{}, errors.New("script: sighash input index out of range")
 	}
-	if hashType&sigHashMask == SigHashSingle && idx >= len(tx.TxOut) {
+	mode := hashType & sigHashMask
+	if mode == SigHashSingle && idx >= len(tx.TxOut) {
 		return chainhash.Hash{}, ErrSigHashSingleIndex
 	}
 
-	txCopy := tx.Copy()
-	// Blank all input scripts, then set the signed input's script to the
-	// subscript.
-	for i := range txCopy.TxIn {
-		if i == idx {
-			txCopy.TxIn[i].SignatureScript = subscript
-		} else {
-			txCopy.TxIn[i].SignatureScript = nil
-		}
+	// Nothing erased is longer than what it replaces except the signed
+	// input's script, so this bounds the encoding from above.
+	var scratch [1024]byte
+	buf := scratch[:0]
+	if need := tx.SerializeSize() + wire.VarIntSerializeSize(uint64(len(subscript))) + len(subscript) + 4; need > len(scratch) {
+		buf = make([]byte, 0, need)
 	}
 
-	switch hashType & sigHashMask {
-	case SigHashNone:
-		txCopy.TxOut = nil
-		for i := range txCopy.TxIn {
-			if i != idx {
-				txCopy.TxIn[i].Sequence = 0
-			}
-		}
-	case SigHashSingle:
-		txCopy.TxOut = txCopy.TxOut[:idx+1]
-		for i := 0; i < idx; i++ {
-			txCopy.TxOut[i] = &wire.TxOut{Value: -1, PkScript: nil}
-		}
-		for i := range txCopy.TxIn {
-			if i != idx {
-				txCopy.TxIn[i].Sequence = 0
-			}
-		}
-	default:
-		// SigHashAll: nothing to erase.
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, tx.Version)
 
+	// Inputs: every script blanked except the signed input's, which
+	// carries the subscript. AnyOneCanPay keeps the signed input alone;
+	// None and Single zero the other inputs' sequence numbers.
+	ins, first := tx.TxIn, 0
 	if hashType&SigHashAnyOneCanPay != 0 {
-		txCopy.TxIn = txCopy.TxIn[idx : idx+1]
+		ins, first = tx.TxIn[idx:idx+1], idx
+	}
+	buf = wire.AppendVarInt(buf, uint64(len(ins)))
+	for i, ti := range ins {
+		buf = append(buf, ti.PreviousOutPoint.Hash[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, ti.PreviousOutPoint.Index)
+		seq := ti.Sequence
+		if first+i == idx {
+			buf = wire.AppendVarBytes(buf, subscript)
+		} else {
+			buf = append(buf, 0)
+			if mode == SigHashNone || mode == SigHashSingle {
+				seq = 0
+			}
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, seq)
 	}
 
-	var buf bytes.Buffer
-	if err := txCopy.Serialize(&buf); err != nil {
-		return chainhash.Hash{}, err
+	// Outputs: all of them, none, or only the signed input's own, behind
+	// blank (-1 satoshi, empty script) placeholders for those before it.
+	switch mode {
+	case SigHashNone:
+		buf = append(buf, 0)
+	case SigHashSingle:
+		buf = wire.AppendVarInt(buf, uint64(idx+1))
+		for i := 0; i < idx; i++ {
+			buf = append(buf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0)
+		}
+		buf = appendTxOut(buf, tx.TxOut[idx])
+	default:
+		buf = wire.AppendVarInt(buf, uint64(len(tx.TxOut)))
+		for _, to := range tx.TxOut {
+			buf = appendTxOut(buf, to)
+		}
 	}
-	var ht [4]byte
-	ht[0] = byte(hashType)
-	ht[1] = byte(hashType >> 8)
-	ht[2] = byte(hashType >> 16)
-	ht[3] = byte(hashType >> 24)
-	buf.Write(ht[:])
-	return chainhash.DoubleHashB(buf.Bytes()), nil
+
+	buf = binary.LittleEndian.AppendUint32(buf, tx.LockTime)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(hashType))
+	return chainhash.DoubleHashB(buf), nil
+}
+
+func appendTxOut(buf []byte, to *wire.TxOut) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(to.Value))
+	return wire.AppendVarBytes(buf, to.PkScript)
 }

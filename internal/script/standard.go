@@ -100,107 +100,110 @@ func NullDataScript(data []byte) ([]byte, error) {
 
 const maxNullDataSize = 80
 
+// The matchers below read a script through the tokenizer and so allocate
+// nothing; each requires the script to end where its schema does, which
+// also makes a parse error anywhere in the script a mismatch.
+
 // Classify determines the class of a locking script.
 func Classify(pkScript []byte) ScriptClass {
-	instrs, err := Parse(pkScript)
-	if err != nil {
-		return NonStandardTy
-	}
-	switch {
-	case isPubKeyHash(instrs):
+	if _, ok := ExtractPubKeyHash(pkScript); ok {
 		return PubKeyHashTy
-	case isPubKey(instrs):
+	}
+	if matchPubKey(pkScript) {
 		return PubKeyTy
-	case isMultiSig(instrs):
+	}
+	if _, _, ok := matchMultiSig(pkScript); ok {
 		return MultiSigTy
-	case isNullData(instrs):
+	}
+	if _, ok := ExtractNullData(pkScript); ok {
 		return NullDataTy
 	}
 	return NonStandardTy
 }
 
-func isPubKeyHash(instrs []Instruction) bool {
-	return len(instrs) == 5 &&
-		instrs[0].Opcode == OP_DUP &&
-		instrs[1].Opcode == OP_HASH160 &&
-		len(instrs[2].Data) == bkey.PrincipalSize &&
-		instrs[3].Opcode == OP_EQUALVERIFY &&
-		instrs[4].Opcode == OP_CHECKSIG
+// matchPubKey matches <65 bytes> OP_CHECKSIG.
+func matchPubKey(s []byte) bool {
+	t := tokenizer{s: s}
+	return t.next() && len(t.in.Data) == bkey.SerializedPubKeySize &&
+		t.next() && t.in.Opcode == OP_CHECKSIG && t.atEnd()
 }
 
-func isPubKey(instrs []Instruction) bool {
-	return len(instrs) == 2 &&
-		len(instrs[0].Data) == bkey.SerializedPubKeySize &&
-		instrs[1].Opcode == OP_CHECKSIG
-}
-
-func isMultiSig(instrs []Instruction) bool {
-	if len(instrs) < 4 {
-		return false
+// matchMultiSig matches OP_m <65 bytes>{n} OP_n OP_CHECKMULTISIG with
+// 1 <= m <= n and returns m and n. The key slots are the n instructions
+// after the first.
+func matchMultiSig(s []byte) (m, n int, ok bool) {
+	t := tokenizer{s: s}
+	if !t.next() {
+		return 0, 0, false
 	}
-	m, ok := smallInt(instrs[0].Opcode)
-	if !ok || m < 1 {
-		return false
+	if m, ok = smallInt(t.in.Opcode); !ok || m < 1 {
+		return 0, 0, false
 	}
-	last := len(instrs) - 1
-	if instrs[last].Opcode != OP_CHECKMULTISIG {
-		return false
-	}
-	n, ok := smallInt(instrs[last-1].Opcode)
-	if !ok || n < m || n != len(instrs)-3 {
-		return false
-	}
-	for _, in := range instrs[1 : last-1] {
-		if len(in.Data) != bkey.SerializedPubKeySize {
-			return false
+	for {
+		if !t.next() {
+			return 0, 0, false
 		}
+		if len(t.in.Data) != bkey.SerializedPubKeySize {
+			break
+		}
+		n++
 	}
-	return true
+	// The instruction that ended the run of key slots must be OP_n.
+	if v, isInt := smallInt(t.in.Opcode); !isInt || v != n || n < m {
+		return 0, 0, false
+	}
+	return m, n, t.next() && t.in.Opcode == OP_CHECKMULTISIG && t.atEnd()
 }
 
-func isNullData(instrs []Instruction) bool {
-	if len(instrs) == 1 && instrs[0].Opcode == OP_RETURN {
-		return true
-	}
-	return len(instrs) == 2 && instrs[0].Opcode == OP_RETURN &&
-		len(instrs[1].Data) <= maxNullDataSize
-}
-
-// ExtractPubKeyHash returns the principal a P2PKH script pays, or false.
+// ExtractPubKeyHash returns the principal a P2PKH script pays, or false:
+// OP_DUP OP_HASH160 <20 bytes> OP_EQUALVERIFY OP_CHECKSIG.
 func ExtractPubKeyHash(pkScript []byte) (bkey.Principal, bool) {
-	instrs, err := Parse(pkScript)
-	if err != nil || !isPubKeyHash(instrs) {
-		return bkey.Principal{}, false
-	}
 	var p bkey.Principal
-	copy(p[:], instrs[2].Data)
+	t := tokenizer{s: pkScript}
+	if !(t.next() && t.in.Opcode == OP_DUP &&
+		t.next() && t.in.Opcode == OP_HASH160 &&
+		t.next() && len(t.in.Data) == bkey.PrincipalSize) {
+		return p, false
+	}
+	hash := t.in.Data
+	if !(t.next() && t.in.Opcode == OP_EQUALVERIFY &&
+		t.next() && t.in.Opcode == OP_CHECKSIG && t.atEnd()) {
+		return p, false
+	}
+	copy(p[:], hash)
 	return p, true
 }
 
 // ExtractMultiSig returns (m, keySlots) for a multisig script, or false.
 func ExtractMultiSig(pkScript []byte) (int, [][]byte, bool) {
-	instrs, err := Parse(pkScript)
-	if err != nil || !isMultiSig(instrs) {
+	m, n, ok := matchMultiSig(pkScript)
+	if !ok {
 		return 0, nil, false
 	}
-	m, _ := smallInt(instrs[0].Opcode)
-	var keys [][]byte
-	for _, in := range instrs[1 : len(instrs)-2] {
-		keys = append(keys, in.Data)
+	keys := make([][]byte, 0, n)
+	t := tokenizer{s: pkScript}
+	t.next() // OP_m
+	for len(keys) < n && t.next() {
+		keys = append(keys, t.in.Data)
 	}
 	return m, keys, true
 }
 
-// ExtractNullData returns the payload of an OP_RETURN script, or false.
+// ExtractNullData returns the payload of an OP_RETURN script, or false:
+// OP_RETURN alone, or followed by one instruction carrying at most
+// maxNullDataSize bytes.
 func ExtractNullData(pkScript []byte) ([]byte, bool) {
-	instrs, err := Parse(pkScript)
-	if err != nil || !isNullData(instrs) {
+	t := tokenizer{s: pkScript}
+	if !t.next() || t.in.Opcode != OP_RETURN {
 		return nil, false
 	}
-	if len(instrs) == 1 {
+	if t.atEnd() {
 		return nil, true
 	}
-	return instrs[1].Data, true
+	if !t.next() || len(t.in.Data) > maxNullDataSize || !t.atEnd() {
+		return nil, false
+	}
+	return t.in.Data, true
 }
 
 // IsStandard reports whether a locking script is one of the standard
@@ -225,18 +228,16 @@ func SignatureScript(tx *wire.MsgTx, idx int, pkScript []byte, hashType SigHashT
 		return nil, err
 	}
 	sigBytes := append(sig.Serialize(), byte(hashType))
-	switch Classify(pkScript) {
-	case PubKeyHashTy:
-		p, _ := ExtractPubKeyHash(pkScript)
+	if p, ok := ExtractPubKeyHash(pkScript); ok {
 		if p != key.Principal() {
 			return nil, ErrNotMine
 		}
 		return NewBuilder().AddData(sigBytes).AddData(key.PubKey().Serialize()).Script()
-	case PubKeyTy:
-		return NewBuilder().AddData(sigBytes).Script()
-	default:
-		return nil, fmt.Errorf("script: cannot build signature script for %v", Classify(pkScript))
 	}
+	if matchPubKey(pkScript) {
+		return NewBuilder().AddData(sigBytes).Script()
+	}
+	return nil, fmt.Errorf("script: cannot build signature script for %v", Classify(pkScript))
 }
 
 // MultiSigSignatureScript builds the unlocking script for an m-of-n

@@ -28,17 +28,21 @@ import (
 // costs a few MiB — small against the ECDSA work it saves.
 const DefaultCapacity = 32768
 
-// key identifies one verified triple. The signature and public key are
+// Key identifies one verified triple. The signature and public key are
 // stored as SHA-256 digests of their serialized forms: fixed-size,
 // collision-resistant, and cheaper to compare than variable-length DER.
-type key struct {
+// A caller builds the key once and passes it to Exists and, after a
+// successful verification, to Add.
+type Key struct {
 	sigHash chainhash.Hash
 	sig     [sha256.Size]byte
 	pubKey  [sha256.Size]byte
 }
 
-func makeKey(sigHash chainhash.Hash, sig, pubKey []byte) key {
-	return key{sigHash: sigHash, sig: sha256.Sum256(sig), pubKey: sha256.Sum256(pubKey)}
+// NewKey builds the cache key of a (signature hash, signature, public
+// key) triple.
+func NewKey(sigHash chainhash.Hash, sig, pubKey []byte) Key {
+	return Key{sigHash: sigHash, sig: sha256.Sum256(sig), pubKey: sha256.Sum256(pubKey)}
 }
 
 // Cache is a bounded LRU of verified signature triples. All methods are
@@ -46,7 +50,7 @@ func makeKey(sigHash chainhash.Hash, sig, pubKey []byte) key {
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
-	entries   map[key]*list.Element
+	entries   map[Key]*list.Element
 	order     *list.List // front = most recently used; values are keys
 	hits      uint64
 	misses    uint64
@@ -70,18 +74,17 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		entries:  make(map[key]*list.Element, capacity),
+		entries:  make(map[Key]*list.Element, capacity),
 		order:    list.New(),
 	}
 }
 
 // Exists reports whether the triple was previously verified successfully,
 // refreshing its recency on a hit. A nil cache always misses.
-func (c *Cache) Exists(sigHash chainhash.Hash, sig, pubKey []byte) bool {
+func (c *Cache) Exists(k Key) bool {
 	if c == nil {
 		return false
 	}
-	k := makeKey(sigHash, sig, pubKey)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
@@ -97,11 +100,10 @@ func (c *Cache) Exists(sigHash chainhash.Hash, sig, pubKey []byte) bool {
 // used entries if the cache is full. A nil cache ignores the call.
 // Callers must only Add triples that actually verified: membership is
 // later taken as proof of validity.
-func (c *Cache) Add(sigHash chainhash.Hash, sig, pubKey []byte) {
+func (c *Cache) Add(k Key) {
 	if c == nil {
 		return
 	}
-	k := makeKey(sigHash, sig, pubKey)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
@@ -113,7 +115,7 @@ func (c *Cache) Add(sigHash chainhash.Hash, sig, pubKey []byte) {
 		if back == nil {
 			break
 		}
-		delete(c.entries, back.Value.(key))
+		delete(c.entries, back.Value.(Key))
 		c.order.Remove(back)
 		c.evictions++
 	}

@@ -17,21 +17,21 @@ func triple(i int) (chainhash.Hash, []byte, []byte) {
 func TestAddExists(t *testing.T) {
 	c := New(8)
 	h, sig, pk := triple(0)
-	if c.Exists(h, sig, pk) {
+	if c.Exists(NewKey(h, sig, pk)) {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Add(h, sig, pk)
-	if !c.Exists(h, sig, pk) {
+	c.Add(NewKey(h, sig, pk))
+	if !c.Exists(NewKey(h, sig, pk)) {
 		t.Fatal("added triple not found")
 	}
 	// Any component differing is a distinct triple.
-	if c.Exists(chainhash.HashB([]byte("other")), sig, pk) {
+	if c.Exists(NewKey(chainhash.HashB([]byte("other")), sig, pk)) {
 		t.Error("hit with wrong sighash")
 	}
-	if c.Exists(h, []byte("other"), pk) {
+	if c.Exists(NewKey(h, []byte("other"), pk)) {
 		t.Error("hit with wrong signature")
 	}
-	if c.Exists(h, sig, []byte("other")) {
+	if c.Exists(NewKey(h, sig, []byte("other"))) {
 		t.Error("hit with wrong pubkey")
 	}
 }
@@ -40,27 +40,27 @@ func TestLRUEviction(t *testing.T) {
 	c := New(4)
 	for i := 0; i < 4; i++ {
 		h, sig, pk := triple(i)
-		c.Add(h, sig, pk)
+		c.Add(NewKey(h, sig, pk))
 	}
 	// Touch entry 0 so it becomes most recent; entry 1 is now the LRU.
 	h0, sig0, pk0 := triple(0)
-	if !c.Exists(h0, sig0, pk0) {
+	if !c.Exists(NewKey(h0, sig0, pk0)) {
 		t.Fatal("entry 0 missing")
 	}
 	h4, sig4, pk4 := triple(4)
-	c.Add(h4, sig4, pk4)
+	c.Add(NewKey(h4, sig4, pk4))
 
 	if c.Len() != 4 {
 		t.Fatalf("len = %d, want 4", c.Len())
 	}
 	h1, sig1, pk1 := triple(1)
-	if c.Exists(h1, sig1, pk1) {
+	if c.Exists(NewKey(h1, sig1, pk1)) {
 		t.Error("LRU entry 1 survived eviction")
 	}
-	if !c.Exists(h0, sig0, pk0) {
+	if !c.Exists(NewKey(h0, sig0, pk0)) {
 		t.Error("recently used entry 0 was evicted")
 	}
-	if !c.Exists(h4, sig4, pk4) {
+	if !c.Exists(NewKey(h4, sig4, pk4)) {
 		t.Error("newest entry missing")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -71,8 +71,8 @@ func TestLRUEviction(t *testing.T) {
 func TestDuplicateAddDoesNotGrow(t *testing.T) {
 	c := New(4)
 	h, sig, pk := triple(0)
-	c.Add(h, sig, pk)
-	c.Add(h, sig, pk)
+	c.Add(NewKey(h, sig, pk))
+	c.Add(NewKey(h, sig, pk))
 	if c.Len() != 1 {
 		t.Fatalf("len = %d after duplicate add", c.Len())
 	}
@@ -81,10 +81,10 @@ func TestDuplicateAddDoesNotGrow(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	c := New(4)
 	h, sig, pk := triple(0)
-	c.Exists(h, sig, pk) // miss
-	c.Add(h, sig, pk)
-	c.Exists(h, sig, pk) // hit
-	c.Exists(h, sig, pk) // hit
+	c.Exists(NewKey(h, sig, pk)) // miss
+	c.Add(NewKey(h, sig, pk))
+	c.Exists(NewKey(h, sig, pk)) // hit
+	c.Exists(NewKey(h, sig, pk)) // hit
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
@@ -97,8 +97,8 @@ func TestStatsCounters(t *testing.T) {
 func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	var c *Cache
 	h, sig, pk := triple(0)
-	c.Add(h, sig, pk) // must not panic
-	if c.Exists(h, sig, pk) {
+	c.Add(NewKey(h, sig, pk)) // must not panic
+	if c.Exists(NewKey(h, sig, pk)) {
 		t.Fatal("nil cache reported a hit")
 	}
 	if c.Len() != 0 {
@@ -124,8 +124,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				h, sig, pk := triple((g*200 + i) % 100)
-				c.Add(h, sig, pk)
-				c.Exists(h, sig, pk)
+				c.Add(NewKey(h, sig, pk))
+				c.Exists(NewKey(h, sig, pk))
 			}
 		}(g)
 	}

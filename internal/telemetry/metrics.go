@@ -182,14 +182,17 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	key := labelKey(v.labels, values)
+	// The key is rendered into a stack buffer and looked up without being
+	// converted to a string, so finding an existing child allocates nothing.
+	var scratch [128]byte
+	key := appendLabelKey(scratch[:0], v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c, ok := v.children[key]
+	c, ok := v.children[string(key)]
 	if !ok {
 		c = &Counter{}
-		v.children[key] = c
-		v.order = append(v.order, key)
+		v.children[string(key)] = c
+		v.order = append(v.order, string(key))
 	}
 	return c
 }
@@ -226,31 +229,38 @@ func (v *CounterVec) Total() uint64 {
 // labelKey renders a {k="v",...} suffix. Values are escaped per the
 // Prometheus text format.
 func labelKey(names, values []string) string {
+	return string(appendLabelKey(nil, names, values))
+}
+
+// appendLabelKey appends labelKey's rendering to b.
+func appendLabelKey(b []byte, names, values []string) []byte {
 	if len(names) == 0 {
-		return ""
+		return b
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i, name := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		val := ""
 		if i < len(values) {
 			val = values[i]
 		}
-		b.WriteString(name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(val))
-		b.WriteByte('"')
+		b = append(b, name...)
+		b = append(b, `="`...)
+		for j := 0; j < len(val); j++ {
+			switch c := val[j]; c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\n':
+				b = append(b, '\\', 'n')
+			default:
+				b = append(b, c)
+			}
+		}
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+	return append(b, '}')
 }
 
 // LabeledValue is one sample of a labeled gauge family: the value for

@@ -212,3 +212,23 @@ func TestConcurrentHotPath(t *testing.T) {
 		t.Errorf("histogram sum = %v, want 8", h.Sum())
 	}
 }
+
+// TestCounterVecWithExistingLabelsAllocatesNothing pins the hot path of
+// every instrumented request: finding the child of a label set seen before
+// must not build a key string or a replacer.
+func TestCounterVecWithExistingLabelsAllocatesNothing(t *testing.T) {
+	v := NewRegistry().CounterVec("test_requests_total", "requests by route and code", "route", "code")
+	first := v.With("/address", "200")
+	escaped := v.With("a\"b\\c\n", "500")
+	allocs := testing.AllocsPerRun(200, func() {
+		if v.With("/address", "200") != first || v.With("a\"b\\c\n", "500") != escaped {
+			t.Fatal("With returned the wrong child")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("With on an existing label set allocates %v times, want 0", allocs)
+	}
+	if got := v.Snapshot(); len(got) != 2 {
+		t.Errorf("label sets = %v, want 2 children", got)
+	}
+}

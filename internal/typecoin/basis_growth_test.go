@@ -53,7 +53,7 @@ func newcoinState(t testing.TB, owner *bkey.PublicKey, whole uint64) (*State, ch
 		t.Fatalf("basis transaction: %v", err)
 	}
 	carrier := chainhash.HashB([]byte("newcoin-basis"))
-	if err := s.Apply(t0, carrier); err != nil {
+	if err := s.Apply(t0, t0.Hash(), carrier); err != nil {
 		t.Fatal(err)
 	}
 	return s, carrier, wire.OutPoint{Hash: carrier, Index: 0}
@@ -107,7 +107,7 @@ func TestGlobalBasisFlatUnderTransfers(t *testing.T) {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 		carrier := chainhash.HashB([]byte(fmt.Sprint("transfer-", i)))
-		if err := s.Apply(tx, carrier); err != nil {
+		if err := s.Apply(tx, tx.Hash(), carrier); err != nil {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 		ins = ins[:0]
@@ -161,7 +161,7 @@ func TestScratchStatesShareTheBasisWithoutWritingIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	carrier := chainhash.HashB([]byte("replay-only"))
-	if err := replay.Apply(decl, carrier); err != nil {
+	if err := replay.Apply(decl, decl.Hash(), carrier); err != nil {
 		t.Fatal(err)
 	}
 	late := lf.TxRef(carrier, "tok")

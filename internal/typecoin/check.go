@@ -90,117 +90,109 @@ func (s *State) OriginOf(op wire.OutPoint) (chainhash.Hash, bool) {
 
 // CheckTx validates the transaction formation judgement 𝔗; Σ |- T ok
 // against this state: local declarations, freshness, input/output
-// proposition formation, input-type agreement with upstream outputs, the
-// proof term's type, and the top-level condition (judged by oracle).
+// proposition formation, the proof term's type, input-type agreement
+// with upstream outputs, and the top-level condition (judged by oracle).
 // It returns the transaction's top-level condition.
+//
+// The judgement has a closed half, a function of the transaction's bytes
+// and Σ alone (checkClosed), and an open half that reads what changes
+// from block to block: the unspent typed outputs and the oracle. The
+// ledger remembers closed verdicts between submit and connect.
 func (s *State) CheckTx(tx *Tx, oracle logic.Oracle) (logic.Cond, error) {
-	_, cond, err := s.checkNoCondition(tx)
+	cond, err := checkClosed(s.global, tx, nil)
 	if err != nil {
 		return nil, err
 	}
-	holds, err := logic.EvalCond(cond, oracle)
-	if err != nil {
-		return nil, fmt.Errorf("typecoin: evaluating condition %s: %w", cond, err)
+	if err := s.checkInputs(tx); err != nil {
+		return nil, err
 	}
-	if !holds {
-		return cond, fmt.Errorf("%w: %s", ErrConditionFalse, cond)
-	}
-	return cond, nil
+	return cond, condHolds(cond, oracle)
 }
 
-// checkNoCondition performs every check except evaluating the top-level
-// condition, returning the layered basis and the condition.
-func (s *State) checkNoCondition(tx *Tx) (*logic.Basis, logic.Cond, error) {
+// checkClosed is the closed half of CheckTx: local declarations,
+// proposition formation, the proof term's type against the domain and
+// codomain the transaction states. sigma is the global basis Σ; payload
+// is tx.SigPayload() if the caller has it, or nil to have it encoded once
+// the propositions in it are known to be well formed. It returns the
+// top-level condition. A variable so the ledger's tests can count its
+// runs.
+var checkClosed = func(sigma *logic.Basis, tx *Tx, payload []byte) (logic.Cond, error) {
 	if len(tx.Outputs) == 0 {
 		// The metadata hash needs at least one carrier output, and the
 		// formalism always routes resources somewhere.
-		return nil, nil, ErrNoOutputs
+		return nil, ErrNoOutputs
 	}
 
 	// Local basis: only this.l declarations, well-formed, fresh.
 	if err := logic.CheckLocalDecls(tx.Basis); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	layered, err := tx.Basis.Rebase(s.global)
+	layered, err := tx.Basis.Rebase(sigma)
 	if err != nil {
-		return nil, nil, fmt.Errorf("typecoin: rebasing local basis: %w", err)
+		return nil, fmt.Errorf("typecoin: rebasing local basis: %w", err)
 	}
 	if err := checkBasisFormation(layered, tx.Basis); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := logic.FreshBasis(tx.Basis); err != nil {
-		return nil, nil, fmt.Errorf("typecoin: basis freshness: %w", err)
+		return nil, fmt.Errorf("typecoin: basis freshness: %w", err)
 	}
 
 	// Affine grant: well-formed and fresh.
 	if err := logic.CheckProp(layered, nil, tx.Grant); err != nil {
-		return nil, nil, fmt.Errorf("typecoin: grant: %w", err)
+		return nil, fmt.Errorf("typecoin: grant: %w", err)
 	}
 	if err := logic.FreshProp(tx.Grant); err != nil {
-		return nil, nil, fmt.Errorf("typecoin: grant freshness: %w", err)
+		return nil, fmt.Errorf("typecoin: grant freshness: %w", err)
 	}
 
-	// Inputs: well-formed propositions that agree with the upstream
-	// output types, and no input consumed twice (condition 3).
+	// Inputs: well-formed propositions, none consumed twice (condition 3).
 	seen := make(map[wire.OutPoint]bool, len(tx.Inputs))
 	for i, in := range tx.Inputs {
 		if seen[in.Source] {
-			return nil, nil, fmt.Errorf("typecoin: input %d consumes %v twice", i, in.Source)
+			return nil, fmt.Errorf("typecoin: input %d consumes %v twice", i, in.Source)
 		}
 		seen[in.Source] = true
 		if err := logic.CheckProp(layered, nil, in.Type); err != nil {
-			return nil, nil, fmt.Errorf("typecoin: input %d type: %w", i, err)
-		}
-		rec, ok := s.outTypes[in.Source]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %v", ErrInputUnknown, in.Source)
-		}
-		eq, err := logic.PropEqual(in.Type, rec.prop)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !eq {
-			return nil, nil, fmt.Errorf("%w: input %d claims %s, upstream output has %s",
-				ErrInputTypeWrong, i, in.Type, rec.prop)
-		}
-		if in.Amount != rec.amount {
-			return nil, nil, fmt.Errorf("typecoin: input %d claims %d satoshi, upstream output carries %d",
-				i, in.Amount, rec.amount)
+			return nil, fmt.Errorf("typecoin: input %d type: %w", i, err)
 		}
 	}
 
 	// Outputs: well-formed propositions.
 	for i, out := range tx.Outputs {
 		if out.Owner == nil {
-			return nil, nil, fmt.Errorf("typecoin: output %d has no owner", i)
+			return nil, fmt.Errorf("typecoin: output %d has no owner", i)
 		}
 		if out.Amount < 0 {
-			return nil, nil, fmt.Errorf("typecoin: output %d has negative amount", i)
+			return nil, fmt.Errorf("typecoin: output %d has negative amount", i)
 		}
 		if err := logic.CheckProp(layered, nil, out.Type); err != nil {
-			return nil, nil, fmt.Errorf("typecoin: output %d type: %w", i, err)
+			return nil, fmt.Errorf("typecoin: output %d type: %w", i, err)
 		}
 	}
 
 	// The proof term: M : (C (x) A (x) R) -o if(phi, B). A missing
 	// conditional is read as if(true, B).
 	if tx.Proof == nil {
-		return nil, nil, errors.New("typecoin: transaction has no proof term")
+		return nil, errors.New("typecoin: transaction has no proof term")
 	}
-	got, err := proof.Infer(layered, tx.SigPayload(), tx.Proof)
+	if payload == nil {
+		payload = tx.SigPayload()
+	}
+	got, err := proof.Infer(layered, payload, tx.Proof)
 	if err != nil {
-		return nil, nil, fmt.Errorf("typecoin: proof: %w", err)
+		return nil, fmt.Errorf("typecoin: proof: %w", err)
 	}
 	lolli, ok := got.(logic.PLolli)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: proof has type %s", ErrProofWrongType, got)
+		return nil, fmt.Errorf("%w: proof has type %s", ErrProofWrongType, got)
 	}
 	eq, err := logic.PropEqual(lolli.A, tx.Domain())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !eq {
-		return nil, nil, fmt.Errorf("%w: proof consumes %s, want %s",
+		return nil, fmt.Errorf("%w: proof consumes %s, want %s",
 			ErrProofWrongType, lolli.A, tx.Domain())
 	}
 	cond := logic.True
@@ -211,13 +203,51 @@ func (s *State) checkNoCondition(tx *Tx) (*logic.Basis, logic.Cond, error) {
 	}
 	eq, err = logic.PropEqual(body, tx.Codomain())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !eq {
-		return nil, nil, fmt.Errorf("%w: proof produces %s, want %s",
+		return nil, fmt.Errorf("%w: proof produces %s, want %s",
 			ErrProofWrongType, body, tx.Codomain())
 	}
-	return layered, cond, nil
+	return cond, nil
+}
+
+// checkInputs and condHolds are the open half of CheckTx, for a
+// transaction checkClosed has accepted (so its input types are well
+// formed and PropEqual on them terminates): every input names an unspent
+// typed output whose type and amount agree, and the condition holds under
+// the oracle.
+func (s *State) checkInputs(tx *Tx) error {
+	for i, in := range tx.Inputs {
+		rec, ok := s.outTypes[in.Source]
+		if !ok {
+			return fmt.Errorf("%w: %v", ErrInputUnknown, in.Source)
+		}
+		eq, err := logic.PropEqual(in.Type, rec.prop)
+		if err != nil {
+			return err
+		}
+		if !eq {
+			return fmt.Errorf("%w: input %d claims %s, upstream output has %s",
+				ErrInputTypeWrong, i, in.Type, rec.prop)
+		}
+		if in.Amount != rec.amount {
+			return fmt.Errorf("typecoin: input %d claims %d satoshi, upstream output carries %d",
+				i, in.Amount, rec.amount)
+		}
+	}
+	return nil
+}
+
+func condHolds(cond logic.Cond, oracle logic.Oracle) error {
+	holds, err := logic.EvalCond(cond, oracle)
+	if err != nil {
+		return fmt.Errorf("typecoin: evaluating condition %s: %w", cond, err)
+	}
+	if !holds {
+		return fmt.Errorf("%w: %s", ErrConditionFalse, cond)
+	}
+	return nil
 }
 
 // checkBasisFormation validates each local declaration against the
@@ -250,14 +280,15 @@ func checkBasisFormation(layered *logic.Basis, local *logic.Basis) error {
 // the output types at the carrier's outpoints.
 //
 // The caller is responsible for having run CheckTx first (and for the
-// Bitcoin-level guarantees: carrier confirmed, amounts matching).
-func (s *State) Apply(tx *Tx, carrierID chainhash.Hash) error {
+// Bitcoin-level guarantees: carrier confirmed, amounts matching), and
+// passes tch, the tx.Hash() it already holds: every caller has one, from
+// the embedding check or from the announcement index.
+func (s *State) Apply(tx *Tx, tch, carrierID chainhash.Hash) error {
 	ref := lf.TxRef(carrierID, "")
 	newGlobal, err := tx.Basis.SubstRef(ref, s.global)
 	if err != nil {
 		return fmt.Errorf("typecoin: accumulating basis: %w", err)
 	}
-	tch := tx.Hash()
 	if _, dup := s.txs[tch]; dup {
 		return fmt.Errorf("typecoin: transaction %s already applied", tch)
 	}

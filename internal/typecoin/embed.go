@@ -116,13 +116,13 @@ func VerifyEmbedding(tx *Tx, carrier *wire.MsgTx) error {
 }
 
 // VerifyListEmbedding checks that carrier is a well-formed carrier for a
-// fallback list: the metadata commits to the list hash, and the shared
-// carrier shape (identical across members) matches.
-func VerifyListEmbedding(list *FallbackList, carrier *wire.MsgTx) error {
+// fallback list whose hash is listHash: the metadata commits to the list
+// hash, and the shared carrier shape (identical across members) matches.
+func VerifyListEmbedding(list *FallbackList, listHash chainhash.Hash, carrier *wire.MsgTx) error {
 	if err := list.Validate(); err != nil {
 		return err
 	}
-	return verifyEmbeddingWithHash(list.Txs[0], list.Hash(), carrier)
+	return verifyEmbeddingWithHash(list.Txs[0], listHash, carrier)
 }
 
 func verifyEmbeddingWithHash(tx *Tx, want chainhash.Hash, carrier *wire.MsgTx) error {

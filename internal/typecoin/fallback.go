@@ -2,6 +2,7 @@ package typecoin
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -71,18 +72,13 @@ func (f *FallbackList) Hash() chainhash.Hash {
 	if len(f.Txs) == 1 {
 		return f.Txs[0].Hash()
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, tx := range f.Txs {
 		b := tx.Bytes()
-		var lenPrefix [8]byte
-		n := len(b)
-		for i := 0; i < 8; i++ {
-			lenPrefix[i] = byte(n >> (8 * i))
-		}
-		buf.Write(lenPrefix[:])
-		buf.Write(b)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b)))
+		buf = append(buf, b...)
 	}
-	return chainhash.TaggedHash("typecoin/txlist", buf.Bytes())
+	return chainhash.TaggedHash("typecoin/txlist", buf)
 }
 
 // Select returns the first transaction in the list that passes CheckTx
@@ -90,12 +86,21 @@ func (f *FallbackList) Hash() chainhash.Hash {
 // "typical fallback transaction simply returns all inputs to their
 // original owners."
 func (f *FallbackList) Select(s *State, oracle logic.Oracle) (*Tx, int, error) {
+	return f.selectBy(func(_ int, tx *Tx) error {
+		_, err := s.CheckTx(tx, oracle)
+		return err
+	})
+}
+
+// selectBy is Select with the check supplied: the ledger's answers the
+// closed half from its verdict map.
+func (f *FallbackList) selectBy(check func(i int, tx *Tx) error) (*Tx, int, error) {
 	if err := f.Validate(); err != nil {
 		return nil, -1, err
 	}
 	var firstErr error
 	for i, tx := range f.Txs {
-		if _, err := s.CheckTx(tx, oracle); err == nil {
+		if err := check(i, tx); err == nil {
 			return tx, i, nil
 		} else if firstErr == nil {
 			firstErr = err

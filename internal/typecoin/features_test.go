@@ -44,7 +44,7 @@ func fallbackFixture(t *testing.T, cutoff uint64) (*State, *FallbackList) {
 		t.Fatal(err)
 	}
 	carrier0 := chainhash.HashB([]byte("fallback-c0"))
-	if err := s.Apply(t0, carrier0); err != nil {
+	if err := s.Apply(t0, t0.Hash(), carrier0); err != nil {
 		t.Fatal(err)
 	}
 	op := wire.OutPoint{Hash: carrier0, Index: 0}
@@ -304,7 +304,7 @@ func TestCheckBatchRejectsBadShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	carrier0 := chainhash.HashB([]byte("batch-c0"))
-	if err := s.Apply(t0, carrier0); err != nil {
+	if err := s.Apply(t0, t0.Hash(), carrier0); err != nil {
 		t.Fatal(err)
 	}
 	src := wire.OutPoint{Hash: carrier0, Index: 0}
@@ -358,7 +358,7 @@ func TestCheckBatchRejectsBadShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	carrier0b := chainhash.HashB([]byte("batch-c0b"))
-	if err := s.Apply(t0b, carrier0b); err != nil {
+	if err := s.Apply(t0b, t0b.Hash(), carrier0b); err != nil {
 		t.Fatal(err)
 	}
 	extraSrc := *good
@@ -379,7 +379,7 @@ func TestOffChainReceiptRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	carrier0 := chainhash.HashB([]byte("oc-c0"))
-	if err := s.Apply(t0, carrier0); err != nil {
+	if err := s.Apply(t0, t0.Hash(), carrier0); err != nil {
 		t.Fatal(err)
 	}
 	src := wire.OutPoint{Hash: carrier0, Index: 0}
@@ -420,7 +420,7 @@ func TestVerifyBasisDependency(t *testing.T) {
 		t.Fatal(err)
 	}
 	carrier0 := chainhash.HashB([]byte("dep-c0"))
-	if err := s.Apply(t0, carrier0); err != nil {
+	if err := s.Apply(t0, t0.Hash(), carrier0); err != nil {
 		t.Fatal(err)
 	}
 	// T1 uses T0's rule but takes NO inputs from T0.

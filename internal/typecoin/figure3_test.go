@@ -84,7 +84,7 @@ func TestFigure3(t *testing.T) {
 		t.Fatalf("T0: %v", err)
 	}
 	basisID := chainhash.HashB([]byte("carrier-basis"))
-	if err := s.Apply(t0, basisID); err != nil {
+	if err := s.Apply(t0, t0.Hash(), basisID); err != nil {
 		t.Fatal(err)
 	}
 	ref := func(label string) lf.Ref { return lf.TxRef(basisID, label) }
@@ -109,7 +109,7 @@ func TestFigure3(t *testing.T) {
 		t.Fatalf("T1: %v", err)
 	}
 	appointID := chainhash.HashB([]byte("carrier-appoint"))
-	if err := s.Apply(t1, appointID); err != nil {
+	if err := s.Apply(t1, t1.Hash(), appointID); err != nil {
 		t.Fatal(err)
 	}
 	isBankerOut := wire.OutPoint{Hash: appointID, Index: 0}

@@ -51,7 +51,28 @@ type Ledger struct {
 	// unwritten is a batch the store refused; it rides in front of the
 	// next mutation's rows so the markers never fall behind for good.
 	unwritten *store.Batch
+	// verdicts remembers, by Typecoin hash, transactions whose closed half
+	// (checkClosed) passed, so the proof CheckInstance inferred at submit
+	// is not inferred again when the carrier connects. See checkLocked.
+	verdicts map[chainhash.Hash]verdict
 }
+
+// verdict is a passed closed check: the Σ it was made under, by identity,
+// and the top-level condition it found. A *logic.Basis that has been
+// handed out is never written again and State.Apply keeps the pointer
+// when a transaction declares nothing, so the same pointer is the same Σ;
+// a Σ that grew is another pointer, and the verdict no longer counts.
+type verdict struct {
+	sigma *logic.Basis
+	cond  logic.Cond
+}
+
+// maxVerdicts bounds the verdict map. An entry lives from a
+// transaction's check to its application (or to a reorganization), so
+// the map holds about a mempool's worth of typed transactions; past the
+// bound an arbitrary entry makes room, which costs that transaction one
+// repeated check.
+const maxVerdicts = 4096
 
 // NewLedger creates a ledger over c that applies Typecoin transactions
 // once their carriers have minConf confirmations (the paper uses about
@@ -76,6 +97,8 @@ func newLedger(c *chain.Chain, minConf int, st store.Store) *Ledger {
 		waiting: make(map[chainhash.Hash]chainhash.Hash),
 		seen:    make(map[chainhash.Hash][]chainhash.Hash),
 		applied: make(map[chainhash.Hash]bool),
+
+		verdicts: make(map[chainhash.Hash]verdict),
 	}
 }
 
@@ -227,7 +250,7 @@ func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 			if obj == nil || !l.readyLocked(obj) {
 				continue
 			}
-			if err := l.applyLocked(obj, e.carrierID); err == nil {
+			if err := l.applyLocked(obj, e.tch, e.carrierID); err == nil {
 				progressed = true
 				done[e.carrierID] = true
 				applied = append(applied, e.carrierID)
@@ -277,7 +300,9 @@ func (l *Ledger) readyLocked(obj interface{}) bool {
 	}
 }
 
-func (l *Ledger) applyLocked(obj interface{}, carrierID chainhash.Hash) error {
+// applyLocked checks and applies the object announced under commitment
+// hash h, carried by carrierID.
+func (l *Ledger) applyLocked(obj interface{}, h, carrierID chainhash.Hash) error {
 	carrier, ok := l.chain.TxByID(carrierID)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrCarrierUnknown, carrierID)
@@ -288,18 +313,27 @@ func (l *Ledger) applyLocked(obj interface{}, carrierID chainhash.Hash) error {
 	}
 	switch obj := obj.(type) {
 	case *FallbackList:
-		if err := VerifyListEmbedding(obj, carrier); err != nil {
+		if err := VerifyListEmbedding(obj, h, carrier); err != nil {
 			return err
 		}
 		// "If the primary transaction turns out to be invalid, the first
 		// valid fallback transaction is used instead."
-		selected, _, err := obj.Select(l.state, OracleAt(l.chain, blk, height))
+		oracle := OracleAt(l.chain, blk, height)
+		var tch chainhash.Hash
+		selected, _, err := obj.selectBy(func(_ int, tx *Tx) error {
+			// A singleton list hashes as its transaction.
+			if tch = h; len(obj.Txs) > 1 {
+				tch = tx.Hash()
+			}
+			return l.checkLocked(tx, tch, nil, oracle)
+		})
 		if err != nil {
 			return err
 		}
-		if err := l.state.Apply(selected, carrierID); err != nil {
+		if err := l.state.Apply(selected, tch, carrierID); err != nil {
 			return err
 		}
+		delete(l.verdicts, tch)
 	case *Batch:
 		if err := VerifyBatchEmbedding(obj, carrier); err != nil {
 			return err
@@ -317,6 +351,34 @@ func (l *Ledger) applyLocked(obj interface{}, carrierID chainhash.Hash) error {
 	return nil
 }
 
+// checkLocked is State.CheckTx for the transaction whose Typecoin hash is
+// tch, with the closed half answered from the verdict map when this
+// transaction passed it before under the same Σ. Only passes are
+// remembered, as in the signature cache, so a hit proves the proof was
+// inferred and found to balance; the open half (inputs, condition) runs
+// every time. payload is tx.SigPayload() or nil (see checkClosed).
+func (l *Ledger) checkLocked(tx *Tx, tch chainhash.Hash, payload []byte, oracle logic.Oracle) error {
+	v, ok := l.verdicts[tch]
+	if !ok || v.sigma != l.state.global {
+		cond, err := checkClosed(l.state.global, tx, payload)
+		if err != nil {
+			return err
+		}
+		if !ok && len(l.verdicts) >= maxVerdicts {
+			for k := range l.verdicts {
+				delete(l.verdicts, k)
+				break
+			}
+		}
+		v = verdict{l.state.global, cond}
+		l.verdicts[tch] = v
+	}
+	if err := l.state.checkInputs(tx); err != nil {
+		return err
+	}
+	return condHolds(v.cond, oracle)
+}
+
 // rebuild replays the whole main chain against the known transaction set.
 func (l *Ledger) rebuild() {
 	l.mu.Lock()
@@ -331,6 +393,7 @@ func (l *Ledger) rebuild() {
 func (l *Ledger) rebuildLocked() (applied, dropped []chainhash.Hash) {
 	before := l.applied
 	l.state = NewState()
+	clear(l.verdicts) // made under the old state's Σ
 	l.waiting = make(map[chainhash.Hash]chainhash.Hash)
 	l.seen = make(map[chainhash.Hash][]chainhash.Hash)
 	l.applied = make(map[chainhash.Hash]bool)
@@ -467,8 +530,13 @@ func (l *Ledger) CheckInstance(tx *Tx) error {
 	if !ok {
 		return errors.New("typecoin: no chain tip")
 	}
-	_, err := l.state.CheckTx(tx, OracleAt(l.chain, blk, height))
-	return err
+	// One encoding serves the hash the verdict is kept under and the
+	// payload the proof's signatures cover.
+	raw, payloadLen, err := tx.encoded()
+	if err != nil {
+		return err
+	}
+	return l.checkLocked(tx, hashEncoded(raw), raw[:payloadLen], OracleAt(l.chain, blk, height))
 }
 
 // Rescan rebuilds the ledger state from the whole main chain against the

@@ -101,14 +101,15 @@ func (o *OpenTx) Matches(filled *Tx) error {
 		return fmt.Errorf("%w: shape differs", ErrNotInstance)
 	}
 	// Fixed parts must agree byte-for-byte; canonical encoding decides.
-	var bT, bF bytes.Buffer
-	if err := logic.EncodeBasis(&bT, t.Basis); err != nil {
+	bT, err := logic.AppendBasis(nil, t.Basis)
+	if err != nil {
 		return err
 	}
-	if err := logic.EncodeBasis(&bF, filled.Basis); err != nil {
+	bF, err := logic.AppendBasis(nil, filled.Basis)
+	if err != nil {
 		return err
 	}
-	if !bytes.Equal(bT.Bytes(), bF.Bytes()) {
+	if !bytes.Equal(bT, bF) {
 		return fmt.Errorf("%w: basis differs", ErrNotInstance)
 	}
 	if !bytes.Equal(logic.PropBytes(t.Grant), logic.PropBytes(filled.Grant)) {

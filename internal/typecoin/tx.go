@@ -119,73 +119,65 @@ func (tx *Tx) Codomain() logic.Prop {
 	return logic.Tensor(outTypes...)
 }
 
-// encodeCommon writes everything except the proof term.
-func (tx *Tx) encodeCommon(w io.Writer) error {
-	if err := logic.EncodeBasis(w, tx.Basis); err != nil {
-		return err
+// appendCommon appends everything except the proof term.
+func (tx *Tx) appendCommon(dst []byte) ([]byte, error) {
+	dst, err := logic.AppendBasis(dst, tx.Basis)
+	if err != nil {
+		return nil, err
 	}
-	if err := logic.EncodeProp(w, tx.Grant); err != nil {
-		return err
+	if dst, err = logic.AppendProp(dst, tx.Grant); err != nil {
+		return nil, err
 	}
-	if err := wire.WriteVarInt(w, uint64(len(tx.Inputs))); err != nil {
-		return err
-	}
+	dst = wire.AppendVarInt(dst, uint64(len(tx.Inputs)))
 	for _, in := range tx.Inputs {
-		if _, err := w.Write(in.Source.Hash[:]); err != nil {
-			return err
+		dst = append(dst, in.Source.Hash[:]...)
+		dst = wire.AppendVarInt(dst, uint64(in.Source.Index))
+		if dst, err = logic.AppendProp(dst, in.Type); err != nil {
+			return nil, err
 		}
-		if err := wire.WriteVarInt(w, uint64(in.Source.Index)); err != nil {
-			return err
-		}
-		if err := logic.EncodeProp(w, in.Type); err != nil {
-			return err
-		}
-		if err := wire.WriteVarInt(w, uint64(in.Amount)); err != nil {
-			return err
-		}
+		dst = wire.AppendVarInt(dst, uint64(in.Amount))
 	}
-	if err := wire.WriteVarInt(w, uint64(len(tx.Outputs))); err != nil {
-		return err
-	}
+	dst = wire.AppendVarInt(dst, uint64(len(tx.Outputs)))
 	for _, out := range tx.Outputs {
-		if err := logic.EncodeProp(w, out.Type); err != nil {
-			return err
+		if dst, err = logic.AppendProp(dst, out.Type); err != nil {
+			return nil, err
 		}
-		if err := wire.WriteVarInt(w, uint64(out.Amount)); err != nil {
-			return err
-		}
+		dst = wire.AppendVarInt(dst, uint64(out.Amount))
 		// Owner presence flag: 0 marks an open-transaction owner hole.
 		if out.Owner == nil {
-			if err := wire.WriteVarInt(w, 0); err != nil {
-				return err
-			}
+			dst = append(dst, 0)
 		} else {
-			if err := wire.WriteVarInt(w, 1); err != nil {
-				return err
-			}
-			if _, err := w.Write(out.Owner.Serialize()); err != nil {
-				return err
-			}
+			dst = append(append(dst, 1), out.Owner.Serialize()...)
 		}
 		if out.Escrow == nil {
-			if err := wire.WriteVarInt(w, 0); err != nil {
-				return err
-			}
+			dst = append(dst, 0)
 			continue
 		}
-		if err := wire.WriteVarInt(w, uint64(out.Escrow.M)); err != nil {
-			return err
-		}
-		if err := wire.WriteVarInt(w, uint64(len(out.Escrow.Keys))); err != nil {
-			return err
-		}
+		dst = wire.AppendVarInt(dst, uint64(out.Escrow.M))
+		dst = wire.AppendVarInt(dst, uint64(len(out.Escrow.Keys)))
 		for _, k := range out.Escrow.Keys {
-			if _, err := w.Write(k.Serialize()); err != nil {
-				return err
-			}
+			dst = append(dst, k.Serialize()...)
 		}
 	}
-	return nil
+	return dst, nil
+}
+
+// encoded returns the full canonical encoding in one buffer and the
+// length of its SigPayload prefix: the encoding is the payload followed
+// by the proof term, so a caller that needs both encodes once.
+func (tx *Tx) encoded() (full []byte, payloadLen int, err error) {
+	// Typical transactions (a transfer with its proof) run to a few
+	// hundred bytes; larger ones grow the buffer.
+	full, err = tx.appendCommon(make([]byte, 0, 1024))
+	if err != nil {
+		return nil, 0, err
+	}
+	if tx.Proof == nil {
+		return nil, 0, errors.New("typecoin: transaction without proof term")
+	}
+	payloadLen = len(full)
+	full, err = proof.Append(full, tx.Proof)
+	return full, payloadLen, err
 }
 
 // SigPayload returns the canonical encoding of the transaction minus its
@@ -194,38 +186,43 @@ func (tx *Tx) encodeCommon(w io.Writer) error {
 // term need not be signed, and indeed cannot be, since it contains the
 // signatures").
 func (tx *Tx) SigPayload() []byte {
-	var buf bytes.Buffer
-	if err := tx.encodeCommon(&buf); err != nil {
+	b, err := tx.appendCommon(nil)
+	if err != nil {
 		panic("typecoin: impossible encode failure: " + err.Error())
 	}
-	return buf.Bytes()
+	return b
 }
 
 // Encode writes the full transaction.
 func (tx *Tx) Encode(w io.Writer) error {
-	if err := tx.encodeCommon(w); err != nil {
+	b, _, err := tx.encoded()
+	if err != nil {
 		return err
 	}
-	if tx.Proof == nil {
-		return errors.New("typecoin: transaction without proof term")
-	}
-	return proof.Encode(w, tx.Proof)
+	_, err = w.Write(b)
+	return err
 }
 
 // Bytes returns the full canonical encoding.
 func (tx *Tx) Bytes() []byte {
-	var buf bytes.Buffer
-	if err := tx.Encode(&buf); err != nil {
+	b, _, err := tx.encoded()
+	if err != nil {
 		panic("typecoin: impossible encode failure: " + err.Error())
 	}
-	return buf.Bytes()
+	return b
 }
 
 // Hash computes the Typecoin transaction hash that is embedded into the
 // carrier Bitcoin transaction (Section 3): a tagged hash of the full
-// canonical encoding, proof term included.
-func (tx *Tx) Hash() chainhash.Hash {
-	return chainhash.TaggedHash("typecoin/tx", tx.Bytes())
+// canonical encoding, proof term included. It is recomputed on every
+// call: the exported fields may change after hashing, so nothing is
+// memoized on the struct, and code that already holds a transaction's
+// hash passes it along instead of asking again.
+func (tx *Tx) Hash() chainhash.Hash { return hashEncoded(tx.Bytes()) }
+
+// hashEncoded is Hash for a caller that holds the encoding.
+func hashEncoded(full []byte) chainhash.Hash {
+	return chainhash.TaggedHash("typecoin/tx", full)
 }
 
 // Decode reads a full transaction. The local basis is reconstructed
@@ -356,11 +353,6 @@ func DecodeBytes(b []byte) (*Tx, error) {
 		return nil, errors.New("typecoin: trailing bytes after transaction")
 	}
 	return tx, nil
-}
-
-// encodeProof writes just the proof term (open-transaction matching).
-func encodeProof(w io.Writer, tx *Tx) error {
-	return proof.Encode(w, tx.Proof)
 }
 
 // inferProof infers the proof term's type against a basis and payload.

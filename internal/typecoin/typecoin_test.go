@@ -82,7 +82,7 @@ func TestGrantTransaction(t *testing.T) {
 		t.Errorf("condition = %s, want true", cond)
 	}
 	carrier := chainhash.HashB([]byte("carrier-1"))
-	if err := s.Apply(tx, carrier); err != nil {
+	if err := s.Apply(tx, tx.Hash(), carrier); err != nil {
 		t.Fatal(err)
 	}
 	// The output type entered the state with [txid/this] applied.
@@ -111,7 +111,7 @@ func TestSpendTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	carrier1 := chainhash.HashB([]byte("carrier-1"))
-	if err := s.Apply(t1, carrier1); err != nil {
+	if err := s.Apply(t1, t1.Hash(), carrier1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +129,7 @@ func TestSpendTransaction(t *testing.T) {
 		t.Fatalf("spend CheckTx: %v", err)
 	}
 	carrier2 := chainhash.HashB([]byte("carrier-2"))
-	if err := s.Apply(t2, carrier2); err != nil {
+	if err := s.Apply(t2, t2.Hash(), carrier2); err != nil {
 		t.Fatal(err)
 	}
 	// The input is consumed; the new output exists.
@@ -159,7 +159,7 @@ func TestCheckTxRejectsWrongInputType(t *testing.T) {
 	if _, err := s.CheckTx(t1, anyOracle()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(t1, carrier1); err != nil {
+	if err := s.Apply(t1, t1.Hash(), carrier1); err != nil {
 		t.Fatal(err)
 	}
 	in := wire.OutPoint{Hash: carrier1, Index: 0}
@@ -353,7 +353,7 @@ func TestCheckTxDuplicateInput(t *testing.T) {
 	if _, err := s.CheckTx(t1, anyOracle()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(t1, carrier1); err != nil {
+	if err := s.Apply(t1, t1.Hash(), carrier1); err != nil {
 		t.Fatal(err)
 	}
 	in := wire.OutPoint{Hash: carrier1, Index: 0}

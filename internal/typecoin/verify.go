@@ -92,6 +92,7 @@ var (
 func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles []*Bundle, minConf int) (*State, error) {
 	type pendingTx struct {
 		bundle *Bundle
+		tch    chainhash.Hash // of bundle.Tc, hashed once for embedding and Apply
 		height int
 		block  *wire.MsgBlock
 	}
@@ -107,9 +108,11 @@ func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles
 			return nil, fmt.Errorf("%w: %s has %d of %d", ErrCarrierUnconfirmed,
 				b.Carrier, conf, minConf)
 		}
+		var tch chainhash.Hash
 		switch {
 		case b.Tc != nil:
-			if err := VerifyEmbedding(b.Tc, carrier); err != nil {
+			tch = b.Tc.Hash()
+			if err := verifyEmbeddingWithHash(b.Tc, tch, carrier); err != nil {
 				return nil, err
 			}
 		case b.Batch != nil:
@@ -126,7 +129,7 @@ func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles
 		if _, dup := pending[b.Carrier]; dup {
 			return nil, fmt.Errorf("typecoin: duplicate bundle for carrier %s", b.Carrier)
 		}
-		pending[b.Carrier] = &pendingTx{bundle: b, height: height, block: blk}
+		pending[b.Carrier] = &pendingTx{bundle: b, tch: tch, height: height, block: blk}
 	}
 
 	// Steps 2 and 3: replay in blockchain order — the order chain
@@ -170,7 +173,7 @@ func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles
 			if _, err := state.CheckTx(p.bundle.Tc, oracle); err != nil {
 				return fmt.Errorf("typecoin: transaction carried by %s: %w", ot.carrierID, err)
 			}
-			return state.Apply(p.bundle.Tc, ot.carrierID)
+			return state.Apply(p.bundle.Tc, p.tch, ot.carrierID)
 		}
 		if err := state.CheckBatch(p.bundle.Batch); err != nil {
 			return fmt.Errorf("typecoin: batch carried by %s: %w", ot.carrierID, err)

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"time"
@@ -24,22 +24,18 @@ type BlockHeader struct {
 
 // Serialize writes the header in wire format.
 func (h *BlockHeader) Serialize(w io.Writer) error {
-	if err := writeUint32(w, h.Version); err != nil {
-		return err
-	}
-	if _, err := w.Write(h.PrevBlock[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(h.MerkleRoot[:]); err != nil {
-		return err
-	}
-	if err := writeUint32(w, uint32(h.Timestamp.Unix())); err != nil {
-		return err
-	}
-	if err := writeUint32(w, h.Bits); err != nil {
-		return err
-	}
-	return writeUint32(w, h.Nonce)
+	_, err := w.Write(h.Bytes())
+	return err
+}
+
+// appendTo appends the 80-byte wire encoding to dst.
+func (h *BlockHeader) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, h.Version)
+	dst = append(dst, h.PrevBlock[:]...)
+	dst = append(dst, h.MerkleRoot[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Timestamp.Unix()))
+	dst = binary.LittleEndian.AppendUint32(dst, h.Bits)
+	return binary.LittleEndian.AppendUint32(dst, h.Nonce)
 }
 
 // Deserialize reads the header in wire format.
@@ -68,18 +64,15 @@ func (h *BlockHeader) Deserialize(r io.Reader) error {
 
 // Bytes returns the serialized header.
 func (h *BlockHeader) Bytes() []byte {
-	var buf bytes.Buffer
-	if err := h.Serialize(&buf); err != nil {
-		panic("wire: impossible serialize failure: " + err.Error())
-	}
-	return buf.Bytes()
+	return h.appendTo(make([]byte, 0, blockHeaderLen))
 }
 
 // BlockHash computes the block identifier: the double SHA-256 of the
 // serialized header. Proof-of-work requires this hash, viewed as an
 // integer, to be below the target encoded in Bits.
 func (h *BlockHeader) BlockHash() chainhash.Hash {
-	return chainhash.DoubleHashB(h.Bytes())
+	var buf [blockHeaderLen]byte
+	return chainhash.DoubleHashB(h.appendTo(buf[:0]))
 }
 
 // MsgBlock is a block: a header plus the transactions it aggregates.
@@ -90,18 +83,8 @@ type MsgBlock struct {
 
 // Serialize writes the block in wire format.
 func (b *MsgBlock) Serialize(w io.Writer) error {
-	if err := b.Header.Serialize(w); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(b.Transactions))); err != nil {
-		return err
-	}
-	for _, tx := range b.Transactions {
-		if err := tx.Serialize(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // Deserialize reads a block in wire format.
@@ -127,13 +110,20 @@ func (b *MsgBlock) Deserialize(r io.Reader) error {
 	return nil
 }
 
-// Bytes returns the serialized block.
+// Bytes returns the serialized block. Each transaction contributes its
+// memoized encoding (see MsgTx), so a block whose transactions are
+// already hashed is assembled by copying.
 func (b *MsgBlock) Bytes() []byte {
-	var buf bytes.Buffer
-	if err := b.Serialize(&buf); err != nil {
-		panic("wire: impossible serialize failure: " + err.Error())
+	n := blockHeaderLen + VarIntSerializeSize(uint64(len(b.Transactions)))
+	for _, tx := range b.Transactions {
+		n += len(tx.memoized().ser)
 	}
-	return buf.Bytes()
+	out := b.Header.appendTo(make([]byte, 0, n))
+	out = AppendVarInt(out, uint64(len(b.Transactions)))
+	for _, tx := range b.Transactions {
+		out = append(out, tx.memoized().ser...)
+	}
+	return out
 }
 
 // BlockHash returns the hash of the block's header.

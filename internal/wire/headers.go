@@ -26,12 +26,12 @@ var ErrTooManyHeaders = errors.New("wire: too many headers in message")
 // EncodeHeaders serializes a headers message: a varint count followed by
 // the fixed-width headers.
 func EncodeHeaders(headers []BlockHeader) []byte {
-	var buf bytes.Buffer
-	_ = WriteVarInt(&buf, uint64(len(headers)))
+	out := make([]byte, 0, VarIntSerializeSize(uint64(len(headers)))+len(headers)*blockHeaderLen)
+	out = AppendVarInt(out, uint64(len(headers)))
 	for i := range headers {
-		_ = headers[i].Serialize(&buf)
+		out = headers[i].appendTo(out)
 	}
-	return buf.Bytes()
+	return out
 }
 
 // DecodeHeaders parses a headers message. The count is capped at

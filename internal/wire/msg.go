@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -142,14 +143,13 @@ type InvVect struct {
 
 // EncodeInv serializes an inventory list (shared by inv and getdata).
 func EncodeInv(invs []InvVect) []byte {
-	var buf bytes.Buffer
-	// Writes to a bytes.Buffer cannot fail.
-	_ = WriteVarInt(&buf, uint64(len(invs)))
+	out := make([]byte, 0, VarIntSerializeSize(uint64(len(invs)))+len(invs)*(4+chainhash.HashSize))
+	out = AppendVarInt(out, uint64(len(invs)))
 	for _, iv := range invs {
-		_ = writeUint32(&buf, iv.Type)
-		buf.Write(iv.Hash[:])
+		out = binary.LittleEndian.AppendUint32(out, iv.Type)
+		out = append(out, iv.Hash[:]...)
 	}
-	return buf.Bytes()
+	return out
 }
 
 // DecodeInv parses an inventory list.
@@ -182,13 +182,12 @@ func DecodeInv(b []byte) ([]InvVect, error) {
 // EncodeLocator serializes a block locator: a list of block hashes from
 // the sender's tip backwards, used by getheaders.
 func EncodeLocator(hashes []chainhash.Hash, stop chainhash.Hash) []byte {
-	var buf bytes.Buffer
-	_ = WriteVarInt(&buf, uint64(len(hashes)))
+	out := make([]byte, 0, VarIntSerializeSize(uint64(len(hashes)))+(len(hashes)+1)*chainhash.HashSize)
+	out = AppendVarInt(out, uint64(len(hashes)))
 	for _, h := range hashes {
-		buf.Write(h[:])
+		out = append(out, h[:]...)
 	}
-	buf.Write(stop[:])
-	return buf.Bytes()
+	return append(out, stop[:]...)
 }
 
 // DecodeLocator parses a block locator.

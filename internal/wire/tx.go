@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -109,13 +109,7 @@ func (tx *MsgTx) memoized() *txMemo {
 	if m := tx.memo.Load(); m != nil {
 		return m
 	}
-	var buf bytes.Buffer
-	buf.Grow(tx.SerializeSize())
-	if err := tx.Serialize(&buf); err != nil {
-		// Writing to a bytes.Buffer cannot fail.
-		panic("wire: impossible serialize failure: " + err.Error())
-	}
-	m := &txMemo{ser: buf.Bytes()}
+	m := &txMemo{ser: tx.appendTo(make([]byte, 0, tx.SerializeSize()))}
 	m.hash = chainhash.DoubleHashB(m.ser)
 	tx.memo.Store(m)
 	return m
@@ -123,38 +117,26 @@ func (tx *MsgTx) memoized() *txMemo {
 
 // Serialize writes the transaction in Bitcoin wire format.
 func (tx *MsgTx) Serialize(w io.Writer) error {
-	if err := writeUint32(w, tx.Version); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(tx.TxIn))); err != nil {
-		return err
-	}
+	_, err := w.Write(tx.appendTo(make([]byte, 0, tx.SerializeSize())))
+	return err
+}
+
+// appendTo appends the wire encoding to dst.
+func (tx *MsgTx) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, tx.Version)
+	dst = AppendVarInt(dst, uint64(len(tx.TxIn)))
 	for _, ti := range tx.TxIn {
-		if _, err := w.Write(ti.PreviousOutPoint.Hash[:]); err != nil {
-			return err
-		}
-		if err := writeUint32(w, ti.PreviousOutPoint.Index); err != nil {
-			return err
-		}
-		if err := WriteVarBytes(w, ti.SignatureScript); err != nil {
-			return err
-		}
-		if err := writeUint32(w, ti.Sequence); err != nil {
-			return err
-		}
+		dst = append(dst, ti.PreviousOutPoint.Hash[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, ti.PreviousOutPoint.Index)
+		dst = AppendVarBytes(dst, ti.SignatureScript)
+		dst = binary.LittleEndian.AppendUint32(dst, ti.Sequence)
 	}
-	if err := WriteVarInt(w, uint64(len(tx.TxOut))); err != nil {
-		return err
-	}
+	dst = AppendVarInt(dst, uint64(len(tx.TxOut)))
 	for _, to := range tx.TxOut {
-		if err := writeInt64(w, to.Value); err != nil {
-			return err
-		}
-		if err := WriteVarBytes(w, to.PkScript); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(to.Value))
+		dst = AppendVarBytes(dst, to.PkScript)
 	}
-	return writeUint32(w, tx.LockTime)
+	return binary.LittleEndian.AppendUint32(dst, tx.LockTime)
 }
 
 // Deserialize reads a transaction in Bitcoin wire format.
@@ -241,9 +223,8 @@ func (tx *MsgTx) SerializeSize() int {
 	return n
 }
 
-// Copy returns a deep copy of the transaction. The signing code mutates
-// copies when computing signature hashes, so this must not share any
-// mutable state with the original.
+// Copy returns a deep copy of the transaction, sharing no mutable state
+// with the original (callers forge variants of a transaction from it).
 func (tx *MsgTx) Copy() *MsgTx {
 	out := &MsgTx{
 		Version:  tx.Version,

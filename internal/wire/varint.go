@@ -22,30 +22,32 @@ var ErrVarIntTooBig = errors.New("wire: varint exceeds maximum allowed value")
 // make us allocate unbounded memory.
 const maxAllocation = 1 << 26 // 64 MiB
 
-// WriteVarInt writes n in Bitcoin's CompactSize encoding.
-func WriteVarInt(w io.Writer, n uint64) error {
-	var buf [9]byte
+// AppendVarInt appends n in Bitcoin's CompactSize encoding to dst.
+func AppendVarInt(dst []byte, n uint64) []byte {
 	switch {
 	case n < 0xfd:
-		buf[0] = byte(n)
-		_, err := w.Write(buf[:1])
-		return err
+		return append(dst, byte(n))
 	case n <= 0xffff:
-		buf[0] = 0xfd
-		binary.LittleEndian.PutUint16(buf[1:3], uint16(n))
-		_, err := w.Write(buf[:3])
-		return err
+		return binary.LittleEndian.AppendUint16(append(dst, 0xfd), uint16(n))
 	case n <= 0xffffffff:
-		buf[0] = 0xfe
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(n))
-		_, err := w.Write(buf[:5])
-		return err
+		return binary.LittleEndian.AppendUint32(append(dst, 0xfe), uint32(n))
 	default:
-		buf[0] = 0xff
-		binary.LittleEndian.PutUint64(buf[1:9], n)
-		_, err := w.Write(buf[:9])
-		return err
+		return binary.LittleEndian.AppendUint64(append(dst, 0xff), n)
 	}
+}
+
+// AppendVarBytes appends b as a length-prefixed byte string to dst.
+func AppendVarBytes(dst, b []byte) []byte {
+	return append(AppendVarInt(dst, uint64(len(b))), b...)
+}
+
+// WriteVarInt writes n in Bitcoin's CompactSize encoding. Encoders that
+// assemble a whole object use AppendVarInt: a scratch array handed to an
+// io.Writer escapes, so this form allocates on every call.
+func WriteVarInt(w io.Writer, n uint64) error {
+	var buf [9]byte
+	_, err := w.Write(AppendVarInt(buf[:0], n))
+	return err
 }
 
 // ReadVarInt reads a CompactSize varint. It enforces canonical (minimal)
@@ -128,26 +130,12 @@ func ReadVarBytes(r io.Reader, what string) ([]byte, error) {
 	return b, nil
 }
 
-func writeUint32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
 func readUint32(r io.Reader) (uint32, error) {
 	var b [4]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func writeUint64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
 }
 
 func readUint64(r io.Reader) (uint64, error) {
@@ -157,8 +145,6 @@ func readUint64(r io.Reader) (uint64, error) {
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
-
-func writeInt64(w io.Writer, v int64) error { return writeUint64(w, uint64(v)) }
 
 func readInt64(r io.Reader) (int64, error) {
 	v, err := readUint64(r)
