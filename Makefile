@@ -35,10 +35,10 @@ bench-module:
 	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark -count=1 ./...
 
 # Hostile-disk suite: the crash-point explorer (every physical
-# write/fsync boundary of the sync, group-commit, and compaction paths
-# must recover) plus the netsim chaos scenario (sticky write EIOs under
-# a partition: degrade to read-only, keep serving, reconverge) across
-# five seeds. FAULT_SEED=<n> replays a single chaos seed.
+# write/fsync boundary of the sync and compaction paths must recover)
+# plus the netsim chaos scenario (sticky write EIOs under a partition:
+# degrade to read-only, keep serving, reconverge) across five seeds.
+# FAULT_SEED=<n> replays a single chaos seed.
 chaos:
 	$(GO) test ./internal/crashpoint/ -count=1 -v
 	$(GO) test ./internal/chain/ -run TestCrashPoints -count=1 -v
@@ -47,25 +47,26 @@ chaos:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Machine-readable perf trajectory: run the full benchmark suite and
-# record every series (ns/op, B/op, allocs/op) as JSON. The suite runs
-# three separate passes and benchjson keeps each benchmark's fastest,
-# suppressing scheduler-noise bursts (separate passes space a given
-# benchmark's samples minutes apart, unlike -count=N's back-to-back
-# runs). BENCH_JSON names the snapshot file; PR snapshots are checked
-# in for diffing.
-BENCH_JSON ?= BENCH_PR10.json
+# Micro-benchmark snapshot, a local probe (benchmark/ is where claims
+# are made): run the root benchmark suite in three separate passes and
+# record each benchmark's fastest (ns/op, B/op, allocs/op) as JSON.
+# Separate passes space a benchmark's samples minutes apart, which
+# suppresses scheduler-noise bursts that -count=N's back-to-back runs
+# share. The snapshot lands in the git-ignored .bench_build/.
+BENCH_JSON ?= .bench_build/bench.json
 bench-json:
+	mkdir -p $(dir $(BENCH_JSON))
 	{ $(GO) test -run xxx -bench . -benchmem .; \
 	  $(GO) test -run xxx -bench . -benchmem .; \
 	  $(GO) test -run xxx -bench . -benchmem .; } | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
 
-# Diff the current snapshot against the previous PR's checked-in
-# baseline: per-series ns/op and allocs/op deltas, failing on >20%
-# ns/op regressions in any series present on both sides (after
-# normalizing out host drift, the median shift across shared series).
-BENCH_BASELINE ?= BENCH_PR9.json
+# Diff the snapshot against an untracked baseline (say, bench-json run
+# on the parent commit and copied aside): per-series ns/op and allocs/op
+# deltas, failing on >20% ns/op regressions in any series present on
+# both sides (after normalizing out host drift, the median shift across
+# shared series). BENCH_BASELINE has no default.
 bench-diff:
+	@test -n "$(BENCH_BASELINE)" || { echo "bench-diff: set BENCH_BASELINE=<snapshot.json>"; exit 2; }
 	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -current $(BENCH_JSON)
 
 # Observability smoke test: boots a real daemon, scrapes /metrics, and

@@ -280,16 +280,10 @@ func BenchmarkConnectBlock(b *testing.B) {
 
 // BenchmarkConnectBlockPersistent measures the same 64-transaction block
 // connect as BenchmarkConnectBlock/parallel-warm (same warm signature
-// cache), but on a chain whose every connect commits an atomic batch
-// (block bytes, index, UTXO deltas, spend journal) to the file-backed
-// store. Two durability schedules:
-//
-//   - sync: each connect writes and applies its batch before returning —
-//     the full per-block durability overhead.
-//   - group-commit: connects enqueue into the async pipeline and return;
-//     the coalesced group is written when the window closes (here: at
-//     the untimed Close), which is the per-connect latency a node
-//     running -commit-interval actually observes.
+// cache), but on a chain whose every connect writes and applies an
+// atomic batch (block bytes, index, UTXO deltas, spend journal) to the
+// file-backed store before returning — the full per-block durability
+// overhead.
 func BenchmarkConnectBlockPersistent(b *testing.B) {
 	s := newConnectBenchSetup(b)
 	warm := sigcache.New(sigcache.DefaultCapacity)
@@ -297,25 +291,16 @@ func BenchmarkConnectBlockPersistent(b *testing.B) {
 	if _, err := s.freshChain(b, warm, 0).ProcessBlock(s.final); err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, group bool) {
+	b.Run("sync", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dir, err := os.MkdirTemp(b.TempDir(), "connect")
 			if err != nil {
 				b.Fatal(err)
 			}
-			fileSt, err := store.OpenFile(dir)
+			st, err := store.OpenFile(dir)
 			if err != nil {
 				b.Fatal(err)
-			}
-			var st store.Store = fileSt
-			var g *store.Group
-			if group {
-				// A window the benchmark never waits out: the measured
-				// connect pays exactly the enqueue cost, and the group
-				// is flushed by the untimed Close below.
-				g = store.NewGroup(fileSt, store.GroupConfig{Interval: time.Hour, MaxBatches: 1 << 30})
-				st = g
 			}
 			c, err := chain.Open(chain.Config{
 				Params: s.params, Clock: s.clk, SigCache: warm, Store: st,
@@ -328,11 +313,6 @@ func BenchmarkConnectBlockPersistent(b *testing.B) {
 					b.Fatalf("funding block: status %v, err %v", status, err)
 				}
 			}
-			if g != nil {
-				if err := g.Drain(); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.StartTimer()
 			if _, err := c.ProcessBlock(s.final); err != nil {
 				b.Fatal(err)
@@ -343,9 +323,7 @@ func BenchmarkConnectBlockPersistent(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-	}
-	b.Run("sync", func(b *testing.B) { run(b, false) })
-	b.Run("group-commit", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkUTXOShardedRead hammers the lock-striped UTXO view with

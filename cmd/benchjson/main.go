@@ -5,14 +5,14 @@
 // document describing every benchmark (series label, iterations, ns/op,
 // B/op, allocs/op) plus the platform it ran on:
 //
-//	go test -run xxx -bench . -benchmem . | go run ./cmd/benchjson -out BENCH_PR6.json
+//	go test -run xxx -bench . -benchmem . | go run ./cmd/benchjson -out new.json
 //
-// Diff mode compares a current snapshot against a checked-in baseline,
+// Diff mode compares a current snapshot against a baseline snapshot,
 // printing per-series ns/op and allocs/op deltas and exiting nonzero
 // when any series present in both snapshots regressed its ns/op by more
 // than -threshold percent:
 //
-//	go run ./cmd/benchjson -baseline BENCH_PR5.json -current BENCH_PR6.json
+//	go run ./cmd/benchjson -baseline old.json -current new.json
 //
 // Series only present on one side are listed but never gate.
 package main

@@ -8,7 +8,10 @@ package main
 
 import (
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"typecoin/internal/chain"
@@ -94,19 +97,32 @@ func TestDaemonKillIndexRecovery(t *testing.T) {
 	}
 	_ = d2.cmd.Wait()
 
-	// Phase 3: same datadir under the async group-commit pipeline. The
-	// index sees batches through the overlay, and the audit must still
-	// hold while the pipeline is live.
-	d3 := startDaemon(t, dir, "-commit-interval", "10ms")
+	// Phase 3: restart after the second kill, keep mining, and shut down
+	// gracefully: index, audit and the final metrics snapshot all agree
+	// on the tip.
+	d3 := startDaemon(t, dir)
 	d3.post(t, "/mine", map[string]int{"blocks": 2})
 	code, st3, err := d3.get(t, "/index/status")
 	if err != nil || code != http.StatusOK {
-		t.Fatalf("GET /index/status under group commit: code=%d err=%v", code, err)
+		t.Fatalf("GET /index/status after second restart: code=%d err=%v", code, err)
 	}
 	if st3["indexHeight"] != st3["chainHeight"] {
-		t.Fatalf("index lagging under group commit: %v", st3)
+		t.Fatalf("index lagging after second restart: %v", st3)
 	}
 	if code, audit, err := d3.get(t, "/index/audit"); err != nil || code != http.StatusOK || audit["ok"] != true {
-		t.Fatalf("GET /index/audit under group commit: code=%d out=%v err=%v", code, audit, err)
+		t.Fatalf("GET /index/audit after second restart: code=%d out=%v err=%v", code, audit, err)
+	}
+	if err := d3.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d3.cmd.Wait(); err != nil {
+		t.Fatalf("graceful shutdown exit: %v\nlogs:\n%s", err, d3.logs.String())
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "metrics.last"))
+	if err != nil {
+		t.Fatalf("metrics.last after graceful shutdown: %v", err)
+	}
+	if got, want := snapshotMetric(t, snap, "chain_height"), st3["chainHeight"].(float64); got != want {
+		t.Fatalf("final chain_height = %v, want tip %v", got, want)
 	}
 }

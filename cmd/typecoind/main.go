@@ -97,8 +97,7 @@ func run(args []string) int {
 	connect := fs.String("connect", "", "comma-separated peers to dial")
 	minConf := fs.Int("minconf", 1, "typecoin confirmation depth")
 	datadir := fs.String("datadir", "", "data directory for persistent state (empty = in-memory)")
-	commitInterval := fs.Duration("commit-interval", 0, "group-commit window: coalesce store batches for up to this long before writing (0 = synchronous commits)")
-	syncEvery := fs.Int("sync-every", 0, "fsync cadence: every Nth group flush under -commit-interval, or (any value >= 1) every commit in synchronous mode; 0 = fsync only on flush/shutdown")
+	syncEvery := fs.Int("sync-every", 0, "≥ 1: fsync the journal on every commit; 0: only on flush/shutdown")
 	storeRetries := fs.Int("store-retries", 5, "write attempts (with capped backoff) before the store degrades to read-only; 0 runs the store unwrapped")
 	degradedOK := fs.Bool("degraded-ok", true, "keep serving reads when the store degrades; with =false the daemon shuts down instead")
 	audit := fs.Bool("audit", true, "run the from-genesis consistency audit on startup")
@@ -124,14 +123,9 @@ func run(args []string) int {
 	logChain := telemetry.Component(base, "chain")
 	logPool := telemetry.Component(base, "mempool")
 
-	// Storage: file-backed under -datadir, in-memory otherwise. With
-	// -commit-interval the file engine is wrapped in the group-commit
-	// pipeline: commits return once enqueued and a committer goroutine
-	// coalesces them, trading a bounded window of the newest blocks (on
-	// hard crash) for synchronous-write latency off the connect path.
+	// Storage: file-backed under -datadir, in-memory otherwise.
 	var st store.Store
 	var fileStore *store.File
-	var groupStore *store.Group
 	if *datadir != "" {
 		fileStore, err = store.OpenFile(*datadir)
 		if err != nil {
@@ -142,14 +136,7 @@ func run(args []string) int {
 		if n := fileStore.TruncatedBytes(); n > 0 {
 			logStore.Warn("recovery truncated torn journal tail", "bytes", n)
 		}
-		if *commitInterval > 0 {
-			groupStore = store.NewGroup(fileStore, store.GroupConfig{
-				Interval:  *commitInterval,
-				SyncEvery: *syncEvery,
-			})
-			st = groupStore
-			logStore.Info("group commit enabled", "interval", *commitInterval, "syncEvery", *syncEvery)
-		} else if *syncEvery > 0 {
+		if *syncEvery > 0 {
 			fileStore.SetSyncEvery(true)
 		}
 	} else {
@@ -158,7 +145,6 @@ func run(args []string) int {
 
 	// Health wrapper: transparent retries for transient write errors,
 	// degraded-readonly instead of a dead process for persistent ones.
-	// Sits above the group pipeline so it also hears async flush errors.
 	var retryStore *store.Retry
 	if *storeRetries > 0 {
 		retryStore = store.NewRetry(st, store.RetryConfig{Attempts: *storeRetries})
@@ -300,23 +286,6 @@ func run(args []string) int {
 		})
 		reg.CounterFunc("store_compactions_total", "Journal compactions performed.", func() float64 {
 			return float64(f.Compactions())
-		})
-	}
-	if groupStore != nil {
-		g := groupStore
-		flushLag := reg.Histogram("store_flush_lag_seconds", "Time the oldest batch of each group flush spent pending.", telemetry.LatencyBuckets)
-		groupSize := reg.Histogram("store_group_commit_batches", "Batches coalesced per group flush.", telemetry.ExpBuckets(1, 2, 8))
-		flushes := reg.Counter("store_group_flushes_total", "Completed group-commit flushes.")
-		reg.GaugeFunc("store_pending_batches", "Batches enqueued but not yet flushed to the store.", func() float64 {
-			return float64(g.PendingBatches())
-		})
-		g.SetOnFlush(func(batches int, lag time.Duration) {
-			flushes.Inc()
-			groupSize.Observe(float64(batches))
-			flushLag.Observe(lag.Seconds())
-			// The durability watermark just advanced: stamp the durable
-			// stage on every span the flush covered.
-			spans.NotifyDurable(ch.FlushedHeight())
 		})
 	}
 	// storeDead delivers the degradation cause when -degraded-ok=false
@@ -478,9 +447,6 @@ func run(args []string) int {
 		logPool.Error("persist mempool failed", "err", err)
 		failed = true
 	}
-	// Flush before the metrics snapshot: Flush drains any group-commit
-	// pipeline, so the snapshot's store_flushed_height equals the tip —
-	// the durability watermark an operator checks after clean shutdown.
 	if err := st.Flush(); err != nil {
 		logStore.Error("flush store failed", "err", err)
 		failed = true
@@ -514,8 +480,6 @@ func faultKind(err error) string {
 		return "enospc"
 	case errors.Is(err, store.ErrCorrupt):
 		return "corrupt"
-	case errors.Is(err, store.ErrBackpressure):
-		return "backpressure"
 	case errors.Is(err, store.ErrDegraded):
 		return "degraded"
 	case errors.Is(err, store.ErrClosed):

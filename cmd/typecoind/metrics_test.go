@@ -16,6 +16,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"typecoin/internal/chain"
 )
 
 // sampleLine matches one Prometheus text-format sample:
@@ -77,9 +79,7 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Skip("spawns child processes")
 	}
 	dir := t.TempDir()
-	// Run with the async group-commit pipeline on so its metric families
-	// (flush lag, group size, watermark) are registered and scraped too.
-	d := startDaemon(t, dir, "-commit-interval", "25ms")
+	d := startDaemon(t, dir)
 
 	// The exposition must parse and span every instrumented subsystem.
 	samples := scrapeMetrics(t, d)
@@ -93,10 +93,7 @@ func TestMetricsSmoke(t *testing.T) {
 		"mempool_size", "mempool_accepted_total",
 		"p2p_peers", "p2p_bans_total",
 		"miner_blocks_found_total", "miner_hash_attempts_total",
-		"store_journal_bytes", "store_commits_total",
-		"store_flushed_height", "store_pending_batches",
-		"store_flush_lag_seconds_count", "store_group_commit_batches_count",
-		"store_group_flushes_total", "chain_utxo_shard_size",
+		"store_journal_bytes", "store_commits_total", "chain_utxo_shard_size",
 		"chain_header_height", "p2p_inflight_bodies", "p2p_download_peers",
 		"process_uptime_seconds",
 		"tx_submit_to_accept_seconds_count", "tx_accept_to_mined_seconds_count",
@@ -175,6 +172,26 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Errorf("GET /debug/pprof/: status %d", resp.StatusCode)
 	}
 
+	// A wallet send walks a transaction span through every stage: once
+	// its block connects, the durable stage and both pairs around it have
+	// been observed on a default daemon.
+	maturity := chain.RegTestParams().CoinbaseMaturity
+	d.post(t, "/mine", map[string]int{"blocks": maturity})
+	principal := d.post(t, "/newkey", nil)["principal"].(string)
+	txid := d.post(t, "/send", map[string]interface{}{"to": principal, "amount": 1_500_000})["txid"].(string)
+	d.post(t, "/mine", map[string]int{"blocks": 1})
+	finalHeight := 3 + maturity + 1
+	waitDaemon(t, "span durable and indexed", func() bool {
+		st, _, _, ok := spanStages(t, d, txid)
+		return ok && st["durable"] && st["indexed"]
+	})
+	spanned := scrapeMetrics(t, d)
+	for _, c := range []string{"tx_mined_to_durable_seconds_count", "tx_durable_to_indexed_seconds_count"} {
+		if spanned[c] < 1 {
+			t.Errorf("%s = %v after a send was mined", c, spanned[c])
+		}
+	}
+
 	// Graceful shutdown snapshots the final metric values.
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -186,12 +203,7 @@ func TestMetricsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics.last: %v", err)
 	}
-	if !strings.Contains(string(snap), "chain_height 3") {
-		t.Errorf("metrics.last does not record final chain_height:\n%.500s", snap)
-	}
-	// Shutdown drains the pipeline before snapshotting, so the snapshot
-	// must show the durability watermark caught up with the tip.
-	if !strings.Contains(string(snap), "store_flushed_height 3") {
-		t.Errorf("metrics.last watermark did not catch the tip:\n%.500s", snap)
+	if got := snapshotMetric(t, snap, "chain_height"); got != float64(finalHeight) {
+		t.Errorf("metrics.last chain_height = %v, want %d", got, finalHeight)
 	}
 }

@@ -64,16 +64,15 @@ func TestTraceSpansAcrossRelay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
 	}
-	// Group commit keeps the durability watermark advancing mid-run (in
-	// synchronous mode nothing is fsynced until shutdown, so the durable
-	// stage would legitimately stay pending).
+	// Both daemons run the default store stack: durable is stamped when
+	// a block's connect batch is applied, whether or not it was fsynced.
 	dirA, dirB := t.TempDir(), t.TempDir()
-	dA := startDaemon(t, dirA, "-commit-interval", "25ms", "-listen", "127.0.0.1:0")
+	dA := startDaemon(t, dirA, "-listen", "127.0.0.1:0")
 	p2pAddr, err := os.ReadFile(filepath.Join(dirA, "p2p.addr"))
 	if err != nil {
 		t.Fatalf("p2p.addr: %v", err)
 	}
-	dB := startDaemon(t, dirB, "-commit-interval", "25ms", "-connect", string(p2pAddr))
+	dB := startDaemon(t, dirB, "-connect", string(p2pAddr))
 
 	// Fund B's wallet; the chain relays B -> A over the live connection.
 	maturity := chain.RegTestParams().CoinbaseMaturity
@@ -95,8 +94,8 @@ func TestTraceSpansAcrossRelay(t *testing.T) {
 		return dA.status(t)["height"].(float64) == float64(maturity+3)
 	})
 
-	// The origin daemon's span is the complete waterfall. Durability
-	// trails the next group flush, so wait for it too.
+	// The origin daemon's span is the complete waterfall; indexing
+	// trails the connect notification, so wait for it.
 	waitDaemon(t, "origin span durable and indexed", func() bool {
 		st, _, _, ok := spanStages(t, dB, txid)
 		return ok && st["indexed"] && st["durable"]

@@ -126,11 +126,6 @@ type Chain struct {
 	maxOrphanByte int64 // cap on total orphan bytes (0 = default)
 	scriptWorkers int   // goroutines for block script checks; 0 = GOMAXPROCS
 
-	// baseFlushed is the tip height when the chain was opened: durable
-	// by definition (it was loaded from the store), so FlushedHeight can
-	// report it before any new commit advances a group-commit watermark.
-	baseFlushed int
-
 	// tel carries the registered collectors; the zero value (all nil
 	// pointers) disables instrumentation. See telemetry.go.
 	tel chainTelemetry
@@ -562,14 +557,6 @@ func (c *Chain) disconnectBlock() (Notification, error) {
 	if node.parent == nil {
 		return Notification{}, errors.New("chain: cannot disconnect genesis")
 	}
-	// Under a group-commit store the connect batches for this block may
-	// still be in flight; the spend journal read below must come from a
-	// store that has caught up with them, so drain the pipeline first.
-	if d, ok := c.st.(drainer); ok {
-		if err := d.Drain(); err != nil {
-			return Notification{}, fmt.Errorf("chain: drain before disconnect %s: %w", node.hash, err)
-		}
-	}
 	undo, err := c.loadUndo(node.hash)
 	if err != nil {
 		return Notification{}, err
@@ -775,33 +762,6 @@ func (c *Chain) UtxoOutpoints() []wire.OutPoint {
 // snapshot; that is exactly the contract script-validation workers and
 // read-mostly consumers (RPC, benchmarks) need.
 func (c *Chain) UtxoView() *UtxoView { return c.utxo }
-
-// FlushedHeight reports the durability watermark: the highest block
-// height guaranteed to survive a crash of the underlying store. Under a
-// group-commit store this is the pipeline's flushed mark (falling back
-// to the height loaded at Open before any new flush); synchronous
-// stores are durable at every commit, so it is simply the tip height.
-func (c *Chain) FlushedHeight() int {
-	if w, ok := c.st.(watermarked); ok {
-		if h := w.Flushed(); h >= 0 {
-			return h
-		}
-		return c.baseFlushed
-	}
-	return c.BestHeight()
-}
-
-// flushedHeightLocked is FlushedHeight for callers already holding c.mu
-// (the tip height read replaces the locking BestHeight).
-func (c *Chain) flushedHeightLocked() int {
-	if w, ok := c.st.(watermarked); ok {
-		if h := w.Flushed(); h >= 0 {
-			return h
-		}
-		return c.baseFlushed
-	}
-	return c.tip.height
-}
 
 // IsSpent reports whether op was consumed on the main chain, and by whom.
 // This is the "unambiguous evidence" backing the spent(txid.n) condition.

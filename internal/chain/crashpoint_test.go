@@ -50,9 +50,9 @@ func recoverAndCheck(params *Params, clk clock.Clock, dir string, preHeight, fin
 }
 
 // TestCrashPointsSyncPath explores every crash state of a synchronous
-// commit window (per-apply fsync, no pipeline): two block connects,
-// each a blocks.dat append plus one journal frame plus its fsync. At
-// every boundary and torn variant the datadir must recover a consistent
+// commit window (per-apply fsync): two block connects, each a
+// blocks.dat append plus one journal frame plus its fsync. At every
+// boundary and torn variant the datadir must recover a consistent
 // chain, and across clean boundaries the recovered height must be
 // monotone — later crashes never recover less chain.
 func TestCrashPointsSyncPath(t *testing.T) {
@@ -107,80 +107,4 @@ func TestCrashPointsSyncPath(t *testing.T) {
 		t.Fatalf("full-window recovery reached height %d, want %d", lastClean, finalHeight)
 	}
 	t.Logf("sync path: %d crash states over %d physical ops", n, len(events))
-}
-
-// TestCrashPointsGroupCommitPath explores the same matrix under the
-// async group-commit pipeline, with watermark checkpoints: after each
-// drain the durability watermark (Flushed) is recorded against the
-// physical-op count, and every crash state at or past a checkpoint must
-// recover at least that height — the watermark may never overpromise.
-func TestCrashPointsGroupCommitPath(t *testing.T) {
-	base := t.TempDir()
-	dataDir := filepath.Join(base, "data")
-	params := RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
-
-	st, err := store.OpenFile(dataDir)
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	g := store.NewGroup(st, store.GroupConfig{Interval: 0, SyncEvery: 1})
-	c, err := Open(Config{Params: params, Clock: clk, Store: g})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	extend(t, c, clk, 3, 0)
-	if err := g.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	preHeight := c.BestHeight()
-	snap := filepath.Join(base, "snap")
-	if err := crashpoint.Snapshot(snap, dataDir); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-
-	rec := &crashpoint.Recorder{}
-	st.SetDiskHook(rec)
-	type checkpoint struct {
-		ops    int
-		height int
-	}
-	var marks []checkpoint
-	// Two drained sub-windows, so the matrix crosses a mid-window
-	// watermark advance, not just the final one.
-	for _, burst := range []int{2, 1} {
-		extend(t, c, clk, burst, 0)
-		if err := g.Drain(); err != nil {
-			t.Fatalf("Drain: %v", err)
-		}
-		marks = append(marks, checkpoint{ops: rec.Len(), height: g.Flushed()})
-	}
-	st.SetDiskHook(nil)
-	finalHeight := c.BestHeight()
-	if got := marks[len(marks)-1].height; got != finalHeight {
-		t.Fatalf("drained watermark %d, tip %d", got, finalHeight)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	events := rec.Events()
-
-	n, err := crashpoint.Explore(filepath.Join(base, "scratch"), snap, events, func(dir string, p crashpoint.Point) error {
-		h, err := recoverAndCheck(params, clk, dir, preHeight, finalHeight)
-		if err != nil {
-			return err
-		}
-		for _, m := range marks {
-			if p.N >= m.ops && h < m.height {
-				return fmt.Errorf("watermark said %d durable after %d ops, crash at op %d recovered only %d",
-					m.height, m.ops, p.N, h)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("group-commit path: %d crash states over %d physical ops, %d watermark checkpoints",
-		n, len(events), len(marks))
 }

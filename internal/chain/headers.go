@@ -254,7 +254,7 @@ func (c *Chain) ProcessHeaders(headers []wire.BlockHeader) (int, error) {
 	if len(c.hdrDirty) > 0 {
 		b := store.NewBatch()
 		c.stageHeaderRows(b)
-		if err := c.applyBatch(b, -1); err != nil && firstErr == nil {
+		if err := c.applyBatch(b); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -429,7 +429,6 @@ func Open(cfg Config) (*Chain, error) {
 	} else if err := c.load(); err != nil {
 		return nil, err
 	}
-	c.baseFlushed = c.tip.height
 	return c, nil
 }
 
@@ -739,21 +738,13 @@ func (c *Chain) commitConnect(node *blockNode, undo []undoItem) error {
 	// Any headers accepted since the last commit (including this block's
 	// own, when it is new) ride the same atomic batch.
 	c.stageHeaderRows(b)
-	return c.applyBatch(b, node.height)
+	return c.applyBatch(b)
 }
 
-// applyBatch commits b, timing the store round trip. When the store is
-// a group-commit pipeline, the batch carries its block height so the
-// durability watermark advances as it flushes; height < 0 means the
-// batch moves no block boundary (side blocks, bootstrap).
-func (c *Chain) applyBatch(b *store.Batch, height int) error {
+// applyBatch commits b, timing the store round trip.
+func (c *Chain) applyBatch(b *store.Batch) error {
 	start := time.Now()
-	var err error
-	if ma, ok := c.st.(markedApplier); ok && height >= 0 {
-		err = ma.ApplyMarked(b, height)
-	} else {
-		err = c.st.Apply(b)
-	}
+	err := c.st.Apply(b)
 	if c.tel.commitSeconds != nil {
 		observeSince(c.tel.commitSeconds, start)
 		c.tel.commitOps.Observe(float64(b.Len()))
@@ -763,24 +754,6 @@ func (c *Chain) applyBatch(b *store.Batch, height int) error {
 	}
 	return err
 }
-
-// The store decorations the chain knows how to exploit, discovered by
-// interface probe so every store.Store still works unmodified.
-type (
-	// markedApplier tags a batch with the block height it makes durable
-	// (store.Group).
-	markedApplier interface {
-		ApplyMarked(b *store.Batch, height int) error
-	}
-	// drainer forces enqueued batches down to the inner store.
-	drainer interface {
-		Drain() error
-	}
-	// watermarked reports the highest block height known durable.
-	watermarked interface {
-		Flushed() int
-	}
-)
 
 // commitDisconnect assembles and applies the atomic batch for
 // disconnecting the tip, given its decoded spend journal. Caller holds
@@ -816,7 +789,7 @@ func (c *Chain) commitDisconnect(node *blockNode, undo []undoItem) error {
 	c.stageHeaderRows(b)
 	// The new tip is the parent: once this batch is durable, the chain
 	// can only replay to parent or later, never to the detached block.
-	return c.applyBatch(b, node.parent.height)
+	return c.applyBatch(b)
 }
 
 // loadUndo fetches and decodes the spend journal of a connected block.

@@ -9,6 +9,7 @@ import (
 	"typecoin/internal/chainhash"
 	"typecoin/internal/clock"
 	"typecoin/internal/store"
+	"typecoin/internal/telemetry"
 	"typecoin/internal/wire"
 )
 
@@ -61,6 +62,54 @@ func mineSpend(t testing.TB, c *Chain, clk *clock.Simulated, out wire.OutPoint, 
 		t.Fatalf("spend block: status %v, err %v", status, err)
 	}
 	return spend
+}
+
+// TestSpanDurableOverRetryStore runs a chain over the daemon's default
+// store stack (the health wrapper over an engine) with spans on: a
+// submitted transaction's span must reach the durable stage when the
+// block carrying it connects, since that is when its batch was applied.
+func TestSpanDurableOverRetryStore(t *testing.T) {
+	params := RegTestParams()
+	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
+	st := store.NewRetry(store.NewMem(), store.RetryConfig{})
+	defer st.Close()
+	c, err := Open(Config{Params: params, Clock: clk, Store: st})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	spans := telemetry.NewSpanStore(0, clk)
+	c.SetSpans(spans)
+	blks := extend(t, c, clk, params.CoinbaseMaturity+1, 0)
+
+	// The spend mineSpend will build, so its span exists before the
+	// block does — as a wallet submission would have made it.
+	cbTx := blks[0].Transactions[0]
+	cbOut := wire.OutPoint{Hash: cbTx.TxHash(), Index: 0}
+	want := wire.NewMsgTx(wire.TxVersion)
+	want.AddTxIn(&wire.TxIn{PreviousOutPoint: cbOut, Sequence: wire.MaxTxInSequenceNum})
+	want.AddTxOut(&wire.TxOut{Value: cbTx.TxOut[0].Value - 1000, PkScript: []byte{0x51}})
+	txid := want.TxHash()
+	spans.Record(telemetry.SpanTx, txid, telemetry.StageSubmitted)
+
+	if got := mineSpend(t, c, clk, cbOut, cbTx.TxOut[0].Value, 0x42).TxHash(); got != txid {
+		t.Fatalf("mined spend %s, span tracks %s", got, txid)
+	}
+	snap, ok := spans.Snapshot(txid)
+	if !ok {
+		t.Fatal("span evicted")
+	}
+	stages := make(map[string]bool)
+	for _, m := range snap.Stages {
+		stages[m.Stage] = true
+	}
+	for _, s := range []string{telemetry.StageMined, telemetry.StageConnected, telemetry.StageDurable} {
+		if !stages[s] {
+			t.Errorf("span after connect lacks %q: %+v", s, snap.Stages)
+		}
+	}
+	if snap.Height != c.BestHeight() {
+		t.Errorf("span height %d, tip %d", snap.Height, c.BestHeight())
+	}
 }
 
 // TestReopenPreservesChain closes a file-backed chain and reopens the

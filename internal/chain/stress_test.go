@@ -104,3 +104,69 @@ func TestConcurrentReadersDuringReorg(t *testing.T) {
 		t.Error("fork coinbase missing from tx index after reorg")
 	}
 }
+
+// TestUtxoViewParallelReads hammers the sharded view from reader
+// goroutines while blocks connect and disconnect (a reorg) on the main
+// goroutine. Run under -race this is the proof that Lookup/Size/
+// ShardSizes need no chain lock.
+func TestUtxoViewParallelReads(t *testing.T) {
+	c, clk := newTestChain(t)
+	blks := extend(t, c, clk, 12, 0)
+
+	view := c.UtxoView()
+	seed := c.UtxoOutpoints()
+	if len(seed) == 0 {
+		t.Fatal("no outpoints to read")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			i := r
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				op := seed[i%len(seed)]
+				view.Lookup(op) // may be nil mid-reorg; must not race
+				if i%64 == 0 {
+					view.Size()
+					view.ShardSizes()
+				}
+				i++
+			}
+		}(r)
+	}
+
+	// Writer side: extend the chain, then force a reorg by building a
+	// longer side branch from height 6.
+	extend(t, c, clk, 6, 2)
+	forkFrom := blks[5] // height 6
+	prev := forkFrom.BlockHash()
+	height := 7
+	ts := clk.Now()
+	for i := 0; i < 14; i++ {
+		ts = ts.Add(time.Minute)
+		blk := mineEmpty(t, c, prev, height, ts, 3)
+		if _, err := c.ProcessBlock(blk); err != nil {
+			t.Fatalf("side block %d: %v", height, err)
+		}
+		prev = blk.BlockHash()
+		height++
+	}
+	close(stop)
+	wg.Wait()
+
+	if got, want := c.BestHeight(), 20; got != want {
+		t.Fatalf("post-reorg height = %d, want %d", got, want)
+	}
+	// The view must agree with itself after the storm.
+	if got, want := len(c.UtxoOutpoints()), c.UtxoSize(); got != want {
+		t.Fatalf("Outpoints count %d != Size %d", got, want)
+	}
+}

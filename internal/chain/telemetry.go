@@ -93,9 +93,6 @@ func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		defer c.mu.RUnlock()
 		return float64(len(c.spent))
 	})
-	reg.GaugeFunc("store_flushed_height", "Durability watermark: highest block height guaranteed to survive a store crash.", func() float64 {
-		return float64(c.FlushedHeight())
-	})
 	reg.LabeledGaugeFunc("chain_utxo_shard_size", "Entries per lock-striped shard of the unspent-txout view.", "shard", func() []telemetry.LabeledValue {
 		sizes := c.utxo.ShardSizes()
 		out := make([]telemetry.LabeledValue, len(sizes))
@@ -120,26 +117,29 @@ func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	}
 }
 
-// SetSpans routes commitment-latency span stages to s: first sight and
-// connect of blocks, inclusion/connect of their transactions, and the
-// durability and confirmation watermarks. Call once, before processing
-// blocks; s may be nil (spans disabled, the default).
+// SetSpans routes commitment-latency span stages to s: connect and
+// durability of blocks, inclusion, connect and durability of their
+// transactions, and the confirmation depth. Call once, before
+// processing blocks; s may be nil (spans disabled, the default).
 func (c *Chain) SetSpans(s *telemetry.SpanStore) {
 	c.tel.spans = s
 }
 
-// spanConnected marks the span stages a block connect implies. Mined and
-// connected are the same instant for a transaction observed through its
-// block; nodes that tracked the tx earlier (miner, mempool) have already
-// recorded the earlier stages. Observe-only: historical blocks replayed
-// during initial sync create no spans here — only subjects some other
-// path chose to track accrue stages. Caller holds c.mu.
+// spanConnected marks the span stages a block connect implies. Mined,
+// connected and durable are the same instant for a transaction observed
+// through its block: the connect batch's Apply has returned before the
+// tip moves (whether that write was fsynced is the engine's sync
+// policy). Nodes that tracked the tx earlier (miner, mempool) have
+// already recorded the earlier stages. Observe-only: historical blocks
+// replayed during initial sync create no spans here — only subjects
+// some other path chose to track accrue stages. Caller holds c.mu.
 func (c *Chain) spanConnected(node *blockNode) {
 	sp := c.tel.spans
 	if sp == nil {
 		return
 	}
 	sp.Observe(telemetry.SpanBlock, node.hash, telemetry.StageConnected)
+	sp.Observe(telemetry.SpanBlock, node.hash, telemetry.StageDurable)
 	sp.MarkHeight(node.hash, node.height)
 	for i, tx := range node.block.Transactions {
 		if i == 0 {
@@ -148,9 +148,9 @@ func (c *Chain) spanConnected(node *blockNode) {
 		txid := tx.TxHash()
 		sp.Observe(telemetry.SpanTx, txid, telemetry.StageMined)
 		sp.Observe(telemetry.SpanTx, txid, telemetry.StageConnected)
+		sp.Observe(telemetry.SpanTx, txid, telemetry.StageDurable)
 		sp.MarkHeight(txid, node.height)
 	}
-	sp.NotifyDurable(c.flushedHeightLocked())
 	sp.NotifyHeight(node.height)
 }
 

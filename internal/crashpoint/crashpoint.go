@@ -81,13 +81,6 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Len reports how many operations have been recorded.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Reset discards the recorded events.
 func (r *Recorder) Reset() {
 	r.mu.Lock()

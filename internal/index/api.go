@@ -3,8 +3,8 @@ package index
 // The query and subscription API, Blockbook-style, over stdlib HTTP.
 // Every query response carries the index tip it was answered at
 // (indexHeight/indexHash), so a client — or the load test's staleness
-// assertion — can compare what it read against the durability
-// watermark. Subscriptions are long-lived GET requests streaming one
+// assertion — can compare what it read against the chain tip it saw
+// before asking. Subscriptions are long-lived GET requests streaming one
 // JSON object per line; the hub never blocks on a slow client, and a
 // client learns about its own gaps through the dropped counter.
 
@@ -89,10 +89,9 @@ func (ix *Indexer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, struct {
 		tipInfo
-		ChainHeight   int `json:"chainHeight"`
-		FlushedHeight int `json:"flushedHeight"`
-		Subscribers   int `json:"subscribers"`
-	}{ti, ix.c.BestHeight(), ix.c.FlushedHeight(), ix.hub.active()})
+		ChainHeight int `json:"chainHeight"`
+		Subscribers int `json:"subscribers"`
+	}{ti, ix.c.BestHeight(), ix.hub.active()})
 }
 
 // ParseCursor parses the "cursor" query parameter: empty (start), or

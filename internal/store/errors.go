@@ -25,10 +25,6 @@ var (
 	// degraded read-only mode: reads are served, writes are refused
 	// fast until the underlying device recovers.
 	ErrDegraded = errors.New("store: degraded read-only")
-	// ErrBackpressure reports that the group-commit pipeline refused a
-	// new batch because its pending window is full — typically because
-	// the inner store is failing and the committer is retrying.
-	ErrBackpressure = errors.New("store: group-commit backpressure")
 )
 
 // CorruptError is a structured checksum violation: where the bad frame
@@ -63,8 +59,8 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 type FaultClass int
 
 const (
-	// ClassTransient faults (EIO, short writes, backpressure) are worth
-	// retrying with backoff: the device may come back.
+	// ClassTransient faults (EIO, short writes) are worth retrying with
+	// backoff: the device may come back.
 	ClassTransient FaultClass = iota
 	// ClassPersistent faults (ENOSPC, degraded mode) will not clear on
 	// their own; the node flips read-only and probes for recovery.
@@ -114,7 +110,6 @@ func IsStoreFault(err error) bool {
 	return errors.Is(err, ErrIO) ||
 		errors.Is(err, ErrNoSpace) ||
 		errors.Is(err, ErrDegraded) ||
-		errors.Is(err, ErrBackpressure) ||
 		errors.Is(err, ErrClosed) ||
 		errors.Is(err, ErrCorrupt) ||
 		errors.Is(err, syscall.EIO) ||

@@ -17,9 +17,7 @@ import (
 // netsim uses for SIM_SEED).
 //
 // The engine is a test/scenario wrapper: production nodes never stack
-// it, so its cost is irrelevant to the hot path. It deliberately does
-// NOT implement ApplyGroup, so fault rules keep counting individual
-// batches even when a group-commit pipeline sits above it.
+// it, so its cost is irrelevant to the hot path.
 
 // FaultOp names the store operation a rule targets.
 type FaultOp uint8

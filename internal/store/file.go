@@ -357,36 +357,10 @@ func (f *File) Apply(b *Batch) error {
 		return ErrClosed
 	}
 	f.scratch = appendBatchFrame(f.scratch[:0], b)
-	if err := f.writeFramesLocked(f.scratch); err != nil {
+	if err := f.writeFrameLocked(f.scratch); err != nil {
 		return err
 	}
 	f.tab.apply(b.ops)
-	f.maybeCompactLocked()
-	return nil
-}
-
-// ApplyGroup commits several batches as consecutive journal frames with
-// a single write (and at most one fsync). Each batch keeps its own
-// frame, so per-batch atomicity is unchanged: a crash mid-group leaves
-// a prefix of whole batches on disk, never a partial one. This is the
-// fast path the group-commit pipeline uses to amortize the per-Apply
-// syscall and fsync cost across blocks.
-func (f *File) ApplyGroup(batches []*Batch) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	f.scratch = f.scratch[:0]
-	for _, b := range batches {
-		f.scratch = appendBatchFrame(f.scratch, b)
-	}
-	if err := f.writeFramesLocked(f.scratch); err != nil {
-		return err
-	}
-	for _, b := range batches {
-		f.tab.apply(b.ops)
-	}
 	f.maybeCompactLocked()
 	return nil
 }
@@ -422,31 +396,31 @@ func (f *File) CompactionErr() (uint64, error) {
 	return f.compactErrs, f.lastCompactErr
 }
 
-// writeFramesLocked appends already-framed bytes to the journal,
+// writeFrameLocked appends an encoded batch frame to the journal,
 // preallocating capacity ahead of the tail and honoring the armed crash
 // fault and the per-apply fsync policy. Caller holds f.mu.
-func (f *File) writeFramesLocked(frames []byte) error {
+func (f *File) writeFrameLocked(frame []byte) error {
 	if f.crashBytes >= 0 {
 		n := f.crashBytes
-		if n > len(frames) {
-			n = len(frames)
+		if n > len(frame) {
+			n = len(frame)
 		}
-		f.log.WriteAt(frames[:n], f.logSize)
+		f.log.WriteAt(frame[:n], f.logSize)
 		f.closed = true // poisoned: the "process" is dead
 		return fmt.Errorf("%w: injected crash mid-batch", ErrClosed)
 	}
 	if f.tearNext >= 0 {
 		n := f.tearNext
 		f.tearNext = -1
-		if n > len(frames) {
-			n = len(frames)
+		if n > len(frame) {
+			n = len(frame)
 		}
-		f.log.WriteAt(frames[:n], f.logSize)
+		f.log.WriteAt(frame[:n], f.logSize)
 		// logSize stays put: the partial frame is garbage past the tail,
 		// overwritten by the next append or discarded by replay.
-		return fmt.Errorf("%w: short write (%d of %d bytes)", ErrIO, n, len(frames))
+		return fmt.Errorf("%w: short write (%d of %d bytes)", ErrIO, n, len(frame))
 	}
-	end := f.logSize + int64(len(frames))
+	end := f.logSize + int64(len(frame))
 	if end > f.logCap {
 		grown := end + journalPreallocChunk
 		if f.hookedTruncate(f.log, f.kvName(), grown) == nil {
@@ -455,7 +429,7 @@ func (f *File) writeFramesLocked(frames []byte) error {
 			f.logCap = end // WriteAt below extends the file itself
 		}
 	}
-	if err := f.hookedWriteAt(f.log, f.kvName(), frames, f.logSize); err != nil {
+	if err := f.hookedWriteAt(f.log, f.kvName(), frame, f.logSize); err != nil {
 		return err
 	}
 	f.logSize = end

@@ -14,7 +14,7 @@ import (
 //	degraded-readonly ──(background probe succeeds)──▶ recovering
 //	recovering ──(first successful write)──▶ healthy
 //
-// Transient write errors (EIO blips, backpressure) are retried in place
+// Transient write errors (EIO blips, short writes) are retried in place
 // with capped exponential backoff; persistent errors (ENOSPC) and
 // exhausted retries flip the store to degraded-readonly, where writes
 // fail fast with ErrDegraded while reads keep flowing — the node can
@@ -57,17 +57,7 @@ type RetryConfig struct {
 	Sleep func(time.Duration)
 }
 
-// asyncErrorNotifier is how Retry subscribes to failures that happen
-// off the caller's stack — Group's committer flushes batches long after
-// Apply returned. Group implements it.
-type asyncErrorNotifier interface {
-	SetOnError(fn func(err error, fatal bool, consecutive int))
-}
-
-// NewRetry wraps inner in the health state machine. If inner reports
-// asynchronous errors (a Group committer), Retry subscribes to them so
-// background flush failures degrade the store just like synchronous
-// ones.
+// NewRetry wraps inner in the health state machine.
 func NewRetry(inner Store, cfg RetryConfig) *Retry {
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 5
@@ -78,16 +68,12 @@ func NewRetry(inner Store, cfg RetryConfig) *Retry {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
 	}
-	r := &Retry{
+	return &Retry{
 		inner: inner,
 		cfg:   cfg,
 		state: HealthHealthy,
 		quit:  make(chan struct{}),
 	}
-	if n, ok := inner.(asyncErrorNotifier); ok {
-		n.SetOnError(r.asyncError)
-	}
-	return r
 }
 
 // SetOnState installs a hook observed (without the lock held) on every
@@ -221,33 +207,6 @@ func (r *Retry) probe() {
 	}
 }
 
-// asyncError receives Group committer outcomes. A nil err means a
-// failure streak ended in a successful flush — proof the device took a
-// write, so a degraded store moves to recovering. Fatal errors and
-// streaks at least Attempts long degrade immediately.
-func (r *Retry) asyncError(err error, fatal bool, consecutive int) {
-	if err == nil {
-		r.mu.Lock()
-		var fire func()
-		if r.state == HealthDegraded {
-			fire = r.setStateLocked(HealthRecovering, nil)
-		} else {
-			fire = func() {}
-		}
-		r.mu.Unlock()
-		fire()
-		return
-	}
-	r.noteFault("group_flush", err)
-	if !fatal && Classify(err) == ClassTransient && consecutive < r.cfg.Attempts {
-		return
-	}
-	r.mu.Lock()
-	fire := r.setStateLocked(HealthDegraded, err)
-	r.mu.Unlock()
-	fire()
-}
-
 // write runs fn under the retry policy: transient failures are retried
 // with capped exponential backoff; persistent and fatal failures, or an
 // exhausted retry budget, degrade the store. While degraded, writes
@@ -360,19 +319,6 @@ func (r *Retry) Apply(b *Batch) error {
 	return r.write("apply", func() error { return r.inner.Apply(b) })
 }
 
-// ApplyMarked forwards the durability mark when the inner store tracks
-// one (a Group), falling back to a plain Apply.
-func (r *Retry) ApplyMarked(b *Batch, height int) error {
-	type markedApplier interface {
-		ApplyMarked(b *Batch, height int) error
-	}
-	ma, ok := r.inner.(markedApplier)
-	if !ok {
-		return r.Apply(b)
-	}
-	return r.write("apply", func() error { return ma.ApplyMarked(b, height) })
-}
-
 // AppendBlock implements Store (write path).
 func (r *Retry) AppendBlock(data []byte) (BlockRef, error) {
 	var ref BlockRef
@@ -394,27 +340,6 @@ func (r *Retry) ReadBlock(ref BlockRef) ([]byte, error) {
 // Flush implements Store (write path).
 func (r *Retry) Flush() error {
 	return r.write("flush", func() error { return r.inner.Flush() })
-}
-
-// Drain forwards to the inner pipeline when it has one, under the same
-// degradation policy as other writes.
-func (r *Retry) Drain() error {
-	type drainer interface{ Drain() error }
-	d, ok := r.inner.(drainer)
-	if !ok {
-		return nil
-	}
-	return r.write("drain", func() error { return d.Drain() })
-}
-
-// Flushed forwards the durability watermark when the inner store tracks
-// one; -1 otherwise (matching "no marked batch flushed yet").
-func (r *Retry) Flushed() int {
-	type watermarked interface{ Flushed() int }
-	if w, ok := r.inner.(watermarked); ok {
-		return w.Flushed()
-	}
-	return -1
 }
 
 // Close implements Store.

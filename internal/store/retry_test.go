@@ -158,51 +158,3 @@ func TestRetryReadsNeverDegrade(t *testing.T) {
 		t.Fatalf("onFault saw %d read faults, want 4", faults)
 	}
 }
-
-// TestRetryHearsGroupCommitterErrors wires the full production stack —
-// Retry over Group over the fault engine — and checks the async path:
-// a background flush failure streak degrades the store even though no
-// synchronous write ever returned an error.
-func TestRetryHearsGroupCommitterErrors(t *testing.T) {
-	e := NewFaultEngine(NewMem(), 1)
-	e.Inject(
-		FaultRule{Op: OpApply, Kind: KindEIO, Mode: ModeSticky},
-		FaultRule{Op: OpFlush, Kind: KindEIO, Mode: ModeSticky},
-	)
-	g := NewGroup(e, GroupConfig{
-		Interval:        time.Millisecond,
-		RetryBackoff:    50 * time.Microsecond,
-		RetryBackoffMax: time.Millisecond,
-	})
-	r := tightRetry(g, 2)
-	defer r.Close()
-	// Enqueue succeeds instantly; the committer then fails in the
-	// background until the streak crosses the budget.
-	if err := applyOne(t, r, "k", "v"); err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	waitHealth(t, r, HealthDegraded)
-
-	e.Clear()
-	// The committer retries the stuck batch on its own; once it lands
-	// the streak-ended notification plus the probe move the machine
-	// back through recovering, and a fresh write completes the loop.
-	waitHealth(t, r, HealthRecovering)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := applyOne(t, r, "k2", "v2"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("writes never recovered after the fault cleared")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	waitHealth(t, r, HealthHealthy)
-	if err := r.Drain(); err != nil {
-		t.Fatalf("drain after recovery: %v", err)
-	}
-	if v, err := r.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("stuck batch lost: %q, %v", v, err)
-	}
-}

@@ -120,8 +120,8 @@ type Store interface {
 	Close() error
 }
 
-// fromIterator is the seek form of Iterate. Both engines and the Group
-// and Retry wrappers implement it; it stays out of Store so that a
+// fromIterator is the seek form of Iterate. Both engines and the Retry
+// wrapper implement it; it stays out of Store so that a
 // decorator written against Store alone keeps compiling.
 type fromIterator interface {
 	IterateFrom(prefix, start []byte, fn func(key, value []byte) error) error

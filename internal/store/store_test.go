@@ -12,8 +12,7 @@ import (
 )
 
 // engines returns a fresh instance of each engine, and of each wrapper
-// that forwards the seek, for contract tests. The group never flushes on
-// its own, so what a test leaves un-Flushed is served from its overlay.
+// that forwards the seek, for contract tests.
 func engines(t *testing.T) map[string]Store {
 	t.Helper()
 	openFile := func() *File {
@@ -27,7 +26,6 @@ func engines(t *testing.T) map[string]Store {
 		"mem":         NewMem(),
 		"file":        openFile(),
 		"retry(file)": NewRetry(openFile(), RetryConfig{}),
-		"group(mem)":  longGroup(NewMem()),
 	}
 	for _, st := range all {
 		st := st
@@ -118,8 +116,8 @@ func TestStoreContract(t *testing.T) {
 // position of start relative to the prefix, that fn sees a snapshot it
 // may mutate the store under, and that fn's error stops the scan.
 func testIterateFromContract(t *testing.T, st Store) {
-	// Half the rows are flushed and half are not, so a Group merges its
-	// overlay with the inner store's seek.
+	// Half the rows are flushed and half are not: a seek must not care
+	// whether its rows have reached stable storage.
 	b := NewBatch()
 	b.Put([]byte("o/z"), []byte("below"))
 	b.Put([]byte("p/a"), []byte("1"))

@@ -189,8 +189,7 @@ func (s *SpanStore) SetConfirmDepth(k int) {
 // ObservePair registers a histogram observing, in seconds, the delta
 // between two stages of spans of one kind. The delta is observed when
 // the later of the two stages is recorded (stages can land out of order
-// across the durability and index pipelines); negative deltas clamp to
-// zero. Call before concurrent use.
+// across layers); negative deltas clamp to zero. Call before concurrent use.
 func (s *SpanStore) ObservePair(kind SpanKind, from, to string, h *Histogram) {
 	if s == nil || h == nil {
 		return
@@ -322,7 +321,7 @@ func (s *SpanStore) WireInfo(ref chainhash.Hash) (origin uint64, originAt time.T
 }
 
 // MarkHeight associates an existing span with the main-chain height that
-// included it, enabling the durable and confirmed stages.
+// included it, enabling the confirmed stage.
 func (s *SpanStore) MarkHeight(ref chainhash.Hash, height int) {
 	if s == nil {
 		return
@@ -330,29 +329,6 @@ func (s *SpanStore) MarkHeight(ref chainhash.Hash, height int) {
 	s.mu.Lock()
 	if sp := s.spans[ref]; sp != nil && sp.height == 0 {
 		sp.height = height
-	}
-	s.mu.Unlock()
-}
-
-// NotifyDurable marks the durable stage on every span whose inclusion
-// height is at or below the flushed-height watermark. Call whenever the
-// watermark advances (after a synchronous connect, or from the group
-// committer's flush hook).
-func (s *SpanStore) NotifyDurable(flushed int) {
-	if s == nil || flushed < 0 {
-		return
-	}
-	now := s.clk.Now()
-	s.mu.Lock()
-	for _, sp := range s.spans {
-		if sp.height == 0 || sp.height > flushed {
-			continue
-		}
-		if _, dup := sp.stageAt(StageDurable); dup {
-			continue
-		}
-		sp.stages = append(sp.stages, StageMark{Stage: StageDurable, Time: now})
-		s.firePairsLocked(sp, StageDurable, now)
 	}
 	s.mu.Unlock()
 }
@@ -488,7 +464,7 @@ var SpanBuckets = ExpBuckets(0.0001, 4, 13)
 //
 //	tx_submit_to_accept_seconds      local submit -> mempool acceptance
 //	tx_accept_to_mined_seconds       acceptance -> block inclusion
-//	tx_mined_to_durable_seconds      inclusion -> flushed-height durability
+//	tx_mined_to_durable_seconds      inclusion -> connect batch applied
 //	tx_durable_to_indexed_seconds    durability -> index visibility
 //	block_first_seen_to_connected_seconds  first sight -> main-chain connect
 func RegisterSpanMetrics(reg *Registry, s *SpanStore) {
@@ -505,7 +481,7 @@ func RegisterSpanMetrics(reg *Registry, s *SpanStore) {
 		"Latency from mempool acceptance to inclusion in a connected block.",
 		SpanTx, StageAccepted, StageMined)
 	pair("tx_mined_to_durable_seconds",
-		"Latency from block inclusion to the flushed-height durability watermark.",
+		"Latency from block inclusion to the store applying its connect batch.",
 		SpanTx, StageMined, StageDurable)
 	pair("tx_durable_to_indexed_seconds",
 		"Latency from durability to visibility in the chain index.",

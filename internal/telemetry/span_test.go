@@ -86,8 +86,8 @@ func TestSpanStorePairOutOfOrder(t *testing.T) {
 	hist := reg.Histogram("pair_ooo_seconds", "test", LatencyBuckets)
 	s.ObservePair(SpanTx, StageDurable, StageIndexed, hist)
 
-	// Indexed lands before Durable (group-commit mode): the pair fires
-	// when the earlier stage is finally recorded, clamped at zero.
+	// Indexed lands before Durable (two layers stamp them): the pair
+	// fires when the earlier stage is finally recorded, clamped at zero.
 	ref := spanRef(2)
 	s.Record(SpanTx, ref, StageIndexed)
 	clk.Advance(time.Second)
@@ -147,19 +147,28 @@ func TestSpanStoreDurableAndConfirmed(t *testing.T) {
 	s := NewSpanStore(8, clk)
 	s.SetConfirmDepth(3)
 
+	reg := NewRegistry()
+	hist := reg.Histogram("mined_durable_seconds", "test", LatencyBuckets)
+	s.ObservePair(SpanTx, StageMined, StageDurable, hist)
+
 	ref := spanRef(4)
 	s.Record(SpanTx, ref, StageMined)
 	s.MarkHeight(ref, 10)
-
-	s.NotifyDurable(9) // watermark below inclusion height: not durable yet
 	if snap, _ := s.Snapshot(ref); hasStage(snap, StageDurable) {
-		t.Fatal("durable recorded below watermark")
+		t.Fatal("durable recorded before the connect stamped it")
 	}
 	clk.Advance(time.Second)
-	s.NotifyDurable(10)
+	s.Observe(SpanTx, ref, StageDurable)
+	// A second stamp (the same block reconnected after a reorg) keeps the
+	// first and observes the pair once.
+	clk.Advance(time.Second)
+	s.Observe(SpanTx, ref, StageDurable)
 	snap, _ := s.Snapshot(ref)
 	if !hasStage(snap, StageDurable) {
-		t.Fatal("durable not recorded at watermark")
+		t.Fatal("durable not recorded")
+	}
+	if hist.Count() != 1 || hist.Sum() != 1 {
+		t.Fatalf("mined->durable observed %d times, sum %vs; want once, 1s", hist.Count(), hist.Sum())
 	}
 
 	s.NotifyHeight(11) // depth 2 < 3
@@ -214,7 +223,6 @@ func TestSpanStoreNilSafety(t *testing.T) {
 	s.Observe(SpanTx, spanRef(0), StageAccepted)
 	s.AddHop(spanRef(0), Hop{})
 	s.MarkHeight(spanRef(0), 1)
-	s.NotifyDurable(1)
 	s.NotifyHeight(1)
 	if s.Len() != 0 || s.Origin() != 0 {
 		t.Fatal("nil store not inert")
@@ -231,7 +239,7 @@ func TestSpanStoreNilSafety(t *testing.T) {
 }
 
 // TestSpanStoreConcurrent hammers Record/Observe/AddHop against
-// Snapshot/Snapshots/NotifyDurable under -race.
+// Snapshot/Snapshots/NotifyHeight under -race.
 func TestSpanStoreConcurrent(t *testing.T) {
 	s := NewSpanStore(64, nil)
 	reg := NewRegistry()
@@ -258,7 +266,7 @@ func TestSpanStoreConcurrent(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s.Snapshots()
 			s.Snapshot(spanRef(i % 100))
-			s.NotifyDurable(i)
+			s.Observe(SpanTx, spanRef(i%100), StageDurable)
 			s.NotifyHeight(i)
 		}
 	}()
