@@ -93,7 +93,7 @@ func TestMetricsSmoke(t *testing.T) {
 		"mempool_size", "mempool_accepted_total",
 		"p2p_peers", "p2p_bans_total",
 		"miner_blocks_found_total", "miner_hash_attempts_total",
-		"store_journal_bytes", "store_commits_total", "chain_utxo_shard_size",
+		"store_journal_bytes", "store_commits_total",
 		"chain_header_height", "p2p_inflight_bodies", "p2p_download_peers",
 		"process_uptime_seconds",
 		"tx_submit_to_accept_seconds_count", "tx_accept_to_mined_seconds_count",

@@ -115,7 +115,7 @@ type Chain struct {
 	hdrDirty      []*blockNode                  // accepted headers awaiting a commit batch
 	parked        []*blockNode                  // nodes holding a body that awaits its predecessor
 	parkedBytes   int64
-	utxo          *UtxoView
+	utxo          *UtxoView // main-chain unspent txouts; guarded by mu
 	spent         map[wire.OutPoint]SpendRecord
 	txToBlock     map[chainhash.Hash]txLoc            // main-chain txid -> location
 	orphans       map[chainhash.Hash][]*wire.MsgBlock // parent hash -> waiting blocks
@@ -124,7 +124,6 @@ type Chain struct {
 	orphanBytes   int64
 	maxOrphans    int   // cap on held orphan blocks (0 = default)
 	maxOrphanByte int64 // cap on total orphan bytes (0 = default)
-	scriptWorkers int   // goroutines for block script checks; 0 = GOMAXPROCS
 
 	// tel carries the registered collectors; the zero value (all nil
 	// pointers) disables instrumentation. See telemetry.go.
@@ -185,18 +184,6 @@ func (c *Chain) OrphanBytes() int64 {
 // SigCache returns the signature verification cache so the mempool can
 // share it; may be nil.
 func (c *Chain) SigCache() *sigcache.Cache { return c.sigCache }
-
-// SetScriptWorkers sets the number of goroutines used to verify block
-// scripts: 1 forces serial verification, n <= 0 restores the default
-// (GOMAXPROCS).
-func (c *Chain) SetScriptWorkers(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.scriptWorkers = n
-}
 
 // Subscribe registers fn to receive main-chain change notifications. The
 // callback runs synchronously after the chain mutation completes, in
@@ -513,7 +500,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	// The jobs carry the resolved locking scripts, so they are independent
 	// of the (already mutated) UTXO view.
 	scriptStart := time.Now()
-	if err := runScriptJobs(jobs, c.scriptWorkers, c.sigCache); err != nil {
+	if err := runScriptJobs(jobs, c.sigCache); err != nil {
 		return reject(err)
 	}
 	if c.tel.scriptSeconds != nil {
@@ -755,13 +742,6 @@ func (c *Chain) UtxoOutpoints() []wire.OutPoint {
 	defer c.mu.RUnlock()
 	return c.utxo.Outpoints()
 }
-
-// UtxoView exposes the sharded unspent-txout view for direct concurrent
-// reads without the chain lock. The view is live — entries appear and
-// vanish as blocks connect — so callers get point-in-time reads, not a
-// snapshot; that is exactly the contract script-validation workers and
-// read-mostly consumers (RPC, benchmarks) need.
-func (c *Chain) UtxoView() *UtxoView { return c.utxo }
 
 // IsSpent reports whether op was consumed on the main chain, and by whom.
 // This is the "unambiguous evidence" backing the spent(txid.n) condition.

@@ -40,8 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"os"
-	"strconv"
 	"time"
 
 	"typecoin/internal/chainhash"
@@ -363,17 +361,9 @@ type Config struct {
 }
 
 // New creates an in-memory chain containing only the genesis block of
-// params, with a default-sized signature cache. The environment
-// variable TYPECOIN_SIGCACHE=off disables the cache, and
-// TYPECOIN_SCRIPT_WORKERS=n pins the script-verification worker count
-// (default GOMAXPROCS; 1 means serial) — both are benchmarking and
-// debugging knobs.
+// params, with a default-sized signature cache.
 func New(params *Params, clk clock.Clock) *Chain {
-	var sc *sigcache.Cache
-	if os.Getenv("TYPECOIN_SIGCACHE") != "off" {
-		sc = sigcache.New(sigcache.DefaultCapacity)
-	}
-	return NewWithSigCache(params, clk, sc)
+	return NewWithSigCache(params, clk, sigcache.New(sigcache.DefaultCapacity))
 }
 
 // NewWithSigCache is New with an explicit signature cache; sc may be
@@ -414,9 +404,6 @@ func Open(cfg Config) (*Chain, error) {
 		txToBlock:   make(map[chainhash.Hash]txLoc),
 		orphans:     make(map[chainhash.Hash][]*wire.MsgBlock),
 		orphanIndex: make(map[chainhash.Hash]orphanMeta),
-	}
-	if n, err := strconv.Atoi(os.Getenv("TYPECOIN_SCRIPT_WORKERS")); err == nil && n > 0 {
-		c.scriptWorkers = n
 	}
 	hasTip, err := st.Has(keyTip)
 	if err != nil {
@@ -723,12 +710,8 @@ func (c *Chain) commitConnect(node *blockNode, undo []undoItem) error {
 			if e == nil {
 				continue
 			}
-			row := c.utxo.encodedRow(op)
-			if row == nil {
-				rowBuf = appendUtxoEntry(rowBuf[:0], e)
-				row = rowBuf
-			}
-			b.Put(key.set('u', op), row)
+			rowBuf = appendUtxoEntry(rowBuf[:0], e)
+			b.Put(key.set('u', op), rowBuf)
 		}
 	}
 	ev := PersistEvent{Connected: true, Block: node.block, Height: node.height, Spent: spent}

@@ -37,22 +37,16 @@ func (j scriptJob) run(sv *sigcache.Cache) error {
 	return nil
 }
 
-// runScriptJobs verifies every job, fanning out across up to `workers`
-// goroutines (0 means GOMAXPROCS). Verification fails fast: the first
-// observed failure stops the remaining workers, and among failures that
-// did complete the one earliest in block order is returned, keeping the
-// reported error deterministic for a given set of completed checks.
-func runScriptJobs(jobs []scriptJob, workers int, sv *sigcache.Cache) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers == 1 {
+// runScriptJobs verifies every job, fanning out across up to GOMAXPROCS
+// goroutines; with one CPU (or one job) it runs them in order on the
+// caller's goroutine. Verification fails fast: the first observed
+// failure stops the remaining workers from claiming jobs. Jobs are
+// claimed in block order and a claimed job always runs to completion,
+// so every job before a failing one is checked and the failure earliest
+// in block order is the one returned, whatever the interleaving.
+func runScriptJobs(jobs []scriptJob, sv *sigcache.Cache) error {
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
+	if workers <= 1 {
 		for _, j := range jobs {
 			if err := j.run(sv); err != nil {
 				return err

@@ -105,15 +105,15 @@ func TestConcurrentReadersDuringReorg(t *testing.T) {
 	}
 }
 
-// TestUtxoViewParallelReads hammers the sharded view from reader
-// goroutines while blocks connect and disconnect (a reorg) on the main
-// goroutine. Run under -race this is the proof that Lookup/Size/
-// ShardSizes need no chain lock.
-func TestUtxoViewParallelReads(t *testing.T) {
+// TestUtxoReadersDuringReorg hammers the chain's public UTXO readers
+// from reader goroutines while blocks connect and disconnect (a reorg)
+// on the main goroutine. Run under -race this is the proof that
+// LookupUtxo/UtxoSize/UtxoOutpoints and the connect path agree on the
+// chain lock that guards the one UTXO map.
+func TestUtxoReadersDuringReorg(t *testing.T) {
 	c, clk := newTestChain(t)
 	blks := extend(t, c, clk, 12, 0)
 
-	view := c.UtxoView()
 	seed := c.UtxoOutpoints()
 	if len(seed) == 0 {
 		t.Fatal("no outpoints to read")
@@ -133,10 +133,10 @@ func TestUtxoViewParallelReads(t *testing.T) {
 				default:
 				}
 				op := seed[i%len(seed)]
-				view.Lookup(op) // may be nil mid-reorg; must not race
+				c.LookupUtxo(op) // may be nil mid-reorg; must not race
 				if i%64 == 0 {
-					view.Size()
-					view.ShardSizes()
+					c.UtxoSize()
+					c.UtxoOutpoints()
 				}
 				i++
 			}

@@ -8,7 +8,6 @@ package chain
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"typecoin/internal/chainhash"
@@ -92,14 +91,6 @@ func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
 		return float64(len(c.spent))
-	})
-	reg.LabeledGaugeFunc("chain_utxo_shard_size", "Entries per lock-striped shard of the unspent-txout view.", "shard", func() []telemetry.LabeledValue {
-		sizes := c.utxo.ShardSizes()
-		out := make([]telemetry.LabeledValue, len(sizes))
-		for i, n := range sizes {
-			out[i] = telemetry.LabeledValue{Label: strconv.Itoa(i), Value: float64(n)}
-		}
-		return out
 	})
 	if sc := c.sigCache; sc != nil {
 		reg.CounterFunc("sigcache_hits_total", "Signature verifications answered from the cache.", func() float64 {

@@ -3,7 +3,6 @@ package chain
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"typecoin/internal/chainhash"
 	"typecoin/internal/wire"
@@ -17,117 +16,39 @@ import (
 // 3.3). The size of this table is exactly what experiment E3 measures for
 // the two metadata-embedding strategies.
 //
-// Entries are immutable once inserted: Lookup hands out the shared
-// pointer, which is what lets the sharded view serve parallel readers
-// without copying.
+// Entries are never modified once inserted: Lookup hands out the shared
+// pointer, and the undo journal keeps it after the row is spent.
 type UtxoEntry struct {
 	Out        wire.TxOut
 	Height     int
 	IsCoinBase bool
 }
 
-// utxoShardCount is the number of lock stripes. A power of two so shard
-// selection is a mask; 16 keeps per-shard maps large enough to stay
-// cache-friendly while making reader collisions rare.
-const utxoShardCount = 16
-
-// hotRowsPerShard bounds each shard's cache of encoded store rows.
-const hotRowsPerShard = 512
-
-// utxoShard is one lock stripe of the view.
-type utxoShard struct {
-	mu      sync.RWMutex
-	entries map[wire.OutPoint]*UtxoEntry
-
-	// hot is a small ring-evicted cache of recently created outpoints'
-	// encoded store rows (the exact bytes commitConnect persists), so
-	// the write path can reuse the encoding instead of re-deriving it —
-	// and so a future non-resident view has a place to keep its working
-	// set without touching the store. The ring grows lazily to
-	// hotRowsPerShard and then wraps, so idle views stay small.
-	hot     map[wire.OutPoint][]byte
-	hotRing []wire.OutPoint
-	hotNext int
-}
-
-// UtxoView is the unspent-txout table for one chain tip, sharded by
-// outpoint into lock-striped segments. Reads (Lookup, Size) are safe
-// under concurrent mutation, which lets script-validation workers and
-// external readers resolve outpoints in parallel without holding the
-// chain lock. Mutations are still serialized by Chain — the stripes
-// make reads cheap, they do not make interleaved writers meaningful.
+// UtxoView is the unspent-txout table for one chain tip. It does no
+// locking of its own: the chain's view is guarded by Chain.mu, and a
+// view built by a caller belongs to that caller.
 type UtxoView struct {
-	shards [utxoShardCount]utxoShard
+	entries map[wire.OutPoint]*UtxoEntry
 }
 
 // NewUtxoView returns an empty table.
 func NewUtxoView() *UtxoView {
-	v := &UtxoView{}
-	for i := range v.shards {
-		v.shards[i].entries = make(map[wire.OutPoint]*UtxoEntry)
-		v.shards[i].hot = make(map[wire.OutPoint][]byte)
-	}
-	return v
-}
-
-// shardFor picks the stripe for op: first hash byte XOR the output
-// index, so the outputs of one transaction spread across shards.
-func (v *UtxoView) shardFor(op wire.OutPoint) *utxoShard {
-	return &v.shards[(uint32(op.Hash[0])^op.Index)&(utxoShardCount-1)]
+	return &UtxoView{entries: make(map[wire.OutPoint]*UtxoEntry)}
 }
 
 // Lookup returns the entry for op, or nil if op is spent or unknown.
-// Safe for concurrent use.
 func (v *UtxoView) Lookup(op wire.OutPoint) *UtxoEntry {
-	s := v.shardFor(op)
-	s.mu.RLock()
-	e := s.entries[op]
-	s.mu.RUnlock()
-	return e
+	return v.entries[op]
 }
 
 // Size returns the number of unspent txouts — the table "deadweight"
 // metric of Section 3.3. Provably unspendable outputs (OP_RETURN) are
 // never added, matching how real nodes prune them.
 func (v *UtxoView) Size() int {
-	n := 0
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
+	return len(v.entries)
 }
 
-// ShardSizes reports the entry count per shard, for telemetry: a wildly
-// skewed distribution would mean the stripe function is broken.
-func (v *UtxoView) ShardSizes() [utxoShardCount]int {
-	var sizes [utxoShardCount]int
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.RLock()
-		sizes[i] = len(s.entries)
-		s.mu.RUnlock()
-	}
-	return sizes
-}
-
-// cacheHot remembers the encoded store row for op in its shard's hot
-// cache, ring-evicting the oldest slot.
-func (s *utxoShard) cacheHot(op wire.OutPoint, row []byte) {
-	if len(s.hotRing) < hotRowsPerShard {
-		s.hotRing = append(s.hotRing, op)
-	} else {
-		delete(s.hot, s.hotRing[s.hotNext])
-		s.hotRing[s.hotNext] = op
-		s.hotNext = (s.hotNext + 1) % hotRowsPerShard
-	}
-	s.hot[op] = row
-}
-
-// add inserts the outputs of tx at the given height, caching each new
-// row's store encoding while the entry is in hand.
+// add inserts the outputs of tx at the given height.
 func (v *UtxoView) add(tx *wire.MsgTx, height int) {
 	txid := tx.TxHash()
 	isCB := tx.IsCoinBase()
@@ -136,76 +57,40 @@ func (v *UtxoView) add(tx *wire.MsgTx, height int) {
 			continue
 		}
 		op := wire.OutPoint{Hash: txid, Index: uint32(i)}
-		e := &UtxoEntry{Out: *out, Height: height, IsCoinBase: isCB}
-		s := v.shardFor(op)
-		s.mu.Lock()
-		s.entries[op] = e
-		s.cacheHot(op, appendUtxoEntry(nil, e))
-		s.mu.Unlock()
+		v.entries[op] = &UtxoEntry{Out: *out, Height: height, IsCoinBase: isCB}
 	}
-}
-
-// encodedRow returns the cached store encoding for a recently created
-// outpoint, or nil on a cold miss (the caller re-encodes from the
-// entry). The persist layer uses this so connect-path writes of fresh
-// outputs never re-derive bytes the view already has.
-func (v *UtxoView) encodedRow(op wire.OutPoint) []byte {
-	s := v.shardFor(op)
-	s.mu.RLock()
-	row := s.hot[op]
-	s.mu.RUnlock()
-	return row
 }
 
 // spend removes op, returning the removed entry for undo journaling.
 func (v *UtxoView) spend(op wire.OutPoint) (*UtxoEntry, error) {
-	s := v.shardFor(op)
-	s.mu.Lock()
-	e, ok := s.entries[op]
+	e, ok := v.entries[op]
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("chain: outpoint %v is spent or unknown", op)
 	}
-	delete(s.entries, op)
-	s.mu.Unlock()
+	delete(v.entries, op)
 	return e, nil
 }
 
 // restore reinstates a previously spent entry (startup load and block
-// disconnect). It does not touch the hot row cache: only add()-time
-// encodings are ever consumed by the connect commit path, so caching a
-// restored row would be wasted work on every reopen.
+// disconnect).
 func (v *UtxoView) restore(op wire.OutPoint, e *UtxoEntry) {
-	s := v.shardFor(op)
-	s.mu.Lock()
-	s.entries[op] = e
-	s.mu.Unlock()
+	v.entries[op] = e
 }
 
 // remove deletes the outputs created by tx (block disconnect).
 func (v *UtxoView) remove(tx *wire.MsgTx) {
 	txid := tx.TxHash()
 	for i := range tx.TxOut {
-		op := wire.OutPoint{Hash: txid, Index: uint32(i)}
-		s := v.shardFor(op)
-		s.mu.Lock()
-		delete(s.entries, op)
-		delete(s.hot, op)
-		s.mu.Unlock()
+		delete(v.entries, wire.OutPoint{Hash: txid, Index: uint32(i)})
 	}
 }
 
 // Outpoints returns all unspent outpoints in a deterministic order;
 // intended for tests, wallet rescans and the E3 measurements.
 func (v *UtxoView) Outpoints() []wire.OutPoint {
-	ops := make([]wire.OutPoint, 0, v.Size())
-	for i := range v.shards {
-		s := &v.shards[i]
-		s.mu.RLock()
-		for op := range s.entries {
-			ops = append(ops, op)
-		}
-		s.mu.RUnlock()
+	ops := make([]wire.OutPoint, 0, len(v.entries))
+	for op := range v.entries {
+		ops = append(ops, op)
 	}
 	sort.Slice(ops, func(i, j int) bool {
 		c := chainhash.Compare(ops[i].Hash, ops[j].Hash)

@@ -31,7 +31,6 @@ type Event struct {
 	Name string // file base name within the data directory
 	Off  int64  // DiskWrite: write offset
 	Data []byte // DiskWrite, DiskWriteFile: payload (copied)
-	Size int64  // DiskTruncate: new size
 	To   string // DiskRename: destination base name
 }
 
@@ -42,8 +41,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("write %s@%d len=%d", e.Name, e.Off, len(e.Data))
 	case store.DiskSync:
 		return fmt.Sprintf("fsync %s", e.Name)
-	case store.DiskTruncate:
-		return fmt.Sprintf("truncate %s to %d", e.Name, e.Size)
 	case store.DiskWriteFile:
 		return fmt.Sprintf("writefile %s len=%d", e.Name, len(e.Data))
 	case store.DiskRename:
@@ -64,7 +61,7 @@ type Recorder struct {
 
 // Disk implements store.DiskHook.
 func (r *Recorder) Disk(ev store.DiskEvent) (int, error) {
-	e := Event{Op: ev.Op, Name: ev.Name, Off: ev.Off, Size: ev.Size, To: ev.To}
+	e := Event{Op: ev.Op, Name: ev.Name, Off: ev.Off, To: ev.To}
 	if ev.Data != nil {
 		e.Data = append([]byte(nil), ev.Data...)
 	}
@@ -207,16 +204,6 @@ func applyEvent(dir string, e Event, cut int) error {
 		return werr
 	case store.DiskSync:
 		return nil // durability, not content: a no-op for replay
-	case store.DiskTruncate:
-		fh, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		terr := fh.Truncate(e.Size)
-		if cerr := fh.Close(); terr == nil {
-			terr = cerr
-		}
-		return terr
 	case store.DiskWriteFile:
 		return os.WriteFile(path, data, 0o644)
 	case store.DiskRename:

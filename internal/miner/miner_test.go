@@ -85,9 +85,6 @@ func TestSigCacheSharedAcrossMempoolAndConnect(t *testing.T) {
 	// workers consult it.
 	h := testutil.NewHarness(t, t.Name())
 	sc := h.Chain.SigCache()
-	if sc == nil {
-		t.Skip("signature cache disabled via TYPECOIN_SIGCACHE")
-	}
 	h.Fund(t)
 	dest, err := h.Wallet.NewKey()
 	if err != nil {

@@ -1,8 +1,8 @@
 package store
 
 // The physical-I/O seam of the file engine. Every mutation File issues
-// against the filesystem — journal and block-log writes, fsyncs,
-// truncates, the manifest tmp-write/rename dance of compaction —
+// against the filesystem between Open and Close — journal and block-log
+// writes, fsyncs, the manifest tmp-write/rename dance of compaction —
 // passes through an optional DiskHook first. Two consumers exist:
 //
 //   - the crash-point explorer (internal/crashpoint) records the event
@@ -10,7 +10,7 @@ package store
 //     directory, proving recovery at every write/fsync boundary rather
 //     than at one hand-picked tear;
 //   - fault-injection tests fail chosen physical ops (ENOSPC on the
-//     journal preallocation, EIO on the manifest swap) to exercise the
+//     journal write, EIO on the manifest swap) to exercise the
 //     degradation paths.
 //
 // The hook is nil in production; the engine pays one nil check per
@@ -24,8 +24,6 @@ const (
 	DiskWrite DiskOp = iota
 	// DiskSync is an fsync of Name.
 	DiskSync
-	// DiskTruncate resizes Name to Size bytes.
-	DiskTruncate
 	// DiskWriteFile creates/replaces Name with Data (the manifest tmp).
 	DiskWriteFile
 	// DiskRename atomically renames Name to To.
@@ -41,8 +39,6 @@ func (o DiskOp) String() string {
 		return "write"
 	case DiskSync:
 		return "sync"
-	case DiskTruncate:
-		return "truncate"
 	case DiskWriteFile:
 		return "writefile"
 	case DiskRename:
@@ -61,7 +57,6 @@ type DiskEvent struct {
 	Name string
 	Off  int64  // DiskWrite
 	Data []byte // DiskWrite, DiskWriteFile; aliased, copy to retain
-	Size int64  // DiskTruncate
 	To   string // DiskRename
 }
 
@@ -123,14 +118,4 @@ func (f *File) hookedSync(file interface{ Sync() error }, name string) error {
 		}
 	}
 	return file.Sync()
-}
-
-// hookedTruncate routes a truncate through the hook.
-func (f *File) hookedTruncate(file interface{ Truncate(int64) error }, name string, size int64) error {
-	if f.hook != nil {
-		if _, err := f.hook.Disk(DiskEvent{Op: DiskTruncate, Name: name, Size: size}); err != nil {
-			return err
-		}
-	}
-	return file.Truncate(size)
 }

@@ -8,45 +8,9 @@ import (
 	"testing"
 )
 
-// ENOSPC injection at the physical-I/O seam: the two paths ISSUE'd as
-// uncovered — journal preallocation and the compaction MANIFEST swap —
-// hit a full disk mid-operation and the engine must stay consistent.
-
-func TestFilePreallocENOSPCAbsorbed(t *testing.T) {
-	dir := t.TempDir()
-	f, err := OpenFile(dir)
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	// Preallocation is an optimization: when the ahead-of-tail truncate
-	// hits ENOSPC the append must still land via the plain write.
-	var truncates int
-	f.SetDiskHook(DiskHookFunc(func(ev DiskEvent) (int, error) {
-		if ev.Op == DiskTruncate {
-			truncates++
-			return 0, syscall.ENOSPC
-		}
-		return 0, nil
-	}))
-	if err := applyOne(t, f, "k", "v"); err != nil {
-		t.Fatalf("apply with failing preallocation: %v", err)
-	}
-	if truncates == 0 {
-		t.Fatal("preallocation truncate never attempted")
-	}
-	f.SetDiskHook(nil)
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	f2, err := OpenFile(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer f2.Close()
-	if v, err := f2.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("recovered k = %q, %v", v, err)
-	}
-}
+// ENOSPC injection at the physical-I/O seam: the journal write and the
+// compaction MANIFEST swap hit a full disk mid-operation and the engine
+// must stay consistent.
 
 func TestFileJournalWriteENOSPCFailsApplyCleanly(t *testing.T) {
 	dir := t.TempDir()
@@ -130,7 +94,7 @@ func TestFileManifestSwapENOSPCAbsorbedAndRetried(t *testing.T) {
 	}
 
 	// Space freed: the retry is deferred until the journal grows
-	// another preallocation chunk, then must succeed.
+	// another compactRetryStep, then must succeed.
 	f.SetDiskHook(nil)
 	churn(9, 4<<10)
 	if got := f.Compactions(); got != 1 {

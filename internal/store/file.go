@@ -40,11 +40,6 @@ type File struct {
 	gen     uint64
 	log     *os.File
 	logSize int64
-	// logCap is the allocated size of the journal file, grown ahead of
-	// logSize in chunks so appends rarely extend the file. The gap past
-	// logSize is zeros; replay treats it as a torn tail, and Close and
-	// compaction truncate it away.
-	logCap int64
 
 	// scratch is the reusable frame-encoding buffer: Apply re-encodes
 	// every record, and without reuse that is two allocations per batch
@@ -107,9 +102,9 @@ const (
 
 	defaultCompactMin = 1 << 20
 
-	// journalPreallocChunk is how far past the current tail the journal
-	// file is extended when an append outgrows it.
-	journalPreallocChunk = 256 << 10
+	// compactRetryStep is how much the journal must grow after a failed
+	// compaction before the next attempt.
+	compactRetryStep = 256 << 10
 )
 
 // OpenFile opens (creating if needed) the store rooted at dir and
@@ -253,7 +248,6 @@ func (f *File) replayJournal() error {
 		}
 	}
 	f.logSize = int64(off)
-	f.logCap = int64(off)
 	return nil
 }
 
@@ -369,8 +363,8 @@ func (f *File) Apply(b *Batch) error {
 // failures: by the time compaction runs the commit is already durable,
 // so a failed snapshot rewrite (full disk mid-swap) must not fail the
 // Apply that triggered it. The attempt is deferred until the journal
-// grows another preallocation chunk, and the error is kept for
-// telemetry (CompactionErr).
+// grows another compactRetryStep, and the error is kept for telemetry
+// (CompactionErr).
 func (f *File) maybeCompactLocked() {
 	if f.logSize <= f.compactMin || f.tab.liveBytes*4 >= f.logSize {
 		return
@@ -381,7 +375,7 @@ func (f *File) maybeCompactLocked() {
 	if err := f.compactLocked(); err != nil {
 		f.compactErrs++
 		f.lastCompactErr = err
-		f.compactRetrySize = f.logSize + journalPreallocChunk
+		f.compactRetrySize = f.logSize + compactRetryStep
 		return
 	}
 	f.compactRetrySize = 0
@@ -397,8 +391,8 @@ func (f *File) CompactionErr() (uint64, error) {
 }
 
 // writeFrameLocked appends an encoded batch frame to the journal,
-// preallocating capacity ahead of the tail and honoring the armed crash
-// fault and the per-apply fsync policy. Caller holds f.mu.
+// honoring the armed crash and tear faults and the per-apply fsync
+// policy. Caller holds f.mu.
 func (f *File) writeFrameLocked(frame []byte) error {
 	if f.crashBytes >= 0 {
 		n := f.crashBytes
@@ -420,19 +414,10 @@ func (f *File) writeFrameLocked(frame []byte) error {
 		// overwritten by the next append or discarded by replay.
 		return fmt.Errorf("%w: short write (%d of %d bytes)", ErrIO, n, len(frame))
 	}
-	end := f.logSize + int64(len(frame))
-	if end > f.logCap {
-		grown := end + journalPreallocChunk
-		if f.hookedTruncate(f.log, f.kvName(), grown) == nil {
-			f.logCap = grown
-		} else {
-			f.logCap = end // WriteAt below extends the file itself
-		}
-	}
 	if err := f.hookedWriteAt(f.log, f.kvName(), frame, f.logSize); err != nil {
 		return err
 	}
-	f.logSize = end
+	f.logSize += int64(len(frame))
 	if f.syncEvery {
 		return f.hookedSync(f.log, f.kvName())
 	}
@@ -485,7 +470,6 @@ func (f *File) compactLocked() error {
 	f.log = nf
 	f.gen = newGen
 	f.logSize = int64(len(frame))
-	f.logCap = f.logSize
 	f.compactions++
 	return nil
 }
@@ -604,14 +588,10 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
-	// Trim preallocated capacity so the file ends exactly at the last
-	// committed frame (keeps "file length == committed bytes" for clean
-	// shutdowns; crashes leave the zero tail for replay to discard).
-	var err error
-	if f.logCap > f.logSize {
-		err = f.log.Truncate(f.logSize)
-		f.logCap = f.logSize
-	}
+	// Cut whatever a short write or a tear left past the last committed
+	// frame, so a clean shutdown leaves "file length == committed bytes"
+	// and the next Open truncates nothing.
+	err := f.log.Truncate(f.logSize)
 	if serr := f.log.Sync(); err == nil {
 		err = serr
 	}

@@ -322,6 +322,109 @@ func TestFileTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestFileZeroTailOpens pins compatibility with journals written by
+// engines that extended the file ahead of its tail: a process killed
+// with such an extension leaves its committed frames followed by a run
+// of zero bytes. Replay must keep every committed key, report the zero
+// run as the torn tail, and leave a journal that takes appends.
+func TestFileZeroTailOpens(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillBatch(t, st, "a", 50)
+	fillBatch(t, st, "b", 50)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const zeros = 256<<10 - 123
+	lf, err := os.OpenFile(filepath.Join(dir, "kv-1.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lf.Write(make([]byte, zeros)); err != nil {
+		t.Fatal(err)
+	}
+	lf.Close()
+
+	st2, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.TruncatedBytes(); got != zeros {
+		t.Fatalf("TruncatedBytes = %d, want the %d-byte zero run", got, zeros)
+	}
+	for _, p := range []string{"a", "b"} {
+		for i := 0; i < 50; i++ {
+			k := fmt.Sprintf("%s%04d", p, i)
+			if v, err := st2.Get([]byte(k)); err != nil || string(v) != fmt.Sprintf("val-%d", i) {
+				t.Fatalf("%s = %q, %v after zero-tail open", k, v, err)
+			}
+		}
+	}
+	fillBatch(t, st2, "c", 10)
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st3, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if got := st3.TruncatedBytes(); got != 0 {
+		t.Fatalf("TruncatedBytes = %d after a clean close, want 0", got)
+	}
+	for _, k := range []string{"a0049", "b0000", "c0009"} {
+		if ok, _ := st3.Has([]byte(k)); !ok {
+			t.Fatalf("%s missing after reopen", k)
+		}
+	}
+}
+
+// TestFileTearThenCleanCloseLeavesNoTornBytes: a transient short write
+// leaves garbage past the tail; when the next successful frame is
+// shorter than the garbage, part of it survives the append, and a clean
+// Close must cut it so the next Open truncates nothing.
+func TestFileTearThenCleanCloseLeavesNoTornBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillBatch(t, st, "pre", 3)
+	st.TearNextApply(1000)
+	big := NewBatch()
+	big.Put([]byte("torn"), bytes.Repeat([]byte{'x'}, 4096))
+	if err := st.Apply(big); !errors.Is(err, ErrIO) {
+		t.Fatalf("torn apply: %v, want ErrIO", err)
+	}
+	if err := applyOne(t, st, "after", "tear"); err != nil {
+		t.Fatalf("apply after tear: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got := st2.TruncatedBytes(); got != 0 {
+		t.Fatalf("TruncatedBytes = %d after a clean close, want 0", got)
+	}
+	if ok, _ := st2.Has([]byte("torn")); ok {
+		t.Fatal("torn batch visible after reopen")
+	}
+	for _, k := range []string{"pre0002", "after"} {
+		if ok, _ := st2.Has([]byte(k)); !ok {
+			t.Fatalf("%s missing after reopen", k)
+		}
+	}
+}
+
 func TestFileCrashNextApplyTearsFrame(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenFile(dir)

@@ -380,7 +380,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 
 // LabeledGaugeFunc registers a gauge family with one label whose full
 // sample set is read from fn at scrape time — for per-partition views
-// of a subsystem's own state (e.g. UTXO entries per shard), where
+// of a subsystem's own state (e.g. in-flight bodies per peer), where
 // materializing N Gauge objects would just mirror state the subsystem
 // already holds. fn must be safe to call concurrently and must not call
 // back into the registry.
