@@ -87,12 +87,15 @@ fuzz-smoke:
 
 # Crash-recovery suite: store-level torn-write tests, the fault-injected
 # full-stack recovery test, the SIGKILL daemon end-to-end tests (chain
-# state and the chain index), and the ledger's reopen-time marker rule.
+# state and the chain index), derived state (UTXO table, spend journal,
+# wallet coins, index answers) refolded from blocks across restarts and
+# datadir upgrades (RESTART_SEED=<n> replays one schedule), and the
+# ledger's reopen-time marker rule.
 recovery:
 	$(GO) test ./internal/store/ -count=1 -v
-	$(GO) test ./internal/chain/ -run 'TestReopen|TestReorgAfterReopen|TestIntraBlockSpendDisconnect|TestStoreFailure|TestOpenRejectsTampered' -count=1 -v
+	$(GO) test ./internal/chain/ -run 'TestReopen|TestReorgAfterReopen|TestIntraBlockSpendDisconnect|TestStoreFailure|TestOpenRejectsTampered|TestReincludedTxRollsBackOnlyWhatItApplied|TestDuplicateCoinbaseRejected' -count=1 -v
 	$(GO) test ./cmd/typecoind/ -run 'TestCrash|TestMempoolPersist|TestDaemonKillRecovery|TestDaemonKillIndexRecovery' -count=1 -v
-	$(GO) test ./internal/index/ -run TestIndexCrashMidCommitRecovers -count=1 -v
+	$(GO) test ./internal/index/ -run 'TestIndexCrashMidCommitRecovers|TestDerivedStateSurvivesRestart|TestOpenDropsRetiredFamilies' -count=1 -v
 	$(GO) test ./internal/typecoin/ -run 'TestLedgerMarkers|TestLedgerReopen' -count=1 -v
 	$(GO) test ./internal/p2p/ -run TestSimRestartResync -count=1 -v
 

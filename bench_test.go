@@ -1,8 +1,8 @@
-// Package typecoin_bench holds the top-level benchmark targets, one per
-// experiment in EXPERIMENTS.md (run `go test -bench=. -benchmem .`), plus
-// micro-benchmarks for the hot paths: proof checking, transaction
-// verification, script execution and mining. The experiment tables
-// themselves are regenerated by cmd/tcbench.
+// Package typecoin_bench holds micro-benchmarks for the hot paths (run
+// `go test -bench=. -benchmem .`): block connect, store reopen, proof
+// checking, transaction verification, script execution, mining, index
+// queries and header sync. They are probes for finding a cause; the
+// experiment tables of EXPERIMENTS.md are produced by cmd/tcbench.
 package typecoin_bench
 
 import (
@@ -32,81 +32,6 @@ import (
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
-
-// BenchmarkE1Race measures the E1 double-spend race simulation (the full
-// table is printed by cmd/tcbench -exp e1).
-func BenchmarkE1Race(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.RunE1([]float64{0.1, 0.25}, []int{0, 2, 4, 6}, 2000)
-		if len(rows) != 8 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-// BenchmarkE2BatchMode measures one direct-vs-batch comparison at k=10.
-func BenchmarkE2BatchMode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunE2([]int{10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE3UtxoTable measures the metadata-deadweight experiment at
-// n=25.
-func BenchmarkE3UtxoTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunE3([]int{25}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4Revocation measures one revocation round trip.
-func BenchmarkE4Revocation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunE4(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5Verify measures trust-free verification of a 32-transaction
-// upstream history (setup excluded).
-func BenchmarkE5Verify(b *testing.B) {
-	setup, err := bench.NewE5Setup(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := setup.Verify(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5ProofChecker measures raw proof-checker throughput on the
-// newcoin merge proof.
-func BenchmarkE5ProofChecker(b *testing.B) {
-	if _, err := bench.RunE5Checker(1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := bench.RunE5Checker(b.N); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkE6Escrow measures one 2-of-3 escrow claim end to end.
-func BenchmarkE6Escrow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunE6([][3]int{{2, 3, 0}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- block-connect pipeline benchmarks ---
 
@@ -280,7 +205,7 @@ func BenchmarkConnectBlock(b *testing.B) {
 // BenchmarkConnectBlockPersistent measures the same 64-transaction block
 // connect as BenchmarkConnectBlock/warm (same warm signature
 // cache), but on a chain whose every connect writes and applies an
-// atomic batch (block bytes, index, UTXO deltas, spend journal) to the
+// atomic batch (block bytes, main-chain index row, tip) to the
 // file-backed store before returning — the full per-block durability
 // overhead.
 func BenchmarkConnectBlockPersistent(b *testing.B) {
@@ -354,7 +279,8 @@ func BenchmarkSpanRecord(b *testing.B) {
 
 // BenchmarkStoreReopen measures cold startup from a persisted data
 // directory: manifest load, journal replay, and the chain's full
-// re-index and linkage verification of a 13-block chain.
+// re-index, linkage verification and fold of a 13-block chain into its
+// UTXO table and spend journal.
 func BenchmarkStoreReopen(b *testing.B) {
 	s := newConnectBenchSetup(b)
 	dir := b.TempDir()

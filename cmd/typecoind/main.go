@@ -401,6 +401,12 @@ func run(args []string) int {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
+	// Take over SIGINT/SIGTERM before the first request can be served:
+	// a signal that arrives after a client has seen the daemon answer
+	// must shut it down gracefully, not kill it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
 		logMain.Error("http listen failed", "err", err)
@@ -420,8 +426,6 @@ func run(args []string) int {
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	failed := false
 	select {
 	case <-ctx.Done():

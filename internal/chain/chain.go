@@ -46,15 +46,6 @@ const (
 	statusAccepted
 )
 
-// undoItem is one row of a block's spend journal: an outpoint the block
-// consumed and the entry it held. The journal is persisted with the
-// block's commit batch (see persist.go) and read back to disconnect,
-// so reorgs work identically on a freshly restarted node.
-type undoItem struct {
-	op    wire.OutPoint
-	entry *UtxoEntry
-}
-
 // medianTimePast computes the median timestamp of the last
 // medianTimeBlocks ancestors (including the node itself).
 func (n *blockNode) medianTimePast() time.Time {
@@ -100,10 +91,11 @@ type Chain struct {
 	// st is the persistence engine. The resident maps below are the
 	// working state; every main-chain mutation is also committed to st
 	// as one atomic batch before it takes effect, and Open rebuilds the
-	// maps from st on restart.
+	// maps on restart by folding the stored main-chain blocks.
 	st store.Store
-	// persisters contribute subsystem rows (wallet view, ledger index)
-	// to each commit batch; they run under mu while the batch is built.
+	// persisters contribute subsystem rows (chain index, ledger seen
+	// index) to each commit batch; they run under mu while the batch is
+	// built.
 	persisters []PersistFunc
 
 	mu            sync.RWMutex
@@ -426,56 +418,31 @@ func (c *Chain) acceptBlock(blk *wire.MsgBlock, parent *blockNode) (BlockStatus,
 	return status, events, nil
 }
 
-// connectBlock attaches node (whose parent is the current tip) to the
-// main chain, updating the UTXO table, spent journal and indexes.
-//
-// Validation runs as a two-phase pipeline. Phase one walks transactions
-// in block order — spends may chain within a block, so input resolution
-// and UTXO mutation stay serial and ordered — checking amounts/maturity,
-// spending inputs, adding outputs, and capturing one script job per
-// input with the locking script it resolved. Phase two fans all captured
-// script/signature checks out across a bounded worker pool (consulting
-// the shared signature cache), with fail-fast cancellation; on failure
-// the phase-one mutations are rolled back via the undo journal. A body
-// that fails either phase is flagged failed; a store that refuses the
-// commit says nothing about the body, so that path leaves the flag alone.
-func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
-	start := time.Now()
-	blk := node.block
-	var undo []undoItem
-	rollback := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			c.utxo.restore(undo[i].op, undo[i].entry)
-			delete(c.spent, undo[i].op)
-		}
-		for _, tx := range blk.Transactions {
-			c.utxo.remove(tx)
-			delete(c.txToBlock, tx.TxHash())
-		}
-	}
-	reject := func(err error) ([]Notification, error) {
-		rollback()
-		c.markFailedLocked(node)
-		return nil, err
-	}
-
-	var totalFees int64
-	var jobs []scriptJob
-	for i, tx := range blk.Transactions {
-		if i > 0 {
-			fee, entries, err := CheckTransactionInputs(tx, node.height, c.utxo, c.params.CoinbaseMaturity)
-			if err != nil {
-				return reject(err)
+// applyBlock folds node's block into the main chain's derived state.
+// Transaction by transaction, in block order, check (when non-nil)
+// validates the transaction against the table as it stands; then a
+// non-coinbase transaction's inputs move from utxo into spent and its
+// outputs enter utxo and txToBlock. It returns the entries consumed, in
+// spend order, and how many transactions it added — also when it fails
+// part-way, so the caller rolls back exactly what it did. connectBlock
+// passes its validation; load and bootstrap fold stored blocks
+// unvalidated.
+func (c *Chain) applyBlock(node *blockNode, check func(i int, tx *wire.MsgTx) error) ([]SpentOutput, int, error) {
+	var spent []SpentOutput
+	for i, tx := range node.block.Transactions {
+		txid := tx.TxHash()
+		if check != nil {
+			if err := check(i, tx); err != nil {
+				return spent, i, err
 			}
-			totalFees += fee
-			txid := tx.TxHash()
+		}
+		if i > 0 {
 			for j, in := range tx.TxIn {
-				jobs = append(jobs, scriptJob{tx: tx, txIdx: i, in: j, pkScript: entries[j].Out.PkScript})
 				entry, err := c.utxo.spend(in.PreviousOutPoint)
 				if err != nil {
-					return reject(err)
+					return spent, i, err
 				}
-				undo = append(undo, undoItem{op: in.PreviousOutPoint, entry: entry})
+				spent = append(spent, SpentOutput{OutPoint: in.PreviousOutPoint, Entry: entry})
 				c.spent[in.PreviousOutPoint] = SpendRecord{
 					SpentBy: wire.OutPoint{Hash: txid, Index: uint32(j)},
 					Spender: txid,
@@ -484,7 +451,73 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 			}
 		}
 		c.utxo.add(tx, node.height)
-		c.txToBlock[tx.TxHash()] = txLoc{block: node.hash, index: i}
+		c.txToBlock[txid] = txLoc{block: node.hash, index: i}
+	}
+	return spent, len(node.block.Transactions), nil
+}
+
+// unapplyBlock reverses applyBlock for the transactions it added, txs,
+// which consumed spent: restore the spent entries first, then remove
+// the transactions' outputs, so an outpoint created and consumed within
+// the block is restored and then correctly deleted again. A transaction
+// applyBlock did not add is not touched: its txid may name an output
+// another block created.
+func (c *Chain) unapplyBlock(txs []*wire.MsgTx, spent []SpentOutput) {
+	for i := len(spent) - 1; i >= 0; i-- {
+		c.utxo.restore(spent[i].OutPoint, spent[i].Entry)
+		delete(c.spent, spent[i].OutPoint)
+	}
+	for _, tx := range txs {
+		c.utxo.remove(tx)
+		delete(c.txToBlock, tx.TxHash())
+	}
+}
+
+// connectBlock attaches node (whose parent is the current tip) to the
+// main chain, updating the UTXO table, spent journal and indexes.
+//
+// Validation runs as a two-phase pipeline. Phase one walks transactions
+// in block order through applyBlock — spends may chain within a block,
+// so input resolution and UTXO mutation stay serial and ordered —
+// checking amounts/maturity, spending inputs, adding outputs, and
+// capturing one script job per input with the locking script it
+// resolved. Phase two fans all captured script/signature checks out
+// across a bounded worker pool (consulting the shared signature cache),
+// with fail-fast cancellation; on failure the phase-one mutations are
+// rolled back. A body that fails either phase is flagged failed; a store
+// that refuses the commit says nothing about the body, so that path
+// leaves the flag alone.
+func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
+	start := time.Now()
+	blk := node.block
+	var totalFees int64
+	var jobs []scriptJob
+	spent, applied, err := c.applyBlock(node, func(i int, tx *wire.MsgTx) error {
+		// One main-chain transaction per txid: txToBlock, and with it
+		// every disconnect's derived undo list, depends on it.
+		if _, dup := c.txToBlock[tx.TxHash()]; dup {
+			return fmt.Errorf("%w: %s is already on the main chain", ErrDuplicateTx, tx.TxHash())
+		}
+		if i == 0 {
+			return nil
+		}
+		fee, entries, err := CheckTransactionInputs(tx, node.height, c.utxo, c.params.CoinbaseMaturity)
+		if err != nil {
+			return err
+		}
+		totalFees += fee
+		for j := range tx.TxIn {
+			jobs = append(jobs, scriptJob{tx: tx, txIdx: i, in: j, pkScript: entries[j].Out.PkScript})
+		}
+		return nil
+	})
+	reject := func(err error) ([]Notification, error) {
+		c.unapplyBlock(blk.Transactions[:applied], spent)
+		c.markFailedLocked(node)
+		return nil, err
+	}
+	if err != nil {
+		return reject(err)
 	}
 
 	// Coinbase value check: subsidy plus fees.
@@ -509,11 +542,11 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	}
 
 	// Durably commit the change as one atomic batch (block data, index
-	// row, tip, UTXO deltas, spend journal, subscriber rows) before the
-	// tip moves. If the store refuses, the block is rejected and the
-	// resident maps are rolled back — memory never runs ahead of disk.
-	if err := c.commitConnect(node, undo); err != nil {
-		rollback()
+	// row, tip, subscriber rows) before the tip moves. If the store
+	// refuses, the block is rejected and the resident maps are rolled
+	// back — memory never runs ahead of disk.
+	if err := c.commitConnect(node, spent); err != nil {
+		c.unapplyBlock(blk.Transactions, spent)
 		return nil, fmt.Errorf("chain: persist connect %s: %w", node.hash, err)
 	}
 
@@ -533,36 +566,55 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	return []Notification{{Connected: true, Block: blk, Height: node.height}}, nil
 }
 
+// spentBy derives what node's block, on the main chain, consumed: for
+// each input in block order, the entry the funding transaction created,
+// read from the main-chain block txToBlock places it in. An intra-block
+// spend resolves to node itself, so this must run while the block's own
+// transactions are still in txToBlock.
+func (c *Chain) spentBy(node *blockNode) ([]SpentOutput, error) {
+	var spent []SpentOutput
+	for _, tx := range node.block.Transactions[1:] {
+		for _, in := range tx.TxIn {
+			op := in.PreviousOutPoint
+			src := c.mainNodeOf(op.Hash)
+			if src == nil {
+				return nil, fmt.Errorf("%w: %v spent at height %d has no main-chain source",
+					ErrCorruptState, op, node.height)
+			}
+			funding := src.block.Transactions[c.txToBlock[op.Hash].index]
+			if int(op.Index) >= len(funding.TxOut) {
+				return nil, fmt.Errorf("%w: %v spent at height %d is out of range",
+					ErrCorruptState, op, node.height)
+			}
+			spent = append(spent, SpentOutput{OutPoint: op, Entry: &UtxoEntry{
+				Out:        *funding.TxOut[op.Index],
+				Height:     src.height,
+				IsCoinBase: funding.IsCoinBase(),
+			}})
+		}
+	}
+	return spent, nil
+}
+
 // disconnectBlock detaches the current tip from the main chain, undoing
-// its UTXO and journal effects. The spend journal is read back from the
-// store rather than resident memory — the only copy that provably
-// survived a restart — and the undoing batch is committed before any
-// resident map changes, so a store failure leaves memory untouched.
+// its UTXO and journal effects. What the block spent is derived from the
+// resident main-chain blocks, identical on a node that just restarted,
+// and the undoing batch is committed before any resident map changes,
+// so a store failure leaves memory untouched.
 func (c *Chain) disconnectBlock() (Notification, error) {
 	start := time.Now()
 	node := c.tip
 	if node.parent == nil {
 		return Notification{}, errors.New("chain: cannot disconnect genesis")
 	}
-	undo, err := c.loadUndo(node.hash)
+	spent, err := c.spentBy(node)
 	if err != nil {
 		return Notification{}, err
 	}
-	if err := c.commitDisconnect(node, undo); err != nil {
+	if err := c.commitDisconnect(node, spent); err != nil {
 		return Notification{}, fmt.Errorf("chain: persist disconnect %s: %w", node.hash, err)
 	}
-	// Restore spent entries first, then remove the block's outputs: an
-	// outpoint created and consumed within this block is restored by its
-	// undo row and then correctly deleted again by the removal pass.
-	for i := len(undo) - 1; i >= 0; i-- {
-		item := undo[i]
-		c.utxo.restore(item.op, item.entry)
-		delete(c.spent, item.op)
-	}
-	for _, tx := range node.block.Transactions {
-		c.utxo.remove(tx)
-		delete(c.txToBlock, tx.TxHash())
-	}
+	c.unapplyBlock(node.block.Transactions, spent)
 	node.inMain = false
 	c.tip = node.parent
 	c.mainChain = c.mainChain[:len(c.mainChain)-1]

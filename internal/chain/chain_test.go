@@ -659,3 +659,88 @@ func TestSubsidyHalvingOnChain(t *testing.T) {
 		t.Fatalf("halved coinbase rejected: %v", err)
 	}
 }
+
+// reorgOnto connects a branch of n empty blocks forking at the main-chain
+// block at height fork, and fails unless it becomes the main chain.
+func reorgOnto(t *testing.T, c *Chain, clk *clock.Simulated, fork, n int) {
+	t.Helper()
+	forkBlk, ok := c.BlockAtHeight(fork)
+	if !ok {
+		t.Fatalf("no main-chain block at height %d", fork)
+	}
+	branch := mineBranch(t, c, clk, forkBlk.BlockHash(), fork, n, 0xee)
+	for _, blk := range branch {
+		if _, err := c.ProcessBlock(blk); err != nil {
+			t.Fatalf("reorg branch block: %v", err)
+		}
+	}
+	if want := branch[n-1].BlockHash(); c.BestHash() != want {
+		t.Fatalf("tip = %s at height %d, want the branch tip", c.BestHash(), c.BestHeight())
+	}
+	if err := c.AuditFromGenesis(); err != nil {
+		t.Fatalf("audit after reorg: %v", err)
+	}
+}
+
+func TestReincludedTxRollsBackOnlyWhatItApplied(t *testing.T) {
+	// A block re-including confirmed transaction T is rejected. Its
+	// rollback must leave T's outputs and location alone: a later
+	// disconnect of T's spender derives its undo list from them.
+	c, clk := newTestChain(t)
+	blks := extend(t, c, clk, 11, 0)
+	cb := blks[0].Transactions[0]
+	tx := wire.NewMsgTx(wire.TxVersion)
+	tx.AddTxIn(&wire.TxIn{PreviousOutPoint: wire.OutPoint{Hash: cb.TxHash()}, Sequence: wire.MaxTxInSequenceNum})
+	half := (cb.TxOut[0].Value - 1000) / 2
+	tx.AddTxOut(&wire.TxOut{Value: half, PkScript: []byte{0x51}})
+	tx.AddTxOut(&wire.TxOut{Value: half, PkScript: []byte{0x51}})
+	mustProcessBlocks(t, c, []*wire.MsgBlock{
+		mineBlock(t, c, c.BestHash(), 12, clk.Advance(time.Minute), 0, 1000, tx),
+	})
+	unspent := wire.OutPoint{Hash: tx.TxHash(), Index: 0}
+	mineSpend(t, c, clk, wire.OutPoint{Hash: tx.TxHash(), Index: 1}, half, 1) // height 13
+
+	again := mineBlock(t, c, c.BestHash(), 14, clk.Advance(time.Minute), 2, 0, tx)
+	if status, err := c.ProcessBlock(again); status != StatusInvalid || err == nil {
+		t.Fatalf("re-included tx: status %v, err %v; want invalid", status, err)
+	}
+	if e := c.LookupUtxo(unspent); e == nil || e.Height != 12 {
+		t.Fatalf("rollback touched T's unspent output: %+v", e)
+	}
+	if h, i, ok := c.TxPosition(tx.TxHash()); !ok || h != 12 || i != 1 {
+		t.Fatalf("TxPosition(T) = %d, %d, %v; want 12, 1, true", h, i, ok)
+	}
+	reorgOnto(t, c, clk, 12, 2)
+	if c.LookupUtxo(wire.OutPoint{Hash: tx.TxHash(), Index: 1}) == nil {
+		t.Error("disconnected spend did not restore T's output")
+	}
+}
+
+func TestDuplicateCoinbaseRejected(t *testing.T) {
+	// A block whose coinbase repeats an earlier main-chain coinbase byte
+	// for byte would overwrite the original's outputs and location; the
+	// chain refuses it, and a reorg across a spend of the original
+	// still derives that spend's undo entry.
+	c, clk := newTestChain(t)
+	blks := extend(t, c, clk, 11, 0)
+	orig := blks[0].Transactions[0]
+	op := wire.OutPoint{Hash: orig.TxHash()}
+	mineSpend(t, c, clk, op, orig.TxOut[0].Value, 1) // height 12
+
+	// mineEmpty's coinbase is a function of (height, tag) only: asking
+	// for height 1 on top of the tip rebuilds the original exactly.
+	dup := mineEmpty(t, c, c.BestHash(), 1, clk.Advance(time.Minute), 0)
+	if dup.Transactions[0].TxHash() != orig.TxHash() {
+		t.Fatal("fixture: coinbase is not a duplicate")
+	}
+	if status, err := c.ProcessBlock(dup); status != StatusInvalid || !errors.Is(err, ErrDuplicateTx) {
+		t.Fatalf("duplicate coinbase: status %v, err %v; want ErrDuplicateTx", status, err)
+	}
+	if _, spent := c.IsSpent(op); !spent || c.LookupUtxo(op) != nil {
+		t.Fatal("rejected duplicate resurrected the spent original")
+	}
+	reorgOnto(t, c, clk, 11, 2)
+	if c.LookupUtxo(op) == nil {
+		t.Error("disconnected spend did not restore the original coinbase output")
+	}
+}

@@ -1,11 +1,14 @@
 package chain
 
-// Chain persistence: every main-chain mutation commits exactly one
-// atomic store batch, and Open reloads the block index, UTXO table and
-// spend journal from the store. The same code path runs against the
-// in-memory engine (tests, throwaway nodes) and the file engine
-// (durable nodes); the only difference is whether the batch outlives
-// the process.
+// Chain persistence: the stored blocks are the only record of what the
+// main chain did. Every main-chain mutation commits exactly one atomic
+// store batch, and Open reloads the block index from the store and
+// folds each main-chain block, in height order, into the UTXO table,
+// the spend journal and the transaction index — the same fold connect
+// performs, minus validation the blocks already passed. The same code
+// path runs against the in-memory engine (tests, throwaway nodes) and
+// the file engine (durable nodes); the only difference is whether the
+// batch outlives the process.
 //
 // Key schema (single byte prefixes; fixed-width big-endian heights so
 // lexicographic order is height order):
@@ -13,13 +16,6 @@ package chain
 //	T                 -> tip hash + height
 //	m + be32(height)  -> main-chain block hash at height
 //	b + hash          -> BlockRef of the serialized block (main or side)
-//	u + outpoint      -> UtxoEntry (value, height, coinbase, pkScript)
-//	s + outpoint      -> SpendRecord (spender, input index, height)
-//	U + hash          -> per-block spend journal: the entries the block
-//	                     consumed, in spend order. Disconnect replays
-//	                     this journal rather than trusting resident
-//	                     state, so a reorg works identically on a node
-//	                     that just restarted.
 //	h + hash          -> 80-byte block header in the header index
 //	                     (headers-first sync). Rows are written when the
 //	                     header is accepted — which may be long before
@@ -30,9 +26,11 @@ package chain
 //	                     best-header tip itself is not stored but
 //	                     recomputed as the maximum-work header on load.
 //
-// Subsystems above the chain (wallet view, ledger seen-index) join the
-// same batch through SubscribePersist, so a crash can never commit a
-// block without their matching rows.
+// Disconnect derives what a block spent from the resident main-chain
+// blocks that created it, so a reorg works identically on a node that
+// just restarted. Subsystems above the chain (index rows, ledger
+// seen-index) join the same batch through SubscribePersist, so a crash
+// can never commit a block without their matching rows.
 
 import (
 	"bytes"
@@ -67,118 +65,31 @@ func keyMain(height int) []byte {
 
 func keyBlock(h chainhash.Hash) []byte { return append([]byte("b"), h[:]...) }
 
-func keyUndo(h chainhash.Hash) []byte { return append([]byte("U"), h[:]...) }
-
 func keyHeader(h chainhash.Hash) []byte { return append([]byte("h"), h[:]...) }
 
-func appendOutPoint(dst []byte, op wire.OutPoint) []byte {
-	dst = append(dst, op.Hash[:]...)
-	var idx [4]byte
-	binary.LittleEndian.PutUint32(idx[:], op.Index)
-	return append(dst, idx[:]...)
-}
-
-const outPointSize = 36
-
-func decodeOutPoint(b []byte) (wire.OutPoint, error) {
-	var op wire.OutPoint
-	if len(b) != outPointSize {
-		return op, fmt.Errorf("%w: outpoint is %d bytes", ErrCorruptState, len(b))
-	}
-	copy(op.Hash[:], b[:32])
-	op.Index = binary.LittleEndian.Uint32(b[32:])
-	return op, nil
-}
-
-func keyUtxo(op wire.OutPoint) []byte  { return appendOutPoint([]byte("u"), op) }
-func keySpent(op wire.OutPoint) []byte { return appendOutPoint([]byte("s"), op) }
-
-// outPointKey is a stack-friendly reusable buffer for the u/s keys: the
-// commit paths write hundreds of outpoint keys per block, and building
-// each with keyUtxo/keySpent costs an allocation apiece. Batch.Put
-// copies its arguments, so one buffer serves every op.
-type outPointKey [1 + outPointSize]byte
-
-func (k *outPointKey) set(prefix byte, op wire.OutPoint) []byte {
-	k[0] = prefix
-	copy(k[1:33], op.Hash[:])
-	binary.LittleEndian.PutUint32(k[33:], op.Index)
-	return k[:]
-}
-
-// Value codecs. All integers are unsigned varints; heights and values
-// in this system are non-negative.
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
-// cursor is a destructive slice reader for the small fixed codecs.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) fail(what string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: truncated %s", ErrCorruptState, what)
-	}
-}
-
-func (c *cursor) bytes(n int, what string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if len(c.b) < n {
-		c.fail(what)
-		return nil
-	}
-	out := c.b[:n]
-	c.b = c.b[n:]
-	return out
-}
-
-func (c *cursor) uvarint(what string) uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail(what)
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *cursor) hash(what string) chainhash.Hash {
-	var h chainhash.Hash
-	copy(h[:], c.bytes(32, what))
-	return h
-}
-
-func (c *cursor) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptState, len(c.b))
-	}
-	return nil
-}
+// retiredFamilies are the derived-state rows earlier releases kept beside
+// the blocks, in every package sharing the store: the chain's u (unspent
+// outputs), s (spend journal) and U (per-block undo), the wallet's wu
+// (its coins) and the index's is (outpoint spends). Each is now folded
+// from the blocks; load drops any such row, so the upgrade lives here
+// alone and the packages above the chain carry no upgrade code.
+var retiredFamilies = [][]byte{[]byte("u"), []byte("s"), []byte("U"), []byte("wu"), []byte("is")}
 
 func encodeTip(h chainhash.Hash, height int) []byte {
-	out := append([]byte(nil), h[:]...)
-	return appendUvarint(out, uint64(height))
+	return binary.AppendUvarint(append([]byte(nil), h[:]...), uint64(height))
 }
 
 func decodeTip(b []byte) (chainhash.Hash, int, error) {
-	c := &cursor{b: b}
-	h := c.hash("tip hash")
-	height := c.uvarint("tip height")
-	return h, int(height), c.done()
+	var h chainhash.Hash
+	if len(b) < len(h) {
+		return h, 0, fmt.Errorf("%w: tip row is %d bytes", ErrCorruptState, len(b))
+	}
+	copy(h[:], b)
+	height, n := binary.Uvarint(b[len(h):])
+	if n <= 0 || n != len(b)-len(h) {
+		return h, 0, fmt.Errorf("%w: bad tip height", ErrCorruptState)
+	}
+	return h, int(height), nil
 }
 
 func encodeBlockRef(ref store.BlockRef) []byte {
@@ -198,110 +109,9 @@ func decodeBlockRef(b []byte) (store.BlockRef, error) {
 	}, nil
 }
 
-func appendUtxoEntry(dst []byte, e *UtxoEntry) []byte {
-	var flags byte
-	if e.IsCoinBase {
-		flags |= 1
-	}
-	dst = append(dst, flags)
-	dst = appendUvarint(dst, uint64(e.Height))
-	dst = appendUvarint(dst, uint64(e.Out.Value))
-	dst = appendUvarint(dst, uint64(len(e.Out.PkScript)))
-	return append(dst, e.Out.PkScript...)
-}
-
-func decodeUtxoEntryFrom(c *cursor) *UtxoEntry {
-	flags := c.bytes(1, "utxo flags")
-	height := c.uvarint("utxo height")
-	value := c.uvarint("utxo value")
-	slen := c.uvarint("utxo script length")
-	var script []byte
-	if c.err == nil {
-		script = append([]byte(nil), c.bytes(int(slen), "utxo script")...)
-	}
-	if c.err != nil {
-		return nil
-	}
-	return &UtxoEntry{
-		Out:        wire.TxOut{Value: int64(value), PkScript: script},
-		Height:     int(height),
-		IsCoinBase: flags[0]&1 != 0,
-	}
-}
-
-func decodeUtxoEntry(b []byte) (*UtxoEntry, error) {
-	c := &cursor{b: b}
-	e := decodeUtxoEntryFrom(c)
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func appendSpendRecord(dst []byte, rec SpendRecord) []byte {
-	dst = append(dst, rec.Spender[:]...)
-	var idx [4]byte
-	binary.LittleEndian.PutUint32(idx[:], rec.SpentBy.Index)
-	dst = append(dst, idx[:]...)
-	return appendUvarint(dst, uint64(rec.Height))
-}
-
-func encodeSpendRecord(rec SpendRecord) []byte {
-	return appendSpendRecord(nil, rec)
-}
-
-func decodeSpendRecord(b []byte) (SpendRecord, error) {
-	c := &cursor{b: b}
-	spender := c.hash("spend record spender")
-	idx := c.bytes(4, "spend record index")
-	height := c.uvarint("spend record height")
-	if err := c.done(); err != nil {
-		return SpendRecord{}, err
-	}
-	index := binary.LittleEndian.Uint32(idx)
-	return SpendRecord{
-		SpentBy: wire.OutPoint{Hash: spender, Index: index},
-		Spender: spender,
-		Height:  int(height),
-	}, nil
-}
-
-func encodeUndo(undo []undoItem) []byte {
-	out := appendUvarint(nil, uint64(len(undo)))
-	for _, item := range undo {
-		out = appendOutPoint(out, item.op)
-		out = appendUtxoEntry(out, item.entry)
-	}
-	return out
-}
-
-func decodeUndo(b []byte) ([]undoItem, error) {
-	c := &cursor{b: b}
-	count := c.uvarint("undo count")
-	if count > uint64(len(b)) {
-		return nil, fmt.Errorf("%w: undo count %d exceeds payload", ErrCorruptState, count)
-	}
-	items := make([]undoItem, 0, count)
-	for i := uint64(0); i < count && c.err == nil; i++ {
-		opBytes := c.bytes(outPointSize, "undo outpoint")
-		entry := decodeUtxoEntryFrom(c)
-		if c.err != nil {
-			break
-		}
-		op, err := decodeOutPoint(opBytes)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, undoItem{op: op, entry: entry})
-	}
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	return items, nil
-}
-
-// SpentOutput pairs a consumed outpoint with the entry it held — the
-// spend-journal row exposed to persist subscribers.
+// SpentOutput pairs an outpoint a block consumed with the entry it
+// held: what a connect's fold returns and a disconnect derives, and what
+// persist subscribers see, in spend order.
 type SpentOutput struct {
 	OutPoint wire.OutPoint
 	Entry    *UtxoEntry
@@ -444,18 +254,10 @@ func (c *Chain) bootstrap() error {
 	b.Put(keyBlock(gnode.hash), encodeBlockRef(ref))
 	b.Put(keyMain(0), gnode.hash[:])
 	b.Put(keyTip, encodeTip(gnode.hash, 0))
-	// Genesis outputs enter the UTXO table (ours is OP_RETURN, so in
-	// practice nothing does; the loop keeps the invariant uniform).
-	for i, tx := range genesis.Transactions {
-		c.utxo.add(tx, 0)
-		txid := tx.TxHash()
-		c.txToBlock[txid] = txLoc{block: gnode.hash, index: i}
-		for j := range tx.TxOut {
-			op := wire.OutPoint{Hash: txid, Index: uint32(j)}
-			if e := c.utxo.Lookup(op); e != nil {
-				b.Put(keyUtxo(op), appendUtxoEntry(nil, e))
-			}
-		}
+	// Genesis outputs enter the UTXO table exactly as load's fold enters
+	// them (ours is OP_RETURN, so in practice nothing does).
+	if _, _, err := c.applyBlock(gnode, nil); err != nil {
+		return err
 	}
 	return c.st.Apply(b)
 }
@@ -482,9 +284,10 @@ func (c *Chain) readBlock(h chainhash.Hash) (*wire.MsgBlock, error) {
 }
 
 // load rebuilds the resident chain state from the store: the linked
-// main chain (verifying hashes and linkage — the tip integrity check),
-// any stored side-chain blocks and skeleton headers that still attach,
-// the UTXO table and the spend journal.
+// main chain (verifying hashes and linkage — the tip integrity check)
+// folded into the UTXO table, spend journal and transaction index, and
+// any stored side-chain blocks and skeleton headers that still attach.
+// Rows of the retired derived-state families are then dropped.
 func (c *Chain) load() error {
 	tipRaw, err := c.st.Get(keyTip)
 	if err != nil {
@@ -536,8 +339,8 @@ func (c *Chain) load() error {
 		}
 		c.index[want] = node
 		c.mainChain = append(c.mainChain, node)
-		for i, tx := range blk.Transactions {
-			c.txToBlock[tx.TxHash()] = txLoc{block: want, index: i}
+		if _, _, err := c.applyBlock(node, nil); err != nil {
+			return fmt.Errorf("%w: block at height %d: %v", ErrCorruptState, h, err)
 		}
 		parent = node
 	}
@@ -623,34 +426,12 @@ func (c *Chain) load() error {
 	}
 	c.selectHeaderTipLocked()
 
-	// UTXO table and spend journal.
-	err = c.st.Iterate([]byte("u"), func(k, v []byte) error {
-		op, err := decodeOutPoint(k[1:])
-		if err != nil {
+	for _, prefix := range retiredFamilies {
+		if err := store.DeletePrefix(c.st, prefix); err != nil {
 			return err
 		}
-		entry, err := decodeUtxoEntry(v)
-		if err != nil {
-			return err
-		}
-		c.utxo.restore(op, entry)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	return c.st.Iterate([]byte("s"), func(k, v []byte) error {
-		op, err := decodeOutPoint(k[1:])
-		if err != nil {
-			return err
-		}
-		rec, err := decodeSpendRecord(v)
-		if err != nil {
-			return err
-		}
-		c.spent[op] = rec
-		return nil
-	})
+	return nil
 }
 
 // persistSideBlock stores a side-chain block's data and index row so a
@@ -674,12 +455,12 @@ func (c *Chain) persistSideBlock(node *blockNode) error {
 }
 
 // commitConnect assembles and applies the atomic batch for connecting
-// node. Caller holds c.mu; the chain's resident maps have already been
-// mutated and will be rolled back by the caller if the commit fails.
-func (c *Chain) commitConnect(node *blockNode, undo []undoItem) error {
+// node, whose block consumed spent. Caller holds c.mu; the chain's
+// resident maps have already been mutated and will be rolled back by the
+// caller if the commit fails.
+func (c *Chain) commitConnect(node *blockNode, spent []SpentOutput) error {
 	b := store.NewBatch()
-	blkHash := node.hash
-	has, err := c.st.Has(keyBlock(blkHash))
+	has, err := c.st.Has(keyBlock(node.hash))
 	if err != nil {
 		return err
 	}
@@ -688,38 +469,32 @@ func (c *Chain) commitConnect(node *blockNode, undo []undoItem) error {
 		if err != nil {
 			return err
 		}
-		b.Put(keyBlock(blkHash), encodeBlockRef(ref))
+		b.Put(keyBlock(node.hash), encodeBlockRef(ref))
 	}
-	b.Put(keyMain(node.height), blkHash[:])
-	b.Put(keyTip, encodeTip(blkHash, node.height))
-	b.Put(keyUndo(blkHash), encodeUndo(undo))
-	var key outPointKey
-	var rowBuf []byte
-	spent := make([]SpentOutput, 0, len(undo))
-	for _, item := range undo {
-		b.Delete(key.set('u', item.op))
-		rowBuf = appendSpendRecord(rowBuf[:0], c.spent[item.op])
-		b.Put(key.set('s', item.op), rowBuf)
-		spent = append(spent, SpentOutput{OutPoint: item.op, Entry: item.entry})
-	}
-	for _, tx := range node.block.Transactions {
-		txid := tx.TxHash()
-		for i := range tx.TxOut {
-			op := wire.OutPoint{Hash: txid, Index: uint32(i)}
-			e := c.utxo.Lookup(op)
-			if e == nil {
-				continue
-			}
-			rowBuf = appendUtxoEntry(rowBuf[:0], e)
-			b.Put(key.set('u', op), rowBuf)
-		}
-	}
-	ev := PersistEvent{Connected: true, Block: node.block, Height: node.height, Spent: spent}
+	b.Put(keyMain(node.height), node.hash[:])
+	b.Put(keyTip, encodeTip(node.hash, node.height))
+	return c.commit(b, PersistEvent{Connected: true, Block: node.block, Height: node.height, Spent: spent})
+}
+
+// commitDisconnect assembles and applies the atomic batch for
+// disconnecting the tip, which gives spent back. Caller holds c.mu and
+// mutates resident state only after this succeeds. The new tip is the
+// parent: once this batch is durable, the chain can only replay to
+// parent or later, never to the detached block.
+func (c *Chain) commitDisconnect(node *blockNode, spent []SpentOutput) error {
+	b := store.NewBatch()
+	b.Delete(keyMain(node.height))
+	b.Put(keyTip, encodeTip(node.parent.hash, node.parent.height))
+	return c.commit(b, PersistEvent{Connected: false, Block: node.block, Height: node.height, Spent: spent})
+}
+
+// commit adds the subscriber rows for ev and any headers accepted since
+// the last commit (including a connected block's own, when it is new)
+// to b, then applies it.
+func (c *Chain) commit(b *store.Batch, ev PersistEvent) error {
 	for _, fn := range c.persisters {
 		fn(ev, b)
 	}
-	// Any headers accepted since the last commit (including this block's
-	// own, when it is new) ride the same atomic batch.
 	c.stageHeaderRows(b)
 	return c.applyBatch(b)
 }
@@ -736,52 +511,6 @@ func (c *Chain) applyBatch(b *store.Batch) error {
 		c.tel.commits.Inc()
 	}
 	return err
-}
-
-// commitDisconnect assembles and applies the atomic batch for
-// disconnecting the tip, given its decoded spend journal. Caller holds
-// c.mu and mutates resident state only after this succeeds.
-func (c *Chain) commitDisconnect(node *blockNode, undo []undoItem) error {
-	b := store.NewBatch()
-	b.Delete(keyMain(node.height))
-	b.Delete(keyUndo(node.hash))
-	parent := node.parent
-	b.Put(keyTip, encodeTip(parent.hash, parent.height))
-	// Restore-then-delete, matching the resident order: batch ops apply
-	// in sequence, so an outpoint created and consumed within this block
-	// is restored by its undo row and then deleted by the removal pass.
-	var key outPointKey
-	var rowBuf []byte
-	spent := make([]SpentOutput, 0, len(undo))
-	for _, item := range undo {
-		rowBuf = appendUtxoEntry(rowBuf[:0], item.entry)
-		b.Put(key.set('u', item.op), rowBuf)
-		b.Delete(key.set('s', item.op))
-		spent = append(spent, SpentOutput{OutPoint: item.op, Entry: item.entry})
-	}
-	for _, tx := range node.block.Transactions {
-		txid := tx.TxHash()
-		for i := range tx.TxOut {
-			b.Delete(key.set('u', wire.OutPoint{Hash: txid, Index: uint32(i)}))
-		}
-	}
-	ev := PersistEvent{Connected: false, Block: node.block, Height: node.height, Spent: spent}
-	for _, fn := range c.persisters {
-		fn(ev, b)
-	}
-	c.stageHeaderRows(b)
-	// The new tip is the parent: once this batch is durable, the chain
-	// can only replay to parent or later, never to the detached block.
-	return c.applyBatch(b)
-}
-
-// loadUndo fetches and decodes the spend journal of a connected block.
-func (c *Chain) loadUndo(h chainhash.Hash) ([]undoItem, error) {
-	raw, err := c.st.Get(keyUndo(h))
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing spend journal for %s (%v)", ErrCorruptState, h, err)
-	}
-	return decodeUndo(raw)
 }
 
 // AuditFromGenesis structurally replays the whole main chain and checks

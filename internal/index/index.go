@@ -1,8 +1,9 @@
 package index
 
 // Package index maintains Blockbook-style query indexes over the main
-// chain: address -> transaction history, outpoint -> spending
-// transaction, and principal -> Typecoin announcement/receipt activity.
+// chain: address -> transaction history and principal -> Typecoin
+// announcement/receipt activity. Outpoint -> spending transaction is
+// answered from the chain's own spend journal.
 //
 // The indexer is a persist subscriber: its rows ride in the SAME atomic
 // store batch as each chain connect/disconnect, so a crash can never
@@ -107,8 +108,8 @@ func (ix *Indexer) Tip() (chainhash.Hash, int, error) {
 // stored tip on the main chain (incremental replay above it), stored
 // tip elsewhere — a fork abandoned while the indexer was not attached,
 // or a torn rebuild — (wipe and rebuild). The replay maintains its own
-// outpoint table, deliberately independent of the chain's undo journal,
-// so rebuild-vs-incremental comparisons exercise two genuinely
+// outpoint table, deliberately independent of the chain's spend
+// journal, so rebuild-vs-incremental comparisons exercise two genuinely
 // different code paths.
 func (ix *Indexer) catchUp(snap chain.Snapshot) error {
 	from := 0
@@ -143,30 +144,7 @@ func (ix *Indexer) catchUp(snap chain.Snapshot) error {
 }
 
 // wipe deletes every index row ('i' prefix) in bounded batches.
-func (ix *Indexer) wipe() error {
-	var keys [][]byte
-	err := ix.st.Iterate([]byte("i"), func(k, v []byte) error {
-		keys = append(keys, append([]byte(nil), k...))
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	b := store.NewBatch()
-	for _, k := range keys {
-		b.Delete(k)
-		if b.Len() >= 4096 {
-			if err := ix.st.Apply(b); err != nil {
-				return err
-			}
-			b = store.NewBatch()
-		}
-	}
-	if b.Len() > 0 {
-		return ix.st.Apply(b)
-	}
-	return nil
-}
+func (ix *Indexer) wipe() error { return store.DeletePrefix(ix.st, []byte("i")) }
 
 // replayInto replays main-chain blocks [0, upTo] against dst,
 // maintaining its own outpoint->entry table for input attribution, and
@@ -278,16 +256,12 @@ func computeBlockRows(blk *wire.MsgBlock, height int, spent []chain.SpentOutput)
 			return d
 		}
 		if ti > 0 {
-			for vin, in := range tx.TxIn {
+			for range tx.TxIn {
 				if cursor >= len(spent) {
 					break // defensively tolerate a short journal
 				}
 				so := spent[cursor]
 				cursor++
-				br.rows = append(br.rows, rowOp{
-					key: spendKey(in.PreviousOutPoint),
-					val: encodeSpend(txid, uint32(vin), height),
-				})
 				if so.Entry == nil {
 					continue
 				}
@@ -534,22 +508,14 @@ type SpendInfo struct {
 	Height  int
 }
 
-// Outspend looks up the main-chain spend of op, if any.
+// Outspend looks up the main-chain spend of op, if any, in the chain's
+// spend journal.
 func (ix *Indexer) Outspend(op wire.OutPoint) (SpendInfo, bool, error) {
-	k := spendKey(op)
-	has, err := ix.st.Has(k)
-	if err != nil || !has {
-		return SpendInfo{}, false, err
+	rec, ok := ix.c.IsSpent(op)
+	if !ok {
+		return SpendInfo{}, false, nil
 	}
-	v, err := ix.st.Get(k)
-	if err != nil {
-		return SpendInfo{}, false, err
-	}
-	spender, vin, height, err := decodeSpend(v)
-	if err != nil {
-		return SpendInfo{}, false, err
-	}
-	return SpendInfo{Spender: spender, Vin: vin, Height: height}, true, nil
+	return SpendInfo{Spender: rec.Spender, Vin: rec.SpentBy.Index, Height: rec.Height}, true, nil
 }
 
 // DefaultPageLimit bounds query pages when the client does not say.

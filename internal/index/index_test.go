@@ -61,7 +61,16 @@ type harness struct {
 func newHarness(t testing.TB, seed string, st store.Store) *harness {
 	t.Helper()
 	params := chain.RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
+	return openNode(t, st, clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute)), seed)
+}
+
+// openNode attaches chain, index, pool, wallet and miner to st, in the
+// daemon's order, on clk — a reopened node passes the clock of the one
+// it replaces to continue its timeline. The payout key is the wallet's
+// first, created when the store holds none.
+func openNode(t testing.TB, st store.Store, clk *clock.Simulated, entropy string) *harness {
+	t.Helper()
+	params := chain.RegTestParams()
 	c, err := chain.Open(chain.Config{Params: params, Clock: clk, Store: st})
 	if err != nil {
 		t.Fatalf("open chain: %v", err)
@@ -71,19 +80,18 @@ func newHarness(t testing.TB, seed string, st store.Store) *harness {
 		t.Fatalf("open index: %v", err)
 	}
 	pool := mempool.New(c, -1)
-	w, err := wallet.Open(c, testutil.NewEntropy(seed))
+	w, err := wallet.Open(c, testutil.NewEntropy(entropy))
 	if err != nil {
 		t.Fatalf("open wallet: %v", err)
 	}
-	payout, err := w.NewKey()
-	if err != nil {
+	h := &harness{params: params, clk: clk, chain: c, ix: ix, pool: pool,
+		miner: miner.New(c, pool, clk), wallet: w}
+	if ps := w.Principals(); len(ps) > 0 {
+		h.payout = ps[0]
+	} else if h.payout, err = w.NewKey(); err != nil {
 		t.Fatal(err)
 	}
-	return &harness{
-		params: params, clk: clk, chain: c, ix: ix,
-		pool: pool, miner: miner.New(c, pool, clk),
-		wallet: w, payout: payout,
-	}
+	return h
 }
 
 func (h *harness) mine(t testing.TB) *wire.MsgBlock {

@@ -1,17 +1,15 @@
 package index
 
 // Key schema. Every index row lives under the 'i' byte, disjoint from
-// the chain ('T','m','b','u','s','U'), wallet ("wk","wu"), ledger
-// ("ka","ls","la"), mempool ("P") and banscore ("nb") families. Heights
-// and transaction positions are big-endian in keys so lexicographic
-// order is chain order — the property cursor pagination leans on.
+// the chain ('T','m','b','h'), wallet ("wk"), ledger ("ka","ls","la"),
+// mempool ("P") and banscore ("nb") families. Heights and transaction
+// positions are big-endian in keys so lexicographic order is chain
+// order — the property cursor pagination leans on.
 //
 //	iT                                  -> index tip: hash + height
 //	ih + addr(20) + be32(h) + be32(tx)  -> address history row: txid,
 //	                                       role flags, satoshi funded
 //	                                       and spent by that tx
-//	is + outpoint(36)                   -> spending-tx row: spender
-//	                                       txid, input index, height
 //	ip + addr(20) + be32(h) + be32(tx)  -> principal activity row: the
 //	                                       metadata-bearing carrier and
 //	                                       the Typecoin commitment hash
@@ -20,7 +18,9 @@ package index
 //
 // One history row aggregates everything a single transaction does to a
 // single address (multiple outputs to one principal coalesce), exactly
-// the granularity Blockbook's address API exposes.
+// the granularity Blockbook's address API exposes. Which transaction
+// spent an outpoint is not stored: the chain's spend journal answers it
+// (Outspend); the chain's load drops the "is" rows earlier releases kept.
 
 import (
 	"encoding/binary"
@@ -28,7 +28,6 @@ import (
 
 	"typecoin/internal/bkey"
 	"typecoin/internal/chainhash"
-	"typecoin/internal/wire"
 )
 
 // Role flags in history and principal rows.
@@ -42,10 +41,7 @@ const (
 
 var keyTip = []byte("iT")
 
-const (
-	addrKeyLen     = 2 + bkey.PrincipalSize + 4 + 4
-	outPointKeyLen = 2 + 36
-)
+const addrKeyLen = 2 + bkey.PrincipalSize + 4 + 4
 
 // ErrCorrupt reports an index row that fails to decode — the index is
 // derived state, so the remedy is a rebuild, not a refusal to start.
@@ -82,25 +78,10 @@ func decodeAddrKey(k []byte) (height, txIdx uint32, err error) {
 	return binary.BigEndian.Uint32(k[22:26]), binary.BigEndian.Uint32(k[26:30]), nil
 }
 
-func spendKey(op wire.OutPoint) []byte {
-	dst := make([]byte, 0, outPointKeyLen)
-	dst = append(dst, 'i', 's')
-	dst = append(dst, op.Hash[:]...)
-	var le [4]byte
-	binary.LittleEndian.PutUint32(le[:], op.Index)
-	return append(dst, le[:]...)
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
 // Tip row: hash + uvarint height.
 
 func encodeTip(h chainhash.Hash, height int) []byte {
-	return appendUvarint(append([]byte(nil), h[:]...), uint64(height))
+	return binary.AppendUvarint(append([]byte(nil), h[:]...), uint64(height))
 }
 
 func decodeTip(b []byte) (chainhash.Hash, int, error) {
@@ -122,8 +103,8 @@ func encodeHist(txid chainhash.Hash, flags byte, funded, spent int64) []byte {
 	out := make([]byte, 0, 32+1+2*binary.MaxVarintLen64)
 	out = append(out, txid[:]...)
 	out = append(out, flags)
-	out = appendUvarint(out, uint64(funded))
-	return appendUvarint(out, uint64(spent))
+	out = binary.AppendUvarint(out, uint64(funded))
+	return binary.AppendUvarint(out, uint64(spent))
 }
 
 func decodeHist(b []byte) (txid chainhash.Hash, flags byte, funded, spent int64, err error) {
@@ -143,30 +124,6 @@ func decodeHist(b []byte) (txid chainhash.Hash, flags byte, funded, spent int64,
 		return txid, 0, 0, 0, fmt.Errorf("%w: bad spent amount", errCorrupt)
 	}
 	return txid, flags, int64(f), int64(s), nil
-}
-
-// Spend row: spender txid + le32 input index + uvarint height.
-
-func encodeSpend(spender chainhash.Hash, vin uint32, height int) []byte {
-	out := make([]byte, 0, 32+4+binary.MaxVarintLen64)
-	out = append(out, spender[:]...)
-	var le [4]byte
-	binary.LittleEndian.PutUint32(le[:], vin)
-	out = append(out, le[:]...)
-	return appendUvarint(out, uint64(height))
-}
-
-func decodeSpend(b []byte) (spender chainhash.Hash, vin uint32, height int, err error) {
-	if len(b) < 37 {
-		return spender, 0, 0, fmt.Errorf("%w: spend row is %d bytes", errCorrupt, len(b))
-	}
-	copy(spender[:], b[:32])
-	vin = binary.LittleEndian.Uint32(b[32:36])
-	v, n := binary.Uvarint(b[36:])
-	if n <= 0 || n != len(b)-36 {
-		return spender, 0, 0, fmt.Errorf("%w: bad spend height", errCorrupt)
-	}
-	return spender, vin, int(v), nil
 }
 
 // Principal row: carrier txid + commitment hash + flags.

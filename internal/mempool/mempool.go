@@ -474,7 +474,9 @@ func (p *Pool) onChainChange(n chain.Notification) {
 				}
 				p.tel.spans.Observe(telemetry.SpanTx, txid, telemetry.StageMined)
 			}
-			p.removeLocked(txid)
+			// Confirmed, not evicted: children that spend its outputs
+			// stay pooled and are mineable in the next block.
+			p.dropLocked(txid)
 			// Evict anything that now conflicts with a confirmed spend.
 			for _, in := range tx.TxIn {
 				if spender, ok := p.spends[in.PreviousOutPoint]; ok {
@@ -499,12 +501,13 @@ func (p *Pool) onChainChange(n chain.Notification) {
 	}
 }
 
-// removeLocked removes txid and its spend claims, and recursively evicts
-// descendants that spent its outputs.
-func (p *Pool) removeLocked(txid chainhash.Hash) {
+// dropLocked removes txid and its spend claims, leaving any pooled
+// children in place, and returns the removed entry (nil if txid was not
+// pooled).
+func (p *Pool) dropLocked(txid chainhash.Hash) *poolTx {
 	ptx, ok := p.pool[txid]
 	if !ok {
-		return
+		return nil
 	}
 	delete(p.pool, txid)
 	p.bytes -= int64(ptx.size)
@@ -512,6 +515,16 @@ func (p *Pool) removeLocked(txid chainhash.Hash) {
 		if p.spends[in.PreviousOutPoint] == txid {
 			delete(p.spends, in.PreviousOutPoint)
 		}
+	}
+	return ptx
+}
+
+// removeLocked removes txid and its spend claims, and recursively evicts
+// descendants that spent its outputs.
+func (p *Pool) removeLocked(txid chainhash.Hash) {
+	ptx := p.dropLocked(txid)
+	if ptx == nil {
+		return
 	}
 	for i := range ptx.tx.TxOut {
 		op := wire.OutPoint{Hash: txid, Index: uint32(i)}

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"typecoin/internal/bkey"
 	"typecoin/internal/chain"
 	"typecoin/internal/mempool"
+	"typecoin/internal/miner"
 	"typecoin/internal/script"
 	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
@@ -155,24 +157,7 @@ func TestChainedUnconfirmedSpends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// tx2 spends tx1's payment output before confirmation.
-	tx2 := wire.NewMsgTx(wire.TxVersion)
-	tx2.AddTxIn(&wire.TxIn{
-		PreviousOutPoint: wire.OutPoint{Hash: tx1.TxHash(), Index: 0},
-		Sequence:         wire.MaxTxInSequenceNum,
-	})
-	tx2.AddTxOut(&wire.TxOut{
-		Value:    2_0000_0000 - mempool.DefaultMinRelayFee,
-		PkScript: script.PayToPubKeyHash(dest),
-	})
-	key, err := h.Wallet.Key(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := script.SignatureScript(tx2, 0, tx1.TxOut[0].PkScript, script.SigHashAll, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2.TxIn[0].SignatureScript = sig
+	tx2 := buildChild(t, h, tx1, dest)
 	if _, err := h.Pool.Accept(tx2); err != nil {
 		t.Fatalf("chained spend rejected: %v", err)
 	}
@@ -196,6 +181,84 @@ func TestChainedUnconfirmedSpends(t *testing.T) {
 	}
 }
 
+// buildChild signs a transaction spending parent's first output, which
+// pays 2 BTC to dest, back to dest at the minimum relay fee.
+func buildChild(t *testing.T, h *testutil.Harness, parent *wire.MsgTx, dest bkey.Principal) *wire.MsgTx {
+	t.Helper()
+	child := wire.NewMsgTx(wire.TxVersion)
+	child.AddTxIn(&wire.TxIn{
+		PreviousOutPoint: wire.OutPoint{Hash: parent.TxHash(), Index: 0},
+		Sequence:         wire.MaxTxInSequenceNum,
+	})
+	child.AddTxOut(&wire.TxOut{
+		Value:    2_0000_0000 - mempool.DefaultMinRelayFee,
+		PkScript: script.PayToPubKeyHash(dest),
+	})
+	key, err := h.Wallet.Key(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := script.SignatureScript(child, 0, parent.TxOut[0].PkScript, script.SigHashAll, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child.TxIn[0].SignatureScript = sig
+	return child
+}
+
+// TestConfirmedParentKeepsChild connects a block holding a pooled parent
+// but not its pooled child: confirmation removes the parent only, so the
+// child stays pooled and the next block mines it.
+func TestConfirmedParentKeepsChild(t *testing.T) {
+	h := fundedHarness(t)
+	dest, err := h.Wallet.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := h.Wallet.Build([]wallet.Output{
+		{Value: 2_0000_0000, PkScript: script.PayToPubKeyHash(dest)},
+	}, wallet.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Pool.Accept(parent); err != nil {
+		t.Fatal(err)
+	}
+	child := buildChild(t, h, parent, dest)
+	if _, err := h.Pool.Accept(child); err != nil {
+		t.Fatal(err)
+	}
+
+	// A block carrying the parent alone, as another miner might build it.
+	h.Clock.Advance(h.Params.TargetSpacing)
+	blk, err := miner.New(h.Chain, nil, h.Clock).BuildBlock(h.MinerKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk.Transactions = append(blk.Transactions, parent)
+	blk.Header.MerkleRoot = wire.ComputeMerkleRoot(blk.Transactions)
+	if err := miner.SolveBlock(blk); err != nil {
+		t.Fatal(err)
+	}
+	if status, err := h.Chain.ProcessBlock(blk); err != nil || status != chain.StatusMainChain {
+		t.Fatalf("parent block: status %v, err %v", status, err)
+	}
+
+	if h.Pool.Have(parent.TxHash()) {
+		t.Error("confirmed parent still pooled")
+	}
+	if !h.Pool.Have(child.TxHash()) {
+		t.Fatal("child of a confirmed parent evicted")
+	}
+	h.MineBlocks(t, 1)
+	if got := h.Chain.Confirmations(child.TxHash()); got != 1 {
+		t.Errorf("child confirmations = %d after the next block, want 1", got)
+	}
+	if h.Pool.Size() != 0 {
+		t.Errorf("pool size after mining the child = %d", h.Pool.Size())
+	}
+}
+
 func TestRemoveEvictsDescendants(t *testing.T) {
 	h := fundedHarness(t)
 	dest, err := h.Wallet.NewKey()
@@ -211,24 +274,7 @@ func TestRemoveEvictsDescendants(t *testing.T) {
 	if _, err := h.Pool.Accept(tx1); err != nil {
 		t.Fatal(err)
 	}
-	tx2 := wire.NewMsgTx(wire.TxVersion)
-	tx2.AddTxIn(&wire.TxIn{
-		PreviousOutPoint: wire.OutPoint{Hash: tx1.TxHash(), Index: 0},
-		Sequence:         wire.MaxTxInSequenceNum,
-	})
-	tx2.AddTxOut(&wire.TxOut{
-		Value:    2_0000_0000 - mempool.DefaultMinRelayFee,
-		PkScript: script.PayToPubKeyHash(dest),
-	})
-	key, err := h.Wallet.Key(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := script.SignatureScript(tx2, 0, tx1.TxOut[0].PkScript, script.SigHashAll, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2.TxIn[0].SignatureScript = sig
+	tx2 := buildChild(t, h, tx1, dest)
 	if _, err := h.Pool.Accept(tx2); err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,14 @@ type Harness struct {
 	Tracers []*telemetry.Tracer
 	Spans   []*telemetry.SpanStore
 
-	base   time.Time // virtual time origin for the block schedule
-	blocks int       // global mined-block counter
-	edges  [][2]int  // dialed topology (from, to), for reconnects
+	base time.Time // virtual time origin for the block schedule
+	// live times the nodes' peers (p2p.Node.SetLivenessClock). Every
+	// tick advances it with Clk; Mine's jump to the next block slot
+	// does not, so a request in flight across the jump is not aged
+	// into a stall.
+	live   *clock.Simulated
+	blocks int      // global mined-block counter
+	edges  [][2]int // dialed topology (from, to), for reconnects
 
 	// bounds holds the resource limits configured by SetDefense, for
 	// AssertBounds; nil until SetDefense is called.
@@ -102,6 +107,7 @@ func NewHarnessWithStores(t testing.TB, seed int64, n int, cfg LinkConfig, store
 		Clk:    clk,
 		Net:    New(clk, seed, cfg),
 		base:   start,
+		live:   clock.NewSimulated(start),
 	}
 	for i := 0; i < n; i++ {
 		var st store.Store
@@ -143,6 +149,7 @@ func NewHarnessWithStores(t testing.TB, seed int64, n int, cfg LinkConfig, store
 		ix.SetTelemetry(reg, tr)
 		ix.SetSpans(spans)
 		node.SetTransport(h.Net.Transport(h.Host(i)))
+		node.SetLivenessClock(h.live)
 		// Generous real-time redial budget: a partition must not
 		// exhaust it before the heal.
 		node.SetRedial(12, 10*time.Millisecond)
@@ -259,52 +266,70 @@ func (h *Harness) Connect(i, j int) {
 // between ticks so node goroutines drain their queues.
 func (h *Harness) Settle(ticks int) {
 	for k := 0; k < ticks; k++ {
-		h.Clk.Advance(20 * time.Millisecond)
+		h.tick()
 		time.Sleep(time.Millisecond)
 	}
 }
 
+// tick advances virtual time by one 20 ms step, peer liveness first so
+// the frames the step delivers are handled at the new liveness time.
+func (h *Harness) tick() {
+	h.live.Advance(20 * time.Millisecond)
+	h.Clk.Advance(20 * time.Millisecond)
+}
+
 // SettleIdle advances virtual time like Settle but waits for the nodes
-// to go fully idle between ticks: after each advance it polls the
-// network's frame counters until they hold still for two consecutive
-// polls (bounded real time per tick). Handlers therefore finish the
-// causal cascade a tick delivered before the next tick starts, so every
-// span timestamp lands on the virtual tick that caused it — which is
-// what makes latency-budget reports a pure function of the seed.
+// to go fully idle between ticks: after each advance it polls until
+// every reader is parked on an empty buffer (Network.Idle), no node has
+// a message queued for the wire (Node.SendBacklog) and the network's
+// frame counters hold still, for settleCalmPolls consecutive polls
+// (bounded real time per tick). Handlers therefore finish the
+// causal cascade a tick delivered before the next tick starts, however
+// slowly the host runs them, so every span timestamp lands on the
+// virtual tick that caused it — which is what makes latency-budget
+// reports a pure function of the seed. The first wait comes before the
+// first advance: whatever the caller just did (mined a block, broadcast
+// a transaction) reaches the wire at the virtual time it happened.
 func (h *Harness) SettleIdle(ticks int) {
+	h.waitIdle()
 	for k := 0; k < ticks; k++ {
-		h.Clk.Advance(20 * time.Millisecond)
-		deadline := time.Now().Add(settleTickDeadline)
-		prev := h.Net.Stats()
-		calm := 0
-		for calm < settleCalmPolls && time.Now().Before(deadline) {
-			time.Sleep(settleCalmSleep)
-			cur := h.Net.Stats()
-			if cur == prev {
-				calm++
-			} else {
-				calm = 0
-				prev = cur
-			}
+		h.tick()
+		h.waitIdle()
+	}
+}
+
+// waitIdle blocks until the network is idle and its counters calm, or
+// settleTickDeadline of real time passes.
+func (h *Harness) waitIdle() {
+	deadline := time.Now().Add(settleTickDeadline)
+	prev := h.Net.Stats()
+	calm := 0
+	for calm < settleCalmPolls && time.Now().Before(deadline) {
+		time.Sleep(settleCalmSleep)
+		cur := h.Net.Stats()
+		if cur == prev && h.Net.Idle() && h.sendsDrained() {
+			calm++
+		} else {
+			calm = 0
+			prev = cur
 		}
 	}
+}
+
+func (h *Harness) sendsDrained() bool {
+	for _, node := range h.Nodes {
+		if node.SendBacklog() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MineIdle is Mine with the deterministic SettleIdle drain instead of
 // Settle, for latency-tracing scenarios.
 func (h *Harness) MineIdle(i, ticks int) *wire.MsgBlock {
 	h.T.Helper()
-	h.blocks++
-	target := h.base.Add(time.Duration(h.blocks) * time.Minute)
-	if h.Clk.Now().Before(target) {
-		h.Clk.Set(target)
-	} else {
-		h.Clk.Advance(time.Minute)
-	}
-	blk, _, err := h.Miners[i].Mine(h.Payouts[i])
-	if err != nil {
-		h.T.Fatalf("mine on node %d: %v", i, err)
-	}
+	blk := h.mineAtSlot(i)
 	h.SettleIdle(ticks)
 	return blk
 }
@@ -321,7 +346,7 @@ func (h *Harness) WaitFor(what string, cond func() bool) {
 		if cond() {
 			return
 		}
-		h.Clk.Advance(20 * time.Millisecond)
+		h.tick()
 		time.Sleep(time.Millisecond)
 		if k%100 == 99 {
 			for _, node := range h.Nodes {
@@ -338,6 +363,15 @@ func (h *Harness) WaitFor(what string, cond func() bool) {
 // settled in between.
 func (h *Harness) Mine(i int) *wire.MsgBlock {
 	h.T.Helper()
+	blk := h.mineAtSlot(i)
+	h.Settle(5)
+	return blk
+}
+
+// mineAtSlot moves Clk (not the liveness clock) to the next block slot
+// and mines on node i there.
+func (h *Harness) mineAtSlot(i int) *wire.MsgBlock {
+	h.T.Helper()
 	h.blocks++
 	target := h.base.Add(time.Duration(h.blocks) * time.Minute)
 	if h.Clk.Now().Before(target) {
@@ -349,7 +383,6 @@ func (h *Harness) Mine(i int) *wire.MsgBlock {
 	if err != nil {
 		h.T.Fatalf("mine on node %d: %v", i, err)
 	}
-	h.Settle(5)
 	return blk
 }
 

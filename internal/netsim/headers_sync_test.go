@@ -76,8 +76,7 @@ func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCo
 			t.Fatalf("laggard stuck at height %d (headers %d) after %d ticks",
 				lchain.BestHeight(), lchain.HeaderHeight(), ticks)
 		}
-		h.Clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+		h.SettleIdle(1)
 		ticks++
 		if ticks%100 == 0 {
 			for _, node := range h.Nodes {

@@ -186,6 +186,24 @@ func (n *Network) releaseLocked(key pairKey) {
 	}
 }
 
+// Idle reports whether every open endpoint's reader is parked in Read
+// with nothing buffered, i.e. no delivered frame is still waiting for,
+// or being handled by, its reader. Frames in flight do not count: they
+// wait on the virtual clock, not on a goroutine.
+func (n *Network) Idle() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, h := range n.halves {
+		if h.closed {
+			continue
+		}
+		if h.readBuf.Len() > 0 || !h.parked {
+			return false
+		}
+	}
+	return true
+}
+
 // Stats returns a snapshot of the fault counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
@@ -369,6 +387,9 @@ type halfConn struct {
 	readCond     *sync.Cond
 	closed       bool // this end closed
 	remoteClosed bool // peer end closed
+	// parked is set while a reader waits in Read on an empty buffer:
+	// whatever the last delivery caused, that reader has finished it.
+	parked bool
 }
 
 // flushLocked moves due frames into the read buffer and wakes readers.
@@ -407,7 +428,9 @@ func (c *Conn) Read(b []byte) (int, error) {
 		if h.remoteClosed {
 			return 0, io.EOF
 		}
+		h.parked = true
 		h.readCond.Wait()
+		h.parked = false
 	}
 }
 

@@ -41,7 +41,12 @@ type Node struct {
 	magic     uint32
 	logger    *slog.Logger
 	transport Transport
-	clk       clock.Clock
+	// clk is the chain's clock: it stamps blocks and spans. live times
+	// peers — request stalls, rate buckets, download assignments,
+	// orphan attribution — and is the same clock unless a simulation
+	// jumps consensus time without letting peers age (SetLivenessClock).
+	clk  clock.Clock
+	live clock.Clock
 
 	// tel carries the registered collectors; the zero value disables
 	// instrumentation. See telemetry.go.
@@ -97,6 +102,7 @@ func NewNode(c *chain.Chain, pool *mempool.Pool, logger *slog.Logger) *Node {
 		logger:           logger,
 		transport:        tcpTransport{},
 		clk:              c.Clock(),
+		live:             c.Clock(),
 		sendTimeout:      5 * time.Second,
 		handshakeTimeout: 10 * time.Second,
 		redialAttempts:   6,
@@ -235,6 +241,13 @@ func (n *Node) penalizeAddr(key string, points int32, reason string) bool {
 
 // SetTransport replaces the transport. Call before Listen or Dial.
 func (n *Node) SetTransport(t Transport) { n.transport = t }
+
+// SetLivenessClock replaces the clock that times peers (by default the
+// chain's clock). A simulation that moves consensus time forward in one
+// step gives the node a clock that step leaves alone, so a request in
+// flight across it is not charged as a stall. Call before Listen or
+// Dial.
+func (n *Node) SetLivenessClock(clk clock.Clock) { n.live = clk }
 
 // SetTimeouts adjusts the send-queue stall and handshake timeouts. A
 // zero handshake timeout disables reaping. Call before Listen or Dial.
@@ -387,7 +400,7 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 	}
 	id := n.nextID
 	n.nextID++
-	p := newPeer(n, conn, id, pol, n.clk.Now())
+	p := newPeer(n, conn, id, pol, n.live.Now())
 	p.dialAddr = dialAddr
 	p.addrKey = key
 	p.inbound = inbound
@@ -561,12 +574,42 @@ func (n *Node) Dial(addr string) error {
 	if n.keeper().IsBanned(addrKeyOf(addr)) {
 		return fmt.Errorf("p2p: dial %s: address is banned", addr)
 	}
+	// Refuse a duplicate before connecting: the remote would otherwise
+	// see a second inbound conn from this host, let it supersede the
+	// live one, and the refused conn would then take both down.
+	if n.dialed(addr) {
+		n.tel.refused.With("duplicate").Inc()
+		n.logDebug("refusing duplicate dial", "addr", addr)
+		return nil
+	}
 	conn, err := n.transport.Dial(addr)
 	if err != nil {
 		return fmt.Errorf("p2p: dial %s: %w", addr, err)
 	}
 	n.addConn(conn, addr)
 	return nil
+}
+
+// SendBacklog counts messages queued to live peers and not yet written
+// to their connections.
+func (n *Node) SendBacklog() int {
+	backlog := 0
+	for _, p := range n.peerSnapshot(nil) {
+		backlog += int(p.unsent.Load())
+	}
+	return backlog
+}
+
+// dialed reports whether an outbound peer to addr is connected.
+func (n *Node) dialed(addr string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, q := range n.peers {
+		if q.dialAddr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Stop closes the listener and all peers and waits for loops to exit.
@@ -597,9 +640,11 @@ func (n *Node) writeLoop(p *Peer) {
 	for {
 		select {
 		case msg := <-p.sendCh:
-			if err := wire.WriteMessage(p.conn, n.magic, &wire.Message{
+			err := wire.WriteMessage(p.conn, n.magic, &wire.Message{
 				Command: msg.command, Payload: msg.payload,
-			}); err != nil {
+			})
+			p.unsent.Add(-1)
+			if err != nil {
 				p.close()
 				return
 			}
@@ -628,7 +673,7 @@ func (n *Node) readLoop(p *Peer) {
 		p.cRecvMsgs.Inc()
 		p.cRecvBytes.Add(uint64(24 + len(msg.Payload)))
 		pol := n.getPolicy()
-		now := n.clk.Now()
+		now := n.live.Now()
 		if !p.takeTokens(now, 24+len(msg.Payload)) {
 			// Drop the frame unprocessed; repeated violations ban.
 			n.tel.rateLimited.Inc()
@@ -682,7 +727,7 @@ func (n *Node) noteOrphan(h chainhash.Hash, p *Peer) {
 		return
 	}
 	if _, ok := n.orphanSrc[h]; !ok {
-		n.orphanSrc[h] = orphanSource{addr: p.addrKey, at: n.clk.Now()}
+		n.orphanSrc[h] = orphanSource{addr: p.addrKey, at: n.live.Now()}
 	}
 }
 
@@ -743,7 +788,7 @@ func isTxPenaltyWorthy(err error) bool {
 
 func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	pol := n.getPolicy()
-	now := n.clk.Now()
+	now := n.live.Now()
 	switch msg.Command {
 	case wire.CmdVersion:
 		if tip, _, err := wire.DecodeVersion(msg.Payload); err != nil {
@@ -915,10 +960,13 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		hash := blk.BlockHash()
 		p.markKnown(wire.InvTypeBlock, hash)
 		solicited := p.consumeRequest(wire.InvTypeBlock, hash, now)
-		// Any delivery settles the download assignment — even an invalid
-		// or duplicate one frees the slot for rescheduling.
-		n.syncDelivered(hash)
 		status, err := n.chain.ProcessBlock(&blk)
+		// Any delivery settles the download assignment — even an invalid
+		// or duplicate one frees the slot for rescheduling. It is settled
+		// only once ProcessBlock has stored the body: freed earlier, a
+		// window refill on another peer's loop would see the body neither
+		// in flight nor stored and fetch it a second time.
+		n.syncDelivered(hash)
 		if err != nil {
 			n.logDebug("block rejected", "peer", p.id, "block", hash.String(), "err", err)
 			if store.IsStoreFault(err) {
@@ -1001,7 +1049,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 				Origin:   tc.Origin,
 				OriginAt: tc.OriginAt,
 				SentAt:   tc.SentAt,
-				RecvAt:   now,
+				RecvAt:   n.clk.Now(),
 			})
 		}
 		return nil
@@ -1119,7 +1167,7 @@ func (n *Node) requestMissingTypecoin() {
 // a getheaders with an empty batch, so the periodic probe is cheap.
 func (n *Node) SyncPeers() {
 	pol := n.getPolicy()
-	now := n.clk.Now()
+	now := n.live.Now()
 	payload := wire.EncodeLocator(n.chain.HeaderLocator(), chainhash.ZeroHash)
 	var stalled []*Peer
 	for _, p := range n.peerSnapshot(nil) {

@@ -529,6 +529,15 @@ func TestCloseMidMessageReaped(t *testing.T) {
 // the unsynchronized Node.ledger field; run under -race).
 func TestSetLedgerConcurrentWithGossip(t *testing.T) {
 	h := newNetHarness(t, 1)
+	// Every undecodable overlay object is charged PenaltyMalformed, so
+	// under the default threshold the sender is banned after a handful
+	// and whether it is still connected at the end would depend on how
+	// far the node got before the loop below finished. Lift the
+	// threshold out of reach: the peer count then checks only that the
+	// churn itself never drops the connection.
+	pol := p2p.DefaultPolicy()
+	pol.BanThreshold = 1 << 30
+	h.nodes[0].SetPolicy(pol)
 	addr, err := h.nodes[0].Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

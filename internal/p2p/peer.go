@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"typecoin/internal/banscore"
@@ -50,6 +51,9 @@ type Peer struct {
 
 	sendCh chan *queuedMsg
 	done   chan struct{}
+	// unsent counts messages send has queued and the write loop has not
+	// finished writing yet.
+	unsent atomic.Int32
 
 	mu         sync.Mutex
 	handshaken bool
@@ -202,12 +206,15 @@ func (p *Peer) send(command string, payload []byte) error {
 	if closed {
 		return errPeerClosed
 	}
+	p.unsent.Add(1)
 	select {
 	case p.sendCh <- &queuedMsg{command, payload}:
 		return nil
 	case <-p.done:
+		p.unsent.Add(-1)
 		return errPeerClosed
 	case <-time.After(p.node.sendTimeout):
+		p.unsent.Add(-1)
 		p.close()
 		return fmt.Errorf("p2p: peer %d send queue stalled", p.id)
 	}

@@ -9,9 +9,10 @@ package p2p
 // slots, and scheduleBodies refills them in skeleton order.
 //
 // Locking: sm.mu is taken after n.mu (peer snapshots are made first) and
-// before p.mu (noteRequested is a leaf). Nothing sends on a peer while
-// holding sm.mu — a blocked send can close the peer, and dropPeer takes
-// both n.mu and sm.mu.
+// before p.mu (noteRequested is a leaf) and the chain's read lock (the
+// chain never calls into the node while holding its lock). Nothing
+// sends on a peer while holding sm.mu — a blocked send can close the
+// peer, and dropPeer takes both n.mu and sm.mu.
 
 import (
 	"sort"
@@ -271,7 +272,7 @@ func (n *Node) scheduleBodies(except *Peer) {
 		return
 	}
 	pol := n.getPolicy()
-	now := n.clk.Now()
+	now := n.live.Now()
 	ready := n.readyPeers(except)
 	if len(ready) == 0 {
 		return
@@ -297,6 +298,13 @@ func (n *Node) scheduleBodies(except *Peer) {
 	next := 0
 	for _, nb := range need {
 		if _, busy := sm.inflight[nb.Hash]; busy {
+			continue
+		}
+		// need was read before sm.mu was taken. A delivery stores its
+		// body before it frees the slot, so a body that is no longer in
+		// flight may have landed since: fetching it again would download
+		// it twice.
+		if n.chain.HaveBlock(nb.Hash) {
 			continue
 		}
 		var target *Peer

@@ -59,22 +59,25 @@ type Batch struct {
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
-// batchArenaChunk is the allocation unit of a batch's copy arena.
-const batchArenaChunk = 16 << 10
+// A batch's copy arena starts at batchArenaMin bytes and doubles with
+// each new chunk up to batchArenaMax, so a one-row batch (every ledger
+// announcement) allocates no more than it needs.
+const (
+	batchArenaMin = 256
+	batchArenaMax = 16 << 10
+)
 
 // copyBytes copies p into the batch arena and returns the stable copy.
 // Full chunks are abandoned to earlier ops (which keep referencing
-// them) and a fresh chunk is started, so returned slices never move.
+// them) and a fresh chunk is started, so returned slices never move. A
+// value larger than the next chunk gets an exact chunk of its own.
 func (b *Batch) copyBytes(p []byte) []byte {
 	if len(p) == 0 {
 		return nil
 	}
 	if cap(b.arena)-len(b.arena) < len(p) {
-		size := batchArenaChunk
-		if len(p) > size {
-			size = len(p)
-		}
-		b.arena = make([]byte, 0, size)
+		size := min(max(2*cap(b.arena), batchArenaMin), batchArenaMax)
+		b.arena = make([]byte, 0, max(size, len(p)))
 	}
 	start := len(b.arena)
 	b.arena = append(b.arena, p...)
@@ -94,6 +97,26 @@ func (b *Batch) Delete(key []byte) {
 
 // Len reports the number of staged ops.
 func (b *Batch) Len() int { return len(b.ops) }
+
+// DeletePrefix deletes every key with the given prefix, in batches of
+// at most 4096 ops, so a large family never becomes one giant frame. A
+// prefix with no rows costs one empty scan and no write.
+func DeletePrefix(st Store, prefix []byte) error {
+	var keys [][]byte
+	err := st.Iterate(prefix, func(k, v []byte) error {
+		keys = append(keys, append([]byte(nil), k...))
+		return nil
+	})
+	for err == nil && len(keys) > 0 {
+		b := NewBatch()
+		for _, k := range keys[:min(len(keys), 4096)] {
+			b.Delete(k)
+		}
+		keys = keys[b.Len():]
+		err = st.Apply(b)
+	}
+	return err
+}
 
 // Store is the persistence contract. Implementations are safe for
 // concurrent use. Reads observe only applied batches.

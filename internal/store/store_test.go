@@ -662,3 +662,73 @@ func TestMemAndFileAgree(t *testing.T) {
 	}
 	agree("after compaction and reopen", reopened)
 }
+
+// TestBatchArenaSizedToNeed pins the copy arena's growth: a one-row
+// batch allocates at most batchArenaMin bytes, chunks double up to
+// batchArenaMax, a value larger than the next chunk gets an exact chunk
+// of its own, and slices already handed out never move or change.
+func TestBatchArenaSizedToNeed(t *testing.T) {
+	b := NewBatch()
+	b.Put([]byte("k"), []byte("small value"))
+	if got := cap(b.arena); got > batchArenaMin {
+		t.Fatalf("arena after one small Put: cap %d, want <= %d", got, batchArenaMin)
+	}
+	big := bytes.Repeat([]byte{0xAB}, 3*batchArenaMax)
+	b.Put([]byte("big"), big)
+	if got := cap(b.arena); got != len(big) {
+		t.Fatalf("oversized value chunk: cap %d, want exactly %d", got, len(big))
+	}
+	val := make([]byte, 100)
+	for i := 0; i < 2000; i++ {
+		val[0] = byte(i)
+		b.Put([]byte(fmt.Sprintf("k%05d", i)), val)
+		if c := cap(b.arena); c > batchArenaMax && c != len(big) {
+			t.Fatalf("arena chunk %d exceeds the %d cap", c, batchArenaMax)
+		}
+	}
+	if string(b.ops[0].key) != "k" || string(b.ops[0].value) != "small value" {
+		t.Fatalf("first op moved: %q = %q", b.ops[0].key, b.ops[0].value)
+	}
+	if !bytes.Equal(b.ops[1].value, big) {
+		t.Fatal("oversized value changed")
+	}
+	for i, o := range b.ops[2:] {
+		if want := fmt.Sprintf("k%05d", i); string(o.key) != want || o.value[0] != byte(i) {
+			t.Fatalf("op %d: key %q value[0] %d, want %q %d", i+2, o.key, o.value[0], want, byte(i))
+		}
+	}
+}
+
+// TestDeletePrefix removes a family larger than one delete batch and
+// leaves every other key alone, on both engines.
+func TestDeletePrefix(t *testing.T) {
+	for name, st := range engines(t) {
+		t.Run(name, func(t *testing.T) {
+			b := NewBatch()
+			for i := 0; i < 5000; i++ {
+				b.Put([]byte(fmt.Sprintf("x%05d", i)), []byte{1})
+			}
+			b.Put([]byte("w"), []byte{2})
+			b.Put([]byte("y"), []byte{3})
+			if err := st.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := DeletePrefix(st, []byte("x")); err != nil {
+				t.Fatalf("DeletePrefix: %v", err)
+			}
+			var left []string
+			if err := st.Iterate(nil, func(k, v []byte) error {
+				left = append(left, string(k))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(left, ",") != "w,y" {
+				t.Fatalf("keys after DeletePrefix: %v", left)
+			}
+			if err := DeletePrefix(st, []byte("x")); err != nil {
+				t.Fatalf("DeletePrefix on an empty family: %v", err)
+			}
+		})
+	}
+}

@@ -1,23 +1,21 @@
 package wallet
 
-// Wallet persistence. A wallet created with Open writes its keys and
-// its confirmed UTXO view through to the chain's store:
+// Wallet persistence. A wallet created with Open writes its keys through
+// to the chain's store:
 //
 //	wk + principal(20) -> serialized private key
-//	wu + outpoint(36)  -> walletUtxo (value, height, flags, owner, script)
 //
-// Key rows are written when keys are created or imported. View rows ride
-// the chain's atomic commit batch via the persist hook, so a crash can
-// never record a block without the wallet deltas that block implies.
-// Unconfirmed state (height -1 change, input locks) is deliberately not
-// persisted: it is reconstructed on startup by the mempool reload
-// calling ObserveUnconfirmed for every recovered transaction.
+// Key rows are written when keys are created or imported. The confirmed
+// UTXO view is not stored: it is a function of the keys and the chain's
+// unspent table, so Open rebuilds it with a rescan. Unconfirmed state
+// (height -1 change, input locks) is not persisted either: it is
+// reconstructed on startup by the mempool reload calling
+// ObserveUnconfirmed for every recovered transaction.
 //
 // Wallets created with New stay memory-only; tests attach several
 // wallets to one chain, which a shared key namespace would break.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -27,96 +25,22 @@ import (
 	"typecoin/internal/wire"
 )
 
-type persister struct {
-	st store.Store
-}
-
 func keyWalletKey(p bkey.Principal) []byte { return append([]byte("wk"), p[:]...) }
 
-func keyWalletUtxo(op wire.OutPoint) []byte {
-	k := make([]byte, 2, 2+36)
-	k[0], k[1] = 'w', 'u'
-	k = append(k, op.Hash[:]...)
-	var idx [4]byte
-	binary.LittleEndian.PutUint32(idx[:], op.Index)
-	return append(k, idx[:]...)
-}
-
-func decodeWalletUtxoKey(k []byte) (wire.OutPoint, error) {
-	var op wire.OutPoint
-	if len(k) != 2+36 {
-		return op, fmt.Errorf("wallet: malformed utxo key (%d bytes)", len(k))
-	}
-	copy(op.Hash[:], k[2:34])
-	op.Index = binary.LittleEndian.Uint32(k[34:])
-	return op, nil
-}
-
-func encodeWalletUtxo(u walletUtxo) []byte {
-	var flags byte
-	if u.coinbase {
-		flags |= 1
-	}
-	if u.metaSlot {
-		flags |= 2
-	}
-	out := []byte{flags}
-	var tmp [binary.MaxVarintLen64]byte
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(u.value))]...)
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(u.height))]...)
-	out = append(out, u.owner[:]...)
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(u.pkScript)))]...)
-	return append(out, u.pkScript...)
-}
-
-func decodeWalletUtxo(b []byte) (walletUtxo, error) {
-	var u walletUtxo
-	bad := fmt.Errorf("wallet: corrupt utxo row")
-	if len(b) < 1 {
-		return u, bad
-	}
-	u.coinbase = b[0]&1 != 0
-	u.metaSlot = b[0]&2 != 0
-	b = b[1:]
-	value, n := binary.Uvarint(b)
-	if n <= 0 {
-		return u, bad
-	}
-	b = b[n:]
-	height, n := binary.Uvarint(b)
-	if n <= 0 {
-		return u, bad
-	}
-	b = b[n:]
-	if len(b) < len(u.owner) {
-		return u, bad
-	}
-	copy(u.owner[:], b)
-	b = b[len(u.owner):]
-	slen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) != slen {
-		return u, bad
-	}
-	u.value = int64(value)
-	u.height = int(height)
-	u.pkScript = append([]byte(nil), b[n:]...)
-	return u, nil
-}
-
-// Open creates a wallet persisted in c's store, reloading any keys and
-// confirmed UTXO view a previous run saved there and registering with
-// the chain's commit batch to keep them current. entropy may be nil to
-// use crypto/rand. At most one Open wallet should exist per store.
+// Open creates a wallet persisted in c's store, reloading any keys a
+// previous run saved there and rebuilding the confirmed UTXO view from
+// the chain. entropy may be nil to use crypto/rand. At most one Open
+// wallet should exist per store.
 func Open(c *chain.Chain, entropy io.Reader) (*Wallet, error) {
+	st := c.Store()
 	w := &Wallet{
 		chain:   c,
 		entropy: entropy,
-		persist: &persister{st: c.Store()},
+		st:      st,
 		keys:    make(map[bkey.Principal]*bkey.PrivateKey),
 		utxos:   make(map[wire.OutPoint]walletUtxo),
 		locked:  make(map[wire.OutPoint]bool),
 	}
-	st := c.Store()
 	err := st.Iterate([]byte("wk"), func(k, v []byte) error {
 		key, err := bkey.ParsePrivateKey(v)
 		if err != nil {
@@ -128,90 +52,24 @@ func Open(c *chain.Chain, entropy io.Reader) (*Wallet, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = st.Iterate([]byte("wu"), func(k, v []byte) error {
-		op, err := decodeWalletUtxoKey(k)
-		if err != nil {
-			return err
-		}
-		u, err := decodeWalletUtxo(v)
-		if err != nil {
-			return err
-		}
-		w.utxos[op] = u
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// Subscribe before the rescan, both under w.mu: a block that lands
+	// in between is in the rescan's view and its notification, queued
+	// on w.mu, re-applies it harmlessly — none can fall between the two.
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	c.Subscribe(w.onChainChange)
-	c.SubscribePersist(w.contribute)
+	w.rescanLocked()
 	return w, nil
 }
 
 // persistKey writes a key row; a no-op for memory-only wallets.
 func (w *Wallet) persistKey(p bkey.Principal, key *bkey.PrivateKey) error {
-	if w.persist == nil {
+	if w.st == nil {
 		return nil
 	}
 	b := store.NewBatch()
 	b.Put(keyWalletKey(p), key.Serialize())
-	return w.persist.st.Apply(b)
-}
-
-// contribute adds this wallet's view deltas to a chain commit batch. It
-// runs under the chain lock and must not take w.mu (Build holds w.mu
-// while calling into the chain); classify takes only keysMu.
-func (w *Wallet) contribute(ev chain.PersistEvent, b *store.Batch) {
-	if ev.Connected {
-		for _, sp := range ev.Spent {
-			if _, mine, _ := w.classify(sp.Entry.Out.PkScript); mine {
-				b.Delete(keyWalletUtxo(sp.OutPoint))
-			}
-		}
-		for _, tx := range ev.Block.Transactions {
-			txid := tx.TxHash()
-			for i, out := range tx.TxOut {
-				owner, mine, meta := w.classify(out.PkScript)
-				if !mine {
-					continue
-				}
-				b.Put(keyWalletUtxo(wire.OutPoint{Hash: txid, Index: uint32(i)}), encodeWalletUtxo(walletUtxo{
-					value:    out.Value,
-					pkScript: out.PkScript,
-					owner:    owner,
-					height:   ev.Height,
-					coinbase: tx.IsCoinBase(),
-					metaSlot: meta,
-				}))
-			}
-		}
-		return
-	}
-	// Disconnect: drop the block's outputs, restore what it spent. The
-	// restore-then-delete concern of the chain does not arise here: an
-	// output both created and spent by the block was never ours to track
-	// differently — the Put for its restore and the Delete for its
-	// removal refer to the same key, and the Delete pass runs last.
-	for _, sp := range ev.Spent {
-		if owner, mine, meta := w.classify(sp.Entry.Out.PkScript); mine {
-			b.Put(keyWalletUtxo(sp.OutPoint), encodeWalletUtxo(walletUtxo{
-				value:    sp.Entry.Out.Value,
-				pkScript: sp.Entry.Out.PkScript,
-				owner:    owner,
-				height:   sp.Entry.Height,
-				coinbase: sp.Entry.IsCoinBase,
-				metaSlot: meta,
-			}))
-		}
-	}
-	for _, tx := range ev.Block.Transactions {
-		txid := tx.TxHash()
-		for i, out := range tx.TxOut {
-			if _, mine, _ := w.classify(out.PkScript); mine {
-				b.Delete(keyWalletUtxo(wire.OutPoint{Hash: txid, Index: uint32(i)}))
-			}
-		}
-	}
+	return w.st.Apply(b)
 }
 
 // ObserveUnconfirmed re-registers an unconfirmed transaction of ours

@@ -14,6 +14,7 @@ import (
 	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
 	"typecoin/internal/script"
+	"typecoin/internal/store"
 	"typecoin/internal/wire"
 )
 
@@ -29,14 +30,13 @@ type Wallet struct {
 	chain   *chain.Chain
 	entropy io.Reader
 
-	// persist is non-nil for wallets created with Open: keys and the
-	// confirmed UTXO view are written through to the chain's store.
-	persist *persister
+	// st is non-nil for wallets created with Open: keys are written
+	// through to the chain's store.
+	st store.Store
 
-	// keysMu guards keys alone. It is separate from mu because script
-	// classification runs inside the chain's commit batch (under the
-	// chain lock), which must never wait on mu — Build holds mu while
-	// calling into the chain.
+	// keysMu guards keys alone, so principal look-ups and script
+	// classification never wait on mu, which Build holds while calling
+	// into the chain.
 	keysMu sync.Mutex
 	keys   map[bkey.Principal]*bkey.PrivateKey
 
@@ -119,8 +119,7 @@ func (w *Wallet) Principals() []bkey.Principal {
 
 // classify determines whether pkScript pays one of our keys, either as
 // P2PKH or as the genuine key slot of a 1-of-2 metadata multisig. It
-// takes only keysMu, so it is safe both under mu and from the chain's
-// persist hook.
+// takes only keysMu.
 func (w *Wallet) classify(pkScript []byte) (bkey.Principal, bool, bool) {
 	w.keysMu.Lock()
 	defer w.keysMu.Unlock()
