@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # for a short smoke budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check bench-module chaos bench bench-json bench-diff metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
+.PHONY: build test race vet check bench-module chaos bench metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
 
 build:
 	$(GO) build ./...
@@ -47,28 +47,6 @@ chaos:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# Micro-benchmark snapshot, a local probe (benchmark/ is where claims
-# are made): run the root benchmark suite in three separate passes and
-# record each benchmark's fastest (ns/op, B/op, allocs/op) as JSON.
-# Separate passes space a benchmark's samples minutes apart, which
-# suppresses scheduler-noise bursts that -count=N's back-to-back runs
-# share. The snapshot lands in the git-ignored .bench_build/.
-BENCH_JSON ?= .bench_build/bench.json
-bench-json:
-	mkdir -p $(dir $(BENCH_JSON))
-	{ $(GO) test -run xxx -bench . -benchmem .; \
-	  $(GO) test -run xxx -bench . -benchmem .; \
-	  $(GO) test -run xxx -bench . -benchmem .; } | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
-
-# Diff the snapshot against an untracked baseline (say, bench-json run
-# on the parent commit and copied aside): per-series ns/op and allocs/op
-# deltas, failing on >20% ns/op regressions in any series present on
-# both sides (after normalizing out host drift, the median shift across
-# shared series). BENCH_BASELINE has no default.
-bench-diff:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-diff: set BENCH_BASELINE=<snapshot.json>"; exit 2; }
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -current $(BENCH_JSON)
-
 # Observability smoke test: boots a real daemon, scrapes /metrics, and
 # fails on malformed exposition output or missing metric families.
 metrics-smoke:
@@ -90,13 +68,13 @@ fuzz-smoke:
 # state and the chain index), derived state (UTXO table, spend journal,
 # wallet coins, index answers) refolded from blocks across restarts and
 # datadir upgrades (RESTART_SEED=<n> replays one schedule), and the
-# ledger's reopen-time marker rule.
+# ledger's reopen from its announcement rows alone.
 recovery:
 	$(GO) test ./internal/store/ -count=1 -v
 	$(GO) test ./internal/chain/ -run 'TestReopen|TestReorgAfterReopen|TestIntraBlockSpendDisconnect|TestStoreFailure|TestOpenRejectsTampered|TestReincludedTxRollsBackOnlyWhatItApplied|TestDuplicateCoinbaseRejected' -count=1 -v
 	$(GO) test ./cmd/typecoind/ -run 'TestCrash|TestMempoolPersist|TestDaemonKillRecovery|TestDaemonKillIndexRecovery' -count=1 -v
 	$(GO) test ./internal/index/ -run 'TestIndexCrashMidCommitRecovers|TestDerivedStateSurvivesRestart|TestOpenDropsRetiredFamilies' -count=1 -v
-	$(GO) test ./internal/typecoin/ -run 'TestLedgerMarkers|TestLedgerReopen' -count=1 -v
+	$(GO) test ./internal/typecoin/ -run 'TestLedgerWritesOnlyAnnouncements|TestLedgerMarkersLateAnnounceSameBlock|TestLedgerReopen' -count=1 -v
 	$(GO) test ./internal/p2p/ -run TestSimRestartResync -count=1 -v
 
 # The adversarial network-simulation suite. SIM_SEED=<n> replays a

@@ -177,24 +177,17 @@ func run(args []string) int {
 	pool := mempool.New(ch, -1)
 	pool.SetOnAccept(ix.PublishTx)
 
-	// Wallet and ledger: persistent variants share the chain's store and
-	// ride its commit batches.
-	var w *wallet.Wallet
-	var ledger *typecoin.Ledger
-	if *datadir != "" {
-		w, err = wallet.Open(ch, nil)
-		if err != nil {
-			logMain.Error("open wallet failed", "err", err)
-			return 1
-		}
-		ledger, err = typecoin.OpenLedger(ch, *minConf)
-		if err != nil {
-			logMain.Error("open ledger failed", "err", err)
-			return 1
-		}
-	} else {
-		w = wallet.New(ch, nil)
-		ledger = typecoin.NewLedger(ch, *minConf)
+	// Wallet and ledger persist their keys and announcements in the
+	// chain's store, which is in memory without -datadir.
+	w, err := wallet.Open(ch, nil)
+	if err != nil {
+		logMain.Error("open wallet failed", "err", err)
+		return 1
+	}
+	ledger, err := typecoin.OpenLedger(ch, *minConf)
+	if err != nil {
+		logMain.Error("open ledger failed", "err", err)
+		return 1
 	}
 
 	// Reuse the recovered payout key when there is one.

@@ -93,9 +93,8 @@ type Chain struct {
 	// as one atomic batch before it takes effect, and Open rebuilds the
 	// maps on restart by folding the stored main-chain blocks.
 	st store.Store
-	// persisters contribute subsystem rows (chain index, ledger seen
-	// index) to each commit batch; they run under mu while the batch is
-	// built.
+	// persisters contribute subsystem rows (the chain index's) to each
+	// commit batch; they run under mu while the batch is built.
 	persisters []PersistFunc
 
 	mu            sync.RWMutex

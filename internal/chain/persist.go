@@ -28,9 +28,9 @@ package chain
 //
 // Disconnect derives what a block spent from the resident main-chain
 // blocks that created it, so a reorg works identically on a node that
-// just restarted. Subsystems above the chain (index rows, ledger
-// seen-index) join the same batch through SubscribePersist, so a crash
-// can never commit a block without their matching rows.
+// just restarted. The chain index joins the same batch through
+// SubscribePersist, so a crash can never commit a block without its
+// matching index rows.
 
 import (
 	"bytes"
@@ -70,10 +70,11 @@ func keyHeader(h chainhash.Hash) []byte { return append([]byte("h"), h[:]...) }
 // retiredFamilies are the derived-state rows earlier releases kept beside
 // the blocks, in every package sharing the store: the chain's u (unspent
 // outputs), s (spend journal) and U (per-block undo), the wallet's wu
-// (its coins) and the index's is (outpoint spends). Each is now folded
-// from the blocks; load drops any such row, so the upgrade lives here
-// alone and the packages above the chain carry no upgrade code.
-var retiredFamilies = [][]byte{[]byte("u"), []byte("s"), []byte("U"), []byte("wu"), []byte("is")}
+// (its coins), the index's is (outpoint spends) and the ledger's ls
+// (seen index) and la (applied markers). Each is now folded from the
+// blocks; load drops any such row, so the upgrade lives here alone and
+// the packages above the chain carry no upgrade code.
+var retiredFamilies = [][]byte{[]byte("u"), []byte("s"), []byte("U"), []byte("wu"), []byte("is"), []byte("ls"), []byte("la")}
 
 func encodeTip(h chainhash.Hash, height int) []byte {
 	return binary.AppendUvarint(append([]byte(nil), h[:]...), uint64(height))

@@ -417,6 +417,17 @@ func TestSameBlockBasisDependency(t *testing.T) {
 	if err := e.Client.VerifyClaim(op, tokG); err != nil {
 		t.Fatalf("verify with basis dependency: %v", err)
 	}
+	// Verify orders bundles by their carriers' places in the block, not
+	// by the order it is handed them: here the reverse of block order.
+	_, i0, _ := e.Chain.TxPosition(carrier0.TxHash())
+	_, i1, _ := e.Chain.TxPosition(carrier1.TxHash())
+	if i0 >= i1 {
+		t.Fatalf("carriers at indexes %d and %d: want T0's first; test premise broken", i0, i1)
+	}
+	reversed := []*typecoin.Bundle{{Tc: t1, Carrier: carrier1.TxHash()}, {Tc: t0, Carrier: carrier0.TxHash()}}
+	if _, err := typecoin.Verify(e.Chain, op, tokG, reversed, 1); err != nil {
+		t.Fatalf("verify with bundles in reverse block order: %v", err)
+	}
 }
 
 // TestAnnounceAfterMine: the ledger catches up when the typecoin

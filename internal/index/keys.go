@@ -1,8 +1,8 @@
 package index
 
 // Key schema. Every index row lives under the 'i' byte, disjoint from
-// the chain ('T','m','b','h'), wallet ("wk"), ledger ("ka","ls","la"),
-// mempool ("P") and banscore ("nb") families. Heights and transaction
+// the chain ('T','m','b','h'), wallet ("wk"), ledger ("ka"), mempool
+// ("P") and banscore ("nb") families. Heights and transaction
 // positions are big-endian in keys so lexicographic order is chain
 // order — the property cursor pagination leans on.
 //

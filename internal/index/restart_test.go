@@ -324,8 +324,8 @@ func runRestartSchedule(t *testing.T, seed int64) {
 }
 
 // TestOpenDropsRetiredFamilies plants rows of every family earlier
-// releases derived and stored (chain u/s/U, wallet wu, index is) beside
-// a chain, then reopens it: the node must answer with the state its
+// releases derived and stored (chain u/s/U, wallet wu, index is, ledger
+// ls/la) beside a chain, then reopens it: the node must answer with the state its
 // blocks imply, ignoring the planted rows, and leave none of them.
 func TestOpenDropsRetiredFamilies(t *testing.T) {
 	dir := t.TempDir()
@@ -349,20 +349,23 @@ func TestOpenDropsRetiredFamilies(t *testing.T) {
 	want := capture(t, h, s)
 
 	// Rows that, were they still read, would add a coin, a spend and a
-	// wallet output no block made, and an undo journal for the tip.
+	// wallet output no block made, an undo journal for the tip, and a
+	// carrier seen and applied that no block holds.
 	bogus := wire.OutPoint{Hash: chainhash.HashB([]byte("no such tx")), Index: 0}
 	opKey := func(prefix string) []byte {
 		k := append([]byte(prefix), bogus.Hash[:]...)
 		return append(k, 0, 0, 0, 0)
 	}
 	tip := h.chain.BestHash()
-	retired := []string{"u", "s", "U", "wu", "is"}
+	retired := []string{"u", "s", "U", "wu", "is", "ls", "la"}
 	b := store.NewBatch()
 	b.Put(opKey("u"), []byte{0, 1, 0x80, 0x80, 0x80, 0x10, 1, 0x51})
 	b.Put(opKey("s"), append(tip[:], 0, 0, 0, 0, 1))
 	b.Put(append([]byte("U"), tip[:]...), []byte{0})
 	b.Put(opKey("wu"), []byte{0, 1, 1})
 	b.Put(opKey("is"), append(tip[:], 0, 0, 0, 0, 1))
+	b.Put(append([]byte("ls"), tip[:]...), bogus.Hash[:])
+	b.Put(append([]byte("la"), bogus.Hash[:]...), []byte{1})
 	if err := st.Apply(b); err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ type Ledger struct {
 	minConf int
 
 	// st is non-nil for ledgers created with OpenLedger: announcements
-	// and applied markers are written through to the chain's store (see
-	// persist.go). The typed state itself is replay-derived on startup.
+	// are written through to the chain's store (see persist.go). The
+	// typed state itself is replay-derived on startup.
 	st store.Store
 
 	mu    sync.Mutex
@@ -48,8 +48,8 @@ type Ledger struct {
 	applied map[chainhash.Hash]bool // carrier txids already applied
 	// high is the blockchain position of the last applied carrier.
 	high chainPos
-	// unwritten is a batch the store refused; it rides in front of the
-	// next mutation's rows so the markers never fall behind for good.
+	// unwritten is an announcement batch the store refused; the next
+	// announcement or block connect retries it.
 	unwritten *store.Batch
 	// verdicts remembers, by Typecoin hash, transactions whose closed half
 	// (checkClosed) passed, so the proof CheckInstance inferred at submit
@@ -130,8 +130,8 @@ func (l *Ledger) AnnounceBatch(b *Batch) {
 }
 
 func (l *Ledger) announce(h chainhash.Hash, obj interface{}) {
-	// l.mu is held from the known insert to the store write: the
-	// announcement row and the marker changes it causes are one batch.
+	// l.mu is held from the known insert to the store write, so rows
+	// land in announcement order.
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Announcements travel out of band and cannot be rederived from the
@@ -157,13 +157,12 @@ func (l *Ledger) announce(h chainhash.Hash, obj interface{}) {
 		// Replay from scratch so blockchain order decides.
 		rebuild = rebuild || l.appliedAfterLocked(carrierID)
 	}
-	var applied, dropped []chainhash.Hash
 	if rebuild {
-		applied, dropped = l.rebuildLocked()
+		l.rebuildLocked()
 	} else {
-		applied = l.sweepLocked()
+		l.sweepLocked()
 	}
-	l.persistLocked(h, fresh, applied, dropped)
+	l.persistLocked(h, fresh)
 }
 
 // appliedAfterLocked reports whether any already-applied carrier sits
@@ -191,7 +190,9 @@ func (l *Ledger) onChainChange(n chain.Notification) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.observeLocked(n.Block)
-	l.persistLocked(chainhash.Hash{}, nil, l.sweepLocked(), nil)
+	l.sweepLocked()
+	// A connect also retries an announcement row the store refused.
+	l.persistLocked(chainhash.Hash{}, nil)
 }
 
 // observeLocked records a main-chain block's metadata-bearing carriers
@@ -213,8 +214,8 @@ func (l *Ledger) observeLocked(blk *wire.MsgBlock) {
 
 // sweepLocked applies every waiting transaction whose carrier is deep
 // enough, in blockchain order (the order the global basis accumulates
-// in), and returns the carriers it applied.
-func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
+// in).
+func (l *Ledger) sweepLocked() {
 	type entry struct {
 		carrierID chainhash.Hash
 		tch       chainhash.Hash
@@ -253,7 +254,6 @@ func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 			if err := l.applyLocked(obj, e.tch, e.carrierID); err == nil {
 				progressed = true
 				done[e.carrierID] = true
-				applied = append(applied, e.carrierID)
 				delete(l.waiting, e.carrierID)
 				if e.pos.after(l.high) {
 					l.high = e.pos
@@ -270,7 +270,6 @@ func (l *Ledger) sweepLocked() (applied []chainhash.Hash) {
 	// (a false condition at their block — the "spoiled inputs" hazard of
 	// Section 5) are simply re-rejected each time, which is cheap and
 	// bounded by the number of such carriers.
-	return applied
 }
 
 // readyLocked reports whether the announced object's inputs all resolve
@@ -383,15 +382,11 @@ func (l *Ledger) checkLocked(tx *Tx, tch chainhash.Hash, payload []byte, oracle 
 func (l *Ledger) rebuild() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	applied, dropped := l.rebuildLocked()
-	l.persistLocked(chainhash.Hash{}, nil, applied, dropped)
+	l.rebuildLocked()
 }
 
-// rebuildLocked is the replay itself. It returns how the applied set
-// changed: the carriers applied now and not before the call, and those
-// applied before and not now.
-func (l *Ledger) rebuildLocked() (applied, dropped []chainhash.Hash) {
-	before := l.applied
+// rebuildLocked is the replay itself.
+func (l *Ledger) rebuildLocked() {
 	l.state = NewState()
 	clear(l.verdicts) // made under the old state's Σ
 	l.waiting = make(map[chainhash.Hash]chainhash.Hash)
@@ -406,17 +401,7 @@ func (l *Ledger) rebuildLocked() (applied, dropped []chainhash.Hash) {
 		l.observeLocked(blk)
 	}
 	// Apply in blockchain order.
-	for _, id := range l.sweepLocked() {
-		if !before[id] {
-			applied = append(applied, id)
-		}
-	}
-	for id := range before {
-		if !l.applied[id] {
-			dropped = append(dropped, id)
-		}
-	}
-	return applied, dropped
+	l.sweepLocked()
 }
 
 // State queries (all consistent snapshots under the ledger lock).

@@ -1,11 +1,10 @@
 package typecoin_test
 
-// The persistent ledger's marker discipline, on a real datadir: every
-// mutation writes exactly the la rows it changed and never reads them
-// back, and OpenLedger settles what a previous run left behind.
+// The persistent ledger on a real datadir: announcements are the only
+// rows it writes, the running ledger never reads them back, and a reopen
+// replays the applied set the running ledger reached.
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -146,52 +145,79 @@ func (n *ledgerNode) carryOuts(t *testing.T, outs []*wire.TxOut) chainhash.Hash 
 	return carrier.TxHash()
 }
 
-// markerRows reads the la rows of st.
-func markerRows(t *testing.T, st store.Store) map[chainhash.Hash]bool {
+// wantApplied demands that the ledger's applied set equal want.
+func wantApplied(t *testing.T, when string, l *typecoin.Ledger, want ...chainhash.Hash) {
 	t.Helper()
-	rows := make(map[chainhash.Hash]bool)
-	err := st.Iterate([]byte("la"), func(k, v []byte) error {
-		var id chainhash.Hash
-		if len(k) != 2+len(id) {
-			return fmt.Errorf("malformed la key %x", k)
-		}
-		copy(id[:], k[2:])
-		rows[id] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-// wantMarkers demands that the la rows of st and the ledger's applied
-// set both equal want.
-func wantMarkers(t *testing.T, when string, st store.Store, l *typecoin.Ledger, want ...chainhash.Hash) {
-	t.Helper()
-	rows := markerRows(t, st)
-	if len(rows) != len(want) || l.AppliedCount() != len(want) {
-		t.Fatalf("%s: %d la rows, %d applied, want %d of each", when, len(rows), l.AppliedCount(), len(want))
+	if l.AppliedCount() != len(want) {
+		t.Fatalf("%s: %d applied, want %d", when, l.AppliedCount(), len(want))
 	}
 	for _, id := range want {
-		if !rows[id] || !l.Applied(id) {
-			t.Fatalf("%s: carrier %s: la row %v, applied %v; want both", when, id, rows[id], l.Applied(id))
+		if !l.Applied(id) {
+			t.Fatalf("%s: carrier %s not applied", when, id)
 		}
 	}
 }
 
-func TestLedgerMarkersTrackApplied(t *testing.T) {
+// wantOnlyAnnouncements demands that st hold no ls or la row: the
+// ledger persists its announcements and nothing it derives from them.
+func wantOnlyAnnouncements(t *testing.T, when string, st store.Store) {
+	t.Helper()
+	for _, prefix := range []string{"ls", "la"} {
+		err := st.Iterate([]byte(prefix), func(k, _ []byte) error {
+			return fmt.Errorf("derived row %x", k)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+}
+
+// wantReopenMatches opens a second chain and ledger over st, as a
+// restart would, and demands that they apply exactly the carriers the
+// running ledger applies.
+func wantReopenMatches(t *testing.T, when string, st store.Store, clk *clock.Simulated, running *typecoin.Ledger, carriers ...chainhash.Hash) {
+	t.Helper()
+	c, err := chain.Open(chain.Config{Params: chain.RegTestParams(), Clock: clk, Store: st})
+	if err != nil {
+		t.Fatalf("%s: reopen chain: %v", when, err)
+	}
+	l, err := typecoin.OpenLedger(c, running.MinConf())
+	if err != nil {
+		t.Fatalf("%s: reopen ledger: %v", when, err)
+	}
+	if l.AppliedCount() != running.AppliedCount() {
+		t.Fatalf("%s: reopen applies %d, the running ledger %d", when, l.AppliedCount(), running.AppliedCount())
+	}
+	for _, id := range carriers {
+		if l.Applied(id) != running.Applied(id) {
+			t.Fatalf("%s: carrier %s: reopen applied %v, running %v", when, id, l.Applied(id), running.Applied(id))
+		}
+	}
+}
+
+func TestLedgerWritesOnlyAnnouncements(t *testing.T) {
 	dir := t.TempDir()
 	file, err := store.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The engine only counts here: the ledger reads the store in
-	// OpenLedger and must never read it again.
+	// OpenLedger and must never read it again. The reopens after each
+	// step read file directly, past the count.
 	eng := store.NewFaultEngine(file, 0)
 	clk := clock.NewSimulated(chain.RegTestParams().GenesisBlock.Header.Timestamp.Add(time.Minute))
 	n := openLedgerNode(t, eng, clk)
 	scans := eng.OpCalls(store.OpIterate)
+	var carriers []chainhash.Hash
+	step := func(when string, want ...chainhash.Hash) {
+		t.Helper()
+		wantApplied(t, when, n.ledger, want...)
+		wantOnlyAnnouncements(t, when, file)
+		if got := eng.OpCalls(store.OpIterate); got != scans {
+			t.Fatalf("%s: the running ledger scanned the store: %d Iterate calls since OpenLedger", when, got-scans)
+		}
+		wantReopenMatches(t, when, file, clk, n.ledger, carriers...)
+	}
 	n.mine(t, n.chain.Params().CoinbaseMaturity+6) // six mature coinbases to fund carriers
 
 	// (i) announce, then mine.
@@ -199,15 +225,17 @@ func TestLedgerMarkersTrackApplied(t *testing.T) {
 	n.ledger.Announce(t1)
 	c1 := n.carry(t, t1)
 	n.mine(t, 1)
-	wantMarkers(t, "announce-then-mine", file, n.ledger, c1)
+	carriers = append(carriers, c1)
+	step("announce-then-mine", c1)
 
 	// (ii) mine, then announce.
 	t2 := n.grant(t, "two")
 	c2 := n.carry(t, t2)
 	n.mine(t, 1)
-	wantMarkers(t, "mined, unannounced", file, n.ledger, c1)
+	carriers = append(carriers, c2)
+	step("mined, unannounced", c1)
 	n.ledger.Announce(t2)
-	wantMarkers(t, "mine-then-announce", file, n.ledger, c1, c2)
+	step("mine-then-announce", c1, c2)
 
 	// (iii) a late announcement whose carrier sits before an applied one
 	// forces a rebuild, and the rebuild takes a carrier back: cL commits
@@ -225,26 +253,23 @@ func TestLedgerMarkersTrackApplied(t *testing.T) {
 	c3 := n.carry(t, t3)
 	n.mine(t, 1)
 	n.ledger.Announce(t3)
-	wantMarkers(t, "later carrier applied", file, n.ledger, c1, c2, c3)
+	carriers = append(carriers, cL, c3)
+	step("later carrier applied", c1, c2, c3)
 	t5 := n.grant(t, "five")
 	n.ledger.Announce(t5)
 	c5 := n.carry(t, t5)
 	n.mine(t, 1)
+	carriers = append(carriers, c5)
 	forkHeight := n.chain.BestHeight() - 1 // c5's block is the tip
 	n.ledger.AnnounceList(list)
-	wantMarkers(t, "late announcement, rebuilt", file, n.ledger, c1, c2, cL, c5)
+	step("late announcement, rebuilt", c1, c2, cL, c5)
 
 	// (iv) a reorg drops c5: a second chain shares the history below the
 	// tip and outgrows it with empty blocks.
 	n.reorgAbove(t, forkHeight)
-	wantMarkers(t, "reorg", file, n.ledger, c1, c2, cL)
+	step("reorg", c1, c2, cL)
 
-	if got := eng.OpCalls(store.OpIterate); got != scans {
-		t.Fatalf("the running ledger scanned the store: %d Iterate calls since OpenLedger", got-scans)
-	}
-
-	// (v) close and reopen: same markers, same applied set, nothing to
-	// repair.
+	// (v) close and reopen: same applied set, nothing written.
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +280,13 @@ func TestLedgerMarkersTrackApplied(t *testing.T) {
 	defer file2.Close()
 	before := file2.JournalBytes()
 	n2 := openLedgerNode(t, file2, clk)
-	wantMarkers(t, "reopen", file2, n2.ledger, c1, c2, cL)
+	wantApplied(t, "reopen", n2.ledger, c1, c2, cL)
+	wantOnlyAnnouncements(t, "reopen", file2)
 	if err := n2.ledger.AuditAffine(); err != nil {
 		t.Fatalf("reopened ledger audit: %v", err)
 	}
 	if got := file2.JournalBytes(); got != before {
-		t.Fatalf("reopening a consistent datadir wrote %d journal bytes", got-before)
+		t.Fatalf("reopening a datadir wrote %d journal bytes", got-before)
 	}
 }
 
@@ -289,9 +315,9 @@ func TestLedgerMarkersLateAnnounceSameBlock(t *testing.T) {
 		t.Fatalf("carriers at (%d,%d) and (%d,%d): want one block, the list's carrier first", hL, iL, h, i)
 	}
 	n.ledger.Announce(tx)
-	wantMarkers(t, "later carrier applied", st, n.ledger, c)
+	wantApplied(t, "later carrier applied", n.ledger, c)
 	n.ledger.AnnounceList(list)
-	wantMarkers(t, "late announcement, same block", st, n.ledger, cL)
+	wantApplied(t, "late announcement, same block", n.ledger, cL)
 
 	fresh := typecoin.NewLedger(n.chain, 1)
 	fresh.Announce(tx)
@@ -317,7 +343,7 @@ func appliedDatadir(t *testing.T, clk *clock.Simulated) (dir string, tx *typecoi
 	n.ledger.Announce(tx)
 	carrier = n.carry(t, tx)
 	n.mine(t, 1)
-	wantMarkers(t, "first run", file, n.ledger, carrier)
+	wantApplied(t, "first run", n.ledger, carrier)
 	if err := file.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +383,7 @@ func TestLedgerReopenDuplicateCarriers(t *testing.T) {
 	n.mine(t, 1)
 	n.ledger.Announce(ta)
 	n.ledger.Announce(tb)
-	wantMarkers(t, "duplicate carriers, swept", file, n.ledger, ca1, cb2)
+	wantApplied(t, "duplicate carriers, swept", n.ledger, ca1, cb2)
 	if err := file.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -368,12 +394,12 @@ func TestLedgerReopenDuplicateCarriers(t *testing.T) {
 	}
 	defer file2.Close()
 	n2 := openLedgerNode(t, file2, clk)
-	wantMarkers(t, "duplicate carriers, reopened", file2, n2.ledger, ca1, cb2)
+	wantApplied(t, "duplicate carriers, reopened", n2.ledger, ca1, cb2)
 }
 
-// A batch the store refuses is not lost: its rows ride in front of the
-// next mutation's, so the announcement row cannot be overtaken by the
-// marker of its own carrier, and the datadir reopens.
+// An announcement row the store refuses is not lost: it is retried on
+// the next block connect, and the datadir reopens with its carrier
+// applied.
 func TestLedgerReopenAfterRefusedBatch(t *testing.T) {
 	clk := clock.NewSimulated(chain.RegTestParams().GenesisBlock.Header.Timestamp.Add(time.Minute))
 	dir := t.TempDir()
@@ -393,7 +419,7 @@ func TestLedgerReopenAfterRefusedBatch(t *testing.T) {
 	}
 	carrier := n.carry(t, tx)
 	n.mine(t, 1)
-	wantMarkers(t, "after the refused batch", file, n.ledger, carrier)
+	wantApplied(t, "after the refused batch", n.ledger, carrier)
 	if ok, _ := file.Has(append([]byte("ka"), h[:]...)); !ok {
 		t.Fatal("the refused announcement row was never written")
 	}
@@ -407,13 +433,13 @@ func TestLedgerReopenAfterRefusedBatch(t *testing.T) {
 	}
 	defer file2.Close()
 	n2 := openLedgerNode(t, file2, clk)
-	wantMarkers(t, "reopened after the refused batch", file2, n2.ledger, carrier)
+	wantApplied(t, "reopened after the refused batch", n2.ledger, carrier)
 }
 
-// A marker for a confirmed carrier that the replay cannot reproduce —
-// here because its announcement row is gone — refuses to open, and the
-// evidence stays in the store.
-func TestLedgerReopenDivergedMarker(t *testing.T) {
+// A confirmed carrier whose announcement row is gone opens as never
+// announced: the carrier is not applied and its hash is re-requested.
+// Announcing it again brings the ledger to what a fresh replay holds.
+func TestLedgerReopenLostAnnouncement(t *testing.T) {
 	clk := clock.NewSimulated(chain.RegTestParams().GenesisBlock.Header.Timestamp.Add(time.Minute))
 	dir, tx, carrier := appliedDatadir(t, clk)
 
@@ -428,36 +454,33 @@ func TestLedgerReopenDivergedMarker(t *testing.T) {
 	if err := file.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	c, err := chain.Open(chain.Config{Params: chain.RegTestParams(), Clock: clk, Store: file})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := typecoin.OpenLedger(c, 1); !errors.Is(err, typecoin.ErrStateDiverged) {
-		t.Fatalf("OpenLedger = %v, want ErrStateDiverged", err)
-	}
-	if !markerRows(t, file)[carrier] {
-		t.Fatal("the refused open erased the marker it refused")
-	}
-}
-
-// A marker whose carrier is not on the recovered chain is what a crash
-// between a disconnect commit and the ledger's delete leaves: the open
-// succeeds and removes it.
-func TestLedgerReopenStaleMarker(t *testing.T) {
-	clk := clock.NewSimulated(chain.RegTestParams().GenesisBlock.Header.Timestamp.Add(time.Minute))
-	dir, _, carrier := appliedDatadir(t, clk)
-
-	file, err := store.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	stale := chainhash.Hash{0xde, 0xad}
-	b := store.NewBatch()
-	b.Put(append([]byte("la"), stale[:]...), []byte{1})
-	if err := file.Apply(b); err != nil {
-		t.Fatal(err)
-	}
 	n := openLedgerNode(t, file, clk)
-	wantMarkers(t, "reopen over a stale marker", file, n.ledger, carrier)
+	wantApplied(t, "reopen without the announcement", n.ledger)
+	if missing := n.ledger.MissingAnnouncements(); len(missing) != 1 || missing[0] != h {
+		t.Fatalf("MissingAnnouncements = %v, want [%s]", missing, h)
+	}
+
+	n.ledger.Announce(tx)
+	wantApplied(t, "re-announced", n.ledger, carrier)
+	fresh := typecoin.NewLedger(n.chain, 1)
+	fresh.Announce(tx)
+	fresh.Rescan()
+	if !fresh.Applied(carrier) {
+		t.Fatal("a fresh replay does not apply the carrier")
+	}
+	out := wire.OutPoint{Hash: carrier, Index: 0}
+	got, gok := n.ledger.ResolveOutput(out)
+	want, wok := fresh.ResolveOutput(out)
+	if !gok || !wok {
+		t.Fatalf("typed output resolves %v, in a fresh replay %v; want both", gok, wok)
+	}
+	if eq, err := logic.PropEqual(got, want); err != nil || !eq {
+		t.Fatalf("typed output has type %s, in a fresh replay %s (%v)", got, want, err)
+	}
+	r := lf.TxRef(carrier, "tok")
+	_, gok = n.ledger.GlobalBasis().LookupFamConst(r)
+	_, wok = fresh.GlobalBasis().LookupFamConst(r)
+	if !gok || !wok {
+		t.Fatalf("%s resolves %v, in a fresh replay %v; want both", r, gok, wok)
+	}
 }

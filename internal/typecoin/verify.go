@@ -17,6 +17,7 @@ import (
 type ChainView interface {
 	TxByID(chainhash.Hash) (*wire.MsgTx, bool)
 	BlockOf(chainhash.Hash) (*wire.MsgBlock, int, bool)
+	TxPosition(chainhash.Hash) (height, index int, ok bool)
 	Confirmations(chainhash.Hash) int
 	IsSpent(wire.OutPoint) (chain.SpendRecord, bool)
 }
@@ -94,6 +95,7 @@ func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles
 		bundle *Bundle
 		tch    chainhash.Hash // of bundle.Tc, hashed once for embedding and Apply
 		height int
+		index  int // within the block
 		block  *wire.MsgBlock
 	}
 	pending := make(map[chainhash.Hash]*pendingTx, len(bundles)) // by carrier id
@@ -122,14 +124,15 @@ func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles
 		default:
 			return nil, errors.New("typecoin: empty bundle")
 		}
-		blk, height, ok := view.BlockOf(b.Carrier)
-		if !ok {
+		blk, height, inBlock := view.BlockOf(b.Carrier)
+		_, index, placed := view.TxPosition(b.Carrier)
+		if !inBlock || !placed {
 			return nil, fmt.Errorf("%w: %s not in a main-chain block", ErrCarrierUnknown, b.Carrier)
 		}
 		if _, dup := pending[b.Carrier]; dup {
 			return nil, fmt.Errorf("typecoin: duplicate bundle for carrier %s", b.Carrier)
 		}
-		pending[b.Carrier] = &pendingTx{bundle: b, tch: tch, height: height, block: blk}
+		pending[b.Carrier] = &pendingTx{bundle: b, tch: tch, height: height, index: index, block: blk}
 	}
 
 	// Steps 2 and 3: replay in blockchain order — the order chain
@@ -139,24 +142,16 @@ func Verify(view ChainView, claim wire.OutPoint, claimedType logic.Prop, bundles
 	type orderedTx struct {
 		carrierID chainhash.Hash
 		p         *pendingTx
-		pos       int // index within the block
 	}
 	ordered := make([]orderedTx, 0, len(pending))
 	for carrierID, p := range pending {
-		pos := 0
-		for i, btx := range p.block.Transactions {
-			if btx.TxHash() == carrierID {
-				pos = i
-				break
-			}
-		}
-		ordered = append(ordered, orderedTx{carrierID, p, pos})
+		ordered = append(ordered, orderedTx{carrierID, p})
 	}
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].p.height != ordered[j].p.height {
 			return ordered[i].p.height < ordered[j].p.height
 		}
-		return ordered[i].pos < ordered[j].pos
+		return ordered[i].p.index < ordered[j].p.index
 	})
 
 	state := NewState()
