@@ -8,8 +8,9 @@ GO ?= go
 # pool and the wallet call) get a dedicated -race pass.
 RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/...
 
-# Native fuzz targets over the three attacker-facing decoders. Each runs
-# for a short smoke budget; override FUZZTIME for longer campaigns.
+# Native fuzz targets over the attacker-facing decoders, plus the table
+# signature verifier against crypto/ecdsa. Each runs for a short smoke
+# budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
 .PHONY: build test race vet check bench-module chaos bench metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/logic/ -fuzz FuzzLogicDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzKVRecordDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -fuzz FuzzIndexQuery -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bkey/ -fuzz FuzzVerifyMatchesStdlib -fuzztime $(FUZZTIME)
 
 # Crash-recovery suite: store-level torn-write tests, the fault-injected
 # full-stack recovery test, the SIGKILL daemon end-to-end tests (chain

@@ -89,7 +89,7 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	for _, want := range []string{
 		"chain_height", "chain_connects_total", "chain_connect_seconds_count",
-		"chain_utxo_size", "sigcache_hits_total", "sigcache_size",
+		"chain_utxo_size", "sigcache_hits_total", "sigcache_size", "sigverify_key_tables",
 		"mempool_size", "mempool_accepted_total",
 		"p2p_peers", "p2p_bans_total",
 		"miner_blocks_found_total", "miner_hash_attempts_total",

@@ -265,12 +265,14 @@ func (g *nonceRFC6979) next() *big.Int {
 	}
 }
 
-// Verify reports whether sig is a valid signature of digest under p.
+// Verify reports whether sig is a valid signature of digest under p. From
+// p's second verification on, it runs through p's precomputed table (see
+// keytables.go); the verdict is crypto/ecdsa.Verify's either way.
 func (p *PublicKey) Verify(digest []byte, sig *Signature) bool {
 	if sig == nil || len(digest) != 32 {
 		return false
 	}
-	return ecdsa.Verify(&p.ec, digest, sig.R, sig.S)
+	return keyTables.verify(p, digest, sig)
 }
 
 // Serialize encodes the signature as DER (via ASN.1), matching Bitcoin's

@@ -272,6 +272,16 @@ func TestSignRFC6979Vector(t *testing.T) {
 	if !k.PubKey().Verify(digest[:], sig) {
 		t.Error("vector signature does not verify")
 	}
+	// A key's second verification is its first through the table path.
+	c := newKeyCache(maxKeyTables)
+	for i := 0; i < 2; i++ {
+		if !c.verify(k.PubKey(), digest[:], sig) {
+			t.Errorf("vector signature rejected on verification %d", i+1)
+		}
+	}
+	if st := c.stats(); st.ColdVerifies != 1 || st.TableVerifies != 1 {
+		t.Errorf("vector verified %d times cold and %d through the table, want 1 and 1", st.ColdVerifies, st.TableVerifies)
+	}
 }
 
 // TestNonceMACMatchesCryptoHMAC holds the generator's stack-computed HMAC
