@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check bench-module chaos bench metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
+.PHONY: build test race vet check portable bench-module chaos bench metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,15 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-check: vet build test race bench-module chaos
+check: vet build test race portable bench-module chaos
+
+# On amd64 internal/bkey multiplies field elements in Go's assembly; on
+# every other GOARCH, and under the purego tag, in fiat's Go alone. Test
+# the fiat build here, and vet an arm64 build (cross-compiled from
+# GOROOT) so that nothing only the amd64 files define goes missing.
+portable:
+	$(GO) test -tags purego ./internal/bkey/...
+	GOARCH=arm64 $(GO) vet ./internal/bkey/...
 
 # benchmark/ is its own module, so the root ./... patterns never compile
 # it: vet and test it explicitly, or an internal-API change breaks the

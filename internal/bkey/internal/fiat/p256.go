@@ -5,7 +5,8 @@
 // Copied from Go 1.24's crypto/internal/fips140/nistec/fiat/p256.go,
 // which that package's generate.go generated, and edited by hand: it
 // imports crypto/subtle instead of crypto/internal/fips140/subtle, IsZero
-// ORs the limbs instead of comparing Bytes, and Select is dropped.
+// ORs the limbs instead of comparing Bytes, Select is dropped, and Mul and
+// Square moved to p256_amd64.go and p256_noasm.go, one per field kernel.
 
 package fiat
 
@@ -111,18 +112,6 @@ func (e *P256Element) Add(t1, t2 *P256Element) *P256Element {
 // Sub sets e = t1 - t2, and returns e.
 func (e *P256Element) Sub(t1, t2 *P256Element) *P256Element {
 	p256Sub(&e.x, &t1.x, &t2.x)
-	return e
-}
-
-// Mul sets e = t1 * t2, and returns e.
-func (e *P256Element) Mul(t1, t2 *P256Element) *P256Element {
-	p256Mul(&e.x, &t1.x, &t2.x)
-	return e
-}
-
-// Square sets e = t * t, and returns e.
-func (e *P256Element) Square(t *P256Element) *P256Element {
-	p256Square(&e.x, &t.x)
 	return e
 }
 

@@ -8,15 +8,15 @@ import (
 )
 
 // This file verifies P-256 ECDSA signatures through precomputed comb
-// tables. A key's table holds every signed 4-bit-window multiple of the
-// key, so R = u1·G + u2·Q is a sum of table entries, one mixed addition
+// tables. A point's table holds every signed w-bit-window multiple of the
+// point, so R = u1·G + u2·Q is a sum of table entries, one mixed addition
 // per non-zero digit of each scalar, and no doubling runs at verify time.
 // Every input (key, digest, signature) is public, so the code is
 // variable-time; signing never reaches it.
 
 const (
-	combWindows = 64 // 4-bit windows of a 256-bit scalar
-	combPoints  = 8  // |digit| ∈ [1, 8] under signed (Booth) recoding
+	keyWindow  = 4 // a key's table: 64 windows of 8 points, 32 KiB
+	baseWindow = 8 // G's table: 32 windows of 128 points, 256 KiB
 )
 
 type fe = fiat.P256Element
@@ -28,9 +28,14 @@ type affinePoint struct{ x, y fe }
 // infinity, so the zero value is the identity.
 type jacobianPoint struct{ x, y, z fe }
 
-// combTable holds (j+1)·16^i·P at index i·8 + j for a point P: 64
-// windows of 8 affine points, 32 KiB.
-type combTable [combWindows * combPoints]affinePoint
+// combTable holds, for a point P and a window width w dividing 8,
+// (j+1)·2^(w·i)·P at index i·2^(w−1) + j: 256/w windows of the 2^(w−1)
+// affine points that signed (Booth) digits of magnitude at most 2^(w−1)
+// need.
+type combTable struct {
+	w   uint
+	pts []affinePoint
+}
 
 var (
 	p256Params = elliptic.P256().Params()
@@ -38,8 +43,9 @@ var (
 	// the scalar below 2^255 so that the top window never carries out.
 	halfN = new(big.Int).Rsh(p256Params.N, 1)
 	// baseTable is the generator's table, built once by the same code
-	// as every key's.
-	baseTable = newCombTable(feFromInt(p256Params.Gx), feFromInt(p256Params.Gy))
+	// as every key's but with a wider window: it is shared by every
+	// verification, so its 256 KiB halve the additions for u1·G.
+	baseTable = newCombTable(feFromInt(p256Params.Gx), feFromInt(p256Params.Gy), baseWindow)
 )
 
 // feFromInt converts v ∈ [0, p) to a field element.
@@ -164,18 +170,20 @@ func (p *jacobianPoint) finishAdd(u1, s1, h, r *fe) {
 	p.y.Sub(&p.y, &s1h3) // Y3 = R·(U1·H² − X3) − S1·H³
 }
 
-// newCombTable builds the table of the finite point (x, y). Each window
-// costs five doublings and three additions in Jacobian coordinates; one
-// batch normalisation, with a single field inversion, then makes all 512
-// points affine.
-func newCombTable(x, y *fe) *combTable {
-	pts := make([]jacobianPoint, combWindows*combPoints)
+// newCombTable builds the w-bit-window table of the finite point (x, y).
+// Each window of 2^(w−1) points costs 2^(w−2) + 1 doublings (one makes
+// the next window's base) and 2^(w−2) − 1 additions in Jacobian
+// coordinates; one batch normalisation, with a single field inversion,
+// then makes every point affine.
+func newCombTable(x, y *fe, w uint) *combTable {
+	windows, points := 256/int(w), 1<<(w-1)
+	pts := make([]jacobianPoint, windows*points)
 	var b jacobianPoint
 	b.addAffine(&affinePoint{x: *x, y: *y})
-	for i := 0; i < combWindows; i++ {
-		row := pts[i*combPoints : (i+1)*combPoints]
+	for i := 0; i < windows; i++ {
+		row := pts[i*points : (i+1)*points]
 		row[0] = b
-		for j := 1; j < combPoints; j++ {
+		for j := 1; j < points; j++ {
 			if j%2 == 1 { // (j+1)·B = 2·((j+1)/2)·B
 				row[j] = row[(j-1)/2]
 				row[j].double()
@@ -184,35 +192,36 @@ func newCombTable(x, y *fe) *combTable {
 				row[j].add(&b)
 			}
 		}
-		b = row[combPoints-1]
-		b.double() // 16·B, the next window's base
+		b = row[points-1]
+		b.double() // 2^w·B, the next window's base
 	}
 
-	// Montgomery's trick: prefix[k] = Z_0···Z_{k−1}, so one inversion of
-	// the full product yields every 1/Z_k. No Z is zero: every entry is
-	// a multiple m·P with 0 < m ≤ 8·16^63 = 2^255 < n.
-	prefix := make([]fe, len(pts))
+	// Montgomery's trick: the prefix product Z_0···Z_{k−1}, kept in entry
+	// k's x until the backward pass overwrites it, so one inversion of the
+	// full product yields every 1/Z_k. No Z is zero: every entry is a
+	// multiple m·P with 0 < m ≤ 2^(w−1)·2^(w·(256/w−1)) = 2^255 < n.
+	t := &combTable{w: w, pts: make([]affinePoint, len(pts))}
 	var acc, inv, zinv, zinv2 fe
 	acc.One()
 	for k := range pts {
-		prefix[k] = acc
+		t.pts[k].x = acc
 		acc.Mul(&acc, &pts[k].z)
 	}
 	inv.Invert(&acc)
-	t := new(combTable)
 	for k := len(pts) - 1; k >= 0; k-- {
-		zinv.Mul(&inv, &prefix[k])
+		a := &t.pts[k]
+		zinv.Mul(&inv, &a.x)
 		inv.Mul(&inv, &pts[k].z)
 		zinv2.Square(&zinv)
-		t[k].x.Mul(&pts[k].x, &zinv2)
-		t[k].y.Mul(&pts[k].y, &zinv2)
-		t[k].y.Mul(&t[k].y, &zinv)
+		a.x.Mul(&pts[k].x, &zinv2)
+		a.y.Mul(&pts[k].y, &zinv2)
+		a.y.Mul(&a.y, &zinv)
 	}
 	return t
 }
 
 // addComb adds k·P to p, where t is P's table and 0 ≤ k < n: one mixed
-// addition per non-zero signed 4-bit digit of k.
+// addition per non-zero signed w-bit digit of k.
 func (p *jacobianPoint) addComb(t *combTable, k *big.Int) {
 	neg := k.Cmp(halfN) > 0
 	if neg {
@@ -220,13 +229,16 @@ func (p *jacobianPoint) addComb(t *combTable, k *big.Int) {
 	}
 	var b [32]byte
 	k.FillBytes(b[:])
+	w := t.w
+	points, mask := 1<<(w-1), 1<<w-1
 	var zero fe
 	carry := 0
-	for i := 0; i < combWindows; i++ {
-		d := int(b[31-i/2]>>(4*(i%2))&15) + carry
+	for i := 0; i < 256/int(w); i++ {
+		bit := uint(i) * w // a window never straddles a byte, as w divides 8
+		d := int(b[31-bit/8]>>(bit%8))&mask + carry
 		carry = 0
-		if d > 8 {
-			d -= 16
+		if d > points {
+			d -= 1 << w
 			carry = 1
 		}
 		if d == 0 {
@@ -236,7 +248,7 @@ func (p *jacobianPoint) addComb(t *combTable, k *big.Int) {
 		if d < 0 {
 			d, negate = -d, !negate
 		}
-		q := t[i*combPoints+d-1]
+		q := t.pts[i*points+d-1]
 		if negate {
 			q.y.Sub(&zero, &q.y)
 		}

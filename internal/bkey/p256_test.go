@@ -1,6 +1,7 @@
 package bkey
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
@@ -43,17 +44,53 @@ func samePoint(t *testing.T, what string, gx, gy, wx, wy *big.Int) {
 	}
 }
 
-// TestBaseTableMatchesScalarBaseMult checks every entry of G's table,
-// (j+1)·16^i·G, against the standard library's base multiplication.
+// TestBaseTableMatchesScalarBaseMult checks every entry of G's 8-bit
+// table, (j+1)·256^i·G, against the standard library's base
+// multiplication.
 func TestBaseTableMatchesScalarBaseMult(t *testing.T) {
 	curve := elliptic.P256()
-	for i := 0; i < combWindows; i++ {
-		for j := 0; j < combPoints; j++ {
-			m := new(big.Int).Lsh(big.NewInt(int64(j+1)), uint(4*i))
+	if baseTable.w != baseWindow || len(baseTable.pts) != 32*128 {
+		t.Fatalf("G's table has width %d and %d points, want %d and %d", baseTable.w, len(baseTable.pts), baseWindow, 32*128)
+	}
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 128; j++ {
+			m := new(big.Int).Lsh(big.NewInt(int64(j+1)), uint(8*i))
 			wx, wy := curve.ScalarBaseMult(scalarBytes(m))
-			e := baseTable[i*combPoints+j]
+			e := baseTable.pts[i*128+j]
 			gx, gy := new(big.Int).SetBytes(e.x.Bytes()), new(big.Int).SetBytes(e.y.Bytes())
 			samePoint(t, fmt.Sprintf("table[%d][%d]", i, j), gx, gy, wx, wy)
+		}
+	}
+}
+
+// TestAddCombMatchesScalarBaseMult holds addComb's signed recoding, at
+// the key tables' 4-bit width and G's 8-bit one, to the standard
+// library's base multiplication: digits at and next to the window
+// midpoint 2^(w−1), carry chains through every window, and scalars on
+// either side of halfN, where addComb negates.
+func TestAddCombMatchesScalarBaseMult(t *testing.T) {
+	curve := elliptic.P256()
+	n := p256Params.N
+	repeat := func(b byte) *big.Int { return new(big.Int).SetBytes(bytes.Repeat([]byte{b}, 32)) }
+	scalars := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(127), big.NewInt(128),
+		big.NewInt(129), big.NewInt(255), big.NewInt(256),
+		repeat(0x7f), repeat(0x80), repeat(0x81),
+		new(big.Int).Rsh(repeat(0x80), 8), new(big.Int).Rsh(repeat(0x81), 8),
+		new(big.Int).Rsh(repeat(0x88), 8), new(big.Int).Rsh(repeat(0x99), 8),
+		halfN, new(big.Int).Add(halfN, big.NewInt(1)), new(big.Int).Sub(n, big.NewInt(1)),
+	}
+	g := affineOf(p256Params.Gx, p256Params.Gy)
+	for _, table := range []*combTable{newCombTable(&g.x, &g.y, keyWindow), baseTable} {
+		for _, k := range scalars {
+			var p jacobianPoint
+			p.addComb(table, k)
+			gx, gy := p.toAffine()
+			var wx, wy *big.Int
+			if k.Sign() != 0 {
+				wx, wy = curve.ScalarBaseMult(scalarBytes(k))
+			}
+			samePoint(t, fmt.Sprintf("%d-bit comb %x·G", table.w, k), gx, gy, wx, wy)
 		}
 	}
 }
@@ -123,7 +160,7 @@ func keyFromScalar(t testing.TB, d *big.Int) *PrivateKey {
 
 // tableOf builds p's comb table directly, bypassing the cache.
 func tableOf(p *PublicKey) *combTable {
-	return newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y))
+	return newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y), keyWindow)
 }
 
 // TestVerifyZeroU1 covers digests whose integer value is 0 mod n (the
