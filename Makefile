@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check portable bench-module chaos bench metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
+.PHONY: build test race vet check portable bench-module chaos bench verify-probe metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,12 @@ chaos:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
+
+# The signature-verification probes DESIGN.md ("Signature verification")
+# quotes: warm, many-keys and cold verifications and a key's table
+# build, on one core, five runs each.
+verify-probe:
+	$(GO) test -run xxx -bench 'Verify|Build' -cpu 1 -count 5 ./internal/bkey/
 
 # Observability smoke test: boots a real daemon, scrapes /metrics, and
 # fails on malformed exposition output or missing metric families.

@@ -67,7 +67,7 @@ func (c *keyCache) table(k [64]byte, p *PublicKey) *combTable {
 	if !seen || t != nil {
 		return t
 	}
-	t = newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y), keyWindow)
+	t = newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y))
 	c.builds.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,21 +2,33 @@ package bkey
 
 import (
 	"crypto/elliptic"
+	"encoding/binary"
 	"math/big"
+	"math/bits"
 
 	"typecoin/internal/bkey/internal/fiat"
 )
 
-// This file verifies P-256 ECDSA signatures through precomputed comb
-// tables. A point's table holds every signed w-bit-window multiple of the
-// point, so R = u1·G + u2·Q is a sum of table entries, one mixed addition
-// per non-zero digit of each scalar, and no doubling runs at verify time.
-// Every input (key, digest, signature) is public, so the code is
-// variable-time; signing never reaches it.
+// This file verifies P-256 ECDSA signatures through precomputed signed
+// comb tables: Lim–Lee's comb in Hamburg's signed all-bits form, the
+// layout of libsecp256k1's ecmult_gen. A scalar u is recoded as
+// e = (u + 2^260 − 1)/2 mod n, so that u = Σ_j (2·e_j − 1)·2^j mod n
+// over the 260 bits e_j of e, each read as ±1 and never 0. Those bits
+// are 10 teeth of 26: with B_i = 2^(26·i)·P,
+//
+//	u·P = Σ_c 2^c · Σ_i (2·e_(26·i+c) − 1)·B_i,
+//
+// so column c of e (bit i is e_(26·i+c)) names one of the 1024 sums
+// ±B_0 ± ··· ± B_9. A point's table holds the 512 with +B_9; the others
+// are their negations. G and every key share the layout, so
+// R = u1·G + u2·Q is one Horner loop over the 26 columns: 25 doublings
+// and 51 mixed additions. Every input (key, digest, signature) is
+// public, so the code is variable-time; signing never reaches it.
 
 const (
-	keyWindow  = 4 // a key's table: 64 windows of 8 points, 32 KiB
-	baseWindow = 8 // G's table: 32 windows of 128 points, 256 KiB
+	teeth      = 10
+	columns    = 26 // teeth·columns = 260 ≥ 256 bits
+	combPoints = 1 << (teeth - 1)
 )
 
 type fe = fiat.P256Element
@@ -28,24 +40,22 @@ type affinePoint struct{ x, y fe }
 // infinity, so the zero value is the identity.
 type jacobianPoint struct{ x, y, z fe }
 
-// combTable holds, for a point P and a window width w dividing 8,
-// (j+1)·2^(w·i)·P at index i·2^(w−1) + j: 256/w windows of the 2^(w−1)
-// affine points that signed (Booth) digits of magnitude at most 2^(w−1)
-// need.
-type combTable struct {
-	w   uint
-	pts []affinePoint
-}
+// combTable holds, for a point P, B_9 + Σ_(i<9) (2·bit_i(low) − 1)·B_i
+// at index low: 512 affine points, 32 KiB.
+type combTable [combPoints]affinePoint
 
 var (
 	p256Params = elliptic.P256().Params()
-	// halfN is (n−1)/2. addComb negates a scalar above it, which keeps
-	// the scalar below 2^255 so that the top window never carries out.
-	halfN = new(big.Int).Rsh(p256Params.N, 1)
-	// baseTable is the generator's table, built once by the same code
-	// as every key's but with a wider window: it is shared by every
-	// verification, so its 256 KiB halve the additions for u1·G.
-	baseTable = newCombTable(feFromInt(p256Params.Gx), feFromInt(p256Params.Gy), baseWindow)
+	// combOffset is (2^260 − 1)/2 mod n, so e = u/2 + combOffset.
+	combOffset = func() *big.Int {
+		n := p256Params.N
+		half := new(big.Int).Rsh(new(big.Int).Add(n, big.NewInt(1)), 1) // 2⁻¹ mod n
+		all := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), teeth*columns), big.NewInt(1))
+		return all.Mul(all, half).Mod(all, n)
+	}()
+	// baseTable is the generator's table, built once by the same code as
+	// every key's.
+	baseTable = newCombTable(feFromInt(p256Params.Gx), feFromInt(p256Params.Gy))
 )
 
 // feFromInt converts v ∈ [0, p) to a field element.
@@ -56,6 +66,12 @@ func feFromInt(v *big.Int) *fe {
 		panic("bkey: field element out of range")
 	}
 	return e
+}
+
+// negate sets q = −q.
+func (q *affinePoint) negate() {
+	var zero fe
+	q.y.Sub(&zero, &q.y)
 }
 
 // double sets p = 2p with the a = −3 formulas (dbl-2001-b). The point at
@@ -103,157 +119,136 @@ func (p *jacobianPoint) addAffine(q *affinePoint) {
 	s2.Mul(&s2, &p.z)
 	h.Sub(&u2, &p.x)
 	r.Sub(&s2, &p.y)
-	if p.collapse(&h, &r) {
+	if h.IsZero() == 1 { // equal points double, opposite points cancel
+		if r.IsZero() == 1 {
+			p.double()
+		} else {
+			*p = jacobianPoint{}
+		}
 		return
 	}
-	p.finishAdd(&p.x, &p.y, &h, &r)
-}
-
-// add sets p = p + q for two Jacobian points. Only the table build uses
-// it: its three additions per window would otherwise each need q affine.
-func (p *jacobianPoint) add(q *jacobianPoint) {
-	if q.z.IsZero() == 1 {
-		return
-	}
-	if p.z.IsZero() == 1 {
-		*p = *q
-		return
-	}
-	var z1z1, z2z2, u1, u2, s1, s2, h, r fe
-	z1z1.Square(&p.z)
-	z2z2.Square(&q.z)
-	u1.Mul(&p.x, &z2z2)
-	u2.Mul(&q.x, &z1z1)
-	s1.Mul(&p.y, &q.z)
-	s1.Mul(&s1, &z2z2)
-	s2.Mul(&q.y, &p.z)
-	s2.Mul(&s2, &z1z1)
-	h.Sub(&u2, &u1)
-	r.Sub(&s2, &s1)
-	if p.collapse(&h, &r) {
-		return
-	}
-	p.z.Mul(&p.z, &q.z)
-	p.finishAdd(&u1, &s1, &h, &r)
-}
-
-// collapse handles an addition whose operands share an x-coordinate
-// (H = U2 − U1 = 0): equal points double, opposite points cancel. It
-// reports whether it did either.
-func (p *jacobianPoint) collapse(h, r *fe) bool {
-	if h.IsZero() == 0 {
-		return false
-	}
-	if r.IsZero() == 1 {
-		p.double()
-	} else {
-		*p = jacobianPoint{}
-	}
-	return true
-}
-
-// finishAdd completes an addition from U1, S1, H = U2 − U1 and
-// R = S2 − S1, with p.z holding Z1·Z2. u1 and s1 may alias p.x and p.y.
-func (p *jacobianPoint) finishAdd(u1, s1, h, r *fe) {
 	var h2, h3, s1h3, v fe
-	h2.Square(h)
-	h3.Mul(h, &h2)
-	v.Mul(u1, &h2)
-	s1h3.Mul(s1, &h3)
-	p.z.Mul(&p.z, h)
-	p.x.Square(r)
+	h2.Square(&h)
+	h3.Mul(&h, &h2)
+	v.Mul(&p.x, &h2)
+	s1h3.Mul(&p.y, &h3)
+	p.z.Mul(&p.z, &h)
+	p.x.Square(&r)
 	p.x.Sub(&p.x, &h3)
 	p.x.Sub(&p.x, &v)
-	p.x.Sub(&p.x, &v) // X3 = R² − H³ − 2·U1·H²
+	p.x.Sub(&p.x, &v) // X3 = R² − H³ − 2·X1·H²
 	v.Sub(&v, &p.x)
-	p.y.Mul(r, &v)
-	p.y.Sub(&p.y, &s1h3) // Y3 = R·(U1·H² − X3) − S1·H³
+	p.y.Mul(&r, &v)
+	p.y.Sub(&p.y, &s1h3) // Y3 = R·(X1·H² − X3) − Y1·H³
 }
 
-// newCombTable builds the w-bit-window table of the finite point (x, y).
-// Each window of 2^(w−1) points costs 2^(w−2) + 1 doublings (one makes
-// the next window's base) and 2^(w−2) − 1 additions in Jacobian
-// coordinates; one batch normalisation, with a single field inversion,
-// then makes every point affine.
-func newCombTable(x, y *fe, w uint) *combTable {
-	windows, points := 256/int(w), 1<<(w-1)
-	pts := make([]jacobianPoint, windows*points)
-	var b jacobianPoint
-	b.addAffine(&affinePoint{x: *x, y: *y})
-	for i := 0; i < windows; i++ {
-		row := pts[i*points : (i+1)*points]
-		row[0] = b
-		for j := 1; j < points; j++ {
-			if j%2 == 1 { // (j+1)·B = 2·((j+1)/2)·B
-				row[j] = row[(j-1)/2]
-				row[j].double()
-			} else {
-				row[j] = row[j-1]
-				row[j].add(&b)
-			}
-		}
-		b = row[points-1]
-		b.double() // 2^w·B, the next window's base
-	}
-
-	// Montgomery's trick: the prefix product Z_0···Z_{k−1}, kept in entry
-	// k's x until the backward pass overwrites it, so one inversion of the
-	// full product yields every 1/Z_k. No Z is zero: every entry is a
-	// multiple m·P with 0 < m ≤ 2^(w−1)·2^(w·(256/w−1)) = 2^255 < n.
-	t := &combTable{w: w, pts: make([]affinePoint, len(pts))}
+// normalize sets dst[k] to the affine form of the finite point src[k].
+// Montgomery's trick: the prefix product Z_0···Z_(k−1) is kept in
+// dst[k].x until the backward pass overwrites it, so one inversion of
+// the full product yields every 1/Z_k.
+func normalize(dst []affinePoint, src []jacobianPoint) {
 	var acc, inv, zinv, zinv2 fe
 	acc.One()
-	for k := range pts {
-		t.pts[k].x = acc
-		acc.Mul(&acc, &pts[k].z)
+	for k := range src {
+		dst[k].x = acc
+		acc.Mul(&acc, &src[k].z)
 	}
 	inv.Invert(&acc)
-	for k := len(pts) - 1; k >= 0; k-- {
-		a := &t.pts[k]
+	for k := len(src) - 1; k >= 0; k-- {
+		a := &dst[k]
 		zinv.Mul(&inv, &a.x)
-		inv.Mul(&inv, &pts[k].z)
+		inv.Mul(&inv, &src[k].z)
 		zinv2.Square(&zinv)
-		a.x.Mul(&pts[k].x, &zinv2)
-		a.y.Mul(&pts[k].y, &zinv2)
+		a.x.Mul(&src[k].x, &zinv2)
+		a.y.Mul(&src[k].y, &zinv2)
 		a.y.Mul(&a.y, &zinv)
 	}
+}
+
+// newCombTable builds the table of the finite point P = (x, y). 234
+// doublings make B_1, …, B_9, and 2·B_0, …, 2·B_8 on the way; one batch
+// normalisation makes them affine. Then T[0] = B_9 − B_0 − ··· − B_8,
+// and T[low] = T[low − 2^k] + 2·B_k, where k is low's top bit, since
+// setting bit k turns −B_k into +B_k: 520 mixed additions, and a second
+// batch normalisation. No Z is zero: every point is m·P with
+// 0 < m < 2^235 < n.
+func newCombTable(x, y *fe) *combTable {
+	var b [2*teeth - 1]jacobianPoint // B_0, …, B_9, then 2·B_0, …, 2·B_8
+	b[0].addAffine(&affinePoint{x: *x, y: *y})
+	for i := 1; i < teeth; i++ {
+		b[i] = b[i-1]
+		for j := 0; j < columns; j++ {
+			b[i].double()
+			if j == 0 {
+				b[teeth+i-1] = b[i]
+			}
+		}
+	}
+	var ab [len(b)]affinePoint
+	normalize(ab[:], b[:])
+
+	pts := make([]jacobianPoint, combPoints)
+	pts[0].addAffine(&ab[teeth-1])
+	for i := 0; i < teeth-1; i++ {
+		q := ab[i]
+		q.negate()
+		pts[0].addAffine(&q)
+	}
+	for low := 1; low < combPoints; low++ {
+		k := bits.Len(uint(low)) - 1
+		pts[low] = pts[low-1<<k]
+		pts[low].addAffine(&ab[teeth+k])
+	}
+	t := new(combTable)
+	normalize(t[:], pts)
 	return t
 }
 
-// addComb adds k·P to p, where t is P's table and 0 ≤ k < n: one mixed
-// addition per non-zero signed w-bit digit of k.
-func (p *jacobianPoint) addComb(t *combTable, k *big.Int) {
-	neg := k.Cmp(halfN) > 0
-	if neg {
-		k = new(big.Int).Sub(p256Params.N, k) // k·P = −((n−k)·P)
-	}
+// combColumns returns the 26 column indices of e ∈ [0, n): bit i of
+// column c is bit 26·i + c of e. Bits 256–259 are zero.
+func combColumns(e *big.Int) (cols [columns]uint) {
 	var b [32]byte
-	k.FillBytes(b[:])
-	w := t.w
-	points, mask := 1<<(w-1), 1<<w-1
-	var zero fe
-	carry := 0
-	for i := 0; i < 256/int(w); i++ {
-		bit := uint(i) * w // a window never straddles a byte, as w divides 8
-		d := int(b[31-bit/8]>>(bit%8))&mask + carry
-		carry = 0
-		if d > points {
-			d -= 1 << w
-			carry = 1
+	e.FillBytes(b[:])
+	var l [5]uint64 // little-endian limbs; l[4] holds bits 256–259
+	for i := 0; i < 4; i++ {
+		l[i] = binary.BigEndian.Uint64(b[24-8*i:])
+	}
+	for c := range cols {
+		for i := 0; i < teeth; i++ {
+			j := columns*i + c
+			cols[c] |= uint(l[j/64]>>(j%64)&1) << i
 		}
-		if d == 0 {
-			continue
+	}
+	return cols
+}
+
+// entry returns the sum that column index col names: T[col & 511] when
+// B_9's bit is set, and otherwise −T[^col & 511], since flipping every
+// sign negates the sum.
+func (t *combTable) entry(col uint) affinePoint {
+	if col&combPoints != 0 {
+		return t[col&(combPoints-1)]
+	}
+	q := t[^col&(combPoints-1)]
+	q.negate()
+	return q
+}
+
+// mulAdd returns u1·G + u2·P, where t is P's table and e1 and e2 are the
+// recodings of u1 and u2.
+func (t *combTable) mulAdd(e1, e2 *big.Int) jacobianPoint {
+	c1, c2 := combColumns(e1), combColumns(e2)
+	var p jacobianPoint
+	for c := columns - 1; c >= 0; c-- {
+		if c < columns-1 {
+			p.double()
 		}
-		negate := neg
-		if d < 0 {
-			d, negate = -d, !negate
-		}
-		q := t.pts[i*points+d-1]
-		if negate {
-			q.y.Sub(&zero, &q.y)
-		}
+		q := baseTable.entry(c1[c])
+		p.addAffine(&q)
+		q = t.entry(c2[c])
 		p.addAffine(&q)
 	}
+	return p
 }
 
 // verify reports whether (r, s) is a signature of the 32-byte digest
@@ -264,13 +259,17 @@ func (q *combTable) verify(digest []byte, r, s *big.Int) bool {
 	if r.Sign() <= 0 || s.Sign() <= 0 || r.Cmp(n) >= 0 || s.Cmp(n) >= 0 {
 		return false
 	}
-	w := new(big.Int).ModInverse(s, n)
-	u1 := new(big.Int).SetBytes(digest)
-	u1.Mul(u1, w).Mod(u1, n)
-	u2 := w.Mul(w, r).Mod(w, n)
-	var sum jacobianPoint
-	sum.addComb(baseTable, u1)
-	sum.addComb(q, u2)
+	// w = (2s)⁻¹ folds the recoding's halving into u1 = z·s⁻¹ and
+	// u2 = r·s⁻¹: e1 = z·w + combOffset and e2 = r·w + combOffset.
+	w := new(big.Int).Lsh(s, 1)
+	if w.Cmp(n) >= 0 {
+		w.Sub(w, n)
+	}
+	w.ModInverse(w, n)
+	e1 := new(big.Int).SetBytes(digest)
+	e1.Mul(e1, w).Add(e1, combOffset).Mod(e1, n)
+	e2 := w.Mul(w, r).Add(w, combOffset).Mod(w, n)
+	sum := q.mulAdd(e1, e2)
 	if sum.z.IsZero() == 1 {
 		return false
 	}

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -44,61 +45,119 @@ func samePoint(t *testing.T, what string, gx, gy, wx, wy *big.Int) {
 	}
 }
 
-// TestBaseTableMatchesScalarBaseMult checks every entry of G's 8-bit
-// table, (j+1)·256^i·G, against the standard library's base
-// multiplication.
+// combScalar returns Σ_i (2·bit_i(col) − 1)·2^(26·i), the multiple of
+// P that column index col names.
+func combScalar(col uint) *big.Int {
+	m := new(big.Int)
+	for i := 0; i < teeth; i++ {
+		term := new(big.Int).Lsh(big.NewInt(1), uint(columns*i))
+		if col>>i&1 == 1 {
+			m.Add(m, term)
+		} else {
+			m.Sub(m, term)
+		}
+	}
+	return m
+}
+
+// TestBaseTableMatchesScalarBaseMult checks all 512 entries of G's
+// table, T[low] = m·G with m = 2^234 + Σ_(i<9) ±2^(26·i), against the
+// standard library's base multiplication.
 func TestBaseTableMatchesScalarBaseMult(t *testing.T) {
 	curve := elliptic.P256()
-	if baseTable.w != baseWindow || len(baseTable.pts) != 32*128 {
-		t.Fatalf("G's table has width %d and %d points, want %d and %d", baseTable.w, len(baseTable.pts), baseWindow, 32*128)
-	}
-	for i := 0; i < 32; i++ {
-		for j := 0; j < 128; j++ {
-			m := new(big.Int).Lsh(big.NewInt(int64(j+1)), uint(8*i))
-			wx, wy := curve.ScalarBaseMult(scalarBytes(m))
-			e := baseTable.pts[i*128+j]
-			gx, gy := new(big.Int).SetBytes(e.x.Bytes()), new(big.Int).SetBytes(e.y.Bytes())
-			samePoint(t, fmt.Sprintf("table[%d][%d]", i, j), gx, gy, wx, wy)
-		}
+	for low := uint(0); low < combPoints; low++ {
+		wx, wy := curve.ScalarBaseMult(scalarBytes(combScalar(low | combPoints)))
+		e := baseTable[low]
+		gx, gy := new(big.Int).SetBytes(e.x.Bytes()), new(big.Int).SetBytes(e.y.Bytes())
+		samePoint(t, fmt.Sprintf("table[%d]", low), gx, gy, wx, wy)
 	}
 }
 
-// TestAddCombMatchesScalarBaseMult holds addComb's signed recoding, at
-// the key tables' 4-bit width and G's 8-bit one, to the standard
-// library's base multiplication: digits at and next to the window
-// midpoint 2^(w−1), carry chains through every window, and scalars on
-// either side of halfN, where addComb negates.
+// all260 is 2^260 − 1, the offset of the comb's recoding.
+var all260 = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), teeth*columns), big.NewInt(1))
+
+// recode returns e = (u + 2^260 − 1)/2 mod n, the recoding verify folds
+// into its scalars.
+func recode(u *big.Int) *big.Int {
+	n := p256Params.N
+	e := new(big.Int).ModInverse(big.NewInt(2), n)
+	return e.Mul(e, u).Add(e, combOffset).Mod(e, n)
+}
+
+// unrecode returns u = 2e − (2^260 − 1) mod n, whose recoding is e.
+func unrecode(e *big.Int) *big.Int {
+	u := new(big.Int).Lsh(e, 1)
+	return u.Sub(u, all260).Mod(u, p256Params.N)
+}
+
+// TestAddCombMatchesScalarBaseMult holds the comb multiplication, with
+// G's table on the u1 side and a key's table (of G, and of an ordinary
+// key) on the u2 side, to the standard library's base multiplication.
+// The scalars include those whose recoding e is 0 or n−1, and those
+// whose every column takes the negated lookup (e < 2^234) or, for the
+// 22 columns that can, the positive one (bits 234–255 of e set).
+// Columns 22–25 read bits 256–259 of e < n, which are zero, so they
+// always take the negated lookup.
 func TestAddCombMatchesScalarBaseMult(t *testing.T) {
 	curve := elliptic.P256()
 	n := p256Params.N
-	repeat := func(b byte) *big.Int { return new(big.Int).SetBytes(bytes.Repeat([]byte{b}, 32)) }
+	one := big.NewInt(1)
+	pow2 := func(k uint) *big.Int { return new(big.Int).Lsh(one, k) }
+	halfN := new(big.Int).Rsh(n, 1)
 	scalars := []*big.Int{
-		big.NewInt(0), big.NewInt(1), big.NewInt(127), big.NewInt(128),
-		big.NewInt(129), big.NewInt(255), big.NewInt(256),
-		repeat(0x7f), repeat(0x80), repeat(0x81),
-		new(big.Int).Rsh(repeat(0x80), 8), new(big.Int).Rsh(repeat(0x81), 8),
-		new(big.Int).Rsh(repeat(0x88), 8), new(big.Int).Rsh(repeat(0x99), 8),
-		halfN, new(big.Int).Add(halfN, big.NewInt(1)), new(big.Int).Sub(n, big.NewInt(1)),
+		big.NewInt(0), one, big.NewInt(2), new(big.Int).Sub(n, one),
+		halfN, new(big.Int).Add(halfN, one), pow2(255),
 	}
+	// Recodings e: 0 and n−1; below 2^234, so that every column is
+	// negated (−T[0] throughout for 2^234 − 1); and with bits 234–255
+	// set, so that columns 0–21 are positive (+T[0] for 2^256 − 2^234).
+	for _, e := range []*big.Int{
+		big.NewInt(0), new(big.Int).Sub(n, one),
+		new(big.Int).Sub(pow2(234), one),
+		new(big.Int).Rsh(new(big.Int).SetBytes(bytes.Repeat([]byte{0x5a}, 32)), 22),
+		new(big.Int).Sub(pow2(256), pow2(234)),
+		new(big.Int).Sub(n, pow2(233)),
+	} {
+		u := unrecode(e)
+		if recode(u).Cmp(e) != 0 {
+			t.Fatalf("recode(unrecode(%x)) = %x", e, recode(u))
+		}
+		scalars = append(scalars, u)
+	}
+	zero := recode(new(big.Int))
+	d := big.NewInt(0x5eed)
 	g := affineOf(p256Params.Gx, p256Params.Gy)
-	for _, table := range []*combTable{newCombTable(&g.x, &g.y, keyWindow), baseTable} {
-		for _, k := range scalars {
-			var p jacobianPoint
-			p.addComb(table, k)
-			gx, gy := p.toAffine()
-			var wx, wy *big.Int
-			if k.Sign() != 0 {
-				wx, wy = curve.ScalarBaseMult(scalarBytes(k))
-			}
-			samePoint(t, fmt.Sprintf("%d-bit comb %x·G", table.w, k), gx, gy, wx, wy)
+	q := keyFromScalar(t, d).PubKey()
+	keys := []struct {
+		name  string
+		table *combTable
+		d     *big.Int
+	}{
+		{"G", newCombTable(&g.x, &g.y), one},
+		{"Q", tableOf(q), d},
+	}
+	mul := func(what string, p jacobianPoint, k *big.Int) {
+		t.Helper()
+		gx, gy := p.toAffine()
+		var wx, wy *big.Int
+		if k.Sign() != 0 {
+			wx, wy = curve.ScalarBaseMult(scalarBytes(k))
+		}
+		samePoint(t, what, gx, gy, wx, wy)
+	}
+	for _, u := range scalars {
+		e := recode(u)
+		mul(fmt.Sprintf("%x·G through G's table", u), keys[1].table.mulAdd(e, zero), u)
+		for _, k := range keys {
+			want := new(big.Int).Mul(u, k.d)
+			mul(fmt.Sprintf("%x·%s through its table", u, k.name), k.table.mulAdd(zero, e), want.Mod(want, n))
 		}
 	}
 }
 
-// TestPointAdditionEdgeCases holds mixed addition, and the Jacobian
-// addition the table build uses, to elliptic.P256's Add and Double when
-// P = ∞, P = Q, P = −Q, and for distinct points, with P at Z = 1 and
-// scaled to Z = 2.
+// TestPointAdditionEdgeCases holds mixed addition to elliptic.P256's Add
+// and Double when P = ∞, P = Q, P = −Q, and for distinct points, with P
+// at Z = 1 and scaled to Z = 2.
 func TestPointAdditionEdgeCases(t *testing.T) {
 	curve := elliptic.P256()
 	px, py := curve.ScalarBaseMult(scalarBytes(big.NewInt(7)))
@@ -124,23 +183,14 @@ func TestPointAdditionEdgeCases(t *testing.T) {
 		scaled.x.Mul(&scaled.x, feFromInt(big.NewInt(4)))
 		scaled.y.Mul(&scaled.y, feFromInt(big.NewInt(8)))
 		scaled.z.Mul(&scaled.z, feFromInt(big.NewInt(2)))
-		qj := jacobianOf(c.qx, c.qy)
 		for _, p := range []jacobianPoint{c.p, scaled} {
-			mixed, full := p, p
-			mixed.addAffine(&q)
-			gx, gy := mixed.toAffine()
+			p.addAffine(&q)
+			gx, gy := p.toAffine()
 			samePoint(t, "addAffine "+c.name, gx, gy, c.wantX, c.wantY)
-			full.add(&qj)
-			gx, gy = full.toAffine()
-			samePoint(t, "add "+c.name, gx, gy, c.wantX, c.wantY)
 		}
 	}
 
-	// Jacobian addition of ∞ leaves P alone; doubling ∞ stays at ∞.
-	p := jacobianOf(px, py)
-	p.add(&jacobianPoint{})
-	gx, gy := p.toAffine()
-	samePoint(t, "P+∞", gx, gy, px, py)
+	// Doubling ∞ stays at ∞.
 	var inf jacobianPoint
 	inf.double()
 	if inf.z.IsZero() != 1 {
@@ -160,7 +210,7 @@ func keyFromScalar(t testing.TB, d *big.Int) *PrivateKey {
 
 // tableOf builds p's comb table directly, bypassing the cache.
 func tableOf(p *PublicKey) *combTable {
-	return newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y), keyWindow)
+	return newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y))
 }
 
 // TestVerifyZeroU1 covers digests whose integer value is 0 mod n (the
@@ -373,8 +423,9 @@ func TestKeyCacheConcurrentAtBound(t *testing.T) {
 // (r, n−s) twin, r taken from another message's signature, and valid
 // signatures over the all-zero digest and the digest equal to n; for the
 // ordinary key it also holds r or s set to 0, 1, n−1, n, n+1 and 2^256−1;
-// for xAboveN's key, its x(R) = r + n signature; and for G, an input
-// whose R is the point at infinity.
+// for xAboveN's key, its x(R) = r + n signature; for G, an input whose
+// R is the point at infinity; and for the ordinary key, valid signatures
+// whose e1 or e2, the comb's recoding of u1 or u2, is 0 or n−1.
 func FuzzVerifyMatchesStdlib(f *testing.F) {
 	// G itself, −G, an ordinary key, and xAboveN's key. One cache serves
 	// the whole run, so each key's inputs take the cold path until a
@@ -461,6 +512,35 @@ func BenchmarkVerifyWarmKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchVerify(b, c, pk, digest, sig)
+	}
+}
+
+// BenchmarkVerifyManyKeys verifies under 256 tabled keys in a shuffled
+// order, as a workload's payers do. Their 8 MiB of tables do not stay in
+// a core's cache, so a verification here costs more than in
+// BenchmarkVerifyWarmKey, where one table stays hot.
+func BenchmarkVerifyManyKeys(b *testing.B) {
+	const keys = 256
+	type signed struct{ pk, digest, sig []byte }
+	set := make([]signed, keys)
+	c := newKeyCache(maxKeyTables)
+	for i := range set {
+		k := keyFromScalar(b, big.NewInt(int64(0xbe4c+i)))
+		d := sha256.Sum256([]byte{byte(i)})
+		sig, err := k.Sign(d[:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		set[i] = signed{k.PubKey().Serialize(), d[:], sig.Serialize()}
+		benchVerify(b, c, set[i].pk, set[i].digest, set[i].sig)
+		benchVerify(b, c, set[i].pk, set[i].digest, set[i].sig)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &set[rng.Intn(keys)]
+		benchVerify(b, c, s.pk, s.digest, s.sig)
 	}
 }
 

@@ -198,7 +198,9 @@ func (p *Peer) sweep(now time.Time, pol Policy) (stalls int) {
 }
 
 // send queues a message; it drops the peer when the queue is full for
-// too long (slow consumer).
+// too long (slow consumer). The stall timer is armed only once the queue
+// is full: a timer per message would outlive the send by the whole
+// timeout, and keep the stopped node reachable for that long.
 func (p *Peer) send(command string, payload []byte) error {
 	p.mu.Lock()
 	closed := p.closed
@@ -207,8 +209,14 @@ func (p *Peer) send(command string, payload []byte) error {
 		return errPeerClosed
 	}
 	p.unsent.Add(1)
+	msg := &queuedMsg{command, payload}
 	select {
-	case p.sendCh <- &queuedMsg{command, payload}:
+	case p.sendCh <- msg:
+		return nil
+	default:
+	}
+	select {
+	case p.sendCh <- msg:
 		return nil
 	case <-p.done:
 		p.unsent.Add(-1)
