@@ -9,7 +9,8 @@ GO ?= go
 RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/...
 
 # Native fuzz targets over the attacker-facing decoders, plus the table
-# signature verifier against crypto/ecdsa. Each runs for a short smoke
+# signature verifier against crypto/ecdsa and the signature DER codec
+# against encoding/asn1. Each runs for a short smoke
 # budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
@@ -56,11 +57,12 @@ chaos:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# The signature-verification probes DESIGN.md ("Signature verification")
-# quotes: warm, many-keys and cold verifications and a key's table
-# build, on one core, five runs each.
+# The signature probes DESIGN.md ("Signature verification") quotes:
+# warm, many-keys and cold verifications, a key's table build, a
+# signature with its serialization, and a signature parse, on one core,
+# five runs each.
 verify-probe:
-	$(GO) test -run xxx -bench 'Verify|Build' -cpu 1 -count 5 ./internal/bkey/
+	$(GO) test -run xxx -bench 'Verify|Build|Sign|Parse' -cpu 1 -count 5 ./internal/bkey/
 
 # Observability smoke test: boots a real daemon, scrapes /metrics, and
 # fails on malformed exposition output or missing metric families.
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store/ -fuzz FuzzKVRecordDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -fuzz FuzzIndexQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bkey/ -fuzz FuzzVerifyMatchesStdlib -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bkey/ -fuzz FuzzParseSignatureMatchesASN1 -fuzztime $(FUZZTIME)
 
 # Crash-recovery suite: store-level torn-write tests, the fault-injected
 # full-stack recovery test, the SIGKILL daemon end-to-end tests (chain

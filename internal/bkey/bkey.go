@@ -10,16 +10,14 @@
 package bkey
 
 import (
-	"crypto/ecdsa"
+	"bytes"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/asn1"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 )
 
 // PrincipalSize is the byte length of a principal identifier
@@ -51,15 +49,43 @@ func ParsePrincipal(s string) (Principal, error) {
 	return p, nil
 }
 
-// PublicKey wraps an ECDSA public key with Bitcoin-ish serialization.
+// PublicKey is a P-256 public key: a point on the curve, held as the
+// bytes of its coordinates, with its principal computed once.
 type PublicKey struct {
-	ec ecdsa.PublicKey
+	xy        [64]byte // X‖Y, big-endian
+	principal Principal
+}
+
+func newPublicKey(xy *[64]byte) *PublicKey {
+	p := &PublicKey{xy: *xy}
+	sum := sha256.Sum256(p.Serialize())
+	copy(p.principal[:], sum[:])
+	return p
 }
 
 // PrivateKey is a signing key. The zero value is not usable; create keys
 // with NewPrivateKey or ParsePrivateKey.
 type PrivateKey struct {
-	ec ecdsa.PrivateKey
+	d   [32]byte // the private scalar, big-endian
+	dR  scalar   // d·R mod n, d in the Montgomery domain
+	pub *PublicKey
+}
+
+// newPrivateKey returns the key with private scalar d, or nil if d is
+// not in [1, n−1].
+func newPrivateKey(d *[32]byte) *PrivateKey {
+	ds := scalarFromBytes(d)
+	if ds.isZero() || !ds.lessThanN() {
+		return nil
+	}
+	k := &PrivateKey{d: *d}
+	k.dR.montMul(&ds, &scalarRR)
+	x, y := elliptic.P256().ScalarBaseMult(d[:])
+	var xy [64]byte
+	x.FillBytes(xy[:32])
+	y.FillBytes(xy[32:])
+	k.pub = newPublicKey(&xy)
+	return k
 }
 
 // NewPrivateKey generates a fresh key pair from the given entropy source
@@ -71,33 +97,24 @@ func NewPrivateKey(entropy io.Reader) (*PrivateKey, error) {
 	if entropy == nil {
 		entropy = rand.Reader
 	}
-	curve := elliptic.P256()
-	buf := make([]byte, 32)
+	var d [32]byte
 	for {
-		if _, err := io.ReadFull(entropy, buf); err != nil {
+		if _, err := io.ReadFull(entropy, d[:]); err != nil {
 			return nil, fmt.Errorf("bkey: generate: %w", err)
 		}
-		d := new(big.Int).SetBytes(buf)
-		if d.Sign() == 0 || d.Cmp(curve.Params().N) >= 0 {
-			continue
+		if k := newPrivateKey(&d); k != nil {
+			return k, nil
 		}
-		priv := ecdsa.PrivateKey{
-			PublicKey: ecdsa.PublicKey{Curve: curve},
-			D:         d,
-		}
-		priv.PublicKey.X, priv.PublicKey.Y = curve.ScalarBaseMult(buf)
-		return &PrivateKey{ec: priv}, nil
 	}
 }
 
 // PubKey returns the public half of the key.
-func (k *PrivateKey) PubKey() *PublicKey {
-	return &PublicKey{ec: k.ec.PublicKey}
-}
+func (k *PrivateKey) PubKey() *PublicKey { return k.pub }
 
 // Serialize encodes the private scalar as 32 big-endian bytes.
 func (k *PrivateKey) Serialize() []byte {
-	return k.ec.D.FillBytes(make([]byte, 32))
+	d := k.d
+	return d[:]
 }
 
 // ParsePrivateKey reconstructs a private key from Serialize output.
@@ -105,25 +122,18 @@ func ParsePrivateKey(b []byte) (*PrivateKey, error) {
 	if len(b) != 32 {
 		return nil, fmt.Errorf("bkey: bad private key length %d", len(b))
 	}
-	d := new(big.Int).SetBytes(b)
-	curve := elliptic.P256()
-	if d.Sign() == 0 || d.Cmp(curve.Params().N) >= 0 {
+	k := newPrivateKey((*[32]byte)(b))
+	if k == nil {
 		return nil, errors.New("bkey: private scalar out of range")
 	}
-	priv := ecdsa.PrivateKey{
-		PublicKey: ecdsa.PublicKey{Curve: curve},
-		D:         d,
-	}
-	priv.PublicKey.X, priv.PublicKey.Y = curve.ScalarBaseMult(b)
-	return &PrivateKey{ec: priv}, nil
+	return k, nil
 }
 
 // Serialize encodes the public key as 0x04 || X || Y (uncompressed form).
 func (p *PublicKey) Serialize() []byte {
-	out := make([]byte, 1+32+32)
+	out := make([]byte, SerializedPubKeySize)
 	out[0] = 0x04
-	p.ec.X.FillBytes(out[1:33])
-	p.ec.Y.FillBytes(out[33:65])
+	copy(out[1:], p.xy[:])
 	return out
 }
 
@@ -135,36 +145,20 @@ func ParsePubKey(b []byte) (*PublicKey, error) {
 	if len(b) != SerializedPubKeySize || b[0] != 0x04 {
 		return nil, errors.New("bkey: malformed public key")
 	}
-	curve := elliptic.P256()
-	x := new(big.Int).SetBytes(b[1:33])
-	y := new(big.Int).SetBytes(b[33:65])
-	if !curve.IsOnCurve(x, y) {
+	xy := (*[64]byte)(b[1:])
+	if !onCurve(xy) {
 		return nil, errors.New("bkey: public key not on curve")
 	}
-	return &PublicKey{ec: ecdsa.PublicKey{Curve: curve, X: x, Y: y}}, nil
+	return newPublicKey(xy), nil
 }
 
 // Principal returns the principal literal for this key: the truncated
 // SHA-256 of the serialized key. "We use hashes, rather than raw keys,
 // because this is standard practice in Bitcoin." (paper, Section 4).
-func (p *PublicKey) Principal() Principal {
-	sum := sha256.Sum256(p.Serialize())
-	var out Principal
-	copy(out[:], sum[:PrincipalSize])
-	return out
-}
+func (p *PublicKey) Principal() Principal { return p.principal }
 
 // Principal is a convenience accessor on the private key.
-func (k *PrivateKey) Principal() Principal { return k.PubKey().Principal() }
-
-// Signature is an ECDSA signature in the (r, s) representation.
-type Signature struct {
-	R, S *big.Int
-}
-
-type asn1Sig struct {
-	R, S *big.Int
-}
+func (k *PrivateKey) Principal() Principal { return k.pub.principal }
 
 // Sign signs the 32-byte digest and returns the signature. Nonces are
 // derived deterministically from the key and digest per RFC 6979, as
@@ -172,48 +166,68 @@ type asn1Sig struct {
 // the same signature, so transaction ids — and therefore block hashes —
 // are replayable, which the simulation harness relies on for
 // seed-exact reproduction of failing runs.
+//
+// s = k⁻¹·(z + r·d) is computed as b·(k·b)⁻¹·(z + r·d), for a blinding
+// scalar b drawn from the nonce generator: the one variable-time step,
+// the inversion, sees k·b, which is uniform and independent of k. The
+// nonce and d meet only the constant-time scalar arithmetic and
+// crypto/elliptic's constant-time base multiplication (DESIGN.md,
+// "Signature verification").
 func (k *PrivateKey) Sign(digest []byte) (*Signature, error) {
 	if len(digest) != 32 {
 		return nil, fmt.Errorf("bkey: sign wants a 32-byte digest, got %d", len(digest))
 	}
-	q := k.ec.Curve.Params().N
-	z := new(big.Int).SetBytes(digest) // qlen == hlen == 256 for P-256/SHA-256
-	for kb := newNonceRFC6979(q, k.ec.D, digest); ; {
-		nonce := kb.next()
-		rx, _ := k.ec.Curve.ScalarBaseMult(nonce.FillBytes(make([]byte, 32)))
-		r := new(big.Int).Mod(rx, q)
-		if r.Sign() == 0 {
+	z := scalarFromBytes((*[32]byte)(digest)) // qlen == hlen == 256
+	z.reduce(&z, 0)
+	g := newNonceRFC6979(&k.d, &z)
+	for {
+		nonce := g.next()
+		rx, _ := elliptic.P256().ScalarBaseMult(nonce[:])
+		var buf [32]byte
+		r := scalarFromBytes((*[32]byte)(rx.FillBytes(buf[:])))
+		r.reduce(&r, 0)
+		if r.isZero() {
 			continue
 		}
-		s := new(big.Int).Mul(r, k.ec.D)
-		s.Add(s, z)
-		s.Mul(s, new(big.Int).ModInverse(nonce, q))
-		s.Mod(s, q)
-		if s.Sign() == 0 {
+		b := g.blind()
+		kn := scalarFromBytes(&nonce)
+		var bR, kb, inv, s scalar
+		bR.montMul(&b, &scalarRR)    // b·R
+		kb.montMul(&kn, &bR)         // k·b
+		inv = kb.inverse()           // (k·b)⁻¹
+		inv.montMul(&inv, &scalarRR) // (k·b)⁻¹·R
+		s.montMul(&r, &k.dR)         // r·d
+		s.add(&s, &z)                // z + r·d
+		s.montMul(&s, &bR)           // b·(z + r·d)
+		s.montMul(&s, &inv)          // b·(z + r·d)·(k·b)⁻¹
+		if s.isZero() {
 			continue
 		}
-		return &Signature{R: r, S: s}, nil
+		var rb, sb [32]byte
+		r.fillBytes(&rb)
+		s.fillBytes(&sb)
+		return newSignature(bytes.TrimLeft(rb[:], "\x00"), bytes.TrimLeft(sb[:], "\x00")), nil
 	}
 }
 
 // nonceRFC6979 is the HMAC-SHA256 DRBG of RFC 6979 section 3.2,
 // specialized to qlen == hlen == 256: it yields the deterministic
-// candidate nonces for signing digest under private scalar x. K and V
+// candidate nonces for signing a digest under a private scalar. K and V
 // are arrays and every HMAC is computed on the stack (see mac), so the
-// generator allocates only the nonce it returns.
+// generator allocates nothing.
 type nonceRFC6979 struct {
-	q    *big.Int
-	k, v [sha256.Size]byte
+	k, v  [sha256.Size]byte
+	drawn bool // a candidate has been returned
 }
 
-func newNonceRFC6979(q, x *big.Int, digest []byte) *nonceRFC6979 {
-	h1 := new(big.Int).SetBytes(digest)
-	h1.Mod(h1, q) // bits2octets
+// newNonceRFC6979 seeds the generator with the private scalar x and h1,
+// the digest reduced mod n.
+func newNonceRFC6979(x *[32]byte, h1 *scalar) *nonceRFC6979 {
 	var seed [64]byte
-	x.FillBytes(seed[:32])
-	h1.FillBytes(seed[32:])
+	copy(seed[:32], x[:])
+	h1.fillBytes((*[32]byte)(seed[32:])) // bits2octets
 
-	g := &nonceRFC6979{q: q} // K = 0x00..00
+	g := &nonceRFC6979{} // K = 0x00..00
 	for i := range g.v {
 		g.v[i] = 0x01
 	}
@@ -253,51 +267,50 @@ func (g *nonceRFC6979) mac(tail []byte) [sha256.Size]byte {
 	return sha256.Sum256(outer[:])
 }
 
-// next returns the next candidate nonce in [1, q-1].
-func (g *nonceRFC6979) next() *big.Int {
+// next returns the next candidate nonce in [1, n−1], as 32 big-endian
+// bytes. Every candidate after the first, whether the previous one was
+// out of range or gave r = 0 or s = 0, follows a K/V update (RFC 6979
+// step h.3).
+func (g *nonceRFC6979) next() [32]byte {
 	for {
-		g.v = g.mac(nil)
-		k := new(big.Int).SetBytes(g.v[:])
-		if k.Sign() > 0 && k.Cmp(g.q) < 0 {
-			return k
+		if g.drawn {
+			g.update(0x00, nil)
 		}
-		g.update(0x00, nil)
+		g.drawn = true
+		g.v = g.mac(nil)
+		if k := scalarFromBytes(&g.v); !k.isZero() && k.lessThanN() {
+			return g.v
+		}
 	}
 }
 
-// Verify reports whether sig is a valid signature of digest under p. From
-// p's second verification on, it runs through p's precomputed table (see
-// keytables.go); the verdict is crypto/ecdsa.Verify's either way.
-func (p *PublicKey) Verify(digest []byte, sig *Signature) bool {
-	if sig == nil || len(digest) != 32 {
-		return false
-	}
-	return keyTables.verify(p, digest, sig)
-}
-
-// Serialize encodes the signature as DER (via ASN.1), matching Bitcoin's
-// on-the-wire signature encoding.
-func (s *Signature) Serialize() []byte {
-	b, err := asn1.Marshal(asn1Sig{R: s.R, S: s.S})
-	if err != nil {
-		// asn1.Marshal of two big.Ints cannot fail for valid signatures.
-		panic("bkey: impossible asn1 marshal failure: " + err.Error())
+// blind returns the blinding scalar for the candidate just drawn:
+// HMAC_K(V || 0x02) mod n, or 1 should that be zero. The separator
+// 0x02 is one RFC 6979 never uses, and blind leaves K and V as they
+// are, so the candidates next returns do not change.
+func (g *nonceRFC6979) blind() scalar {
+	sum := g.mac([]byte{0x02})
+	b := scalarFromBytes(&sum)
+	b.reduce(&b, 0)
+	if b.isZero() {
+		b[0] = 1
 	}
 	return b
 }
 
-// ParseSignature decodes DER signatures produced by Serialize.
-func ParseSignature(b []byte) (*Signature, error) {
-	var raw asn1Sig
-	rest, err := asn1.Unmarshal(b, &raw)
-	if err != nil {
-		return nil, fmt.Errorf("bkey: bad signature encoding: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("bkey: trailing bytes after signature")
-	}
-	if raw.R == nil || raw.S == nil || raw.R.Sign() <= 0 || raw.S.Sign() <= 0 {
-		return nil, errors.New("bkey: non-positive signature component")
-	}
-	return &Signature{R: raw.R, S: raw.S}, nil
+// Verify reports whether sig is a valid signature of digest under p. It
+// takes the same path as VerifyBytes, without parsing.
+func (p *PublicKey) Verify(digest []byte, sig *Signature) bool {
+	return keyTables.verifySig(p, digest, sig)
+}
+
+// VerifyBytes reports whether sig, a DER signature, is a valid
+// signature of digest under the serialized public key pubKey: false if
+// either does not parse, and otherwise crypto/ecdsa.Verify's verdict.
+// The script engine verifies through it, so that a key already tabled
+// (see keytables.go) is never parsed; the signature's DER is parsed in
+// place, and such a verification allocates only inside the one
+// modular inversion.
+func VerifyBytes(pubKey, digest, sig []byte) bool {
+	return keyTables.verifyBytes(pubKey, digest, sig)
 }

@@ -188,7 +188,7 @@ func TestSignatureSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSignature: %v", err)
 	}
-	if back.R.Cmp(sig.R) != 0 || back.S.Cmp(sig.S) != 0 {
+	if !bytes.Equal(back.r, sig.r) || !bytes.Equal(back.s, sig.s) {
 		t.Error("signature round trip mismatch")
 	}
 }
@@ -232,9 +232,8 @@ func TestSignDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sig.R.Cmp(first.R) != 0 || sig.S.Cmp(first.S) != 0 {
-			t.Fatalf("signature %d differs: (%v,%v) vs (%v,%v)",
-				i, sig.R, sig.S, first.R, first.S)
+		if !bytes.Equal(sig.Serialize(), first.Serialize()) {
+			t.Fatalf("signature %d differs: %x vs %x", i, sig.Serialize(), first.Serialize())
 		}
 	}
 	// Distinct digests still get distinct nonces (r components differ).
@@ -243,7 +242,7 @@ func TestSignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sig2.R.Cmp(first.R) == 0 {
+	if bytes.Equal(sig2.r, first.r) {
 		t.Fatal("distinct digests reused a nonce")
 	}
 }
@@ -263,10 +262,11 @@ func TestSignRFC6979Vector(t *testing.T) {
 	}
 	wantR := "EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716"
 	wantS := "F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8"
-	if got := fmt.Sprintf("%064X", sig.R); got != wantR {
+	r, s := sigInts(sig)
+	if got := fmt.Sprintf("%064X", r); got != wantR {
 		t.Errorf("r = %s, want %s", got, wantR)
 	}
-	if got := fmt.Sprintf("%064X", sig.S); got != wantS {
+	if got := fmt.Sprintf("%064X", s); got != wantS {
 		t.Errorf("s = %s, want %s", got, wantS)
 	}
 	if !k.PubKey().Verify(digest[:], sig) {
@@ -275,7 +275,7 @@ func TestSignRFC6979Vector(t *testing.T) {
 	// A key's second verification is its first through the table path.
 	c := newKeyCache(maxKeyTables)
 	for i := 0; i < 2; i++ {
-		if !c.verify(k.PubKey(), digest[:], sig) {
+		if !c.verifySig(k.PubKey(), digest[:], sig) {
 			t.Errorf("vector signature rejected on verification %d", i+1)
 		}
 	}
@@ -302,16 +302,5 @@ func TestNonceMACMatchesCryptoHMAC(t *testing.T) {
 		if got := g.mac(tail); !bytes.Equal(got[:], ref.Sum(nil)) {
 			t.Fatalf("mac over a %d-byte tail differs from crypto/hmac", len(tail))
 		}
-	}
-}
-
-func TestSignAllocatesLittle(t *testing.T) {
-	key := newKey(t)
-	digest := sha256.Sum256([]byte("digest"))
-	// What is left is big.Int arithmetic and the curve's affine
-	// conversion; before the generator computed its HMACs on the stack a
-	// signature made 69 allocations.
-	if got := testing.AllocsPerRun(100, func() { key.Sign(digest[:]) }); got > 40 {
-		t.Errorf("Sign allocates %v times, want at most 40", got)
 	}
 }

@@ -2,6 +2,8 @@ package bkey
 
 import (
 	"crypto/ecdsa"
+	"crypto/elliptic"
+	"math/big"
 	"sync"
 	"sync/atomic"
 )
@@ -34,47 +36,84 @@ func newKeyCache(bound int) *keyCache {
 	return &keyCache{bound: bound, keys: make(map[[64]byte]*combTable)}
 }
 
-// verify reports whether sig is a valid signature of the 32-byte digest
-// under p.
-func (c *keyCache) verify(p *PublicKey, digest []byte, sig *Signature) bool {
-	var k [64]byte
-	p.ec.X.FillBytes(k[:32])
-	p.ec.Y.FillBytes(k[32:])
-	if t := c.table(k, p); t != nil {
+// verifySig is PublicKey.Verify through c.
+func (c *keyCache) verifySig(p *PublicKey, digest []byte, sig *Signature) bool {
+	if sig == nil || len(digest) != 32 {
+		return false
+	}
+	return c.verify(&p.xy, true, digest, sig.r, sig.s)
+}
+
+// verifyBytes is VerifyBytes through c.
+func (c *keyCache) verifyBytes(pubKey, digest, sig []byte) bool {
+	if len(pubKey) != SerializedPubKeySize || pubKey[0] != 0x04 || len(digest) != 32 {
+		return false
+	}
+	r, s, err := parseDER(sig)
+	if err != nil {
+		return false
+	}
+	return c.verify((*[64]byte)(pubKey[1:]), false, digest, r, s)
+}
+
+// verify reports whether (r, s), given as big-endian magnitudes, is a
+// valid signature of the 32-byte digest under the key whose X‖Y is k.
+// It looks k up before it parses it: a recorded key was accepted by
+// ParsePubKey when it was recorded, so only an unknown key is checked
+// to be on the curve, and only if checked is false (k comes from a
+// PublicKey, which ParsePubKey or a private key made).
+func (c *keyCache) verify(k *[64]byte, checked bool, digest, r, s []byte) bool {
+	c.mu.Lock()
+	t, seen := c.keys[*k]
+	c.mu.Unlock()
+	if seen {
+		if t == nil {
+			t = c.build(k)
+		}
 		c.tableVerifies.Add(1)
-		return t.verify(digest, sig.R, sig.S)
+		return t.verify(digest, r, s)
+	}
+	if !checked && !onCurve(k) {
+		return false
 	}
 	c.coldVerifies.Add(1)
-	if !ecdsa.Verify(&p.ec, digest, sig.R, sig.S) {
+	if !coldVerify(k, digest, r, s) {
 		return false
 	}
 	c.mu.Lock()
-	if _, seen := c.keys[k]; !seen {
-		c.insert(k, nil)
+	if _, seen := c.keys[*k]; !seen {
+		c.insert(*k, nil)
 	}
 	c.mu.Unlock()
 	return true
 }
 
-// table returns the table of p, whose X‖Y is k, building it outside the
-// lock if p is recorded but not yet tabled; it returns nil if p is not
-// recorded. Two concurrent builds of one key may both run, and the first
-// stored wins.
-func (c *keyCache) table(k [64]byte, p *PublicKey) *combTable {
-	c.mu.Lock()
-	t, seen := c.keys[k]
-	c.mu.Unlock()
-	if !seen || t != nil {
-		return t
+// coldVerify is crypto/ecdsa.Verify on the key X‖Y = k, which is on the
+// curve, and the signature (r, s).
+func coldVerify(k *[64]byte, digest, r, s []byte) bool {
+	pub := ecdsa.PublicKey{
+		Curve: elliptic.P256(),
+		X:     new(big.Int).SetBytes(k[:32]),
+		Y:     new(big.Int).SetBytes(k[32:]),
 	}
-	t = newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y))
+	return ecdsa.Verify(&pub, digest, new(big.Int).SetBytes(r), new(big.Int).SetBytes(s))
+}
+
+// build returns the table of the recorded key k, building it outside
+// the lock. Two concurrent builds of one key may both run, and the
+// first stored wins.
+func (c *keyCache) build(k *[64]byte) *combTable {
+	var x, y fe
+	x.SetBytes(k[:32]) // k was on the curve when recorded, so x, y < p
+	y.SetBytes(k[32:])
+	t := newCombTable(&x, &y)
 	c.builds.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if stored := c.keys[k]; stored != nil {
+	if stored := c.keys[*k]; stored != nil {
 		return stored
 	}
-	c.insert(k, t)
+	c.insert(*k, t)
 	return t
 }
 

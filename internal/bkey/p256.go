@@ -2,7 +2,6 @@ package bkey
 
 import (
 	"crypto/elliptic"
-	"encoding/binary"
 	"math/big"
 	"math/bits"
 
@@ -47,18 +46,16 @@ type combTable [combPoints]affinePoint
 var (
 	p256Params = elliptic.P256().Params()
 	// combOffset is (2^260 − 1)/2 mod n, so e = u/2 + combOffset.
-	combOffset = func() *big.Int {
-		n := p256Params.N
-		half := new(big.Int).Rsh(new(big.Int).Add(n, big.NewInt(1)), 1) // 2⁻¹ mod n
-		all := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), teeth*columns), big.NewInt(1))
-		return all.Mul(all, half).Mod(all, n)
-	}()
+	combOffset = scalar{0xdc0e8f499b186820, 0xf73ba7e99acedb1a, 0x8000000000000001, 0x800000077ffffff8}
 	// baseTable is the generator's table, built once by the same code as
 	// every key's.
 	baseTable = newCombTable(feFromInt(p256Params.Gx), feFromInt(p256Params.Gy))
+	// curveB is the curve's b in y² = x³ − 3x + b.
+	curveB = feFromInt(p256Params.B)
 )
 
-// feFromInt converts v ∈ [0, p) to a field element.
+// feFromInt converts v ∈ [0, p) to a field element. Only the package's
+// initialisation and its tests use it.
 func feFromInt(v *big.Int) *fe {
 	var b [32]byte
 	e, err := new(fe).SetBytes(v.FillBytes(b[:]))
@@ -66,6 +63,35 @@ func feFromInt(v *big.Int) *fe {
 		panic("bkey: field element out of range")
 	}
 	return e
+}
+
+// feFromScalar converts s to a field element; it reports false if
+// s ≥ p.
+func feFromScalar(s *scalar) (fe, bool) {
+	var b [32]byte
+	s.fillBytes(&b)
+	var e fe
+	_, err := e.SetBytes(b[:])
+	return e, err == nil
+}
+
+// onCurve reports whether X‖Y = xy is a point on the curve, with
+// X, Y < p.
+func onCurve(xy *[64]byte) bool {
+	var x, y, rhs, t fe
+	if _, err := x.SetBytes(xy[:32]); err != nil {
+		return false
+	}
+	if _, err := y.SetBytes(xy[32:]); err != nil {
+		return false
+	}
+	rhs.Square(&x)
+	rhs.Mul(&rhs, &x)
+	t.Add(&x, &x)
+	t.Add(&t, &x)
+	rhs.Sub(&rhs, &t)
+	rhs.Add(&rhs, curveB) // x³ − 3x + b
+	return t.Square(&y).Equal(&rhs) == 1
 }
 
 // negate sets q = −q.
@@ -206,17 +232,12 @@ func newCombTable(x, y *fe) *combTable {
 
 // combColumns returns the 26 column indices of e ∈ [0, n): bit i of
 // column c is bit 26·i + c of e. Bits 256–259 are zero.
-func combColumns(e *big.Int) (cols [columns]uint) {
-	var b [32]byte
-	e.FillBytes(b[:])
-	var l [5]uint64 // little-endian limbs; l[4] holds bits 256–259
-	for i := 0; i < 4; i++ {
-		l[i] = binary.BigEndian.Uint64(b[24-8*i:])
-	}
+func combColumns(e *scalar) (cols [columns]uint) {
 	for c := range cols {
 		for i := 0; i < teeth; i++ {
-			j := columns*i + c
-			cols[c] |= uint(l[j/64]>>(j%64)&1) << i
+			if j := columns*i + c; j < 256 {
+				cols[c] |= uint(e[j/64]>>(j%64)&1) << i
+			}
 		}
 	}
 	return cols
@@ -236,7 +257,7 @@ func (t *combTable) entry(col uint) affinePoint {
 
 // mulAdd returns u1·G + u2·P, where t is P's table and e1 and e2 are the
 // recodings of u1 and u2.
-func (t *combTable) mulAdd(e1, e2 *big.Int) jacobianPoint {
+func (t *combTable) mulAdd(e1, e2 *scalar) jacobianPoint {
 	c1, c2 := combColumns(e1), combColumns(e2)
 	var p jacobianPoint
 	for c := columns - 1; c >= 0; c-- {
@@ -251,25 +272,28 @@ func (t *combTable) mulAdd(e1, e2 *big.Int) jacobianPoint {
 	return p
 }
 
-// verify reports whether (r, s) is a signature of the 32-byte digest
-// under the key whose table is q. Its verdict is crypto/ecdsa.Verify's
-// on every input.
-func (q *combTable) verify(digest []byte, r, s *big.Int) bool {
-	n := p256Params.N
-	if r.Sign() <= 0 || s.Sign() <= 0 || r.Cmp(n) >= 0 || s.Cmp(n) >= 0 {
+// verify reports whether (r, s), given as big-endian magnitudes, is a
+// signature of the 32-byte digest under the key whose table is q. Its
+// verdict is crypto/ecdsa.Verify's on every input.
+func (q *combTable) verify(digest, rb, sb []byte) bool {
+	r, okR := scalarFromMagnitude(rb)
+	s, okS := scalarFromMagnitude(sb)
+	if !okR || !okS || r.isZero() || s.isZero() || !r.lessThanN() || !s.lessThanN() {
 		return false
 	}
 	// w = (2s)⁻¹ folds the recoding's halving into u1 = z·s⁻¹ and
 	// u2 = r·s⁻¹: e1 = z·w + combOffset and e2 = r·w + combOffset.
-	w := new(big.Int).Lsh(s, 1)
-	if w.Cmp(n) >= 0 {
-		w.Sub(w, n)
-	}
-	w.ModInverse(w, n)
-	e1 := new(big.Int).SetBytes(digest)
-	e1.Mul(e1, w).Add(e1, combOffset).Mod(e1, n)
-	e2 := w.Mul(w, r).Add(w, combOffset).Mod(w, n)
-	sum := q.mulAdd(e1, e2)
+	var w, e1, e2 scalar
+	w.add(&s, &s)
+	w = w.inverse()
+	w.montMul(&w, &scalarRR) // w·R, so that montMul(x, w·R) = x·w
+	e1 = scalarFromBytes((*[32]byte)(digest))
+	e1.reduce(&e1, 0)
+	e1.montMul(&e1, &w)
+	e1.add(&e1, &combOffset)
+	e2.montMul(&r, &w)
+	e2.add(&e2, &combOffset)
+	sum := q.mulAdd(&e1, &e2)
 	if sum.z.IsZero() == 1 {
 		return false
 	}
@@ -277,9 +301,14 @@ func (q *combTable) verify(digest []byte, r, s *big.Int) bool {
 	// X with r·Z² (and (r+n)·Z²) avoids inverting Z.
 	var zz, t fe
 	zz.Square(&sum.z)
-	if t.Mul(feFromInt(r), &zz).Equal(&sum.x) == 1 {
+	rf, _ := feFromScalar(&r) // r < n < p
+	if t.Mul(&rf, &zz).Equal(&sum.x) == 1 {
 		return true
 	}
-	rn := new(big.Int).Add(r, n)
-	return rn.Cmp(p256Params.P) < 0 && t.Mul(feFromInt(rn), &zz).Equal(&sum.x) == 1
+	var carry uint64
+	for i := range r {
+		r[i], carry = bits.Add64(r[i], scalarN[i], carry)
+	}
+	rf, below := feFromScalar(&r) // r + n < p, unless it carried
+	return carry == 0 && below && t.Mul(&rf, &zz).Equal(&sum.x) == 1
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
+	"encoding/asn1"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -37,6 +38,40 @@ func jacobianOf(x, y *big.Int) jacobianPoint {
 }
 
 func scalarBytes(k *big.Int) []byte { return k.FillBytes(make([]byte, 32)) }
+
+// scalarOf converts v ∈ [0, 2^256) to a scalar.
+func scalarOf(v *big.Int) scalar {
+	return scalarFromBytes((*[32]byte)(scalarBytes(v)))
+}
+
+// intOf converts s to a big.Int.
+func intOf(s *scalar) *big.Int {
+	var b [32]byte
+	s.fillBytes(&b)
+	return new(big.Int).SetBytes(b[:])
+}
+
+// sigInts returns sig's r and s.
+func sigInts(sig *Signature) (r, s *big.Int) {
+	return new(big.Int).SetBytes(sig.r), new(big.Int).SetBytes(sig.s)
+}
+
+// sigOf returns the signature (r, s) for r, s > 0.
+func sigOf(r, s *big.Int) *Signature { return &Signature{r: r.Bytes(), s: s.Bytes()} }
+
+// ecdsaPub returns p as a crypto/ecdsa key.
+func ecdsaPub(p *PublicKey) *ecdsa.PublicKey {
+	return &ecdsa.PublicKey{
+		Curve: elliptic.P256(),
+		X:     new(big.Int).SetBytes(p.xy[:32]),
+		Y:     new(big.Int).SetBytes(p.xy[32:]),
+	}
+}
+
+// verifyInts runs the table path on (r, s), for r, s ≥ 0.
+func (q *combTable) verifyInts(digest []byte, r, s *big.Int) bool {
+	return q.verify(digest, r.Bytes(), s.Bytes())
+}
 
 func samePoint(t *testing.T, what string, gx, gy, wx, wy *big.Int) {
 	t.Helper()
@@ -81,7 +116,7 @@ var all260 = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), teeth*columns), bi
 func recode(u *big.Int) *big.Int {
 	n := p256Params.N
 	e := new(big.Int).ModInverse(big.NewInt(2), n)
-	return e.Mul(e, u).Add(e, combOffset).Mod(e, n)
+	return e.Mul(e, u).Add(e, intOf(&combOffset)).Mod(e, n)
 }
 
 // unrecode returns u = 2e − (2^260 − 1) mod n, whose recoding is e.
@@ -124,7 +159,7 @@ func TestAddCombMatchesScalarBaseMult(t *testing.T) {
 		}
 		scalars = append(scalars, u)
 	}
-	zero := recode(new(big.Int))
+	zero := scalarOf(recode(new(big.Int)))
 	d := big.NewInt(0x5eed)
 	g := affineOf(p256Params.Gx, p256Params.Gy)
 	q := keyFromScalar(t, d).PubKey()
@@ -146,11 +181,11 @@ func TestAddCombMatchesScalarBaseMult(t *testing.T) {
 		samePoint(t, what, gx, gy, wx, wy)
 	}
 	for _, u := range scalars {
-		e := recode(u)
-		mul(fmt.Sprintf("%x·G through G's table", u), keys[1].table.mulAdd(e, zero), u)
+		e := scalarOf(recode(u))
+		mul(fmt.Sprintf("%x·G through G's table", u), keys[1].table.mulAdd(&e, &zero), u)
 		for _, k := range keys {
 			want := new(big.Int).Mul(u, k.d)
-			mul(fmt.Sprintf("%x·%s through its table", u, k.name), k.table.mulAdd(zero, e), want.Mod(want, n))
+			mul(fmt.Sprintf("%x·%s through its table", u, k.name), k.table.mulAdd(&zero, &e), want.Mod(want, n))
 		}
 	}
 }
@@ -210,7 +245,10 @@ func keyFromScalar(t testing.TB, d *big.Int) *PrivateKey {
 
 // tableOf builds p's comb table directly, bypassing the cache.
 func tableOf(p *PublicKey) *combTable {
-	return newCombTable(feFromInt(p.ec.X), feFromInt(p.ec.Y))
+	var x, y fe
+	x.SetBytes(p.xy[:32])
+	y.SetBytes(p.xy[32:])
+	return newCombTable(&x, &y)
 }
 
 // TestVerifyZeroU1 covers digests whose integer value is 0 mod n (the
@@ -225,14 +263,15 @@ func TestVerifyZeroU1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ecdsa.Verify(&pub.ec, digest, sig.R, sig.S) {
+		r, s := sigInts(sig)
+		if !ecdsa.Verify(ecdsaPub(pub), digest, r, s) {
 			t.Fatalf("crypto/ecdsa rejects the signature over %x", digest)
 		}
-		if !table.verify(digest, sig.R, sig.S) {
+		if !table.verifyInts(digest, r, s) {
 			t.Errorf("table path rejects the signature over %x", digest)
 		}
-		wrong := new(big.Int).Add(sig.S, big.NewInt(1))
-		if table.verify(digest, sig.R, wrong) {
+		wrong := new(big.Int).Add(s, big.NewInt(1))
+		if table.verifyInts(digest, r, wrong) {
 			t.Errorf("table path accepts a wrong s over %x", digest)
 		}
 	}
@@ -256,7 +295,7 @@ func xAboveN() (*PublicKey, *Signature) {
 			panic(err)
 		}
 		r := new(big.Int).Sub(x, p256Params.N)
-		return pub, &Signature{R: r, S: r}
+		return pub, sigOf(r, r)
 	}
 	panic("no curve point with x in [n, p)")
 }
@@ -264,14 +303,15 @@ func xAboveN() (*PublicKey, *Signature) {
 func TestVerifyXAboveN(t *testing.T) {
 	pub, sig := xAboveN()
 	digest := make([]byte, 32)
-	if !ecdsa.Verify(&pub.ec, digest, sig.R, sig.S) {
+	r, s := sigInts(sig)
+	if !ecdsa.Verify(ecdsaPub(pub), digest, r, s) {
 		t.Fatal("crypto/ecdsa rejects the x(R) = r + n signature")
 	}
-	if !tableOf(pub).verify(digest, sig.R, sig.S) {
+	if !tableOf(pub).verifyInts(digest, r, s) {
 		t.Error("table path rejects the x(R) = r + n signature")
 	}
-	wrong := new(big.Int).Add(sig.R, big.NewInt(1))
-	if tableOf(pub).verify(digest, wrong, sig.S) {
+	wrong := new(big.Int).Add(r, big.NewInt(1))
+	if tableOf(pub).verifyInts(digest, wrong, s) {
 		t.Error("table path accepts r + 1")
 	}
 }
@@ -283,10 +323,10 @@ func TestVerifyRejectsInfinity(t *testing.T) {
 	pub := keyFromScalar(t, big.NewInt(1)).PubKey()
 	digest := scalarBytes(new(big.Int).Sub(p256Params.N, big.NewInt(1)))
 	one := big.NewInt(1)
-	if ecdsa.Verify(&pub.ec, digest, one, one) {
+	if ecdsa.Verify(ecdsaPub(pub), digest, one, one) {
 		t.Fatal("crypto/ecdsa accepts R = ∞")
 	}
-	if tableOf(pub).verify(digest, one, one) {
+	if tableOf(pub).verifyInts(digest, one, one) {
 		t.Error("table path accepts R = ∞")
 	}
 }
@@ -309,7 +349,7 @@ func TestKeyCacheSecondSighting(t *testing.T) {
 		{KeyTables: 1, TableBuilds: 1, TableVerifies: 2, ColdVerifies: 1},
 	}
 	for i, w := range want {
-		if !c.verify(k.PubKey(), digest[:], sig) {
+		if !c.verifySig(k.PubKey(), digest[:], sig) {
 			t.Fatalf("verification %d rejected a valid signature", i+1)
 		}
 		if got := c.stats(); got != w {
@@ -331,15 +371,15 @@ func TestKeyCacheInvalidSignaturesNeverBuild(t *testing.T) {
 	}
 	c := newKeyCache(1)
 	for i := 0; i < 2; i++ {
-		if !c.verify(honest.PubKey(), digest[:], sig) {
+		if !c.verifySig(honest.PubKey(), digest[:], sig) {
 			t.Fatal("valid signature rejected")
 		}
 	}
-	garbage := &Signature{R: big.NewInt(1), S: big.NewInt(1)}
+	garbage := sigOf(big.NewInt(1), big.NewInt(1))
 	for i := 0; i < 3; i++ {
 		fresh := keyFromScalar(t, big.NewInt(int64(77+i))).PubKey()
 		for j := 0; j < 2; j++ {
-			if c.verify(fresh, digest[:], garbage) {
+			if c.verifySig(fresh, digest[:], garbage) {
 				t.Fatal("garbage signature accepted")
 			}
 		}
@@ -348,7 +388,7 @@ func TestKeyCacheInvalidSignaturesNeverBuild(t *testing.T) {
 	if got := c.stats(); got != want {
 		t.Errorf("stats %+v, want %+v", got, want)
 	}
-	if !c.verify(honest.PubKey(), digest[:], sig) || c.stats().TableVerifies != 2 {
+	if !c.verifySig(honest.PubKey(), digest[:], sig) || c.stats().TableVerifies != 2 {
 		t.Errorf("honest key no longer verifies through its table: %+v", c.stats())
 	}
 }
@@ -382,11 +422,11 @@ func TestKeyCacheConcurrentAtBound(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				s := set[(g+r)%nKeys]
-				if !c.verify(s.pub, s.digest[:], s.sig) {
+				if !c.verifySig(s.pub, s.digest[:], s.sig) {
 					errs <- fmt.Sprintf("goroutine %d round %d: valid signature rejected", g, r)
 				}
 				other := set[(g+r+1)%nKeys]
-				if c.verify(s.pub, other.digest[:], s.sig) {
+				if c.verifySig(s.pub, other.digest[:], s.sig) {
 					errs <- fmt.Sprintf("goroutine %d round %d: signature accepted for another digest", g, r)
 				}
 				if n := c.stats().KeyTables; n > bound {
@@ -415,8 +455,9 @@ func TestKeyCacheConcurrentAtBound(t *testing.T) {
 }
 
 // FuzzVerifyMatchesStdlib checks that the table verifier and the cache
-// in front of it return crypto/ecdsa.Verify's verdict on every (key,
-// digest, r, s). The inputs choose one of four keys, a digest (padded
+// in front of it, entered through the raw bytes as VerifyBytes and the
+// script engine enter it, return crypto/ecdsa.Verify's verdict on every
+// (key, digest, r, s). The inputs choose one of four keys, a digest (padded
 // or cut to 32 bytes), and r and s as big-endian values of up to 32
 // bytes, so 0, n, and everything up to 2^256 − 1 are reachable. The seed
 // corpus in testdata/fuzz holds, for each key, a valid signature, its
@@ -455,11 +496,15 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 			sb = sb[:32]
 		}
 		r, s := new(big.Int).SetBytes(rb), new(big.Int).SetBytes(sb)
-		want := ecdsa.Verify(&pub.ec, d, r, s)
-		if got := tables[i].verify(d, r, s); got != want {
+		want := ecdsa.Verify(ecdsaPub(pub), d, r, s)
+		if got := tables[i].verifyInts(d, r, s); got != want {
 			t.Fatalf("key %d digest %x r %x s %x: table path %v, crypto/ecdsa %v", i, d, r, s, got, want)
 		}
-		if got := cache.verify(pub, d, &Signature{R: r, S: s}); got != want {
+		der, err := asn1.Marshal(asn1Sig{R: r, S: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cache.verifyBytes(pub.Serialize(), d, der); got != want {
 			t.Fatalf("key %d digest %x r %x s %x: cache %v, crypto/ecdsa %v", i, d, r, s, got, want)
 		}
 	})
@@ -476,18 +521,10 @@ func benchSigned(b *testing.B) (pk, digest, sig []byte) {
 	return k.PubKey().Serialize(), d[:], s.Serialize()
 }
 
-// benchVerify parses and verifies through c, as the script engine does
-// on a signature-cache miss.
-func benchVerify(b *testing.B, c *keyCache, pk, digest, sigBytes []byte) {
-	pub, err := ParsePubKey(pk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sig, err := ParseSignature(sigBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !c.verify(pub, digest, sig) {
+// benchVerify verifies the serialized key and signature through c, as
+// the script engine does on a signature-cache miss (VerifyBytes).
+func benchVerify(b *testing.B, c *keyCache, pk, digest, sig []byte) {
+	if !c.verifyBytes(pk, digest, sig) {
 		b.Fatal("valid signature rejected")
 	}
 }

@@ -534,7 +534,8 @@ func (e *engine) step(in Instruction) error {
 // checkSig verifies a script signature (DER signature || 1-byte hash type)
 // against a serialized public key over the transaction's signature hash.
 // A cached triple skips both the parsing and the ECDSA verification;
-// fresh successes are added to the cache. The cache key (two SHA-256s)
+// fresh successes are added to the cache. A miss verifies the bytes as
+// they are, so a key bkey has tabled is never parsed. The cache key (two SHA-256s)
 // is built once and serves both the look-up and the insert.
 func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 	if len(sigBytes) < 2 {
@@ -552,15 +553,7 @@ func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 			return true
 		}
 	}
-	sig, err := bkey.ParseSignature(sigBytes[:len(sigBytes)-1])
-	if err != nil {
-		return false
-	}
-	pk, err := bkey.ParsePubKey(pkBytes)
-	if err != nil {
-		return false
-	}
-	if !pk.Verify(digest[:], sig) {
+	if !bkey.VerifyBytes(pkBytes, digest[:], sigBytes[:len(sigBytes)-1]) {
 		return false
 	}
 	e.sigCache.Add(key)
