@@ -4,9 +4,10 @@ GO ?= go
 # validation pipeline, the p2p node and its fault simulator, the ledger
 # whose mutex chain subscribers, p2p and RPC all take, the global basis
 # whose immutable layers the ledger, batch servers and verifiers read
-# without a lock, the script engine and the signer the connect worker
-# pool and the wallet call) get a dedicated -race pass.
-RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/...
+# without a lock, the script engine and the signer that par's helpers
+# run for block connect, mempool admission and the wallet, and par
+# itself) get a dedicated -race pass.
+RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/... ./internal/par/...
 
 # Native fuzz targets over the attacker-facing decoders, plus the table
 # signature verifier against crypto/ecdsa and the signature DER codec
@@ -19,8 +20,11 @@ FUZZTIME ?= 10s
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file gofmt would change, the benchmark
+# module's included.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -60,9 +64,11 @@ bench:
 # The signature probes DESIGN.md ("Signature verification") quotes:
 # warm, many-keys and cold verifications, a key's table build, a
 # signature with its serialization, and a signature parse, on one core,
-# five runs each.
+# five runs each; then the hand-off of two verifications to a par
+# helper ("Validation pipeline"), on two cores.
 verify-probe:
 	$(GO) test -run xxx -bench 'Verify|Build|Sign|Parse' -cpu 1 -count 5 ./internal/bkey/
+	$(GO) test -run xxx -bench DoTwoVerifies -cpu 2 -count 5 ./internal/par/
 
 # Observability smoke test: boots a real daemon, scrapes /metrics, and
 # fails on malformed exposition output or missing metric families.

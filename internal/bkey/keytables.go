@@ -24,16 +24,19 @@ var keyTables = newKeyCache(maxKeyTables)
 // invalid signatures under fresh keys cost what they cost before tables.
 // DESIGN.md ("Signature verification") gives the measured costs.
 type keyCache struct {
-	bound  int
-	mu     sync.Mutex
-	keys   map[[64]byte]*combTable // X‖Y → table; nil: recorded, not tabled
-	tables int                     // non-nil entries of keys
+	bound    int
+	mu       sync.Mutex
+	keys     map[[64]byte]*combTable // X‖Y → table; nil: recorded, not tabled
+	tables   int                     // non-nil entries of keys
+	building map[[64]byte]bool       // keys whose table is being built
 
 	builds, tableVerifies, coldVerifies atomic.Uint64
+
+	onBuild func() // called before each build; tests hold a build with it
 }
 
 func newKeyCache(bound int) *keyCache {
-	return &keyCache{bound: bound, keys: make(map[[64]byte]*combTable)}
+	return &keyCache{bound: bound, keys: make(map[[64]byte]*combTable), building: make(map[[64]byte]bool)}
 }
 
 // verifySig is PublicKey.Verify through c.
@@ -62,29 +65,39 @@ func (c *keyCache) verifyBytes(pubKey, digest, sig []byte) bool {
 // ParsePubKey when it was recorded, so only an unknown key is checked
 // to be on the curve, and only if checked is false (k comes from a
 // PublicKey, which ParsePubKey or a private key made).
+//
+// A recorded key's table is built by the first verifier to meet it; one
+// that meets the key while that build runs verifies cold instead of
+// building the table a second time.
 func (c *keyCache) verify(k *[64]byte, checked bool, digest, r, s []byte) bool {
 	c.mu.Lock()
 	t, seen := c.keys[*k]
+	build := seen && t == nil && !c.building[*k]
+	if build {
+		c.building[*k] = true
+	}
 	c.mu.Unlock()
-	if seen {
-		if t == nil {
-			t = c.build(k)
-		}
+	if build {
+		t = c.build(k)
+	}
+	if t != nil {
 		c.tableVerifies.Add(1)
 		return t.verify(digest, r, s)
 	}
-	if !checked && !onCurve(k) {
+	if !seen && !checked && !onCurve(k) {
 		return false
 	}
 	c.coldVerifies.Add(1)
 	if !coldVerify(k, digest, r, s) {
 		return false
 	}
-	c.mu.Lock()
-	if _, seen := c.keys[*k]; !seen {
-		c.insert(*k, nil)
+	if !seen {
+		c.mu.Lock()
+		if _, seen := c.keys[*k]; !seen {
+			c.insert(*k, nil)
+		}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	return true
 }
 
@@ -100,9 +113,12 @@ func coldVerify(k *[64]byte, digest, r, s []byte) bool {
 }
 
 // build returns the table of the recorded key k, building it outside
-// the lock. Two concurrent builds of one key may both run, and the
-// first stored wins.
+// the lock. The caller has marked k as building, so no other verifier
+// builds it meanwhile.
 func (c *keyCache) build(k *[64]byte) *combTable {
+	if c.onBuild != nil {
+		c.onBuild()
+	}
 	var x, y fe
 	x.SetBytes(k[:32]) // k was on the curve when recorded, so x, y < p
 	y.SetBytes(k[32:])
@@ -110,9 +126,7 @@ func (c *keyCache) build(k *[64]byte) *combTable {
 	c.builds.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if stored := c.keys[*k]; stored != nil {
-		return stored
-	}
+	delete(c.building, *k)
 	c.insert(*k, t)
 	return t
 }

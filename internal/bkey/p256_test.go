@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -451,6 +452,46 @@ func TestKeyCacheConcurrentAtBound(t *testing.T) {
 	defer c.mu.Unlock()
 	if len(c.keys) > bound {
 		t.Errorf("cache remembers %d keys, bound %d", len(c.keys), bound)
+	}
+}
+
+// TestKeyCacheOneBuildPerKey holds the first build of a recorded key's
+// table and verifies under the key from a second goroutine meanwhile:
+// that verification must run cold, not build the table a second time.
+func TestKeyCacheOneBuildPerKey(t *testing.T) {
+	k := newKey(t)
+	digest := sha256.Sum256([]byte("one build"))
+	sig, err := k.Sign(digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newKeyCache(maxKeyTables)
+	if !c.verifySig(k.PubKey(), digest[:], sig) {
+		t.Fatal("valid signature rejected")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	c.onBuild = func() {
+		if held.CompareAndSwap(false, true) {
+			close(started)
+			<-release
+		}
+	}
+	first := make(chan bool)
+	go func() { first <- c.verifySig(k.PubKey(), digest[:], sig) }()
+	<-started
+	second := make(chan bool)
+	go func() { second <- c.verifySig(k.PubKey(), digest[:], sig) }()
+	if !<-second {
+		t.Error("valid signature rejected while its key's table is built")
+	}
+	close(release)
+	if !<-first {
+		t.Error("valid signature rejected by the build's verifier")
+	}
+	want := VerifyStats{KeyTables: 1, TableBuilds: 1, TableVerifies: 1, ColdVerifies: 2}
+	if got := c.stats(); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
 	}
 }
 

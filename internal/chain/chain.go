@@ -10,6 +10,7 @@ import (
 
 	"typecoin/internal/chainhash"
 	"typecoin/internal/clock"
+	"typecoin/internal/par"
 	"typecoin/internal/sigcache"
 	"typecoin/internal/store"
 	"typecoin/internal/telemetry"
@@ -480,12 +481,11 @@ func (c *Chain) unapplyBlock(txs []*wire.MsgTx, spent []SpentOutput) {
 // so input resolution and UTXO mutation stay serial and ordered —
 // checking amounts/maturity, spending inputs, adding outputs, and
 // capturing one script job per input with the locking script it
-// resolved. Phase two fans all captured script/signature checks out
-// across a bounded worker pool (consulting the shared signature cache),
-// with fail-fast cancellation; on failure the phase-one mutations are
-// rolled back. A body that fails either phase is flagged failed; a store
-// that refuses the commit says nothing about the body, so that path
-// leaves the flag alone.
+// resolved. Phase two runs all captured script/signature checks through
+// par.Do (consulting the shared signature cache), failing fast; on
+// failure the phase-one mutations are rolled back. A body that fails
+// either phase is flagged failed; a store that refuses the commit says
+// nothing about the body, so that path leaves the flag alone.
 func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	start := time.Now()
 	blk := node.block
@@ -506,7 +506,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 		}
 		totalFees += fee
 		for j := range tx.TxIn {
-			jobs = append(jobs, scriptJob{tx: tx, txIdx: i, in: j, pkScript: entries[j].Out.PkScript})
+			jobs = append(jobs, scriptJob{tx: tx, in: j, pkScript: entries[j].Out.PkScript})
 		}
 		return nil
 	})
@@ -530,9 +530,10 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 
 	// Phase two: parallel script/signature verification of every input.
 	// The jobs carry the resolved locking scripts, so they are independent
-	// of the (already mutated) UTXO view.
+	// of the (already mutated) UTXO view. par.Do fails fast and returns
+	// the failure earliest in block order, whatever the interleaving.
 	scriptStart := time.Now()
-	if err := runScriptJobs(jobs, c.sigCache); err != nil {
+	if err := par.Do(len(jobs), func(i int) error { return jobs[i].run(c.sigCache) }); err != nil {
 		return reject(err)
 	}
 	if c.tel.scriptSeconds != nil {

@@ -17,6 +17,7 @@ import (
 	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
 	"typecoin/internal/clock"
+	"typecoin/internal/par"
 	"typecoin/internal/script"
 	"typecoin/internal/telemetry"
 	"typecoin/internal/wire"
@@ -337,17 +338,20 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 
 	// Verify every input script, recording successful signature checks in
 	// the chain's shared cache so block connect can skip the ECDSA work
-	// for transactions already verified at relay time. The verifier scans
-	// each signature script for non-push opcodes before running it; a
-	// script it refuses on that ground is a policy matter here.
-	for i := range tx.TxIn {
-		err := script.VerifyInputCached(tx, i, pkScripts[i], p.chain.SigCache())
-		if errors.Is(err, script.ErrSigScriptNotPush) {
-			return 0, fmt.Errorf("%w: input script not push-only", ErrNonStandard)
-		}
-		if err != nil {
-			return 0, err
-		}
+	// for transactions already verified at relay time. The inputs are
+	// checked in parallel (par.Do), and the error is the lowest failing
+	// input's. The verifier scans each signature script for non-push
+	// opcodes before running it; a script it refuses on that ground is a
+	// policy matter here.
+	sc := p.chain.SigCache()
+	err := par.Do(len(tx.TxIn), func(i int) error {
+		return script.VerifyInputCached(tx, i, pkScripts[i], sc)
+	})
+	if errors.Is(err, script.ErrSigScriptNotPush) {
+		return 0, fmt.Errorf("%w: input script not push-only", ErrNonStandard)
+	}
+	if err != nil {
+		return 0, err
 	}
 
 	p.pool[txid] = &poolTx{tx: tx, fee: fee, size: size, seq: p.nextSeq}

@@ -1,10 +1,15 @@
 package mempool_test
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"typecoin/internal/bkey"
+	"typecoin/internal/par"
 	"typecoin/internal/script"
+	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
@@ -76,5 +81,131 @@ func TestEverySignatureVerifiedOnce(t *testing.T) {
 	}
 	if verify2.ColdVerifies != verify1.ColdVerifies || verify2.TableVerifies != verify1.TableVerifies {
 		t.Errorf("block connect verified signatures: %+v -> %+v", verify1, verify2)
+	}
+}
+
+// coinsTo pays n outputs of 0.01 coin each to one new wallet key
+// and mines them, returning the key and the outpoints.
+func coinsTo(t *testing.T, h *testutil.Harness, n int) (bkey.Principal, []wire.OutPoint) {
+	t.Helper()
+	k, err := h.Wallet.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]wallet.Output, n)
+	for i := range outs {
+		outs[i] = wallet.Output{Value: 100_0000, PkScript: script.PayToPubKeyHash(k)}
+	}
+	fanout, err := h.Wallet.Build(outs, wallet.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Pool.Accept(fanout); err != nil {
+		t.Fatal(err)
+	}
+	h.MineBlocks(t, 1)
+	ops := make([]wire.OutPoint, n)
+	for i := range ops {
+		ops[i] = wire.OutPoint{Hash: fanout.TxHash(), Index: uint32(i)}
+	}
+	return k, ops
+}
+
+// withProcs sets GOMAXPROCS for the rest of the test.
+func withProcs(t *testing.T, procs int) {
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestLowestFailingInputReported refuses a 3-input transaction whose
+// inputs 1 and 2 are both bad: input 1 carries input 0's signature, so
+// it fails only after a full verification; input 2 names another key,
+// so it fails at once. Whatever the interleaving, admission reports
+// input 1's error, as a serial check would.
+func TestLowestFailingInputReported(t *testing.T) {
+	h := fundedHarness(t)
+	k, ops := coinsTo(t, h, 3)
+	tx, err := h.Wallet.Build([]wallet.Output{{Value: 200_0000, PkScript: script.PayToPubKeyHash(k)}},
+		wallet.BuildOptions{ExtraInputs: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tx.TxIn) != 3 {
+		t.Fatalf("payment has %d inputs, want 3", len(tx.TxIn))
+	}
+	other, err := bkey.NewPrivateKey(testutil.NewEntropy("other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.TxIn[1].SignatureScript = tx.TxIn[0].SignatureScript
+	wrongKey, err := script.NewBuilder().AddData([]byte{0x30}).AddData(other.PubKey().Serialize()).Script()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.TxIn[2].SignatureScript = wrongKey
+	tx.InvalidateCache()
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		for round := 0; round < 20; round++ {
+			_, err := h.Pool.Accept(tx)
+			if !errors.Is(err, script.ErrEvalFalse) {
+				t.Fatalf("GOMAXPROCS=%d round %d: got %v, want input 1's %v", procs, round, err, script.ErrEvalFalse)
+			}
+		}
+	}
+}
+
+// TestEarlyFailureStopsVerification refuses a 64-input transaction whose
+// input 0 carries input 1's signature, so it fails after one full
+// verification, while a par helper that was already polling joins the
+// check at once. The failure stops further claims: each other worker
+// finishes at most the one index it holds, so the refusal costs at most
+// 1 + (GOMAXPROCS − 1) signature verifications. A worker the operating
+// system deschedules during its check lets the others verify on (more
+// GOMAXPROCS than CPUs under -race does this), so each GOMAXPROCS gets
+// five attempts, each a freshly signed transaction that the signature
+// cache has not seen, and one must meet the bound; without the stop
+// every attempt verifies all 64.
+func TestEarlyFailureStopsVerification(t *testing.T) {
+	const inputs = 64
+	h := fundedHarness(t)
+	k, ops := coinsTo(t, h, inputs)
+	attempts := 0
+	refuse := func() uint64 {
+		attempts++
+		tx, err := h.Wallet.Build([]wallet.Output{{Value: 6000_0000 + int64(attempts), PkScript: script.PayToPubKeyHash(k)}},
+			wallet.BuildOptions{ExtraInputs: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Wallet.Unlock(tx)
+		if len(tx.TxIn) != inputs {
+			t.Fatalf("payment has %d inputs, want %d", len(tx.TxIn), inputs)
+		}
+		tx.TxIn[0].SignatureScript = tx.TxIn[1].SignatureScript
+		tx.InvalidateCache()
+		// A helper started by these calls is polling when Accept calls Do.
+		for start := time.Now(); time.Since(start) < 2*time.Millisecond; {
+			par.Do(2, func(int) error { return nil })
+		}
+		before := bkey.ReadVerifyStats()
+		if _, err := h.Pool.Accept(tx); !errors.Is(err, script.ErrEvalFalse) {
+			t.Fatalf("got %v, want input 0's %v", err, script.ErrEvalFalse)
+		}
+		after := bkey.ReadVerifyStats()
+		return after.ColdVerifies - before.ColdVerifies + after.TableVerifies - before.TableVerifies
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		var costs []uint64
+		for len(costs) < 5 {
+			costs = append(costs, refuse())
+			if costs[len(costs)-1] <= uint64(procs) {
+				break
+			}
+		}
+		if last := costs[len(costs)-1]; last > uint64(procs) {
+			t.Errorf("GOMAXPROCS=%d: refusing input 0 cost %v signature verifications in five attempts, want at most %d in one", procs, costs, procs)
+		}
 	}
 }

@@ -105,10 +105,10 @@ type BudgetRow struct {
 // time between submitting a transaction and seeing it indexed (and a
 // block's path from first sight to every node's index) actually goes.
 type BudgetReport struct {
-	Seed      int64
-	TxSpans   int
+	Seed       int64
+	TxSpans    int
 	BlockSpans int
-	Rows      []BudgetRow
+	Rows       []BudgetRow
 }
 
 // budgetMeasure extracts one duration from a cluster span.

@@ -13,6 +13,7 @@ import (
 	"typecoin/internal/bkey"
 	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
+	"typecoin/internal/par"
 	"typecoin/internal/script"
 	"typecoin/internal/store"
 	"typecoin/internal/wire"
@@ -431,9 +432,19 @@ func (w *Wallet) principalsLocked() []bkey.Principal {
 }
 
 // signLocked signs every selected input of tx (matching by outpoint, so
-// interleaved external inputs do not shift indices).
+// interleaved external inputs do not shift indices). It resolves each
+// input's coin and key in order, then signs the inputs in parallel
+// (par.Do). The scripts are written only once every signature is made:
+// each input's sighash reads the length of every input's script.
 func (w *Wallet) signLocked(tx *wire.MsgTx, selected []wire.OutPoint) error {
-	for _, op := range selected {
+	type input struct {
+		idx    int
+		u      walletUtxo
+		key    *bkey.PrivateKey
+		script []byte
+	}
+	ins := make([]input, len(selected))
+	for n, op := range selected {
 		i := -1
 		for j, ti := range tx.TxIn {
 			if ti.PreviousOutPoint == op {
@@ -454,17 +465,23 @@ func (w *Wallet) signLocked(tx *wire.MsgTx, selected []wire.OutPoint) error {
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownKey, u.owner)
 		}
-		var sigScript []byte
+		ins[n] = input{idx: i, u: u, key: key}
+	}
+	err := par.Do(len(ins), func(n int) error {
+		in := &ins[n]
 		var err error
-		if u.metaSlot {
-			sigScript, err = script.MultiSigSignatureScript(tx, i, u.pkScript, script.SigHashAll, key)
+		if in.u.metaSlot {
+			in.script, err = script.MultiSigSignatureScript(tx, in.idx, in.u.pkScript, script.SigHashAll, in.key)
 		} else {
-			sigScript, err = script.SignatureScript(tx, i, u.pkScript, script.SigHashAll, key)
+			in.script, err = script.SignatureScript(tx, in.idx, in.u.pkScript, script.SigHashAll, in.key)
 		}
-		if err != nil {
-			return err
-		}
-		tx.TxIn[i].SignatureScript = sigScript
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for _, in := range ins {
+		tx.TxIn[in.idx].SignatureScript = in.script
 	}
 	return nil
 }

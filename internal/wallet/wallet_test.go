@@ -1,7 +1,9 @@
 package wallet_test
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"typecoin/internal/chainhash"
@@ -321,5 +323,37 @@ func TestConcurrentBuilds(t *testing.T) {
 			}
 			seen[in.PreviousOutPoint] = true
 		}
+	}
+}
+
+// TestParallelSigningSameBytes builds one 3-input payment in two
+// identical worlds, signing on one core and on two. The signatures are
+// deterministic and each input's sighash ignores the other inputs'
+// scripts, so the transactions must be byte-identical and valid.
+func TestParallelSigningSameBytes(t *testing.T) {
+	build := func(procs int) []byte {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		h := testutil.NewHarness(t, "parallel-signing")
+		h.MineBlocks(t, h.Params.CoinbaseMaturity+3)
+		dest, err := h.Wallet.NewKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		amount := 2*h.Params.CalcBlockSubsidy(1) + 1
+		tx, err := h.Wallet.Build([]wallet.Output{{Value: amount, PkScript: script.PayToPubKeyHash(dest)}}, wallet.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tx.TxIn) != 3 {
+			t.Fatalf("payment has %d inputs, want 3", len(tx.TxIn))
+		}
+		if _, err := h.Pool.Accept(tx); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: payment refused: %v", procs, err)
+		}
+		return tx.Bytes()
+	}
+	if one, two := build(1), build(2); !bytes.Equal(one, two) {
+		t.Error("signing on two cores changed the transaction's bytes")
 	}
 }
