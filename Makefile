@@ -6,8 +6,9 @@ GO ?= go
 # whose immutable layers the ledger, batch servers and verifiers read
 # without a lock, the script engine and the signer that par's helpers
 # run for block connect, mempool admission and the wallet, and par
-# itself) get a dedicated -race pass.
-RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/... ./internal/par/...
+# itself, and the node assembly whose Close must stop every goroutine it
+# started) get a dedicated -race pass.
+RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/... ./internal/par/... ./internal/node/...
 
 # Native fuzz targets over the attacker-facing decoders, plus the table
 # signature verifier against crypto/ecdsa and the signature DER codec
@@ -15,7 +16,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check portable bench-module chaos bench verify-probe metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
+.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
 
 build:
 	$(GO) build ./...
@@ -32,7 +33,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-check: vet build test race portable bench-module chaos
+check: vet build test race portable bench-module chaos examples
 
 # On amd64 internal/bkey multiplies field elements in Go's assembly; on
 # every other GOARCH, and under the purego tag, in fiat's Go alone. Test
@@ -57,6 +58,24 @@ chaos:
 	$(GO) test ./internal/crashpoint/ -count=1 -v
 	$(GO) test ./internal/chain/ -run TestCrashPoints -count=1 -v
 	$(GO) test ./internal/netsim/ -race -run TestChaosStoreFaults -count=1 -v
+
+# The runnable programs. Each must exit 0 and end on the line it has
+# always ended on: their wallets draw seeded entropy and their clocks are
+# simulated, so that line is fixed. Wall-time figures are masked before
+# the comparison, since tcbench ends on one.
+EXPECT_LAST = expect() { \
+	out="$$($(GO) run $$1)" || { echo "$$1: exit status $$?"; return 1; }; \
+	last="$$(printf '%s\n' "$$out" | tail -n 1 | sed -E 's/[0-9.]+(µs|ms|s)\b/…/g')"; \
+	if [ "$$last" != "$$2" ]; then printf '%s ends on\n  %s\nnot on\n  %s\n' "$$1" "$$last" "$$2"; return 1; fi; \
+	echo "ok   $$1"; }; expect
+
+examples:
+	@$(EXPECT_LAST) ./examples/quickstart '    typecoin: claimed output e3947707db0a9fda4b6e198c56ea9e9e99f789b16092b15cd9687e1aa9425e12:0 already spent by ddd5ad2437ca4646759985427789a19c15dbe961a2378cfe4c111be6c4daf936'
+	@$(EXPECT_LAST) ./examples/newcoin '    typecoin: claimed output type does not match: output has type b85785a07836c3709efbaa99194b8f233eb607599f4645b9a775566ec1583180.coin 42, claimed b85785a07836c3709efbaa99194b8f233eb607599f4645b9a775566ec1583180.coin 1000000'
+	@$(EXPECT_LAST) ./examples/options 'Without the fallback, the option token would have been spoiled (Section 5).'
+	@$(EXPECT_LAST) ./examples/escrowprize '    typecoin: input does not name a known typecoin output: c4cd9a8864f1cb0ed7807055ebbc62ba7f6296628ef2f19e55d257d87a931715:0'
+	@$(EXPECT_LAST) ./cmd/tcregtest 'Ledger state is consistent across the network. Done.'
+	@$(EXPECT_LAST) './cmd/tcbench -exp all' '(e6 in …)'
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -157,7 +157,10 @@ func newConnectBenchSetup(b *testing.B) *connectBenchSetup {
 // freshChain replays the funding blocks onto a new chain with the given
 // signature cache (nil = none).
 func (s *connectBenchSetup) freshChain(b *testing.B, sc *sigcache.Cache) *chain.Chain {
-	c := chain.NewWithSigCache(s.params, s.clk, sc)
+	c, err := chain.Open(chain.Config{Params: s.params, Clock: s.clk, SigCache: sc})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, blk := range s.funding {
 		if status, err := c.ProcessBlock(blk); err != nil || status != chain.StatusMainChain {
 			b.Fatalf("funding block: status %v, err %v", status, err)
@@ -379,7 +382,7 @@ func BenchmarkSigCache(b *testing.B) {
 
 // BenchmarkMineBlock measures regtest block assembly plus proof-of-work.
 func BenchmarkMineBlock(b *testing.B) {
-	env, err := bench.NewEnv("bench-mine", 1)
+	env, err := bench.NewEnv("bench-mine")
 	if err != nil {
 		b.Fatal(err)
 	}

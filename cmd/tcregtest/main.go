@@ -14,12 +14,9 @@ import (
 	"log"
 	"time"
 
-	"typecoin/internal/chain"
-	"typecoin/internal/clock"
 	"typecoin/internal/lf"
 	"typecoin/internal/logic"
-	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/p2p"
 	"typecoin/internal/proof"
 	"typecoin/internal/surface"
@@ -29,14 +26,6 @@ import (
 	"typecoin/internal/wire"
 )
 
-type node struct {
-	name   string
-	chain  *chain.Chain
-	pool   *mempool.Pool
-	node   *p2p.Node
-	ledger *typecoin.Ledger
-}
-
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -44,55 +33,45 @@ func main() {
 }
 
 func run() error {
-	params := chain.RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
-
-	mkNode := func(name string) *node {
-		c := chain.New(params, clk)
-		pool := mempool.New(c, -1)
-		n := &node{
-			name:   name,
-			chain:  c,
-			pool:   pool,
-			node:   p2p.NewNode(c, pool, nil),
-			ledger: typecoin.NewLedger(c, 1),
+	clk := node.SimClock()
+	// Every node has the Typecoin overlay on: announcements gossip with
+	// the Bitcoin traffic. Only node A's wallet makes keys.
+	var nodes [3]*node.Node
+	for i := range nodes {
+		nd, err := node.Open(node.Config{Clock: clk, Entropy: testutil.NewEntropy("tcregtest")})
+		if err != nil {
+			return err
 		}
-		// Enable the Typecoin overlay: announcements gossip with the
-		// Bitcoin traffic.
-		n.node.SetLedger(n.ledger)
-		return n
+		defer nd.Close()
+		nodes[i] = nd
 	}
-	a, b, c := mkNode("A"), mkNode("B"), mkNode("C")
-	defer a.node.Stop()
-	defer b.node.Stop()
-	defer c.node.Stop()
+	a, b, c := nodes[0], nodes[1], nodes[2]
 	// Line topology: A - B - C.
-	p2p.ConnectPipe(a.node, b.node)
-	p2p.ConnectPipe(b.node, c.node)
+	p2p.ConnectPipe(a.P2P, b.P2P)
+	p2p.ConnectPipe(b.P2P, c.P2P)
 	fmt.Println("Started 3-node regtest network: A - B - C")
 
-	w := wallet.New(a.chain, testutil.NewEntropy("tcregtest"))
+	params, w := a.Chain.Params(), a.Wallet
 	minerKey, err := w.NewKey()
 	if err != nil {
 		return err
 	}
-	m := miner.New(a.chain, a.pool, clk)
 	mine := func(n int) error {
 		for i := 0; i < n; i++ {
 			clk.Advance(params.TargetSpacing)
-			blk, _, err := m.Mine(minerKey)
+			blk, _, err := a.Miner.Mine(minerKey)
 			if err != nil {
 				return err
 			}
-			a.node.BroadcastBlock(blk)
+			a.P2P.BroadcastBlock(blk)
 		}
 		return nil
 	}
 	waitSync := func() error {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if a.chain.BestHash() == b.chain.BestHash() &&
-				b.chain.BestHash() == c.chain.BestHash() {
+			if a.Chain.BestHash() == b.Chain.BestHash() &&
+				b.Chain.BestHash() == c.Chain.BestHash() {
 				return nil
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -107,7 +86,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("Node A mined %d blocks; all nodes at height %d.\n",
-		params.CoinbaseMaturity+1, c.chain.BestHeight())
+		params.CoinbaseMaturity+1, c.Chain.BestHeight())
 
 	// Alice issues Bob's may-write credential on node A.
 	alice, err := w.NewKey()
@@ -162,12 +141,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := a.node.BroadcastTx(carrier); err != nil {
+	if err := a.P2P.BroadcastTx(carrier); err != nil {
 		return err
 	}
 	// The Typecoin transaction itself travels on the overlay: one
 	// broadcast reaches every interested party.
-	a.node.BroadcastTypecoinTx(t1)
+	a.P2P.BroadcastTypecoinTx(t1)
 	if err := mine(1); err != nil {
 		return err
 	}
@@ -179,24 +158,24 @@ func run() error {
 
 	op := wire.OutPoint{Hash: carrier.TxHash(), Index: 0}
 	credG := logic.SubstRefProp(credential, lf.TxRef(carrier.TxHash(), ""))
-	for _, n := range []*node{a, b, c} {
-		got, ok := n.ledger.ResolveOutput(op)
+	for i, name := range []string{"A", "B", "C"} {
+		got, ok := nodes[i].Ledger.ResolveOutput(op)
 		if !ok {
-			return fmt.Errorf("node %s: credential not applied", n.name)
+			return fmt.Errorf("node %s: credential not applied", name)
 		}
 		eq, err := logic.PropEqual(got, credG)
 		if err != nil || !eq {
-			return fmt.Errorf("node %s: wrong type %s", n.name, got)
+			return fmt.Errorf("node %s: wrong type %s", name, got)
 		}
-		fmt.Printf("Node %s resolves %s -> %s\n", n.name, op, surface.PrintProp(got))
+		fmt.Printf("Node %s resolves %s -> %s\n", name, op, surface.PrintProp(got))
 	}
 
 	// Node C (which never spoke to node A directly) verifies trust-free.
-	bundles, err := c.ledger.UpstreamBundles(op)
+	bundles, err := c.Ledger.UpstreamBundles(op)
 	if err != nil {
 		return err
 	}
-	if _, err := typecoin.Verify(c.chain, op, credG, bundles, 1); err != nil {
+	if _, err := typecoin.Verify(c.Chain, op, credG, bundles, 1); err != nil {
 		return fmt.Errorf("node C verification: %w", err)
 	}
 	fmt.Println("\nNode C verified Bob's credential trust-free against its own chain copy.")

@@ -52,30 +52,20 @@ import (
 	"time"
 
 	"typecoin/internal/bkey"
-	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
 	"typecoin/internal/clock"
-	"typecoin/internal/index"
-	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/p2p"
 	"typecoin/internal/script"
-	"typecoin/internal/sigcache"
 	"typecoin/internal/store"
 	"typecoin/internal/surface"
 	"typecoin/internal/telemetry"
-	"typecoin/internal/typecoin"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
 
 type server struct {
-	chain  *chain.Chain
-	pool   *mempool.Pool
-	miner  *miner.Miner
-	wallet *wallet.Wallet
-	node   *p2p.Node
-	ledger *typecoin.Ledger
+	*node.Node
 	payout bkey.Principal
 	start  time.Time
 	// health is the store's retry/degradation wrapper; nil when the
@@ -151,50 +141,24 @@ func run(args []string) int {
 		st = retryStore
 	}
 
-	params := chain.RegTestParams()
-	ch, err := chain.Open(chain.Config{
-		Params:   params,
-		Clock:    clock.System{},
-		SigCache: sigcache.New(sigcache.DefaultCapacity),
-		Store:    st,
+	nd, err := node.Open(node.Config{
+		Clock:   clock.System{},
+		Store:   st,
+		MinConf: *minConf,
+		Spans:   *traceSpans,
+		Logger:  telemetry.Component(base, "p2p"),
 	})
 	if err != nil {
-		logChain.Error("open chain failed", "err", err)
+		logMain.Error("open node failed", "err", err)
 		return 1
 	}
-	logChain.Info("chain opened", "height", ch.BestHeight(), "tip", ch.BestHash().String())
-
-	// Chain index: subscribes to the chain's persist hook so its rows
-	// ride every connect/disconnect batch, and catches up (or rebuilds)
-	// here if the store predates the index. Must open before any block
-	// is processed.
-	ix, err := index.Open(ch)
-	if err != nil {
-		logChain.Error("open index failed", "err", err)
-		return 1
-	}
-
-	pool := mempool.New(ch, -1)
-	pool.SetOnAccept(ix.PublishTx)
-
-	// Wallet and ledger persist their keys and announcements in the
-	// chain's store, which is in memory without -datadir.
-	w, err := wallet.Open(ch, nil)
-	if err != nil {
-		logMain.Error("open wallet failed", "err", err)
-		return 1
-	}
-	ledger, err := typecoin.OpenLedger(ch, *minConf)
-	if err != nil {
-		logMain.Error("open ledger failed", "err", err)
-		return 1
-	}
+	logChain.Info("chain opened", "height", nd.Chain.BestHeight(), "tip", nd.Chain.BestHash().String())
 
 	// Reuse the recovered payout key when there is one.
 	var payout bkey.Principal
-	if ps := w.Principals(); len(ps) > 0 {
+	if ps := nd.Wallet.Principals(); len(ps) > 0 {
 		payout = ps[0]
-	} else if payout, err = w.NewKey(); err != nil {
+	} else if payout, err = nd.Wallet.NewKey(); err != nil {
 		logMain.Error("create key failed", "err", err)
 		return 1
 	}
@@ -202,7 +166,7 @@ func run(args []string) int {
 	// Reload the mempool snapshot, revalidating against the recovered
 	// tip; surviving transactions re-lock their wallet inputs.
 	if *datadir != "" {
-		kept, dropped, err := pool.Restore(w.ObserveUnconfirmed)
+		kept, dropped, err := nd.Pool.Restore(nd.Wallet.ObserveUnconfirmed)
 		if err != nil {
 			logPool.Error("mempool restore failed", "err", err)
 			return 1
@@ -213,20 +177,17 @@ func run(args []string) int {
 	}
 
 	if *audit {
-		if err := ch.AuditFromGenesis(); err != nil {
+		if err := nd.Chain.AuditFromGenesis(); err != nil {
 			logChain.Error("startup audit failed", "err", err)
 			return 1
 		}
-		if err := ledger.AuditAffine(); err != nil {
+		if err := nd.Ledger.AuditAffine(); err != nil {
 			logMain.Error("startup ledger audit failed", "err", err)
 			return 1
 		}
 		logMain.Info("startup audit passed: chain and ledger consistent")
 	}
 
-	m := miner.New(ch, pool, clock.System{})
-	node := p2p.NewNode(ch, pool, telemetry.Component(base, "p2p"))
-	node.SetLedger(ledger)
 	if *maxPeers > 0 || *banThreshold > 0 || *banDuration > 0 || *syncWindow > 0 {
 		pol := p2p.DefaultPolicy()
 		if *maxPeers > 0 {
@@ -241,33 +202,17 @@ func run(args []string) int {
 		if *syncWindow > 0 {
 			pol.SyncWindow = *syncWindow
 		}
-		node.SetPolicy(pol)
+		nd.P2P.SetPolicy(pol)
 	}
 
-	// Telemetry: one registry and one block-lifecycle tracer shared by
-	// every subsystem, exposed at /metrics and /debug/events below.
-	// Registered before Listen/Dial so no peer event is missed.
+	// Telemetry: node.Open wired one registry, block-lifecycle tracer
+	// and span store through every subsystem, exposed at /metrics,
+	// /debug/events and /debug/spans below; the daemon adds its own
+	// store and process series.
 	startTime := time.Now()
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity, clock.System{})
-	ch.SetTelemetry(reg, tracer)
-	pool.SetTelemetry(reg, tracer)
-	m.SetTelemetry(reg)
-	node.SetTelemetry(reg, tracer)
-	ix.SetTelemetry(reg, tracer)
-	// Commitment-latency spans: a bounded store beside the tracer,
-	// wired through every stage of the commitment pipeline and exported
-	// as per-stage histograms plus the /debug/spans API.
-	var spans *telemetry.SpanStore
-	if *traceSpans > 0 {
-		spans = telemetry.NewSpanStore(*traceSpans, clock.System{})
-		spans.SetOrigin(originID(*listen, *httpAddr))
-		telemetry.RegisterSpanMetrics(reg, spans)
-		ch.SetSpans(spans)
-		pool.SetSpans(spans)
-		m.SetSpans(spans)
-		node.SetSpans(spans)
-		ix.SetSpans(spans)
+	reg, tracer := nd.Reg, nd.Tracer
+	if nd.Spans != nil {
+		nd.Spans.SetOrigin(originID(*listen, *httpAddr))
 	}
 	if fileStore != nil {
 		f := fileStore
@@ -286,12 +231,6 @@ func run(args []string) int {
 	storeDead := make(chan error, 1)
 	if retryStore != nil {
 		rs := retryStore
-		reg.GaugeFunc("store_health",
-			"Store health state (0 healthy, 1 recovering, 2 degraded-readonly).",
-			func() float64 {
-				h, _ := rs.Health()
-				return float64(h)
-			})
 		reg.CounterFunc("store_retries_total", "Write attempts beyond each first try.", func() float64 {
 			return float64(rs.Retries())
 		})
@@ -327,12 +266,6 @@ func run(args []string) int {
 				tracer.Record(telemetry.EvStoreRecovered, "store", "healthy")
 			}
 		})
-		// A degraded node stops taking on mempool obligations while it
-		// keeps answering queries.
-		pool.SetGate(func() bool {
-			h, _ := rs.Health()
-			return h != store.HealthDegraded
-		})
 	}
 	reg.GaugeFunc("process_uptime_seconds", "Seconds since the daemon started.", func() float64 {
 		return time.Since(startTime).Seconds()
@@ -347,7 +280,7 @@ func run(args []string) int {
 	})
 
 	if *listen != "" {
-		addr, err := node.Listen(*listen)
+		addr, err := nd.P2P.Listen(*listen)
 		if err != nil {
 			logMain.Error("p2p listen failed", "err", err)
 			return 1
@@ -366,15 +299,14 @@ func run(args []string) int {
 		if peer == "" {
 			continue
 		}
-		if err := node.Dial(peer); err != nil {
+		if err := nd.P2P.Dial(peer); err != nil {
 			logMain.Warn("dial failed", "peer", peer, "err", err)
 		} else {
 			logMain.Info("connected", "peer", peer)
 		}
 	}
 
-	s := &server{chain: ch, pool: pool, miner: m, wallet: w, node: node,
-		ledger: ledger, payout: payout, start: startTime, health: retryStore}
+	s := &server{Node: nd, payout: payout, start: startTime, health: retryStore}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /status", s.handleStatus)
 	mux.HandleFunc("POST /mine", s.handleMine)
@@ -384,10 +316,10 @@ func run(args []string) int {
 	mux.HandleFunc("GET /block/", s.handleBlock)
 	mux.HandleFunc("GET /typecoin/", s.handleTypecoin)
 	mux.HandleFunc("GET /audit", s.handleAudit)
-	mux.Handle("/index/", http.StripPrefix("/index", ix.Handler()))
+	mux.Handle("/index/", http.StripPrefix("/index", nd.Index.Handler()))
 	mux.Handle("GET /metrics", reg.Handler())
 	mux.Handle("GET /debug/events", tracer.Handler())
-	mux.Handle("GET /debug/spans", spans.Handler())
+	mux.Handle("GET /debug/spans", nd.Spans.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -439,8 +371,8 @@ func run(args []string) int {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		logMain.Warn("http shutdown failed", "err", err)
 	}
-	node.Stop()
-	if err := pool.Persist(); err != nil {
+	nd.P2P.Stop()
+	if err := nd.Pool.Persist(); err != nil {
 		logPool.Error("persist mempool failed", "err", err)
 		failed = true
 	}
@@ -459,7 +391,7 @@ func run(args []string) int {
 			}
 		}
 	}
-	if err := st.Close(); err != nil {
+	if err := nd.Close(); err != nil {
 		logStore.Error("close store failed", "err", err)
 		failed = true
 	}
@@ -501,14 +433,14 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	sync := s.node.SyncStatus()
+	sync := s.P2P.SyncStatus()
 	status := map[string]interface{}{
-		"height":       s.chain.BestHeight(),
-		"tip":          s.chain.BestHash().String(),
-		"peers":        s.node.PeerCount(),
-		"mempool":      s.pool.Size(),
-		"mempoolBytes": s.pool.Bytes(),
-		"utxoSize":     s.chain.UtxoSize(),
+		"height":       s.Chain.BestHeight(),
+		"tip":          s.Chain.BestHash().String(),
+		"peers":        s.P2P.PeerCount(),
+		"mempool":      s.Pool.Size(),
+		"mempoolBytes": s.Pool.Bytes(),
+		"utxoSize":     s.Chain.UtxoSize(),
 		// Headers-first sync progress: the skeleton tip runs ahead of
 		// the connected tip while bodies download in parallel windows.
 		"headerHeight":   sync.HeaderHeight,
@@ -531,7 +463,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !s.start.IsZero() {
 		status["uptimeSeconds"] = time.Since(s.start).Seconds()
 	}
-	if blk, ok := s.chain.BlockAtHeight(s.chain.BestHeight()); ok {
+	if blk, ok := s.Chain.BlockAtHeight(s.Chain.BestHeight()); ok {
 		status["tipAgeSeconds"] = time.Since(blk.Header.Timestamp).Seconds()
 	}
 	writeJSON(w, status)
@@ -559,23 +491,23 @@ func (s *server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	var hashes []string
 	for i := 0; i < req.Blocks; i++ {
-		blk, _, err := s.miner.Mine(s.payout)
+		blk, _, err := s.Miner.Mine(s.payout)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		s.node.BroadcastBlock(blk)
+		s.P2P.BroadcastBlock(blk)
 		hashes = append(hashes, blk.BlockHash().String())
 	}
-	writeJSON(w, map[string]interface{}{"blocks": hashes, "height": s.chain.BestHeight()})
+	writeJSON(w, map[string]interface{}{"blocks": hashes, "height": s.Chain.BestHeight()})
 }
 
 func (s *server) handleBalance(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]int64{"satoshi": s.wallet.Balance()})
+	writeJSON(w, map[string]int64{"satoshi": s.Wallet.Balance()})
 }
 
 func (s *server) handleNewKey(w http.ResponseWriter, r *http.Request) {
-	p, err := s.wallet.NewKey()
+	p, err := s.Wallet.NewKey()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -597,15 +529,15 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	tx, err := s.wallet.Build([]wallet.Output{
+	tx, err := s.Wallet.Build([]wallet.Output{
 		{Value: req.Amount, PkScript: script.PayToPubKeyHash(to)},
 	}, wallet.BuildOptions{})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.node.BroadcastTx(tx); err != nil {
-		s.wallet.Unlock(tx)
+	if err := s.P2P.BroadcastTx(tx); err != nil {
+		s.Wallet.Unlock(tx)
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -619,7 +551,7 @@ func (s *server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad height %q", hStr))
 		return
 	}
-	blk, ok := s.chain.BlockAtHeight(height)
+	blk, ok := s.Chain.BlockAtHeight(height)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no block at height %d", height))
 		return
@@ -655,7 +587,7 @@ func (s *server) handleTypecoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	op := wire.OutPoint{Hash: h, Index: uint32(idx)}
-	prop, ok := s.ledger.ResolveOutput(op)
+	prop, ok := s.Ledger.ResolveOutput(op)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no typed output at %s", op))
 		return
@@ -669,11 +601,11 @@ func (s *server) handleTypecoin(w http.ResponseWriter, r *http.Request) {
 // handleAudit runs the full consistency audit on demand: the chain's
 // from-genesis UTXO/spend-journal replay plus the ledger's affine audit.
 func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if err := s.chain.AuditFromGenesis(); err != nil {
+	if err := s.Chain.AuditFromGenesis(); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := s.ledger.AuditAffine(); err != nil {
+	if err := s.Ledger.AuditAffine(); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}

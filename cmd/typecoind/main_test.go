@@ -7,33 +7,22 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"typecoin/internal/chain"
-	"typecoin/internal/clock"
-	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
-	"typecoin/internal/p2p"
+	"typecoin/internal/node"
 	"typecoin/internal/testutil"
-	"typecoin/internal/typecoin"
-	"typecoin/internal/wallet"
 )
 
 func newTestServer(t *testing.T) *server {
 	t.Helper()
-	params := chain.RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(1))
-	ch := chain.New(params, clk)
-	pool := mempool.New(ch, -1)
-	w := wallet.New(ch, testutil.NewEntropy(t.Name()))
-	payout, err := w.NewKey()
+	nd, err := node.Open(node.Config{Clock: node.SimClock(), Entropy: testutil.NewEntropy(t.Name())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := p2p.NewNode(ch, pool, nil)
-	t.Cleanup(node.Stop)
-	return &server{
-		chain: ch, pool: pool, miner: miner.New(ch, pool, clk),
-		wallet: w, node: node, ledger: typecoin.NewLedger(ch, 1), payout: payout,
+	t.Cleanup(func() { nd.Close() })
+	payout, err := nd.Wallet.NewKey()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return &server{Node: nd, payout: payout}
 }
 
 func doJSON(t *testing.T, handler http.HandlerFunc, method, target string, body interface{}) (int, map[string]interface{}) {
@@ -84,7 +73,7 @@ func TestBalanceNewKeySend(t *testing.T) {
 	s := newTestServer(t)
 	// Mature some coinbases.
 	if _, out := doJSON(t, s.handleMine, "POST", "/mine",
-		map[string]int{"blocks": s.chain.Params().CoinbaseMaturity + 1}); out["error"] != nil {
+		map[string]int{"blocks": s.Chain.Params().CoinbaseMaturity + 1}); out["error"] != nil {
 		t.Fatalf("mine: %v", out)
 	}
 	_, out := doJSON(t, s.handleBalance, "GET", "/balance", nil)
@@ -101,8 +90,8 @@ func TestBalanceNewKeySend(t *testing.T) {
 	if code != 200 || out["txid"] == nil {
 		t.Fatalf("send: code=%d out=%v", code, out)
 	}
-	if s.pool.Size() != 1 {
-		t.Errorf("mempool size = %d after send", s.pool.Size())
+	if s.Pool.Size() != 1 {
+		t.Errorf("mempool size = %d after send", s.Pool.Size())
 	}
 	// Bad principal is a 400.
 	code, _ = doJSON(t, s.handleSend, "POST", "/send",

@@ -10,20 +10,16 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"typecoin/internal/chain"
 	"typecoin/internal/client"
-	"typecoin/internal/clock"
+	"typecoin/internal/demo"
 	"typecoin/internal/lf"
 	"typecoin/internal/logic"
-	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/proof"
 	"typecoin/internal/surface"
 	"typecoin/internal/testutil"
 	"typecoin/internal/typecoin"
-	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
 
@@ -33,31 +29,23 @@ func main() {
 	}
 }
 
-// withDomain builds the standard proof skeleton: a lambda over the
-// transaction domain C (x) A (x) R, with c, a, r in scope for the body.
-func withDomain(domain logic.Prop, body proof.Term) proof.Term {
-	return proof.Lam{Name: "d", Ty: domain,
-		Body: proof.LetPair{LName: "ca", RName: "r", Of: proof.V("d"),
-			Body: proof.LetPair{LName: "c", RName: "a", Of: proof.V("ca"),
-				Body: body}}}
-}
-
 func run() error {
 	// --- A single-node regtest network with a funded wallet. ---
-	params := chain.RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
-	ch := chain.New(params, clk)
-	pool := mempool.New(ch, -1)
-	w := wallet.New(ch, testutil.NewEntropy("quickstart"))
+	clk := node.SimClock()
+	nd, err := node.Open(node.Config{Clock: clk, Entropy: testutil.NewEntropy("quickstart")})
+	if err != nil {
+		return err
+	}
+	defer nd.Close()
+	params, w := nd.Chain.Params(), nd.Wallet
 	minerKey, err := w.NewKey()
 	if err != nil {
 		return err
 	}
-	m := miner.New(ch, pool, clk)
 	mine := func(n int) error {
 		for i := 0; i < n; i++ {
 			clk.Advance(params.TargetSpacing)
-			if _, _, err := m.Mine(minerKey); err != nil {
+			if _, _, err := nd.Miner.Mine(minerKey); err != nil {
 				return err
 			}
 		}
@@ -66,7 +54,7 @@ func run() error {
 	if err := mine(params.CoinbaseMaturity + 1); err != nil {
 		return err
 	}
-	cl := client.New(ch, pool, w, typecoin.NewLedger(ch, 1))
+	cl := client.New(nd.Chain, nd.Pool, w, nd.Ledger)
 
 	alice, err := w.NewKey()
 	if err != nil {
@@ -123,7 +111,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	t1.Proof = withDomain(t1.Domain(),
+	t1.Proof = demo.WithDomain(t1.Domain(),
 		proof.Apply(
 			proof.TApp{Fn: proof.Const{Ref: lf.This("use")}, Arg: lf.Principal(bob)},
 			proof.Assert{Key: aliceKey.PubKey(), Prop: credential, Sig: sig}))
@@ -148,7 +136,7 @@ func run() error {
 	committed := logic.Atom(lf.TxRef(carrier1.TxHash(), "may-write-this"),
 		lf.Principal(bob), lf.Nat(nonce))
 	t2.Outputs = []typecoin.Output{{Type: committed, Amount: 10_000, Owner: bobKey.PubKey()}}
-	t2.Proof = withDomain(t2.Domain(),
+	t2.Proof = demo.WithDomain(t2.Domain(),
 		proof.Apply(
 			proof.TApply(proof.Const{Ref: lf.TxRef(carrier1.TxHash(), "commit")},
 				lf.Principal(bob), lf.Nat(nonce)),

@@ -6,48 +6,35 @@ package bench
 
 import (
 	"math"
-	"time"
 
 	"typecoin/internal/bkey"
 	"typecoin/internal/chain"
 	"typecoin/internal/clock"
-	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/testutil"
-	"typecoin/internal/typecoin"
-	"typecoin/internal/wallet"
 )
 
 // Env is a funded single-node environment for experiments.
 type Env struct {
+	*node.Node
 	Params *chain.Params
 	Clock  *clock.Simulated
-	Chain  *chain.Chain
-	Pool   *mempool.Pool
-	Miner  *miner.Miner
-	Wallet *wallet.Wallet
 	Payout bkey.Principal
-	Ledger *typecoin.Ledger
 }
 
-// NewEnv builds the environment. minConf configures the ledger.
-func NewEnv(seed string, minConf int) (*Env, error) {
-	params := chain.RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
-	c := chain.New(params, clk)
-	pool := mempool.New(c, -1)
-	w := wallet.New(c, testutil.NewEntropy(seed))
-	payout, err := w.NewKey()
+// NewEnv builds the environment; its ledger applies carriers at one
+// confirmation.
+func NewEnv(seed string) (*Env, error) {
+	clk := node.SimClock()
+	nd, err := node.Open(node.Config{Clock: clk, Entropy: testutil.NewEntropy(seed)})
 	if err != nil {
 		return nil, err
 	}
-	m := miner.New(c, pool, clk)
-	env := &Env{
-		Params: params, Clock: clk, Chain: c, Pool: pool,
-		Miner: m, Wallet: w, Payout: payout,
-		Ledger: typecoin.NewLedger(c, minConf),
+	payout, err := nd.Wallet.NewKey()
+	if err != nil {
+		return nil, err
 	}
-	return env, nil
+	return &Env{Node: nd, Params: nd.Chain.Params(), Clock: clk, Payout: payout}, nil
 }
 
 // Mine mines n blocks, advancing the clock by the target spacing each.

@@ -120,7 +120,7 @@ func RunE1(qs []float64, depths []int, trials int) []E1Row {
 // one who is behind.
 func RunE1Chain() (bool, bool, error) {
 	// Honest chain: 3 blocks after genesis.
-	env, err := NewEnv("e1-honest", 1)
+	env, err := NewEnv("e1-honest")
 	if err != nil {
 		return false, false, err
 	}
@@ -130,7 +130,7 @@ func RunE1Chain() (bool, bool, error) {
 	honestTip := env.Chain.BestHash()
 
 	// Attacker forks from genesis with 4 blocks: more work, reorg.
-	attacker, err := NewEnv("e1-attacker", 1)
+	attacker, err := NewEnv("e1-attacker")
 	if err != nil {
 		return false, false, err
 	}
@@ -147,14 +147,14 @@ func RunE1Chain() (bool, bool, error) {
 
 	// A shorter attacking branch (2 blocks) must NOT displace the honest
 	// chain.
-	env2, err := NewEnv("e1-honest2", 1)
+	env2, err := NewEnv("e1-honest2")
 	if err != nil {
 		return false, false, err
 	}
 	if err := env2.Mine(3); err != nil {
 		return false, false, err
 	}
-	weak, err := NewEnv("e1-weak", 1)
+	weak, err := NewEnv("e1-weak")
 	if err != nil {
 		return false, false, err
 	}

@@ -94,7 +94,7 @@ func RunE2(ks []int) ([]E2Row, error) {
 }
 
 func runE2Direct(k int) (E2Row, error) {
-	env, err := NewEnv(fmt.Sprintf("e2-direct-%d", k), 1)
+	env, err := NewEnv(fmt.Sprintf("e2-direct-%d", k))
 	if err != nil {
 		return E2Row{}, err
 	}
@@ -134,7 +134,7 @@ func runE2Direct(k int) (E2Row, error) {
 }
 
 func runE2Batch(k int) (E2Row, error) {
-	env, err := NewEnv(fmt.Sprintf("e2-batch-%d", k), 1)
+	env, err := NewEnv(fmt.Sprintf("e2-batch-%d", k))
 	if err != nil {
 		return E2Row{}, err
 	}

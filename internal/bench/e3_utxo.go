@@ -54,7 +54,7 @@ func RunE3(ns []int) ([]E3Row, error) {
 }
 
 func runE3(n int, strategy string) (E3Row, error) {
-	env, err := NewEnv(fmt.Sprintf("e3-%s-%d", strategy, n), 1)
+	env, err := NewEnv(fmt.Sprintf("e3-%s-%d", strategy, n))
 	if err != nil {
 		return E3Row{}, err
 	}

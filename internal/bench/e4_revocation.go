@@ -51,7 +51,7 @@ func RunE4(trials int) ([]E4Row, error) {
 }
 
 func runE4Once(trial int) (E4Row, error) {
-	env, err := NewEnv(fmt.Sprintf("e4-%d", trial), 1)
+	env, err := NewEnv(fmt.Sprintf("e4-%d", trial))
 	if err != nil {
 		return E4Row{}, err
 	}

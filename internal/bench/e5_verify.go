@@ -46,7 +46,7 @@ type E5Setup struct {
 // NewE5Setup issues a token and transfers it n-1 times, one carrier per
 // block.
 func NewE5Setup(n int) (*E5Setup, error) {
-	env, err := NewEnv(fmt.Sprintf("e5-%d", n), 1)
+	env, err := NewEnv(fmt.Sprintf("e5-%d", n))
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func RunE5Batch(ks []int) ([]E5BatchRow, error) {
 }
 
 func newE5BatchSetup(k int) (*E5Setup, error) {
-	env, err := NewEnv(fmt.Sprintf("e5b-%d", k), 1)
+	env, err := NewEnv(fmt.Sprintf("e5b-%d", k))
 	if err != nil {
 		return nil, err
 	}

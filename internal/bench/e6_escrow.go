@@ -54,7 +54,7 @@ func RunE6(configs [][3]int) ([]E6Row, error) {
 }
 
 func runE6Once(m, n, compromised int) (E6Row, error) {
-	env, err := NewEnv(fmt.Sprintf("e6-%d-%d-%d", m, n, compromised), 1)
+	env, err := NewEnv(fmt.Sprintf("e6-%d-%d-%d", m, n, compromised))
 	if err != nil {
 		return E6Row{}, err
 	}

@@ -174,13 +174,7 @@ type Config struct {
 // New creates an in-memory chain containing only the genesis block of
 // params, with a default-sized signature cache.
 func New(params *Params, clk clock.Clock) *Chain {
-	return NewWithSigCache(params, clk, sigcache.New(sigcache.DefaultCapacity))
-}
-
-// NewWithSigCache is New with an explicit signature cache; sc may be
-// nil to disable signature caching entirely.
-func NewWithSigCache(params *Params, clk clock.Clock, sc *sigcache.Cache) *Chain {
-	c, err := Open(Config{Params: params, Clock: clk, SigCache: sc})
+	c, err := Open(Config{Params: params, Clock: clk, SigCache: sigcache.New(sigcache.DefaultCapacity)})
 	if err != nil {
 		// A fresh in-memory store has nothing to load, so Open cannot
 		// fail on it.

@@ -4,51 +4,41 @@
 package demo
 
 import (
-	"time"
-
 	"typecoin/internal/bkey"
 	"typecoin/internal/chain"
 	"typecoin/internal/client"
 	"typecoin/internal/clock"
 	"typecoin/internal/logic"
-	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/proof"
 	"typecoin/internal/testutil"
-	"typecoin/internal/typecoin"
-	"typecoin/internal/wallet"
 )
 
 // Env is a funded regtest node with a Typecoin client (minConf 1).
 type Env struct {
+	*node.Node
 	Params   *chain.Params
 	Clock    *clock.Simulated
-	Chain    *chain.Chain
-	Pool     *mempool.Pool
-	Miner    *miner.Miner
-	Wallet   *wallet.Wallet
 	Client   *client.Client
 	MinerKey bkey.Principal
 }
 
 // NewEnv builds and funds the environment.
 func NewEnv(seed string) (*Env, error) {
-	params := chain.RegTestParams()
-	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
-	ch := chain.New(params, clk)
-	pool := mempool.New(ch, -1)
-	w := wallet.New(ch, testutil.NewEntropy(seed))
-	minerKey, err := w.NewKey()
+	clk := node.SimClock()
+	nd, err := node.Open(node.Config{Clock: clk, Entropy: testutil.NewEntropy(seed)})
 	if err != nil {
 		return nil, err
 	}
-	m := miner.New(ch, pool, clk)
-	env := &Env{
-		Params: params, Clock: clk, Chain: ch, Pool: pool,
-		Miner: m, Wallet: w, MinerKey: minerKey,
-		Client: client.New(ch, pool, w, typecoin.NewLedger(ch, 1)),
+	minerKey, err := nd.Wallet.NewKey()
+	if err != nil {
+		return nil, err
 	}
-	if err := env.Mine(params.CoinbaseMaturity + 5); err != nil {
+	env := &Env{
+		Node: nd, Params: nd.Chain.Params(), Clock: clk, MinerKey: minerKey,
+		Client: client.New(nd.Chain, nd.Pool, nd.Wallet, nd.Ledger),
+	}
+	if err := env.Mine(env.Params.CoinbaseMaturity + 5); err != nil {
 		return nil, err
 	}
 	return env, nil

@@ -40,11 +40,9 @@ import (
 	"sync"
 	"time"
 
-	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/testutil"
-	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
 
@@ -327,19 +325,17 @@ type skeletonFork struct {
 // from the honest chain at every height.
 func mineSkeletonFork(h *Harness, name string, depth int) *skeletonFork {
 	h.T.Helper()
-	c := chain.New(h.Params, h.Clk)
-	w := wallet.New(c, testutil.NewEntropy(fmt.Sprintf("netsim/skeleton/%d/%s", h.Seed, name)))
-	payout, err := w.NewKey()
+	nd := h.openPrivate(fmt.Sprintf("netsim/skeleton/%d/%s", h.Seed, name))
+	payout, err := nd.Wallet.NewKey()
 	if err != nil {
 		h.T.Fatalf("skeleton payout key: %v", err)
 	}
-	m := miner.New(c, nil, h.Clk)
 	f := &skeletonFork{
 		heights: map[chainhash.Hash]int{h.Params.GenesisBlock.BlockHash(): 0},
 		bodies:  make(map[chainhash.Hash][]byte),
 	}
 	for k := 0; k < depth; k++ {
-		blk, _, err := m.Mine(payout)
+		blk, _, err := nd.Miner.Mine(payout)
 		if err != nil {
 			h.T.Fatalf("skeleton pre-mine block %d: %v", k, err)
 		}
@@ -435,15 +431,13 @@ func EquivocationBlocks(h *Harness, name string, depth int) [][]byte {
 	h.T.Helper()
 	var out [][]byte
 	for f := 0; f < 2; f++ {
-		c := chain.New(h.Params, h.Clk)
-		w := wallet.New(c, testutil.NewEntropy(fmt.Sprintf("netsim/equivocator/%d/%s/%d", h.Seed, name, f)))
-		payout, err := w.NewKey()
+		nd := h.openPrivate(fmt.Sprintf("netsim/equivocator/%d/%s/%d", h.Seed, name, f))
+		payout, err := nd.Wallet.NewKey()
 		if err != nil {
 			h.T.Fatalf("equivocator payout key: %v", err)
 		}
-		m := miner.New(c, nil, h.Clk)
 		for k := 0; k < depth; k++ {
-			blk, _, err := m.Mine(payout)
+			blk, _, err := nd.Miner.Mine(payout)
 			if err != nil {
 				h.T.Fatalf("equivocator pre-mine fork %d block %d: %v", f, k, err)
 			}
@@ -451,4 +445,16 @@ func EquivocationBlocks(h *Harness, name string, depth int) [][]byte {
 		}
 	}
 	return out
+}
+
+// openPrivate opens a node outside the network, on the harness clock
+// with its wallet seeded from seed, for an actor to pre-mine a private
+// fork on.
+func (h *Harness) openPrivate(seed string) *node.Node {
+	h.T.Helper()
+	nd, err := node.Open(node.Config{Clock: h.Clk, Entropy: testutil.NewEntropy(seed)})
+	if err != nil {
+		h.T.Fatalf("private node %s: %v", seed, err)
+	}
+	return nd
 }

@@ -119,11 +119,11 @@ func runByzantineScenario(t *testing.T, seed int64) {
 
 	// Wallet traffic must keep flowing mid-attack: broadcast a payment
 	// from node 0 while all five attacks are running.
-	dest, err := h.Wallets[1].NewKey()
+	dest, err := h.Full[1].Wallet.NewKey()
 	if err != nil {
 		t.Fatalf("destination key: %v", err)
 	}
-	tx, err := h.Wallets[0].Build(
+	tx, err := h.Full[0].Wallet.Build(
 		[]wallet.Output{{Value: 2_000_000, PkScript: script.PayToPubKeyHash(dest)}},
 		wallet.BuildOptions{})
 	if err != nil {
@@ -182,7 +182,7 @@ func runByzantineScenario(t *testing.T, seed int64) {
 		if got := h.Metric(vi, "p2p_banned_addrs"); got < 1 {
 			t.Fatalf("node %d: p2p_banned_addrs = %v after banning %s", vi, got, name)
 		}
-		if events := h.Tracers[vi].Events(name, 0); len(events) == 0 {
+		if events := h.Full[vi].Tracer.Events(name, 0); len(events) == 0 {
 			t.Fatalf("node %d has no trace events for banned adversary %s", vi, name)
 		}
 	}
@@ -190,7 +190,7 @@ func runByzantineScenario(t *testing.T, seed int64) {
 	// honest ring member.
 	for i := range h.Nodes {
 		for j := range h.Nodes {
-			for _, ev := range h.Tracers[i].Events(h.Host(j), 0) {
+			for _, ev := range h.Full[i].Tracer.Events(h.Host(j), 0) {
 				if ev.Kind == telemetry.EvPeerBanned {
 					t.Fatalf("node %d trace records a ban of honest node %d: %+v", i, j, ev)
 				}

@@ -82,13 +82,13 @@ func runChaosStoreFaults(t *testing.T, seed int64) {
 	// Mirror the daemon's fault telemetry: every fired injection counts
 	// into store_faults_total{op,kind} on the node's own registry.
 	for i, s := range stacks {
-		faults := h.Regs[i].CounterVec("store_faults_total",
+		faults := h.Full[i].Reg.CounterVec("store_faults_total",
 			"Storage faults observed, by operation and kind.", "op", "kind")
 		s.engine.SetOnFault(func(op store.FaultOp, kind store.FaultKind) {
 			faults.With(op.String(), kind.String()).Inc()
 		})
 		ret := s.retry
-		h.Regs[i].CounterFunc("store_retries_total",
+		h.Full[i].Reg.CounterFunc("store_retries_total",
 			"Write attempts beyond each first try.",
 			func() float64 { return float64(ret.Retries()) })
 	}
@@ -133,7 +133,7 @@ func runChaosStoreFaults(t *testing.T, seed int64) {
 	if hdrs := h.Nodes[victim].Chain().HeadersAfter(locator, 32); len(hdrs) == 0 {
 		t.Fatalf("degraded node stopped serving headers")
 	}
-	if _, _, err := h.Indexes[victim].Tip(); err != nil {
+	if _, _, err := h.Full[victim].Index.Tip(); err != nil {
 		t.Fatalf("degraded node index tip: %v", err)
 	}
 	// ...while refusing new write obligations.

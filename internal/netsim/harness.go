@@ -9,49 +9,35 @@ import (
 	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
 	"typecoin/internal/clock"
-	"typecoin/internal/index"
 	"typecoin/internal/mempool"
-	"typecoin/internal/miner"
+	"typecoin/internal/node"
 	"typecoin/internal/p2p"
 	"typecoin/internal/store"
 	"typecoin/internal/telemetry"
 	"typecoin/internal/testutil"
-	"typecoin/internal/typecoin"
-	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
 )
 
-// Harness is a multi-node scenario: N full nodes (chain, mempool,
-// ledger, wallet, miner) gossiping over one simulated Network on one
-// virtual clock. Faults are scripted through the Network (Partition,
-// StallOneWay, SetLink) and the harness asserts the system invariants
-// after heal via AssertConverged.
+// Harness is a multi-node scenario: N full nodes (chain, index,
+// mempool, wallet, ledger, miner) gossiping over one simulated Network
+// on one virtual clock. Faults are scripted through the Network
+// (Partition, StallOneWay, SetLink) and the harness asserts the system
+// invariants after heal via AssertConverged.
 type Harness struct {
-	T       testing.TB
-	Seed    int64
-	Params  *chain.Params
-	Clk     *clock.Simulated
-	Net     *Network
+	T      testing.TB
+	Seed   int64
+	Params *chain.Params
+	Clk    *clock.Simulated
+	Net    *Network
+	// Full holds each node as node.Open assembled it, with its own
+	// registry, tracer and span store, so scenarios can assert on
+	// defense and chain counters (see Metric) and merge causal spans
+	// across the cluster (see AssembleTrace). All span stores run on
+	// the shared virtual clock, so cross-node stage deltas are exact.
+	Full []*node.Node
+	// Nodes is each node's p2p layer, Full[i].P2P.
 	Nodes   []*p2p.Node
-	Ledgers []*typecoin.Ledger
-	Wallets []*wallet.Wallet
-	Miners  []*miner.Miner
 	Payouts []bkey.Principal
-	Indexes []*index.Indexer
-	// Stores holds each node's persistence stack when the harness was
-	// built with NewHarnessWithStores; nil entries mean the default
-	// in-memory store. Chaos scenarios reach through it to script fault
-	// engines mid-run.
-	Stores []store.Store
-
-	// Per-node observability: one registry, one block-lifecycle tracer
-	// and one commitment-latency span store per node, so scenarios can
-	// assert on defense and chain counters (see Metric) and merge causal
-	// spans across the cluster (see AssembleTrace). All span stores run
-	// on the shared virtual clock, so cross-node stage deltas are exact.
-	Regs    []*telemetry.Registry
-	Tracers []*telemetry.Tracer
-	Spans   []*telemetry.SpanStore
 
 	base time.Time // virtual time origin for the block schedule
 	// live times the nodes' peers (p2p.Node.SetLivenessClock). Every
@@ -88,116 +74,62 @@ func NewHarness(t testing.TB, seed int64, n int, cfg LinkConfig) *Harness {
 
 // NewHarnessWithStores is NewHarness with an explicit persistence stack
 // per node: storeFor(i) supplies node i's store (nil falls back to a
-// fresh in-memory store). Supplied stores are closed on test cleanup,
-// after the nodes stop. When a store reports health
-// (store.HealthReporter — the Retry degradation wrapper does), the
-// harness registers a store_health gauge on the node's telemetry
-// registry and gates its mempool on the store being writable, matching
-// the daemon's wiring — which is what lets chaos scenarios assert
-// degraded-readonly behavior through the same metrics an operator sees.
+// fresh in-memory store). Every node is built by node.Open, the
+// daemon's own assembly, so a store that reports health (the Retry
+// degradation wrapper) exports store_health and gates the node's
+// mempool exactly as in a daemon; chaos scenarios assert
+// degraded-readonly behavior through the metrics an operator sees.
+// Every node, and with it its store, is closed on test cleanup.
 func NewHarnessWithStores(t testing.TB, seed int64, n int, cfg LinkConfig, storeFor func(i int) store.Store) *Harness {
 	t.Helper()
-	params := chain.RegTestParams()
-	start := params.GenesisBlock.Header.Timestamp.Add(time.Minute)
-	clk := clock.NewSimulated(start)
+	clk := node.SimClock()
 	h := &Harness{
 		T:      t,
 		Seed:   seed,
-		Params: params,
+		Params: chain.RegTestParams(),
 		Clk:    clk,
 		Net:    New(clk, seed, cfg),
-		base:   start,
-		live:   clock.NewSimulated(start),
+		base:   clk.Now(),
+		live:   node.SimClock(),
 	}
+	t.Cleanup(func() {
+		for _, nd := range h.Full {
+			nd.Close()
+		}
+	})
 	for i := 0; i < n; i++ {
 		var st store.Store
 		if storeFor != nil {
 			st = storeFor(i)
 		}
-		var c *chain.Chain
-		if st != nil {
-			var err error
-			c, err = chain.Open(chain.Config{Params: params, Clock: clk, Store: st})
-			if err != nil {
-				t.Fatalf("node %d chain open: %v", i, err)
-			}
-		} else {
-			c = chain.New(params, clk)
+		nd, err := node.Open(node.Config{
+			Clock:   clk,
+			Store:   st,
+			Entropy: testutil.NewEntropy(fmt.Sprintf("netsim/%d/node%d", seed, i)),
+			Spans:   telemetry.DefaultSpanCapacity,
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
 		}
-		h.Stores = append(h.Stores, st)
-		pool := mempool.New(c, -1)
-		node := p2p.NewNode(c, pool, nil)
-		reg := telemetry.NewRegistry()
-		tr := telemetry.NewTracer(telemetry.DefaultTraceCapacity, clk)
 		// Span origin ids are 1-based node indices: deterministic, and 0
 		// stays "unset" for hop adoption.
-		spans := telemetry.NewSpanStore(telemetry.DefaultSpanCapacity, clk)
-		spans.SetOrigin(uint64(i + 1))
-		telemetry.RegisterSpanMetrics(reg, spans)
-		c.SetTelemetry(reg, tr)
-		c.SetSpans(spans)
-		pool.SetTelemetry(reg, tr)
-		pool.SetSpans(spans)
-		node.SetTelemetry(reg, tr)
-		node.SetSpans(spans)
-		// Every node runs a chain index, so scenarios that reorg nodes
-		// through partitions exercise the index's disconnect path too.
-		ix, err := index.Open(c)
-		if err != nil {
-			t.Fatalf("node %d index: %v", i, err)
-		}
-		ix.SetTelemetry(reg, tr)
-		ix.SetSpans(spans)
-		node.SetTransport(h.Net.Transport(h.Host(i)))
-		node.SetLivenessClock(h.live)
+		nd.Spans.SetOrigin(uint64(i + 1))
+		nd.P2P.SetTransport(h.Net.Transport(h.Host(i)))
+		nd.P2P.SetLivenessClock(h.live)
 		// Generous real-time redial budget: a partition must not
 		// exhaust it before the heal.
-		node.SetRedial(12, 10*time.Millisecond)
-		ledger := typecoin.NewLedger(c, 1)
-		node.SetLedger(ledger)
-		if _, err := node.Listen(""); err != nil {
+		nd.P2P.SetRedial(12, 10*time.Millisecond)
+		h.Full = append(h.Full, nd)
+		h.Nodes = append(h.Nodes, nd.P2P)
+		if _, err := nd.P2P.Listen(""); err != nil {
 			t.Fatalf("node %d listen: %v", i, err)
 		}
-		w := wallet.New(c, testutil.NewEntropy(fmt.Sprintf("netsim/%d/node%d", seed, i)))
-		payout, err := w.NewKey()
+		payout, err := nd.Wallet.NewKey()
 		if err != nil {
 			t.Fatalf("node %d payout key: %v", i, err)
 		}
-		mn := miner.New(c, pool, clk)
-		mn.SetTelemetry(reg)
-		mn.SetSpans(spans)
-		if hr, ok := st.(store.HealthReporter); ok {
-			reg.GaugeFunc("store_health",
-				"Store health state (0 healthy, 1 recovering, 2 degraded-readonly).",
-				func() float64 {
-					s, _ := hr.Health()
-					return float64(s)
-				})
-			pool.SetGate(func() bool {
-				s, _ := hr.Health()
-				return s != store.HealthDegraded
-			})
-		}
-		h.Nodes = append(h.Nodes, node)
-		h.Ledgers = append(h.Ledgers, ledger)
-		h.Wallets = append(h.Wallets, w)
-		h.Miners = append(h.Miners, mn)
 		h.Payouts = append(h.Payouts, payout)
-		h.Indexes = append(h.Indexes, ix)
-		h.Regs = append(h.Regs, reg)
-		h.Tracers = append(h.Tracers, tr)
-		h.Spans = append(h.Spans, spans)
 	}
-	t.Cleanup(func() {
-		for _, node := range h.Nodes {
-			node.Stop()
-		}
-		for _, st := range h.Stores {
-			if st != nil {
-				st.Close()
-			}
-		}
-	})
 	return h
 }
 
@@ -246,7 +178,7 @@ func (h *Harness) AssertBounds() {
 // gauge, vec total or histogram count; see telemetry.Registry.Value).
 // Unregistered names read as zero so assertions stay simple.
 func (h *Harness) Metric(i int, name string) float64 {
-	v, _ := h.Regs[i].Value(name)
+	v, _ := h.Full[i].Reg.Value(name)
 	return v
 }
 
@@ -379,7 +311,7 @@ func (h *Harness) mineAtSlot(i int) *wire.MsgBlock {
 	} else {
 		h.Clk.Advance(time.Minute)
 	}
-	blk, _, err := h.Miners[i].Mine(h.Payouts[i])
+	blk, _, err := h.Full[i].Miner.Mine(h.Payouts[i])
 	if err != nil {
 		h.T.Fatalf("mine on node %d: %v", i, err)
 	}
@@ -470,11 +402,12 @@ func (h *Harness) AssertConverged() chainhash.Hash {
 	if err := AuditChainUTXO(h.Nodes[0].Chain()); err != nil {
 		h.T.Fatalf("invariant 2: %v", err)
 	}
-	for i, l := range h.Ledgers {
+	for i, nd := range h.Full {
+		l := nd.Ledger
 		if err := l.AuditAffine(); err != nil {
 			h.T.Fatalf("invariant 3: node %d: %v", i, err)
 		}
-		if got, want := l.AppliedCount(), h.Ledgers[0].AppliedCount(); got != want {
+		if got, want := l.AppliedCount(), h.Full[0].Ledger.AppliedCount(); got != want {
 			h.T.Fatalf("invariant 3: node %d applied %d typecoin carriers, node 0 applied %d",
 				i, got, want)
 		}
@@ -484,7 +417,8 @@ func (h *Harness) AssertConverged() chainhash.Hash {
 			h.T.Fatalf("invariant 4: node %d: %v", i, err)
 		}
 	}
-	for i, ix := range h.Indexes {
+	for i, nd := range h.Full {
+		ix := nd.Index
 		tipHash, tipHeight, err := ix.Tip()
 		if err != nil {
 			h.T.Fatalf("invariant 5: node %d index tip: %v", i, err)

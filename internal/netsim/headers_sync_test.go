@@ -90,7 +90,7 @@ func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCo
 	if got := h.Metric(laggard, "chain_header_height"); int(got) != catchUpDepth {
 		t.Fatalf("chain_header_height reads %v, want %d", got, catchUpDepth)
 	}
-	return ticks, h.Regs[laggard].VecValues("p2p_recv_bytes_total")
+	return ticks, h.Full[laggard].Reg.VecValues("p2p_recv_bytes_total")
 }
 
 // donorBytes extracts the receive-byte totals per donor host from a

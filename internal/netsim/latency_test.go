@@ -86,11 +86,11 @@ func runLatencyBudget(t *testing.T, seed int64, attack bool) (*Harness, *BudgetR
 	var txids []chainhash.Hash
 	for round := 0; round < latencyRounds; round++ {
 		for k := 0; k < latencyTxsPerRound; k++ {
-			dest, err := h.Wallets[1+(round*latencyTxsPerRound+k)%(latencyNodes-1)].NewKey()
+			dest, err := h.Full[1+(round*latencyTxsPerRound+k)%(latencyNodes-1)].Wallet.NewKey()
 			if err != nil {
 				t.Fatalf("round %d destination key: %v", round, err)
 			}
-			tx, err := h.Wallets[0].Build(
+			tx, err := h.Full[0].Wallet.Build(
 				[]wallet.Output{{Value: 1_000_000, PkScript: script.PayToPubKeyHash(dest)}},
 				wallet.BuildOptions{})
 			if err != nil {
@@ -183,7 +183,7 @@ func TestLatencyBudget(t *testing.T) {
 			// The wire-propagated context reached a node several hops
 			// from the submitter: its span adopted node 0's origin
 			// identity and a multi-hop count.
-			snap, ok := h.Spans[3].Snapshot(txids[0])
+			snap, ok := h.Full[3].Spans.Snapshot(txids[0])
 			if !ok {
 				t.Fatalf("node 3 has no span for tx %s", txids[0])
 			}

@@ -10,13 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"typecoin/internal/store"
 	"typecoin/internal/telemetry"
 )
 
 // counterSnapshot reads every *_total series on node i.
 func counterSnapshot(h *Harness, i int) map[string]float64 {
 	m := make(map[string]float64)
-	for _, name := range h.Regs[i].Names() {
+	for _, name := range h.Full[i].Reg.Names() {
 		if strings.HasSuffix(name, "_total") {
 			m[name] = h.Metric(i, name)
 		}
@@ -59,7 +60,7 @@ func TestTelemetryCountersAcrossMineRelayReorg(t *testing.T) {
 	// The relayed tip shows up in node 1's trace as seen then connected.
 	tip := h.Nodes[1].Chain().BestHash().String()
 	kinds := make(map[string]bool)
-	for _, ev := range h.Tracers[1].Events(tip, 0) {
+	for _, ev := range h.Full[1].Tracer.Events(tip, 0) {
 		kinds[ev.Kind] = true
 	}
 	if !kinds[telemetry.EvBlockSeen] || !kinds[telemetry.EvBlockConnected] {
@@ -84,7 +85,7 @@ func TestTelemetryCountersAcrossMineRelayReorg(t *testing.T) {
 		t.Errorf("node 0 chain_disconnects_total = %v after reorg", got)
 	}
 	reorged := false
-	for _, ev := range h.Tracers[0].Events("", 0) {
+	for _, ev := range h.Full[0].Tracer.Events("", 0) {
 		if ev.Kind == telemetry.EvReorg {
 			reorged = true
 		}
@@ -97,4 +98,39 @@ func TestTelemetryCountersAcrossMineRelayReorg(t *testing.T) {
 		assertMonotone(t, "after reorg", mid[i], final[i])
 	}
 	h.AssertConverged()
+}
+
+// A node on a supplied store runs the same verifier and exports the same
+// metric families as one on the default in-memory store: the signature
+// cache and its sigcache_* series included. Only the store's own health
+// gauge, which a Retry wrapper reports, is extra.
+func TestSuppliedStoreNodeExportsTheSameMetrics(t *testing.T) {
+	h := NewHarnessWithStores(t, 5, 2, LinkConfig{}, func(i int) store.Store {
+		if i == 1 {
+			return store.NewRetry(store.NewMem(), store.RetryConfig{})
+		}
+		return nil
+	})
+	names := func(i int) map[string]bool {
+		set := make(map[string]bool)
+		for _, name := range h.Full[i].Reg.Names() {
+			set[name] = true
+		}
+		return set
+	}
+	mem, supplied := names(0), names(1)
+	if !supplied["store_health"] {
+		t.Fatal("the Retry-backed node exports no store_health")
+	}
+	delete(supplied, "store_health")
+	for name := range mem {
+		if !supplied[name] {
+			t.Errorf("the store-backed node lacks %s", name)
+		}
+	}
+	for name := range supplied {
+		if !mem[name] {
+			t.Errorf("only the store-backed node exports %s", name)
+		}
+	}
 }

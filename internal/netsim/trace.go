@@ -65,8 +65,8 @@ func (cs *ClusterSpan) Spread(stage string) (time.Duration, bool) {
 // spans, keyed by the subject hash string.
 func (h *Harness) AssembleTrace() map[string]*ClusterSpan {
 	out := make(map[string]*ClusterSpan)
-	for i, s := range h.Spans {
-		for _, snap := range s.Snapshots() {
+	for i, nd := range h.Full {
+		for _, snap := range nd.Spans.Snapshots() {
 			cs := out[snap.Ref]
 			if cs == nil {
 				cs = &ClusterSpan{

@@ -82,7 +82,7 @@ func fingerprint(h *netsim.Harness) simFingerprint {
 	return simFingerprint{
 		best:    h.Nodes[0].Chain().BestHash(),
 		height:  h.Nodes[0].Chain().BestHeight(),
-		applied: h.Ledgers[0].AppliedCount(),
+		applied: h.Full[0].Ledger.AppliedCount(),
 		pools:   strings.Join(pools, " "),
 		chain:   strings.Join(chainDesc, "\n"),
 	}
@@ -150,7 +150,7 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	h.MineN(0, h.Params.CoinbaseMaturity+1)
 	h.WaitConverged()
 
-	w0 := h.Wallets[0]
+	w0 := h.Full[0].Wallet
 	ownerKey, err := w0.Key(h.Payouts[0])
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +183,10 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	h.Mine(0)
 	op0 := wire.OutPoint{Hash: grantCarrier.TxHash(), Index: 0}
 	tokG := logic.Atom(lf.TxRef(grantCarrier.TxHash(), "tok"))
-	for i := range h.Ledgers {
+	for i := range h.Full {
 		i := i
 		h.WaitFor(fmt.Sprintf("ledger %d applies grant", i), func() bool {
-			return h.Ledgers[i].Applied(grantCarrier.TxHash())
+			return h.Full[i].Ledger.Applied(grantCarrier.TxHash())
 		})
 	}
 	h.WaitConverged()
@@ -239,7 +239,7 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	for _, i := range []int{0, 1} {
 		i := i
 		h.WaitFor(fmt.Sprintf("side A node %d applies tcA", i), func() bool {
-			return h.Ledgers[i].Applied(carrierA.TxHash())
+			return h.Full[i].Ledger.Applied(carrierA.TxHash())
 		})
 	}
 
@@ -252,15 +252,15 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	for _, i := range []int{2, 3} {
 		i := i
 		h.WaitFor(fmt.Sprintf("side B node %d applies tcB", i), func() bool {
-			return h.Ledgers[i].Applied(carrierB.TxHash())
+			return h.Full[i].Ledger.Applied(carrierB.TxHash())
 		})
 	}
 
 	// Divergence check: the sides committed to conflicting spends.
-	if h.Ledgers[0].Applied(carrierB.TxHash()) {
+	if h.Full[0].Ledger.Applied(carrierB.TxHash()) {
 		t.Fatal("side A applied tcB across the partition")
 	}
-	if h.Ledgers[2].Applied(carrierA.TxHash()) {
+	if h.Full[2].Ledger.Applied(carrierA.TxHash()) {
 		t.Fatal("side B applied tcA across the partition")
 	}
 
@@ -269,20 +269,20 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	// the gossip was swallowed by the partition).
 	h.Heal()
 	h.WaitConverged()
-	for i := range h.Ledgers {
+	for i := range h.Full {
 		i := i
 		h.WaitFor(fmt.Sprintf("node %d adopts tcB after heal", i), func() bool {
-			return h.Ledgers[i].Applied(carrierB.TxHash())
+			return h.Full[i].Ledger.Applied(carrierB.TxHash())
 		})
 	}
-	for i := range h.Ledgers {
-		if h.Ledgers[i].Applied(carrierA.TxHash()) {
+	for i := range h.Full {
+		if h.Full[i].Ledger.Applied(carrierA.TxHash()) {
 			t.Fatalf("node %d still has the losing spend tcA applied after heal", i)
 		}
-		if _, ok := h.Ledgers[i].ResolveOutput(op0); ok {
+		if _, ok := h.Full[i].Ledger.ResolveOutput(op0); ok {
 			t.Fatalf("node %d still resolves the consumed token output", i)
 		}
-		got, ok := h.Ledgers[i].ResolveOutput(wire.OutPoint{Hash: carrierB.TxHash(), Index: 0})
+		got, ok := h.Full[i].Ledger.ResolveOutput(wire.OutPoint{Hash: carrierB.TxHash(), Index: 0})
 		if !ok {
 			t.Fatalf("node %d cannot resolve the winning spend's output", i)
 		}
