@@ -16,7 +16,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim recovery byzantine index-load latency-report
+.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim sim-loaded recovery byzantine index-load latency-report
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,20 @@ recovery:
 # single seed; otherwise the built-in seed set runs.
 sim:
 	$(GO) test ./internal/p2p/ -race -run TestSim -count=1 -v
+
+# The simulator-driven suites on a busy host: the netsim and p2p tests
+# LOADED_RUNS times over, beside two `yes` processes that keep two cores
+# busy. The hogs are killed however the loop ends; the first failing
+# run fails the target. Their scenarios wait on virtual time only, so
+# the load may slow them but must not change a result.
+LOADED_RUNS ?= 20
+sim-loaded:
+	@yes > /dev/null & y1=$$!; yes > /dev/null & y2=$$!; \
+	trap 'kill $$y1 $$y2 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
+	for i in $$(seq $(LOADED_RUNS)); do \
+		echo "run $$i of $(LOADED_RUNS)"; \
+		$(GO) test -count=1 ./internal/netsim/ ./internal/p2p/ || exit 1; \
+	done
 
 # Chain-index proof suite under the race detector: the seeded
 # reorg-consistency property (INDEX_SEED=<n> replays one seed) and the

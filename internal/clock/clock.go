@@ -10,9 +10,14 @@ import (
 	"time"
 )
 
-// Clock supplies the current time.
+// Clock supplies the current time and runs callbacks once it has passed
+// a point.
 type Clock interface {
 	Now() time.Time
+	// AfterFunc schedules fn to run once the clock has advanced by at
+	// least d. Calling stop cancels it; stop reports whether the call
+	// prevented fn from running.
+	AfterFunc(d time.Duration, fn func()) (stop func() bool)
 }
 
 // System is the wall clock.
@@ -20,6 +25,9 @@ type System struct{}
 
 // Now returns time.Now.
 func (System) Now() time.Time { return time.Now() }
+
+// AfterFunc is time.AfterFunc: fn runs on its own goroutine.
+func (System) AfterFunc(d time.Duration, fn func()) func() bool { return time.AfterFunc(d, fn).Stop }
 
 // Simulated is a manually advanced clock. The zero value is not usable;
 // create one with NewSimulated. It is safe for concurrent use.
@@ -30,7 +38,7 @@ func (System) Now() time.Time { return time.Now() }
 type Simulated struct {
 	mu     sync.Mutex
 	now    time.Time
-	timers []*Timer
+	timers []*timer
 	subs   []func(time.Time)
 }
 
@@ -69,8 +77,8 @@ func (c *Simulated) Set(t time.Time) {
 	runCallbacks(due, subs, t)
 }
 
-// Timer is a pending AfterFunc callback on a Simulated clock.
-type Timer struct {
+// timer is a pending AfterFunc callback on a Simulated clock.
+type timer struct {
 	c     *Simulated
 	at    time.Time
 	fn    func()
@@ -80,17 +88,17 @@ type Timer struct {
 // AfterFunc schedules fn to run once the clock has advanced by at least d.
 // The callback runs on the goroutine that advances the clock, after the
 // clock's internal lock is released, so it may use the clock freely.
-func (c *Simulated) AfterFunc(d time.Duration, fn func()) *Timer {
+func (c *Simulated) AfterFunc(d time.Duration, fn func()) func() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &Timer{c: c, at: c.now.Add(d), fn: fn}
+	t := &timer{c: c, at: c.now.Add(d), fn: fn}
 	c.timers = append(c.timers, t)
-	return t
+	return t.stop
 }
 
-// Stop cancels the timer. It reports whether the call prevented the
+// stop cancels the timer. It reports whether the call prevented the
 // callback from firing.
-func (t *Timer) Stop() bool {
+func (t *timer) stop() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
 	if t.fired {
@@ -98,6 +106,20 @@ func (t *Timer) Stop() bool {
 	}
 	t.fired = true
 	return true
+}
+
+// Due reports whether a timer is due but has not fired: one armed with
+// a delay of zero or less since the clock last changed. Advance(0) fires
+// it.
+func (c *Simulated) Due() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range c.timers {
+		if !t.fired && !t.at.After(c.now) {
+			return true
+		}
+	}
+	return false
 }
 
 // Subscribe registers fn to run after every clock change (Advance or
@@ -111,8 +133,8 @@ func (c *Simulated) Subscribe(fn func(now time.Time)) {
 
 // collectLocked extracts the timers due at now (marking them fired and
 // removing them from the pending set) plus a snapshot of the subscribers.
-func (c *Simulated) collectLocked(now time.Time) ([]*Timer, []func(time.Time)) {
-	var due []*Timer
+func (c *Simulated) collectLocked(now time.Time) ([]*timer, []func(time.Time)) {
+	var due []*timer
 	keep := c.timers[:0]
 	for _, t := range c.timers {
 		switch {
@@ -132,7 +154,7 @@ func (c *Simulated) collectLocked(now time.Time) ([]*Timer, []func(time.Time)) {
 	return due, subs
 }
 
-func runCallbacks(due []*Timer, subs []func(time.Time), now time.Time) {
+func runCallbacks(due []*timer, subs []func(time.Time), now time.Time) {
 	for _, t := range due {
 		t.fn()
 	}

@@ -62,21 +62,21 @@ func TestAfterFuncFiresInDueOrder(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	c := NewSimulated(time.Unix(0, 0))
 	fired := false
-	timer := c.AfterFunc(time.Second, func() { fired = true })
-	if !timer.Stop() {
+	stop := c.AfterFunc(time.Second, func() { fired = true })
+	if !stop() {
 		t.Fatal("Stop before firing should return true")
 	}
 	c.Advance(2 * time.Second)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
-	if timer.Stop() {
+	if stop() {
 		t.Fatal("second Stop should return false")
 	}
 
-	t2 := c.AfterFunc(time.Second, func() {})
+	stop2 := c.AfterFunc(time.Second, func() {})
 	c.Advance(2 * time.Second)
-	if t2.Stop() {
+	if stop2() {
 		t.Fatal("Stop after firing should return false")
 	}
 }
@@ -112,6 +112,40 @@ func TestTimerCallbackMayUseClock(t *testing.T) {
 	c.Advance(2 * time.Second)
 	if !rescheduled {
 		t.Fatal("timer callback did not run")
+	}
+}
+
+func TestDueUntilAdvance(t *testing.T) {
+	c := NewSimulated(time.Unix(0, 0))
+	c.AfterFunc(time.Second, func() {})
+	if c.Due() {
+		t.Fatal("a timer one second out reads as due")
+	}
+	fired := false
+	c.AfterFunc(0, func() { fired = true })
+	if !c.Due() || fired {
+		t.Fatalf("a zero-delay timer: due %v, fired %v; want due and not fired", c.Due(), fired)
+	}
+	c.Advance(0)
+	if c.Due() || !fired {
+		t.Fatalf("after Advance(0): due %v, fired %v; want fired and nothing due", c.Due(), fired)
+	}
+}
+
+// TestSystemAfterFunc: the wall clock's AfterFunc runs its callback, and
+// Stop before the deadline cancels it.
+func TestSystemAfterFunc(t *testing.T) {
+	var clk Clock = System{}
+	fired := make(chan struct{})
+	clk.AfterFunc(time.Millisecond, func() { close(fired) })
+	<-fired
+
+	stop := clk.AfterFunc(time.Hour, func() { t.Error("stopped timer fired") })
+	if !stop() {
+		t.Fatal("Stop before the deadline should return true")
+	}
+	if stop() {
+		t.Fatal("second Stop should return false")
 	}
 }
 

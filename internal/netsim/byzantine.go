@@ -162,11 +162,7 @@ func (a *Actor) serve(c net.Conn) {
 	for {
 		msg, err := wire.ReadMessage(c, a.magic)
 		if err != nil {
-			a.mu.Lock()
-			if a.conn == c {
-				a.dead = true
-			}
-			a.mu.Unlock()
+			a.hangUp(c)
 			return
 		}
 		a.onMsg(a, msg)
@@ -187,14 +183,22 @@ func (a *Actor) discard(c net.Conn) {
 	buf := make([]byte, 4096)
 	for {
 		if _, err := c.Read(buf); err != nil {
-			a.mu.Lock()
-			if a.conn == c {
-				a.dead = true
-			}
-			a.mu.Unlock()
+			a.hangUp(c)
 			return
 		}
 	}
+}
+
+// hangUp closes a connection whose read side has ended and marks it
+// dead, so the next tick redials. Closing here, not on that tick, ends
+// the connection for the network's Barrier at once.
+func (a *Actor) hangUp(c net.Conn) {
+	c.Close()
+	a.mu.Lock()
+	if a.conn == c {
+		a.dead = true
+	}
+	a.mu.Unlock()
 }
 
 // writeLocked frames and sends one message on the current connection,

@@ -28,25 +28,23 @@ type Harness struct {
 	Seed   int64
 	Params *chain.Params
 	Clk    *clock.Simulated
-	Net    *Network
+	// Barrier drives virtual time over Net for Nodes, each node's p2p
+	// layer (Full[i].P2P). Its Live clock times the nodes' peers
+	// (p2p.Node.SetLivenessClock): every tick advances it with Clk;
+	// Mine's jump to the next block slot does not, so a request or
+	// handshake in flight across the jump is not aged by it.
+	Barrier
 	// Full holds each node as node.Open assembled it, with its own
 	// registry, tracer and span store, so scenarios can assert on
 	// defense and chain counters (see Metric) and merge causal spans
 	// across the cluster (see AssembleTrace). All span stores run on
 	// the shared virtual clock, so cross-node stage deltas are exact.
-	Full []*node.Node
-	// Nodes is each node's p2p layer, Full[i].P2P.
-	Nodes   []*p2p.Node
+	Full    []*node.Node
 	Payouts []bkey.Principal
 
-	base time.Time // virtual time origin for the block schedule
-	// live times the nodes' peers (p2p.Node.SetLivenessClock). Every
-	// tick advances it with Clk; Mine's jump to the next block slot
-	// does not, so a request in flight across the jump is not aged
-	// into a stall.
-	live   *clock.Simulated
-	blocks int      // global mined-block counter
-	edges  [][2]int // dialed topology (from, to), for reconnects
+	base   time.Time // virtual time origin for the block schedule
+	blocks int       // global mined-block counter
+	edges  [][2]int  // dialed topology (from, to), for reconnects
 
 	// bounds holds the resource limits configured by SetDefense, for
 	// AssertBounds; nil until SetDefense is called.
@@ -88,9 +86,11 @@ func NewHarnessWithStores(t testing.TB, seed int64, n int, cfg LinkConfig, store
 		Seed:   seed,
 		Params: chain.RegTestParams(),
 		Clk:    clk,
-		Net:    New(clk, seed, cfg),
-		base:   clk.Now(),
-		live:   node.SimClock(),
+		Barrier: Barrier{
+			Net:  New(clk, seed, cfg),
+			Live: node.SimClock(),
+		},
+		base: clk.Now(),
 	}
 	t.Cleanup(func() {
 		for _, nd := range h.Full {
@@ -115,10 +115,7 @@ func NewHarnessWithStores(t testing.TB, seed int64, n int, cfg LinkConfig, store
 		// stays "unset" for hop adoption.
 		nd.Spans.SetOrigin(uint64(i + 1))
 		nd.P2P.SetTransport(h.Net.Transport(h.Host(i)))
-		nd.P2P.SetLivenessClock(h.live)
-		// Generous real-time redial budget: a partition must not
-		// exhaust it before the heal.
-		nd.P2P.SetRedial(12, 10*time.Millisecond)
+		nd.P2P.SetLivenessClock(h.Live)
 		h.Full = append(h.Full, nd)
 		h.Nodes = append(h.Nodes, nd.P2P)
 		if _, err := nd.P2P.Listen(""); err != nil {
@@ -194,115 +191,29 @@ func (h *Harness) Connect(i, j int) {
 	h.edges = append(h.edges, [2]int{i, j})
 }
 
-// Settle advances virtual time in small ticks, yielding real time
-// between ticks so node goroutines drain their queues.
-func (h *Harness) Settle(ticks int) {
-	for k := 0; k < ticks; k++ {
-		h.tick()
-		time.Sleep(time.Millisecond)
-	}
-}
+// waitForTicks bounds WaitFor: 25 000 ticks of tickStep, 500 s of
+// virtual time, six times the 4 200 ticks the slowest wait (a skeleton
+// withholder's ban) needs.
+const waitForTicks = 25000
 
-// tick advances virtual time by one 20 ms step, peer liveness first so
-// the frames the step delivers are handled at the new liveness time.
-func (h *Harness) tick() {
-	h.live.Advance(20 * time.Millisecond)
-	h.Clk.Advance(20 * time.Millisecond)
-}
-
-// SettleIdle advances virtual time like Settle but waits for the nodes
-// to go fully idle between ticks: after each advance it polls until
-// every reader is parked on an empty buffer (Network.Idle), no node has
-// a message queued for the wire (Node.SendBacklog) and the network's
-// frame counters hold still, for settleCalmPolls consecutive polls
-// (bounded real time per tick). Handlers therefore finish the
-// causal cascade a tick delivered before the next tick starts, however
-// slowly the host runs them, so every span timestamp lands on the
-// virtual tick that caused it — which is what makes latency-budget
-// reports a pure function of the seed. The first wait comes before the
-// first advance: whatever the caller just did (mined a block, broadcast
-// a transaction) reaches the wire at the virtual time it happened.
-func (h *Harness) SettleIdle(ticks int) {
-	h.waitIdle()
-	for k := 0; k < ticks; k++ {
-		h.tick()
-		h.waitIdle()
-	}
-}
-
-// waitIdle blocks until the network is idle and its counters calm, or
-// settleTickDeadline of real time passes.
-func (h *Harness) waitIdle() {
-	deadline := time.Now().Add(settleTickDeadline)
-	prev := h.Net.Stats()
-	calm := 0
-	for calm < settleCalmPolls && time.Now().Before(deadline) {
-		time.Sleep(settleCalmSleep)
-		cur := h.Net.Stats()
-		if cur == prev && h.Net.Idle() && h.sendsDrained() {
-			calm++
-		} else {
-			calm = 0
-			prev = cur
-		}
-	}
-}
-
-func (h *Harness) sendsDrained() bool {
-	for _, node := range h.Nodes {
-		if node.SendBacklog() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MineIdle is Mine with the deterministic SettleIdle drain instead of
-// Settle, for latency-tracing scenarios.
-func (h *Harness) MineIdle(i, ticks int) *wire.MsgBlock {
+// WaitFor is Barrier.WaitFor bounded at waitForTicks ticks, failing
+// the test when cond does not hold by then; it returns the ticks it
+// took.
+func (h *Harness) WaitFor(what string, cond func() bool) int {
 	h.T.Helper()
-	blk := h.mineAtSlot(i)
-	h.SettleIdle(ticks)
-	return blk
-}
-
-// WaitFor polls cond while driving the virtual clock, failing the test
-// after a generous real-time deadline. Every ~100 ticks it makes all
-// nodes re-sync from their peers: lossy links can swallow a one-shot
-// inv/getdata exchange, and the protocol has no per-message retry, so
-// liveness under faults comes from periodic resync (as in Bitcoin).
-func (h *Harness) WaitFor(what string, cond func() bool) {
-	h.T.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for k := 0; time.Now().Before(deadline); k++ {
-		if cond() {
-			return
-		}
-		h.tick()
-		time.Sleep(time.Millisecond)
-		if k%100 == 99 {
-			for _, node := range h.Nodes {
-				node.SyncPeers()
-			}
-		}
+	ticks, ok := h.Barrier.WaitFor(waitForTicks, cond)
+	if !ok {
+		h.T.Fatalf("%s: not reached in %d ticks", what, ticks)
 	}
-	h.T.Fatalf("timeout waiting for %s", what)
+	return ticks
 }
 
 // Mine mines one block on node i at the next slot of a fixed virtual
 // timestamp schedule (one minute per block, globally ordered), so block
 // hashes depend only on their content — not on how long the scenario
-// settled in between.
+// settled in between — and settles 5 ticks. The jump to the slot moves
+// Clk, not the liveness clock.
 func (h *Harness) Mine(i int) *wire.MsgBlock {
-	h.T.Helper()
-	blk := h.mineAtSlot(i)
-	h.Settle(5)
-	return blk
-}
-
-// mineAtSlot moves Clk (not the liveness clock) to the next block slot
-// and mines on node i there.
-func (h *Harness) mineAtSlot(i int) *wire.MsgBlock {
 	h.T.Helper()
 	h.blocks++
 	target := h.base.Add(time.Duration(h.blocks) * time.Minute)
@@ -315,6 +226,7 @@ func (h *Harness) mineAtSlot(i int) *wire.MsgBlock {
 	if err != nil {
 		h.T.Fatalf("mine on node %d: %v", i, err)
 	}
+	h.Settle(5)
 	return blk
 }
 

@@ -69,21 +69,7 @@ func runHeaderCatchUp(t *testing.T, seed int64, blocks []*wire.MsgBlock, donorCo
 
 	tip := blocks[len(blocks)-1].BlockHash()
 	lchain := h.Nodes[laggard].Chain()
-	deadline := time.Now().Add(60 * time.Second)
-	ticks := 0
-	for lchain.BestHash() != tip {
-		if time.Now().After(deadline) {
-			t.Fatalf("laggard stuck at height %d (headers %d) after %d ticks",
-				lchain.BestHeight(), lchain.HeaderHeight(), ticks)
-		}
-		h.SettleIdle(1)
-		ticks++
-		if ticks%100 == 0 {
-			for _, node := range h.Nodes {
-				node.SyncPeers()
-			}
-		}
-	}
+	ticks := h.WaitFor("laggard at donor tip", func() bool { return lchain.BestHash() == tip })
 	if got := lchain.HeaderHeight(); got != catchUpDepth {
 		t.Fatalf("laggard header height %d, want %d", got, catchUpDepth)
 	}
@@ -172,15 +158,6 @@ func runHeaderSyncScenario(t *testing.T, seed int64) {
 // TestHeaderSyncCatchUp runs the ten-node catch-up comparison across
 // the replayable seed list (override with SIM_SEED).
 func TestHeaderSyncCatchUp(t *testing.T) {
-	if raceEnabled {
-		// The comparison drives the virtual clock at a fixed real-time
-		// pace (1ms per 20ms tick); the race detector slows the node
-		// goroutines 5-20x, so virtual time outruns delivery, stall
-		// timers fire spuriously, and both the tick and byte comparisons
-		// stop measuring the sync manager. Correctness under race is
-		// covered by TestHeaderSyncConvergedInvariants.
-		t.Skip("virtual-time/bytes comparison is not meaningful under the race detector")
-	}
 	seeds := byzantineSeeds(t)
 	if len(seeds) > 2 {
 		// The full five-seed sweep is for the cheap byzantine scenarios;

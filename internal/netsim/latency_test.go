@@ -62,7 +62,7 @@ func runLatencyBudget(t *testing.T, seed int64, attack bool) (*Harness, *BudgetR
 		h.Connect(i, (i+1)%latencyNodes)
 	}
 	h.Connect(0, 5)
-	h.SettleIdle(10)
+	h.Settle(10)
 
 	// settle must cover the full relay cascade of a round: in the attack
 	// variant one inv/getdata/body exchange across the slow links costs
@@ -78,7 +78,8 @@ func runLatencyBudget(t *testing.T, seed int64, attack bool) (*Harness, *BudgetR
 
 	// Fund node 0's wallet past coinbase maturity.
 	for b := 0; b < h.Params.CoinbaseMaturity+3; b++ {
-		h.MineIdle(0, settle)
+		h.Mine(0)
+		h.Settle(settle)
 	}
 
 	// Sustained load: each round submits a batch on node 0, lets it
@@ -101,7 +102,7 @@ func runLatencyBudget(t *testing.T, seed int64, attack bool) (*Harness, *BudgetR
 			}
 			txids = append(txids, tx.TxHash())
 		}
-		h.SettleIdle(settle)
+		h.Settle(settle)
 		for _, txid := range txids[len(txids)-latencyTxsPerRound:] {
 			for i, node := range h.Nodes {
 				if !node.Pool().Have(txid) {
@@ -109,13 +110,15 @@ func runLatencyBudget(t *testing.T, seed int64, attack bool) (*Harness, *BudgetR
 				}
 			}
 		}
-		h.MineIdle((round*3)%latencyNodes, settle)
+		h.Mine((round * 3) % latencyNodes)
+		h.Settle(settle)
 	}
 
 	// Bury the last batch to the confirmation depth so every span closes
 	// with the confirmed stage.
 	for b := 0; b < telemetry.DefaultConfirmDepth; b++ {
-		h.MineIdle((b+1)%latencyNodes, settle)
+		h.Mine((b + 1) % latencyNodes)
+		h.Settle(settle)
 	}
 
 	// The five system invariants hold before any latency claims are
@@ -198,13 +201,7 @@ func TestLatencyBudget(t *testing.T) {
 			}
 
 			// Replay determinism: the same seed renders a byte-identical
-			// budget report. Skipped under the race detector, whose
-			// slowdown can defeat the real-time quiescence heuristic
-			// even with the widened race-mode calm window; the non-race
-			// pass (make latency-report, go test ./...) asserts it.
-			if raceEnabled {
-				return
-			}
+			// budget report.
 			_, rep2, _ := runLatencyBudget(t, seed, false)
 			if a, b := rep.Render(), rep2.Render(); a != b {
 				t.Fatalf("replay of seed %d diverged:\n--- run 1:\n%s--- run 2:\n%s", seed, a, b)

@@ -81,7 +81,12 @@ type Network struct {
 	seed int64
 	def  LinkConfig
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// quiet is broadcast, and gen counted, whenever a reader parks or an
+	// endpoint closes: the two events that can make the network idle
+	// (see Barrier).
+	quiet     *sync.Cond
+	gen       uint64
 	listeners map[string]*Listener
 	links     map[pairKey]LinkConfig
 	groups    map[string]int // partition group per host; absent = unrestricted
@@ -106,6 +111,7 @@ func New(clk *clock.Simulated, seed int64, def LinkConfig) *Network {
 		links:     make(map[pairKey]LinkConfig),
 		stalls:    make(map[pairKey]bool),
 	}
+	n.quiet = sync.NewCond(&n.mu)
 	clk.Subscribe(n.onTick)
 	return n
 }
@@ -186,22 +192,31 @@ func (n *Network) releaseLocked(key pairKey) {
 	}
 }
 
-// Idle reports whether every open endpoint's reader is parked in Read
-// with nothing buffered, i.e. no delivered frame is still waiting for,
-// or being handled by, its reader. Frames in flight do not count: they
-// wait on the virtual clock, not on a goroutine.
-func (n *Network) Idle() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// idleLocked reports whether every open endpoint's reader is parked in Read
+// with nothing buffered and its peer still open, i.e. no delivered frame
+// or end of stream is still waiting for, or being handled by, its
+// reader. A reader counts as busy from the moment its endpoint opens
+// until it first parks, and from the moment it sees the stream end
+// until its endpoint closes. Frames in flight do not count: they wait on
+// the virtual clock, not on a goroutine.
+func (n *Network) idleLocked() bool {
 	for _, h := range n.halves {
-		if h.closed {
-			continue
-		}
-		if h.readBuf.Len() > 0 || !h.parked {
+		if !h.closed && (h.readBuf.Len() > 0 || !h.parked || h.remoteClosed) {
 			return false
 		}
 	}
 	return true
+}
+
+// awaitIdle blocks until the network is idle and returns its generation
+// at that moment.
+func (n *Network) awaitIdle() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for !n.idleLocked() {
+		n.quiet.Wait()
+	}
+	return n.gen
 }
 
 // Stats returns a snapshot of the fault counters.
@@ -328,7 +343,8 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
-// Close stops the listener; pending Accept calls return net.ErrClosed.
+// Close stops the listener; pending Accept calls return net.ErrClosed,
+// and connections dialed but never accepted are closed.
 func (l *Listener) Close() error {
 	l.net.mu.Lock()
 	defer l.net.mu.Unlock()
@@ -336,6 +352,9 @@ func (l *Listener) Close() error {
 		l.closed = true
 		close(l.quit)
 		delete(l.net.listeners, l.host)
+		for len(l.ch) > 0 {
+			(<-l.ch).(*Conn).h.closeLocked()
+		}
 	}
 	return nil
 }
@@ -429,6 +448,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 			return 0, io.EOF
 		}
 		h.parked = true
+		h.net.gen++
+		h.net.quiet.Broadcast()
 		h.readCond.Wait()
 		h.parked = false
 	}
@@ -524,11 +545,15 @@ func (h *halfConn) sendFrameLocked(fr frame) {
 // Close closes this end. The remote may still read frames already
 // delivered to its buffer, then sees io.EOF; in-flight frames are lost.
 func (c *Conn) Close() error {
-	h := c.h
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
+	c.h.net.mu.Lock()
+	defer c.h.net.mu.Unlock()
+	c.h.closeLocked()
+	return nil
+}
+
+func (h *halfConn) closeLocked() {
 	if h.closed {
-		return nil
+		return
 	}
 	h.closed = true
 	h.peer.remoteClosed = true
@@ -538,7 +563,8 @@ func (c *Conn) Close() error {
 	h.held, h.peer.held = nil, nil
 	h.readCond.Broadcast()
 	h.peer.readCond.Broadcast()
-	return nil
+	h.net.gen++
+	h.net.quiet.Broadcast()
 }
 
 // LocalAddr returns the local host name.

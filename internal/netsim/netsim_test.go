@@ -361,3 +361,23 @@ func TestExactReplayFromSeed(t *testing.T) {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
+
+// TestListenerCloseEndsUnacceptedConns: a connection dialed but never
+// accepted ends when its listener closes, as a TCP backlog is reset; its
+// dialer reads io.EOF instead of waiting forever.
+func TestListenerCloseEndsUnacceptedConns(t *testing.T) {
+	clk := clock.NewSimulated(time.Unix(0, 0))
+	n := New(clk, 1, LinkConfig{})
+	l, err := n.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("Read on a connection its listener dropped: %v, want io.EOF", err)
+	}
+}

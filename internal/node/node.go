@@ -27,9 +27,8 @@ import (
 
 // Config holds what the callers of Open vary. Each field is set to
 // different values by at least two of them; everything only one caller
-// varies (the peer layer's liveness clock, transport, redial budget and
-// policy, the span origin) is set through the component's own setter
-// after Open.
+// varies (the peer layer's liveness clock, transport and policy, the
+// span origin) is set through the component's own setter after Open.
 type Config struct {
 	// Clock drives the chain, the miner and the telemetry: clock.System
 	// in cmd/typecoind, a *clock.Simulated (see SimClock) in netsim,

@@ -52,12 +52,6 @@ type Node struct {
 	// instrumentation. See telemetry.go.
 	tel nodeTelemetry
 
-	// Tunables, fixed before Listen/Dial (setters below).
-	sendTimeout      time.Duration
-	handshakeTimeout time.Duration
-	redialAttempts   int
-	redialBase       time.Duration
-
 	// sync is the headers-first download manager (see syncmgr.go).
 	sync *syncMgr
 
@@ -66,12 +60,13 @@ type Node struct {
 	peers    map[int]*Peer
 	nextID   int
 	listener net.Listener
-	dialing  map[string]bool // addrs with a redial loop in flight
-	quit     chan struct{}
-	wg       sync.WaitGroup
-	stopped  bool
-	policy   Policy
-	scores   *banscore.Keeper
+	// dialing holds the addresses with a redial chain in flight, each
+	// with the stop function of its latest attempt's timer.
+	dialing map[string]func() bool
+	wg      sync.WaitGroup
+	stopped bool
+	policy  Policy
+	scores  *banscore.Keeper
 
 	// orphanSrc remembers which address delivered each orphan block so
 	// orphans that never connect are charged back to their source.
@@ -86,6 +81,21 @@ type orphanSource struct {
 	at   time.Time
 }
 
+// Peer timing. The handshake reaper and the redial back-off run on the
+// liveness clock, so a simulation governs them in virtual time. The
+// send-queue time-out runs on wall time (see Peer.send).
+const (
+	// sendTimeout drops a peer whose full send queue has not drained.
+	sendTimeout = 5 * time.Second
+	// handshakeTimeout reaps a peer that has not sent its version.
+	handshakeTimeout = 10 * time.Second
+	// A dialed peer that drops is redialed up to redialAttempts times,
+	// the first after redialBase, each later one after twice the wait
+	// before it.
+	redialAttempts = 6
+	redialBase     = 25 * time.Millisecond
+)
+
 // maxTrackedOrphanSources bounds the orphan attribution table; past it,
 // new orphans simply go unattributed (the chain's own orphan pool is
 // bounded independently).
@@ -96,23 +106,18 @@ const maxTrackedOrphanSources = 1024
 // logging.
 func NewNode(c *chain.Chain, pool *mempool.Pool, logger *slog.Logger) *Node {
 	n := &Node{
-		chain:            c,
-		pool:             pool,
-		magic:            c.Params().Magic,
-		logger:           logger,
-		transport:        tcpTransport{},
-		clk:              c.Clock(),
-		live:             c.Clock(),
-		sendTimeout:      5 * time.Second,
-		handshakeTimeout: 10 * time.Second,
-		redialAttempts:   6,
-		redialBase:       25 * time.Millisecond,
-		sync:             newSyncMgr(),
-		peers:            make(map[int]*Peer),
-		dialing:          make(map[string]bool),
-		quit:             make(chan struct{}),
-		policy:           DefaultPolicy(),
-		orphanSrc:        make(map[chainhash.Hash]orphanSource),
+		chain:     c,
+		pool:      pool,
+		magic:     c.Params().Magic,
+		logger:    logger,
+		transport: tcpTransport{},
+		clk:       c.Clock(),
+		live:      c.Clock(),
+		sync:      newSyncMgr(),
+		peers:     make(map[int]*Peer),
+		dialing:   make(map[string]func() bool),
+		policy:    DefaultPolicy(),
+		orphanSrc: make(map[chainhash.Hash]orphanSource),
 	}
 	n.scores = n.newKeeper(n.policy)
 	c.Subscribe(n.onChainChange)
@@ -243,26 +248,12 @@ func (n *Node) penalizeAddr(key string, points int32, reason string) bool {
 func (n *Node) SetTransport(t Transport) { n.transport = t }
 
 // SetLivenessClock replaces the clock that times peers (by default the
-// chain's clock). A simulation that moves consensus time forward in one
-// step gives the node a clock that step leaves alone, so a request in
-// flight across it is not charged as a stall. Call before Listen or
-// Dial.
+// chain's clock): request stalls, rate buckets, the handshake reaper and
+// the redial back-off. A simulation that moves consensus time forward in
+// one step gives the node a clock that step leaves alone, so a request
+// or handshake in flight across it is not aged by it. Call before
+// Listen or Dial.
 func (n *Node) SetLivenessClock(clk clock.Clock) { n.live = clk }
-
-// SetTimeouts adjusts the send-queue stall and handshake timeouts. A
-// zero handshake timeout disables reaping. Call before Listen or Dial.
-func (n *Node) SetTimeouts(send, handshake time.Duration) {
-	n.sendTimeout = send
-	n.handshakeTimeout = handshake
-}
-
-// SetRedial adjusts the bounded redial policy for dialed peers that
-// drop: up to attempts tries with exponential backoff starting at base.
-// Call before Listen or Dial.
-func (n *Node) SetRedial(attempts int, base time.Duration) {
-	n.redialAttempts = attempts
-	n.redialBase = base
-}
 
 // Chain returns the node's chain.
 func (n *Node) Chain() *chain.Chain { return n.chain }
@@ -404,6 +395,14 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 	p.dialAddr = dialAddr
 	p.addrKey = key
 	p.inbound = inbound
+	// A peer that never completes the handshake (hangs mid-handshake,
+	// wrong magic killing the read loop on their side) is reaped.
+	p.stopReaper = n.live.AfterFunc(handshakeTimeout, func() {
+		if !p.isHandshaken() {
+			n.logDebug("handshake timeout", "peer", p.id)
+			p.close()
+		}
+	})
 	n.peers[id] = p
 	// Registering the loops while holding n.mu (with stopped false)
 	// orders the Add before Stop's Wait.
@@ -424,6 +423,15 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		evict.close()
 	}
 
+	// Handshake: announce our version — carrying our best-header tip, so
+	// the peer can seed its download scheduler with our claimed chain
+	// knowledge; the peer replies verack and both sides then sync. The
+	// version is queued before the loops start, so the read loop first
+	// waits on the connection only once everything addConn does is done.
+	payload := wire.EncodeVersion(n.chain.HeaderTipHash(), uint64(n.chain.HeaderHeight()))
+	if err := p.send(wire.CmdVersion, payload); err != nil {
+		n.logDebug("version send failed", "peer", id, "err", err)
+	}
 	go func() {
 		defer n.wg.Done()
 		n.writeLoop(p)
@@ -432,33 +440,11 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		defer n.wg.Done()
 		n.readLoop(p)
 	}()
-
-	// A peer that never completes the handshake (hangs mid-handshake,
-	// wrong magic killing the read loop on their side) is reaped.
-	if n.handshakeTimeout > 0 {
-		p.setHandshakeTimer(time.AfterFunc(n.handshakeTimeout, func() {
-			p.mu.Lock()
-			done := p.handshaken
-			p.mu.Unlock()
-			if !done {
-				n.logDebug("handshake timeout", "peer", p.id)
-				p.close()
-			}
-		}))
-	}
-
-	// Handshake: announce our version — carrying our best-header tip, so
-	// the peer can seed its download scheduler with our claimed chain
-	// knowledge; the peer replies verack and both sides then sync.
-	payload := wire.EncodeVersion(n.chain.HeaderTipHash(), uint64(n.chain.HeaderHeight()))
-	if err := p.send(wire.CmdVersion, payload); err != nil {
-		n.logDebug("version send failed", "peer", id, "err", err)
-	}
 	return p
 }
 
 // dropPeer unregisters a dead peer and, for dialed peers, starts a
-// bounded redial loop so a mid-stream connection failure does not
+// bounded redial chain so a mid-stream connection failure does not
 // silently shrink the peer set.
 func (n *Node) dropPeer(p *Peer) {
 	n.tel.disconnects.Inc()
@@ -468,13 +454,9 @@ func (n *Node) dropPeer(p *Peer) {
 	n.logDebug("peer disconnected", "addr", p.addrKey, "peer", p.id)
 	n.mu.Lock()
 	delete(n.peers, p.id)
-	redial := p.dialAddr != "" && !n.stopped && n.redialAttempts > 0 && !n.dialing[p.dialAddr] &&
-		!n.scores.IsBanned(addrKeyOf(p.dialAddr))
-	if redial {
-		n.dialing[p.dialAddr] = true
-		// Safe: the first close of a peer always happens while at least
-		// one of its loop goroutines still holds a wg slot.
-		n.wg.Add(1)
+	_, inFlight := n.dialing[p.dialAddr]
+	if p.dialAddr != "" && !n.stopped && !inFlight && !n.scores.IsBanned(addrKeyOf(p.dialAddr)) {
+		n.armRedialLocked(p.dialAddr, 1, redialBase)
 	}
 	n.mu.Unlock()
 	// Free the peer's download window; its slots move to the survivors.
@@ -482,60 +464,71 @@ func (n *Node) dropPeer(p *Peer) {
 		n.electSyncPeer(p)
 	}
 	n.scheduleBodies(p)
-	if redial {
-		go func() {
-			defer n.wg.Done()
-			n.redial(p.dialAddr)
-		}()
-	}
 }
 
-// redial retries an outbound address with exponential backoff.
-func (n *Node) redial(addr string) {
-	defer func() {
-		n.mu.Lock()
-		delete(n.dialing, addr)
-		n.mu.Unlock()
-	}()
-	backoff := n.redialBase
-	for attempt := 1; attempt <= n.redialAttempts; attempt++ {
-		select {
-		case <-n.quit:
-			return
-		case <-time.After(backoff):
-		}
-		backoff *= 2
+// armRedialLocked schedules redial attempt number attempt of addr after
+// backoff of liveness time. The attempt holds a wait-group slot from
+// now, which the callback releases, or Stop when it cancels the timer
+// first. Callers hold n.mu and have checked that the node is not
+// stopped.
+func (n *Node) armRedialLocked(addr string, attempt int, backoff time.Duration) {
+	n.wg.Add(1)
+	n.dialing[addr] = n.live.AfterFunc(backoff, func() {
+		defer n.wg.Done()
+		n.redial(addr, attempt, backoff)
+	})
+}
+
+// redial makes one attempt to reconnect an outbound address. A failed
+// attempt arms the next at twice the backoff, up to redialAttempts.
+func (n *Node) redial(addr string, attempt int, backoff time.Duration) {
+	var conn net.Conn
+	var err error
+	if n.keeper().IsBanned(addrKeyOf(addr)) {
 		// A ban (imposed locally at any point) permanently ends the
-		// redial loop: reconnecting to a misbehaving address would just
+		// redial chain: reconnecting to a misbehaving address would just
 		// re-open the attack surface.
-		if n.keeper().IsBanned(addrKeyOf(addr)) {
-			n.logDebug("redial abandoned: address banned", "addr", addr)
-			return
-		}
+		n.logDebug("redial abandoned: address banned", "addr", addr)
+	} else {
 		n.tel.redials.Inc()
-		conn, err := n.transport.Dial(addr)
-		if err != nil {
-			n.logDebug("redial attempt failed", "addr", addr, "attempt", attempt, "max", n.redialAttempts, "err", err)
-			continue
+		if conn, err = n.transport.Dial(addr); err != nil {
+			n.logDebug("redial attempt failed", "addr", addr, "attempt", attempt, "max", redialAttempts, "err", err)
 		}
-		n.logDebug("redial succeeded", "addr", addr, "attempt", attempt)
-		// Clear the in-flight marker before registering the peer so an
-		// immediate re-drop can schedule a fresh redial loop.
-		n.mu.Lock()
-		delete(n.dialing, addr)
+	}
+	n.mu.Lock()
+	if err != nil && attempt < redialAttempts && !n.stopped {
+		n.armRedialLocked(addr, attempt+1, 2*backoff)
 		n.mu.Unlock()
-		n.addConn(conn, addr)
 		return
 	}
-	n.logInfo("redial giving up", "addr", addr, "attempts", n.redialAttempts)
+	// The chain ends here. Clearing the in-flight marker before the
+	// peer registers lets an immediate re-drop start a fresh chain.
+	delete(n.dialing, addr)
+	n.mu.Unlock()
+	switch {
+	case conn != nil:
+		n.logDebug("redial succeeded", "addr", addr, "attempt", attempt)
+		n.addConn(conn, addr)
+	case err != nil && attempt == redialAttempts:
+		n.logInfo("redial giving up", "addr", addr, "attempts", redialAttempts)
+	}
 }
 
 // ConnectPipe wires two in-process nodes together with a synchronous
-// duplex pipe, as used by the regtest network simulation.
+// duplex pipe, as used by the regtest network simulation. It returns
+// once each end has received the other's version (or dropped), so a
+// caller that moves a simulated clock next cannot reap a handshake
+// still in flight.
 func ConnectPipe(a, b *Node) {
 	ca, cb := net.Pipe()
-	a.addConn(ca, "")
-	b.addConn(cb, "")
+	for _, p := range []*Peer{a.addConn(ca, ""), b.addConn(cb, "")} {
+		if p != nil { // nil: the connection was refused
+			select {
+			case <-p.shaken:
+			case <-p.done:
+			}
+		}
+	}
 }
 
 // Listen begins accepting connections on addr via the node's transport
@@ -577,7 +570,7 @@ func (n *Node) Dial(addr string) error {
 	// Refuse a duplicate before connecting: the remote would otherwise
 	// see a second inbound conn from this host, let it supersede the
 	// live one, and the refused conn would then take both down.
-	if n.dialed(addr) {
+	if n.HasPeerAddr(addr) {
 		n.tel.refused.With("duplicate").Inc()
 		n.logDebug("refusing duplicate dial", "addr", addr)
 		return nil
@@ -600,18 +593,6 @@ func (n *Node) SendBacklog() int {
 	return backlog
 }
 
-// dialed reports whether an outbound peer to addr is connected.
-func (n *Node) dialed(addr string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, q := range n.peers {
-		if q.dialAddr == addr {
-			return true
-		}
-	}
-	return false
-}
-
 // Stop closes the listener and all peers and waits for loops to exit.
 func (n *Node) Stop() {
 	n.mu.Lock()
@@ -620,13 +601,21 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	close(n.quit)
 	l := n.listener
 	peers := make([]*Peer, 0, len(n.peers))
 	for _, p := range n.peers {
 		peers = append(peers, p)
 	}
+	redials := make([]func() bool, 0, len(n.dialing))
+	for _, stop := range n.dialing {
+		redials = append(redials, stop)
+	}
 	n.mu.Unlock()
+	for _, stop := range redials {
+		if stop() {
+			n.wg.Done()
+		}
+	}
 	if l != nil {
 		l.Close()
 	}

@@ -203,8 +203,27 @@ func TestForkResolutionAcrossNetwork(t *testing.T) {
 	}
 }
 
+// TestTCPTransport: a node that dials over TCP syncs the block its peer
+// already has, then receives the next one as it is mined. The clock
+// moves only after the first sync, which proves the handshake done: a
+// jump while it is in flight would age it on the nodes' liveness clock.
 func TestTCPTransport(t *testing.T) {
 	h := newNetHarness(t, 2)
+	w := wallet.New(h.nodes[0].Chain(), testutil.NewEntropy(t.Name()))
+	payout, err := w.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := miner.New(h.nodes[0].Chain(), h.nodes[0].Pool(), h.clk)
+	mine := func() {
+		t.Helper()
+		h.clk.Advance(time.Minute)
+		if _, _, err := m.Mine(payout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mine()
+
 	addr, err := h.nodes[0].Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -212,22 +231,12 @@ func TestTCPTransport(t *testing.T) {
 	if err := h.nodes[1].Dial(addr); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "handshake", func() bool {
-		return h.nodes[0].PeerCount() == 1 && h.nodes[1].PeerCount() == 1
-	})
-
-	w := wallet.New(h.nodes[0].Chain(), testutil.NewEntropy(t.Name()))
-	payout, err := w.NewKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := miner.New(h.nodes[0].Chain(), h.nodes[0].Pool(), h.clk)
-	h.clk.Advance(time.Minute)
-	if _, _, err := m.Mine(payout); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "block over TCP", func() bool {
+	waitFor(t, "sync over TCP", func() bool {
 		return h.nodes[1].Chain().BestHeight() == 1
+	})
+	mine()
+	waitFor(t, "block over TCP", func() bool {
+		return h.nodes[1].Chain().BestHeight() == 2
 	})
 }
 
@@ -444,10 +453,10 @@ func stopWithin(t *testing.T, node *p2p.Node, d time.Duration) {
 }
 
 // TestHandshakeHangReaped: a peer that connects and then says nothing is
-// reaped by the handshake timer, and Stop is never blocked by it.
+// reaped by the handshake timer once the node's clock passes the
+// handshake time-out, and Stop is never blocked by it.
 func TestHandshakeHangReaped(t *testing.T) {
 	h := newNetHarness(t, 1)
-	h.nodes[0].SetTimeouts(time.Second, 100*time.Millisecond)
 	addr, err := h.nodes[0].Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -456,6 +465,7 @@ func TestHandshakeHangReaped(t *testing.T) {
 	waitFor(t, "silent peer registered", func() bool {
 		return h.nodes[0].PeerCount() == 1
 	})
+	h.clk.Advance(10 * time.Second)
 	waitFor(t, "silent peer reaped", func() bool {
 		return h.nodes[0].PeerCount() == 0
 	})
@@ -491,7 +501,6 @@ func TestWrongMagicDropped(t *testing.T) {
 // sends half a frame and disappears, is reaped cleanly.
 func TestCloseMidMessageReaped(t *testing.T) {
 	h := newNetHarness(t, 1)
-	h.nodes[0].SetTimeouts(time.Second, time.Second)
 	addr, err := h.nodes[0].Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

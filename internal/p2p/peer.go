@@ -38,8 +38,9 @@ type Peer struct {
 	// inbound records which side initiated the connection, for the
 	// peer-count caps.
 	inbound bool
-	// handshakeTimer reaps the peer if no version/verack arrives.
-	handshakeTimer *time.Timer
+	// stopReaper cancels the timer that reaps the peer if no
+	// version/verack arrives.
+	stopReaper func() bool
 
 	// Cached per-peer counter children (see bindPeerCounters); nil when
 	// telemetry is disabled. Kept on the peer so the read and write
@@ -51,6 +52,8 @@ type Peer struct {
 
 	sendCh chan *queuedMsg
 	done   chan struct{}
+	// shaken closes when the handshake completes.
+	shaken chan struct{}
 	// unsent counts messages send has queued and the write loop has not
 	// finished writing yet.
 	unsent atomic.Int32
@@ -113,6 +116,7 @@ func newPeer(n *Node, conn io.ReadWriteCloser, id int, pol Policy, now time.Time
 		id:           id,
 		sendCh:       make(chan *queuedMsg, 256),
 		done:         make(chan struct{}),
+		shaken:       make(chan struct{}),
 		known:        make(map[invKey]bool),
 		msgBucket:    banscore.NewBucket(pol.MsgRate, pol.MsgBurst),
 		byteBucket:   banscore.NewBucket(pol.ByteRate, pol.ByteBurst),
@@ -200,7 +204,11 @@ func (p *Peer) sweep(now time.Time, pol Policy) (stalls int) {
 // send queues a message; it drops the peer when the queue is full for
 // too long (slow consumer). The stall timer is armed only once the queue
 // is full: a timer per message would outlive the send by the whole
-// timeout, and keep the stopped node reachable for that long.
+// timeout, and keep the stopped node reachable for that long. It runs
+// on wall time, not the liveness clock: it measures a consumer that does
+// not read, which only real time shows (netsim's writes never block),
+// and a liveness clock that is the chain's clock jumps a block interval
+// at a time.
 func (p *Peer) send(command string, payload []byte) error {
 	p.mu.Lock()
 	closed := p.closed
@@ -221,7 +229,7 @@ func (p *Peer) send(command string, payload []byte) error {
 	case <-p.done:
 		p.unsent.Add(-1)
 		return errPeerClosed
-	case <-time.After(p.node.sendTimeout):
+	case <-time.After(sendTimeout):
 		p.unsent.Add(-1)
 		p.close()
 		return fmt.Errorf("p2p: peer %d send queue stalled", p.id)
@@ -231,11 +239,12 @@ func (p *Peer) send(command string, payload []byte) error {
 // markHandshaken records a completed handshake and cancels the reaper.
 func (p *Peer) markHandshaken() {
 	p.mu.Lock()
+	first := !p.handshaken
 	p.handshaken = true
-	t := p.handshakeTimer
 	p.mu.Unlock()
-	if t != nil {
-		t.Stop()
+	if first {
+		p.stopReaper()
+		close(p.shaken)
 	}
 }
 
@@ -261,14 +270,6 @@ func (p *Peer) bestKnownHeader() [32]byte {
 	return p.bestKnown
 }
 
-// setHandshakeTimer installs the reaper timer (guarded by p.mu: the read
-// loop may race ahead of the registering goroutine).
-func (p *Peer) setHandshakeTimer(t *time.Timer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.handshakeTimer = t
-}
-
 func (p *Peer) markKnown(typ uint32, hash [32]byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -291,12 +292,13 @@ func (p *Peer) close() {
 		return
 	}
 	p.closed = true
-	t := p.handshakeTimer
 	p.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
+	p.stopReaper()
 	close(p.done)
-	p.conn.Close()
+	// Unregister before closing the connection: a reader parked on it
+	// stays parked, or one that saw it end stays busy, until the drop's
+	// follow-up work (a redial armed, download slots moved) is done, so
+	// the network simulator never sees the connection idle before then.
 	p.node.dropPeer(p)
+	p.conn.Close()
 }

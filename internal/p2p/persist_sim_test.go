@@ -16,6 +16,10 @@ import (
 	"typecoin/internal/wallet"
 )
 
+// simWaitTicks bounds the waits of the scenarios here that drive a
+// netsim.Barrier without a harness: 5 000 ticks, 100 s of virtual time.
+const simWaitTicks = 5000
+
 // TestSimRestartResyncFromPersistedTip: a persistent node that synced
 // part of the chain, shut down, and restarted from the same data
 // directory must come back at its recorded tip — not genesis — and
@@ -25,23 +29,19 @@ func TestSimRestartResyncFromPersistedTip(t *testing.T) {
 	start := params.GenesisBlock.Header.Timestamp.Add(time.Minute)
 	clk := clock.NewSimulated(start)
 	net := netsim.New(clk, 5, netsim.LinkConfig{Latency: time.Millisecond})
-
-	settle := func(ticks int) {
-		for k := 0; k < ticks; k++ {
-			clk.Advance(20 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
-	}
+	bar := &netsim.Barrier{Net: net, Live: clock.NewSimulated(start)}
 
 	// Node A: the always-up in-memory peer that mines.
 	chA := chain.New(params, clk)
 	poolA := mempool.New(chA, -1)
 	nodeA := p2p.NewNode(chA, poolA, nil)
 	nodeA.SetTransport(net.Transport("a"))
+	nodeA.SetLivenessClock(bar.Live)
 	if _, err := nodeA.Listen(""); err != nil {
 		t.Fatalf("node A listen: %v", err)
 	}
 	defer nodeA.Stop()
+	bar.Nodes = []*p2p.Node{nodeA}
 	wA := wallet.New(chA, testutil.NewEntropy("p2p/restart"))
 	payout, err := wA.NewKey()
 	if err != nil {
@@ -63,7 +63,7 @@ func TestSimRestartResyncFromPersistedTip(t *testing.T) {
 			if _, _, err := mA.Mine(payout); err != nil {
 				t.Fatalf("mine: %v", err)
 			}
-			settle(5)
+			bar.Settle(5)
 		}
 	}
 
@@ -83,37 +83,30 @@ func TestSimRestartResyncFromPersistedTip(t *testing.T) {
 		poolB := mempool.New(chB, -1)
 		nodeB := p2p.NewNode(chB, poolB, nil)
 		nodeB.SetTransport(net.Transport("b"))
+		nodeB.SetLivenessClock(bar.Live)
 		if _, err := nodeB.Listen(""); err != nil {
 			t.Fatalf("node B listen: %v", err)
 		}
 		if err := nodeB.Dial("a"); err != nil {
 			t.Fatalf("dial: %v", err)
 		}
+		bar.Nodes = []*p2p.Node{nodeA, nodeB}
 		return chB, nodeB, st
 	}
 
-	waitHeight := func(c *chain.Chain, nodes []*p2p.Node, want int) {
+	waitHeight := func(c *chain.Chain, want int) {
 		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for k := 0; time.Now().Before(deadline); k++ {
-			if c.BestHeight() == want && c.BestHash() == chA.BestHash() {
-				return
-			}
-			clk.Advance(20 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-			if k%100 == 99 {
-				for _, node := range nodes {
-					node.SyncPeers()
-				}
-			}
+		if ticks, ok := bar.WaitFor(simWaitTicks, func() bool {
+			return c.BestHeight() == want && c.BestHash() == chA.BestHash()
+		}); !ok {
+			t.Fatalf("height %d (want %d) after %d ticks", c.BestHeight(), want, ticks)
 		}
-		t.Fatalf("timeout: height %d (want %d)", c.BestHeight(), want)
 	}
 
 	// Phase 1: B syncs the first 20 blocks, then shuts down cleanly.
 	chB, nodeB, stB := openB()
 	mine(20)
-	waitHeight(chB, []*p2p.Node{nodeA, nodeB}, 20)
+	waitHeight(chB, 20)
 	tipAt20 := chB.BestHash()
 	nodeB.Stop()
 	if err := stB.Flush(); err != nil {
@@ -144,7 +137,7 @@ func TestSimRestartResyncFromPersistedTip(t *testing.T) {
 	}
 
 	// The periodic resync fetches blocks 21..30 from A.
-	waitHeight(chB2, []*p2p.Node{nodeA, nodeB2}, 30)
+	waitHeight(chB2, 30)
 	if err := chB2.AuditFromGenesis(); err != nil {
 		t.Fatalf("post-resync audit: %v", err)
 	}
@@ -161,6 +154,7 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 	start := params.GenesisBlock.Header.Timestamp.Add(time.Minute)
 	clk := clock.NewSimulated(start)
 	net := netsim.New(clk, 5, netsim.LinkConfig{Latency: time.Millisecond})
+	bar := &netsim.Barrier{Net: net, Live: clock.NewSimulated(start)}
 
 	// Node A: in-memory peer with the full chain mined up front, so B's
 	// whole run is one cold headers-first sync.
@@ -168,6 +162,7 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 	poolA := mempool.New(chA, -1)
 	nodeA := p2p.NewNode(chA, poolA, nil)
 	nodeA.SetTransport(net.Transport("a"))
+	nodeA.SetLivenessClock(bar.Live)
 	if _, err := nodeA.Listen(""); err != nil {
 		t.Fatalf("node A listen: %v", err)
 	}
@@ -202,12 +197,14 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 		poolB := mempool.New(chB, -1)
 		nodeB := p2p.NewNode(chB, poolB, nil)
 		nodeB.SetTransport(net.Transport("b"))
+		nodeB.SetLivenessClock(bar.Live)
 		if _, err := nodeB.Listen(""); err != nil {
 			t.Fatalf("node B listen: %v", err)
 		}
 		if err := nodeB.Dial("a"); err != nil {
 			t.Fatalf("dial: %v", err)
 		}
+		bar.Nodes = []*p2p.Node{nodeA, nodeB}
 		return chB, nodeB, st, reg
 	}
 
@@ -215,24 +212,15 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 	// download is still in flight, then the next journal write tears —
 	// the on-disk state a SIGKILL mid-write leaves behind.
 	chB, nodeB, stB, _ := openB()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("never reached mid-sync: header %d connected %d",
-				chB.HeaderHeight(), chB.BestHeight())
-		}
-		if chB.HeaderHeight() == tipHeight && chB.BestHeight() > 0 && chB.BestHeight() < tipHeight {
-			break
-		}
-		clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
+	if _, ok := bar.WaitFor(simWaitTicks, func() bool {
+		return chB.HeaderHeight() == tipHeight && chB.BestHeight() > 0 && chB.BestHeight() < tipHeight
+	}); !ok {
+		t.Fatalf("never reached mid-sync: header %d connected %d",
+			chB.HeaderHeight(), chB.BestHeight())
 	}
 	connectedAtCrash := chB.BestHeight()
 	stB.CrashNextApply(10)
-	for k := 0; k < 10; k++ {
-		clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-	}
+	bar.Settle(10)
 	nodeB.Stop()
 	_ = stB.Close() // poisoned: the torn frame already hit the disk
 
@@ -253,17 +241,8 @@ func TestSimRestartResyncAfterCrashMidSync(t *testing.T) {
 
 	// Phase 3: the resumed download fetches only the missing suffix —
 	// every already-connected body stays local (no duplicate deliveries).
-	deadline = time.Now().Add(30 * time.Second)
-	for k := 0; chB2.BestHash() != chA.BestHash(); k++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("resync stuck at height %d (want %d)", chB2.BestHeight(), tipHeight)
-		}
-		clk.Advance(20 * time.Millisecond)
-		time.Sleep(time.Millisecond)
-		if k%100 == 99 {
-			nodeA.SyncPeers()
-			nodeB2.SyncPeers()
-		}
+	if _, ok := bar.WaitFor(simWaitTicks, func() bool { return chB2.BestHash() == chA.BestHash() }); !ok {
+		t.Fatalf("resync stuck at height %d (want %d)", chB2.BestHeight(), tipHeight)
 	}
 	if dup, _ := regB2.Value("chain_duplicate_blocks_total"); dup != 0 {
 		t.Fatalf("resync refetched %v already-connected bodies", dup)
