@@ -98,24 +98,18 @@ type Chain struct {
 	// commit batch; they run under mu while the batch is built.
 	persisters []PersistFunc
 
-	mu            sync.RWMutex
-	index         map[chainhash.Hash]*blockNode // every validated header, with or without its body
-	tip           *blockNode                    // connected main-chain tip
-	mainChain     []*blockNode                  // connected main chain by height
-	headerTip     *blockNode                    // best-header tip; work >= tip's (see headers.go)
-	bestHeaders   []*blockNode                  // best header chain by height
-	hdrDirty      []*blockNode                  // accepted headers awaiting a commit batch
-	parked        []*blockNode                  // nodes holding a body that awaits its predecessor
-	parkedBytes   int64
-	utxo          *UtxoView // main-chain unspent txouts; guarded by mu
-	spent         map[wire.OutPoint]SpendRecord
-	txToBlock     map[chainhash.Hash]txLoc            // main-chain txid -> location
-	orphans       map[chainhash.Hash][]*wire.MsgBlock // parent hash -> waiting blocks
-	orphanIndex   map[chainhash.Hash]orphanMeta       // orphan hash -> metadata
-	orphanFIFO    []chainhash.Hash                    // orphan hashes in arrival order
-	orphanBytes   int64
-	maxOrphans    int   // cap on held orphan blocks (0 = default)
-	maxOrphanByte int64 // cap on total orphan bytes (0 = default)
+	mu          sync.RWMutex
+	index       map[chainhash.Hash]*blockNode // every validated header, with or without its body
+	tip         *blockNode                    // connected main-chain tip
+	mainChain   []*blockNode                  // connected main chain by height
+	headerTip   *blockNode                    // best-header tip; work >= tip's (see headers.go)
+	bestHeaders []*blockNode                  // best header chain by height
+	hdrDirty    []*blockNode                  // accepted headers awaiting a commit batch
+	parked      []*blockNode                  // nodes holding a body that awaits its predecessor
+	parkedBytes int64
+	utxo        *UtxoView // main-chain unspent txouts; guarded by mu
+	spent       map[wire.OutPoint]SpendRecord
+	txToBlock   map[chainhash.Hash]txLoc // main-chain txid -> location
 
 	// tel carries the registered collectors; the zero value (all nil
 	// pointers) disables instrumentation. See telemetry.go.
@@ -125,22 +119,6 @@ type Chain struct {
 	subs   []func(Notification)
 }
 
-// orphanMeta locates one held orphan block for O(1) membership tests
-// and byte accounting during eviction.
-type orphanMeta struct {
-	parent chainhash.Hash
-	size   int64
-}
-
-// Orphan pool bounds: a peer can always fabricate valid-PoW blocks with
-// unknown parents (regtest difficulty is trivial; on mainnet withheld
-// side branches serve the same purpose), so the pool of parentless
-// blocks must be capped or it is a memory exhaustion vector.
-const (
-	DefaultMaxOrphans     = 64
-	DefaultMaxOrphanBytes = 4 << 20
-)
-
 // Params returns the chain's parameters.
 func (c *Chain) Params() *Params { return c.params }
 
@@ -148,30 +126,6 @@ func (c *Chain) Params() *Params { return c.params }
 // bookkeeping, mempool fee floor decay) that must agree with the chain
 // about what "now" means — in simulation, virtual time.
 func (c *Chain) Clock() clock.Clock { return c.clock }
-
-// SetOrphanLimits overrides the orphan pool bounds. Non-positive values
-// restore the defaults. Lowering the limits takes effect on the next
-// orphan arrival.
-func (c *Chain) SetOrphanLimits(maxBlocks int, maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxOrphans = maxBlocks
-	c.maxOrphanByte = maxBytes
-}
-
-// OrphanCount returns the number of held orphan blocks.
-func (c *Chain) OrphanCount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.orphanIndex)
-}
-
-// OrphanBytes returns the serialized size of all held orphan blocks.
-func (c *Chain) OrphanBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.orphanBytes
-}
 
 // SigCache returns the signature verification cache so the mempool can
 // share it; may be nil.
@@ -209,8 +163,10 @@ const (
 	StatusMainChain
 	// StatusSideChain means the block was stored on a side branch.
 	StatusSideChain
-	// StatusOrphan means the block's parent is unknown; it is held until
-	// the parent arrives.
+	// StatusOrphan means neither the block's header nor its parent body
+	// is known; the body is dropped, not held. The p2p layer asks the
+	// sender for the headers above it and fetches the body again once
+	// its header connects.
 	StatusOrphan
 	// StatusDuplicate means the block was already known.
 	StatusDuplicate
@@ -241,7 +197,9 @@ func (s BlockStatus) String() string {
 
 // ProcessBlock validates blk and incorporates it into the block tree,
 // reorganizing the main chain if the block's branch carries more work.
-// Orphan blocks are retained and retried when their parent arrives.
+// A body is held only on a node whose header is validated (parked until
+// its predecessor is accepted) or whose parent body is accepted; any
+// other body is dropped as StatusOrphan.
 func (c *Chain) ProcessBlock(blk *wire.MsgBlock) (BlockStatus, error) {
 	hash := blk.BlockHash()
 	if c.tel.tracer != nil {
@@ -276,111 +234,27 @@ func (c *Chain) processLocked(blk *wire.MsgBlock) (BlockStatus, []Notification, 
 	}
 	parent := c.index[blk.Header.PrevBlock]
 	if parent == nil || parent.status != statusAccepted {
-		if node != nil {
-			if node.status == statusParked {
-				return StatusDuplicate, nil, nil
-			}
-			// A body ahead of the connected chain whose header is already
-			// validated is parked, not orphaned: the skeleton vouches for
-			// it, and the download scheduler delivers bodies out of order
-			// by design. Blocks with unknown headers still take the
-			// (penalizable, tightly bounded) orphan path.
-			c.parkBlockLocked(node, blk)
-			return StatusParked, nil, nil
-		}
-		if _, held := c.orphanIndex[hash]; held {
+		switch {
+		case node == nil:
+			// Nothing vouches for a body whose header and parent body are
+			// both unknown: it is not held.
+			return StatusOrphan, nil, nil
+		case node.status == statusParked:
 			return StatusDuplicate, nil, nil
 		}
-		c.addOrphanLocked(hash, blk)
-		return StatusOrphan, nil, nil
+		// A body ahead of the connected chain whose header is already
+		// validated is parked: the skeleton vouches for it, and the
+		// download scheduler delivers bodies out of order by design.
+		c.parkBlockLocked(node, blk)
+		return StatusParked, nil, nil
 	}
 	status, events, err := c.acceptBlock(blk, parent)
 	if err != nil {
 		return status, events, err
 	}
-	// Adopt any orphans waiting on this block (recursively), then any
-	// parked bodies the new connections unblocked.
-	events = append(events, c.adoptOrphans(hash)...)
+	// Adopt any parked bodies the new connection unblocked.
 	events = append(events, c.adoptParked()...)
 	return status, events, nil
-}
-
-func (c *Chain) adoptOrphans(parentHash chainhash.Hash) []Notification {
-	var events []Notification
-	queue := []chainhash.Hash{parentHash}
-	for len(queue) > 0 {
-		ph := queue[0]
-		queue = queue[1:]
-		waiting := c.orphans[ph]
-		delete(c.orphans, ph)
-		for _, blk := range waiting {
-			h := blk.BlockHash()
-			if meta, held := c.orphanIndex[h]; held {
-				delete(c.orphanIndex, h)
-				c.orphanBytes -= meta.size
-			}
-			if _, evs, err := c.acceptBlock(blk, c.index[ph]); err == nil {
-				events = append(events, evs...)
-				queue = append(queue, h)
-			}
-		}
-	}
-	return events
-}
-
-// addOrphanLocked holds a parentless block, evicting oldest-first past
-// the pool bounds.
-func (c *Chain) addOrphanLocked(hash chainhash.Hash, blk *wire.MsgBlock) {
-	parent := blk.Header.PrevBlock
-	size := int64(len(blk.Bytes()))
-	c.orphans[parent] = append(c.orphans[parent], blk)
-	c.orphanIndex[hash] = orphanMeta{parent: parent, size: size}
-	c.orphanFIFO = append(c.orphanFIFO, hash)
-	c.orphanBytes += size
-
-	maxN, maxB := c.maxOrphans, c.maxOrphanByte
-	if maxN <= 0 {
-		maxN = DefaultMaxOrphans
-	}
-	if maxB <= 0 {
-		maxB = DefaultMaxOrphanBytes
-	}
-	for (len(c.orphanIndex) > maxN || c.orphanBytes > maxB) && len(c.orphanFIFO) > 0 {
-		h := c.orphanFIFO[0]
-		c.orphanFIFO = c.orphanFIFO[1:]
-		meta, held := c.orphanIndex[h]
-		if !held {
-			continue // already adopted; stale FIFO entry
-		}
-		c.removeOrphanLocked(h, meta)
-	}
-	// Compact stale FIFO entries (orphans adopted out of order) so the
-	// queue cannot grow without bound relative to the pool.
-	if len(c.orphanFIFO) > 4*len(c.orphanIndex)+16 {
-		live := c.orphanFIFO[:0]
-		for _, h := range c.orphanFIFO {
-			if _, held := c.orphanIndex[h]; held {
-				live = append(live, h)
-			}
-		}
-		c.orphanFIFO = live
-	}
-}
-
-// removeOrphanLocked drops one held orphan block.
-func (c *Chain) removeOrphanLocked(hash chainhash.Hash, meta orphanMeta) {
-	delete(c.orphanIndex, hash)
-	c.orphanBytes -= meta.size
-	waiting := c.orphans[meta.parent]
-	for i, b := range waiting {
-		if b.BlockHash() == hash {
-			c.orphans[meta.parent] = append(waiting[:i], waiting[i+1:]...)
-			break
-		}
-	}
-	if len(c.orphans[meta.parent]) == 0 {
-		delete(c.orphans, meta.parent)
-	}
 }
 
 // acceptBlock adds a body whose parent is accepted, on the node its
@@ -893,14 +767,11 @@ func (c *Chain) BlockAtHeight(h int) (*wire.MsgBlock, bool) {
 	return c.mainChain[h].block, true
 }
 
-// HaveBlock reports whether the block body is known (main, side, parked
-// or orphan).
+// HaveBlock reports whether the block body is held (main, side or
+// parked).
 func (c *Chain) HaveBlock(h chainhash.Hash) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if node := c.index[h]; node != nil && node.block != nil {
-		return true
-	}
-	_, held := c.orphanIndex[h]
-	return held
+	node := c.index[h]
+	return node != nil && node.block != nil
 }

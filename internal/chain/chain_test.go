@@ -158,30 +158,6 @@ func TestDuplicateBlock(t *testing.T) {
 	}
 }
 
-func TestOrphanAdoption(t *testing.T) {
-	c, clk := newTestChain(t)
-	// Build two blocks but submit the child first.
-	ts1 := clk.Advance(time.Minute)
-	b1 := mineEmpty(t, c, c.BestHash(), 1, ts1, 0)
-	ts2 := clk.Advance(time.Minute)
-	b2 := mineEmpty(t, c, b1.BlockHash(), 2, ts2, 0)
-
-	status, err := c.ProcessBlock(b2)
-	if err != nil || status != StatusOrphan {
-		t.Fatalf("child-first: status=%v err=%v", status, err)
-	}
-	if !c.HaveBlock(b2.BlockHash()) {
-		t.Fatal("orphan not retained")
-	}
-	status, err = c.ProcessBlock(b1)
-	if err != nil || status != StatusMainChain {
-		t.Fatalf("parent: status=%v err=%v", status, err)
-	}
-	if c.BestHeight() != 2 {
-		t.Fatalf("orphan not adopted: height=%d", c.BestHeight())
-	}
-}
-
 func TestSideChainAndReorg(t *testing.T) {
 	c, clk := newTestChain(t)
 	mainBlks := extend(t, c, clk, 2, 0)

@@ -8,7 +8,9 @@ package chain
 // nodes whose body has not arrived yet, the best-header tip runs ahead
 // of the fully-connected tip, and bodies that arrive before their
 // predecessor has been accepted are parked on their node until the gap
-// fills.
+// fills. A body is held only on a validated header or an accepted
+// parent: one that brings neither is dropped, and is fetched again
+// once its header connects.
 //
 // Every body is accepted onto the node its header created, so the header
 // tip's work is always >= the connected tip's work.
@@ -34,11 +36,12 @@ var ErrOrphanHeader = errors.New("chain: header does not connect")
 // one that extends a flagged block.
 var errKnownInvalid = errors.New("chain: block or ancestor failed validation")
 
-// Parked-body bounds. Parked blocks have validated headers (real proof
-// of work on their chain), so they are far harder to fabricate than
-// orphans, but the pool is still capped: a sliding-window download can
-// legitimately hold a few windows' worth of out-of-order bodies, not an
-// unbounded backlog.
+// Parked-body bounds, the chain's only bound on bodies that cannot
+// connect yet (a body with neither a known header nor an accepted parent
+// is never held). Parked blocks have validated headers (real proof of
+// work on their chain), so they are hard to fabricate, but the set is
+// still capped: a sliding-window download can legitimately hold a few
+// windows' worth of out-of-order bodies, not an unbounded backlog.
 const (
 	defaultMaxParked      = 4096
 	defaultMaxParkedBytes = 32 << 20
@@ -392,11 +395,6 @@ func (c *Chain) parkBlockLocked(node *blockNode, blk *wire.MsgBlock) {
 	if len(c.parked)+1 > defaultMaxParked || c.parkedBytes+size > defaultMaxParkedBytes {
 		return
 	}
-	// A copy that arrived before its header sits in the orphan pool; one
-	// body must not be adopted through both.
-	if meta, held := c.orphanIndex[node.hash]; held {
-		c.removeOrphanLocked(node.hash, meta)
-	}
 	node.block, node.status = blk, statusParked
 	c.parked = append(c.parked, node)
 	c.parkedBytes += size
@@ -441,8 +439,6 @@ func (c *Chain) adoptParked() []Notification {
 		for _, n := range ready {
 			if _, evs, err := c.acceptBlock(c.unparkLocked(n), n.parent); err == nil {
 				events = append(events, evs...)
-				// A connected body can in turn free orphans waiting on it.
-				events = append(events, c.adoptOrphans(n.hash)...)
 			}
 		}
 	}

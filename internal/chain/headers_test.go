@@ -546,6 +546,45 @@ func TestFailedBodyIsRemembered(t *testing.T) {
 		}
 	})
 
+	t.Run("flag is resident only", func(t *testing.T) {
+		// The flag has no store row. A reopened node has forgotten it, so
+		// the heavier bad branch holds the best header again, its first
+		// body is scheduled again, and one validation flags it again.
+		dir := t.TempDir()
+		st, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, reg := f.open(t, st)
+		mustProcessHeaders(t, c, f.a)
+		mustProcessHeaders(t, c, f.b)
+		if status, err := c.ProcessBlock(f.b[0]); status != StatusInvalid || !errors.Is(err, ErrDoubleSpend) {
+			t.Fatalf("double-spending body: status=%v err=%v", status, err)
+		}
+		expectInvalid(t, c, reg, f.b[0])
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		st, err = store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		re, reg := f.open(t, st)
+		if got := re.HeaderTipHash(); got != tipB {
+			t.Fatalf("reopened header tip = %s, want branch B's tip %s", got, tipB)
+		}
+		if got := neededHashes(re); !reflect.DeepEqual(got, hashesOf(f.b)) {
+			t.Fatalf("reopened needed bodies = %v, want branch B's", got)
+		}
+		if status, err := re.ProcessBlock(f.b[0]); status != StatusInvalid || !errors.Is(err, ErrDoubleSpend) {
+			t.Fatalf("re-delivery after reopen: status=%v err=%v, want one more validation", status, err)
+		}
+		expectOffBranchB(t, re, hashesOf(f.a))
+		expectInvalid(t, re, reg, f.b[0])
+	})
+
 	t.Run("store fault is not a verdict", func(t *testing.T) {
 		st := store.NewFaultEngine(store.NewMem(), 1)
 		c, _ := f.open(t, st)
@@ -639,8 +678,8 @@ func runRestartEquivalence(t *testing.T, seed int64) {
 	}
 	// Three delivery disciplines: bodies in mining order with headers
 	// trailing (blocks connect as they come), the whole skeleton first
-	// and bodies shuffled (they park), or everything shuffled (bodies
-	// ahead of their headers are orphans).
+	// and bodies shuffled (they park), or everything shuffled (a body
+	// ahead of both its header and its parent body is dropped).
 	mode := rng.Intn(3)
 	if mode > 0 {
 		rng.Shuffle(len(bodies), func(i, j int) { bodies[i], bodies[j] = bodies[j], bodies[i] })
@@ -649,6 +688,7 @@ func runRestartEquivalence(t *testing.T, seed int64) {
 	// Header batches follow each branch in order; a batch whose fork
 	// point is not indexed yet is refused and offered again later.
 	sent := make([]int, len(branches))
+	dropped := 0
 	for step := 0; ; step++ {
 		if step > 10000 {
 			t.Fatal("interleaving did not finish")
@@ -675,8 +715,12 @@ func runRestartEquivalence(t *testing.T, seed int64) {
 			sent[i] += n
 			continue
 		}
-		if _, err := c.ProcessBlock(bodies[0]); err != nil {
+		status, err := c.ProcessBlock(bodies[0])
+		if err != nil {
 			t.Fatalf("ProcessBlock: %v", err)
+		}
+		if status == StatusOrphan {
+			dropped++
 		}
 		bodies = bodies[1:]
 	}
@@ -695,8 +739,8 @@ func runRestartEquivalence(t *testing.T, seed int64) {
 	}
 	c.mu.RUnlock()
 	sort.Slice(want, func(i, j int) bool { return want[i].Height < want[j].Height })
-	t.Logf("connected %d, header tip %d, fork %d, parked %d, orphans %d, to fetch %d",
-		c.BestHeight(), headerHeight, fork, c.ParkedCount(), c.OrphanCount(), len(want))
+	t.Logf("connected %d, header tip %d, fork %d, parked %d, dropped %d, to fetch %d",
+		c.BestHeight(), headerHeight, fork, c.ParkedCount(), dropped, len(want))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -199,16 +199,14 @@ func Open(cfg Config) (*Chain, error) {
 		st = store.NewMem()
 	}
 	c := &Chain{
-		params:      cfg.Params,
-		clock:       clk,
-		sigCache:    cfg.SigCache,
-		st:          st,
-		index:       make(map[chainhash.Hash]*blockNode),
-		utxo:        NewUtxoView(),
-		spent:       make(map[wire.OutPoint]SpendRecord),
-		txToBlock:   make(map[chainhash.Hash]txLoc),
-		orphans:     make(map[chainhash.Hash][]*wire.MsgBlock),
-		orphanIndex: make(map[chainhash.Hash]orphanMeta),
+		params:    cfg.Params,
+		clock:     clk,
+		sigCache:  cfg.SigCache,
+		st:        st,
+		index:     make(map[chainhash.Hash]*blockNode),
+		utxo:      NewUtxoView(),
+		spent:     make(map[wire.OutPoint]SpendRecord),
+		txToBlock: make(map[chainhash.Hash]txLoc),
 	}
 	hasTip, err := st.Has(keyTip)
 	if err != nil {

@@ -54,7 +54,7 @@ func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		disconnects: reg.Counter("chain_disconnects_total", "Blocks disconnected from the main chain during reorganizations."),
 		reorgs:      reg.Counter("chain_reorgs_total", "Completed main-chain reorganizations."),
 		invalid:     reg.Counter("chain_invalid_blocks_total", "Blocks rejected as invalid."),
-		orphaned:    reg.Counter("chain_orphan_blocks_total", "Blocks held as orphans pending their parent."),
+		orphaned:    reg.Counter("chain_orphan_blocks_total", "Bodies dropped because neither their header nor their parent body was known."),
 		sideBlocks:  reg.Counter("chain_side_blocks_total", "Blocks stored on side branches."),
 		duplicates:  reg.Counter("chain_duplicate_blocks_total", "Already-known blocks offered again."),
 		parked:      reg.Counter("chain_parked_blocks_total", "Out-of-order bodies parked until their predecessor connects."),
@@ -81,12 +81,6 @@ func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	})
 	reg.GaugeFunc("chain_utxo_size", "Entries in the unspent-txout table (the paper's deadweight metric).", func() float64 {
 		return float64(c.UtxoSize())
-	})
-	reg.GaugeFunc("chain_orphan_pool_blocks", "Orphan blocks currently held.", func() float64 {
-		return float64(c.OrphanCount())
-	})
-	reg.GaugeFunc("chain_orphan_pool_bytes", "Serialized bytes of held orphan blocks.", func() float64 {
-		return float64(c.OrphanBytes())
 	})
 	reg.GaugeFunc("chain_spent_journal_size", "Records in the resident spend journal.", func() float64 {
 		c.mu.RLock()

@@ -305,8 +305,8 @@ func StartWithholder(h *Harness, name string, target int) *Actor {
 func StartEquivocator(h *Harness, name string, target int) *Actor {
 	blocks := EquivocationBlocks(h, name, 2)
 	// Push order A1, A2, B2, B1: fork B's child arrives before its
-	// parent, so the victim's orphan pool and source attribution are
-	// exercised before B1 connects it.
+	// parent, so the victim drops it unheld (its header and parent are
+	// both unknown) and charges the pusher for an unsolicited orphan.
 	order := []int{0, 1, 3, 2}
 	next := 0
 	return startActor(h, name, target, func(a *Actor) {

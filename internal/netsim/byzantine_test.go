@@ -6,8 +6,8 @@ package netsim
 //
 //  1. every adversary is banned by its victim within bounded virtual
 //     time;
-//  2. resource bounds (orphan pool, mempool, peer counts) are never
-//     exceeded, sampled continuously while waiting;
+//  2. resource bounds (mempool, peer counts) are never exceeded,
+//     sampled continuously while waiting;
 //  3. wallet traffic keeps flowing mid-attack: a payment broadcast
 //     during the flood relays to every mempool and confirms;
 //  4. no honest node is banned as collateral damage;
@@ -68,11 +68,9 @@ func byzantinePolicy() p2p.Policy {
 
 func byzantineBounds() Bounds {
 	return Bounds{
-		MaxOrphans:     16,
-		MaxOrphanBytes: 1 << 20,
-		MaxPoolTxs:     200,
-		MaxPoolBytes:   1 << 20,
-		MaxPeers:       16,
+		MaxPoolTxs:   200,
+		MaxPoolBytes: 1 << 20,
+		MaxPeers:     16,
 	}
 }
 

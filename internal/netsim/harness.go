@@ -56,11 +56,9 @@ type Harness struct {
 // mechanisms cap continuously, so observing compliance at any instant
 // plus the mechanisms' own tests covers the invariant).
 type Bounds struct {
-	MaxOrphans     int
-	MaxOrphanBytes int64
-	MaxPoolTxs     int
-	MaxPoolBytes   int64
-	MaxPeers       int // total peers per node, inbound plus outbound
+	MaxPoolTxs   int
+	MaxPoolBytes int64
+	MaxPeers     int // total peers per node, inbound plus outbound
 }
 
 // NewHarness builds n nodes over a fresh Network with the given seed and
@@ -137,7 +135,6 @@ func (h *Harness) SetDefense(pol p2p.Policy, b Bounds) {
 	h.bounds = &b
 	for _, node := range h.Nodes {
 		node.SetPolicy(pol)
-		node.Chain().SetOrphanLimits(b.MaxOrphans, b.MaxOrphanBytes)
 		node.Pool().SetLimits(b.MaxPoolTxs, b.MaxPoolBytes)
 	}
 }
@@ -153,12 +150,6 @@ func (h *Harness) AssertBounds() {
 	}
 	b := h.bounds
 	for i, node := range h.Nodes {
-		if got := node.Chain().OrphanCount(); got > b.MaxOrphans {
-			h.T.Fatalf("node %d holds %d orphans, bound %d", i, got, b.MaxOrphans)
-		}
-		if got := node.Chain().OrphanBytes(); got > b.MaxOrphanBytes {
-			h.T.Fatalf("node %d holds %d orphan bytes, bound %d", i, got, b.MaxOrphanBytes)
-		}
 		if got := node.Pool().Size(); got > b.MaxPoolTxs {
 			h.T.Fatalf("node %d pools %d txs, bound %d", i, got, b.MaxPoolTxs)
 		}

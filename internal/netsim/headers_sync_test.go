@@ -215,3 +215,27 @@ func TestHeaderSyncConvergedInvariants(t *testing.T) {
 			status.InflightBodies, status.ParkedBodies)
 	}
 }
+
+// TestMissedAnnouncementsFetchHeadersFirst: a node that missed two block
+// announcements hears the third. It asks the announcer for headers
+// before the body, so the body arrives after its ancestry's headers and
+// parks; no body is dropped as an orphan and the node reaches the tip.
+// The link neither drops nor reorders; the two announcements are lost
+// to a partition that leaves the connection up.
+func TestMissedAnnouncementsFetchHeadersFirst(t *testing.T) {
+	h := NewHarness(t, 1, 2, LinkConfig{Latency: 2 * time.Millisecond})
+	h.Connect(1, 0)
+	h.WaitFor("handshake", func() bool { return h.Nodes[0].PeerCount() == 1 && h.Nodes[1].PeerCount() == 1 })
+
+	h.Partition([]int{0}, []int{1})
+	h.MineN(0, 2)
+	if got := h.Nodes[1].Chain().HeaderHeight(); got != 0 {
+		t.Fatalf("node 1 heard of height %d through the partition", got)
+	}
+	h.Net.Heal()
+	tip := h.Mine(0).BlockHash()
+	h.WaitFor("node 1 at the tip", func() bool { return h.Nodes[1].Chain().BestHash() == tip })
+	if got := h.Metric(1, "chain_orphan_blocks_total"); got != 0 {
+		t.Fatalf("node 1 dropped %v parentless bodies on the way to the tip, want 0", got)
+	}
+}

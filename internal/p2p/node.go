@@ -68,14 +68,15 @@ type Node struct {
 	policy  Policy
 	scores  *banscore.Keeper
 
-	// orphanSrc remembers which address delivered each orphan block so
-	// orphans that never connect are charged back to their source.
+	// orphanSrc remembers which address delivered each orphan block (a
+	// body the chain dropped: header and parent unknown) so orphans that
+	// never connect are charged back to their source.
 	orphMu        sync.Mutex
 	orphanSrc     map[chainhash.Hash]orphanSource
 	orphanSweepAt time.Time
 }
 
-// orphanSource attributes one held orphan block.
+// orphanSource attributes one orphan block.
 type orphanSource struct {
 	addr string
 	at   time.Time
@@ -97,8 +98,8 @@ const (
 )
 
 // maxTrackedOrphanSources bounds the orphan attribution table; past it,
-// new orphans simply go unattributed (the chain's own orphan pool is
-// bounded independently).
+// new orphans simply go unattributed. The chain keeps no orphan bodies,
+// so this table is the only per-orphan state.
 const maxTrackedOrphanSources = 1024
 
 // NewNode creates a node over an existing chain and pool. logger is a
@@ -733,8 +734,8 @@ func (n *Node) sweepOrphans(now time.Time, pol Policy) {
 	var resolved []chainhash.Hash
 	var punish []string
 	for h, src := range n.orphanSrc {
-		// BlockByHash sees only connected blocks (main or side), not the
-		// orphan pool: presence means the ancestry arrived.
+		// BlockByHash sees only accepted blocks (main or side): presence
+		// means the ancestry arrived and the refetched body connected.
 		if _, connected := n.chain.BlockByHash(h); connected {
 			resolved = append(resolved, h)
 			continue
@@ -877,6 +878,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			return nil
 		}
 		var want []wire.InvVect
+		wantBlock := false
 		for _, iv := range invs {
 			p.markKnown(iv.Type, iv.Hash)
 			switch iv.Type {
@@ -888,6 +890,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 					if n.reserveBody(p, iv.Hash, now) {
 						if p.noteRequested(iv.Type, iv.Hash, now, pol.MaxInflight) {
 							want = append(want, iv)
+							wantBlock = true
 						} else {
 							n.syncDelivered(iv.Hash)
 						}
@@ -905,6 +908,13 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		}
 		if len(want) == 0 {
 			return nil
+		}
+		if wantBlock {
+			// Ask the announcer for its headers first. It answers in
+			// order, so a body whose ancestry this node has missed
+			// arrives after the headers that let it park, not as a
+			// parentless body the chain drops.
+			n.requestHeaders(p)
 		}
 		return p.send(wire.CmdGetData, wire.EncodeInv(want))
 
@@ -993,9 +1003,11 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 				n.requestMissingTypecoin()
 			}
 		case chain.StatusOrphan:
+			// The chain dropped the body: neither its header nor its
+			// parent is known. Ask this peer for the skeleton above our
+			// best header; the body scheduler fetches the body again once
+			// its header connects.
 			n.noteOrphan(hash, p)
-			// We are missing the header skeleton above this block's
-			// ancestors: ask this peer for it.
 			n.requestHeaders(p)
 		}
 		return nil
