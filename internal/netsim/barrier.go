@@ -21,12 +21,14 @@ const tickStep = 20 * time.Millisecond
 // So every cascade a tick starts (frames delivered, handlers run,
 // replies written, timers fired, redials dialed) finishes at that tick's
 // virtual time, however slowly the host runs it: what happens at which
-// virtual time is a function of the seed. Only the order in which one
-// node's readers handle frames delivered on the same tick is left to the
-// Go scheduler. There is no wall-clock wait: while the predicate is
-// false the barrier blocks on the network or yields. The one goroutine
-// it does not see is store.Retry's recovery probe, which sleeps on its
-// own schedule.
+// virtual time is a function of the seed. The barrier also delivers the
+// frames due on a tick itself, one connection end at a time in an order
+// fixed by the seed (Network.deliverNext), waiting for quiescence after
+// each, so no two readers handle frames at once and the order in which
+// a node handles same-tick frames does not depend on the Go scheduler.
+// There is no wall-clock wait: while the predicate is false the barrier
+// blocks on the network or yields. The one goroutine it does not see is
+// store.Retry's recovery probe, which sleeps on its own schedule.
 type Barrier struct {
 	Net *Network
 	// Live is the nodes' liveness clock (p2p.Node.SetLivenessClock), a
@@ -36,11 +38,12 @@ type Barrier struct {
 	Nodes []*p2p.Node
 }
 
-// Wait blocks until the nodes are quiescent. It reads the network's
-// generation, then the send backlogs, then the generation again: if no
-// reader parked and no endpoint closed in between, every reader was
-// parked throughout, so nothing queued a message after the backlogs
-// were read.
+// Wait blocks until the nodes are quiescent and no frame is due. It
+// reads the network's generation, then the send backlogs, then the
+// generation again: if no reader parked and no endpoint closed in
+// between, every reader was parked throughout, so nothing queued a
+// message after the backlogs were read. Only then does it deliver the
+// next connection end's due frames, and wait again.
 func (b *Barrier) Wait() {
 	for {
 		gen := b.Net.awaitIdle()
@@ -51,6 +54,9 @@ func (b *Barrier) Wait() {
 			continue
 		}
 		if b.Net.awaitIdle() != gen {
+			continue
+		}
+		if b.Net.deliverNext() {
 			continue
 		}
 		if !b.Live.Due() {
@@ -69,8 +75,13 @@ func (b *Barrier) sendsDrained() bool {
 	return true
 }
 
+// tick advances both clocks one step. The liveness clock goes first and
+// its timers' cascades (a redial dialed, then accepted and greeted on
+// the far side) finish before the network clock moves, so the frames
+// they write depart at the same virtual time in every run.
 func (b *Barrier) tick() {
 	b.Live.Advance(tickStep)
+	b.Wait()
 	b.Net.clk.Advance(tickStep)
 }
 

@@ -174,12 +174,15 @@ func (h *Harness) Metric(i int, name string) float64 {
 func (h *Harness) Host(i int) string { return fmt.Sprintf("n%d", i) }
 
 // Connect dials node i -> node j and remembers the edge for reconnects.
+// It returns once node j has accepted the connection, so peer ids (which
+// order download scheduling) follow the order of Connect calls.
 func (h *Harness) Connect(i, j int) {
 	h.T.Helper()
 	if err := h.Nodes[i].Dial(h.Host(j)); err != nil {
 		h.T.Fatalf("connect %d->%d: %v", i, j, err)
 	}
 	h.edges = append(h.edges, [2]int{i, j})
+	h.Wait()
 }
 
 // waitForTicks bounds WaitFor: 25 000 ticks of tickStep, 500 s of
@@ -203,9 +206,11 @@ func (h *Harness) WaitFor(what string, cond func() bool) int {
 // timestamp schedule (one minute per block, globally ordered), so block
 // hashes depend only on their content — not on how long the scenario
 // settled in between — and settles 5 ticks. The jump to the slot moves
-// Clk, not the liveness clock.
+// Clk, not the liveness clock, and waits first for quiescence, so what
+// the scenario sent before mining departs before the jump.
 func (h *Harness) Mine(i int) *wire.MsgBlock {
 	h.T.Helper()
+	h.Wait()
 	h.blocks++
 	target := h.base.Add(time.Duration(h.blocks) * time.Minute)
 	if h.Clk.Now().Before(target) {
@@ -256,12 +261,13 @@ func (h *Harness) Heal() {
 }
 
 // Reconnect re-dials every recorded edge whose outbound connection is
-// gone.
+// gone, one accepted connection at a time (see Connect).
 func (h *Harness) Reconnect() {
 	for _, e := range h.edges {
 		if !h.Nodes[e[0]].HasPeerAddr(h.Host(e[1])) {
 			// Ignore errors: the redial loop may be mid-flight.
 			_ = h.Nodes[e[0]].Dial(h.Host(e[1]))
+			h.Wait()
 		}
 	}
 }

@@ -95,6 +95,10 @@ type Network struct {
 	nextConn  int64
 	nextSeq   int64
 	stats     Stats
+	// ordered is set once a Barrier drives the network: frames then
+	// reach a read buffer only through deliverNext, one connection end
+	// at a time, never from a clock tick or a write.
+	ordered bool
 }
 
 // New creates a network over the virtual clock clk. def is the link
@@ -188,7 +192,9 @@ func (n *Network) releaseLocked(key pairKey) {
 			heap.Push(&h.pending, fr)
 		}
 		h.held = nil
-		h.flushLocked(now)
+		if !n.ordered {
+			h.flushLocked(now)
+		}
 	}
 }
 
@@ -239,13 +245,58 @@ func (n *Network) linkLocked(from, to string) LinkConfig {
 	return n.def
 }
 
-// onTick delivers every frame whose arrival time has passed.
+// onTick delivers every frame whose arrival time has passed, unless a
+// Barrier delivers them (see deliverNext).
 func (n *Network) onTick(now time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.ordered {
+		return
+	}
 	for _, h := range n.halves {
 		h.flushLocked(now)
 	}
+}
+
+// deliverNext moves the due frames of one connection end into its read
+// buffer and reports whether there were any. It picks the end whose
+// earliest due frame arrived first, then the lower receiving host,
+// sending host and connection id, so the order in which frames due on
+// the same tick are handled depends on the seed alone. Calling it puts
+// the network in ordered mode for good.
+func (n *Network) deliverNext() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.ordered = true
+	now := n.clk.Now()
+	var next *halfConn
+	for _, h := range n.halves {
+		if len(h.pending) == 0 || h.pending[0].arrival.After(now) {
+			continue
+		}
+		if next == nil || deliversBefore(h, next) {
+			next = h
+		}
+	}
+	if next == nil {
+		return false
+	}
+	next.flushLocked(now)
+	return true
+}
+
+// deliversBefore orders two connection ends holding due frames.
+func deliversBefore(a, b *halfConn) bool {
+	if ta, tb := a.pending[0].arrival, b.pending[0].arrival; !ta.Equal(tb) {
+		return ta.Before(tb)
+	}
+	if a.local != b.local {
+		return a.local < b.local
+	}
+	if a.remote != b.remote {
+		return a.remote < b.remote
+	}
+	return a.conn < b.conn
 }
 
 // rngFor derives a deterministic per-direction PRNG so the fault
@@ -298,9 +349,9 @@ func (n *Network) Dial(from, to string) (net.Conn, error) {
 	}
 	connID := n.nextConn
 	n.nextConn++
-	a := &halfConn{net: n, local: from, remote: to,
+	a := &halfConn{net: n, conn: connID, local: from, remote: to,
 		rng: n.rngFor(connID, 0, from, to)}
-	b := &halfConn{net: n, local: to, remote: from,
+	b := &halfConn{net: n, conn: connID, local: to, remote: from,
 		rng: n.rngFor(connID, 1, to, from)}
 	a.peer, b.peer = b, a
 	a.readCond = sync.NewCond(&n.mu)
@@ -395,6 +446,7 @@ func (h *frameHeap) Pop() interface{} {
 // mutable state is guarded by the network mutex.
 type halfConn struct {
 	net           *Network
+	conn          int64 // connection id, shared by both ends
 	local, remote string
 	rng           *rand.Rand
 	lastDepart    time.Time
@@ -525,7 +577,9 @@ func (c *Conn) Write(b []byte) (int, error) {
 		h.sendFrameLocked(dup)
 		n.stats.Duplicated++
 	}
-	h.peer.flushLocked(now)
+	if !n.ordered {
+		h.peer.flushLocked(now)
+	}
 	return len(b), nil
 }
 
