@@ -157,9 +157,12 @@ latency-report:
 # Byzantine-actor scenarios: seven hostile peer classes (flooder,
 # garbage-sender, inv-spammer, block-withholder, equivocator, and the
 # headers-first skeleton withholder/corrupter) attack an honest ring
-# across five seeds. SIM_SEED=<n> replays a single seed.
+# across five seeds. SIM_SEED=<n> replays a single seed. Beside them,
+# the request-table tests: hand-spoken TCP peers that push unsolicited
+# data, stall, owe an orphan's ancestry or fill MaxInflight.
 byzantine:
 	$(GO) test ./internal/netsim/ -race -run TestByzantineScenarios -count=1 -v
+	$(GO) test ./internal/p2p/ -race -run 'Unsolicited|Stall|Orphan|Inflight' -count=1 -v
 
 # Non-test, comment-free Go lines per package directory and in total,
 # the benchmark module's included: every .go file but *_test.go, less

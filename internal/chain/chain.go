@@ -767,6 +767,14 @@ func (c *Chain) BlockAtHeight(h int) (*wire.MsgBlock, bool) {
 	return c.mainChain[h].block, true
 }
 
+// HaveHeader reports whether the block's header is indexed, with or
+// without its body.
+func (c *Chain) HaveHeader(h chainhash.Hash) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.index[h] != nil
+}
+
 // HaveBlock reports whether the block body is held (main, side or
 // parked).
 func (c *Chain) HaveBlock(h chainhash.Hash) bool {

@@ -60,7 +60,6 @@ func byzantinePolicy() p2p.Policy {
 		ByteBurst:     8 << 20,
 		StallTimeout:  10 * time.Second,
 		RequestMemory: time.Minute,
-		OrphanExpiry:  time.Minute,
 		MaxInbound:    8,
 		MaxOutbound:   8,
 	}

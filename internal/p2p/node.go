@@ -42,8 +42,8 @@ type Node struct {
 	logger    *slog.Logger
 	transport Transport
 	// clk is the chain's clock: it stamps blocks and spans. live times
-	// peers — request stalls, rate buckets, download assignments,
-	// orphan attribution — and is the same clock unless a simulation
+	// peers — the request sweep, rate buckets, the handshake reaper and
+	// the redial back-off — and is the same clock unless a simulation
 	// jumps consensus time without letting peers age (SetLivenessClock).
 	clk  clock.Clock
 	live clock.Clock
@@ -63,23 +63,13 @@ type Node struct {
 	// dialing holds the addresses with a redial chain in flight, each
 	// with the stop function of its latest attempt's timer.
 	dialing map[string]func() bool
-	wg      sync.WaitGroup
-	stopped bool
-	policy  Policy
-	scores  *banscore.Keeper
-
-	// orphanSrc remembers which address delivered each orphan block (a
-	// body the chain dropped: header and parent unknown) so orphans that
-	// never connect are charged back to their source.
-	orphMu        sync.Mutex
-	orphanSrc     map[chainhash.Hash]orphanSource
-	orphanSweepAt time.Time
-}
-
-// orphanSource attributes one orphan block.
-type orphanSource struct {
-	addr string
-	at   time.Time
+	// stopSweep stops the request sweep's pending timer; nil until the
+	// first Listen or connection arms it.
+	stopSweep func() bool
+	wg        sync.WaitGroup
+	stopped   bool
+	policy    Policy
+	scores    *banscore.Keeper
 }
 
 // Peer timing. The handshake reaper and the redial back-off run on the
@@ -95,12 +85,9 @@ const (
 	// before it.
 	redialAttempts = 6
 	redialBase     = 25 * time.Millisecond
+	// sweepInterval is the period of the request sweep.
+	sweepInterval = time.Second
 )
-
-// maxTrackedOrphanSources bounds the orphan attribution table; past it,
-// new orphans simply go unattributed. The chain keeps no orphan bodies,
-// so this table is the only per-orphan state.
-const maxTrackedOrphanSources = 1024
 
 // NewNode creates a node over an existing chain and pool. logger is a
 // structured component logger (see telemetry.Component); nil disables
@@ -114,11 +101,10 @@ func NewNode(c *chain.Chain, pool *mempool.Pool, logger *slog.Logger) *Node {
 		transport: tcpTransport{},
 		clk:       c.Clock(),
 		live:      c.Clock(),
-		sync:      newSyncMgr(),
+		sync:      &syncMgr{syncPeer: -1},
 		peers:     make(map[int]*Peer),
 		dialing:   make(map[string]func() bool),
 		policy:    DefaultPolicy(),
-		orphanSrc: make(map[chainhash.Hash]orphanSource),
 	}
 	n.scores = n.newKeeper(n.policy)
 	c.Subscribe(n.onChainChange)
@@ -217,19 +203,14 @@ func (n *Node) disconnectAddr(key string) {
 	}
 }
 
-// penalize charges points against p's address. When the score crosses
-// the ban threshold every connection from that address is dropped and
-// banned=true is returned.
+// penalize charges points against p's address, whether or not p is
+// still connected. When the score crosses the ban threshold every
+// connection from that address is dropped and banned=true is returned.
 func (n *Node) penalize(p *Peer, points int32, reason string) bool {
-	if p.addrKey == "" {
+	key := p.addrKey
+	if key == "" {
 		return false
 	}
-	return n.penalizeAddr(p.addrKey, points, reason)
-}
-
-// penalizeAddr is penalize for addresses without a live peer (e.g. the
-// source of an expired orphan that has since disconnected).
-func (n *Node) penalizeAddr(key string, points int32, reason string) bool {
 	score, banned := n.keeper().Penalize(key, points)
 	n.tel.misbehavior.Add(uint64(points))
 	if !banned {
@@ -249,8 +230,8 @@ func (n *Node) penalizeAddr(key string, points int32, reason string) bool {
 func (n *Node) SetTransport(t Transport) { n.transport = t }
 
 // SetLivenessClock replaces the clock that times peers (by default the
-// chain's clock): request stalls, rate buckets, the handshake reaper and
-// the redial back-off. A simulation that moves consensus time forward in
+// chain's clock): the request sweep, rate buckets, the handshake reaper
+// and the redial back-off. A simulation that moves consensus time forward in
 // one step gives the node a clock that step leaves alone, so a request
 // or handshake in flight across it is not aged by it. Call before
 // Listen or Dial.
@@ -408,8 +389,8 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 	// Registering the loops while holding n.mu (with stopped false)
 	// orders the Add before Stop's Wait.
 	n.wg.Add(2)
+	n.armSweepLocked()
 	n.mu.Unlock()
-	n.bindPeerCounters(p)
 	direction := "outbound"
 	if inbound {
 		direction = "inbound"
@@ -455,16 +436,46 @@ func (n *Node) dropPeer(p *Peer) {
 	n.logDebug("peer disconnected", "addr", p.addrKey, "peer", p.id)
 	n.mu.Lock()
 	delete(n.peers, p.id)
+	stopped := n.stopped
 	_, inFlight := n.dialing[p.dialAddr]
-	if p.dialAddr != "" && !n.stopped && !inFlight && !n.scores.IsBanned(addrKeyOf(p.dialAddr)) {
+	if p.dialAddr != "" && !stopped && !inFlight && !n.scores.IsBanned(addrKeyOf(p.dialAddr)) {
 		n.armRedialLocked(p.dialAddr, 1, redialBase)
 	}
 	n.mu.Unlock()
-	// Free the peer's download window; its slots move to the survivors.
-	if n.releaseSyncSlots(p) {
+	if !stopped {
+		// What p still owes is charged now, so a reconnect does not shed
+		// it.
+		n.chargeOrphans(p, p.blocksIn(reqOwed))
+	}
+	// The peer's records leave with it; its window moves to the
+	// survivors.
+	if n.releaseSyncPeer(p) {
 		n.electSyncPeer(p)
 	}
 	n.scheduleBodies(p)
+}
+
+// armSweepLocked arms the request sweep's timer unless it is armed. It
+// re-arms itself every sweepInterval of liveness time, holding a
+// wait-group slot from arming, which the callback releases, or Stop
+// when it cancels the timer first. Callers hold n.mu and have checked
+// that the node is not stopped.
+func (n *Node) armSweepLocked() {
+	if n.stopSweep != nil {
+		return
+	}
+	n.wg.Add(1)
+	armed := n.live.Now()
+	n.stopSweep = n.live.AfterFunc(sweepInterval, func() {
+		defer n.wg.Done()
+		n.sweepRequests(armed)
+		n.mu.Lock()
+		n.stopSweep = nil
+		if !n.stopped {
+			n.armSweepLocked()
+		}
+		n.mu.Unlock()
+	})
 }
 
 // armRedialLocked schedules redial attempt number attempt of addr after
@@ -547,6 +558,7 @@ func (n *Node) Listen(addr string) (string, error) {
 	}
 	n.listener = l
 	n.wg.Add(1)
+	n.armSweepLocked()
 	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
@@ -607,12 +619,15 @@ func (n *Node) Stop() {
 	for _, p := range n.peers {
 		peers = append(peers, p)
 	}
-	redials := make([]func() bool, 0, len(n.dialing))
+	timers := make([]func() bool, 0, len(n.dialing)+1)
 	for _, stop := range n.dialing {
-		redials = append(redials, stop)
+		timers = append(timers, stop)
+	}
+	if n.stopSweep != nil {
+		timers = append(timers, n.stopSweep)
 	}
 	n.mu.Unlock()
-	for _, stop := range redials {
+	for _, stop := range timers {
 		if stop() {
 			n.wg.Done()
 		}
@@ -638,8 +653,8 @@ func (n *Node) writeLoop(p *Peer) {
 				p.close()
 				return
 			}
-			p.cSentMsgs.Inc()
-			p.cSentBytes.Add(uint64(24 + len(msg.payload)))
+			n.tel.sentMsgs.With(p.addrKey).Inc()
+			n.tel.sentBytes.With(p.addrKey).Add(uint64(24 + len(msg.payload)))
 		case <-p.done:
 			return
 		}
@@ -660,8 +675,8 @@ func (n *Node) readLoop(p *Peer) {
 			}
 			return
 		}
-		p.cRecvMsgs.Inc()
-		p.cRecvBytes.Add(uint64(24 + len(msg.Payload)))
+		n.tel.recvMsgs.With(p.addrKey).Inc()
+		n.tel.recvBytes.With(p.addrKey).Add(uint64(24 + len(msg.Payload)))
 		pol := n.getPolicy()
 		now := n.live.Now()
 		if !p.takeTokens(now, 24+len(msg.Payload)) {
@@ -676,24 +691,61 @@ func (n *Node) readLoop(p *Peer) {
 			n.logDebug("message handling failed", "peer", p.id, "command", msg.Command, "err", err)
 			return
 		}
-		if stalls := p.sweep(now, pol); stalls > 0 {
-			// The peer advertised data it never served: charge it and
-			// rotate the sync to the remaining peers.
-			n.tel.stalls.Add(uint64(stalls))
-			if !n.penalize(p, pol.PenaltyStall, "sync stall") {
-				n.rotateSync(p)
-			}
-		}
-		n.sweepOrphans(now, pol)
 	}
 }
 
-// rotateSync moves sync work away from a stalled peer: its download
-// slots are freed and reassigned to the remaining peers, the skeleton
-// source moves if the stalled peer held it, and everyone else is asked
-// for headers in case the stalled peer was the only one serving them.
+// sweepRequests expires every ready peer's request table (Peer.sweep),
+// in id order. A peer that stalled is charged and its sync work rotated
+// away; a block it owes whose header is still unknown is charged to it;
+// slots freed without a stall are refilled. Of the liveness time since
+// the timer was armed, at most two intervals count toward an expiry:
+// the rest passed in one jump of a simulated clock (the chain's, as the
+// liveness clock, moves a block interval at a time) or while the host
+// did not run the timer, and a peer is not silent over time the node
+// did not watch.
+func (n *Node) sweepRequests(armed time.Time) {
+	pol := n.getPolicy()
+	now := n.live.Now()
+	unseen := now.Sub(armed) - 2*sweepInterval
+	refill := false
+	for _, p := range n.readyPeers(nil) {
+		expired, stalled, owed := p.sweep(now, unseen, pol)
+		n.chargeOrphans(p, owed)
+		switch {
+		case stalled:
+			// The peer advertised data it never served: charge it and
+			// rotate the sync to the remaining peers.
+			n.tel.stalls.Add(uint64(expired))
+			if !n.penalize(p, pol.PenaltyStall, "sync stall") {
+				n.rotateSync(p)
+			}
+		case expired > 0:
+			refill = true
+		}
+	}
+	if refill {
+		n.scheduleBodies(nil)
+	}
+}
+
+// chargeOrphans charges p's address PenaltyOrphan once for each block in
+// owed whose header is still unknown.
+func (n *Node) chargeOrphans(p *Peer, owed []chainhash.Hash) {
+	for _, h := range owed {
+		if !n.chain.HaveHeader(h) {
+			n.penalize(p, n.getPolicy().PenaltyOrphan, fmt.Sprintf("orphan block %s never connected", h))
+		}
+	}
+}
+
+// rotateSync moves sync work away from a stalled peer: the skeleton
+// source moves if the stalled peer held it, everyone else is asked for
+// headers in case the stalled peer was the only one serving them, and
+// the bodies the sweep just expired are reassigned to the remaining
+// peers. Bodies requested from it more recently stay its own until
+// they expire in turn.
 func (n *Node) rotateSync(except *Peer) {
-	if n.releaseSyncSlots(except) {
+	if n.releaseSyncPeer(except) {
 		n.electSyncPeer(except)
 	}
 	payload := wire.EncodeLocator(n.chain.HeaderLocator(), chainhash.ZeroHash)
@@ -703,55 +755,6 @@ func (n *Node) rotateSync(except *Peer) {
 		}
 	}
 	n.scheduleBodies(except)
-}
-
-// noteOrphan attributes an orphan block to the peer that delivered it;
-// sweepOrphans charges the source if it never connects.
-func (n *Node) noteOrphan(h chainhash.Hash, p *Peer) {
-	if p.addrKey == "" {
-		return
-	}
-	n.orphMu.Lock()
-	defer n.orphMu.Unlock()
-	if len(n.orphanSrc) >= maxTrackedOrphanSources {
-		return
-	}
-	if _, ok := n.orphanSrc[h]; !ok {
-		n.orphanSrc[h] = orphanSource{addr: p.addrKey, at: n.live.Now()}
-	}
-}
-
-// sweepOrphans drops attribution rows for orphans that connected and
-// penalizes sources of orphans that expired without ever connecting.
-func (n *Node) sweepOrphans(now time.Time, pol Policy) {
-	n.orphMu.Lock()
-	if len(n.orphanSrc) == 0 ||
-		(!n.orphanSweepAt.IsZero() && now.Sub(n.orphanSweepAt) < pol.OrphanExpiry/4) {
-		n.orphMu.Unlock()
-		return
-	}
-	n.orphanSweepAt = now
-	var resolved []chainhash.Hash
-	var punish []string
-	for h, src := range n.orphanSrc {
-		// BlockByHash sees only accepted blocks (main or side): presence
-		// means the ancestry arrived and the refetched body connected.
-		if _, connected := n.chain.BlockByHash(h); connected {
-			resolved = append(resolved, h)
-			continue
-		}
-		if now.Sub(src.at) >= pol.OrphanExpiry {
-			resolved = append(resolved, h)
-			punish = append(punish, src.addr)
-		}
-	}
-	for _, h := range resolved {
-		delete(n.orphanSrc, h)
-	}
-	n.orphMu.Unlock()
-	for _, addr := range punish {
-		n.penalizeAddr(addr, pol.PenaltyOrphan, "orphan block never connected")
-	}
 }
 
 // isTxPenaltyWorthy classifies a mempool rejection: policy rejections
@@ -883,18 +886,11 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			p.markKnown(iv.Type, iv.Hash)
 			switch iv.Type {
 			case wire.InvTypeBlock:
-				if !n.chain.HaveBlock(iv.Hash) {
-					// Route the request through the download manager so a
-					// block two peers announce (or one the window refill
-					// already scheduled) is fetched once.
-					if n.reserveBody(p, iv.Hash, now) {
-						if p.noteRequested(iv.Type, iv.Hash, now, pol.MaxInflight) {
-							want = append(want, iv)
-							wantBlock = true
-						} else {
-							n.syncDelivered(iv.Hash)
-						}
-					}
+				// A block two peers announce, or one the window refill
+				// already scheduled, is fetched once.
+				if !n.chain.HaveBlock(iv.Hash) && n.requestBody(p, iv.Hash, now, pol.MaxInflight) {
+					want = append(want, iv)
+					wantBlock = true
 				}
 			case wire.InvTypeTx:
 				if !n.pool.Have(iv.Hash) {
@@ -958,14 +954,14 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		}
 		hash := blk.BlockHash()
 		p.markKnown(wire.InvTypeBlock, hash)
-		solicited := p.consumeRequest(wire.InvTypeBlock, hash, now)
 		status, err := n.chain.ProcessBlock(&blk)
-		// Any delivery settles the download assignment — even an invalid
-		// or duplicate one frees the slot for rescheduling. It is settled
-		// only once ProcessBlock has stored the body: freed earlier, a
-		// window refill on another peer's loop would see the body neither
-		// in flight nor stored and fetch it a second time.
-		n.syncDelivered(hash)
+		// Any delivery settles p's request — even an invalid or duplicate
+		// one frees the slot for rescheduling — and a body the chain
+		// dropped stays owed. It is settled only once ProcessBlock has
+		// stored the body: settled earlier, a window refill on another
+		// peer's loop would see the body neither in flight nor stored and
+		// fetch it a second time.
+		solicited := p.consumeRequest(wire.InvTypeBlock, hash, now, err == nil && status == chain.StatusOrphan)
 		if err != nil {
 			n.logDebug("block rejected", "peer", p.id, "block", hash.String(), "err", err)
 			if store.IsStoreFault(err) {
@@ -1006,8 +1002,8 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			// The chain dropped the body: neither its header nor its
 			// parent is known. Ask this peer for the skeleton above our
 			// best header; the body scheduler fetches the body again once
-			// its header connects.
-			n.noteOrphan(hash, p)
+			// its header connects. A requested body stays owed until then
+			// (see chargeOrphans).
 			n.requestHeaders(p)
 		}
 		return nil
@@ -1020,7 +1016,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		}
 		txid := tx.TxHash()
 		p.markKnown(wire.InvTypeTx, txid)
-		solicited := p.consumeRequest(wire.InvTypeTx, txid, now)
+		solicited := p.consumeRequest(wire.InvTypeTx, txid, now, false)
 		if _, err := n.pool.Accept(&tx); err != nil {
 			n.logDebug("tx rejected", "peer", p.id, "tx", txid.String(), "err", err)
 			if isTxPenaltyWorthy(err) {
@@ -1167,31 +1163,14 @@ func (n *Node) requestMissingTypecoin() {
 // during the partition were swallowed silently. A caught-up peer answers
 // a getheaders with an empty batch, so the periodic probe is cheap.
 func (n *Node) SyncPeers() {
-	pol := n.getPolicy()
-	now := n.live.Now()
 	payload := wire.EncodeLocator(n.chain.HeaderLocator(), chainhash.ZeroHash)
-	var stalled []*Peer
 	for _, p := range n.peerSnapshot(nil) {
-		// Periodic resync doubles as the stall detector for peers that
-		// went completely silent after advertising data.
-		if stalls := p.sweep(now, pol); stalls > 0 {
-			n.tel.stalls.Add(uint64(stalls))
-			if n.penalize(p, pol.PenaltyStall, "sync stall") {
-				continue
-			}
-			stalled = append(stalled, p)
-			continue
-		}
 		if err := p.send(wire.CmdGetHeaders, payload); err != nil {
 			n.logDebug("sync send failed", "peer", p.id, "err", err)
 		}
 	}
-	for _, p := range stalled {
-		n.rotateSync(p)
-	}
 	n.scheduleBodies(nil)
 	n.requestMissingTypecoin()
-	n.sweepOrphans(now, pol)
 }
 
 // peerSnapshot returns the live peers except the given one.

@@ -18,7 +18,8 @@ import (
 	"time"
 
 	"typecoin/internal/banscore"
-	"typecoin/internal/telemetry"
+	"typecoin/internal/chainhash"
+	"typecoin/internal/wire"
 )
 
 // Peer is one connected neighbor. Writes are serialized through a queue;
@@ -41,14 +42,6 @@ type Peer struct {
 	// stopReaper cancels the timer that reaps the peer if no
 	// version/verack arrives.
 	stopReaper func() bool
-
-	// Cached per-peer counter children (see bindPeerCounters); nil when
-	// telemetry is disabled. Kept on the peer so the read and write
-	// loops skip the vec lookup per message.
-	cRecvMsgs  *telemetry.Counter
-	cRecvBytes *telemetry.Counter
-	cSentMsgs  *telemetry.Counter
-	cSentBytes *telemetry.Counter
 
 	sendCh chan *queuedMsg
 	done   chan struct{}
@@ -76,24 +69,40 @@ type Peer struct {
 	known map[invKey]bool
 
 	// Per-peer resource accounting (all guarded by mu). The buckets
-	// bound message and byte rates; requested tracks outstanding
-	// getdata requests for stall detection and solicited-delivery
-	// classification.
+	// bound message and byte rates; requested is the node's one record
+	// of each getdata sent to this peer (see reqInfo).
 	msgBucket  *banscore.Bucket
 	byteBucket *banscore.Bucket
 	requested  map[invKey]*reqInfo
 	// lastDelivery is the last time this peer satisfied any request; a
 	// stall is only charged when the peer is silent on all of them.
 	lastDelivery time.Time
-	lastSweep    time.Time
 }
 
-// reqInfo is one tracked getdata request. Delivered entries linger for
-// the policy's RequestMemory so a link-duplicated re-delivery is still
-// recognized as solicited.
+// reqState is where one getdata stands.
+type reqState uint8
+
+const (
+	// reqPending: sent and not yet answered. A pending block is in
+	// flight to this peer and holds one of its SyncWindow slots.
+	reqPending reqState = iota
+	// reqDelivered: answered. Remembered for the policy's RequestMemory
+	// so a link-duplicated re-delivery is still recognized as solicited.
+	reqDelivered
+	// reqOwed: a block answered with a body the chain dropped (neither
+	// its header nor its parent known). Unless the header becomes known,
+	// the peer's address is charged PenaltyOrphan when the record
+	// expires or the peer drops.
+	reqOwed
+)
+
+// reqInfo is one tracked getdata request: it answers whether an object
+// is in flight and to whom, fills the download window, and classifies
+// stalls and solicited deliveries. Pending and owed records expire at
+// the policy's StallTimeout.
 type reqInfo struct {
-	at        time.Time
-	delivered bool
+	at    time.Time
+	state reqState
 }
 
 type invKey struct {
@@ -122,7 +131,6 @@ func newPeer(n *Node, conn io.ReadWriteCloser, id int, pol Policy, now time.Time
 		byteBucket:   banscore.NewBucket(pol.ByteRate, pol.ByteBurst),
 		requested:    make(map[invKey]*reqInfo),
 		lastDelivery: now,
-		lastSweep:    now,
 	}
 }
 
@@ -136,69 +144,113 @@ func (p *Peer) takeTokens(now time.Time, bytes int) bool {
 
 // noteRequested records an outstanding getdata request (refreshing an
 // existing entry), reporting false when the peer already has
-// maxInflight undelivered requests — the caller then simply does not
-// request, and periodic resync retries later.
+// maxInflight pending requests — the caller then simply does not
+// request, and a later announcement or resync retries.
 func (p *Peer) noteRequested(typ uint32, hash [32]byte, now time.Time, maxInflight int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := invKey{typ, hash}
 	if e, ok := p.requested[k]; ok {
 		e.at = now
-		e.delivered = false
+		e.state = reqPending
 		return true
 	}
-	undelivered := 0
+	pending := 0
 	for _, e := range p.requested {
-		if !e.delivered {
-			undelivered++
+		if e.state == reqPending {
+			pending++
 		}
 	}
-	if undelivered >= maxInflight {
+	if pending >= maxInflight {
 		return false
 	}
 	p.requested[k] = &reqInfo{at: now}
 	return true
 }
 
-// consumeRequest marks a delivery against an outstanding (or recently
-// delivered) request, reporting whether the object was solicited.
-func (p *Peer) consumeRequest(typ uint32, hash [32]byte, now time.Time) bool {
+// blocksIn returns the blocks whose records are in state st: the bodies
+// in flight to p (reqPending), or those it owes (reqOwed).
+func (p *Peer) blocksIn(st reqState) []chainhash.Hash {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []chainhash.Hash
+	for k, e := range p.requested {
+		if k.typ == wire.InvTypeBlock && e.state == st {
+			out = append(out, k.hash)
+		}
+	}
+	return out
+}
+
+// blockPending reports whether the block's body is in flight to p.
+func (p *Peer) blockPending(hash [32]byte) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.requested[invKey{wire.InvTypeBlock, hash}]
+	return ok && e.state == reqPending
+}
+
+// consumeRequest settles a delivery against an outstanding (or recently
+// delivered) request, reporting whether the object was solicited. owed
+// marks a block whose body the chain dropped.
+func (p *Peer) consumeRequest(typ uint32, hash [32]byte, now time.Time, owed bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.requested[invKey{typ, hash}]
 	if !ok {
 		return false
 	}
-	e.delivered = true
+	e.state = reqDelivered
+	if owed {
+		e.state = reqOwed
+	}
 	e.at = now
 	p.lastDelivery = now
 	return true
 }
 
-// sweep expires delivered request memory and counts stalled requests
-// (undelivered past StallTimeout while the peer delivered nothing at
-// all); stalled entries are dropped so each is charged once. Sweeps are
-// rate-limited to one per second of (possibly virtual) time.
-func (p *Peer) sweep(now time.Time, pol Policy) (stalls int) {
+// sweep expires p's request table at now: delivered records past
+// RequestMemory, pending and owed ones past StallTimeout. Pending and
+// owed records, and the peer's last delivery, do not age over the
+// liveness time unseen (but no stamp moves past now). It returns how
+// many pending records expired, whether they count as a stall (the
+// peer delivered nothing in that window; otherwise they were lost on
+// the way, and expiring them only frees their slots), and the owed
+// blocks that expired.
+func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired int, stalled bool, owed []chainhash.Hash) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if now.Sub(p.lastSweep) < time.Second {
-		return 0
+	if unseen > 0 {
+		p.lastDelivery = notAfter(p.lastDelivery.Add(unseen), now)
 	}
-	p.lastSweep = now
 	for k, e := range p.requested {
-		if e.delivered {
-			if now.Sub(e.at) > pol.RequestMemory {
-				delete(p.requested, k)
+		if unseen > 0 && e.state != reqDelivered {
+			e.at = notAfter(e.at.Add(unseen), now)
+		}
+		age := now.Sub(e.at)
+		switch {
+		case e.state == reqDelivered:
+			if age <= pol.RequestMemory {
+				continue
 			}
+		case age <= pol.StallTimeout:
 			continue
+		case e.state == reqPending:
+			expired++
+		default:
+			owed = append(owed, k.hash)
 		}
-		if now.Sub(e.at) > pol.StallTimeout && now.Sub(p.lastDelivery) > pol.StallTimeout {
-			stalls++
-			delete(p.requested, k)
-		}
+		delete(p.requested, k)
 	}
-	return stalls
+	return expired, expired > 0 && now.Sub(p.lastDelivery) > pol.StallTimeout, owed
+}
+
+// notAfter returns the earlier of t and limit.
+func notAfter(t, limit time.Time) time.Time {
+	if t.After(limit) {
+		return limit
+	}
+	return t
 }
 
 // send queues a message; it drops the peer when the queue is full for

@@ -8,6 +8,16 @@ import "time"
 // selects the corresponding default; DefaultPolicy returns the fully
 // populated set.
 //
+// Every getdata a node sends has one record, in the peer's request
+// table, and one expiry: a once-a-second sweep on the liveness clock
+// ends a record still unanswered, or owed, after StallTimeout of
+// liveness time the sweep saw, and a delivered one after RequestMemory.
+// Ending it frees the download slot; it is charged as a stall only if
+// the peer delivered nothing in that window, and an owed block
+// (answered with a body the chain dropped) whose header is still
+// unknown is charged PenaltyOrphan then, or when the peer drops,
+// whichever comes first.
+//
 // Penalty calibration matters as much as the mechanism. Honest peers on
 // faulty links trip some of these paths — a corrupted frame fails its
 // checksum, a duplicated frame re-delivers a block that was already
@@ -46,16 +56,17 @@ type Policy struct {
 	// PenaltyOversized scores an inventory or getdata batch beyond
 	// MaxInvEntries.
 	PenaltyOversized int32
-	// PenaltyStall scores a sweep that found advertised-but-never-
-	// delivered requests past StallTimeout.
+	// PenaltyStall scores a sweep that expired undelivered requests of
+	// a peer that delivered nothing for StallTimeout.
 	PenaltyStall int32
 	// PenaltyRateLimit scores a message dropped by the rate limiter.
 	PenaltyRateLimit int32
 	// PenaltyUnknownCmd scores an unrecognized command (tolerated for
 	// extensibility, but not free).
 	PenaltyUnknownCmd int32
-	// PenaltyOrphan scores sourcing an orphan block that never connected
-	// within OrphanExpiry.
+	// PenaltyOrphan scores a requested block answered with a body whose
+	// header and parent are unknown, if its header is still unknown when
+	// the request expires or the peer drops.
 	PenaltyOrphan int32
 
 	// MsgRate/MsgBurst bound messages per second from one peer.
@@ -73,16 +84,13 @@ type Policy struct {
 	// download manager: how many block bodies may be in flight to one
 	// peer at a time.
 	SyncWindow int
-	// StallTimeout is how long a requested object may stay undelivered
-	// (with no other delivery from that peer) before it counts as a
-	// stall.
+	// StallTimeout is how long a request may stay undelivered, or a
+	// dropped block owed, before the sweep ends it; an undelivered one
+	// counts as a stall if the peer delivered nothing meanwhile.
 	StallTimeout time.Duration
 	// RequestMemory is how long a delivered request is remembered, so
 	// link-duplicated re-deliveries are not scored as unsolicited.
 	RequestMemory time.Duration
-	// OrphanExpiry is how long an orphan block may wait for its parent
-	// before its source is penalized.
-	OrphanExpiry time.Duration
 
 	// MaxInbound / MaxOutbound cap the peer set.
 	MaxInbound  int
@@ -117,7 +125,6 @@ func DefaultPolicy() Policy {
 		SyncWindow:    16,
 		StallTimeout:  30 * time.Second,
 		RequestMemory: 2 * time.Minute,
-		OrphanExpiry:  2 * time.Minute,
 
 		MaxInbound:  64,
 		MaxOutbound: 16,
@@ -193,9 +200,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.RequestMemory <= 0 {
 		p.RequestMemory = d.RequestMemory
-	}
-	if p.OrphanExpiry <= 0 {
-		p.OrphanExpiry = d.OrphanExpiry
 	}
 	if p.MaxInbound <= 0 {
 		p.MaxInbound = d.MaxInbound

@@ -1,0 +1,378 @@
+package p2p_test
+
+// Tests of the request table and its sweep: every getdata a node sends
+// has one record in the peer's table, and one liveness-clock timer
+// expires it. Each test drives a node over TCP from a hand-spoken peer
+// and moves the node's simulated clock itself (see watch); nothing
+// calls SyncPeers.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"testing"
+	"time"
+
+	"typecoin/internal/chain"
+	"typecoin/internal/chainhash"
+	"typecoin/internal/miner"
+	"typecoin/internal/p2p"
+	"typecoin/internal/script"
+	"typecoin/internal/telemetry"
+	"typecoin/internal/testutil"
+	"typecoin/internal/wallet"
+	"typecoin/internal/wire"
+)
+
+// rawPeer speaks the wire protocol by hand over one TCP connection and
+// keeps every message the node sends it.
+type rawPeer struct {
+	t     *testing.T
+	conn  net.Conn
+	magic uint32
+	msgs  chan *wire.Message
+	pings uint64
+}
+
+// dialRawPeer connects to addr and completes the handshake.
+func dialRawPeer(t *testing.T, addr string, magic uint32) *rawPeer {
+	t.Helper()
+	// The buffer holds far more than any test here is sent, so the
+	// reader never has to drop a message or block on an idle test.
+	rp := &rawPeer{t: t, conn: dialRaw(t, addr), magic: magic, msgs: make(chan *wire.Message, 4096)}
+	go func() {
+		defer close(rp.msgs)
+		for {
+			msg, err := wire.ReadMessage(rp.conn, magic)
+			if err != nil {
+				return
+			}
+			select {
+			case rp.msgs <- msg:
+			default:
+			}
+		}
+	}()
+	rp.send(wire.CmdVersion, nil)
+	rp.expect("verack", func(m *wire.Message) bool { return m.Command == wire.CmdVerAck })
+	return rp
+}
+
+func (rp *rawPeer) send(cmd string, payload []byte) {
+	rp.t.Helper()
+	if err := wire.WriteMessage(rp.conn, rp.magic, &wire.Message{Command: cmd, Payload: payload}); err != nil {
+		rp.t.Fatalf("send %s: %v", cmd, err)
+	}
+}
+
+// expect reads messages until one satisfies match, and returns it.
+func (rp *rawPeer) expect(what string, match func(*wire.Message) bool) *wire.Message {
+	rp.t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case m, ok := <-rp.msgs:
+			if !ok {
+				rp.t.Fatalf("connection closed waiting for %s", what)
+			}
+			if match(m) {
+				return m
+			}
+		case <-timeout:
+			rp.t.Fatalf("timeout waiting for %s", what)
+		}
+	}
+}
+
+// roundTrip pings the node and returns what it sent before the pong: the
+// node handles one peer's messages in order, so this is all it answered
+// to what was sent before the ping.
+func (rp *rawPeer) roundTrip() []*wire.Message {
+	rp.t.Helper()
+	rp.pings++
+	nonce := binary.LittleEndian.AppendUint64(nil, rp.pings)
+	rp.send(wire.CmdPing, nonce)
+	var seen []*wire.Message
+	rp.expect("pong", func(m *wire.Message) bool {
+		if m.Command == wire.CmdPong && bytes.Equal(m.Payload, nonce) {
+			return true
+		}
+		seen = append(seen, m)
+		return false
+	})
+	return seen
+}
+
+func inv(typ uint32, hashes ...chainhash.Hash) []byte {
+	invs := make([]wire.InvVect, len(hashes))
+	for i, h := range hashes {
+		invs[i] = wire.InvVect{Type: typ, Hash: h}
+	}
+	return wire.EncodeInv(invs)
+}
+
+// isGetData matches a getdata that asks for hash.
+func isGetData(hash chainhash.Hash) func(*wire.Message) bool {
+	return func(m *wire.Message) bool {
+		if m.Command != wire.CmdGetData {
+			return false
+		}
+		invs, err := wire.DecodeInv(m.Payload)
+		if err != nil {
+			return false
+		}
+		for _, iv := range invs {
+			if iv.Hash == hash {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// watch moves h's clock d forward a second at a time. The sweep fires
+// every second of liveness time and ages a request at most two seconds
+// per jump, so a larger jump would not count as time the node watched.
+func watch(h *netHarness, d time.Duration) {
+	for ; d > 0; d -= time.Second {
+		h.clk.Advance(min(d, time.Second))
+	}
+}
+
+// listenNode starts one node listening on loopback.
+func listenNode(t *testing.T) (*netHarness, *p2p.Node, string) {
+	t.Helper()
+	h := newNetHarness(t, 1)
+	addr, err := h.nodes[0].Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, h.nodes[0], addr
+}
+
+// orphanTx returns a well-formed transaction spending an output no chain
+// holds: a node accepts its delivery as an answer and rejects it, for
+// free, as an orphan.
+func orphanTx(t *testing.T, c *chain.Chain, n byte) *wire.MsgTx {
+	t.Helper()
+	key, err := wallet.New(c, testutil.NewEntropy(t.Name())).NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := wire.NewMsgTx(wire.TxVersion)
+	tx.AddTxIn(&wire.TxIn{PreviousOutPoint: wire.OutPoint{Hash: chainhash.Hash{0xee, n}}, Sequence: 0xffffffff})
+	tx.AddTxOut(&wire.TxOut{Value: 1_000_000, PkScript: script.PayToPubKeyHash(key)})
+	return tx
+}
+
+// privateBlocks mines n blocks on a chain of h's parameters and clock
+// that no node shares.
+func privateBlocks(t *testing.T, h *netHarness, n int) []*wire.MsgBlock {
+	t.Helper()
+	c := chain.New(h.params, h.clk)
+	payout, err := wallet.New(c, testutil.NewEntropy(t.Name())).NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*wire.MsgBlock
+	for i := 0; i < n; i++ {
+		h.clk.Advance(time.Minute)
+		blk, err := miner.New(c, nil, h.clk).BuildBlock(payout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := miner.SolveBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ProcessBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blk)
+	}
+	return out
+}
+
+// TestStallChargedOnSilentPeerByTimer: a peer announces a block, is
+// asked for it and then says nothing. The request sweep runs on the
+// node's own timer, so once the liveness clock passes StallTimeout plus
+// one sweep the peer is charged a stall and the body is no longer in
+// flight, with no message from the peer and no SyncPeers call.
+func TestStallChargedOnSilentPeerByTimer(t *testing.T) {
+	checkGoroutines(t)
+	h, node, addr := listenNode(t)
+	rp := dialRawPeer(t, addr, h.params.Magic)
+	fake := chainhash.Hash{0xb1}
+	rp.send(wire.CmdInv, inv(wire.InvTypeBlock, fake))
+	rp.expect("getdata for the announced block", isGetData(fake))
+	if got := node.SyncStatus().InflightBodies; got != 1 {
+		t.Fatalf("%d bodies in flight after the getdata, want 1", got)
+	}
+
+	pol := p2p.DefaultPolicy()
+	watch(h, pol.StallTimeout+time.Second)
+	waitFor(t, "stall charged and body released", func() bool {
+		return node.BanScore("127.0.0.1") == pol.PenaltyStall && node.SyncStatus().InflightBodies == 0
+	})
+}
+
+// TestStallTimeoutReissuesLostBodyRequest: a body getdata to a peer is
+// lost while the peer keeps answering other requests. The peer is not
+// silent, so it is not charged, but the request still expires at
+// StallTimeout and the body is asked for again at the next sweep.
+func TestStallTimeoutReissuesLostBodyRequest(t *testing.T) {
+	checkGoroutines(t)
+	h, node, addr := listenNode(t)
+	blk := privateBlocks(t, h, 1)[0]
+	hash := blk.BlockHash()
+	tx := orphanTx(t, node.Chain(), 1)
+
+	rp := dialRawPeer(t, addr, h.params.Magic)
+	rp.send(wire.CmdHeaders, wire.EncodeHeaders([]wire.BlockHeader{blk.Header}))
+	rp.expect("getdata for the body", isGetData(hash)) // and lost
+
+	pol := p2p.DefaultPolicy()
+	watch(h, pol.StallTimeout*2/3)
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, tx.TxHash()))
+	rp.expect("getdata for the transaction", isGetData(tx.TxHash()))
+	rp.send(wire.CmdTx, tx.Bytes())
+	for _, m := range rp.roundTrip() {
+		if isGetData(hash)(m) {
+			t.Fatal("body asked for again before its request expired")
+		}
+	}
+
+	watch(h, pol.StallTimeout/3+time.Second)
+	rp.expect("the body asked for again", isGetData(hash))
+	if got := node.BanScore("127.0.0.1"); got != 0 {
+		t.Fatalf("delivering peer scored %d, want 0", got)
+	}
+}
+
+// TestInflightCapFreedOnDeliveringPeer: MaxInflight unanswered
+// transaction requests on a peer that keeps answering others fill its
+// table. They expire at StallTimeout, so the node asks the peer for a
+// new announcement again, without charging it.
+func TestInflightCapFreedOnDeliveringPeer(t *testing.T) {
+	checkGoroutines(t)
+	h, node, addr := listenNode(t)
+	pol := p2p.DefaultPolicy()
+	pol.MaxInflight = 3
+	node.SetPolicy(pol)
+	answered := orphanTx(t, node.Chain(), 1)
+	unanswered := []chainhash.Hash{{0xa1}, {0xa2}, {0xa3}}
+
+	rp := dialRawPeer(t, addr, h.params.Magic)
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, answered.TxHash(), unanswered[0], unanswered[1]))
+	rp.expect("getdata for the first three", isGetData(unanswered[1]))
+	watch(h, pol.StallTimeout*2/3)
+	rp.send(wire.CmdTx, answered.Bytes())
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, unanswered[2]))
+	rp.expect("getdata for the third unanswered", isGetData(unanswered[2]))
+
+	// The table is full: MaxInflight requests are unanswered.
+	late := chainhash.Hash{0xc1}
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, late))
+	for _, m := range rp.roundTrip() {
+		if isGetData(late)(m) {
+			t.Fatal("asked for an announcement beyond MaxInflight")
+		}
+	}
+
+	watch(h, pol.StallTimeout/3+time.Second)
+	next := chainhash.Hash{0xc2}
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, next))
+	rp.expect("getdata for an announcement after the expiry", isGetData(next))
+	if got := node.BanScore("127.0.0.1"); got != 0 {
+		t.Fatalf("delivering peer scored %d, want 0", got)
+	}
+}
+
+// TestOrphanPenalty: a peer that answers a block getdata with a body
+// whose header and parent are unknown owes the node that block's
+// ancestry, and is charged PenaltyOrphan once if it never arrives. The
+// charge is read from the node's misbehavior-points counter, which,
+// unlike the ban score, does not decay.
+func TestOrphanPenalty(t *testing.T) {
+	// orphanVictim starts a listening node and mines two blocks it does
+	// not know; points reads the node's charged misbehavior points.
+	orphanVictim := func(t *testing.T) (h *netHarness, addr string, blocks []*wire.MsgBlock, points func() int32) {
+		t.Helper()
+		checkGoroutines(t)
+		h = newNetHarness(t, 1)
+		reg := telemetry.NewRegistry()
+		h.nodes[0].SetTelemetry(reg, nil)
+		addr, err := h.nodes[0].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = func() int32 {
+			v, _ := reg.Value("p2p_misbehavior_points_total")
+			return int32(v)
+		}
+		return h, addr, privateBlocks(t, h, 2), points
+	}
+	// deliverOrphan announces the second block and answers the node's
+	// getdata with its body, which the node cannot place.
+	deliverOrphan := func(t *testing.T, blocks []*wire.MsgBlock, rp *rawPeer) {
+		t.Helper()
+		child := blocks[1].BlockHash()
+		rp.send(wire.CmdInv, inv(wire.InvTypeBlock, child))
+		rp.expect("getdata for the announced block", isGetData(child))
+		rp.send(wire.CmdBlock, blocks[1].Bytes())
+		rp.roundTrip()
+	}
+	// Past the request's expiry: a minute more than any time-out that
+	// could decide the charge.
+	const wait = 2*time.Minute + time.Second
+	penalty := p2p.DefaultPolicy().PenaltyOrphan
+
+	t.Run("unserved ancestry is charged once", func(t *testing.T) {
+		h, addr, blocks, points := orphanVictim(t)
+		rp := dialRawPeer(t, addr, h.params.Magic)
+		deliverOrphan(t, blocks, rp)
+		if got := points(); got != 0 {
+			t.Fatalf("charged %d on delivery, want 0: the body was asked for", got)
+		}
+		for i := 0; i < 2; i++ {
+			watch(h, wait)
+			rp.roundTrip()
+			waitFor(t, "orphan charged", func() bool { return points() != 0 })
+			if got := points(); got != penalty {
+				t.Fatalf("charged %d after %d expiries, want %d once", got, i+1, penalty)
+			}
+		}
+	})
+
+	t.Run("ancestry served is not charged", func(t *testing.T) {
+		h, addr, blocks, points := orphanVictim(t)
+		rp := dialRawPeer(t, addr, h.params.Magic)
+		deliverOrphan(t, blocks, rp)
+		rp.send(wire.CmdHeaders, wire.EncodeHeaders([]wire.BlockHeader{blocks[0].Header, blocks[1].Header}))
+		rp.expect("getdata for the parent", isGetData(blocks[0].BlockHash()))
+		rp.send(wire.CmdBlock, blocks[0].Bytes())
+		rp.send(wire.CmdBlock, blocks[1].Bytes())
+		waitFor(t, "both blocks connected", func() bool { return h.nodes[0].Chain().BestHeight() == 2 })
+		watch(h, wait)
+		rp.roundTrip()
+		if got := points(); got != 0 {
+			t.Fatalf("charged %d, want 0: the peer served the ancestry", got)
+		}
+	})
+
+	t.Run("reconnect keeps the charge", func(t *testing.T) {
+		h, addr, blocks, points := orphanVictim(t)
+		rp := dialRawPeer(t, addr, h.params.Magic)
+		deliverOrphan(t, blocks, rp)
+		rp.conn.Close()
+		waitFor(t, "peer dropped", func() bool { return h.nodes[0].PeerCount() == 0 })
+		again := dialRawPeer(t, addr, h.params.Magic)
+		for i := 0; i < 2; i++ {
+			watch(h, wait)
+			again.roundTrip()
+			waitFor(t, "orphan charged", func() bool { return points() != 0 })
+			if got := points(); got != penalty {
+				t.Fatalf("charged %d after %d expiries, want %d once", got, i+1, penalty)
+			}
+		}
+	})
+}

@@ -3,16 +3,19 @@ package p2p
 // Headers-first download manager. One peer (the sync peer) serves the
 // header skeleton via getheaders/headers; once headers validate into the
 // chain's header index, the bodies the skeleton still needs are fetched
-// in parallel sliding windows across every handshaken peer. Each peer
-// holds at most Policy.SyncWindow undelivered body requests; delivery,
-// disconnect, stall rotation and a stale-assignment expiry all free
-// slots, and scheduleBodies refills them in skeleton order.
+// in parallel sliding windows across every handshaken peer. A body is
+// in flight to a peer while that peer's request table (peer.go) holds a
+// pending record for it, and each peer holds at most Policy.SyncWindow
+// such records. Delivery, the request sweep's expiry and disconnect end
+// a record, and scheduleBodies refills the windows in skeleton order.
 //
-// Locking: sm.mu is taken after n.mu (peer snapshots are made first) and
-// before p.mu (noteRequested is a leaf) and the chain's read lock (the
-// chain never calls into the node while holding its lock). Nothing
-// sends on a peer while holding sm.mu — a blocked send can close the
-// peer, and dropPeer takes both n.mu and sm.mu.
+// Locking: sm.mu is taken before n.mu (peer snapshots), p.mu (the
+// request table is a leaf) and the chain's read lock (the chain never
+// calls into the node while holding its lock); nothing holds n.mu or
+// p.mu while taking sm.mu. Block records are only created under sm.mu,
+// so a body is never assigned twice. Nothing sends on a peer while
+// holding sm.mu — a blocked send can close the peer, and dropPeer takes
+// sm.mu.
 
 import (
 	"sort"
@@ -23,63 +26,12 @@ import (
 	"typecoin/internal/wire"
 )
 
-// bodyReq is one in-flight body download assignment.
-type bodyReq struct {
-	peerID int
-	at     time.Time
-}
-
-// syncMgr is the download manager's shared state.
+// syncMgr serializes body scheduling and holds the skeleton source.
 type syncMgr struct {
 	mu sync.Mutex
 	// syncPeer is the peer id currently serving the header skeleton;
 	// -1 when none is elected.
 	syncPeer int
-	// inflight maps each requested-but-undelivered body to its
-	// assignment; perPeer counts assignments per peer id.
-	inflight map[chainhash.Hash]*bodyReq
-	perPeer  map[int]int
-}
-
-func newSyncMgr() *syncMgr {
-	return &syncMgr{
-		syncPeer: -1,
-		inflight: make(map[chainhash.Hash]*bodyReq),
-		perPeer:  make(map[int]int),
-	}
-}
-
-// decPeerLocked drops one assignment count for id.
-func (sm *syncMgr) decPeerLocked(id int) {
-	if c := sm.perPeer[id]; c <= 1 {
-		delete(sm.perPeer, id)
-	} else {
-		sm.perPeer[id] = c - 1
-	}
-}
-
-// expireLocked frees assignments older than maxAge: the assigned peer
-// went silent without tripping the stall detector (or its delivery was
-// lost), and the slot must not stay wedged forever.
-func (sm *syncMgr) expireLocked(now time.Time, maxAge time.Duration) {
-	for h, req := range sm.inflight {
-		if now.Sub(req.at) > maxAge {
-			delete(sm.inflight, h)
-			sm.decPeerLocked(req.peerID)
-		}
-	}
-}
-
-// release frees the given assignments (a failed send).
-func (sm *syncMgr) release(hashes []chainhash.Hash) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	for _, h := range hashes {
-		if req, ok := sm.inflight[h]; ok {
-			delete(sm.inflight, h)
-			sm.decPeerLocked(req.peerID)
-		}
-	}
 }
 
 // SyncStatus is a point-in-time view of headers-first sync progress.
@@ -98,29 +50,26 @@ type SyncStatus struct {
 
 // SyncStatus reports the node's current sync progress.
 func (n *Node) SyncStatus() SyncStatus {
-	sm := n.sync
-	sm.mu.Lock()
-	inflight := len(sm.inflight)
-	peers := len(sm.perPeer)
-	sm.mu.Unlock()
-	return SyncStatus{
-		HeaderHeight:   n.chain.HeaderHeight(),
-		Height:         n.chain.BestHeight(),
-		InflightBodies: inflight,
-		DownloadPeers:  peers,
-		ParkedBodies:   n.chain.ParkedCount(),
+	st := SyncStatus{
+		HeaderHeight: n.chain.HeaderHeight(),
+		Height:       n.chain.BestHeight(),
+		ParkedBodies: n.chain.ParkedCount(),
 	}
+	for _, c := range n.inflightPerPeer() {
+		st.InflightBodies += c
+		st.DownloadPeers++
+	}
+	return st
 }
 
-// inflightPerPeer returns the per-peer assignment counts (for the
-// labeled telemetry gauge).
+// inflightPerPeer returns the number of bodies in flight to each peer
+// holding at least one (for the labeled telemetry gauge).
 func (n *Node) inflightPerPeer() map[int]int {
-	sm := n.sync
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	out := make(map[int]int, len(sm.perPeer))
-	for id, c := range sm.perPeer {
-		out[id] = c
+	out := make(map[int]int)
+	for _, p := range n.peerSnapshot(nil) {
+		if c := len(p.blocksIn(reqPending)); c > 0 {
+			out[p.id] = c
+		}
 	}
 	return out
 }
@@ -180,58 +129,36 @@ func (n *Node) electSyncPeer(except *Peer) {
 	}
 }
 
-// releaseSyncSlots frees every assignment held by p and reports whether
-// p was the sync peer (the caller then elects a replacement).
-func (n *Node) releaseSyncSlots(p *Peer) bool {
+// releaseSyncPeer reports whether p was the sync peer, clearing the
+// election (the caller then elects a replacement).
+func (n *Node) releaseSyncPeer(p *Peer) bool {
 	sm := n.sync
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	for h, req := range sm.inflight {
-		if req.peerID == p.id {
-			delete(sm.inflight, h)
-		}
-	}
-	delete(sm.perPeer, p.id)
-	if sm.syncPeer == p.id {
-		sm.syncPeer = -1
-		return true
-	}
-	return false
-}
-
-// syncDelivered frees the download slot for hash on any delivery
-// (valid, invalid or duplicate — the assignment is settled either way).
-func (n *Node) syncDelivered(hash chainhash.Hash) {
-	sm := n.sync
-	sm.mu.Lock()
-	if req, ok := sm.inflight[hash]; ok {
-		delete(sm.inflight, hash)
-		sm.decPeerLocked(req.peerID)
-	}
-	sm.mu.Unlock()
-}
-
-// reserveBody claims hash for p from the inv gossip path, so an
-// announced block is not also scheduled by the window refill (and two
-// announcing peers are not both asked). False when already assigned to
-// another peer. An announcement from the peer already holding the
-// assignment refreshes it and re-requests: the earlier getdata may have
-// raced ahead of the peer's own body download, in which case the inv is
-// the signal that the body is now actually available.
-func (n *Node) reserveBody(p *Peer, hash chainhash.Hash, now time.Time) bool {
-	sm := n.sync
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if req, busy := sm.inflight[hash]; busy {
-		if req.peerID == p.id {
-			req.at = now
-			return true
-		}
+	if sm.syncPeer != p.id {
 		return false
 	}
-	sm.inflight[hash] = &bodyReq{peerID: p.id, at: now}
-	sm.perPeer[p.id]++
+	sm.syncPeer = -1
 	return true
+}
+
+// requestBody records a getdata for an announced block to p, so the
+// window refill does not also schedule it (and two announcing peers are
+// not both asked). False when the body is in flight to another peer or
+// p's request table is full. An announcement from the peer already
+// holding the request refreshes it and re-requests: the earlier getdata
+// may have raced ahead of the peer's own body download, in which case
+// the inv is the signal that the body is now actually available.
+func (n *Node) requestBody(p *Peer, hash chainhash.Hash, now time.Time, maxInflight int) bool {
+	sm := n.sync
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	for _, q := range n.peerSnapshot(p) {
+		if q.blockPending(hash) {
+			return false
+		}
+	}
+	return p.noteRequested(wire.InvTypeBlock, hash, now, maxInflight)
 }
 
 // advanceBestKnown raises p's best-known header to h when that widens
@@ -261,9 +188,10 @@ func (n *Node) readyPeers(except *Peer) []*Peer {
 
 // scheduleBodies tops up every ready peer's download window with the
 // next bodies the header skeleton needs, round-robin so the load
-// spreads across peers. Requests go through each peer's existing
-// request tracking, so the stall detector and solicited-delivery
-// classification cover scheduled downloads unchanged.
+// spreads across peers. Each assignment is a pending record in the
+// peer's request table, the same record the inv path makes, so the
+// sweep's stall and expiry rules and solicited-delivery classification
+// cover scheduled downloads unchanged.
 func (n *Node) scheduleBodies(except *Peer) {
 	n.mu.Lock()
 	stopped := n.stopped
@@ -294,17 +222,22 @@ func (n *Node) scheduleBodies(except *Peer) {
 	sm := n.sync
 	plan := make(map[*Peer][]chainhash.Hash)
 	sm.mu.Lock()
-	sm.expireLocked(now, 2*pol.StallTimeout)
+	busy := make(map[chainhash.Hash]bool)
+	window := make(map[*Peer]int)
+	for _, p := range n.peerSnapshot(nil) {
+		pending := p.blocksIn(reqPending)
+		window[p] = len(pending)
+		for _, h := range pending {
+			busy[h] = true
+		}
+	}
 	next := 0
 	for _, nb := range need {
-		if _, busy := sm.inflight[nb.Hash]; busy {
-			continue
-		}
 		// need was read before sm.mu was taken. A delivery stores its
-		// body before it frees the slot, so a body that is no longer in
-		// flight may have landed since: fetching it again would download
-		// it twice.
-		if n.chain.HaveBlock(nb.Hash) {
+		// body before it settles the request, so a body that is no longer
+		// in flight may have landed since: fetching it again would
+		// download it twice.
+		if busy[nb.Hash] || n.chain.HaveBlock(nb.Hash) {
 			continue
 		}
 		var target *Peer
@@ -312,7 +245,7 @@ func (n *Node) scheduleBodies(except *Peer) {
 			i := next % len(ready)
 			p := ready[i]
 			next++
-			if servable[i] >= nb.Height && sm.perPeer[p.id] < pol.SyncWindow &&
+			if servable[i] >= nb.Height && window[p] < pol.SyncWindow &&
 				p.noteRequested(wire.InvTypeBlock, nb.Hash, now, pol.MaxInflight) {
 				target = p
 				break
@@ -324,8 +257,7 @@ func (n *Node) scheduleBodies(except *Peer) {
 			// better.
 			break
 		}
-		sm.inflight[nb.Hash] = &bodyReq{peerID: target.id, at: now}
-		sm.perPeer[target.id]++
+		window[target]++
 		plan[target] = append(plan[target], nb.Hash)
 	}
 	sm.mu.Unlock()
@@ -339,9 +271,9 @@ func (n *Node) scheduleBodies(except *Peer) {
 		for i, h := range hashes {
 			invs[i] = wire.InvVect{Type: wire.InvTypeBlock, Hash: h}
 		}
+		// A failed send closes the peer, and its records leave with it.
 		if err := p.send(wire.CmdGetData, wire.EncodeInv(invs)); err != nil {
 			n.logDebug("body request send failed", "peer", p.id, "err", err)
-			sm.release(hashes)
 		}
 	}
 }

@@ -80,27 +80,13 @@ func (n *Node) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		return float64(n.SyncStatus().DownloadPeers)
 	})
 	reg.LabeledGaugeFunc("p2p_peer_inflight_bodies", "In-flight body requests per peer id.", "peer", func() []telemetry.LabeledValue {
-		perPeer := n.inflightPerPeer()
-		out := make([]telemetry.LabeledValue, 0, len(perPeer))
-		for id, c := range perPeer {
+		counts := n.inflightPerPeer()
+		out := make([]telemetry.LabeledValue, 0, len(counts))
+		for id, c := range counts {
 			out = append(out, telemetry.LabeledValue{Label: strconv.Itoa(id), Value: float64(c)})
 		}
 		return out
 	})
-}
-
-// bindPeerCounters caches p's per-peer counter children so the hot read
-// and write loops skip the vec's lock-and-lookup. Called once from
-// addConn before the loops start.
-func (n *Node) bindPeerCounters(p *Peer) {
-	label := p.addrKey
-	if label == "" {
-		label = "unknown"
-	}
-	p.cRecvMsgs = n.tel.recvMsgs.With(label)
-	p.cRecvBytes = n.tel.recvBytes.With(label)
-	p.cSentMsgs = n.tel.sentMsgs.With(label)
-	p.cSentBytes = n.tel.sentBytes.With(label)
 }
 
 // Leveled logging helpers over the optional component logger. A nil
