@@ -16,7 +16,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim sim-loaded recovery byzantine index-load latency-report lines
+.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim sim-sweep sim-loaded recovery byzantine index-load latency-report lines
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,15 @@ recovery:
 sim:
 	$(GO) test ./internal/p2p/ -race -run TestSim -count=1 -v
 
+# A seed sweep of the partition-heal scenario, not part of tier-1: each
+# seed of the range SIM_SEEDS runs once. It prints the failing seeds,
+# then p50/p90/max of the ticks best-hash convergence took after the
+# heal, over the seeds that passed; it fails if any seed failed.
+SIM_SEEDS ?= 1-200
+sim-sweep:
+	@out="$$(SIM_SEEDS=$(SIM_SEEDS) $(GO) test ./internal/p2p/ -run 'TestSimPartitionHealDoubleSpend$$' -count=1 -v -timeout 60m 2>&1)"; \
+	status=$$?; printf '%s\n' "$$out" | grep -E -- '--- FAIL: .*seed=|heal convergence'; exit $$status
+
 # The simulator-driven suites on a busy host: the netsim and p2p tests
 # LOADED_RUNS times over, beside two `yes` processes that keep two cores
 # busy. The hogs are killed however the loop ends; the first failing
@@ -159,10 +168,11 @@ latency-report:
 # headers-first skeleton withholder/corrupter) attack an honest ring
 # across five seeds. SIM_SEED=<n> replays a single seed. Beside them,
 # the request-table tests: hand-spoken TCP peers that push unsolicited
-# data, stall, owe an orphan's ancestry or fill MaxInflight.
+# data, stall, owe an orphan's ancestry, fill MaxInflight or go silent
+# mid-frame, and the redial of a dropped outbound peer.
 byzantine:
 	$(GO) test ./internal/netsim/ -race -run TestByzantineScenarios -count=1 -v
-	$(GO) test ./internal/p2p/ -race -run 'Unsolicited|Stall|Orphan|Inflight' -count=1 -v
+	$(GO) test ./internal/p2p/ -race -run 'Unsolicited|Stall|Orphan|Inflight|Silent|Redial' -count=1 -v
 
 # Non-test, comment-free Go lines per package directory and in total,
 # the benchmark module's included: every .go file but *_test.go, less

@@ -84,7 +84,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("typecoind", flag.ExitOnError)
 	listen := fs.String("listen", ":18444", "p2p TCP listen address (empty disables)")
 	httpAddr := fs.String("http", ":18332", "HTTP control address")
-	connect := fs.String("connect", "", "comma-separated peers to dial")
+	connect := fs.String("connect", "", "comma-separated peers to dial; each is redialed until shutdown whenever it is unreachable or drops")
 	minConf := fs.Int("minconf", 1, "typecoin confirmation depth")
 	datadir := fs.String("datadir", "", "data directory for persistent state (empty = in-memory)")
 	syncEvery := fs.Int("sync-every", 0, "≥ 1: fsync the journal on every commit; 0: only on flush/shutdown")
@@ -300,7 +300,7 @@ func run(args []string) int {
 			continue
 		}
 		if err := nd.P2P.Dial(peer); err != nil {
-			logMain.Warn("dial failed", "peer", peer, "err", err)
+			logMain.Warn("dial failed; redialing", "peer", peer, "err", err)
 		} else {
 			logMain.Info("connected", "peer", peer)
 		}

@@ -6,12 +6,14 @@ package main
 // origin with the full submitted→accepted→mined→connected→durable→
 // indexed waterfall, the relay peer with a recorded hop that adopted the
 // origin's wire-propagated identity. This is exactly the data
-// `typecoin-cli trace <txid>` renders.
+// `typecoin-cli trace <txid>` renders. The same two daemons also show
+// that one redials a peer that restarted.
 
 import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -132,4 +134,38 @@ func TestTraceSpansAcrossRelay(t *testing.T) {
 		t.Errorf("relay span origin = %.0f, want %.0f (adopted from the submitting daemon)",
 			originA, want)
 	}
+}
+
+// TestPeerRedialedAfterRestart: a daemon whose -connect peer stops is
+// apart from it for longer than a few redials' back-off, until the peer
+// restarts on the same port and mines a block. The daemon redials on its
+// own, with no operator action, and syncs that block.
+func TestPeerRedialedAfterRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	dA := startDaemon(t, dirA, "-listen", "127.0.0.1:0")
+	p2pAddr, err := os.ReadFile(filepath.Join(dirA, "p2p.addr"))
+	if err != nil {
+		t.Fatalf("p2p.addr: %v", err)
+	}
+	dB := startDaemon(t, dirB, "-connect", string(p2pAddr))
+	dA.post(t, "/mine", map[string]int{"blocks": 1})
+	waitDaemon(t, "block relay to B", func() bool {
+		return dB.status(t)["height"].(float64) == 1
+	})
+
+	if err := dA.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := dA.cmd.Wait(); err != nil {
+		t.Fatalf("shutdown exit: %v\nlogs:\n%s", err, dA.logs.String())
+	}
+	time.Sleep(2500 * time.Millisecond)
+	dA = startDaemon(t, dirA, "-listen", string(p2pAddr))
+	dA.post(t, "/mine", map[string]int{"blocks": 1})
+	waitDaemon(t, "B reconnects and syncs the block mined after the restart", func() bool {
+		return dB.status(t)["height"].(float64) == 2
+	})
 }

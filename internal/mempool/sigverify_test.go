@@ -158,14 +158,15 @@ func TestLowestFailingInputReported(t *testing.T) {
 // TestEarlyFailureStopsVerification refuses a 64-input transaction whose
 // input 0 carries input 1's signature, so it fails after one full
 // verification, while a par helper that was already polling joins the
-// check at once. The failure stops further claims: each other worker
-// finishes at most the one index it holds, so the refusal costs at most
-// 1 + (GOMAXPROCS − 1) signature verifications. A worker the operating
-// system deschedules during its check lets the others verify on (more
-// GOMAXPROCS than CPUs under -race does this), so each GOMAXPROCS gets
-// five attempts, each a freshly signed transaction that the signature
-// cache has not seen, and one must meet the bound; without the stop
-// every attempt verifies all 64.
+// check at once. The refusal returns input 0's error, and the failure
+// stops the check before it has verified every input. How many inputs
+// the other workers verify meanwhile depends on how the operating
+// system schedules them, so par's own test holds the exact bound
+// (TestDoFailureStopsClaimsExactly: GOMAXPROCS indices); here a worker
+// descheduled during its check can let the others verify every input,
+// so each GOMAXPROCS gets five attempts, each a freshly signed
+// transaction that the signature cache has not seen, and one must stop
+// early; without the stop every attempt verifies all 64.
 func TestEarlyFailureStopsVerification(t *testing.T) {
 	const inputs = 64
 	h := fundedHarness(t)
@@ -200,12 +201,12 @@ func TestEarlyFailureStopsVerification(t *testing.T) {
 		var costs []uint64
 		for len(costs) < 5 {
 			costs = append(costs, refuse())
-			if costs[len(costs)-1] <= uint64(procs) {
+			if costs[len(costs)-1] < inputs {
 				break
 			}
 		}
-		if last := costs[len(costs)-1]; last > uint64(procs) {
-			t.Errorf("GOMAXPROCS=%d: refusing input 0 cost %v signature verifications in five attempts, want at most %d in one", procs, costs, procs)
+		if last := costs[len(costs)-1]; last >= inputs {
+			t.Errorf("GOMAXPROCS=%d: refusing input 0 cost %v signature verifications in five attempts, want fewer than %d in one", procs, costs, inputs)
 		}
 	}
 }

@@ -97,10 +97,7 @@ func (b *Barrier) Settle(ticks int) {
 
 // WaitFor settles tick by tick until cond holds at quiescence, and
 // returns the number of ticks that took; ok is false if cond still fails
-// after bound ticks. Every 100 ticks it makes all nodes re-sync from
-// their peers: lossy links can swallow a one-shot inv/getdata exchange,
-// and the protocol has no per-message retry, so liveness under faults
-// comes from periodic resync (as in Bitcoin).
+// after bound ticks.
 func (b *Barrier) WaitFor(bound int, cond func() bool) (ticks int, ok bool) {
 	for k := 0; ; k++ {
 		b.Wait()
@@ -111,10 +108,5 @@ func (b *Barrier) WaitFor(bound int, cond func() bool) (ticks int, ok bool) {
 			return k, false
 		}
 		b.tick()
-		if k%100 == 99 {
-			for _, node := range b.Nodes {
-				node.SyncPeers()
-			}
-		}
 	}
 }

@@ -44,7 +44,6 @@ type Harness struct {
 
 	base   time.Time // virtual time origin for the block schedule
 	blocks int       // global mined-block counter
-	edges  [][2]int  // dialed topology (from, to), for reconnects
 
 	// bounds holds the resource limits configured by SetDefense, for
 	// AssertBounds; nil until SetDefense is called.
@@ -173,15 +172,15 @@ func (h *Harness) Metric(i int, name string) float64 {
 // Host names node i on the simulated network.
 func (h *Harness) Host(i int) string { return fmt.Sprintf("n%d", i) }
 
-// Connect dials node i -> node j and remembers the edge for reconnects.
-// It returns once node j has accepted the connection, so peer ids (which
-// order download scheduling) follow the order of Connect calls.
+// Connect dials node i -> node j; node i redials the address whenever
+// the connection drops. It returns once node j has accepted the
+// connection, so peer ids (which order download scheduling) follow the
+// order of Connect calls.
 func (h *Harness) Connect(i, j int) {
 	h.T.Helper()
 	if err := h.Nodes[i].Dial(h.Host(j)); err != nil {
 		h.T.Fatalf("connect %d->%d: %v", i, j, err)
 	}
-	h.edges = append(h.edges, [2]int{i, j})
 	h.Wait()
 }
 
@@ -245,37 +244,20 @@ func (h *Harness) Partition(groups ...[]int) {
 	h.Net.SetPartition(named...)
 }
 
-// Heal removes all faults, restores the dialed topology (connections
-// killed by corruption may have exhausted their redial budget during the
-// partition), and triggers a full resync on every node.
+// Heal removes all faults and settles 10 ticks. The nodes recover on
+// their own: each redials the addresses it dialed, and its request
+// sweep's probe asks every peer for what the faults made it miss.
 func (h *Harness) Heal() {
 	h.T.Helper()
 	h.Net.Heal()
 	h.Settle(10)
-	h.Reconnect()
-	h.Settle(10)
-	for _, node := range h.Nodes {
-		node.SyncPeers()
-	}
-	h.Settle(10)
 }
 
-// Reconnect re-dials every recorded edge whose outbound connection is
-// gone, one accepted connection at a time (see Connect).
-func (h *Harness) Reconnect() {
-	for _, e := range h.edges {
-		if !h.Nodes[e[0]].HasPeerAddr(h.Host(e[1])) {
-			// Ignore errors: the redial loop may be mid-flight.
-			_ = h.Nodes[e[0]].Dial(h.Host(e[1]))
-			h.Wait()
-		}
-	}
-}
-
-// WaitConverged waits until every node reports the same best hash.
-func (h *Harness) WaitConverged() {
+// WaitConverged waits until every node reports the same best hash, and
+// returns the ticks that took.
+func (h *Harness) WaitConverged() int {
 	h.T.Helper()
-	h.WaitFor("best-hash convergence", func() bool {
+	return h.WaitFor("best-hash convergence", func() bool {
 		best := h.Nodes[0].Chain().BestHash()
 		for _, node := range h.Nodes[1:] {
 			if node.Chain().BestHash() != best {

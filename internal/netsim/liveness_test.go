@@ -38,12 +38,13 @@ func TestStalledHandshakeReapedOnLivenessTime(t *testing.T) {
 }
 
 // TestRedialBackoffOnLivenessTime: when a dialed peer goes away, the
-// dialer redials it on the back-off schedule in liveness time, six
-// attempts, and Stop cancels a pending attempt. The first attempt is
+// dialer redials it on the back-off schedule in liveness time, and
+// keeps dialing; Stop cancels a pending attempt. The first attempt is
 // due 25 ms after the drop and each later one twice as long after its
-// predecessor as that one was after its own; each fires on the first
-// 20 ms tick at or past its due time: 40, 100, 200, 400, 800 and
-// 1600 ms after the drop.
+// predecessor as that one was after its own, up to the 10 s cap; each
+// fires on the first 20 ms tick at or past its due time: 40, 100, 200,
+// 400, 800, 1600, 3200, 6400 and 12 800 ms after the drop, then every
+// 10 s.
 func TestRedialBackoffOnLivenessTime(t *testing.T) {
 	h := NewHarness(t, 4, 3, LinkConfig{Latency: time.Millisecond})
 	h.Connect(0, 1)
@@ -61,14 +62,14 @@ func TestRedialBackoffOnLivenessTime(t *testing.T) {
 	}
 	drop := h.Live.Now()
 	var at []time.Duration
-	for k := 0; k < 200; k++ {
+	for k := 0; k < 2000; k++ {
 		before := h.Metric(0, "p2p_redials_total")
 		h.Settle(1)
 		if h.Metric(0, "p2p_redials_total") > before {
 			at = append(at, h.Live.Now().Sub(drop))
 		}
 	}
-	want := []time.Duration{40, 100, 200, 400, 800, 1600}
+	want := []time.Duration{40, 100, 200, 400, 800, 1600, 3200, 6400, 12800, 22800, 32800}
 	if len(at) != len(want) {
 		t.Fatalf("redials at %v, want at %v ms", at, want)
 	}

@@ -42,9 +42,10 @@ type Node struct {
 	logger    *slog.Logger
 	transport Transport
 	// clk is the chain's clock: it stamps blocks and spans. live times
-	// peers — the request sweep, rate buckets, the handshake reaper and
-	// the redial back-off — and is the same clock unless a simulation
-	// jumps consensus time without letting peers age (SetLivenessClock).
+	// peers — the request sweep and its probe, rate buckets, the
+	// handshake reaper and the redial back-off — and is the same clock
+	// unless a simulation jumps consensus time without letting peers age
+	// (SetLivenessClock).
 	clk  clock.Clock
 	live clock.Clock
 
@@ -80,11 +81,11 @@ const (
 	sendTimeout = 5 * time.Second
 	// handshakeTimeout reaps a peer that has not sent its version.
 	handshakeTimeout = 10 * time.Second
-	// A dialed peer that drops is redialed up to redialAttempts times,
-	// the first after redialBase, each later one after twice the wait
-	// before it.
-	redialAttempts = 6
-	redialBase     = 25 * time.Millisecond
+	// A dialed address is redialed until Stop: the first attempt after
+	// redialBase, each later one after twice the wait before it, up to
+	// redialCap.
+	redialBase = 25 * time.Millisecond
+	redialCap  = 10 * time.Second
 	// sweepInterval is the period of the request sweep.
 	sweepInterval = time.Second
 )
@@ -389,7 +390,7 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 	// Registering the loops while holding n.mu (with stopped false)
 	// orders the Add before Stop's Wait.
 	n.wg.Add(2)
-	n.armSweepLocked()
+	n.armSweepLocked(0)
 	n.mu.Unlock()
 	direction := "outbound"
 	if inbound {
@@ -426,8 +427,8 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 }
 
 // dropPeer unregisters a dead peer and, for dialed peers, starts a
-// bounded redial chain so a mid-stream connection failure does not
-// silently shrink the peer set.
+// redial chain so a mid-stream connection failure does not silently
+// shrink the peer set.
 func (n *Node) dropPeer(p *Peer) {
 	n.tel.disconnects.Inc()
 	if n.tel.tracer != nil {
@@ -437,9 +438,8 @@ func (n *Node) dropPeer(p *Peer) {
 	n.mu.Lock()
 	delete(n.peers, p.id)
 	stopped := n.stopped
-	_, inFlight := n.dialing[p.dialAddr]
-	if p.dialAddr != "" && !stopped && !inFlight && !n.scores.IsBanned(addrKeyOf(p.dialAddr)) {
-		n.armRedialLocked(p.dialAddr, 1, redialBase)
+	if p.dialAddr != "" {
+		n.keepDialingLocked(p.dialAddr)
 	}
 	n.mu.Unlock()
 	if !stopped {
@@ -455,12 +455,13 @@ func (n *Node) dropPeer(p *Peer) {
 	n.scheduleBodies(p)
 }
 
-// armSweepLocked arms the request sweep's timer unless it is armed. It
-// re-arms itself every sweepInterval of liveness time, holding a
-// wait-group slot from arming, which the callback releases, or Stop
-// when it cancels the timer first. Callers hold n.mu and have checked
-// that the node is not stopped.
-func (n *Node) armSweepLocked() {
+// armSweepLocked arms the request sweep's timer unless it is armed,
+// with the liveness time watched since the last probe. It re-arms
+// itself every sweepInterval of liveness time, holding a wait-group
+// slot from arming, which the callback releases, or Stop when it
+// cancels the timer first. Callers hold n.mu and have checked that the
+// node is not stopped.
+func (n *Node) armSweepLocked(watched time.Duration) {
 	if n.stopSweep != nil {
 		return
 	}
@@ -468,62 +469,69 @@ func (n *Node) armSweepLocked() {
 	armed := n.live.Now()
 	n.stopSweep = n.live.AfterFunc(sweepInterval, func() {
 		defer n.wg.Done()
-		n.sweepRequests(armed)
+		watched := n.sweepRequests(armed, watched)
 		n.mu.Lock()
 		n.stopSweep = nil
 		if !n.stopped {
-			n.armSweepLocked()
+			n.armSweepLocked(watched)
 		}
 		n.mu.Unlock()
 	})
 }
 
-// armRedialLocked schedules redial attempt number attempt of addr after
-// backoff of liveness time. The attempt holds a wait-group slot from
-// now, which the callback releases, or Stop when it cancels the timer
-// first. Callers hold n.mu and have checked that the node is not
-// stopped.
-func (n *Node) armRedialLocked(addr string, attempt int, backoff time.Duration) {
+// keepDialingLocked starts a redial chain for addr unless one is in
+// flight or the node is stopped. Callers hold n.mu.
+func (n *Node) keepDialingLocked(addr string) {
+	if _, inFlight := n.dialing[addr]; !inFlight && !n.stopped {
+		n.armRedialLocked(addr, redialBase)
+	}
+}
+
+// armRedialLocked schedules a redial of addr after backoff of liveness
+// time. The attempt holds a wait-group slot from now, which the
+// callback releases, or Stop when it cancels the timer first. Callers
+// hold n.mu and have checked that the node is not stopped.
+func (n *Node) armRedialLocked(addr string, backoff time.Duration) {
 	n.wg.Add(1)
 	n.dialing[addr] = n.live.AfterFunc(backoff, func() {
 		defer n.wg.Done()
-		n.redial(addr, attempt, backoff)
+		n.redial(addr, backoff)
 	})
 }
 
 // redial makes one attempt to reconnect an outbound address. A failed
-// attempt arms the next at twice the backoff, up to redialAttempts.
-func (n *Node) redial(addr string, attempt int, backoff time.Duration) {
-	var conn net.Conn
-	var err error
-	if n.keeper().IsBanned(addrKeyOf(addr)) {
-		// A ban (imposed locally at any point) permanently ends the
-		// redial chain: reconnecting to a misbehaving address would just
-		// re-open the attack surface.
-		n.logDebug("redial abandoned: address banned", "addr", addr)
-	} else {
-		n.tel.redials.Inc()
-		if conn, err = n.transport.Dial(addr); err != nil {
-			n.logDebug("redial attempt failed", "addr", addr, "attempt", attempt, "max", redialAttempts, "err", err)
-		}
-	}
+// attempt arms the next after twice the backoff, at most redialCap; the
+// chain ends only when an attempt connects or the node stops.
+func (n *Node) redial(addr string, backoff time.Duration) {
+	n.tel.redials.Inc()
+	conn, err := n.dialOnce(addr)
 	n.mu.Lock()
-	if err != nil && attempt < redialAttempts && !n.stopped {
-		n.armRedialLocked(addr, attempt+1, 2*backoff)
+	if err != nil && !n.stopped {
+		n.armRedialLocked(addr, min(2*backoff, redialCap))
 		n.mu.Unlock()
+		n.logDebug("redial attempt failed", "addr", addr, "err", err)
 		return
 	}
-	// The chain ends here. Clearing the in-flight marker before the
-	// peer registers lets an immediate re-drop start a fresh chain.
+	// Clearing the in-flight marker before the peer registers lets an
+	// immediate re-drop start a fresh chain.
 	delete(n.dialing, addr)
 	n.mu.Unlock()
-	switch {
-	case conn != nil:
-		n.logDebug("redial succeeded", "addr", addr, "attempt", attempt)
+	if conn != nil {
 		n.addConn(conn, addr)
-	case err != nil && attempt == redialAttempts:
-		n.logInfo("redial giving up", "addr", addr, "attempts", redialAttempts)
 	}
+}
+
+// dialOnce makes one outbound connection attempt. A banned address
+// fails without one: a ban suspends dialing it until the ban expires.
+func (n *Node) dialOnce(addr string) (net.Conn, error) {
+	if n.IsBanned(addr) {
+		return nil, fmt.Errorf("p2p: dial %s: address is banned", addr)
+	}
+	conn, err := n.transport.Dial(addr)
+	if err != nil {
+		return nil, fmt.Errorf("p2p: dial %s: %w", addr, err)
+	}
+	return conn, nil
 }
 
 // ConnectPipe wires two in-process nodes together with a synchronous
@@ -558,7 +566,7 @@ func (n *Node) Listen(addr string) (string, error) {
 	}
 	n.listener = l
 	n.wg.Add(1)
-	n.armSweepLocked()
+	n.armSweepLocked(0)
 	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
@@ -574,12 +582,9 @@ func (n *Node) Listen(addr string) (string, error) {
 }
 
 // Dial connects to a remote node via the node's transport. The address
-// is remembered: if the connection later fails mid-stream, the node
-// redials it with bounded backoff.
+// is kept until Stop: if this attempt fails, or the connection later
+// drops, the node redials it (see redial).
 func (n *Node) Dial(addr string) error {
-	if n.keeper().IsBanned(addrKeyOf(addr)) {
-		return fmt.Errorf("p2p: dial %s: address is banned", addr)
-	}
 	// Refuse a duplicate before connecting: the remote would otherwise
 	// see a second inbound conn from this host, let it supersede the
 	// live one, and the refused conn would then take both down.
@@ -588,9 +593,12 @@ func (n *Node) Dial(addr string) error {
 		n.logDebug("refusing duplicate dial", "addr", addr)
 		return nil
 	}
-	conn, err := n.transport.Dial(addr)
+	conn, err := n.dialOnce(addr)
 	if err != nil {
-		return fmt.Errorf("p2p: dial %s: %w", addr, err)
+		n.mu.Lock()
+		n.keepDialingLocked(addr)
+		n.mu.Unlock()
+		return err
 	}
 	n.addConn(conn, addr)
 	return nil
@@ -697,19 +705,35 @@ func (n *Node) readLoop(p *Peer) {
 // sweepRequests expires every ready peer's request table (Peer.sweep),
 // in id order. A peer that stalled is charged and its sync work rotated
 // away; a block it owes whose header is still unknown is charged to it;
-// slots freed without a stall are refilled. Of the liveness time since
-// the timer was armed, at most two intervals count toward an expiry:
-// the rest passed in one jump of a simulated clock (the chain's, as the
-// liveness clock, moves a block interval at a time) or while the host
-// did not run the timer, and a peer is not silent over time the node
-// did not watch.
-func (n *Node) sweepRequests(armed time.Time) {
+// slots freed without a stall are refilled. A peer from which no frame
+// was handled for 2×StallTimeout is closed, uncharged: its link, or its
+// reader, is dead (a corrupted length field leaves a reader waiting for
+// bytes that never come), and a dialed one is redialed.
+//
+// Of the liveness time since the timer was armed, at most two intervals
+// count as watched: the rest passed in one jump of a simulated clock
+// (the chain's, as the liveness clock, moves a block interval at a
+// time) or while the host did not run the timer, and a peer is not
+// silent over time the node did not watch.
+//
+// Once the liveness time watched since the last probe (watched, to
+// which this sweep adds its own) reaches StallTimeout/2, the sweep
+// probes: it asks every ready peer for headers, refills the body
+// windows and re-requests missing overlay objects, recovering what an
+// announcement lost to a partition or a dropped frame left this node
+// without. A getheaders is answered even when the peer is caught up
+// (with an empty batch), so the probe also keeps an honest peer's
+// frames coming, and the silence deadline closes only a dead
+// connection. It returns the watched time the next sweep starts from.
+func (n *Node) sweepRequests(armed time.Time, watched time.Duration) time.Duration {
 	pol := n.getPolicy()
 	now := n.live.Now()
-	unseen := now.Sub(armed) - 2*sweepInterval
+	seen := min(now.Sub(armed), 2*sweepInterval)
+	unseen := now.Sub(armed) - seen
+	watched += seen
 	refill := false
 	for _, p := range n.readyPeers(nil) {
-		expired, stalled, owed := p.sweep(now, unseen, pol)
+		expired, stalled, silent, owed := p.sweep(now, unseen, pol)
 		n.chargeOrphans(p, owed)
 		switch {
 		case stalled:
@@ -722,10 +746,20 @@ func (n *Node) sweepRequests(armed time.Time) {
 		case expired > 0:
 			refill = true
 		}
+		if silent {
+			n.logInfo("closing silent peer", "addr", p.addrKey, "peer", p.id)
+			p.close()
+		}
+	}
+	if watched >= pol.StallTimeout/2 {
+		n.resync(nil)
+		n.requestMissingTypecoin()
+		return 0
 	}
 	if refill {
 		n.scheduleBodies(nil)
 	}
+	return watched
 }
 
 // chargeOrphans charges p's address PenaltyOrphan once for each block in
@@ -748,11 +782,14 @@ func (n *Node) rotateSync(except *Peer) {
 	if n.releaseSyncPeer(except) {
 		n.electSyncPeer(except)
 	}
-	payload := wire.EncodeLocator(n.chain.HeaderLocator(), chainhash.ZeroHash)
+	n.resync(except)
+}
+
+// resync asks every ready peer but except for the header skeleton above
+// our best header and refills the body windows.
+func (n *Node) resync(except *Peer) {
 	for _, p := range n.readyPeers(except) {
-		if err := p.send(wire.CmdGetHeaders, payload); err != nil {
-			n.logDebug("rotate sync send failed", "peer", p.id, "err", err)
-		}
+		n.requestHeaders(p)
 	}
 	n.scheduleBodies(except)
 }
@@ -1136,41 +1173,28 @@ func (n *Node) sendTypecoinObject(p *Peer, obj interface{}) error {
 
 // requestMissingTypecoin asks every peer for overlay objects whose
 // carriers this node has seen confirm without ever receiving the object
-// (the announce-after-mine hole a partition opens).
+// (the announce-after-mine hole a partition opens), in tcgets of at
+// most MaxInvEntries entries: a peer charges a larger one as oversized.
 func (n *Node) requestMissingTypecoin() {
 	ledger := n.Ledger()
 	if ledger == nil {
 		return
 	}
 	missing := ledger.MissingAnnouncements()
-	if len(missing) == 0 {
-		return
-	}
 	invs := make([]wire.InvVect, len(missing))
 	for i, h := range missing {
 		invs[i] = wire.InvVect{Type: invTypeTypecoin, Hash: h}
 	}
-	payload := wire.EncodeInv(invs)
-	for _, p := range n.peerSnapshot(nil) {
-		if err := p.send(wire.CmdTcGet, payload); err != nil {
-			n.logDebug("tcget send failed", "peer", p.id, "err", err)
+	for limit := n.getPolicy().MaxInvEntries; len(invs) > 0; {
+		k := min(len(invs), limit)
+		payload := wire.EncodeInv(invs[:k])
+		invs = invs[k:]
+		for _, p := range n.peerSnapshot(nil) {
+			if err := p.send(wire.CmdTcGet, payload); err != nil {
+				n.logDebug("tcget send failed", "peer", p.id, "err", err)
+			}
 		}
 	}
-}
-
-// SyncPeers re-requests chain and overlay state from every peer: the
-// recovery entry point after a partition heals, when announcements made
-// during the partition were swallowed silently. A caught-up peer answers
-// a getheaders with an empty batch, so the periodic probe is cheap.
-func (n *Node) SyncPeers() {
-	payload := wire.EncodeLocator(n.chain.HeaderLocator(), chainhash.ZeroHash)
-	for _, p := range n.peerSnapshot(nil) {
-		if err := p.send(wire.CmdGetHeaders, payload); err != nil {
-			n.logDebug("sync send failed", "peer", p.id, "err", err)
-		}
-	}
-	n.scheduleBodies(nil)
-	n.requestMissingTypecoin()
 }
 
 // peerSnapshot returns the live peers except the given one.

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"typecoin/internal/bkey"
 	"typecoin/internal/chain"
+	"typecoin/internal/chainhash"
 	"typecoin/internal/clock"
 	"typecoin/internal/lf"
 	"typecoin/internal/logic"
@@ -587,5 +589,85 @@ func TestSetLedgerConcurrentWithGossip(t *testing.T) {
 	<-done
 	if h.nodes[0].PeerCount() != 1 {
 		t.Error("peer lost during ledger churn")
+	}
+}
+
+// TestMissingOverlayRequestsStayUnderInvCap: a node that has seen
+// MaxInvEntries+1 carriers confirm without their overlay objects asks
+// its peers for them in tcgets of at most MaxInvEntries entries, so an
+// honest peer neither charges it as oversized nor ignores the request:
+// the one object the peer holds arrives, and the peer scores nothing.
+func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
+	h := newNetHarness(t, 2)
+	ledgers := make([]*typecoin.Ledger, 2)
+	for i, n := range h.nodes {
+		ledgers[i] = typecoin.NewLedger(n.Chain(), 1)
+		n.SetLedger(ledgers[i])
+	}
+	w := wallet.New(h.nodes[0].Chain(), testutil.NewEntropy(t.Name()))
+	payout, err := w.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payoutKey, err := w.Key(payout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := typecoin.NewTx()
+	if err := held.Basis.DeclareFam(lf.This("tok"), lf.KProp{}); err != nil {
+		t.Fatal(err)
+	}
+	held.Grant = logic.Atom(lf.This("tok"))
+	held.Outputs = []typecoin.Output{{Type: held.Grant, Amount: 5_000, Owner: payoutKey.PubKey()}}
+	held.Proof = proof.Lam{Name: "d", Ty: held.Domain(),
+		Body: proof.LetPair{LName: "ca", RName: "r", Of: proof.V("d"),
+			Body: proof.LetPair{LName: "c", RName: "a", Of: proof.V("ca"),
+				Body: proof.V("c")}}}
+	ledgers[1].Announce(held)
+
+	// Each block's coinbase commits, in the 1-of-2 form, to one object:
+	// the first to the one node 1 holds, the rest to unknown ones.
+	realSlot := make([]byte, bkey.SerializedPubKeySize)
+	realSlot[0] = 0x04
+	m := miner.New(h.nodes[0].Chain(), nil, h.clk)
+	for i := 0; i <= p2p.DefaultPolicy().MaxInvEntries; i++ {
+		committed := chainhash.Hash{0xcc, byte(i), byte(i >> 8)}
+		if i == 0 {
+			committed = held.Hash()
+		}
+		blk, err := m.BuildBlock(payout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coinbase := blk.Transactions[0]
+		if coinbase.TxOut[0].PkScript, err = script.MultiSigScript(1, realSlot, script.MetadataKeySlot(committed)); err != nil {
+			t.Fatal(err)
+		}
+		coinbase.InvalidateCache()
+		blk.Header.MerkleRoot = wire.ComputeMerkleRoot(blk.Transactions)
+		if err := miner.SolveBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range h.nodes {
+			if _, err := n.Chain().ProcessBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := len(ledgers[0].MissingAnnouncements()); got != p2p.DefaultPolicy().MaxInvEntries+1 {
+		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.DefaultPolicy().MaxInvEntries+1)
+	}
+
+	// A block node 0 accepts from node 1 makes it ask for what it misses.
+	p2p.ConnectPipe(h.nodes[0], h.nodes[1])
+	if _, _, err := miner.New(h.nodes[1].Chain(), nil, h.clk).Mine(payout); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "node 0 receives the object node 1 holds", func() bool {
+		_, ok := ledgers[0].KnownObject(held.Hash())
+		return ok
+	})
+	if got := h.nodes[1].BanScore("pipe"); got != 0 {
+		t.Fatalf("node 1 charged node 0 %d for its overlay requests, want 0", got)
 	}
 }

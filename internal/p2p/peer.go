@@ -77,6 +77,8 @@ type Peer struct {
 	// lastDelivery is the last time this peer satisfied any request; a
 	// stall is only charged when the peer is silent on all of them.
 	lastDelivery time.Time
+	// lastHeard is the last time a frame from this peer was handled.
+	lastHeard time.Time
 }
 
 // reqState is where one getdata stands.
@@ -131,14 +133,17 @@ func newPeer(n *Node, conn io.ReadWriteCloser, id int, pol Policy, now time.Time
 		byteBucket:   banscore.NewBucket(pol.ByteRate, pol.ByteBurst),
 		requested:    make(map[invKey]*reqInfo),
 		lastDelivery: now,
+		lastHeard:    now,
 	}
 }
 
-// takeTokens charges one received frame of the given size against the
-// peer's rate buckets, reporting whether it is admitted.
+// takeTokens stamps one received frame and charges it, of the given
+// size, against the peer's rate buckets, reporting whether it is
+// admitted.
 func (p *Peer) takeTokens(now time.Time, bytes int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.lastHeard = now
 	return p.msgBucket.Take(now, 1) && p.byteBucket.Take(now, float64(bytes))
 }
 
@@ -211,17 +216,19 @@ func (p *Peer) consumeRequest(typ uint32, hash [32]byte, now time.Time, owed boo
 
 // sweep expires p's request table at now: delivered records past
 // RequestMemory, pending and owed ones past StallTimeout. Pending and
-// owed records, and the peer's last delivery, do not age over the
-// liveness time unseen (but no stamp moves past now). It returns how
-// many pending records expired, whether they count as a stall (the
-// peer delivered nothing in that window; otherwise they were lost on
-// the way, and expiring them only frees their slots), and the owed
-// blocks that expired.
-func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired int, stalled bool, owed []chainhash.Hash) {
+// owed records, and the peer's last delivery and last frame, do not age
+// over the liveness time unseen (but no stamp moves past now). It
+// returns how many pending records expired, whether they count as a
+// stall (the peer delivered nothing in that window; otherwise they were
+// lost on the way, and expiring them only frees their slots), whether
+// no frame came from the peer for 2×StallTimeout, and the owed blocks
+// that expired.
+func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired int, stalled, silent bool, owed []chainhash.Hash) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if unseen > 0 {
 		p.lastDelivery = notAfter(p.lastDelivery.Add(unseen), now)
+		p.lastHeard = notAfter(p.lastHeard.Add(unseen), now)
 	}
 	for k, e := range p.requested {
 		if unseen > 0 && e.state != reqDelivered {
@@ -242,7 +249,8 @@ func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired i
 		}
 		delete(p.requested, k)
 	}
-	return expired, expired > 0 && now.Sub(p.lastDelivery) > pol.StallTimeout, owed
+	stalled = expired > 0 && now.Sub(p.lastDelivery) > pol.StallTimeout
+	return expired, stalled, now.Sub(p.lastHeard) > 2*pol.StallTimeout, owed
 }
 
 // notAfter returns the earlier of t and limit.

@@ -86,7 +86,9 @@ type Policy struct {
 	SyncWindow int
 	// StallTimeout is how long a request may stay undelivered, or a
 	// dropped block owed, before the sweep ends it; an undelivered one
-	// counts as a stall if the peer delivered nothing meanwhile.
+	// counts as a stall if the peer delivered nothing meanwhile. The
+	// sweep also probes every peer every StallTimeout/2 and closes a
+	// peer that sent no frame for 2×StallTimeout.
 	StallTimeout time.Duration
 	// RequestMemory is how long a delivered request is remembered, so
 	// link-duplicated re-deliveries are not scored as unsolicited.

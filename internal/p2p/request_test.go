@@ -3,12 +3,12 @@ package p2p_test
 // Tests of the request table and its sweep: every getdata a node sends
 // has one record in the peer's table, and one liveness-clock timer
 // expires it. Each test drives a node over TCP from a hand-spoken peer
-// and moves the node's simulated clock itself (see watch); nothing
-// calls SyncPeers.
+// and moves the node's simulated clock itself (see watch).
 
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -196,7 +196,7 @@ func privateBlocks(t *testing.T, h *netHarness, n int) []*wire.MsgBlock {
 // asked for it and then says nothing. The request sweep runs on the
 // node's own timer, so once the liveness clock passes StallTimeout plus
 // one sweep the peer is charged a stall and the body is no longer in
-// flight, with no message from the peer and no SyncPeers call.
+// flight, with no message from the peer.
 func TestStallChargedOnSilentPeerByTimer(t *testing.T) {
 	checkGoroutines(t)
 	h, node, addr := listenNode(t)
@@ -321,9 +321,16 @@ func TestOrphanPenalty(t *testing.T) {
 		rp.send(wire.CmdBlock, blocks[1].Bytes())
 		rp.roundTrip()
 	}
-	// Past the request's expiry: a minute more than any time-out that
-	// could decide the charge.
-	const wait = 2*time.Minute + time.Second
+	// idle moves h's clock past the request's expiry, a minute more than
+	// any time-out that could decide the charge. rp pings the node every
+	// 30 s of it, as a live peer's traffic would: the node closes a peer
+	// it has heard nothing from for 2×StallTimeout.
+	idle := func(h *netHarness, rp *rawPeer) {
+		for d := 2*time.Minute + time.Second; d > 0; d -= 30 * time.Second {
+			watch(h, min(d, 30*time.Second))
+			rp.roundTrip()
+		}
+	}
 	penalty := p2p.DefaultPolicy().PenaltyOrphan
 
 	t.Run("unserved ancestry is charged once", func(t *testing.T) {
@@ -334,8 +341,7 @@ func TestOrphanPenalty(t *testing.T) {
 			t.Fatalf("charged %d on delivery, want 0: the body was asked for", got)
 		}
 		for i := 0; i < 2; i++ {
-			watch(h, wait)
-			rp.roundTrip()
+			idle(h, rp)
 			waitFor(t, "orphan charged", func() bool { return points() != 0 })
 			if got := points(); got != penalty {
 				t.Fatalf("charged %d after %d expiries, want %d once", got, i+1, penalty)
@@ -352,8 +358,7 @@ func TestOrphanPenalty(t *testing.T) {
 		rp.send(wire.CmdBlock, blocks[0].Bytes())
 		rp.send(wire.CmdBlock, blocks[1].Bytes())
 		waitFor(t, "both blocks connected", func() bool { return h.nodes[0].Chain().BestHeight() == 2 })
-		watch(h, wait)
-		rp.roundTrip()
+		idle(h, rp)
 		if got := points(); got != 0 {
 			t.Fatalf("charged %d, want 0: the peer served the ancestry", got)
 		}
@@ -367,12 +372,102 @@ func TestOrphanPenalty(t *testing.T) {
 		waitFor(t, "peer dropped", func() bool { return h.nodes[0].PeerCount() == 0 })
 		again := dialRawPeer(t, addr, h.params.Magic)
 		for i := 0; i < 2; i++ {
-			watch(h, wait)
-			again.roundTrip()
+			idle(h, again)
 			waitFor(t, "orphan charged", func() bool { return points() != 0 })
 			if got := points(); got != penalty {
 				t.Fatalf("charged %d after %d expiries, want %d once", got, i+1, penalty)
 			}
 		}
 	})
+}
+
+// TestSilentPeerClosedAndRedialed: a dialed peer completes the
+// handshake, sends a frame header whose length field promises a long
+// payload, and then goes quiet, as a link that corrupted a length field
+// leaves a reader. The node's reader waits for bytes that never come;
+// the sweep closes the connection, uncharged, within 2×StallTimeout plus
+// one sweep of liveness time, and the node redials the address.
+func TestSilentPeerClosedAndRedialed(t *testing.T) {
+	checkGoroutines(t)
+	h := newNetHarness(t, 1)
+	node := h.nodes[0]
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every connection the node could dial here, so the
+	// accept loop never blocks on a test that stopped receiving.
+	accepted := make(chan net.Conn, 16)
+	t.Cleanup(func() {
+		ln.Close()
+		for len(accepted) > 0 {
+			(<-accepted).Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	if err := node.Dial(ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	conn := <-accepted
+	defer conn.Close()
+	send := func(m *wire.Message) {
+		t.Helper()
+		if err := wire.WriteMessage(conn, h.params.Magic, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(&wire.Message{Command: wire.CmdVersion})
+	for {
+		m, err := wire.ReadMessage(conn, h.params.Magic)
+		if err != nil {
+			t.Fatalf("waiting for verack: %v", err)
+		}
+		if m.Command == wire.CmdVerAck {
+			break
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, conn)
+		close(closed)
+	}()
+	// A tx frame header promising 1 MiB, and nothing after it.
+	var frame bytes.Buffer
+	if err := wire.WriteMessage(&frame, h.params.Magic, &wire.Message{Command: wire.CmdTx}); err != nil {
+		t.Fatal(err)
+	}
+	header := frame.Bytes()[:24]
+	binary.LittleEndian.PutUint32(header[16:20], 1<<20)
+	if _, err := conn.Write(header); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := 2 * p2p.DefaultPolicy().StallTimeout
+	watch(h, deadline)
+	if node.PeerCount() != 1 {
+		t.Fatalf("peer closed after %v of silence, want after more than %v", deadline, deadline)
+	}
+	watch(h, time.Second)
+	if node.PeerCount() != 0 {
+		t.Fatalf("silent peer still connected after %v", deadline+time.Second)
+	}
+	<-closed
+	if got := node.BanScore("127.0.0.1"); got != 0 {
+		t.Fatalf("silent peer charged %d, want 0", got)
+	}
+	watch(h, time.Second)
+	select {
+	case again := <-accepted:
+		again.Close()
+	case <-time.After(10 * time.Second):
+		t.Fatal("the address was not redialed")
+	}
 }

@@ -115,6 +115,50 @@ func TestDoFailureStopsClaims(t *testing.T) {
 	}
 }
 
+// TestDoFailureStopsClaimsExactly holds index 0 until every other
+// worker (the caller and GOMAXPROCS−1 fresh helpers) has claimed one
+// index, then fails it; the others finish their index only once the
+// failure is recorded. A failure stops claims before it is recorded, so
+// exactly GOMAXPROCS indices run, however the workers are scheduled.
+func TestDoFailureStopsClaimsExactly(t *testing.T) {
+	const n = 64
+	for _, procs := range []int{2, 4} {
+		withProcs(t, procs)
+		waitHelpersGone(t)
+		claimed := make(chan struct{}, n) // one send per index at most
+		var ran atomic.Int32
+		// The batch is posted while any of its indices is first called.
+		var posting atomic.Pointer[batch]
+		err := Do(n, func(i int) error {
+			ran.Add(1)
+			posting.CompareAndSwap(nil, posted.Load())
+			b := posting.Load()
+			if i == 0 {
+				for k := 0; k < procs-1; k++ {
+					<-claimed
+				}
+				return errors.New("index 0")
+			}
+			claimed <- struct{}{}
+			for {
+				b.mu.Lock()
+				recorded := b.errIdx == 0
+				b.mu.Unlock()
+				if recorded {
+					return nil
+				}
+				runtime.Gosched()
+			}
+		})
+		if err == nil || err.Error() != "index 0" {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want index 0's error", procs, err)
+		}
+		if got := ran.Load(); got != int32(procs) {
+			t.Errorf("GOMAXPROCS=%d: %d indices ran, want exactly %d", procs, got, procs)
+		}
+	}
+}
+
 // TestDoInline checks that a batch of 0 or 1 index, or any batch at
 // GOMAXPROCS = 1, is the plain loop: in order, and posted to no helper.
 func TestDoInline(t *testing.T) {
