@@ -10,10 +10,10 @@ GO ?= go
 # started) get a dedicated -race pass.
 RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/... ./internal/par/... ./internal/node/...
 
-# Native fuzz targets over the attacker-facing decoders, plus the table
-# signature verifier against crypto/ecdsa and the signature DER codec
-# against encoding/asn1. Each runs for a short smoke
-# budget; override FUZZTIME for longer campaigns.
+# Native fuzz targets over the attacker-facing decoders (the overlay
+# object codec among them), plus the table signature verifier against
+# crypto/ecdsa and the signature DER codec against encoding/asn1. Each
+# runs for a short smoke budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
 .PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim sim-sweep sim-loaded recovery byzantine index-load latency-report lines
@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -fuzz FuzzTraceContextDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proof/ -fuzz FuzzProofDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logic/ -fuzz FuzzLogicDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/typecoin/ -fuzz FuzzOverlayObject -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -fuzz FuzzKVRecordDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -fuzz FuzzIndexQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bkey/ -fuzz FuzzVerifyMatchesStdlib -fuzztime $(FUZZTIME)
@@ -163,16 +164,17 @@ index-load:
 latency-report:
 	$(GO) test ./internal/netsim/ -run 'TestLatencyBudget' -count=1 -v
 
-# Byzantine-actor scenarios: seven hostile peer classes (flooder,
-# garbage-sender, inv-spammer, block-withholder, equivocator, and the
-# headers-first skeleton withholder/corrupter) attack an honest ring
-# across five seeds. SIM_SEED=<n> replays a single seed. Beside them,
-# the request-table tests: hand-spoken TCP peers that push unsolicited
-# data, stall, owe an orphan's ancestry, fill MaxInflight or go silent
-# mid-frame, and the redial of a dropped outbound peer.
+# Byzantine-actor scenarios: eight hostile peer classes (flooder,
+# garbage-sender, inv-spammer, block-withholder, equivocator, overlay
+# flooder, and the headers-first skeleton withholder/corrupter) attack
+# an honest ring across five seeds. SIM_SEED=<n> replays a single seed.
+# Beside them, the request-table tests: hand-spoken TCP peers that push
+# unsolicited data or overlay objects, stall, owe an orphan's ancestry,
+# fill MaxInflight or go silent mid-frame, the redial of a dropped
+# outbound peer, notfound answers, and the overlay's fetch by getdata.
 byzantine:
 	$(GO) test ./internal/netsim/ -race -run TestByzantineScenarios -count=1 -v
-	$(GO) test ./internal/p2p/ -race -run 'Unsolicited|Stall|Orphan|Inflight|Silent|Redial' -count=1 -v
+	$(GO) test ./internal/p2p/ -race -run 'Unsolicited|Stall|Orphan|Inflight|Silent|Redial|NotFound|Overlay' -count=1 -v
 
 # Non-test, comment-free Go lines per package directory and in total,
 # the benchmark module's included: every .go file but *_test.go, less

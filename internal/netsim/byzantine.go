@@ -20,6 +20,10 @@ package netsim
 //     the victim's sync until stall detection rotates and charges it.
 //   - Equivocator: pre-mines two conflicting low-work forks and pushes
 //     their blocks unsolicited, replaying them forever.
+//   - OverlayFlooder: pushes well-formed overlay objects that no carrier
+//     names and no one asked for. The victim drops each uncharged, so
+//     this actor is never banned: what it must not win is space, since
+//     a dropped object is neither kept, persisted nor relayed.
 //   - SkeletonWithholder: serves a valid, heavier header skeleton on
 //     getheaders and then ignores every body request — the headers-first
 //     attack surface. The victim adopts the skeleton, schedules its
@@ -42,7 +46,9 @@ import (
 
 	"typecoin/internal/chainhash"
 	"typecoin/internal/node"
+	"typecoin/internal/proof"
 	"typecoin/internal/testutil"
+	"typecoin/internal/typecoin"
 	"typecoin/internal/wire"
 )
 
@@ -313,6 +319,32 @@ func StartEquivocator(h *Harness, name string, target int) *Actor {
 		a.writeLocked(wire.CmdBlock, blocks[order[next%len(order)]])
 		next++
 	})
+}
+
+// StartOverlayFlooder launches an actor that pushes perTick distinct,
+// well-formed overlay objects every tick: Typecoin transactions that no
+// carrier commits to, unasked for. It answers every getdata with
+// notfound, as a peer that lacks what it is asked for does, so kept
+// below the policy's message rate it is never charged; the victim must
+// keep none of its objects.
+func StartOverlayFlooder(h *Harness, name string, target, perTick int) *Actor {
+	onMsg := func(a *Actor, msg *wire.Message) {
+		if msg.Command == wire.CmdGetData {
+			a.write(wire.CmdNotFound, msg.Payload)
+		}
+	}
+	return startServingActor(h, name, target, func(a *Actor) {
+		for i := 0; i < perTick && !a.dead; i++ {
+			tx := typecoin.NewTx()
+			tx.Proof = proof.V(fmt.Sprintf("x%d", a.rng.Int63()))
+			payload, err := typecoin.EncodeObject(&typecoin.FallbackList{Txs: []*typecoin.Tx{tx}})
+			if err != nil {
+				h.T.Errorf("overlay flooder: %v", err)
+				return
+			}
+			a.writeLocked(wire.CmdOverlay, payload)
+		}
+	}, onMsg, nil)
 }
 
 // skeletonFork is a pre-mined private fork a skeleton actor serves

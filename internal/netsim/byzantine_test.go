@@ -1,15 +1,18 @@
 package netsim
 
-// Byzantine scenarios: five hostile actor classes attack a 3-node honest
+// Byzantine scenarios: six hostile actor classes attack a 3-node honest
 // ring simultaneously. The harness asserts the adversarial-defense
 // invariants end to end:
 //
 //  1. every adversary is banned by its victim within bounded virtual
-//     time;
+//     time, but the overlay flooder, whose unsolicited objects are
+//     dropped uncharged: no node keeps one, so each holds exactly one
+//     ka row per carrier whose object it holds;
 //  2. resource bounds (mempool, peer counts) are never exceeded,
 //     sampled continuously while waiting;
-//  3. wallet traffic keeps flowing mid-attack: a payment broadcast
-//     during the flood relays to every mempool and confirms;
+//  3. wallet traffic keeps flowing mid-attack: a payment and a Typecoin
+//     grant's carrier broadcast during the flood relay to every mempool
+//     and confirm, and every ledger fetches the grant and applies it;
 //  4. no honest node is banned as collateral damage;
 //  5. banned actors keep redialing and are refused at accept, never
 //     re-entering the peer set;
@@ -26,10 +29,16 @@ import (
 	"testing"
 	"time"
 
+	"typecoin/internal/lf"
+	"typecoin/internal/logic"
+	"typecoin/internal/node"
 	"typecoin/internal/p2p"
+	"typecoin/internal/proof"
 	"typecoin/internal/script"
 	"typecoin/internal/telemetry"
+	"typecoin/internal/typecoin"
 	"typecoin/internal/wallet"
+	"typecoin/internal/wire"
 )
 
 // byzantineSeeds returns the scenario seed list, or the single seed from
@@ -112,10 +121,12 @@ func runByzantineScenario(t *testing.T, seed int64) {
 		"withhold":   StartWithholder(h, "withhold", victims["withhold"]),
 		"equivocate": StartEquivocator(h, "equivocate", victims["equivocate"]),
 	}
+	// Half the policy's message rate, so it is never rate-limited.
+	overlay := StartOverlayFlooder(h, "overlay", 1, 2)
 	h.Settle(5)
 
 	// Wallet traffic must keep flowing mid-attack: broadcast a payment
-	// from node 0 while all five attacks are running.
+	// and a Typecoin grant from node 0 while all six attacks are running.
 	dest, err := h.Full[1].Wallet.NewKey()
 	if err != nil {
 		t.Fatalf("destination key: %v", err)
@@ -130,21 +141,29 @@ func runByzantineScenario(t *testing.T, seed int64) {
 		t.Fatalf("broadcast payment: %v", err)
 	}
 	txid := tx.TxHash()
-	h.WaitFor("payment in every mempool during attack", func() bool {
+	grant, carrier := grantWithCarrier(t, h.Full[0])
+	if err := h.Nodes[0].BroadcastTx(carrier); err != nil {
+		t.Fatalf("broadcast grant carrier: %v", err)
+	}
+	if err := h.Nodes[0].BroadcastTypecoin(grant); err != nil {
+		t.Fatalf("broadcast grant: %v", err)
+	}
+	h.WaitFor("payment and carrier in every mempool during attack", func() bool {
 		h.AssertBounds()
 		for _, node := range h.Nodes {
-			if !node.Pool().Have(txid) {
+			if !node.Pool().Have(txid) || !node.Pool().Have(carrier.TxHash()) {
 				return false
 			}
 		}
 		return true
 	})
-	// Confirm it from the far side of the ring, still under attack.
+	// Confirm them from the far side of the ring, still under attack:
+	// node 2 then asks its peers for the grant.
 	h.Mine(2)
-	h.WaitFor("payment confirmed on every node during attack", func() bool {
+	h.WaitFor("payment confirmed and grant applied on every node during attack", func() bool {
 		h.AssertBounds()
-		for _, node := range h.Nodes {
-			if _, onChain := node.Chain().TxByID(txid); !onChain {
+		for i, node := range h.Nodes {
+			if _, onChain := node.Chain().TxByID(txid); !onChain || !h.Full[i].Ledger.Applied(carrier.TxHash()) {
 				return false
 			}
 		}
@@ -195,6 +214,22 @@ func runByzantineScenario(t *testing.T, seed int64) {
 		}
 	}
 
+	// The overlay flooder pushed on throughout, was never charged and
+	// still holds its first connection; no node kept what it sent.
+	if got := h.Nodes[1].BanScore(overlay.Name); got != 0 {
+		t.Fatalf("node 1 charged the overlay flooder %d points, want 0", got)
+	}
+	if overlay.Dials() != 1 || overlay.Sent() < 1000 {
+		t.Fatalf("overlay flooder dialed %d times and sent %d frames, want one connection and at least 1000",
+			overlay.Dials(), overlay.Sent())
+	}
+	for i, nd := range h.Full {
+		if rows := kaRows(t, nd); rows != 1 {
+			t.Fatalf("node %d holds %d ka rows, want 1: the grant's, the one carrier", i, rows)
+		}
+	}
+	overlay.Stop()
+
 	// Banned actors keep redialing; the accept path must refuse them.
 	before := make(map[string]int64)
 	for name, a := range actors {
@@ -232,6 +267,56 @@ func runByzantineScenario(t *testing.T, seed int64) {
 	h.WaitConverged()
 	h.AssertConverged()
 	h.AssertBounds()
+}
+
+// grantWithCarrier builds, on nd's wallet, a Typecoin grant of a fresh
+// token to the wallet's first key, and its carrier.
+func grantWithCarrier(t *testing.T, nd *node.Node) (*typecoin.FallbackList, *wire.MsgTx) {
+	t.Helper()
+	owner, err := nd.Wallet.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerKey, err := nd.Wallet.Key(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := typecoin.NewTx()
+	if err := grant.Basis.DeclareFam(lf.This("tok"), lf.KProp{}); err != nil {
+		t.Fatal(err)
+	}
+	grant.Grant = logic.Atom(lf.This("tok"))
+	grant.Outputs = []typecoin.Output{{Type: grant.Grant, Amount: 5_000, Owner: ownerKey.PubKey()}}
+	grant.Proof = proof.Lam{Name: "d", Ty: grant.Domain(),
+		Body: proof.LetPair{LName: "ca", RName: "r", Of: proof.V("d"),
+			Body: proof.LetPair{LName: "c", RName: "a", Of: proof.V("ca"),
+				Body: proof.V("c")}}}
+	outs, err := typecoin.CarrierOutputs(grant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wOuts := make([]wallet.Output, len(outs))
+	for i, o := range outs {
+		wOuts[i] = wallet.Output{Value: o.Value, PkScript: o.PkScript}
+	}
+	carrier, err := nd.Wallet.Build(wOuts, wallet.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &typecoin.FallbackList{Txs: []*typecoin.Tx{grant}}, carrier
+}
+
+// kaRows counts the overlay objects nd's ledger has persisted.
+func kaRows(t *testing.T, nd *node.Node) int {
+	t.Helper()
+	rows := 0
+	if err := nd.Chain.Store().Iterate([]byte("ka"), func(_, _ []byte) error {
+		rows++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func TestByzantineScenarios(t *testing.T) {

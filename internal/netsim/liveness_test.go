@@ -91,3 +91,43 @@ func TestRedialBackoffOnLivenessTime(t *testing.T) {
 		t.Fatalf("a stopped node redialed: %v attempts, had %v", got, redials)
 	}
 }
+
+// TestRedialBackoffWhenRemoteBans: a remote that has banned this node
+// accepts each redial and closes it before the handshake. Such a
+// connection does not end the redial chain: the next attempt waits twice
+// as long as the last, from the drop, so over 10 s of liveness time the
+// dials follow the doubling schedule (40, 100, 200, ... ms, each on the
+// first 20 ms tick at or past its due time) rather than one every two
+// ticks.
+func TestRedialBackoffWhenRemoteBans(t *testing.T) {
+	h := NewHarness(t, 5, 2, LinkConfig{Latency: time.Millisecond})
+	h.Connect(0, 1)
+	h.Settle(5)
+	h.Nodes[1].Ban(h.Host(0), 0)
+	h.Settle(0)
+	if h.Nodes[0].PeerCount() != 0 {
+		t.Fatalf("node 0 has %d peers after node 1 banned it, want 0", h.Nodes[0].PeerCount())
+	}
+	drop := h.Live.Now()
+	var at []time.Duration
+	for h.Live.Now().Sub(drop) < 10*time.Second {
+		before := h.Metric(0, "p2p_redials_total")
+		h.Settle(1)
+		if h.Metric(0, "p2p_redials_total") > before {
+			at = append(at, h.Live.Now().Sub(drop))
+		}
+	}
+	want := []time.Duration{40, 100, 200, 400, 800, 1600, 3200, 6400}
+	if len(at) != len(want) {
+		t.Fatalf("redials at %v, want at %v ms", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i]*time.Millisecond {
+			t.Fatalf("redials at %v, want at %v ms", at, want)
+		}
+	}
+	// Every attempt reached node 1, which refused it for the ban.
+	if got := h.Metric(1, "p2p_refused_total"); got != float64(len(want)) {
+		t.Fatalf("node 1 refused %v connections, want %d", got, len(want))
+	}
+}

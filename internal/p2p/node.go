@@ -61,9 +61,8 @@ type Node struct {
 	peers    map[int]*Peer
 	nextID   int
 	listener net.Listener
-	// dialing holds the addresses with a redial chain in flight, each
-	// with the stop function of its latest attempt's timer.
-	dialing map[string]func() bool
+	// dialing holds the addresses with a redial chain in flight.
+	dialing map[string]*redialChain
 	// stopSweep stops the request sweep's pending timer; nil until the
 	// first Listen or connection arms it.
 	stopSweep func() bool
@@ -104,7 +103,7 @@ func NewNode(c *chain.Chain, pool *mempool.Pool, logger *slog.Logger) *Node {
 		live:      c.Clock(),
 		sync:      &syncMgr{syncPeer: -1},
 		peers:     make(map[int]*Peer),
-		dialing:   make(map[string]func() bool),
+		dialing:   make(map[string]*redialChain),
 		policy:    DefaultPolicy(),
 	}
 	n.scores = n.newKeeper(n.policy)
@@ -241,10 +240,12 @@ func (n *Node) SetLivenessClock(clk clock.Clock) { n.live = clk }
 // Chain returns the node's chain.
 func (n *Node) Chain() *chain.Chain { return n.chain }
 
-// SetLedger attaches a Typecoin ledger; the node then relays Typecoin
-// transactions, fallback lists and batches to its peers, and announces
-// received ones to the ledger. The Bitcoin layer is unaffected: carriers
-// still commit only to hashes.
+// SetLedger attaches a Typecoin ledger; the node then relays overlay
+// objects (Typecoin transactions, fallback lists and batches) as it
+// relays transactions, by inv and getdata, asking for one only once a
+// main-chain carrier commits to it (Ledger.Wants), and announces the
+// ones it receives to the ledger. The Bitcoin layer is unaffected:
+// carriers still commit only to hashes.
 func (n *Node) SetLedger(l *typecoin.Ledger) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -479,12 +480,33 @@ func (n *Node) armSweepLocked(watched time.Duration) {
 	})
 }
 
-// keepDialingLocked starts a redial chain for addr unless one is in
-// flight or the node is stopped. Callers hold n.mu.
+// redialChain is one address's redial chain: the wait before its
+// latest attempt, and the stop function of that attempt's timer, nil
+// once the attempt has connected. The chain ends when that connection
+// completes its handshake (endRedial).
+type redialChain struct {
+	backoff time.Duration
+	stop    func() bool
+}
+
+// keepDialingLocked arms the next redial of addr unless an attempt is
+// armed or the node is stopped: after redialBase when no chain is in
+// flight, and after twice the last wait, at most redialCap, when the
+// chain's last attempt connected but the connection dropped before its
+// handshake, as it does when the remote has banned this node. Callers
+// hold n.mu.
 func (n *Node) keepDialingLocked(addr string) {
-	if _, inFlight := n.dialing[addr]; !inFlight && !n.stopped {
-		n.armRedialLocked(addr, redialBase)
+	if n.stopped {
+		return
 	}
+	backoff := redialBase
+	if c, inFlight := n.dialing[addr]; inFlight {
+		if c.stop != nil {
+			return
+		}
+		backoff = min(2*c.backoff, redialCap)
+	}
+	n.armRedialLocked(addr, backoff)
 }
 
 // armRedialLocked schedules a redial of addr after backoff of liveness
@@ -493,31 +515,43 @@ func (n *Node) keepDialingLocked(addr string) {
 // hold n.mu and have checked that the node is not stopped.
 func (n *Node) armRedialLocked(addr string, backoff time.Duration) {
 	n.wg.Add(1)
-	n.dialing[addr] = n.live.AfterFunc(backoff, func() {
+	n.dialing[addr] = &redialChain{backoff, n.live.AfterFunc(backoff, func() {
 		defer n.wg.Done()
 		n.redial(addr, backoff)
-	})
+	})}
 }
 
 // redial makes one attempt to reconnect an outbound address. A failed
 // attempt arms the next after twice the backoff, at most redialCap; the
-// chain ends only when an attempt connects or the node stops.
+// chain ends only when a connection completes its handshake or the node
+// stops.
 func (n *Node) redial(addr string, backoff time.Duration) {
 	n.tel.redials.Inc()
 	conn, err := n.dialOnce(addr)
 	n.mu.Lock()
-	if err != nil && !n.stopped {
+	switch {
+	case n.stopped:
+		delete(n.dialing, addr)
+	case err != nil:
 		n.armRedialLocked(addr, min(2*backoff, redialCap))
 		n.mu.Unlock()
 		n.logDebug("redial attempt failed", "addr", addr, "err", err)
 		return
+	default:
+		n.dialing[addr].stop = nil
 	}
-	// Clearing the in-flight marker before the peer registers lets an
-	// immediate re-drop start a fresh chain.
-	delete(n.dialing, addr)
 	n.mu.Unlock()
-	if conn != nil {
-		n.addConn(conn, addr)
+	if conn != nil && n.addConn(conn, addr) == nil {
+		n.endRedial(addr) // refused on this side
+	}
+}
+
+// endRedial ends addr's redial chain unless an attempt is armed.
+func (n *Node) endRedial(addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if c := n.dialing[addr]; c != nil && c.stop == nil {
+		delete(n.dialing, addr)
 	}
 }
 
@@ -628,8 +662,10 @@ func (n *Node) Stop() {
 		peers = append(peers, p)
 	}
 	timers := make([]func() bool, 0, len(n.dialing)+1)
-	for _, stop := range n.dialing {
-		timers = append(timers, stop)
+	for _, c := range n.dialing {
+		if c.stop != nil {
+			timers = append(timers, c.stop)
+		}
 	}
 	if n.stopSweep != nil {
 		timers = append(timers, n.stopSweep)
@@ -719,7 +755,7 @@ func (n *Node) readLoop(p *Peer) {
 // Once the liveness time watched since the last probe (watched, to
 // which this sweep adds its own) reaches StallTimeout/2, the sweep
 // probes: it asks every ready peer for headers, refills the body
-// windows and re-requests missing overlay objects, recovering what an
+// windows and asks for missing overlay objects, recovering what an
 // announcement lost to a partition or a dropped frame left this node
 // without. A getheaders is answered even when the peer is caught up
 // (with an empty batch), so the probe also keeps an honest peer's
@@ -753,7 +789,7 @@ func (n *Node) sweepRequests(armed time.Time, watched time.Duration) time.Durati
 	}
 	if watched >= pol.StallTimeout/2 {
 		n.resync(nil)
-		n.requestMissingTypecoin()
+		n.requestMissingObjects()
 		return 0
 	}
 	if refill {
@@ -937,6 +973,11 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 						}
 					}
 				}
+			case wire.InvTypeOverlay:
+				if ledger := n.Ledger(); ledger != nil && ledger.Wants(iv.Hash) &&
+					p.noteRequested(iv.Type, iv.Hash, now, pol.MaxInflight) {
+					want = append(want, iv)
+				}
 			}
 		}
 		if len(want) == 0 {
@@ -963,6 +1004,9 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 				fmt.Sprintf("getdata with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
 			return nil
 		}
+		// A transaction or overlay object this node cannot serve goes in
+		// one notfound. (A block it lacks is left unanswered.)
+		var missing []wire.InvVect
 		for _, iv := range invs {
 			switch iv.Type {
 			case wire.InvTypeBlock:
@@ -973,12 +1017,48 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 					n.sendTraceContext(p, telemetry.SpanBlock, iv.Hash)
 				}
 			case wire.InvTypeTx:
-				if tx, ok := n.pool.Tx(iv.Hash); ok {
-					if err := p.send(wire.CmdTx, tx.Bytes()); err != nil {
-						return err
-					}
-					n.sendTraceContext(p, telemetry.SpanTx, iv.Hash)
+				tx, ok := n.pool.Tx(iv.Hash)
+				if !ok {
+					missing = append(missing, iv)
+					continue
 				}
+				if err := p.send(wire.CmdTx, tx.Bytes()); err != nil {
+					return err
+				}
+				n.sendTraceContext(p, telemetry.SpanTx, iv.Hash)
+			case wire.InvTypeOverlay:
+				payload, ok := n.overlayPayload(iv.Hash)
+				if !ok {
+					missing = append(missing, iv)
+					continue
+				}
+				if err := p.send(wire.CmdOverlay, payload); err != nil {
+					return err
+				}
+			}
+		}
+		if len(missing) == 0 {
+			return nil
+		}
+		return p.send(wire.CmdNotFound, wire.EncodeInv(missing))
+
+	case wire.CmdNotFound:
+		invs, err := wire.DecodeInv(msg.Payload)
+		if err != nil {
+			n.penalize(p, pol.PenaltyMalformed, "malformed notfound")
+			return err
+		}
+		if len(invs) > pol.MaxInvEntries {
+			n.penalize(p, pol.PenaltyOversized,
+				fmt.Sprintf("notfound with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
+			return nil
+		}
+		// The peer answered: each request it names is settled, uncharged.
+		// A block request is not: a body is asked only of a peer that
+		// claimed its chain, so only the stall sweep ends it.
+		for _, iv := range invs {
+			if iv.Type != wire.InvTypeBlock {
+				p.consumeRequest(iv.Type, iv.Hash, now, false)
 			}
 		}
 		return nil
@@ -1030,11 +1110,6 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			n.advanceBestKnown(p, hash)
 			// Refill the freed window slot with the next needed body.
 			n.scheduleBodies(nil)
-			// The block may commit to overlay objects this node never
-			// received (gossiped into a partition); re-request them.
-			if status != chain.StatusParked {
-				n.requestMissingTypecoin()
-			}
 		case chain.StatusOrphan:
 			// The chain dropped the body: neither its header nor its
 			// parent is known. Ask this peer for the skeleton above our
@@ -1088,48 +1163,28 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		}
 		return nil
 
-	case wire.CmdTcTx, wire.CmdTcList, wire.CmdTcBatch:
+	case wire.CmdOverlay:
 		ledger := n.Ledger()
 		if ledger == nil {
 			return nil // not participating in the overlay
 		}
-		h, err := n.acceptTypecoin(ledger, msg.Command, msg.Payload)
+		obj, err := typecoin.DecodeObject(msg.Payload)
 		if err != nil {
-			n.logDebug("overlay object rejected", "peer", p.id, "command", msg.Command, "err", err)
-			// Overlay objects are checksummed end to end; an undecodable
-			// or invalid one is sender-made. The connection survives
-			// unless the score crosses the threshold.
-			n.penalize(p, pol.PenaltyMalformed, fmt.Sprintf("bad %s: %v", msg.Command, err))
+			// Checksummed end to end: an undecodable object is sender-made.
+			n.penalize(p, pol.PenaltyMalformed, fmt.Sprintf("bad overlay object: %v", err))
 			return nil
 		}
-		p.markKnown(invTypeTypecoin, h)
-		n.gossipTypecoin(msg.Command, msg.Payload, h, p)
-		return nil
-
-	case wire.CmdTcGet:
-		ledger := n.Ledger()
-		if ledger == nil {
+		h := obj.Hash()
+		p.markKnown(wire.InvTypeOverlay, h)
+		if !p.consumeRequest(wire.InvTypeOverlay, h, now, false) {
+			// Unsolicited: dropped, uncharged. An object is kept only for
+			// a carrier the chain holds, which this node then asks for
+			// (requestMissingObjects), and an honest answer can arrive
+			// after its record expired.
 			return nil
 		}
-		invs, err := wire.DecodeInv(msg.Payload)
-		if err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed tcget")
-			return err
-		}
-		if len(invs) > pol.MaxInvEntries {
-			n.penalize(p, pol.PenaltyOversized,
-				fmt.Sprintf("tcget with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
-			return nil
-		}
-		for _, iv := range invs {
-			obj, ok := ledger.KnownObject(iv.Hash)
-			if !ok {
-				continue
-			}
-			if err := n.sendTypecoinObject(p, obj); err != nil {
-				return err
-			}
-		}
+		ledger.AnnounceObject(obj)
+		n.announce(wire.InvVect{Type: wire.InvTypeOverlay, Hash: h}, p)
 		return nil
 
 	default:
@@ -1142,57 +1197,54 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	}
 }
 
-// invTypeTypecoin is the peer-known-set namespace for overlay gossip.
-const invTypeTypecoin uint32 = 0x7c
-
-// sendTypecoinObject re-encodes an announced overlay object for the
-// gossip command matching its shape (answering a tcget).
-func (n *Node) sendTypecoinObject(p *Peer, obj interface{}) error {
-	switch obj := obj.(type) {
-	case *typecoin.FallbackList:
-		if len(obj.Txs) == 1 {
-			// Singleton lists hash as their sole transaction.
-			return p.send(wire.CmdTcTx, obj.Txs[0].Bytes())
-		}
-		var buf bytes.Buffer
-		if err := wire.WriteVarInt(&buf, uint64(len(obj.Txs))); err != nil {
-			return err
-		}
-		for _, tx := range obj.Txs {
-			if err := wire.WriteVarBytes(&buf, tx.Bytes()); err != nil {
-				return err
-			}
-		}
-		return p.send(wire.CmdTcList, buf.Bytes())
-	case *typecoin.Batch:
-		return p.send(wire.CmdTcBatch, obj.Bytes())
-	default:
-		return nil
-	}
-}
-
-// requestMissingTypecoin asks every peer for overlay objects whose
-// carriers this node has seen confirm without ever receiving the object
-// (the announce-after-mine hole a partition opens), in tcgets of at
-// most MaxInvEntries entries: a peer charges a larger one as oversized.
-func (n *Node) requestMissingTypecoin() {
+// overlayPayload returns the encoding of the overlay object named h,
+// if the ledger holds it.
+func (n *Node) overlayPayload(h chainhash.Hash) ([]byte, bool) {
 	ledger := n.Ledger()
 	if ledger == nil {
+		return nil, false
+	}
+	obj, ok := ledger.KnownObject(h)
+	if !ok {
+		return nil, false
+	}
+	payload, err := typecoin.EncodeObject(obj)
+	return payload, err == nil
+}
+
+// requestMissingObjects asks every ready peer for the overlay objects
+// whose carriers are on this node's main chain while the objects are
+// not (Ledger.MissingAnnouncements), in getdatas of at most
+// MaxInvEntries entries: a peer charges a larger one as oversized. Each
+// entry is a record in the peer's request table; one still unanswered
+// there is not asked again until the sweep expires it. A peer that
+// lacks the object answers notfound.
+func (n *Node) requestMissingObjects() {
+	ledger := n.Ledger()
+	peers := n.readyPeers(nil)
+	if ledger == nil || len(peers) == 0 {
 		return
 	}
 	missing := ledger.MissingAnnouncements()
-	invs := make([]wire.InvVect, len(missing))
-	for i, h := range missing {
-		invs[i] = wire.InvVect{Type: invTypeTypecoin, Hash: h}
+	if len(missing) == 0 {
+		return
 	}
-	for limit := n.getPolicy().MaxInvEntries; len(invs) > 0; {
-		k := min(len(invs), limit)
-		payload := wire.EncodeInv(invs[:k])
-		invs = invs[k:]
-		for _, p := range n.peerSnapshot(nil) {
-			if err := p.send(wire.CmdTcGet, payload); err != nil {
-				n.logDebug("tcget send failed", "peer", p.id, "err", err)
+	pol := n.getPolicy()
+	now := n.live.Now()
+	for _, p := range peers {
+		var want []wire.InvVect
+		for _, h := range missing {
+			if !p.pending(wire.InvTypeOverlay, h) && p.noteRequested(wire.InvTypeOverlay, h, now, pol.MaxInflight) {
+				want = append(want, wire.InvVect{Type: wire.InvTypeOverlay, Hash: h})
 			}
+		}
+		for len(want) > 0 {
+			k := min(len(want), pol.MaxInvEntries)
+			if err := p.send(wire.CmdGetData, wire.EncodeInv(want[:k])); err != nil {
+				n.logDebug("overlay getdata send failed", "peer", p.id, "err", err)
+				break
+			}
+			want = want[k:]
 		}
 	}
 }
@@ -1210,110 +1262,20 @@ func (n *Node) peerSnapshot(except *Peer) []*Peer {
 	return peers
 }
 
-// acceptTypecoin decodes and announces an overlay object, returning its
-// commitment hash for gossip dedup.
-func (n *Node) acceptTypecoin(ledger *typecoin.Ledger, command string, payload []byte) (chainhash.Hash, error) {
-	switch command {
-	case wire.CmdTcTx:
-		tx, err := typecoin.DecodeBytes(payload)
-		if err != nil {
-			return chainhash.Hash{}, err
-		}
-		ledger.Announce(tx)
-		return tx.Hash(), nil
-	case wire.CmdTcList:
-		r := bytes.NewReader(payload)
-		count, err := wire.ReadVarInt(r)
-		if err != nil {
-			return chainhash.Hash{}, err
-		}
-		if count == 0 || count > 64 {
-			return chainhash.Hash{}, fmt.Errorf("p2p: implausible fallback list length %d", count)
-		}
-		list := &typecoin.FallbackList{}
-		for i := uint64(0); i < count; i++ {
-			raw, err := wire.ReadVarBytes(r, "fallback member")
-			if err != nil {
-				return chainhash.Hash{}, err
-			}
-			tx, err := typecoin.DecodeBytes(raw)
-			if err != nil {
-				return chainhash.Hash{}, err
-			}
-			list.Txs = append(list.Txs, tx)
-		}
-		if r.Len() != 0 {
-			return chainhash.Hash{}, fmt.Errorf("p2p: trailing bytes after fallback list")
-		}
-		if err := list.Validate(); err != nil {
-			return chainhash.Hash{}, err
-		}
-		ledger.AnnounceList(list)
-		return list.Hash(), nil
-	case wire.CmdTcBatch:
-		r := bytes.NewReader(payload)
-		b, err := typecoin.DecodeBatch(r)
-		if err != nil {
-			return chainhash.Hash{}, err
-		}
-		if r.Len() != 0 {
-			return chainhash.Hash{}, fmt.Errorf("p2p: trailing bytes after batch")
-		}
-		ledger.AnnounceBatch(b)
-		return b.Hash(), nil
-	default:
-		return chainhash.Hash{}, fmt.Errorf("p2p: unknown overlay command %q", command)
+// BroadcastTypecoin announces an overlay object to the node's ledger
+// and, by inv, to its peers. A peer asks for it once the object's
+// carrier is on its main chain.
+func (n *Node) BroadcastTypecoin(obj typecoin.Object) error {
+	ledger := n.Ledger()
+	if ledger == nil {
+		return errors.New("p2p: no ledger attached to serve the object")
 	}
-}
-
-// gossipTypecoin forwards an overlay payload to all peers except the
-// source, deduplicating per peer.
-func (n *Node) gossipTypecoin(command string, payload []byte, h chainhash.Hash, except *Peer) {
-	for _, p := range n.peerSnapshot(except) {
-		if p.markKnown(invTypeTypecoin, h) {
-			if err := p.send(command, payload); err != nil {
-				n.logDebug("typecoin gossip send failed", "peer", p.id, "err", err)
-			}
-		}
-	}
-}
-
-// BroadcastTypecoinTx announces a Typecoin transaction locally and
-// gossips it to the overlay.
-func (n *Node) BroadcastTypecoinTx(tx *typecoin.Tx) {
-	if ledger := n.Ledger(); ledger != nil {
-		ledger.Announce(tx)
-	}
-	n.gossipTypecoin(wire.CmdTcTx, tx.Bytes(), tx.Hash(), nil)
-}
-
-// BroadcastTypecoinList announces a fallback list and gossips it.
-func (n *Node) BroadcastTypecoinList(list *typecoin.FallbackList) error {
-	if err := list.Validate(); err != nil {
+	if _, err := typecoin.EncodeObject(obj); err != nil {
 		return err
 	}
-	if ledger := n.Ledger(); ledger != nil {
-		ledger.AnnounceList(list)
-	}
-	var buf bytes.Buffer
-	if err := wire.WriteVarInt(&buf, uint64(len(list.Txs))); err != nil {
-		return err
-	}
-	for _, tx := range list.Txs {
-		if err := wire.WriteVarBytes(&buf, tx.Bytes()); err != nil {
-			return err
-		}
-	}
-	n.gossipTypecoin(wire.CmdTcList, buf.Bytes(), list.Hash(), nil)
+	ledger.AnnounceObject(obj)
+	n.announce(wire.InvVect{Type: wire.InvTypeOverlay, Hash: obj.Hash()}, nil)
 	return nil
-}
-
-// BroadcastTypecoinBatch announces a batch and gossips it.
-func (n *Node) BroadcastTypecoinBatch(b *typecoin.Batch) {
-	if ledger := n.Ledger(); ledger != nil {
-		ledger.AnnounceBatch(b)
-	}
-	n.gossipTypecoin(wire.CmdTcBatch, b.Bytes(), b.Hash(), nil)
 }
 
 // announce gossips an inventory item to all peers except the source.
@@ -1357,9 +1319,14 @@ func (n *Node) BroadcastBlock(blk *wire.MsgBlock) error {
 	return nil
 }
 
-// onChainChange announces newly connected main-chain blocks.
+// onChainChange announces newly connected main-chain blocks, and asks
+// the peers for the overlay objects the block's carriers commit to that
+// the ledger lacks. The ledger has seen the block's carriers if it
+// subscribed to the chain first, as node.Open orders it; otherwise the
+// sweep's next probe asks.
 func (n *Node) onChainChange(ev chain.Notification) {
 	if ev.Connected {
 		n.announce(wire.InvVect{Type: wire.InvTypeBlock, Hash: ev.Block.BlockHash()}, nil)
+		n.requestMissingObjects()
 	}
 }

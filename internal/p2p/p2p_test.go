@@ -32,20 +32,47 @@ type netHarness struct {
 
 func newNetHarness(t *testing.T, n int) *netHarness {
 	t.Helper()
+	h, _ := newHarness(t, n, false)
+	return h
+}
+
+// newLedgerHarness is newNetHarness with a ledger on every node,
+// persisted in the node's chain store and opened before its p2p node,
+// as node.Open orders them: a ledger has seen a block's carriers by the
+// time its p2p node hears of the block.
+func newLedgerHarness(t *testing.T, n int) (*netHarness, []*typecoin.Ledger) {
+	t.Helper()
+	return newHarness(t, n, true)
+}
+
+func newHarness(t *testing.T, n int, withLedgers bool) (*netHarness, []*typecoin.Ledger) {
+	t.Helper()
 	params := chain.RegTestParams()
 	clk := clock.NewSimulated(params.GenesisBlock.Header.Timestamp.Add(time.Minute))
 	h := &netHarness{params: params, clk: clk}
+	var ledgers []*typecoin.Ledger
 	for i := 0; i < n; i++ {
 		c := chain.New(params, clk)
-		pool := mempool.New(c, -1)
-		h.nodes = append(h.nodes, p2p.NewNode(c, pool, nil))
+		var ledger *typecoin.Ledger
+		if withLedgers {
+			var err error
+			if ledger, err = typecoin.OpenLedger(c, 1); err != nil {
+				t.Fatal(err)
+			}
+			ledgers = append(ledgers, ledger)
+		}
+		node := p2p.NewNode(c, mempool.New(c, -1), nil)
+		if ledger != nil {
+			node.SetLedger(ledger)
+		}
+		h.nodes = append(h.nodes, node)
 	}
 	t.Cleanup(func() {
 		for _, node := range h.nodes {
 			node.Stop()
 		}
 	})
-	return h
+	return h, ledgers
 }
 
 // waitFor polls until cond is true or the deadline passes.
@@ -344,12 +371,7 @@ func TestInvalidBlockDoesNotKillPeer(t *testing.T) {
 // TestTypecoinOverlayGossip: typecoin announcements relay across the
 // network; every node's ledger converges without manual announcement.
 func TestTypecoinOverlayGossip(t *testing.T) {
-	h := newNetHarness(t, 3)
-	ledgers := make([]*typecoin.Ledger, 3)
-	for i, n := range h.nodes {
-		ledgers[i] = typecoin.NewLedger(n.Chain(), 1)
-		n.SetLedger(ledgers[i])
-	}
+	h, ledgers := newLedgerHarness(t, 3)
 	p2p.ConnectPipe(h.nodes[0], h.nodes[1])
 	p2p.ConnectPipe(h.nodes[1], h.nodes[2])
 
@@ -401,12 +423,15 @@ func TestTypecoinOverlayGossip(t *testing.T) {
 	if err := h.nodes[0].BroadcastTx(carrier); err != nil {
 		t.Fatal(err)
 	}
-	h.nodes[0].BroadcastTypecoinTx(tcTx)
+	if err := h.nodes[0].BroadcastTypecoin(&typecoin.FallbackList{Txs: []*typecoin.Tx{tcTx}}); err != nil {
+		t.Fatal(err)
+	}
 
 	waitFor(t, "carrier reaches node 2", func() bool {
 		return h.nodes[2].Pool().Have(carrier.TxHash())
 	})
-	// Mine on node 0; every ledger must apply via its own gossiped copy.
+	// Mine on node 0; every other node asks for the object once the
+	// carrier confirms, and every ledger applies its own copy.
 	h.clk.Advance(time.Minute)
 	if _, _, err := m.Mine(payout); err != nil {
 		t.Fatal(err)
@@ -574,7 +599,7 @@ func TestSetLedgerConcurrentWithGossip(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			var buf bytes.Buffer
 			if err := wire.WriteMessage(&buf, wire.RegTestMagic, &wire.Message{
-				Command: wire.CmdTcTx, Payload: []byte{0xde, 0xad}}); err != nil {
+				Command: wire.CmdOverlay, Payload: []byte{0xde, 0xad}}); err != nil {
 				return
 			}
 			if _, err := conn.Write(buf.Bytes()); err != nil {
@@ -594,16 +619,13 @@ func TestSetLedgerConcurrentWithGossip(t *testing.T) {
 
 // TestMissingOverlayRequestsStayUnderInvCap: a node that has seen
 // MaxInvEntries+1 carriers confirm without their overlay objects asks
-// its peers for them in tcgets of at most MaxInvEntries entries, so an
-// honest peer neither charges it as oversized nor ignores the request:
-// the one object the peer holds arrives, and the peer scores nothing.
+// its peers for them in getdatas of at most MaxInvEntries entries, so
+// an honest peer neither charges it as oversized nor ignores the
+// request: the one object the peer holds arrives, the peer answers the
+// other 1 000 entries with notfound, and neither node charges the other
+// anything, for the getdatas or for the notfounds.
 func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
-	h := newNetHarness(t, 2)
-	ledgers := make([]*typecoin.Ledger, 2)
-	for i, n := range h.nodes {
-		ledgers[i] = typecoin.NewLedger(n.Chain(), 1)
-		n.SetLedger(ledgers[i])
-	}
+	h, ledgers := newLedgerHarness(t, 2)
 	w := wallet.New(h.nodes[0].Chain(), testutil.NewEntropy(t.Name()))
 	payout, err := w.NewKey()
 	if err != nil {
@@ -658,7 +680,9 @@ func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
 		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.DefaultPolicy().MaxInvEntries+1)
 	}
 
-	// A block node 0 accepts from node 1 makes it ask for what it misses.
+	// A block node 0 accepts from node 1 makes it ask for what it
+	// misses, and node 1, which mined it, asks node 0 for the 1 000
+	// objects it misses.
 	p2p.ConnectPipe(h.nodes[0], h.nodes[1])
 	if _, _, err := miner.New(h.nodes[1].Chain(), nil, h.clk).Mine(payout); err != nil {
 		t.Fatal(err)
@@ -667,7 +691,20 @@ func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
 		_, ok := ledgers[0].KnownObject(held.Hash())
 		return ok
 	})
-	if got := h.nodes[1].BanScore("pipe"); got != 0 {
-		t.Fatalf("node 1 charged node 0 %d for its overlay requests, want 0", got)
+	if got := len(ledgers[0].MissingAnnouncements()); got != p2p.DefaultPolicy().MaxInvEntries {
+		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.DefaultPolicy().MaxInvEntries)
+	}
+	// Each node handles its peer's frames in order, so once node 0 holds
+	// a second block of node 1's, each has handled the other's notfounds.
+	if _, _, err := miner.New(h.nodes[1].Chain(), nil, h.clk).Mine(payout); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "node 0 connects node 1's second block", func() bool {
+		return h.nodes[0].Chain().BestHash() == h.nodes[1].Chain().BestHash()
+	})
+	for i, n := range h.nodes {
+		if got := n.BanScore("pipe"); got != 0 {
+			t.Fatalf("node %d charged its peer %d for overlay getdatas and notfounds, want 0", i, got)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package p2p implements the peer-to-peer network layer: nodes exchange
-// inventory announcements, transactions and blocks over duplex byte
-// streams (net.Pipe in-process for deterministic tests and simulations,
-// TCP between real processes), using the framed message envelope from the
-// wire package.
+// inventory announcements, transactions, blocks and Typecoin overlay
+// objects over duplex byte streams (net.Pipe in-process for
+// deterministic tests and simulations, TCP between real processes),
+// using the framed message envelope from the wire package.
 //
 // This supplies the "peer-to-peer" half of the paper's title: Typecoin
 // inherits commitment from a network of mutually untrusting nodes that
@@ -187,11 +187,11 @@ func (p *Peer) blocksIn(st reqState) []chainhash.Hash {
 	return out
 }
 
-// blockPending reports whether the block's body is in flight to p.
-func (p *Peer) blockPending(hash [32]byte) bool {
+// pending reports whether a getdata for the object is unanswered on p.
+func (p *Peer) pending(typ uint32, hash [32]byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.requested[invKey{wire.InvTypeBlock, hash}]
+	e, ok := p.requested[invKey{typ, hash}]
 	return ok && e.state == reqPending
 }
 

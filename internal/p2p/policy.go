@@ -16,7 +16,8 @@ import "time"
 // the peer delivered nothing in that window, and an owed block
 // (answered with a body the chain dropped) whose header is still
 // unknown is charged PenaltyOrphan then, or when the peer drops,
-// whichever comes first.
+// whichever comes first. A notfound answers the transaction and
+// overlay records it names, uncharged, as a delivery would.
 //
 // Penalty calibration matters as much as the mechanism. Honest peers on
 // faulty links trip some of these paths — a corrupted frame fails its
@@ -53,7 +54,7 @@ type Policy struct {
 	// PenaltyUnsolicited scores delivery of a block nobody asked for
 	// that did not advance the chain (duplicates, stale forks).
 	PenaltyUnsolicited int32
-	// PenaltyOversized scores an inventory or getdata batch beyond
+	// PenaltyOversized scores an inv, getdata or notfound batch beyond
 	// MaxInvEntries.
 	PenaltyOversized int32
 	// PenaltyStall scores a sweep that expired undelivered requests of
@@ -76,7 +77,7 @@ type Policy struct {
 	ByteRate  float64
 	ByteBurst float64
 
-	// MaxInvEntries caps inv/getdata/tcget batch sizes.
+	// MaxInvEntries caps inv, getdata and notfound batch sizes.
 	MaxInvEntries int
 	// MaxInflight caps tracked outstanding getdata requests per peer.
 	MaxInflight int

@@ -14,6 +14,7 @@ import (
 	"typecoin/internal/lf"
 	"typecoin/internal/logic"
 	"typecoin/internal/netsim"
+	"typecoin/internal/p2p"
 	"typecoin/internal/proof"
 	"typecoin/internal/typecoin"
 	"typecoin/internal/wallet"
@@ -118,6 +119,14 @@ func buildCarrier(t *testing.T, w *wallet.Wallet, tc *typecoin.Tx) *wire.MsgTx {
 	return carrier
 }
 
+// broadcastTypecoin announces tc on n's overlay.
+func broadcastTypecoin(t *testing.T, n *p2p.Node, tc *typecoin.Tx) {
+	t.Helper()
+	if err := n.BroadcastTypecoin(&typecoin.FallbackList{Txs: []*typecoin.Tx{tc}}); err != nil {
+		t.Fatalf("broadcast typecoin %s: %v", tc.Hash(), err)
+	}
+}
+
 // spendProof is the standard proof term for a single-input, single-output
 // spend: project the resource component A out of the domain C ⊗ A ⊗ R.
 func spendProof(tc *typecoin.Tx) proof.Term {
@@ -137,8 +146,9 @@ func spendProof(tc *typecoin.Tx) proof.Term {
 //     (confirmed on side A) and cB (confirmed on side B, which mines
 //     more blocks and wins the chain race);
 //  4. heal; every node must reorg to side B's chain, roll back tcA,
-//     fetch tcB's announcement over the overlay (tcget), apply it, and
-//     pass all four convergence invariants.
+//     fetch tcB's object with a getdata (a side-A node asks its peers
+//     for it once carrier cB is on its main chain), apply it, and pass
+//     all four convergence invariants.
 func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	t.Helper()
 	h := netsim.NewHarness(t, seed, 4, simFaults())
@@ -179,7 +189,7 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	if err := h.Nodes[0].BroadcastTx(grantCarrier); err != nil {
 		t.Fatalf("broadcast grant carrier: %v", err)
 	}
-	h.Nodes[0].BroadcastTypecoinTx(grant)
+	broadcastTypecoin(t, h.Nodes[0], grant)
 	h.Settle(10)
 	h.Net.Unstall(h.Host(0), h.Host(1))
 
@@ -237,7 +247,7 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	if err := h.Nodes[0].BroadcastTx(carrierA); err != nil {
 		t.Fatalf("broadcast carrier A: %v", err)
 	}
-	h.Nodes[0].BroadcastTypecoinTx(tcA)
+	broadcastTypecoin(t, h.Nodes[0], tcA)
 	h.MineN(0, 2)
 	for _, i := range []int{0, 1} {
 		i := i
@@ -250,7 +260,7 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	if err := h.Nodes[2].BroadcastTx(carrierB); err != nil {
 		t.Fatalf("broadcast carrier B: %v", err)
 	}
-	h.Nodes[2].BroadcastTypecoinTx(tcB)
+	broadcastTypecoin(t, h.Nodes[2], tcB)
 	h.MineN(2, 3)
 	for _, i := range []int{2, 3} {
 		i := i
@@ -268,8 +278,9 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 	}
 
 	// Heal. Side B's chain is longer, so every node must reorg onto it,
-	// roll tcA back, and adopt tcB (fetching its announcement via tcget —
-	// the gossip was swallowed by the partition).
+	// roll tcA back, and adopt tcB: the partition swallowed node 2's inv
+	// of it, so a side-A node asks every peer for it by getdata once cB
+	// is on its main chain, and a peer that lacks it answers notfound.
 	h.Heal()
 	healTicks := h.WaitConverged()
 	for i := range h.Full {

@@ -82,9 +82,10 @@ func (n *Node) requestHeaders(p *Peer) {
 	}
 }
 
-// onPeerReady runs once per peer when its handshake completes: the
-// first ready peer is elected sync peer and asked for the skeleton, and
-// every new peer is immediately eligible for body downloads.
+// onPeerReady runs once per peer when its handshake completes: a dialed
+// peer's redial chain ends, the first ready peer is elected sync peer
+// and asked for the skeleton, and every new peer is immediately
+// eligible for body downloads.
 func (n *Node) onPeerReady(p *Peer) {
 	p.mu.Lock()
 	started := p.syncStarted
@@ -93,6 +94,7 @@ func (n *Node) onPeerReady(p *Peer) {
 	if started {
 		return
 	}
+	n.endRedial(p.dialAddr)
 	sm := n.sync
 	sm.mu.Lock()
 	if sm.syncPeer < 0 {
@@ -154,7 +156,7 @@ func (n *Node) requestBody(p *Peer, hash chainhash.Hash, now time.Time, maxInfli
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	for _, q := range n.peerSnapshot(p) {
-		if q.blockPending(hash) {
+		if q.pending(wire.InvTypeBlock, hash) {
 			return false
 		}
 	}

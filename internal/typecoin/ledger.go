@@ -1,6 +1,7 @@
 package typecoin
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -33,10 +34,8 @@ type Ledger struct {
 
 	mu    sync.Mutex
 	state *State
-	// known maps a commitment hash to the announced object: a
-	// *FallbackList (ordinary transactions are singleton lists) or a
-	// *Batch.
-	known map[chainhash.Hash]interface{}
+	// known maps a commitment hash to the announced object.
+	known map[chainhash.Hash]Object
 	// waiting maps carrier txid -> commitment hash for confirmed-but-not-
 	// yet-deep-enough carriers.
 	waiting map[chainhash.Hash]chainhash.Hash
@@ -93,7 +92,7 @@ func newLedger(c *chain.Chain, minConf int, st store.Store) *Ledger {
 		minConf: minConf,
 		st:      st,
 		state:   NewState(),
-		known:   make(map[chainhash.Hash]interface{}),
+		known:   make(map[chainhash.Hash]Object),
 		waiting: make(map[chainhash.Hash]chainhash.Hash),
 		seen:    make(map[chainhash.Hash][]chainhash.Hash),
 		applied: make(map[chainhash.Hash]bool),
@@ -129,14 +128,19 @@ func (l *Ledger) AnnounceBatch(b *Batch) {
 	l.announce(b.Hash(), b)
 }
 
-func (l *Ledger) announce(h chainhash.Hash, obj interface{}) {
+// AnnounceObject registers an overlay object of either kind.
+func (l *Ledger) AnnounceObject(o Object) {
+	l.announce(o.Hash(), o)
+}
+
+func (l *Ledger) announce(h chainhash.Hash, obj Object) {
 	// l.mu is held from the known insert to the store write, so rows
 	// land in announcement order.
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Announcements travel out of band and cannot be rederived from the
 	// chain, so a new one is persisted the moment it arrives.
-	var fresh interface{}
+	var fresh Object
 	if _, ok := l.known[h]; !ok {
 		l.known[h], fresh = obj, obj
 	}
@@ -528,20 +532,30 @@ func (l *Ledger) CheckInstance(tx *Tx) error {
 // currently known announcement set.
 func (l *Ledger) Rescan() { l.rebuild() }
 
-// KnownObject returns the announced object (a *FallbackList or *Batch)
-// for a commitment hash, so a node can answer overlay re-requests
-// (tcget) from peers that saw the carrier confirm without the object.
-func (l *Ledger) KnownObject(h chainhash.Hash) (interface{}, bool) {
+// KnownObject returns the announced object for a commitment hash, so a
+// node can answer a peer's getdata for it.
+func (l *Ledger) KnownObject(h chainhash.Hash) (Object, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	obj, ok := l.known[h]
 	return obj, ok
 }
 
+// Wants reports whether a carrier on the main chain commits to h and the
+// object h names has not been announced: the one case in which a node
+// asks its peers for an overlay object.
+func (l *Ledger) Wants(h chainhash.Hash) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, known := l.known[h]
+	return !known && len(l.seen[h]) > 0
+}
+
 // MissingAnnouncements returns the commitment hashes of metadata-bearing
 // carriers observed on the main chain whose Typecoin objects have never
-// been announced to this ledger — the set to re-request from peers after
-// a partition heals.
+// been announced to this ledger: every h for which Wants holds, in hash
+// order, so a node that asks its peers for them asks in the same order
+// on every run.
 func (l *Ledger) MissingAnnouncements() []chainhash.Hash {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -551,6 +565,7 @@ func (l *Ledger) MissingAnnouncements() []chainhash.Hash {
 			missing = append(missing, h)
 		}
 	}
+	slices.SortFunc(missing, func(a, b chainhash.Hash) int { return bytes.Compare(a[:], b[:]) })
 	return missing
 }
 

@@ -6,15 +6,17 @@ package typecoin
 // recovered chain. What is persisted is the one input the chain cannot
 // reproduce:
 //
-//	ka + commitment hash -> announced object ('L' fallback list / 'B'
-//	                        batch). Announcements arrive out of band and
-//	                        are written at Announce time.
+//	ka + commitment hash -> announced object, in the one overlay object
+//	                        encoding (EncodeObject). Announcements
+//	                        arrive out of band and are written at
+//	                        Announce time.
 //
 // The running ledger never reads the store.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 
 	"typecoin/internal/chain"
 	"typecoin/internal/chainhash"
@@ -23,66 +25,110 @@ import (
 
 func keyKnown(h chainhash.Hash) []byte { return append([]byte("ka"), h[:]...) }
 
+// Object is an overlay object: a *FallbackList (an ordinary transaction
+// is a singleton list) or a *Batch, named by the commitment hash its
+// carrier's metadata key holds.
+type Object interface{ Hash() chainhash.Hash }
+
+// The object encoding is a kind byte, then for a list ('L') its member
+// count in one byte and each member as a 3-byte little-endian length and
+// the member's encoding, and for a batch ('B') the batch's encoding. It
+// is both the ka row and the payload of the p2p overlay command.
 const (
-	annKindList  = 'L'
-	annKindBatch = 'B'
+	objKindList  = 'L'
+	objKindBatch = 'B'
+	// maxListMembers bounds a fallback list's primary and fallbacks.
+	maxListMembers = 64
 )
 
-func encodeAnnouncement(obj interface{}) []byte {
-	switch obj := obj.(type) {
+// errBadObject reports an object encoding that does not decode, or
+// decodes to an object that does not encode back to the same bytes.
+var errBadObject = errors.New("typecoin: malformed overlay object")
+
+// EncodeObject returns o's encoding. It fails for an object no peer
+// would accept: an empty list, one of more than 64 members, or one whose
+// members do not share a carrier (FallbackList.Validate).
+func EncodeObject(o Object) ([]byte, error) {
+	switch o := o.(type) {
 	case *FallbackList:
-		out := []byte{annKindList, byte(len(obj.Txs))}
-		for _, tx := range obj.Txs {
-			b := tx.Bytes()
+		if len(o.Txs) > maxListMembers {
+			return nil, fmt.Errorf("%w: %d list members, at most %d", errBadObject, len(o.Txs), maxListMembers)
+		}
+		if err := o.Validate(); err != nil {
+			return nil, err
+		}
+		out := []byte{objKindList, byte(len(o.Txs))}
+		for _, tx := range o.Txs {
+			b, _, err := tx.encoded()
+			if err != nil {
+				return nil, err
+			}
+			if len(b) >= 1<<24 {
+				return nil, fmt.Errorf("%w: %d-byte list member", errBadObject, len(b))
+			}
 			out = append(out, byte(len(b)), byte(len(b)>>8), byte(len(b)>>16))
 			out = append(out, b...)
 		}
-		return out
+		return out, nil
 	case *Batch:
-		return append([]byte{annKindBatch}, obj.Bytes()...)
+		var buf bytes.Buffer
+		buf.WriteByte(objKindBatch)
+		if err := o.Encode(&buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
 	default:
-		return nil
+		return nil, fmt.Errorf("%w: %T", errBadObject, o)
 	}
 }
 
-func decodeAnnouncement(b []byte) (interface{}, error) {
-	bad := errors.New("typecoin: corrupt announcement row")
-	if len(b) < 1 {
-		return nil, bad
+// DecodeObject parses an object encoding. It accepts only what
+// EncodeObject produces: a list of 1 to 64 members that pass
+// FallbackList.Validate, or a batch, with no trailing bytes and in the
+// canonical form, so an accepted payload re-encodes to itself.
+func DecodeObject(b []byte) (Object, error) {
+	if len(b) < 2 {
+		return nil, errBadObject
 	}
+	var o Object
 	switch b[0] {
-	case annKindList:
-		if len(b) < 2 {
-			return nil, bad
-		}
-		n := int(b[1])
-		b = b[2:]
+	case objKindList:
 		list := &FallbackList{}
-		for i := 0; i < n; i++ {
-			if len(b) < 3 {
-				return nil, bad
+		for rest := b[2:]; len(list.Txs) < int(b[1]); {
+			if len(rest) < 3 {
+				return nil, errBadObject
 			}
-			l := int(b[0]) | int(b[1])<<8 | int(b[2])<<16
-			b = b[3:]
-			if len(b) < l {
-				return nil, bad
+			l := int(rest[0]) | int(rest[1])<<8 | int(rest[2])<<16
+			if len(rest) < 3+l {
+				return nil, errBadObject
 			}
-			tx, err := DecodeBytes(b[:l])
+			tx, err := DecodeBytes(rest[3 : 3+l])
 			if err != nil {
 				return nil, err
 			}
 			list.Txs = append(list.Txs, tx)
-			b = b[l:]
+			rest = rest[3+l:]
 		}
-		if len(b) != 0 {
-			return nil, bad
+		o = list
+	case objKindBatch:
+		batch, err := DecodeBatch(bytes.NewReader(b[1:]))
+		if err != nil {
+			return nil, err
 		}
-		return list, nil
-	case annKindBatch:
-		return DecodeBatch(bytes.NewReader(b[1:]))
+		o = batch
 	default:
-		return nil, bad
+		return nil, errBadObject
 	}
+	// Re-encoding runs EncodeObject's checks and rejects trailing bytes
+	// and non-canonical forms at once.
+	enc, err := EncodeObject(o)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(enc, b) {
+		return nil, errBadObject
+	}
+	return o, nil
 }
 
 // OpenLedger creates a ledger persisted in c's store: previously
@@ -95,7 +141,7 @@ func OpenLedger(c *chain.Chain, minConf int) (*Ledger, error) {
 		if len(k) != 2+32 {
 			return errors.New("typecoin: malformed ka key")
 		}
-		obj, err := decodeAnnouncement(v)
+		obj, err := DecodeObject(v)
 		if err != nil {
 			return err
 		}
@@ -121,25 +167,29 @@ func OpenLedger(c *chain.Chain, minConf int) (*Ledger, error) {
 // persistLocked writes the ka row of a newly announced obj (nil when
 // the caller announced nothing), behind any batch the store refused
 // earlier. Caller holds l.mu. A no-op for memory-only ledgers and when
-// there is nothing to write.
-func (l *Ledger) persistLocked(h chainhash.Hash, obj interface{}) {
+// there is nothing to write; an object EncodeObject refuses is not
+// written, as it can never apply (its list fails Validate) or reach a
+// peer.
+func (l *Ledger) persistLocked(h chainhash.Hash, obj Object) {
 	if l.st == nil {
 		return
 	}
 	b := l.unwritten
-	if enc := encodeAnnouncement(obj); enc != nil {
-		if b == nil {
-			b = store.NewBatch()
+	if obj != nil {
+		if enc, err := EncodeObject(obj); err == nil {
+			if b == nil {
+				b = store.NewBatch()
+			}
+			b.Put(keyKnown(h), enc)
 		}
-		b.Put(keyKnown(h), enc)
 	}
 	if b == nil {
 		return
 	}
 	// A refused Apply took nothing. Its rows are kept and retried ahead
 	// of the next announcement's, or on the next block connect, whichever
-	// comes first. If the process dies first, peers re-supply a lost
-	// announcement (tcget).
+	// comes first. If the process dies first, the p2p node asks its
+	// peers for the object again once its carrier is on the chain.
 	l.unwritten = nil
 	if l.st.Apply(b) != nil {
 		l.unwritten = b

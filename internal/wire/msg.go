@@ -36,15 +36,16 @@ const (
 	CmdPing       = "ping"
 	CmdPong       = "pong"
 
-	// Typecoin overlay gossip: the full Typecoin objects travel between
-	// interested parties; the Bitcoin chain itself sees only hashes.
-	CmdTcTx    = "tctx"
-	CmdTcList  = "tclist"
-	CmdTcBatch = "tcbatch"
-	// CmdTcGet requests announced overlay objects by commitment hash
-	// (inv-encoded); a node that saw a carrier confirm without ever
-	// receiving the object re-requests it this way after a partition.
-	CmdTcGet = "tcget"
+	// CmdNotFound answers the getdata entries for transactions and
+	// overlay objects the sender cannot serve (inv-encoded), so the
+	// requester ends those requests at once instead of waiting them out.
+	CmdNotFound = "notfound"
+
+	// CmdOverlay carries one Typecoin overlay object, the answer to a
+	// getdata entry of InvTypeOverlay. The chain sees only the object's
+	// commitment hash; the object itself travels here, in the encoding
+	// of typecoin.EncodeObject.
+	CmdOverlay = "overlay"
 
 	// CmdTrace carries an optional latency trace context alongside a tx
 	// or block relay (see trace.go). Peers that predate it treat it as
@@ -129,19 +130,23 @@ func ReadMessage(r io.Reader, magic uint32) (*Message, error) {
 	return &Message{Command: cmd, Payload: payload}, nil
 }
 
-// Inventory vector types.
+// Inventory vector types. An overlay object (a Typecoin transaction,
+// fallback list or batch) is named by its commitment hash.
 const (
-	InvTypeTx    uint32 = 1
-	InvTypeBlock uint32 = 2
+	InvTypeTx      uint32 = 1
+	InvTypeBlock   uint32 = 2
+	InvTypeOverlay uint32 = 3
 )
 
-// InvVect names an object (transaction or block) by type and hash.
+// InvVect names an object (transaction, block or overlay object) by type
+// and hash.
 type InvVect struct {
 	Type uint32
 	Hash chainhash.Hash
 }
 
-// EncodeInv serializes an inventory list (shared by inv and getdata).
+// EncodeInv serializes an inventory list (shared by inv, getdata and
+// notfound).
 func EncodeInv(invs []InvVect) []byte {
 	out := make([]byte, 0, VarIntSerializeSize(uint64(len(invs)))+len(invs)*(4+chainhash.HashSize))
 	out = AppendVarInt(out, uint64(len(invs)))
