@@ -1,13 +1,14 @@
 GO ?= go
 
 # Packages whose correctness depends on concurrency (the parallel block
-# validation pipeline, the p2p node and its fault simulator, the ledger
-# whose mutex chain subscribers, p2p and RPC all take, the global basis
-# whose immutable layers the ledger, batch servers and verifiers read
-# without a lock, the script engine and the signer that par's helpers
-# run for block connect, mempool admission and the wallet, and par
-# itself, and the node assembly whose Close must stop every goroutine it
-# started) get a dedicated -race pass.
+# validation pipeline, the verdict set that mempool admission fills and
+# block connect reads and drains, the p2p node and its fault simulator,
+# the ledger whose mutex chain subscribers, p2p and RPC all take, the
+# global basis whose immutable layers the ledger, batch servers and
+# verifiers read without a lock, the script engine and the signer that
+# par's helpers run for block connect, mempool admission and the wallet,
+# and par itself, and the node assembly whose Close must stop every
+# goroutine it started) get a dedicated -race pass.
 RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... ./internal/wire/... ./internal/miner/... ./internal/p2p/... ./internal/netsim/... ./internal/clock/... ./internal/store/... ./internal/banscore/... ./internal/telemetry/... ./internal/index/... ./internal/crashpoint/... ./internal/typecoin/... ./internal/logic/... ./internal/lf/... ./internal/batch/... ./internal/script/... ./internal/wallet/... ./internal/bkey/... ./internal/par/... ./internal/node/...
 
 # Native fuzz targets over the attacker-facing decoders (the overlay
@@ -33,7 +34,10 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# check also sweeps the partition scenario over fifty seeds (about 2 s),
+# so a p2p change that breaks a seed beyond tier-1's five fails here.
 check: vet build test race portable bench-module chaos examples
+	$(MAKE) sim-sweep SIM_SEEDS=1-50
 
 # On amd64 internal/bkey multiplies field elements in Go's assembly; on
 # every other GOARCH, and under the purego tag, in fiat's Go alone. Test

@@ -22,6 +22,7 @@ import (
 	"typecoin/internal/index"
 	"typecoin/internal/lf"
 	"typecoin/internal/logic"
+	"typecoin/internal/mempool"
 	"typecoin/internal/miner"
 	"typecoin/internal/proof"
 	"typecoin/internal/script"
@@ -154,10 +155,16 @@ func newConnectBenchSetup(b *testing.B) *connectBenchSetup {
 	}
 }
 
-// freshChain replays the funding blocks onto a new chain with the given
-// signature cache (nil = none).
-func (s *connectBenchSetup) freshChain(b *testing.B, sc *sigcache.Cache) *chain.Chain {
-	c, err := chain.Open(chain.Config{Params: s.params, Clock: s.clk, SigCache: sc})
+// freshChain replays the funding blocks onto a new chain over st (nil:
+// in memory). With admit, the chain keeps a verdict set and the final
+// block's transactions are first admitted through a mempool, as relay
+// would have done; without, connect verifies every input in full.
+func (s *connectBenchSetup) freshChain(b *testing.B, st store.Store, admit bool) *chain.Chain {
+	cfg := chain.Config{Params: s.params, Clock: s.clk, Store: st}
+	if admit {
+		cfg.SigCache = sigcache.New(sigcache.DefaultCapacity)
+	}
+	c, err := chain.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,58 +173,50 @@ func (s *connectBenchSetup) freshChain(b *testing.B, sc *sigcache.Cache) *chain.
 			b.Fatalf("funding block: status %v, err %v", status, err)
 		}
 	}
+	if admit {
+		pool := mempool.New(c, 0) // the block's transactions pay no fee
+		for _, tx := range s.final.Transactions[1:] {
+			if _, err := pool.Accept(tx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	return c
 }
 
 // BenchmarkConnectBlock compares connecting a 64-transaction block of
-// 256 signed inputs with no signature cache (every signature checked in
-// full) against a cache warmed as the mempool would have at relay time.
-// Both fan the script checks out over GOMAXPROCS; run with -cpu 1 for
-// the serial pipeline.
+// 256 signed inputs that no mempool admitted (every signature checked in
+// full) against the same block after a mempool admitted its
+// transactions, when connect runs none of their scripts. Both fan the
+// script checks out over GOMAXPROCS; run with -cpu 1 for the serial
+// pipeline.
 func BenchmarkConnectBlock(b *testing.B) {
 	s := newConnectBenchSetup(b)
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := s.freshChain(b, nil)
-			b.StartTimer()
-			if _, err := c.ProcessBlock(s.final); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		admit bool
+	}{{"cold", false}, {"warm", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := s.freshChain(b, nil, bc.admit)
+				b.StartTimer()
+				if _, err := c.ProcessBlock(s.final); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		warm := sigcache.New(sigcache.DefaultCapacity)
-		// Prime the cache the way mempool admission would: one full
-		// verification of the block's signatures.
-		if _, err := s.freshChain(b, warm).ProcessBlock(s.final); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := s.freshChain(b, warm)
-			b.StartTimer()
-			if _, err := c.ProcessBlock(s.final); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkConnectBlockPersistent measures the same 64-transaction block
-// connect as BenchmarkConnectBlock/warm (same warm signature
-// cache), but on a chain whose every connect writes and applies an
+// connect as BenchmarkConnectBlock/warm (its transactions admitted
+// first), but on a chain whose every connect writes and applies an
 // atomic batch (block bytes, main-chain index row, tip) to the
 // file-backed store before returning — the full per-block durability
 // overhead.
 func BenchmarkConnectBlockPersistent(b *testing.B) {
 	s := newConnectBenchSetup(b)
-	warm := sigcache.New(sigcache.DefaultCapacity)
-	// Prime the shared cache once, as mempool admission would have.
-	if _, err := s.freshChain(b, warm).ProcessBlock(s.final); err != nil {
-		b.Fatal(err)
-	}
 	b.Run("sync", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -229,17 +228,7 @@ func BenchmarkConnectBlockPersistent(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := chain.Open(chain.Config{
-				Params: s.params, Clock: s.clk, SigCache: warm, Store: st,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, blk := range s.funding {
-				if status, err := c.ProcessBlock(blk); err != nil || status != chain.StatusMainChain {
-					b.Fatalf("funding block: status %v, err %v", status, err)
-				}
-			}
+			c := s.freshChain(b, st, true)
 			b.StartTimer()
 			if _, err := c.ProcessBlock(s.final); err != nil {
 				b.Fatal(err)
@@ -329,25 +318,19 @@ func BenchmarkStoreReopen(b *testing.B) {
 	}
 }
 
-// BenchmarkSigCache measures the signature cache's hot operations
-// against the ECDSA verification it elides.
+// BenchmarkSigCache measures the verdict set's operations, one probe
+// per transaction at connect, against the signature verification a
+// 1-input transaction's connect elides on a hit.
 func BenchmarkSigCache(b *testing.B) {
-	key, err := bkey.NewPrivateKey(testutil.NewEntropy("bench-sigcache"))
-	if err != nil {
-		b.Fatal(err)
+	txid := func(i int) (h chainhash.Hash) {
+		h[0], h[1], h[2], h[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
+		return h
 	}
-	digest := chainhash.HashB([]byte("bench sigcache digest"))
-	sig, err := key.Sign(digest[:])
-	if err != nil {
-		b.Fatal(err)
-	}
-	sigBytes, pkBytes := sig.Serialize(), key.PubKey().Serialize()
-
 	b.Run("hit", func(b *testing.B) {
 		sc := sigcache.New(sigcache.DefaultCapacity)
-		sc.Add(sigcache.NewKey(digest, sigBytes, pkBytes))
+		sc.Add(txid(0))
 		for i := 0; i < b.N; i++ {
-			if !sc.Exists(sigcache.NewKey(digest, sigBytes, pkBytes)) {
+			if !sc.Exists(txid(0)) {
 				b.Fatal("expected hit")
 			}
 		}
@@ -355,20 +338,27 @@ func BenchmarkSigCache(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		sc := sigcache.New(sigcache.DefaultCapacity)
 		for i := 0; i < b.N; i++ {
-			if sc.Exists(sigcache.NewKey(digest, sigBytes, pkBytes)) {
+			if sc.Exists(txid(0)) {
 				b.Fatal("unexpected hit")
 			}
 		}
 	})
 	b.Run("add", func(b *testing.B) {
 		sc := sigcache.New(sigcache.DefaultCapacity)
-		var h chainhash.Hash
 		for i := 0; i < b.N; i++ {
-			h[0], h[1], h[2], h[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-			sc.Add(sigcache.NewKey(h, sigBytes, pkBytes))
+			sc.Add(txid(i))
 		}
 	})
 	b.Run("ecdsa-verify", func(b *testing.B) {
+		key, err := bkey.NewPrivateKey(testutil.NewEntropy("bench-sigcache"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		digest := chainhash.HashB([]byte("bench sigcache digest"))
+		sig, err := key.Sign(digest[:])
+		if err != nil {
+			b.Fatal(err)
+		}
 		pk := key.PubKey()
 		for i := 0; i < b.N; i++ {
 			if !pk.Verify(digest[:], sig) {

@@ -84,9 +84,10 @@ type Chain struct {
 	params *Params
 	clock  clock.Clock
 
-	// sigCache caches successful signature verifications across the
-	// mempool (relay time) and block connect; may be nil. It has its own
-	// internal lock and is read by parallel script workers.
+	// sigCache holds the txids whose scripts passed mempool admission;
+	// connect runs no script of a listed transaction and drops its
+	// entry once the block has connected. May be nil. It has its own
+	// lock.
 	sigCache *sigcache.Cache
 
 	// st is the persistence engine. The resident maps below are the
@@ -127,8 +128,8 @@ func (c *Chain) Params() *Params { return c.params }
 // about what "now" means — in simulation, virtual time.
 func (c *Chain) Clock() clock.Clock { return c.clock }
 
-// SigCache returns the signature verification cache so the mempool can
-// share it; may be nil.
+// SigCache returns the verdict set, which the mempool fills at
+// admission; may be nil.
 func (c *Chain) SigCache() *sigcache.Cache { return c.sigCache }
 
 // Subscribe registers fn to receive main-chain change notifications. The
@@ -355,9 +356,11 @@ func (c *Chain) unapplyBlock(txs []*wire.MsgTx, spent []SpentOutput) {
 // so input resolution and UTXO mutation stay serial and ordered —
 // checking amounts/maturity, spending inputs, adding outputs, and
 // capturing one script job per input with the locking script it
-// resolved. Phase two runs all captured script/signature checks through
-// par.Do (consulting the shared signature cache), failing fast; on
-// failure the phase-one mutations are rolled back. A body that fails
+// resolved, except for a transaction whose txid the verdict set lists:
+// admission ran the same scripts. Phase two runs all captured
+// script/signature checks through par.Do, failing fast; on failure the
+// phase-one mutations are rolled back. The verdicts the block used are
+// dropped only once it has connected. A body that fails
 // either phase is flagged failed; a store that refuses the commit says
 // nothing about the body, so that path leaves the flag alone.
 func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
@@ -379,6 +382,9 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 			return err
 		}
 		totalFees += fee
+		if c.sigCache.Exists(tx.TxHash()) {
+			return nil
+		}
 		for j := range tx.TxIn {
 			jobs = append(jobs, scriptJob{tx: tx, in: j, pkScript: entries[j].Out.PkScript})
 		}
@@ -402,12 +408,13 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 		return reject(fmt.Errorf("%w: coinbase pays %d, max %d", ErrBadCoinbase, cbOut, maxOut))
 	}
 
-	// Phase two: parallel script/signature verification of every input.
+	// Phase two: parallel script/signature verification of every input
+	// without an admission verdict.
 	// The jobs carry the resolved locking scripts, so they are independent
 	// of the (already mutated) UTXO view. par.Do fails fast and returns
 	// the failure earliest in block order, whatever the interleaving.
 	scriptStart := time.Now()
-	if err := par.Do(len(jobs), func(i int) error { return jobs[i].run(c.sigCache) }); err != nil {
+	if err := par.Do(len(jobs), func(i int) error { return jobs[i].run() }); err != nil {
 		return reject(err)
 	}
 	if c.tel.scriptSeconds != nil {
@@ -422,6 +429,9 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	if err := c.commitConnect(node, spent); err != nil {
 		c.unapplyBlock(blk.Transactions, spent)
 		return nil, fmt.Errorf("chain: persist connect %s: %w", node.hash, err)
+	}
+	for _, tx := range blk.Transactions[1:] {
+		c.sigCache.Remove(tx.TxHash())
 	}
 
 	node.inMain = true

@@ -163,8 +163,9 @@ type Config struct {
 	Params *Params
 	// Clock provides time; nil means the system clock.
 	Clock clock.Clock
-	// SigCache is the shared signature-verification cache; nil disables
-	// caching.
+	// SigCache is the set of txids whose scripts passed mempool
+	// admission, which connect does not run again; nil verifies every
+	// input at connect.
 	SigCache *sigcache.Cache
 	// Store is the persistence engine; nil means a fresh in-memory
 	// store (the state dies with the process).
@@ -172,7 +173,7 @@ type Config struct {
 }
 
 // New creates an in-memory chain containing only the genesis block of
-// params, with a default-sized signature cache.
+// params, with a default-sized verdict set.
 func New(params *Params, clk clock.Clock) *Chain {
 	c, err := Open(Config{Params: params, Clock: clk, SigCache: sigcache.New(sigcache.DefaultCapacity)})
 	if err != nil {

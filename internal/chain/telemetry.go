@@ -44,8 +44,8 @@ type chainTelemetry struct {
 
 // SetTelemetry registers the chain's metrics on reg and routes lifecycle
 // events to tr. Call once, before processing blocks; either argument may
-// be nil. The sigcache shared with the mempool is exported here too,
-// since the chain owns it.
+// be nil. The verdict set the mempool fills is exported here too, since
+// the chain owns it.
 func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	c.tel = chainTelemetry{
 		tracer: tr,
@@ -88,16 +88,16 @@ func (c *Chain) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		return float64(len(c.spent))
 	})
 	if sc := c.sigCache; sc != nil {
-		reg.CounterFunc("sigcache_hits_total", "Signature verifications answered from the cache.", func() float64 {
+		reg.CounterFunc("sigcache_hits_total", "Transactions connect found admitted, so ran none of their scripts.", func() float64 {
 			return float64(sc.Stats().Hits)
 		})
-		reg.CounterFunc("sigcache_misses_total", "Signature verifications that ran the full check.", func() float64 {
+		reg.CounterFunc("sigcache_misses_total", "Transactions connect had no admission verdict for, so verified in full.", func() float64 {
 			return float64(sc.Stats().Misses)
 		})
-		reg.CounterFunc("sigcache_evictions_total", "Cache entries evicted to stay within capacity.", func() float64 {
+		reg.CounterFunc("sigcache_evictions_total", "Admission verdicts evicted to stay within capacity.", func() float64 {
 			return float64(sc.Stats().Evictions)
 		})
-		reg.GaugeFunc("sigcache_size", "Entries currently cached.", func() float64 {
+		reg.GaugeFunc("sigcache_size", "Admission verdicts currently held.", func() float64 {
 			return float64(sc.Stats().Size)
 		})
 	}

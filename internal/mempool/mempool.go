@@ -336,16 +336,13 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 			ErrMempoolFull, feeRate(fee, size), floor)
 	}
 
-	// Verify every input script, recording successful signature checks in
-	// the chain's shared cache so block connect can skip the ECDSA work
-	// for transactions already verified at relay time. The inputs are
-	// checked in parallel (par.Do), and the error is the lowest failing
-	// input's. The verifier scans each signature script for non-push
-	// opcodes before running it; a script it refuses on that ground is a
-	// policy matter here.
-	sc := p.chain.SigCache()
+	// Verify every input script, in parallel (par.Do); the error is the
+	// lowest failing input's. The verifier scans each signature script
+	// for non-push opcodes before running it; a script it refuses on
+	// that ground is a policy matter here. A pass goes into the chain's
+	// verdict set, so block connect runs none of these scripts again.
 	err := par.Do(len(tx.TxIn), func(i int) error {
-		return script.VerifyInputCached(tx, i, pkScripts[i], sc)
+		return script.VerifyInput(tx, i, pkScripts[i])
 	})
 	if errors.Is(err, script.ErrSigScriptNotPush) {
 		return 0, fmt.Errorf("%w: input script not push-only", ErrNonStandard)
@@ -353,6 +350,7 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	p.chain.SigCache().Add(txid)
 
 	p.pool[txid] = &poolTx{tx: tx, fee: fee, size: size, seq: p.nextSeq}
 	p.nextSeq++

@@ -9,6 +9,7 @@ import (
 	"typecoin/internal/bkey"
 	"typecoin/internal/par"
 	"typecoin/internal/script"
+	"typecoin/internal/sigcache"
 	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
@@ -17,11 +18,11 @@ import (
 // TestEverySignatureVerifiedOnce admits a block's worth of P2PKH spends
 // under three keys, then mines them. Admission must fully verify each
 // signature once, through crypto/ecdsa or the key's precomputed table,
-// exactly as often as the signature cache misses; the block connect must
-// then be answered wholly from the signature cache, with no verification.
+// and record one verdict per spend; the block connect must then make no
+// script job and verify no signature, and drop the verdicts it used.
 func TestEverySignatureVerifiedOnce(t *testing.T) {
 	const perKey = 3
-	h := fundedHarness(t)
+	h, reg := verdictHarness(t, sigcache.DefaultCapacity)
 	var keys []bkey.Principal
 	var outs []wallet.Output
 	for i := 0; i < 3; i++ {
@@ -44,7 +45,7 @@ func TestEverySignatureVerifiedOnce(t *testing.T) {
 	h.MineBlocks(t, 1)
 
 	sc := h.Chain.SigCache()
-	cache0, verify0 := sc.Stats(), bkey.ReadVerifyStats()
+	verify0 := bkey.ReadVerifyStats()
 	for i := range outs {
 		tx, err := h.Wallet.Build([]wallet.Output{
 			{Value: 5000_0000, PkScript: script.PayToPubKeyHash(keys[i%len(keys)])},
@@ -60,27 +61,29 @@ func TestEverySignatureVerifiedOnce(t *testing.T) {
 		}
 	}
 	cache1, verify1 := sc.Stats(), bkey.ReadVerifyStats()
-	misses := cache1.Misses - cache0.Misses
-	verified := verify1.ColdVerifies - verify0.ColdVerifies + verify1.TableVerifies - verify0.TableVerifies
-	if misses != uint64(len(outs)) || verified != misses {
-		t.Errorf("admitting %d spends: %d sigcache misses, %d full verifications; want %d of each",
-			len(outs), misses, verified, len(outs))
+	if verified := verifies(verify0, verify1); verified != uint64(len(outs)) || cache1.Size != len(outs) {
+		t.Errorf("admitting %d spends: %d full verifications, %d verdicts; want %d of each",
+			len(outs), verified, cache1.Size, len(outs))
 	}
 	if verify1.TableVerifies == verify0.TableVerifies {
 		t.Errorf("no spend under a repeated key used its table: %+v -> %+v", verify0, verify1)
 	}
 
+	jobs1 := scriptJobs(t, reg)
 	h.MineBlocks(t, 1)
 	if n := h.Pool.Size(); n != 0 {
 		t.Fatalf("%d spends still pooled after mining", n)
 	}
 	cache2, verify2 := sc.Stats(), bkey.ReadVerifyStats()
-	if cache2.Misses != cache1.Misses || cache2.Hits-cache1.Hits != uint64(len(outs)) {
-		t.Errorf("block connect: %d sigcache misses and %d hits, want 0 and %d",
-			cache2.Misses-cache1.Misses, cache2.Hits-cache1.Hits, len(outs))
+	if jobs := scriptJobs(t, reg) - jobs1; jobs != 0 {
+		t.Errorf("block connect made %d script jobs, want 0", jobs)
 	}
-	if verify2.ColdVerifies != verify1.ColdVerifies || verify2.TableVerifies != verify1.TableVerifies {
-		t.Errorf("block connect verified signatures: %+v -> %+v", verify1, verify2)
+	if n := verifies(verify1, verify2); n != 0 {
+		t.Errorf("block connect verified %d signatures: %+v -> %+v", n, verify1, verify2)
+	}
+	if hits := cache2.Hits - cache1.Hits; hits != uint64(len(outs)) || cache2.Misses != cache1.Misses || cache2.Size != 0 {
+		t.Errorf("block connect: %d hits, %d misses, %d verdicts left; want %d, 0 and 0",
+			hits, cache2.Misses-cache1.Misses, cache2.Size, len(outs))
 	}
 }
 
@@ -165,8 +168,8 @@ func TestLowestFailingInputReported(t *testing.T) {
 // (TestDoFailureStopsClaimsExactly: GOMAXPROCS indices); here a worker
 // descheduled during its check can let the others verify every input,
 // so each GOMAXPROCS gets five attempts, each a freshly signed
-// transaction that the signature cache has not seen, and one must stop
-// early; without the stop every attempt verifies all 64.
+// transaction, and one must stop early; without the stop every attempt
+// verifies all 64.
 func TestEarlyFailureStopsVerification(t *testing.T) {
 	const inputs = 64
 	h := fundedHarness(t)

@@ -18,6 +18,7 @@ import (
 	"typecoin/internal/chain"
 	"typecoin/internal/clock"
 	"typecoin/internal/miner"
+	"typecoin/internal/p2p"
 	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
@@ -237,5 +238,48 @@ func TestMissedAnnouncementsFetchHeadersFirst(t *testing.T) {
 	h.WaitFor("node 1 at the tip", func() bool { return h.Nodes[1].Chain().BestHash() == tip })
 	if got := h.Metric(1, "chain_orphan_blocks_total"); got != 0 {
 		t.Fatalf("node 1 dropped %v parentless bodies on the way to the tip, want 0", got)
+	}
+}
+
+// TestLaggardReachesTipPastLowSkeletonSource: a laggard joins a peer
+// below the tip first, so that peer becomes its skeleton source, and
+// then joins a peer at the tip. A peer that is not the skeleton source
+// is not asked for headers on joining; the request sweep's probe asks
+// every ready peer once per StallTimeout/2 of watched liveness time. So
+// the laggard reaches the tip within StallTimeout/2 plus one sweep of
+// joining the second peer, and the first peer stays connected and
+// uncharged.
+func TestLaggardReachesTipPastLowSkeletonSource(t *testing.T) {
+	const laggard, low, top = 0, 1, 2
+	h := NewHarness(t, 5, 3, LinkConfig{Latency: 25 * time.Millisecond, Jitter: 2 * time.Millisecond})
+	var blocks []*wire.MsgBlock
+	for i := 0; i < 10; i++ {
+		blocks = append(blocks, h.Mine(top))
+	}
+	for _, blk := range blocks[:5] {
+		if _, err := h.Full[low].Chain.ProcessBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	lchain := h.Full[laggard].Chain
+	h.Connect(laggard, low)
+	h.WaitFor("laggard at the low peer's tip", func() bool { return lchain.BestHash() == blocks[4].BlockHash() })
+
+	start := h.Live.Now()
+	h.Connect(laggard, top)
+	tip := blocks[len(blocks)-1].BlockHash()
+	h.WaitFor("laggard at the tip", func() bool { return lchain.BestHash() == tip })
+	bound := p2p.DefaultPolicy().StallTimeout/2 + time.Second // one sweep
+	if took := h.Live.Now().Sub(start); took > bound {
+		t.Errorf("laggard reached the tip %v of liveness time after joining the top peer, want at most %v", took, bound)
+	} else {
+		t.Logf("laggard reached the tip %v after joining the top peer (bound %v)", took, bound)
+	}
+	if !h.Nodes[laggard].HasPeerAddr(h.Host(low)) {
+		t.Error("the laggard dropped its first peer")
+	}
+	if score := h.Nodes[laggard].BanScore(h.Host(low)); score != 0 {
+		t.Errorf("the first peer was charged %d points", score)
 	}
 }

@@ -101,8 +101,8 @@ func TestTelemetryCountersAcrossMineRelayReorg(t *testing.T) {
 }
 
 // A node on a supplied store runs the same verifier and exports the same
-// metric families as one on the default in-memory store: the signature
-// cache and its sigcache_* series included. Only the store's own health
+// metric families as one on the default in-memory store: the script
+// verdict set and its sigcache_* series included. Only the store's own health
 // gauge, which a Retry wrapper reports, is extra.
 func TestSuppliedStoreNodeExportsTheSameMetrics(t *testing.T) {
 	h := NewHarnessWithStores(t, 5, 2, LinkConfig{}, func(i int) store.Store {

@@ -407,12 +407,14 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		evict.close()
 	}
 
-	// Handshake: announce our version — carrying our best-header tip, so
-	// the peer can seed its download scheduler with our claimed chain
-	// knowledge; the peer replies verack and both sides then sync. The
-	// version is queued before the loops start, so the read loop first
-	// waits on the connection only once everything addConn does is done.
-	payload := wire.EncodeVersion(n.chain.HeaderTipHash(), uint64(n.chain.HeaderHeight()))
+	// Handshake: announce our version — carrying our connected tip, whose
+	// every body we hold, so the peer can seed its download scheduler
+	// with blocks we can serve (a header tip above it would be a claim
+	// to bodies still parked or missing here); the peer replies verack
+	// and both sides then sync. The version is queued before the loops
+	// start, so the read loop first waits on the connection only once
+	// everything addConn does is done.
+	payload := wire.EncodeVersion(n.chain.BestHash(), uint64(n.chain.BestHeight()))
 	if err := p.send(wire.CmdVersion, payload); err != nil {
 		n.logDebug("version send failed", "peer", id, "err", err)
 	}
@@ -1054,8 +1056,10 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			return nil
 		}
 		// The peer answered: each request it names is settled, uncharged.
-		// A block request is not: a body is asked only of a peer that
-		// claimed its chain, so only the stall sweep ends it.
+		// A block request is not: a body is asked only of a peer whose
+		// version, headers or inv claimed it, and each of those names only
+		// blocks whose bodies the peer holds, so a peer that then lacks it
+		// is stalling and only the stall sweep ends it.
 		for _, iv := range invs {
 			if iv.Type != wire.InvTypeBlock {
 				p.consumeRequest(iv.Type, iv.Hash, now, false)

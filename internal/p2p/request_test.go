@@ -471,3 +471,46 @@ func TestSilentPeerClosedAndRedialed(t *testing.T) {
 		t.Fatal("the address was not redialed")
 	}
 }
+
+// TestVersionAdvertisesConnectedTip: a node holding headers above its
+// connected tip puts the connected tip in its version, the one chain
+// whose every body it can serve, and a hand-spoken peer that reads it
+// completes the handshake.
+func TestVersionAdvertisesConnectedTip(t *testing.T) {
+	checkGoroutines(t)
+	h, node, addr := listenNode(t)
+	blocks := privateBlocks(t, h, 3)
+	if _, err := node.Chain().ProcessBlock(blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Chain().ProcessHeaders([]wire.BlockHeader{blocks[1].Header, blocks[2].Header}); err != nil {
+		t.Fatal(err)
+	}
+	c := node.Chain()
+	if c.HeaderHeight() != 3 || c.BestHeight() != 1 {
+		t.Fatalf("header height %d, connected height %d; want 3 and 1", c.HeaderHeight(), c.BestHeight())
+	}
+
+	conn := dialRaw(t, addr)
+	// The node queues its version before it reads anything.
+	msg, err := wire.ReadMessage(conn, h.params.Magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Command != wire.CmdVersion {
+		t.Fatalf("first message %q, want version", msg.Command)
+	}
+	tip, height, err := wire.DecodeVersion(msg.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tip != c.BestHash() || height != 1 {
+		t.Errorf("version advertises %s at height %d, want the connected tip %s at 1", tip, height, c.BestHash())
+	}
+	if err := wire.WriteMessage(conn, h.params.Magic, &wire.Message{Command: wire.CmdVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err = wire.ReadMessage(conn, h.params.Magic); err != nil || msg.Command != wire.CmdVerAck {
+		t.Fatalf("after our version: %v, %v; want verack", msg, err)
+	}
+}

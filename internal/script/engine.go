@@ -7,7 +7,6 @@ import (
 
 	"typecoin/internal/bkey"
 	"typecoin/internal/chainhash"
-	"typecoin/internal/sigcache"
 	"typecoin/internal/wire"
 )
 
@@ -40,8 +39,7 @@ var (
 type engine struct {
 	tx        *wire.MsgTx
 	idx       int
-	subscript []byte          // the script being signed (pkScript of the spent output)
-	sigCache  *sigcache.Cache // nil verifies uncached
+	subscript []byte // the script being signed (pkScript of the spent output)
 	stack     [][]byte
 	altStack  [][]byte
 	condStack []bool // conditional execution states, innermost last
@@ -533,10 +531,8 @@ func (e *engine) step(in Instruction) error {
 
 // checkSig verifies a script signature (DER signature || 1-byte hash type)
 // against a serialized public key over the transaction's signature hash.
-// A cached triple skips both the parsing and the ECDSA verification;
-// fresh successes are added to the cache. A miss verifies the bytes as
-// they are, so a key bkey has tabled is never parsed. The cache key (two SHA-256s)
-// is built once and serves both the look-up and the insert.
+// The bytes are verified as they are, so a key bkey has tabled is never
+// parsed.
 func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 	if len(sigBytes) < 2 {
 		return false
@@ -546,18 +542,7 @@ func (e *engine) checkSig(sigBytes, pkBytes []byte) bool {
 	if err != nil {
 		return false
 	}
-	var key sigcache.Key
-	if e.sigCache != nil {
-		key = sigcache.NewKey(digest, sigBytes, pkBytes)
-		if e.sigCache.Exists(key) {
-			return true
-		}
-	}
-	if !bkey.VerifyBytes(pkBytes, digest[:], sigBytes[:len(sigBytes)-1]) {
-		return false
-	}
-	e.sigCache.Add(key)
-	return true
+	return bkey.VerifyBytes(pkBytes, digest[:], sigBytes[:len(sigBytes)-1])
 }
 
 // checkMultiSig implements OP_CHECKMULTISIG: pops n, n pubkeys, m, m
@@ -620,17 +605,10 @@ func IsPushOnly(s []byte) bool {
 
 // VerifyInput executes the signature script of tx's input idx followed by
 // the locking script pkScript of the output it spends, and reports whether
-// the combination authorizes the spend (Section 2, condition 4).
+// the combination authorizes the spend (Section 2, condition 4). A
+// signature script that is not push-only fails with ErrSigScriptNotPush
+// before anything executes.
 func VerifyInput(tx *wire.MsgTx, idx int, pkScript []byte) error {
-	return VerifyInputCached(tx, idx, pkScript, nil)
-}
-
-// VerifyInputCached is VerifyInput with an injected signature
-// verification cache; sc may be nil for uncached verification. The
-// mempool and the chain pass the same cache so relay-time verification
-// pays for block connect. A signature script that is not push-only fails
-// with ErrSigScriptNotPush before anything executes.
-func VerifyInputCached(tx *wire.MsgTx, idx int, pkScript []byte, sc *sigcache.Cache) error {
 	if idx < 0 || idx >= len(tx.TxIn) {
 		return fmt.Errorf("script: input index %d out of range", idx)
 	}
@@ -638,7 +616,7 @@ func VerifyInputCached(tx *wire.MsgTx, idx int, pkScript []byte, sc *sigcache.Ca
 	if !IsPushOnly(sigScript) {
 		return ErrSigScriptNotPush
 	}
-	e := engine{tx: tx, idx: idx, subscript: pkScript, sigCache: sc}
+	e := engine{tx: tx, idx: idx, subscript: pkScript}
 	// The push-only scan has parsed the signature script already.
 	if len(sigScript) > maxScriptSize {
 		return fmt.Errorf("script: signature script: %w", ErrScriptTooBig)

@@ -1,63 +1,43 @@
-// Package sigcache caches successful ECDSA signature verifications.
+// Package sigcache holds the script verdicts of admitted transactions:
+// the txids of transactions whose every input script passed
+// script.VerifyInput when the mempool admitted them.
 //
-// Verifying a signature is by far the most expensive step of script
-// execution, and the same (signature hash, public key, signature) triple
-// is typically verified twice on its way into the chain: once when the
-// mempool admits the transaction at relay time, and again when the block
-// carrying it is connected. Sharing one cache between the mempool and the
-// chain lets block connect skip the second ECDSA verification entirely —
-// the same optimization Bitcoin Core ships as its sigcache.
+// Block connect runs no script of a listed transaction. A verdict keyed
+// by txid stands for the block because the txid covers the signature
+// scripts (there is no witness), the script engine has no lock-time
+// opcode, and an outpoint fixes the script it spends (the chain keeps
+// one main-chain transaction per txid). A malleated twin has another
+// txid, misses, and is verified in full.
 //
-// The cache is a bounded, concurrency-safe LRU. Only *successful*
-// verifications are stored; a hit therefore proves the triple verified
-// before, so membership alone authorizes the skip. All methods are safe
-// on a nil *Cache (they behave as an always-miss cache), so callers can
-// thread an optional cache without nil checks.
+// The set is bounded; past the bound an arbitrary entry makes room,
+// which costs that transaction one full verification at connect. All
+// methods are safe for concurrent use and on a nil *Cache, which
+// always misses.
 package sigcache
 
 import (
-	"container/list"
-	"crypto/sha256"
 	"sync"
 
 	"typecoin/internal/chainhash"
 )
 
-// DefaultCapacity is the entry bound used when callers do not choose one.
-// An entry is ~100 bytes of key plus list/map overhead, so the default
-// costs a few MiB — small against the ECDSA work it saves.
+// DefaultCapacity is the entry bound used when callers do not choose
+// one: several mempools' worth of transactions, at about 100 bytes of
+// map entry each.
 const DefaultCapacity = 32768
 
-// Key identifies one verified triple. The signature and public key are
-// stored as SHA-256 digests of their serialized forms: fixed-size,
-// collision-resistant, and cheaper to compare than variable-length DER.
-// A caller builds the key once and passes it to Exists and, after a
-// successful verification, to Add.
-type Key struct {
-	sigHash chainhash.Hash
-	sig     [sha256.Size]byte
-	pubKey  [sha256.Size]byte
-}
-
-// NewKey builds the cache key of a (signature hash, signature, public
-// key) triple.
-func NewKey(sigHash chainhash.Hash, sig, pubKey []byte) Key {
-	return Key{sigHash: sigHash, sig: sha256.Sum256(sig), pubKey: sha256.Sum256(pubKey)}
-}
-
-// Cache is a bounded LRU of verified signature triples. All methods are
-// safe for concurrent use and on a nil receiver.
+// Cache is a bounded set of txids whose scripts passed admission.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
-	entries   map[Key]*list.Element
-	order     *list.List // front = most recently used; values are keys
+	txids     map[chainhash.Hash]struct{}
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness counters.
+// Stats is a point-in-time snapshot of the set's counters. Hits and
+// misses count transactions that block connect looked up.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
@@ -66,73 +46,64 @@ type Stats struct {
 	Capacity  int
 }
 
-// New creates a cache bounded to capacity entries; capacity <= 0 selects
+// New creates a set bounded to capacity txids; capacity <= 0 selects
 // DefaultCapacity.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[Key]*list.Element, capacity),
-		order:    list.New(),
-	}
+	return &Cache{capacity: capacity, txids: make(map[chainhash.Hash]struct{})}
 }
 
-// Exists reports whether the triple was previously verified successfully,
-// refreshing its recency on a hit. A nil cache always misses.
-func (c *Cache) Exists(k Key) bool {
+// Add records that every input script of txid passed. Callers add only
+// transactions that verified: membership is later taken as proof.
+func (c *Cache) Add(txid chainhash.Hash) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.txids[txid]; ok {
+		return
+	}
+	if len(c.txids) >= c.capacity {
+		for k := range c.txids {
+			delete(c.txids, k)
+			c.evictions++
+			break
+		}
+	}
+	c.txids[txid] = struct{}{}
+}
+
+// Exists reports whether txid's scripts passed, counting a hit or a
+// miss.
+func (c *Cache) Exists(txid chainhash.Hash) bool {
 	if c == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
+	_, ok := c.txids[txid]
+	if ok {
 		c.hits++
-		return true
+	} else {
+		c.misses++
 	}
-	c.misses++
-	return false
+	return ok
 }
 
-// Add records a successfully verified triple, evicting the least recently
-// used entries if the cache is full. A nil cache ignores the call.
-// Callers must only Add triples that actually verified: membership is
-// later taken as proof of validity.
-func (c *Cache) Add(k Key) {
+// Remove drops txid's verdict.
+func (c *Cache) Remove(txid chainhash.Hash) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	for len(c.entries) >= c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		delete(c.entries, back.Value.(Key))
-		c.order.Remove(back)
-		c.evictions++
-	}
-	c.entries[k] = c.order.PushFront(k)
+	delete(c.txids, txid)
 }
 
-// Len returns the current number of cached triples.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats returns a snapshot of the effectiveness counters.
+// Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
@@ -143,7 +114,7 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Size:      len(c.entries),
+		Size:      len(c.txids),
 		Capacity:  c.capacity,
 	}
 }

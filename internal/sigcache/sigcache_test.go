@@ -8,83 +8,73 @@ import (
 	"typecoin/internal/chainhash"
 )
 
-func triple(i int) (chainhash.Hash, []byte, []byte) {
-	return chainhash.HashB([]byte(fmt.Sprintf("sighash-%d", i))),
-		[]byte(fmt.Sprintf("sig-%d", i)),
-		[]byte(fmt.Sprintf("pubkey-%d", i))
+func txid(i int) chainhash.Hash {
+	return chainhash.HashB([]byte(fmt.Sprintf("tx-%d", i)))
 }
 
 func TestAddExists(t *testing.T) {
 	c := New(8)
-	h, sig, pk := triple(0)
-	if c.Exists(NewKey(h, sig, pk)) {
-		t.Fatal("empty cache reported a hit")
+	if c.Exists(txid(0)) {
+		t.Fatal("empty set reported a hit")
 	}
-	c.Add(NewKey(h, sig, pk))
-	if !c.Exists(NewKey(h, sig, pk)) {
-		t.Fatal("added triple not found")
+	c.Add(txid(0))
+	if !c.Exists(txid(0)) {
+		t.Fatal("added txid not found")
 	}
-	// Any component differing is a distinct triple.
-	if c.Exists(NewKey(chainhash.HashB([]byte("other")), sig, pk)) {
-		t.Error("hit with wrong sighash")
+	if c.Exists(txid(1)) {
+		t.Error("hit for a txid never added")
 	}
-	if c.Exists(NewKey(h, []byte("other"), pk)) {
-		t.Error("hit with wrong signature")
+	c.Remove(txid(0))
+	if c.Exists(txid(0)) {
+		t.Error("removed txid still found")
 	}
-	if c.Exists(NewKey(h, sig, []byte("other"))) {
-		t.Error("hit with wrong pubkey")
+	c.Remove(txid(1)) // absent: no effect
+	if st := c.Stats(); st.Size != 0 {
+		t.Errorf("size = %d after removing the only entry", st.Size)
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(4)
-	for i := 0; i < 4; i++ {
-		h, sig, pk := triple(i)
-		c.Add(NewKey(h, sig, pk))
+// TestBoundEvictsOne fills the set to its bound and adds one more: one
+// entry, whichever it is, makes room, and every other stays.
+func TestBoundEvictsOne(t *testing.T) {
+	const bound = 4
+	c := New(bound)
+	for i := 0; i <= bound; i++ {
+		c.Add(txid(i))
 	}
-	// Touch entry 0 so it becomes most recent; entry 1 is now the LRU.
-	h0, sig0, pk0 := triple(0)
-	if !c.Exists(NewKey(h0, sig0, pk0)) {
-		t.Fatal("entry 0 missing")
+	st := c.Stats()
+	if st.Size != bound || st.Evictions != 1 {
+		t.Fatalf("size %d, evictions %d; want %d and 1", st.Size, st.Evictions, bound)
 	}
-	h4, sig4, pk4 := triple(4)
-	c.Add(NewKey(h4, sig4, pk4))
-
-	if c.Len() != 4 {
-		t.Fatalf("len = %d, want 4", c.Len())
+	if !c.Exists(txid(bound)) {
+		t.Error("newest txid was evicted")
 	}
-	h1, sig1, pk1 := triple(1)
-	if c.Exists(NewKey(h1, sig1, pk1)) {
-		t.Error("LRU entry 1 survived eviction")
+	present := 0
+	for i := 0; i < bound; i++ {
+		if c.Exists(txid(i)) {
+			present++
+		}
 	}
-	if !c.Exists(NewKey(h0, sig0, pk0)) {
-		t.Error("recently used entry 0 was evicted")
-	}
-	if !c.Exists(NewKey(h4, sig4, pk4)) {
-		t.Error("newest entry missing")
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
+	if present != bound-1 {
+		t.Errorf("%d of the first %d txids present, want %d", present, bound, bound-1)
 	}
 }
 
 func TestDuplicateAddDoesNotGrow(t *testing.T) {
-	c := New(4)
-	h, sig, pk := triple(0)
-	c.Add(NewKey(h, sig, pk))
-	c.Add(NewKey(h, sig, pk))
-	if c.Len() != 1 {
-		t.Fatalf("len = %d after duplicate add", c.Len())
+	c := New(1)
+	c.Add(txid(0))
+	c.Add(txid(0))
+	if st := c.Stats(); st.Size != 1 || st.Evictions != 0 {
+		t.Fatalf("stats after a duplicate add: %+v", st)
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
 	c := New(4)
-	h, sig, pk := triple(0)
-	c.Exists(NewKey(h, sig, pk)) // miss
-	c.Add(NewKey(h, sig, pk))
-	c.Exists(NewKey(h, sig, pk)) // hit
-	c.Exists(NewKey(h, sig, pk)) // hit
+	c.Exists(txid(0)) // miss
+	c.Add(txid(0))
+	c.Exists(txid(0)) // hit
+	c.Exists(txid(0)) // hit
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 2 hits / 1 miss", st)
@@ -96,14 +86,11 @@ func TestStatsCounters(t *testing.T) {
 
 func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	var c *Cache
-	h, sig, pk := triple(0)
-	c.Add(NewKey(h, sig, pk)) // must not panic
-	if c.Exists(NewKey(h, sig, pk)) {
+	c.Add(txid(0)) // must not panic
+	if c.Exists(txid(0)) {
 		t.Fatal("nil cache reported a hit")
 	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache has entries")
-	}
+	c.Remove(txid(0))
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
@@ -123,14 +110,17 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				h, sig, pk := triple((g*200 + i) % 100)
-				c.Add(NewKey(h, sig, pk))
-				c.Exists(NewKey(h, sig, pk))
+				h := txid((g*200 + i) % 100)
+				c.Add(h)
+				c.Exists(h)
+				if i%3 == 0 {
+					c.Remove(h)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 64 {
-		t.Fatalf("len = %d exceeds capacity", c.Len())
+	if st := c.Stats(); st.Size > 64 {
+		t.Fatalf("size = %d exceeds capacity", st.Size)
 	}
 }

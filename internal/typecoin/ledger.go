@@ -357,9 +357,10 @@ func (l *Ledger) applyLocked(obj interface{}, h, carrierID chainhash.Hash) error
 // checkLocked is State.CheckTx for the transaction whose Typecoin hash is
 // tch, with the closed half answered from the verdict map when this
 // transaction passed it before under the same Σ. Only passes are
-// remembered, as in the signature cache, so a hit proves the proof was
-// inferred and found to balance; the open half (inputs, condition) runs
-// every time. payload is tx.SigPayload() or nil (see checkClosed).
+// remembered, as in the chain's script verdicts, so a hit proves the
+// proof was inferred and found to balance; the open half (inputs,
+// condition) runs every time. payload is tx.SigPayload() or nil (see
+// checkClosed).
 func (l *Ledger) checkLocked(tx *Tx, tch chainhash.Hash, payload []byte, oracle logic.Oracle) error {
 	v, ok := l.verdicts[tch]
 	if !ok || v.sigma != l.state.global {
