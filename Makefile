@@ -34,8 +34,9 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# check also sweeps the partition scenario over fifty seeds (about 2 s),
-# so a p2p change that breaks a seed beyond tier-1's five fails here.
+# check also sweeps the partition and Byzantine scenarios over fifty
+# seeds (about 25 s), so a p2p change that breaks a seed beyond tier-1's
+# five fails here.
 check: vet build test race portable bench-module chaos examples
 	$(MAKE) sim-sweep SIM_SEEDS=1-50
 
@@ -131,13 +132,14 @@ recovery:
 sim:
 	$(GO) test ./internal/p2p/ -race -run TestSim -count=1 -v
 
-# A seed sweep of the partition-heal scenario, not part of tier-1: each
-# seed of the range SIM_SEEDS runs once. It prints the failing seeds,
-# then p50/p90/max of the ticks best-hash convergence took after the
-# heal, over the seeds that passed; it fails if any seed failed.
+# A seed sweep of the partition-heal scenario and both Byzantine
+# scenarios, not part of tier-1: each seed of the range SIM_SEEDS runs
+# once in each. It prints the failing seeds, then p50/p90/max of the
+# ticks best-hash convergence took after the heal, over the seeds that
+# passed; it fails if any seed failed.
 SIM_SEEDS ?= 1-200
 sim-sweep:
-	@out="$$(SIM_SEEDS=$(SIM_SEEDS) $(GO) test ./internal/p2p/ -run 'TestSimPartitionHealDoubleSpend$$' -count=1 -v -timeout 60m 2>&1)"; \
+	@out="$$(SIM_SEEDS=$(SIM_SEEDS) $(GO) test ./internal/p2p/ ./internal/netsim/ -run 'TestSimPartitionHealDoubleSpend$$|TestByzantineScenarios' -count=1 -v -timeout 60m 2>&1)"; \
 	status=$$?; printf '%s\n' "$$out" | grep -E -- '--- FAIL: .*seed=|heal convergence'; exit $$status
 
 # The simulator-driven suites on a busy host: the netsim and p2p tests

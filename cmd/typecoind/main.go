@@ -188,22 +188,13 @@ func run(args []string) int {
 		logMain.Info("startup audit passed: chain and ledger consistent")
 	}
 
-	if *maxPeers > 0 || *banThreshold > 0 || *banDuration > 0 || *syncWindow > 0 {
-		pol := p2p.DefaultPolicy()
-		if *maxPeers > 0 {
-			pol.MaxInbound = *maxPeers
-		}
-		if *banThreshold > 0 {
-			pol.BanThreshold = int32(*banThreshold)
-		}
-		if *banDuration > 0 {
-			pol.BanDuration = *banDuration
-		}
-		if *syncWindow > 0 {
-			pol.SyncWindow = *syncWindow
-		}
-		nd.P2P.SetPolicy(pol)
-	}
+	// A zero (or negative) flag leaves its field zero: the default.
+	nd.P2P.SetPolicy(p2p.Policy{
+		BanThreshold: int32(*banThreshold),
+		BanDuration:  *banDuration,
+		MaxInbound:   *maxPeers,
+		SyncWindow:   *syncWindow,
+	})
 
 	// Telemetry: node.Open wired one registry, block-lifecycle tracer
 	// and span store through every subsystem, exposed at /metrics,

@@ -34,16 +34,16 @@ type Config struct {
 	Threshold int32
 	// BanDuration is how long a triggered ban lasts.
 	BanDuration time.Duration
-	// HalfLife is the score decay half-life.
-	HalfLife time.Duration
 }
 
 // Defaults used for zero Config fields.
 const (
 	DefaultThreshold   = 100
 	DefaultBanDuration = time.Hour
-	DefaultHalfLife    = 10 * time.Minute
 )
+
+// halfLife is the score decay half-life.
+const halfLife = 10 * time.Minute
 
 func (c Config) withDefaults() Config {
 	if c.Threshold <= 0 {
@@ -51,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BanDuration <= 0 {
 		c.BanDuration = DefaultBanDuration
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = DefaultHalfLife
 	}
 	return c
 }
@@ -151,7 +148,7 @@ func (k *Keeper) decayedLocked(addr string, now time.Time) float64 {
 	if elapsed <= 0 {
 		return s.value
 	}
-	v := s.value * math.Pow(0.5, float64(elapsed)/float64(k.cfg.HalfLife))
+	v := s.value * math.Pow(0.5, float64(elapsed)/float64(halfLife))
 	if v < 0.5 {
 		delete(k.scores, addr)
 		return 0

@@ -36,13 +36,13 @@ func TestPenalizeAccumulatesAndBans(t *testing.T) {
 }
 
 func TestScoreDecay(t *testing.T) {
-	k, clk := newTestKeeper(Config{Threshold: 100, HalfLife: 10 * time.Minute})
+	k, clk := newTestKeeper(Config{Threshold: 100})
 	k.Penalize("peer", 80)
-	clk.Advance(10 * time.Minute)
+	clk.Advance(halfLife)
 	if got := k.Score("peer"); got != 40 {
 		t.Fatalf("after one half-life: score = %d, want 40", got)
 	}
-	clk.Advance(10 * time.Minute)
+	clk.Advance(halfLife)
 	if got := k.Score("peer"); got != 20 {
 		t.Fatalf("after two half-lives: score = %d, want 20", got)
 	}

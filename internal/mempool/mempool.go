@@ -242,7 +242,7 @@ func (p *Pool) enforceLimitsLocked(now time.Time) {
 				fmt.Sprintf("fee_rate=%d", feeRate(victim.fee, victim.size)))
 		}
 		before := len(p.pool)
-		p.removeLocked(victimID)
+		p.removeLocked(victimID, false)
 		p.tel.evicted.Add(uint64(before - len(p.pool)))
 	}
 }
@@ -483,7 +483,7 @@ func (p *Pool) onChainChange(n chain.Notification) {
 			for _, in := range tx.TxIn {
 				if spender, ok := p.spends[in.PreviousOutPoint]; ok {
 					before := len(p.pool)
-					p.removeLocked(spender)
+					p.removeLocked(spender, true)
 					p.tel.conflicts.Add(uint64(before - len(p.pool)))
 				}
 			}
@@ -522,16 +522,23 @@ func (p *Pool) dropLocked(txid chainhash.Hash) *poolTx {
 }
 
 // removeLocked removes txid and its spend claims, and recursively evicts
-// descendants that spent its outputs.
-func (p *Pool) removeLocked(txid chainhash.Hash) {
+// descendants that spent its outputs. A conflicted transaction (one
+// that spends an output the main chain spent otherwise) can never be
+// mined, so its verdict, and its descendants', leave the chain's set
+// with it; one evicted for capacity keeps its verdict, since another
+// miner may still mine it.
+func (p *Pool) removeLocked(txid chainhash.Hash, conflicted bool) {
 	ptx := p.dropLocked(txid)
 	if ptx == nil {
 		return
 	}
+	if conflicted {
+		p.chain.SigCache().Remove(txid)
+	}
 	for i := range ptx.tx.TxOut {
 		op := wire.OutPoint{Hash: txid, Index: uint32(i)}
 		if child, ok := p.spends[op]; ok {
-			p.removeLocked(child)
+			p.removeLocked(child, conflicted)
 		}
 	}
 }
@@ -540,7 +547,7 @@ func (p *Pool) removeLocked(txid chainhash.Hash) {
 func (p *Pool) Remove(txid chainhash.Hash) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.removeLocked(txid)
+	p.removeLocked(txid, false)
 }
 
 // TxIDs returns the pooled transaction ids in admission order.

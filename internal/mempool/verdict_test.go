@@ -149,7 +149,8 @@ func corrupted(der []byte) []byte {
 // transaction instead of it. A twin with a corrupted signature misses
 // the verdict set, fails, and the block is rolled back with the
 // original's verdict kept; a twin with its signature padded misses too
-// and connects after a full verification of its input.
+// and connects after a full verification of its input, and the original,
+// now conflicted, leaves the pool and the verdict set.
 func TestTwinOfAdmittedTxVerifiedInFull(t *testing.T) {
 	h, reg := verdictHarness(t, sigcache.DefaultCapacity)
 	tx := admit(t, h)
@@ -184,6 +185,14 @@ func TestTwinOfAdmittedTxVerifiedInFull(t *testing.T) {
 	}
 	if n := verifies(verify1, bkey.ReadVerifyStats()); n != 1 {
 		t.Errorf("the padded twin cost %d signature verifications, want 1", n)
+	}
+	// The original conflicts with the confirmed twin and can never be
+	// mined: the pool evicts it, and its verdict leaves with it.
+	if h.Pool.Have(tx.TxHash()) {
+		t.Error("the original is still pooled after its twin confirmed")
+	}
+	if st := sc.Stats(); st.Size != 0 {
+		t.Errorf("%d verdicts after the padded twin connected, want 0", st.Size)
 	}
 }
 

@@ -270,7 +270,7 @@ func TestLaggardReachesTipPastLowSkeletonSource(t *testing.T) {
 	h.Connect(laggard, top)
 	tip := blocks[len(blocks)-1].BlockHash()
 	h.WaitFor("laggard at the tip", func() bool { return lchain.BestHash() == tip })
-	bound := p2p.DefaultPolicy().StallTimeout/2 + time.Second // one sweep
+	bound := p2p.StallTimeout/2 + time.Second // one sweep
 	if took := h.Live.Now().Sub(start); took > bound {
 		t.Errorf("laggard reached the tip %v of liveness time after joining the top peer, want at most %v", took, bound)
 	} else {

@@ -10,14 +10,13 @@ package netsim
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"typecoin/internal/chainhash"
 	"typecoin/internal/script"
 	"typecoin/internal/telemetry"
+	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
 )
 
@@ -34,18 +33,10 @@ const (
 	slowRelayLatency = time.Second
 )
 
-// latencySeeds returns the scenario seed list, or the single seed from
-// SIM_SEED for replaying a failure.
+// latencySeeds returns the scenario seed list, or the seeds SIM_SEED or
+// SIM_SEEDS name.
 func latencySeeds(t *testing.T) []int64 {
-	t.Helper()
-	if env := os.Getenv("SIM_SEED"); env != "" {
-		seed, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("SIM_SEED=%q: %v", env, err)
-		}
-		return []int64{seed}
-	}
-	return []int64{42}
+	return testutil.Seeds(t, 42)
 }
 
 // runLatencyBudget drives the cluster under sustained load and returns

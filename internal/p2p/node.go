@@ -68,8 +68,10 @@ type Node struct {
 	stopSweep func() bool
 	wg        sync.WaitGroup
 	stopped   bool
-	policy    Policy
-	scores    *banscore.Keeper
+	// policy's ban fields built scores; its MaxInbound is read at
+	// accept and its SyncWindow at each body refill.
+	policy Policy
+	scores *banscore.Keeper
 }
 
 // Peer timing. The handshake reaper and the redial back-off run on the
@@ -117,7 +119,6 @@ func (n *Node) newKeeper(pol Policy) *banscore.Keeper {
 	k := banscore.New(n.clk, banscore.Config{
 		Threshold:   pol.BanThreshold,
 		BanDuration: pol.BanDuration,
-		HalfLife:    pol.ScoreHalfLife,
 	})
 	if st := n.chain.Store(); st != nil {
 		if err := k.AttachStore(st); err != nil {
@@ -128,9 +129,10 @@ func (n *Node) newKeeper(pol Policy) *banscore.Keeper {
 }
 
 // SetPolicy replaces the defense policy. Zero fields keep their
-// defaults. Rate buckets of already-connected peers are unchanged; the
-// scoring keeper is rebuilt (reloading persisted bans), so configure
-// before connecting when scores must carry over.
+// defaults. The scoring keeper is rebuilt (reloading persisted bans,
+// dropping scores), so configure before connecting when scores must
+// carry over; the inbound cap and sync window apply from the next
+// accept and body refill.
 func (n *Node) SetPolicy(pol Policy) {
 	pol = pol.withDefaults()
 	k := n.newKeeper(pol)
@@ -138,13 +140,6 @@ func (n *Node) SetPolicy(pol Policy) {
 	n.policy = pol
 	n.scores = k
 	n.mu.Unlock()
-}
-
-// getPolicy returns the current policy.
-func (n *Node) getPolicy() Policy {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.policy
 }
 
 // keeper returns the current misbehavior keeper.
@@ -317,7 +312,7 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		conn.Close()
 		return nil
 	}
-	pol := n.policy
+	maxInbound := n.policy.MaxInbound
 	if key != "" && n.scores.IsBanned(key) {
 		n.mu.Unlock()
 		n.tel.refused.With("banned").Inc()
@@ -342,10 +337,10 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 				evict = q
 			}
 		}
-		if evict == nil && count >= pol.MaxInbound {
+		if evict == nil && count >= maxInbound {
 			n.mu.Unlock()
 			n.tel.refused.With("inbound_cap").Inc()
-			n.logDebug("refusing inbound connection at cap", "addr", key, "cap", pol.MaxInbound)
+			n.logDebug("refusing inbound connection at cap", "addr", key, "cap", maxInbound)
 			conn.Close()
 			return nil
 		}
@@ -360,14 +355,14 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 				dup = true
 			}
 		}
-		if dup || count >= pol.MaxOutbound {
+		if dup || count >= maxOutbound {
 			n.mu.Unlock()
 			if dup {
 				n.tel.refused.With("duplicate").Inc()
 				n.logDebug("refusing duplicate dial", "addr", dialAddr)
 			} else {
 				n.tel.refused.With("outbound_cap").Inc()
-				n.logDebug("refusing dial at cap", "addr", dialAddr, "cap", pol.MaxOutbound)
+				n.logDebug("refusing dial at cap", "addr", dialAddr, "cap", maxOutbound)
 			}
 			conn.Close()
 			return nil
@@ -375,7 +370,7 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 	}
 	id := n.nextID
 	n.nextID++
-	p := newPeer(n, conn, id, pol, n.live.Now())
+	p := newPeer(n, conn, id, n.live.Now())
 	p.dialAddr = dialAddr
 	p.addrKey = key
 	p.inbound = inbound
@@ -717,18 +712,17 @@ func (n *Node) readLoop(p *Peer) {
 			// too. A clean EOF or transport error scores nothing.
 			if errors.Is(err, wire.ErrBadMagic) || errors.Is(err, wire.ErrBadChecksum) ||
 				errors.Is(err, wire.ErrPayloadTooLarge) {
-				n.penalize(p, n.getPolicy().PenaltyFrame, err.Error())
+				n.penalize(p, penaltyFrame, err.Error())
 			}
 			return
 		}
 		n.tel.recvMsgs.With(p.addrKey).Inc()
 		n.tel.recvBytes.With(p.addrKey).Add(uint64(24 + len(msg.Payload)))
-		pol := n.getPolicy()
 		now := n.live.Now()
 		if !p.takeTokens(now, 24+len(msg.Payload)) {
 			// Drop the frame unprocessed; repeated violations ban.
 			n.tel.rateLimited.Inc()
-			if n.penalize(p, pol.PenaltyRateLimit, "rate limit exceeded") {
+			if n.penalize(p, penaltyRateLimit, "rate limit exceeded") {
 				return
 			}
 			continue
@@ -764,21 +758,20 @@ func (n *Node) readLoop(p *Peer) {
 // frames coming, and the silence deadline closes only a dead
 // connection. It returns the watched time the next sweep starts from.
 func (n *Node) sweepRequests(armed time.Time, watched time.Duration) time.Duration {
-	pol := n.getPolicy()
 	now := n.live.Now()
 	seen := min(now.Sub(armed), 2*sweepInterval)
 	unseen := now.Sub(armed) - seen
 	watched += seen
 	refill := false
 	for _, p := range n.readyPeers(nil) {
-		expired, stalled, silent, owed := p.sweep(now, unseen, pol)
+		expired, stalled, silent, owed := p.sweep(now, unseen)
 		n.chargeOrphans(p, owed)
 		switch {
 		case stalled:
 			// The peer advertised data it never served: charge it and
 			// rotate the sync to the remaining peers.
 			n.tel.stalls.Add(uint64(expired))
-			if !n.penalize(p, pol.PenaltyStall, "sync stall") {
+			if !n.penalize(p, PenaltyStall, "sync stall") {
 				n.rotateSync(p)
 			}
 		case expired > 0:
@@ -789,7 +782,7 @@ func (n *Node) sweepRequests(armed time.Time, watched time.Duration) time.Durati
 			p.close()
 		}
 	}
-	if watched >= pol.StallTimeout/2 {
+	if watched >= StallTimeout/2 {
 		n.resync(nil)
 		n.requestMissingObjects()
 		return 0
@@ -805,7 +798,7 @@ func (n *Node) sweepRequests(armed time.Time, watched time.Duration) time.Durati
 func (n *Node) chargeOrphans(p *Peer, owed []chainhash.Hash) {
 	for _, h := range owed {
 		if !n.chain.HaveHeader(h) {
-			n.penalize(p, n.getPolicy().PenaltyOrphan, fmt.Sprintf("orphan block %s never connected", h))
+			n.penalize(p, PenaltyOrphan, fmt.Sprintf("orphan block %s never connected", h))
 		}
 	}
 }
@@ -855,12 +848,11 @@ func isTxPenaltyWorthy(err error) bool {
 }
 
 func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
-	pol := n.getPolicy()
 	now := n.live.Now()
 	switch msg.Command {
 	case wire.CmdVersion:
 		if tip, _, err := wire.DecodeVersion(msg.Payload); err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed version payload")
+			n.penalize(p, penaltyMalformed, "malformed version payload")
 		} else if tip != chainhash.ZeroHash {
 			// The claimed tip seeds body scheduling; a false claim earns
 			// stall penalties once the peer fails to serve.
@@ -889,7 +881,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdGetHeaders:
 		locator, _, err := wire.DecodeLocator(msg.Payload)
 		if err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed getheaders locator")
+			n.penalize(p, penaltyMalformed, "malformed getheaders locator")
 			return err
 		}
 		// Always reply, even with an empty batch: the requester uses the
@@ -903,9 +895,9 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			if errors.Is(err, wire.ErrTooManyHeaders) {
 				// The protocol itself caps batches at MaxHeadersPerMsg;
 				// an oversized batch is deliberate.
-				n.penalize(p, pol.PenaltyOversized, "oversized headers batch")
+				n.penalize(p, penaltyOversized, "oversized headers batch")
 			} else {
-				n.penalize(p, pol.PenaltyMalformed, "malformed headers payload")
+				n.penalize(p, penaltyMalformed, "malformed headers payload")
 			}
 			return err
 		}
@@ -919,7 +911,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			if errors.Is(err, chain.ErrOrphanHeader) {
 				// A skeleton that does not connect can be an honest answer
 				// to a locator that raced a reorg; score it mildly.
-				n.penalize(p, pol.PenaltyUnsolicited, "disconnected header skeleton")
+				n.penalize(p, penaltyUnsolicited, "disconnected header skeleton")
 			} else if store.IsStoreFault(err) {
 				// Persisting the rows failed locally; the skeleton itself
 				// may be honest. No score.
@@ -927,7 +919,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			} else {
 				// Headers carry their own proof of work: an invalid one
 				// cannot be honest.
-				n.penalize(p, pol.PenaltyInvalidBlock, fmt.Sprintf("invalid header: %v", err))
+				n.penalize(p, penaltyInvalidBlock, fmt.Sprintf("invalid header: %v", err))
 			}
 		}
 		if accepted > 0 {
@@ -945,14 +937,14 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdInv:
 		invs, err := wire.DecodeInv(msg.Payload)
 		if err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed inv")
+			n.penalize(p, penaltyMalformed, "malformed inv")
 			return err
 		}
-		if len(invs) > pol.MaxInvEntries {
+		if len(invs) > MaxInvEntries {
 			// Honest peers announce objects one at a time; outsized
 			// batches are advertisement spam. Ignore entirely.
-			n.penalize(p, pol.PenaltyOversized,
-				fmt.Sprintf("inv with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
+			n.penalize(p, penaltyOversized,
+				fmt.Sprintf("inv with %d entries (cap %d)", len(invs), MaxInvEntries))
 			return nil
 		}
 		var want []wire.InvVect
@@ -963,21 +955,21 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			case wire.InvTypeBlock:
 				// A block two peers announce, or one the window refill
 				// already scheduled, is fetched once.
-				if !n.chain.HaveBlock(iv.Hash) && n.requestBody(p, iv.Hash, now, pol.MaxInflight) {
+				if !n.chain.HaveBlock(iv.Hash) && n.requestBody(p, iv.Hash, now) {
 					want = append(want, iv)
 					wantBlock = true
 				}
 			case wire.InvTypeTx:
 				if !n.pool.Have(iv.Hash) {
 					if _, onChain := n.chain.TxByID(iv.Hash); !onChain {
-						if p.noteRequested(iv.Type, iv.Hash, now, pol.MaxInflight) {
+						if p.noteRequested(iv.Type, iv.Hash, now) {
 							want = append(want, iv)
 						}
 					}
 				}
 			case wire.InvTypeOverlay:
 				if ledger := n.Ledger(); ledger != nil && ledger.Wants(iv.Hash) &&
-					p.noteRequested(iv.Type, iv.Hash, now, pol.MaxInflight) {
+					p.noteRequested(iv.Type, iv.Hash, now) {
 					want = append(want, iv)
 				}
 			}
@@ -997,13 +989,13 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdGetData:
 		invs, err := wire.DecodeInv(msg.Payload)
 		if err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed getdata")
+			n.penalize(p, penaltyMalformed, "malformed getdata")
 			return err
 		}
-		if len(invs) > pol.MaxInvEntries {
+		if len(invs) > MaxInvEntries {
 			// Serving a giant getdata costs this node bandwidth; refuse.
-			n.penalize(p, pol.PenaltyOversized,
-				fmt.Sprintf("getdata with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
+			n.penalize(p, penaltyOversized,
+				fmt.Sprintf("getdata with %d entries (cap %d)", len(invs), MaxInvEntries))
 			return nil
 		}
 		// A transaction or overlay object this node cannot serve goes in
@@ -1047,12 +1039,12 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdNotFound:
 		invs, err := wire.DecodeInv(msg.Payload)
 		if err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed notfound")
+			n.penalize(p, penaltyMalformed, "malformed notfound")
 			return err
 		}
-		if len(invs) > pol.MaxInvEntries {
-			n.penalize(p, pol.PenaltyOversized,
-				fmt.Sprintf("notfound with %d entries (cap %d)", len(invs), pol.MaxInvEntries))
+		if len(invs) > MaxInvEntries {
+			n.penalize(p, penaltyOversized,
+				fmt.Sprintf("notfound with %d entries (cap %d)", len(invs), MaxInvEntries))
 			return nil
 		}
 		// The peer answered: each request it names is settled, uncharged.
@@ -1070,7 +1062,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdBlock:
 		var blk wire.MsgBlock
 		if err := blk.Deserialize(bytes.NewReader(msg.Payload)); err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed block payload")
+			n.penalize(p, penaltyMalformed, "malformed block payload")
 			return err
 		}
 		hash := blk.BlockHash()
@@ -1094,7 +1086,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			}
 			// An invalid block cannot be honest: proof of work and the
 			// checksummed frame rule out accidents.
-			n.penalize(p, pol.PenaltyInvalidBlock, fmt.Sprintf("invalid block %s", hash))
+			n.penalize(p, penaltyInvalidBlock, fmt.Sprintf("invalid block %s", hash))
 			// The body is still needed; refetch it from the other peers.
 			n.scheduleBodies(p)
 			return nil // a bad block does not kill the connection
@@ -1105,7 +1097,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 			// equivocating or replaying peer produces. (A duplicated
 			// frame of a block we did request stays solicited via the
 			// request grace window.)
-			n.penalize(p, pol.PenaltyUnsolicited,
+			n.penalize(p, penaltyUnsolicited,
 				fmt.Sprintf("unsolicited %s block %s", status, hash))
 		}
 		switch status {
@@ -1127,7 +1119,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 	case wire.CmdTx:
 		var tx wire.MsgTx
 		if err := tx.Deserialize(bytes.NewReader(msg.Payload)); err != nil {
-			n.penalize(p, pol.PenaltyMalformed, "malformed tx payload")
+			n.penalize(p, penaltyMalformed, "malformed tx payload")
 			return err
 		}
 		txid := tx.TxHash()
@@ -1136,9 +1128,9 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		if _, err := n.pool.Accept(&tx); err != nil {
 			n.logDebug("tx rejected", "peer", p.id, "tx", txid.String(), "err", err)
 			if isTxPenaltyWorthy(err) {
-				n.penalize(p, pol.PenaltyInvalidTx, fmt.Sprintf("invalid tx %s: %v", txid, err))
+				n.penalize(p, penaltyInvalidTx, fmt.Sprintf("invalid tx %s: %v", txid, err))
 			} else if !solicited && errors.Is(err, mempool.ErrAlreadyKnown) {
-				n.penalize(p, pol.PenaltyUnsolicited, fmt.Sprintf("unsolicited duplicate tx %s", txid))
+				n.penalize(p, penaltyUnsolicited, fmt.Sprintf("unsolicited duplicate tx %s", txid))
 			}
 			return nil
 		}
@@ -1149,7 +1141,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		tc, err := wire.DecodeTraceContext(msg.Payload)
 		if err != nil {
 			// Checksummed frame: a malformed context is sender-made.
-			n.penalize(p, pol.PenaltyMalformed, "malformed trace context")
+			n.penalize(p, penaltyMalformed, "malformed trace context")
 			return err
 		}
 		// Advisory hop record for a span some earlier message created
@@ -1175,7 +1167,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		obj, err := typecoin.DecodeObject(msg.Payload)
 		if err != nil {
 			// Checksummed end to end: an undecodable object is sender-made.
-			n.penalize(p, pol.PenaltyMalformed, fmt.Sprintf("bad overlay object: %v", err))
+			n.penalize(p, penaltyMalformed, fmt.Sprintf("bad overlay object: %v", err))
 			return nil
 		}
 		h := obj.Hash()
@@ -1196,7 +1188,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		// free, so a command-name fuzzer still accumulates score.
 		n.tel.unknownCmds.Inc()
 		n.logDebug("unknown command", "peer", p.id, "command", msg.Command)
-		n.penalize(p, pol.PenaltyUnknownCmd, fmt.Sprintf("unknown command %q", msg.Command))
+		n.penalize(p, penaltyUnknownCmd, fmt.Sprintf("unknown command %q", msg.Command))
 		return nil
 	}
 }
@@ -1233,17 +1225,16 @@ func (n *Node) requestMissingObjects() {
 	if len(missing) == 0 {
 		return
 	}
-	pol := n.getPolicy()
 	now := n.live.Now()
 	for _, p := range peers {
 		var want []wire.InvVect
 		for _, h := range missing {
-			if !p.pending(wire.InvTypeOverlay, h) && p.noteRequested(wire.InvTypeOverlay, h, now, pol.MaxInflight) {
+			if !p.pending(wire.InvTypeOverlay, h) && p.noteRequested(wire.InvTypeOverlay, h, now) {
 				want = append(want, wire.InvVect{Type: wire.InvTypeOverlay, Hash: h})
 			}
 		}
 		for len(want) > 0 {
-			k := min(len(want), pol.MaxInvEntries)
+			k := min(len(want), MaxInvEntries)
 			if err := p.send(wire.CmdGetData, wire.EncodeInv(want[:k])); err != nil {
 				n.logDebug("overlay getdata send failed", "peer", p.id, "err", err)
 				break

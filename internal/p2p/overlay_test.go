@@ -140,7 +140,7 @@ func TestNotFoundEndsRequestsForMinedTxs(t *testing.T) {
 		h.Settle(5)
 	}
 
-	start, stall := h.Live.Now(), p2p.DefaultPolicy().StallTimeout
+	start, stall := h.Live.Now(), p2p.StallTimeout
 	h.WaitFor("the stall time-out passes", func() bool {
 		return h.Live.Now().Sub(start) > stall+2*time.Second
 	})

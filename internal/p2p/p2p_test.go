@@ -652,7 +652,7 @@ func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
 	realSlot := make([]byte, bkey.SerializedPubKeySize)
 	realSlot[0] = 0x04
 	m := miner.New(h.nodes[0].Chain(), nil, h.clk)
-	for i := 0; i <= p2p.DefaultPolicy().MaxInvEntries; i++ {
+	for i := 0; i <= p2p.MaxInvEntries; i++ {
 		committed := chainhash.Hash{0xcc, byte(i), byte(i >> 8)}
 		if i == 0 {
 			committed = held.Hash()
@@ -676,8 +676,8 @@ func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
 			}
 		}
 	}
-	if got := len(ledgers[0].MissingAnnouncements()); got != p2p.DefaultPolicy().MaxInvEntries+1 {
-		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.DefaultPolicy().MaxInvEntries+1)
+	if got := len(ledgers[0].MissingAnnouncements()); got != p2p.MaxInvEntries+1 {
+		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.MaxInvEntries+1)
 	}
 
 	// A block node 0 accepts from node 1 makes it ask for what it
@@ -691,8 +691,8 @@ func TestMissingOverlayRequestsStayUnderInvCap(t *testing.T) {
 		_, ok := ledgers[0].KnownObject(held.Hash())
 		return ok
 	})
-	if got := len(ledgers[0].MissingAnnouncements()); got != p2p.DefaultPolicy().MaxInvEntries {
-		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.DefaultPolicy().MaxInvEntries)
+	if got := len(ledgers[0].MissingAnnouncements()); got != p2p.MaxInvEntries {
+		t.Fatalf("node 0 misses %d announcements, want %d", got, p2p.MaxInvEntries)
 	}
 	// Each node handles its peer's frames in order, so once node 0 holds
 	// a second block of node 1's, each has handled the other's notfounds.

@@ -88,8 +88,8 @@ const (
 	// reqPending: sent and not yet answered. A pending block is in
 	// flight to this peer and holds one of its SyncWindow slots.
 	reqPending reqState = iota
-	// reqDelivered: answered. Remembered for the policy's RequestMemory
-	// so a link-duplicated re-delivery is still recognized as solicited.
+	// reqDelivered: answered. Remembered for requestMemory so a
+	// link-duplicated re-delivery is still recognized as solicited.
 	reqDelivered
 	// reqOwed: a block answered with a body the chain dropped (neither
 	// its header nor its parent known). Unless the header becomes known,
@@ -101,7 +101,7 @@ const (
 // reqInfo is one tracked getdata request: it answers whether an object
 // is in flight and to whom, fills the download window, and classifies
 // stalls and solicited deliveries. Pending and owed records expire at
-// the policy's StallTimeout.
+// StallTimeout.
 type reqInfo struct {
 	at    time.Time
 	state reqState
@@ -120,7 +120,7 @@ type queuedMsg struct {
 // errPeerClosed reports writes to a closed peer.
 var errPeerClosed = errors.New("p2p: peer closed")
 
-func newPeer(n *Node, conn io.ReadWriteCloser, id int, pol Policy, now time.Time) *Peer {
+func newPeer(n *Node, conn io.ReadWriteCloser, id int, now time.Time) *Peer {
 	return &Peer{
 		node:         n,
 		conn:         conn,
@@ -129,8 +129,8 @@ func newPeer(n *Node, conn io.ReadWriteCloser, id int, pol Policy, now time.Time
 		done:         make(chan struct{}),
 		shaken:       make(chan struct{}),
 		known:        make(map[invKey]bool),
-		msgBucket:    banscore.NewBucket(pol.MsgRate, pol.MsgBurst),
-		byteBucket:   banscore.NewBucket(pol.ByteRate, pol.ByteBurst),
+		msgBucket:    banscore.NewBucket(msgRate, msgBurst),
+		byteBucket:   banscore.NewBucket(byteRate, byteBurst),
 		requested:    make(map[invKey]*reqInfo),
 		lastDelivery: now,
 		lastHeard:    now,
@@ -151,7 +151,7 @@ func (p *Peer) takeTokens(now time.Time, bytes int) bool {
 // existing entry), reporting false when the peer already has
 // maxInflight pending requests — the caller then simply does not
 // request, and a later announcement or resync retries.
-func (p *Peer) noteRequested(typ uint32, hash [32]byte, now time.Time, maxInflight int) bool {
+func (p *Peer) noteRequested(typ uint32, hash [32]byte, now time.Time) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := invKey{typ, hash}
@@ -215,7 +215,7 @@ func (p *Peer) consumeRequest(typ uint32, hash [32]byte, now time.Time, owed boo
 }
 
 // sweep expires p's request table at now: delivered records past
-// RequestMemory, pending and owed ones past StallTimeout. Pending and
+// requestMemory, pending and owed ones past StallTimeout. Pending and
 // owed records, and the peer's last delivery and last frame, do not age
 // over the liveness time unseen (but no stamp moves past now). It
 // returns how many pending records expired, whether they count as a
@@ -223,7 +223,7 @@ func (p *Peer) consumeRequest(typ uint32, hash [32]byte, now time.Time, owed boo
 // lost on the way, and expiring them only frees their slots), whether
 // no frame came from the peer for 2×StallTimeout, and the owed blocks
 // that expired.
-func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired int, stalled, silent bool, owed []chainhash.Hash) {
+func (p *Peer) sweep(now time.Time, unseen time.Duration) (expired int, stalled, silent bool, owed []chainhash.Hash) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if unseen > 0 {
@@ -237,10 +237,10 @@ func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired i
 		age := now.Sub(e.at)
 		switch {
 		case e.state == reqDelivered:
-			if age <= pol.RequestMemory {
+			if age <= requestMemory {
 				continue
 			}
-		case age <= pol.StallTimeout:
+		case age <= StallTimeout:
 			continue
 		case e.state == reqPending:
 			expired++
@@ -249,8 +249,8 @@ func (p *Peer) sweep(now time.Time, unseen time.Duration, pol Policy) (expired i
 		}
 		delete(p.requested, k)
 	}
-	stalled = expired > 0 && now.Sub(p.lastDelivery) > pol.StallTimeout
-	return expired, stalled, now.Sub(p.lastHeard) > 2*pol.StallTimeout, owed
+	stalled = expired > 0 && now.Sub(p.lastDelivery) > StallTimeout
+	return expired, stalled, now.Sub(p.lastHeard) > 2*StallTimeout, owed
 }
 
 // notAfter returns the earlier of t and limit.

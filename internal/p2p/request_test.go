@@ -208,10 +208,9 @@ func TestStallChargedOnSilentPeerByTimer(t *testing.T) {
 		t.Fatalf("%d bodies in flight after the getdata, want 1", got)
 	}
 
-	pol := p2p.DefaultPolicy()
-	watch(h, pol.StallTimeout+time.Second)
+	watch(h, p2p.StallTimeout+time.Second)
 	waitFor(t, "stall charged and body released", func() bool {
-		return node.BanScore("127.0.0.1") == pol.PenaltyStall && node.SyncStatus().InflightBodies == 0
+		return node.BanScore("127.0.0.1") == p2p.PenaltyStall && node.SyncStatus().InflightBodies == 0
 	})
 }
 
@@ -230,8 +229,7 @@ func TestStallTimeoutReissuesLostBodyRequest(t *testing.T) {
 	rp.send(wire.CmdHeaders, wire.EncodeHeaders([]wire.BlockHeader{blk.Header}))
 	rp.expect("getdata for the body", isGetData(hash)) // and lost
 
-	pol := p2p.DefaultPolicy()
-	watch(h, pol.StallTimeout*2/3)
+	watch(h, p2p.StallTimeout*2/3)
 	rp.send(wire.CmdInv, inv(wire.InvTypeTx, tx.TxHash()))
 	rp.expect("getdata for the transaction", isGetData(tx.TxHash()))
 	rp.send(wire.CmdTx, tx.Bytes())
@@ -241,7 +239,7 @@ func TestStallTimeoutReissuesLostBodyRequest(t *testing.T) {
 		}
 	}
 
-	watch(h, pol.StallTimeout/3+time.Second)
+	watch(h, p2p.StallTimeout/3+time.Second)
 	rp.expect("the body asked for again", isGetData(hash))
 	if got := node.BanScore("127.0.0.1"); got != 0 {
 		t.Fatalf("delivering peer scored %d, want 0", got)
@@ -251,23 +249,26 @@ func TestStallTimeoutReissuesLostBodyRequest(t *testing.T) {
 // TestInflightCapFreedOnDeliveringPeer: MaxInflight unanswered
 // transaction requests on a peer that keeps answering others fill its
 // table. They expire at StallTimeout, so the node asks the peer for a
-// new announcement again, without charging it.
+// new announcement again, without charging it. The announcements go in
+// inv batches of at most MaxInvEntries, the most a node accepts.
 func TestInflightCapFreedOnDeliveringPeer(t *testing.T) {
 	checkGoroutines(t)
 	h, node, addr := listenNode(t)
-	pol := p2p.DefaultPolicy()
-	pol.MaxInflight = 3
-	node.SetPolicy(pol)
 	answered := orphanTx(t, node.Chain(), 1)
-	unanswered := []chainhash.Hash{{0xa1}, {0xa2}, {0xa3}}
+	unanswered := make([]chainhash.Hash, p2p.MaxInflight)
+	for i := range unanswered {
+		binary.LittleEndian.PutUint32(unanswered[i][:], uint32(i))
+		unanswered[i][31] = 0xa1
+	}
+	first := p2p.MaxInvEntries - 1
 
 	rp := dialRawPeer(t, addr, h.params.Magic)
-	rp.send(wire.CmdInv, inv(wire.InvTypeTx, answered.TxHash(), unanswered[0], unanswered[1]))
-	rp.expect("getdata for the first three", isGetData(unanswered[1]))
-	watch(h, pol.StallTimeout*2/3)
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, append([]chainhash.Hash{answered.TxHash()}, unanswered[:first]...)...))
+	rp.expect("getdata for the first batch", isGetData(unanswered[first-1]))
+	watch(h, p2p.StallTimeout*2/3)
 	rp.send(wire.CmdTx, answered.Bytes())
-	rp.send(wire.CmdInv, inv(wire.InvTypeTx, unanswered[2]))
-	rp.expect("getdata for the third unanswered", isGetData(unanswered[2]))
+	rp.send(wire.CmdInv, inv(wire.InvTypeTx, unanswered[first:]...))
+	rp.expect("getdata for the last unanswered", isGetData(unanswered[len(unanswered)-1]))
 
 	// The table is full: MaxInflight requests are unanswered.
 	late := chainhash.Hash{0xc1}
@@ -278,7 +279,7 @@ func TestInflightCapFreedOnDeliveringPeer(t *testing.T) {
 		}
 	}
 
-	watch(h, pol.StallTimeout/3+time.Second)
+	watch(h, p2p.StallTimeout/3+time.Second)
 	next := chainhash.Hash{0xc2}
 	rp.send(wire.CmdInv, inv(wire.InvTypeTx, next))
 	rp.expect("getdata for an announcement after the expiry", isGetData(next))
@@ -331,7 +332,7 @@ func TestOrphanPenalty(t *testing.T) {
 			rp.roundTrip()
 		}
 	}
-	penalty := p2p.DefaultPolicy().PenaltyOrphan
+	penalty := p2p.PenaltyOrphan
 
 	t.Run("unserved ancestry is charged once", func(t *testing.T) {
 		h, addr, blocks, points := orphanVictim(t)
@@ -450,7 +451,7 @@ func TestSilentPeerClosedAndRedialed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := 2 * p2p.DefaultPolicy().StallTimeout
+	deadline := 2 * p2p.StallTimeout
 	watch(h, deadline)
 	if node.PeerCount() != 1 {
 		t.Fatalf("peer closed after %v of silence, want after more than %v", deadline, deadline)

@@ -3,9 +3,7 @@ package p2p_test
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +14,7 @@ import (
 	"typecoin/internal/netsim"
 	"typecoin/internal/p2p"
 	"typecoin/internal/proof"
+	"typecoin/internal/testutil"
 	"typecoin/internal/typecoin"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
@@ -322,27 +321,7 @@ func runPartitionScenario(t *testing.T, seed int64) simFingerprint {
 // bytes that never come on a connection that stays up until the node's
 // silence deadline closes it.
 func scenarioSeeds(t *testing.T) []int64 {
-	if env := os.Getenv("SIM_SEED"); env != "" {
-		seed, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("SIM_SEED=%q: %v", env, err)
-		}
-		return []int64{seed}
-	}
-	if env := os.Getenv("SIM_SEEDS"); env != "" {
-		from, to, _ := strings.Cut(env, "-")
-		lo, err1 := strconv.ParseInt(from, 10, 64)
-		hi, err2 := strconv.ParseInt(to, 10, 64)
-		if err1 != nil || err2 != nil || lo > hi {
-			t.Fatalf("SIM_SEEDS=%q: want a range lo-hi", env)
-		}
-		var seeds []int64
-		for s := lo; s <= hi; s++ {
-			seeds = append(seeds, s)
-		}
-		return seeds
-	}
-	return []int64{1, 7, 23, 42, 170, 191, 1337}
+	return testutil.Seeds(t, 1, 7, 23, 42, 170, 191, 1337)
 }
 
 // TestSimPartitionHealDoubleSpend runs the adversarial partition

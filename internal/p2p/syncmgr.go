@@ -151,7 +151,7 @@ func (n *Node) releaseSyncPeer(p *Peer) bool {
 // holding the request refreshes it and re-requests: the earlier getdata
 // may have raced ahead of the peer's own body download, in which case
 // the inv is the signal that the body is now actually available.
-func (n *Node) requestBody(p *Peer, hash chainhash.Hash, now time.Time, maxInflight int) bool {
+func (n *Node) requestBody(p *Peer, hash chainhash.Hash, now time.Time) bool {
 	sm := n.sync
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -160,7 +160,7 @@ func (n *Node) requestBody(p *Peer, hash chainhash.Hash, now time.Time, maxInfli
 			return false
 		}
 	}
-	return p.noteRequested(wire.InvTypeBlock, hash, now, maxInflight)
+	return p.noteRequested(wire.InvTypeBlock, hash, now)
 }
 
 // advanceBestKnown raises p's best-known header to h when that widens
@@ -196,12 +196,11 @@ func (n *Node) readyPeers(except *Peer) []*Peer {
 // cover scheduled downloads unchanged.
 func (n *Node) scheduleBodies(except *Peer) {
 	n.mu.Lock()
-	stopped := n.stopped
+	stopped, syncWindow := n.stopped, n.policy.SyncWindow
 	n.mu.Unlock()
 	if stopped {
 		return
 	}
-	pol := n.getPolicy()
 	now := n.live.Now()
 	ready := n.readyPeers(except)
 	if len(ready) == 0 {
@@ -209,7 +208,7 @@ func (n *Node) scheduleBodies(except *Peer) {
 	}
 	// Enough candidates to refill every window even if the first
 	// window's worth of entries is already in flight.
-	need := n.chain.NextNeededBodies(2 * len(ready) * pol.SyncWindow)
+	need := n.chain.NextNeededBodies(2 * len(ready) * syncWindow)
 	if len(need) == 0 {
 		return
 	}
@@ -247,8 +246,8 @@ func (n *Node) scheduleBodies(except *Peer) {
 			i := next % len(ready)
 			p := ready[i]
 			next++
-			if servable[i] >= nb.Height && window[p] < pol.SyncWindow &&
-				p.noteRequested(wire.InvTypeBlock, nb.Hash, now, pol.MaxInflight) {
+			if servable[i] >= nb.Height && window[p] < syncWindow &&
+				p.noteRequested(wire.InvTypeBlock, nb.Hash, now) {
 				target = p
 				break
 			}

@@ -133,7 +133,6 @@ type SpanStore struct {
 	origin uint64
 	clk    clock.Clock
 	pairs  []spanPair
-	conf   int // confirmation depth for StageConfirmed
 }
 
 // DefaultConfirmDepth is the k used for the confirmed stage, matching
@@ -156,7 +155,6 @@ func NewSpanStore(capacity int, clk clock.Clock) *SpanStore {
 		spans: make(map[chainhash.Hash]*span, capacity),
 		order: make([]chainhash.Hash, capacity),
 		clk:   clk,
-		conf:  DefaultConfirmDepth,
 	}
 }
 
@@ -175,15 +173,6 @@ func (s *SpanStore) Origin() uint64 {
 		return 0
 	}
 	return s.origin
-}
-
-// SetConfirmDepth sets the k after which a mined subject records the
-// confirmed stage. Call before concurrent use.
-func (s *SpanStore) SetConfirmDepth(k int) {
-	if s == nil || k <= 0 {
-		return
-	}
-	s.conf = k
 }
 
 // ObservePair registers a histogram observing, in seconds, the delta
@@ -343,7 +332,7 @@ func (s *SpanStore) NotifyHeight(tip int) {
 	now := s.clk.Now()
 	s.mu.Lock()
 	for _, sp := range s.spans {
-		if sp.height == 0 || tip-sp.height+1 < s.conf {
+		if sp.height == 0 || tip-sp.height+1 < DefaultConfirmDepth {
 			continue
 		}
 		if _, dup := sp.stageAt(StageConfirmed); dup {

@@ -145,7 +145,6 @@ func TestSpanStoreObserveDoesNotCreate(t *testing.T) {
 func TestSpanStoreDurableAndConfirmed(t *testing.T) {
 	clk := clock.NewSimulated(time.Unix(1000, 0))
 	s := NewSpanStore(8, clk)
-	s.SetConfirmDepth(3)
 
 	reg := NewRegistry()
 	hist := reg.Histogram("mined_durable_seconds", "test", LatencyBuckets)
@@ -171,11 +170,11 @@ func TestSpanStoreDurableAndConfirmed(t *testing.T) {
 		t.Fatalf("mined->durable observed %d times, sum %vs; want once, 1s", hist.Count(), hist.Sum())
 	}
 
-	s.NotifyHeight(11) // depth 2 < 3
+	s.NotifyHeight(10 + DefaultConfirmDepth - 2) // one block short
 	if snap, _ := s.Snapshot(ref); hasStage(snap, StageConfirmed) {
 		t.Fatal("confirmed too early")
 	}
-	s.NotifyHeight(12) // depth 3
+	s.NotifyHeight(10 + DefaultConfirmDepth - 1) // buried DefaultConfirmDepth deep
 	if snap, _ := s.Snapshot(ref); !hasStage(snap, StageConfirmed) {
 		t.Fatal("confirmed not recorded at depth")
 	}
@@ -217,7 +216,6 @@ func TestSpanStoreHopAdoption(t *testing.T) {
 func TestSpanStoreNilSafety(t *testing.T) {
 	var s *SpanStore
 	s.SetOrigin(1)
-	s.SetConfirmDepth(6)
 	s.ObservePair(SpanTx, StageSubmitted, StageAccepted, nil)
 	s.Record(SpanTx, spanRef(0), StageSubmitted)
 	s.Observe(SpanTx, spanRef(0), StageAccepted)

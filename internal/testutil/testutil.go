@@ -6,6 +6,9 @@ package testutil
 import (
 	"crypto/sha256"
 	"io"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +48,34 @@ func (e *Entropy) Read(p []byte) (int, error) {
 }
 
 var _ io.Reader = (*Entropy)(nil)
+
+// Seeds returns a seeded scenario's seed list: the single seed in
+// SIM_SEED (to replay a failure), every seed of the range lo-hi in
+// SIM_SEEDS (for a sweep; see make sim-sweep), or else defaults.
+func Seeds(tb testing.TB, defaults ...int64) []int64 {
+	tb.Helper()
+	if env := os.Getenv("SIM_SEED"); env != "" {
+		seed, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			tb.Fatalf("SIM_SEED=%q: %v", env, err)
+		}
+		return []int64{seed}
+	}
+	if env := os.Getenv("SIM_SEEDS"); env != "" {
+		from, to, _ := strings.Cut(env, "-")
+		lo, err1 := strconv.ParseInt(from, 10, 64)
+		hi, err2 := strconv.ParseInt(to, 10, 64)
+		if err1 != nil || err2 != nil || lo > hi {
+			tb.Fatalf("SIM_SEEDS=%q: want a range lo-hi", env)
+		}
+		var seeds []int64
+		for s := lo; s <= hi; s++ {
+			seeds = append(seeds, s)
+		}
+		return seeds
+	}
+	return defaults
+}
 
 // Harness bundles a regtest node's components with a funded wallet.
 type Harness struct {
