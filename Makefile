@@ -36,9 +36,11 @@ race:
 
 # check also sweeps the partition and Byzantine scenarios over fifty
 # seeds (about 25 s), so a p2p change that breaks a seed beyond tier-1's
-# five fails here.
+# five fails here, and runs the concurrent-admission test fifty times
+# under -race (about 3 s), since one run may interleave only one way.
 check: vet build test race portable bench-module chaos examples
 	$(MAKE) sim-sweep SIM_SEEDS=1-50
+	$(GO) test -race -run 'TestConflictingAdmissionsOneWins$$' -count=50 ./internal/mempool/
 
 # On amd64 internal/bkey multiplies field elements in Go's assembly; on
 # every other GOARCH, and under the purego tag, in fiat's Go alone. Test

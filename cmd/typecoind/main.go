@@ -93,7 +93,13 @@ func run(args []string) int {
 	audit := fs.Bool("audit", true, "run the from-genesis consistency audit on startup")
 	maxPeers := fs.Int("maxpeers", 0, "max inbound connections (0 = default)")
 	syncWindow := fs.Int("syncwindow", 0, "in-flight body downloads per peer during headers-first sync (0 = default)")
-	banThreshold := fs.Int("banthreshold", 0, "misbehavior score that bans a peer (0 = default)")
+	// The score is an int32: a wider value is refused here, not wrapped.
+	var banThreshold int32
+	fs.Func("banthreshold", "misbehavior score that bans a peer (0 = default)", func(s string) error {
+		v, err := strconv.ParseInt(s, 0, 32)
+		banThreshold = int32(v)
+		return err
+	})
 	banDuration := fs.Duration("banduration", 0, "how long a triggered ban lasts (0 = default)")
 	traceSpans := fs.Int("trace-spans", telemetry.DefaultSpanCapacity, "commitment-latency spans kept in memory, served at /debug/spans (0 disables span tracing)")
 	loglevel := fs.String("loglevel", "info", "log verbosity: debug, info, warn, error")
@@ -190,7 +196,7 @@ func run(args []string) int {
 
 	// A zero (or negative) flag leaves its field zero: the default.
 	nd.P2P.SetPolicy(p2p.Policy{
-		BanThreshold: int32(*banThreshold),
+		BanThreshold: banThreshold,
 		BanDuration:  *banDuration,
 		MaxInbound:   *maxPeers,
 		SyncWindow:   *syncWindow,

@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
+	"time"
 
 	"typecoin/internal/node"
 	"typecoin/internal/testutil"
@@ -115,5 +120,35 @@ func TestBlockAndTypecoinEndpoints(t *testing.T) {
 	code, _ = doJSON(t, s.handleTypecoin, "GET", "/typecoin/nonsense", nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("bad outpoint: code=%d", code)
+	}
+}
+
+// TestBanThresholdOutsideInt32Refused starts the daemon with ban
+// thresholds that do not fit the score's int32. Each must stop it at
+// flag parsing (exit status 2, naming the flag), not wrap into another
+// value and run.
+func TestBanThresholdOutsideInt32Refused(t *testing.T) {
+	for _, v := range []string{"3000000000", "-2147483649"} {
+		cmd := exec.Command(os.Args[0], "-test.run=TestDaemonHelper", "--",
+			"-banthreshold", v, "-listen", "", "-http", "127.0.0.1:0")
+		cmd.Env = append(os.Environ(), "TYPECOIND_HELPER=1")
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan error, 1)
+		go func() { exited <- cmd.Wait() }()
+		select {
+		case err := <-exited:
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out.String(), "-banthreshold") {
+				t.Errorf("-banthreshold %s: %v, want exit status 2 naming the flag; output:\n%s", v, err, out.String())
+			}
+		case <-time.After(10 * time.Second):
+			cmd.Process.Kill()
+			<-exited
+			t.Errorf("-banthreshold %s: the daemon started; output:\n%s", v, out.String())
+		}
 	}
 }

@@ -86,6 +86,12 @@ type Pool struct {
 	maxBytes int64 // 0 = default
 	feeFloor int64 // dynamic floor in satoshi per kB; 0 = inactive
 	floorAt  time.Time
+	// inflight holds the txids whose admission is verifying its scripts
+	// outside the lock, and gen counts what such an admission must see
+	// before it inserts: every insert, every removal and every chain
+	// notification (see accept).
+	inflight map[chainhash.Hash]struct{}
+	gen      uint64
 
 	// tel carries the registered collectors; the zero value disables
 	// instrumentation. See telemetry.go.
@@ -103,6 +109,10 @@ type Pool struct {
 	// obligations while still serving queries.
 	gateMu sync.RWMutex
 	gate   func() bool
+
+	// betweenPhases, set only by tests, runs between an admission's
+	// first phase and its verification.
+	betweenPhases func()
 }
 
 // SetGate registers fn as the admission gate: Accept refuses new
@@ -142,6 +152,7 @@ func New(c *chain.Chain, minRelayFee int64) *Pool {
 		clk:         c.Clock(),
 		pool:        make(map[chainhash.Hash]*poolTx),
 		spends:      make(map[wire.OutPoint]chainhash.Hash),
+		inflight:    make(map[chainhash.Hash]struct{}),
 	}
 	c.Subscribe(p.onChainChange)
 	return p
@@ -294,66 +305,58 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 	}
 
 	txid := tx.TxHash()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.pool[txid]; ok {
-		return 0, ErrAlreadyKnown
-	}
-
-	// Build the input view: confirmed UTXOs plus outputs of pooled
-	// transactions (chained unconfirmed spends are allowed), minus
-	// anything a pooled transaction already spends. Resolve each output
-	// once, keeping its locking script for the verification pass below.
-	var totalIn int64
-	pkScripts := make([][]byte, len(tx.TxIn))
-	for i, in := range tx.TxIn {
-		if spender, ok := p.spends[in.PreviousOutPoint]; ok {
-			return 0, fmt.Errorf("%w: %v already spent by %s", ErrPoolConflict,
-				in.PreviousOutPoint, spender)
-		}
-		value, pkScript, err := p.lookupOutputLocked(in.PreviousOutPoint)
-		if err != nil {
-			return 0, err
-		}
-		totalIn += value
-		pkScripts[i] = pkScript
-	}
-	var totalOut int64
-	for _, out := range tx.TxOut {
-		totalOut += out.Value
-	}
-	if totalIn < totalOut {
-		return 0, fmt.Errorf("%w: in %d < out %d", chain.ErrInsufficientFee, totalIn, totalOut)
-	}
-	fee := totalIn - totalOut
-	if fee < p.minRelayFee {
-		return 0, fmt.Errorf("%w: fee %d < %d", ErrFeeTooLow, fee, p.minRelayFee)
-	}
 	size := tx.SerializeSize()
-	now := p.clk.Now()
-	if floor := p.floorLocked(now); floor > 0 && feeRate(fee, size) < floor {
-		return 0, fmt.Errorf("%w: fee rate %d/kB < floor %d/kB",
-			ErrMempoolFull, feeRate(fee, size), floor)
+
+	// Phase 1, under the lock: every check that reads the pool or the
+	// chain. The txid is then in flight: a second admission of it is a
+	// duplicate, and Have reports it.
+	p.mu.Lock()
+	now, gen := p.clk.Now(), p.gen
+	pkScripts, fee, err := p.checkLocked(tx, txid, size, now)
+	if err == nil {
+		p.inflight[txid] = struct{}{}
+	}
+	p.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
 
-	// Verify every input script, in parallel (par.Do); the error is the
-	// lowest failing input's. The verifier scans each signature script
-	// for non-push opcodes before running it; a script it refuses on
-	// that ground is a policy matter here. A pass goes into the chain's
-	// verdict set, so block connect runs none of these scripts again.
-	err := par.Do(len(tx.TxIn), func(i int) error {
+	// Phase 2, with no lock held: verify every input script, in parallel
+	// (par.Do); the error is the lowest failing input's. The verifier
+	// scans each signature script for non-push opcodes before running
+	// it; a script it refuses on that ground is a policy matter here.
+	if p.betweenPhases != nil {
+		p.betweenPhases()
+	}
+	err = par.Do(len(tx.TxIn), func(i int) error {
 		return script.VerifyInput(tx, i, pkScripts[i])
 	})
+
+	// Phase 3, under the lock again. If the pool or the chain changed
+	// meanwhile, the inputs are resolved again, so a spend admitted or
+	// confirmed in between refuses this one. A pass goes into the
+	// chain's verdict set, so block connect runs none of these scripts
+	// again.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.inflight, txid)
 	if errors.Is(err, script.ErrSigScriptNotPush) {
 		return 0, fmt.Errorf("%w: input script not push-only", ErrNonStandard)
 	}
 	if err != nil {
 		return 0, err
 	}
+	if p.gen != gen {
+		now = p.clk.Now()
+		if _, _, err := p.checkLocked(tx, txid, size, now); err != nil {
+			return 0, err
+		}
+	}
 	p.chain.SigCache().Add(txid)
 
 	p.pool[txid] = &poolTx{tx: tx, fee: fee, size: size, seq: p.nextSeq}
 	p.nextSeq++
+	p.gen++
 	p.bytes += int64(size)
 	for _, in := range tx.TxIn {
 		p.spends[in.PreviousOutPoint] = txid
@@ -367,6 +370,47 @@ func (p *Pool) accept(tx *wire.MsgTx) (int64, error) {
 			ErrMempoolFull, feeRate(fee, size))
 	}
 	return fee, nil
+}
+
+// checkLocked refuses a txid pooled or in flight, resolves tx's inputs
+// against the chain UTXO table and the pooled transactions' outputs
+// (chained unconfirmed spends are allowed), refusing an input a pooled
+// transaction already spends, and applies the fee rules. It returns
+// each input's locking script, for the verification, and the fee.
+func (p *Pool) checkLocked(tx *wire.MsgTx, txid chainhash.Hash, size int, now time.Time) ([][]byte, int64, error) {
+	if p.haveLocked(txid) {
+		return nil, 0, ErrAlreadyKnown
+	}
+	var totalIn int64
+	pkScripts := make([][]byte, len(tx.TxIn))
+	for i, in := range tx.TxIn {
+		if spender, ok := p.spends[in.PreviousOutPoint]; ok {
+			return nil, 0, fmt.Errorf("%w: %v already spent by %s", ErrPoolConflict,
+				in.PreviousOutPoint, spender)
+		}
+		value, pkScript, err := p.lookupOutputLocked(in.PreviousOutPoint)
+		if err != nil {
+			return nil, 0, err
+		}
+		totalIn += value
+		pkScripts[i] = pkScript
+	}
+	var totalOut int64
+	for _, out := range tx.TxOut {
+		totalOut += out.Value
+	}
+	if totalIn < totalOut {
+		return nil, 0, fmt.Errorf("%w: in %d < out %d", chain.ErrInsufficientFee, totalIn, totalOut)
+	}
+	fee := totalIn - totalOut
+	if fee < p.minRelayFee {
+		return nil, 0, fmt.Errorf("%w: fee %d < %d", ErrFeeTooLow, fee, p.minRelayFee)
+	}
+	if floor := p.floorLocked(now); floor > 0 && feeRate(fee, size) < floor {
+		return nil, 0, fmt.Errorf("%w: fee rate %d/kB < floor %d/kB",
+			ErrMempoolFull, feeRate(fee, size), floor)
+	}
+	return pkScripts, fee, nil
 }
 
 // lookupOutputLocked resolves an outpoint against the chain UTXO table or
@@ -384,15 +428,21 @@ func (p *Pool) lookupOutputLocked(op wire.OutPoint) (int64, []byte, error) {
 	return 0, nil, fmt.Errorf("%w: %v", ErrOrphanTx, op)
 }
 
-// Have reports whether txid is pooled.
+// Have reports whether txid is pooled or its admission is in flight:
+// either way the node needs no other copy of it.
 func (p *Pool) Have(txid chainhash.Hash) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	_, ok := p.pool[txid]
-	return ok
+	return p.haveLocked(txid)
 }
 
-// Tx returns a pooled transaction.
+func (p *Pool) haveLocked(txid chainhash.Hash) bool {
+	_, pooled := p.pool[txid]
+	_, inFlight := p.inflight[txid]
+	return pooled || inFlight
+}
+
+// Tx returns a pooled transaction (never one in flight).
 func (p *Pool) Tx(txid chainhash.Hash) (*wire.MsgTx, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -460,12 +510,15 @@ func (p *Pool) MiningCandidates(maxTxs int) []*wire.MsgTx {
 // transactions leave the pool, and transactions from disconnected blocks
 // are re-admitted when still valid.
 func (p *Pool) onChainChange(n chain.Notification) {
+	// The UTXO table changed: an admission in flight resolves its
+	// inputs again.
+	p.mu.Lock()
+	p.gen++
 	if n.Connected {
 		// Hoist the tracer check out of the per-tx loop: txid.String()
 		// and the detail formatting must cost nothing when tracing is
 		// off, and a full block is hundreds of transactions.
 		tr := p.tel.tracer
-		p.mu.Lock()
 		for _, tx := range n.Block.Transactions {
 			txid := tx.TxHash()
 			if _, pooled := p.pool[txid]; pooled {
@@ -491,6 +544,7 @@ func (p *Pool) onChainChange(n chain.Notification) {
 		p.mu.Unlock()
 		return
 	}
+	p.mu.Unlock()
 	// Disconnected block: try to put its transactions back.
 	for _, tx := range n.Block.Transactions {
 		if tx.IsCoinBase() {
@@ -512,6 +566,7 @@ func (p *Pool) dropLocked(txid chainhash.Hash) *poolTx {
 		return nil
 	}
 	delete(p.pool, txid)
+	p.gen++
 	p.bytes -= int64(ptx.size)
 	for _, in := range ptx.tx.TxIn {
 		if p.spends[in.PreviousOutPoint] == txid {

@@ -15,6 +15,7 @@ import (
 	"typecoin/internal/miner"
 	"typecoin/internal/p2p"
 	"typecoin/internal/script"
+	"typecoin/internal/telemetry"
 	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
 	"typecoin/internal/wire"
@@ -188,6 +189,9 @@ func TestUnsolicitedDuplicateTxPenalized(t *testing.T) {
 	checkGoroutines(t)
 	h := newNetHarness(t, 1)
 	node := h.nodes[0]
+	reg := telemetry.NewRegistry()
+	node.Pool().SetTelemetry(reg, nil)
+	duplicates := func() uint64 { return reg.VecValues("mempool_rejected_total")[`{reason="duplicate"}`] }
 	addr, err := node.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -229,13 +233,27 @@ func TestUnsolicitedDuplicateTxPenalized(t *testing.T) {
 	if got := node.PeerCount(); got != 1 {
 		t.Fatalf("peer count %d after duplicate tx, want 1", got)
 	}
+	// The duplicate was settled on the payload's hash: it never reached
+	// the pool.
+	if got := duplicates(); got != 0 {
+		t.Fatalf("pool refused %d duplicates, want 0", got)
+	}
+
+	// The same transaction with a trailing byte hashes to no txid the
+	// node holds: it is decoded, refused by the pool as a duplicate, and
+	// penalized the same.
+	sendRawMsg(t, conn, h.params.Magic, wire.CmdTx, append(tx.Bytes(), 0))
+	waitFor(t, "padded duplicate scored", func() bool { return node.BanScore("127.0.0.1") >= 20 })
+	if got := duplicates(); got != 1 {
+		t.Fatalf("pool refused %d duplicates after the padded copy, want 1", got)
+	}
 
 	// A malformed tx payload inside a valid frame is sender-made:
 	// penalized and the connection dropped.
 	sendRawMsg(t, conn, h.params.Magic, wire.CmdTx, []byte{0xff, 0x01, 0x02})
 	waitFor(t, "malformed sender dropped", func() bool { return node.PeerCount() == 0 })
-	if got := node.BanScore("127.0.0.1"); got < 30 {
-		t.Fatalf("score %d after malformed tx, want >= 30", got)
+	if got := node.BanScore("127.0.0.1"); got < 40 {
+		t.Fatalf("score %d after malformed tx, want >= 40", got)
 	}
 }
 

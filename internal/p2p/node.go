@@ -960,6 +960,7 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 					wantBlock = true
 				}
 			case wire.InvTypeTx:
+				// A transaction pooled or in admission is not asked for.
 				if !n.pool.Have(iv.Hash) {
 					if _, onChain := n.chain.TxByID(iv.Hash); !onChain {
 						if p.noteRequested(iv.Type, iv.Hash, now) {
@@ -1117,6 +1118,17 @@ func (n *Node) handleMessage(p *Peer, msg *wire.Message) error {
 		return nil
 
 	case wire.CmdTx:
+		// A txid is the hash of the canonical encoding, so a payload
+		// that hashes to a transaction this node holds, or is admitting,
+		// is a duplicate: it is settled without a decode. Any other
+		// encoding of it misses here and is refused by Accept below.
+		if txid := chainhash.DoubleHashB(msg.Payload); n.pool.Have(txid) {
+			p.markKnown(wire.InvTypeTx, txid)
+			if !p.consumeRequest(wire.InvTypeTx, txid, now, false) {
+				n.penalize(p, penaltyUnsolicited, fmt.Sprintf("unsolicited duplicate tx %s", txid))
+			}
+			return nil
+		}
 		var tx wire.MsgTx
 		if err := tx.Deserialize(bytes.NewReader(msg.Payload)); err != nil {
 			n.penalize(p, penaltyMalformed, "malformed tx payload")
@@ -1285,10 +1297,12 @@ func (n *Node) announce(iv wire.InvVect, except *Peer) {
 	}
 }
 
-// BroadcastTx submits a transaction locally and announces it.
+// BroadcastTx submits a transaction locally and announces it. It
+// announces only a pooled transaction: one whose admission is still in
+// flight is refused as a duplicate.
 func (n *Node) BroadcastTx(tx *wire.MsgTx) error {
 	txid := tx.TxHash()
-	if !n.pool.Have(txid) {
+	if _, pooled := n.pool.Tx(txid); !pooled {
 		// The submitted stage opens the commitment's latency span; the
 		// pool's acceptance (or rejection, leaving a submit-only span)
 		// is the next beat.

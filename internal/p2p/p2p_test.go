@@ -170,8 +170,11 @@ func TestTxPropagationAndMining(t *testing.T) {
 	if err := h.nodes[0].BroadcastTx(tx); err != nil {
 		t.Fatal(err)
 	}
+	// Tx, not Have: node 1 mines the transaction next, so it must be
+	// pooled, not only in admission.
 	waitFor(t, "tx reaches node 1", func() bool {
-		return h.nodes[1].Pool().Have(tx.TxHash())
+		_, pooled := h.nodes[1].Pool().Tx(tx.TxHash())
+		return pooled
 	})
 
 	// Node 1 mines the transaction; node 0 learns the block and clears

@@ -74,6 +74,8 @@ type Peer struct {
 	msgBucket  *banscore.Bucket
 	byteBucket *banscore.Bucket
 	requested  map[invKey]*reqInfo
+	// inflight counts the records of requested in state reqPending.
+	inflight int
 	// lastDelivery is the last time this peer satisfied any request; a
 	// stall is only charged when the peer is silent on all of them.
 	lastDelivery time.Time
@@ -156,20 +158,18 @@ func (p *Peer) noteRequested(typ uint32, hash [32]byte, now time.Time) bool {
 	defer p.mu.Unlock()
 	k := invKey{typ, hash}
 	if e, ok := p.requested[k]; ok {
+		if e.state != reqPending {
+			p.inflight++
+		}
 		e.at = now
 		e.state = reqPending
 		return true
 	}
-	pending := 0
-	for _, e := range p.requested {
-		if e.state == reqPending {
-			pending++
-		}
-	}
-	if pending >= maxInflight {
+	if p.inflight >= maxInflight {
 		return false
 	}
 	p.requested[k] = &reqInfo{at: now}
+	p.inflight++
 	return true
 }
 
@@ -204,6 +204,9 @@ func (p *Peer) consumeRequest(typ uint32, hash [32]byte, now time.Time, owed boo
 	e, ok := p.requested[invKey{typ, hash}]
 	if !ok {
 		return false
+	}
+	if e.state == reqPending {
+		p.inflight--
 	}
 	e.state = reqDelivered
 	if owed {
@@ -244,6 +247,7 @@ func (p *Peer) sweep(now time.Time, unseen time.Duration) (expired int, stalled,
 			continue
 		case e.state == reqPending:
 			expired++
+			p.inflight--
 		default:
 			owed = append(owed, k.hash)
 		}
