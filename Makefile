@@ -17,7 +17,7 @@ RACE_PKGS = ./internal/chain/... ./internal/mempool/... ./internal/sigcache/... 
 # runs for a short smoke budget; override FUZZTIME for longer campaigns.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim sim-sweep sim-loaded recovery byzantine index-load latency-report lines
+.PHONY: build test race vet check portable bench-module chaos examples bench verify-probe metrics-smoke fuzz-smoke sim sim-sweep sim-loaded recovery byzantine index-load latency-report lines lines-diff
 
 build:
 	$(GO) build ./...
@@ -194,3 +194,18 @@ lines:
 		{ n[d]++; t++ } \
 		END { for (d in n) printf "%6d  %s\n", n[d], d | "LC_ALL=C sort -k2"; \
 			close("LC_ALL=C sort -k2"); printf "%6d  total\n", t }'
+
+# The lines count at BASE (a git ref, extracted with git archive to a
+# temporary directory) and in the work tree, per package directory and
+# in total: before, after and the difference. make lines-diff BASE=<ref>
+BASE ?= HEAD
+lines-diff:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/src"; \
+	git archive "$(BASE)" | tar -x -C "$$tmp/src" || exit 1; \
+	$(MAKE) -s --no-print-directory -C "$$tmp/src" -f "$(CURDIR)/Makefile" lines > "$$tmp/before" || exit 1; \
+	$(MAKE) -s --no-print-directory lines > "$$tmp/after" || exit 1; \
+	printf '%6s %6s %6s  %s\n' before after delta package; \
+	awk 'NR == FNR { b[$$2] = $$1; seen[$$2] = 1; next } { a[$$2] = $$1; seen[$$2] = 1 } \
+		END { for (d in seen) if (d != "total") printf "%6d %6d %+6d  %s\n", b[d], a[d], a[d] - b[d], d | "LC_ALL=C sort -k4"; \
+			close("LC_ALL=C sort -k4"); printf "%6d %6d %+6d  total\n", b["total"], a["total"], a["total"] - b["total"] }' \
+		"$$tmp/before" "$$tmp/after"

@@ -7,7 +7,8 @@ package main
 // indexed waterfall, the relay peer with a recorded hop that adopted the
 // origin's wire-propagated identity. This is exactly the data
 // `typecoin-cli trace <txid>` renders. The same two daemons also show
-// that one redials a peer that restarted.
+// that one redials a peer that restarted, and three show that two
+// daemons on one host are two peers of a third.
 
 import (
 	"net/http"
@@ -168,4 +169,38 @@ func TestPeerRedialedAfterRestart(t *testing.T) {
 	waitDaemon(t, "B reconnects and syncs the block mined after the restart", func() bool {
 		return dB.status(t)["height"].(float64) == 2
 	})
+}
+
+// TestTwoDaemonsOnOneHostStayConnected: two daemons on 127.0.0.1 dial a
+// third, which keeps both as peers. A block mined on either reaches the
+// other through the third, and the third counts two peers throughout.
+func TestTwoDaemonsOnOneHostStayConnected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	dirA := t.TempDir()
+	dA := startDaemon(t, dirA, "-listen", "127.0.0.1:0")
+	p2pAddr, err := os.ReadFile(filepath.Join(dirA, "p2p.addr"))
+	if err != nil {
+		t.Fatalf("p2p.addr: %v", err)
+	}
+	dB := startDaemon(t, t.TempDir(), "-connect", string(p2pAddr))
+	dC := startDaemon(t, t.TempDir(), "-connect", string(p2pAddr))
+	peers := func(d *daemon) float64 { return d.status(t)["peers"].(float64) }
+	waitDaemon(t, "A holds both peers", func() bool { return peers(dA) == 2 })
+
+	dB.post(t, "/mine", map[string]int{"blocks": 1})
+	waitDaemon(t, "B's block reaches C through A", func() bool {
+		return dC.status(t)["height"].(float64) == 1
+	})
+	dC.post(t, "/mine", map[string]int{"blocks": 1})
+	waitDaemon(t, "C's block reaches B through A", func() bool {
+		return dB.status(t)["height"].(float64) == 2
+	})
+	for i := 0; i < 20; i++ {
+		if a, b, c := peers(dA), peers(dB), peers(dC); a != 2 || b != 1 || c != 1 {
+			t.Fatalf("peer counts A %v, B %v, C %v; want 2, 1, 1", a, b, c)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }

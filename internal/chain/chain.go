@@ -58,13 +58,18 @@ func (n *blockNode) medianTimePast() time.Time {
 	return times[len(times)/2]
 }
 
-// Notification describes a main-chain change delivered to subscribers.
+// Notification describes a main-chain change: the one event the persist
+// hooks see inside the commit batch and the subscribers see after it.
 type Notification struct {
 	// Connected is true when Block joined the main chain, false when it
 	// was disconnected during a reorganization.
 	Connected bool
 	Block     *wire.MsgBlock
 	Height    int
+	// Spent lists the entries the block consumed (connect) or gives
+	// back (disconnect), in spend order; the coinbase consumes none.
+	// Receivers share it and must not modify it.
+	Spent []SpentOutput
 }
 
 // txLoc places a main-chain transaction: the block containing it and its
@@ -97,7 +102,7 @@ type Chain struct {
 	st store.Store
 	// persisters contribute subsystem rows (the chain index's) to each
 	// commit batch; they run under mu while the batch is built.
-	persisters []PersistFunc
+	persisters []func(Notification, *store.Batch)
 
 	mu          sync.RWMutex
 	index       map[chainhash.Hash]*blockNode // every validated header, with or without its body
@@ -426,7 +431,8 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	// row, tip, subscriber rows) before the tip moves. If the store
 	// refuses, the block is rejected and the resident maps are rolled
 	// back — memory never runs ahead of disk.
-	if err := c.commitConnect(node, spent); err != nil {
+	ev := Notification{Connected: true, Block: blk, Height: node.height, Spent: spent}
+	if err := c.commitConnect(node, ev); err != nil {
 		c.unapplyBlock(blk.Transactions, spent)
 		return nil, fmt.Errorf("chain: persist connect %s: %w", node.hash, err)
 	}
@@ -447,7 +453,7 @@ func (c *Chain) connectBlock(node *blockNode) ([]Notification, error) {
 	}
 	c.traceConnected(node)
 	c.spanConnected(node)
-	return []Notification{{Connected: true, Block: blk, Height: node.height}}, nil
+	return []Notification{ev}, nil
 }
 
 // spentBy derives what node's block, on the main chain, consumed: for
@@ -495,7 +501,8 @@ func (c *Chain) disconnectBlock() (Notification, error) {
 	if err != nil {
 		return Notification{}, err
 	}
-	if err := c.commitDisconnect(node, spent); err != nil {
+	ev := Notification{Connected: false, Block: node.block, Height: node.height, Spent: spent}
+	if err := c.commitDisconnect(node, ev); err != nil {
 		return Notification{}, fmt.Errorf("chain: persist disconnect %s: %w", node.hash, err)
 	}
 	c.unapplyBlock(node.block.Transactions, spent)
@@ -513,7 +520,7 @@ func (c *Chain) disconnectBlock() (Notification, error) {
 		c.tel.tracer.Record(telemetry.EvBlockDisconnected, node.hash.String(),
 			fmt.Sprintf("height=%d", node.height))
 	}
-	return Notification{Connected: false, Block: node.block, Height: node.height}, nil
+	return ev, nil
 }
 
 // reorganize switches the main chain to end at newTip. "The Bitcoin

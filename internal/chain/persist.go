@@ -28,9 +28,12 @@ package chain
 //
 // Disconnect derives what a block spent from the resident main-chain
 // blocks that created it, so a reorg works identically on a node that
-// just restarted. The chain index joins the same batch through
-// SubscribePersist, so a crash can never commit a block without its
-// matching index rows.
+// just restarted; Replay derives a stored block's spends the same way.
+// One Notification, the block with the entries it spent or gives back,
+// describes each change: a persist hook (the chain index's) gets it
+// inside the commit batch, so a crash can never commit a block without
+// its matching index rows, and subscribers get the same value once the
+// batch has committed.
 
 import (
 	"bytes"
@@ -111,45 +114,63 @@ func decodeBlockRef(b []byte) (store.BlockRef, error) {
 }
 
 // SpentOutput pairs an outpoint a block consumed with the entry it
-// held: what a connect's fold returns and a disconnect derives, and what
-// persist subscribers see, in spend order.
+// held: what a connect's fold returns and a disconnect derives, carried
+// in spend order on every Notification.
 type SpentOutput struct {
 	OutPoint wire.OutPoint
 	Entry    *UtxoEntry
 }
 
-// PersistEvent describes a main-chain change while its atomic commit
-// batch is still open. Connected reports direction (like Notification);
-// Spent lists the UTXO entries the block consumed (connect) or is
-// giving back (disconnect), in spend order.
-type PersistEvent struct {
-	Connected bool
-	Block     *wire.MsgBlock
-	Height    int
-	Spent     []SpentOutput
-}
-
-// PersistFunc contributes subsystem rows to the atomic batch committed
-// for a main-chain change. It runs under the chain lock while the batch
-// is assembled: it must not call back into Chain methods, and any
-// subsystem locks it takes must never be held while waiting on the
-// chain elsewhere.
-type PersistFunc func(ev PersistEvent, b *store.Batch)
-
-// SubscribePersist registers fn to contribute to every future commit
-// batch; register before processing blocks. It returns the tip snapshot
+// SubscribePersist registers fn to contribute rows to every future
+// commit batch; register before processing blocks. fn gets the event
+// the subscribers get once the batch has committed, but runs under the
+// chain lock while the batch is assembled: it must not call back into
+// Chain methods, and any subsystem locks it takes must never be held
+// while waiting on the chain elsewhere. It returns the tip snapshot
 // taken under the same lock acquisition: every main-chain change at
-// heights above the snapshot is guaranteed to reach fn, and nothing at
-// or below it will. A subsystem that builds derived state by scanning
-// history (the chain indexer's bulk initial sync) uses this to know
-// exactly where its scan must stop and its event-driven updates begin —
-// with two separate calls a block could connect in between and be
-// missed by both.
-func (c *Chain) SubscribePersist(fn PersistFunc) Snapshot {
+// heights above the snapshot reaches fn, and nothing at or below it
+// will, so a subsystem catching up through Replay knows exactly where
+// its replay stops and the hook begins.
+func (c *Chain) SubscribePersist(fn func(Notification, *store.Batch)) Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.persisters = append(c.persisters, fn)
 	return c.snapshotLocked()
+}
+
+// Replay delivers the main-chain blocks at heights from through to, in
+// height order, to fn as connect events, each with the entries its
+// block consumed, derived as a disconnect derives them. It stops at
+// fn's first error. The chain lock is not held while fn runs, so the
+// caller keeps the chain still (a subsystem's Open, before block
+// processing starts) or accepts an error if to falls off the tip.
+func (c *Chain) Replay(from, to int, fn func(Notification) error) error {
+	for h := from; h <= to; h++ {
+		ev, err := c.replayEvent(h)
+		if err != nil {
+			return err
+		}
+		if err := fn(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replayEvent builds Replay's connect event for the main-chain block at
+// height h.
+func (c *Chain) replayEvent(h int) (Notification, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if h < 0 || h >= len(c.mainChain) {
+		return Notification{}, fmt.Errorf("chain: no main-chain block at height %d", h)
+	}
+	node := c.mainChain[h]
+	spent, err := c.spentBy(node)
+	if err != nil {
+		return Notification{}, err
+	}
+	return Notification{Connected: true, Block: node.block, Height: h, Spent: spent}, nil
 }
 
 // Store returns the store backing this chain, so sibling subsystems
@@ -449,10 +470,10 @@ func (c *Chain) persistSideBlock(node *blockNode) error {
 }
 
 // commitConnect assembles and applies the atomic batch for connecting
-// node, whose block consumed spent. Caller holds c.mu; the chain's
-// resident maps have already been mutated and will be rolled back by the
-// caller if the commit fails.
-func (c *Chain) commitConnect(node *blockNode, spent []SpentOutput) error {
+// node, described by ev. Caller holds c.mu; the chain's resident maps
+// have already been mutated and will be rolled back by the caller if
+// the commit fails.
+func (c *Chain) commitConnect(node *blockNode, ev Notification) error {
 	b := store.NewBatch()
 	has, err := c.st.Has(keyBlock(node.hash))
 	if err != nil {
@@ -467,25 +488,25 @@ func (c *Chain) commitConnect(node *blockNode, spent []SpentOutput) error {
 	}
 	b.Put(keyMain(node.height), node.hash[:])
 	b.Put(keyTip, encodeTip(node.hash, node.height))
-	return c.commit(b, PersistEvent{Connected: true, Block: node.block, Height: node.height, Spent: spent})
+	return c.commit(b, ev)
 }
 
 // commitDisconnect assembles and applies the atomic batch for
-// disconnecting the tip, which gives spent back. Caller holds c.mu and
+// disconnecting the tip, described by ev. Caller holds c.mu and
 // mutates resident state only after this succeeds. The new tip is the
 // parent: once this batch is durable, the chain can only replay to
 // parent or later, never to the detached block.
-func (c *Chain) commitDisconnect(node *blockNode, spent []SpentOutput) error {
+func (c *Chain) commitDisconnect(node *blockNode, ev Notification) error {
 	b := store.NewBatch()
 	b.Delete(keyMain(node.height))
 	b.Put(keyTip, encodeTip(node.parent.hash, node.parent.height))
-	return c.commit(b, PersistEvent{Connected: false, Block: node.block, Height: node.height, Spent: spent})
+	return c.commit(b, ev)
 }
 
 // commit adds the subscriber rows for ev and any headers accepted since
 // the last commit (including a connected block's own, when it is new)
 // to b, then applies it.
-func (c *Chain) commit(b *store.Batch, ev PersistEvent) error {
+func (c *Chain) commit(b *store.Batch, ev Notification) error {
 	for _, fn := range c.persisters {
 		fn(ev, b)
 	}

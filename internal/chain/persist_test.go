@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -242,6 +243,11 @@ func TestReorgAfterReopen(t *testing.T) {
 // test for restore-then-remove ordering).
 func TestIntraBlockSpendDisconnect(t *testing.T) {
 	c, clk := newTestChain(t)
+	// The persist hook and the subscribers see one event per change: the
+	// same block, direction and spends, inside and after the commit.
+	var hooked, notified []Notification
+	c.SubscribePersist(func(n Notification, _ *store.Batch) { hooked = append(hooked, n) })
+	c.Subscribe(func(n Notification) { notified = append(notified, n) })
 	blks := extend(t, c, clk, 12, 0)
 	forkHash := c.BestHash()
 	forkHeight := c.BestHeight()
@@ -311,6 +317,22 @@ func TestIntraBlockSpendDisconnect(t *testing.T) {
 	}
 	if err := c.AuditFromGenesis(); err != nil {
 		t.Fatalf("audit after intra-block reorg: %v", err)
+	}
+
+	if !reflect.DeepEqual(hooked, notified) {
+		t.Fatalf("persist hook saw %d events, subscribers %d, and they differ", len(hooked), len(notified))
+	}
+	// Connect 13, then the reorg: disconnect 13, connect side1, side2.
+	want := []SpentOutput{
+		{OutPoint: wire.OutPoint{Hash: cbTx.TxHash(), Index: 0}, Entry: &UtxoEntry{Out: *cbTx.TxOut[0], Height: 1, IsCoinBase: true}},
+		{OutPoint: midOut, Entry: &UtxoEntry{Out: *spendA.TxOut[0], Height: height}},
+	}
+	evs := notified[len(notified)-4:]
+	for i, dir := range []bool{true, false} {
+		if ev := evs[i]; ev.Connected != dir || ev.Block != blk || !reflect.DeepEqual(ev.Spent, want) {
+			t.Fatalf("event %d: connected %v, block %s, spent %v; want %v, %s, %v",
+				i, ev.Connected, ev.Block.BlockHash(), ev.Spent, dir, blk.BlockHash(), want)
+		}
 	}
 }
 

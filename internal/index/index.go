@@ -5,21 +5,20 @@ package index
 // announcement/receipt activity. Outpoint -> spending transaction is
 // answered from the chain's own spend journal.
 //
-// The indexer is a persist subscriber: its rows ride in the SAME atomic
-// store batch as each chain connect/disconnect, so a crash can never
-// commit a block without its index rows or vice versa. On open it
-// catches up by bulk-replaying the main chain from its recorded tip
-// (or from genesis when the stored tip no longer lies on the main
-// chain), registered and snapshotted under one chain lock acquisition
-// so no block falls between the scan and the event stream.
-//
-// Queries are served straight from the store, paginated by cursor; the
-// hub (hub.go) pushes new-block/new-tx/address-activity events to
-// long-lived subscribers after each commit.
+// The chain describes every main-chain change with one event, the
+// block and the entries it spent or gives back. The indexer receives it
+// twice: as a persist hook, whose rows ride in the SAME atomic store
+// batch as the chain's connect/disconnect, so a crash can never commit
+// a block without its index rows or vice versa; and as a subscriber
+// after the commit, when it publishes the block and its address
+// activity to the hub (hub.go), whose long-lived clients page through
+// the rows straight from the store. On open it catches up through the
+// chain's Replay of the blocks above its stored tip (all of them after
+// a wipe), registered and snapshotted under one chain lock acquisition
+// so no block falls between the replay and the hook.
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"typecoin/internal/bkey"
@@ -34,7 +33,7 @@ import (
 
 // rebuildBatchBlocks bounds how many blocks a catch-up replay folds
 // into one store batch. Each batch also rewrites the index tip, so an
-// interrupted rebuild resumes from the last applied batch.
+// interrupted catch-up resumes from the last applied batch.
 const rebuildBatchBlocks = 256
 
 // Indexer maintains the index column families over one chain.
@@ -46,12 +45,6 @@ type Indexer struct {
 	// status endpoint without a store read; updated post-commit.
 	tipHeight atomic.Int64
 
-	// pending carries per-block address activity from contribute (under
-	// the chain lock, pre-commit) to onChainChange (post-commit), where
-	// it is published to subscribers.
-	pendingMu sync.Mutex
-	pending   map[pendKey][]AddrEvent
-
 	// catchupBlocks is how many blocks the opening replay indexed,
 	// surfaced by telemetry.
 	catchupBlocks int
@@ -60,24 +53,13 @@ type Indexer struct {
 	tel indexTelemetry
 }
 
-// pendKey identifies one direction of one block's commit.
-type pendKey struct {
-	hash      chainhash.Hash
-	connected bool
-}
-
 // Open attaches an indexer to c, persisting into the chain's own store.
 // It must be called before block processing starts (like wallet and
 // ledger attachment): registration and the catch-up bound are taken
 // under one chain lock acquisition, so every block committed afterwards
 // reaches the indexer exactly once.
 func Open(c *chain.Chain) (*Indexer, error) {
-	ix := &Indexer{
-		c:       c,
-		st:      c.Store(),
-		pending: make(map[pendKey][]AddrEvent),
-		hub:     newHub(),
-	}
+	ix := &Indexer{c: c, st: c.Store(), hub: newHub()}
 	ix.tipHeight.Store(-1)
 	c.Subscribe(ix.onChainChange)
 	snap := c.SubscribePersist(ix.contribute)
@@ -104,13 +86,12 @@ func (ix *Indexer) Tip() (chainhash.Hash, int, error) {
 }
 
 // catchUp brings the stored index to snap, the chain tip at
-// registration time. Three cases: fresh store (build from genesis),
-// stored tip on the main chain (incremental replay above it), stored
-// tip elsewhere — a fork abandoned while the indexer was not attached,
-// or a torn rebuild — (wipe and rebuild). The replay maintains its own
-// outpoint table, deliberately independent of the chain's spend
-// journal, so rebuild-vs-incremental comparisons exercise two genuinely
-// different code paths.
+// registration time. Three cases: fresh store (index from genesis),
+// stored tip on the main chain (index the blocks above it), stored tip
+// elsewhere — a fork abandoned while the indexer was not attached, or a
+// torn catch-up — (wipe and index from genesis). The blocks and their
+// spends come from the chain's Replay; AuditRebuild checks the result
+// against the indexer's own fold.
 func (ix *Indexer) catchUp(snap chain.Snapshot) error {
 	from := 0
 	if has, err := ix.st.Has(keyTip); err != nil {
@@ -134,11 +115,23 @@ func (ix *Indexer) catchUp(snap chain.Snapshot) error {
 			}
 		}
 	}
-	n, err := ix.replayInto(ix.st, snap.Height, from)
+	b := store.NewBatch()
+	err := ix.c.Replay(from, snap.Height, func(ev chain.Notification) error {
+		for _, r := range computeBlockRows(ev.Block, ev.Height, ev.Spent).rows {
+			b.Put(r.key, r.val)
+		}
+		ix.catchupBlocks++
+		if ix.catchupBlocks%rebuildBatchBlocks != 0 && ev.Height != snap.Height {
+			return nil
+		}
+		b.Put(keyTip, encodeTip(ev.Block.BlockHash(), ev.Height))
+		err := ix.st.Apply(b)
+		b = store.NewBatch()
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	ix.catchupBlocks = n
 	ix.tipHeight.Store(int64(snap.Height))
 	return nil
 }
@@ -146,39 +139,25 @@ func (ix *Indexer) catchUp(snap chain.Snapshot) error {
 // wipe deletes every index row ('i' prefix) in bounded batches.
 func (ix *Indexer) wipe() error { return store.DeletePrefix(ix.st, []byte("i")) }
 
-// replayInto replays main-chain blocks [0, upTo] against dst,
-// maintaining its own outpoint->entry table for input attribution, and
-// writes rows only for heights >= writeFrom (earlier blocks feed the
-// table without emitting rows). Rows land in batches of
-// rebuildBatchBlocks blocks, each batch carrying the index tip, so an
-// interrupted bulk sync resumes instead of restarting. Returns the
-// number of blocks whose rows were written.
-func (ix *Indexer) replayInto(dst store.Store, upTo, writeFrom int) (int, error) {
+// replayOwn is AuditRebuild's reference fold: it delivers main-chain
+// blocks 0 through upTo to fn as the chain's Replay does, but takes each
+// block's spends from an outpoint table of its own, built from the
+// blocks alone, so the audit does not lean on the chain's derivation.
+func (ix *Indexer) replayOwn(upTo int, fn func(chain.Notification) error) error {
 	utxo := make(map[wire.OutPoint]*chain.UtxoEntry)
-	b := store.NewBatch()
-	written := 0
-	var lastHash chainhash.Hash
-	flush := func(height int) error {
-		b.Put(keyTip, encodeTip(lastHash, height))
-		if err := dst.Apply(b); err != nil {
-			return err
-		}
-		b = store.NewBatch()
-		return nil
-	}
 	for h := 0; h <= upTo; h++ {
 		blk, ok := ix.c.BlockAtHeight(h)
 		if !ok {
-			return written, fmt.Errorf("index: main chain missing block at height %d", h)
+			return fmt.Errorf("index: main chain missing block at height %d", h)
 		}
-		spent := make([]chain.SpentOutput, 0, 8)
+		var spent []chain.SpentOutput
 		for ti, tx := range blk.Transactions {
 			if ti > 0 {
 				for _, in := range tx.TxIn {
 					op := in.PreviousOutPoint
 					e, ok := utxo[op]
 					if !ok {
-						return written, fmt.Errorf("index: replay at height %d spends unknown output %v", h, op)
+						return fmt.Errorf("index: replay at height %d spends unknown output %v", h, op)
 					}
 					spent = append(spent, chain.SpentOutput{OutPoint: op, Entry: e})
 					delete(utxo, op)
@@ -191,26 +170,11 @@ func (ix *Indexer) replayInto(dst store.Store, upTo, writeFrom int) (int, error)
 				}
 			}
 		}
-		if h >= writeFrom {
-			br := computeBlockRows(blk, h, spent)
-			for _, r := range br.rows {
-				b.Put(r.key, r.val)
-			}
-			written++
-		}
-		lastHash = blk.BlockHash()
-		if h >= writeFrom && (h-writeFrom+1)%rebuildBatchBlocks == 0 {
-			if err := flush(h); err != nil {
-				return written, err
-			}
+		if err := fn(chain.Notification{Connected: true, Block: blk, Height: h, Spent: spent}); err != nil {
+			return err
 		}
 	}
-	// Always stamp the tip, even when no rows were written (fresh chain
-	// of empty blocks, or nothing above writeFrom).
-	if err := flush(upTo); err != nil {
-		return written, err
-	}
-	return written, nil
+	return nil
 }
 
 // rowOp is one computed index row.
@@ -236,11 +200,12 @@ type addrDelta struct {
 
 // computeBlockRows derives every index row for one block. spent lists
 // the UTXO entries the block consumed in spend order (transaction
-// order, then input order), exactly as chain.PersistEvent delivers
+// order, then input order), exactly as chain.Notification carries
 // them; the coinbase consumes none. The same function serves connect
-// (Put rows), disconnect (Delete the same keys) and bulk rebuild, which
-// is what makes "incremental index == from-genesis rebuild" a testable
-// bit-equality rather than an approximation.
+// (Put rows), disconnect (Delete the same keys), catch-up and the
+// audit's rebuild, which is what makes "incremental index ==
+// from-genesis rebuild" a testable bit-equality rather than an
+// approximation.
 func computeBlockRows(blk *wire.MsgBlock, height int, spent []chain.SpentOutput) blockRows {
 	var br blockRows
 	cursor := 0
@@ -308,17 +273,16 @@ func computeBlockRows(blk *wire.MsgBlock, height int, spent []chain.SpentOutput)
 	return br
 }
 
-// contribute is the chain persist subscriber: it adds this block's
-// index rows to the commit batch. It runs under the chain lock with the
-// batch open, so the rows and the chain mutation are atomic.
-func (ix *Indexer) contribute(ev chain.PersistEvent, b *store.Batch) {
+// contribute is the chain's persist hook: it adds this block's index
+// rows to the commit batch. It runs under the chain lock with the batch
+// open, so the rows and the chain mutation are atomic.
+func (ix *Indexer) contribute(ev chain.Notification, b *store.Batch) {
 	br := computeBlockRows(ev.Block, ev.Height, ev.Spent)
-	blkHash := ev.Block.BlockHash()
 	if ev.Connected {
 		for _, r := range br.rows {
 			b.Put(r.key, r.val)
 		}
-		b.Put(keyTip, encodeTip(blkHash, ev.Height))
+		b.Put(keyTip, encodeTip(ev.Block.BlockHash(), ev.Height))
 		ix.tel.rowsWritten.Add(uint64(len(br.rows)))
 	} else {
 		for _, r := range br.rows {
@@ -327,24 +291,19 @@ func (ix *Indexer) contribute(ev chain.PersistEvent, b *store.Batch) {
 		b.Put(keyTip, encodeTip(ev.Block.Header.PrevBlock, ev.Height-1))
 		ix.tel.rowsDeleted.Add(uint64(len(br.rows)))
 	}
-	ix.pendingMu.Lock()
-	ix.pending[pendKey{hash: blkHash, connected: ev.Connected}] = br.activity
-	ix.pendingMu.Unlock()
 }
 
 // onChainChange runs after a main-chain commit has landed: it publishes
-// the block and the queued address activity to subscribers. Events for
-// a block the indexer never contributed to (committed before Open)
-// simply find no queued activity.
+// the block and its address activity, computed from the same event the
+// persist hook saw, to subscribers; with none, it computes nothing.
 func (ix *Indexer) onChainChange(n chain.Notification) {
-	blkHash := n.Block.BlockHash()
 	if n.Connected {
 		ix.tipHeight.Store(int64(n.Height))
 		// Index visibility: the rows committed with this block are now
 		// queryable. Observe-only, so catch-up replay of historical
 		// blocks does not fabricate spans.
 		if sp := ix.tel.spans; sp != nil {
-			sp.Observe(telemetry.SpanBlock, blkHash, telemetry.StageIndexed)
+			sp.Observe(telemetry.SpanBlock, n.Block.BlockHash(), telemetry.StageIndexed)
 			for i, tx := range n.Block.Transactions {
 				if i == 0 {
 					continue
@@ -355,19 +314,16 @@ func (ix *Indexer) onChainChange(n chain.Notification) {
 	} else {
 		ix.tipHeight.Store(int64(n.Height - 1))
 	}
-	ix.pendingMu.Lock()
-	k := pendKey{hash: blkHash, connected: n.Connected}
-	activity := ix.pending[k]
-	delete(ix.pending, k)
-	ix.pendingMu.Unlock()
-
+	if ix.hub.active() == 0 {
+		return
+	}
 	dropped := ix.hub.publishBlock(BlockEvent{
-		Hash:      blkHash,
+		Hash:      n.Block.BlockHash(),
 		Height:    n.Height,
 		Connected: n.Connected,
 		TxCount:   len(n.Block.Transactions),
 	})
-	for _, ev := range activity {
+	for _, ev := range computeBlockRows(n.Block, n.Height, n.Spent).activity {
 		ev.Connected = n.Connected
 		dropped += ix.hub.publishAddr(ev)
 	}
@@ -524,21 +480,23 @@ const DefaultPageLimit = 100
 // MaxPageLimit is the hard ceiling on one page.
 const MaxPageLimit = 1000
 
-// AuditRebuild replays the main chain from genesis into a fresh
-// in-memory store using the same row computation as live indexing, then
-// requires the live index rows to be bit-for-bit identical. This is the
-// reorg-consistency oracle: an incremental index that drifted from the
-// canonical from-genesis answer (a stale row surviving a disconnect, a
-// missed spend) fails the comparison.
+// AuditRebuild folds the main chain from genesis through replayOwn,
+// with the same row computation as live indexing, and requires the live
+// index rows to be bit-for-bit identical. This is the reorg-consistency
+// oracle: an incremental index that drifted from the canonical
+// from-genesis answer (a stale row surviving a disconnect, a missed
+// spend) fails the comparison.
 func (ix *Indexer) AuditRebuild() error {
-	mem := store.NewMem()
-	snap := ix.c.BestSnapshot()
-	if _, err := ix.replayInto(mem, snap.Height, 0); err != nil {
-		return fmt.Errorf("index audit: rebuild failed: %w", err)
-	}
-	want, err := dumpIndexRows(mem)
+	want := make(map[string]string)
+	err := ix.replayOwn(ix.c.BestHeight(), func(ev chain.Notification) error {
+		for _, r := range computeBlockRows(ev.Block, ev.Height, ev.Spent).rows {
+			want[string(r.key)] = string(r.val)
+		}
+		want[string(keyTip)] = string(encodeTip(ev.Block.BlockHash(), ev.Height))
+		return nil
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("index audit: rebuild failed: %w", err)
 	}
 	got, err := dumpIndexRows(ix.st)
 	if err != nil {

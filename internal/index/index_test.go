@@ -498,6 +498,33 @@ func runReorgScenario(t *testing.T, seed int64) {
 	if err := h.ix.AuditRebuild(); err != nil {
 		t.Fatalf("seed %d: final: %v", seed, err)
 	}
+	// The chain's Replay, which catch-up reads, derives every height's
+	// spends exactly as the audit's own outpoint table does.
+	var replayed, folded []chain.Notification
+	collect := func(dst *[]chain.Notification) func(chain.Notification) error {
+		return func(n chain.Notification) error { *dst = append(*dst, n); return nil }
+	}
+	if err := h.chain.Replay(0, h.chain.BestHeight(), collect(&replayed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ix.replayOwn(h.chain.BestHeight(), collect(&folded)); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != h.chain.BestHeight()+1 || len(folded) != len(replayed) {
+		t.Fatalf("seed %d: Replay gave %d blocks, the audit's fold %d, for tip %d",
+			seed, len(replayed), len(folded), h.chain.BestHeight())
+	}
+	spends := 0
+	for i := range replayed {
+		if !reflect.DeepEqual(replayed[i], folded[i]) {
+			t.Fatalf("seed %d: height %d: Replay spent %v, the audit's fold %v",
+				seed, i, replayed[i].Spent, folded[i].Spent)
+		}
+		spends += len(replayed[i].Spent)
+	}
+	if spends == 0 {
+		t.Fatalf("seed %d: no main-chain block spends anything", seed)
+	}
 
 	// Cross-check the spend index against the chain: every input of
 	// every main-chain transaction has a spend row naming its consumer,

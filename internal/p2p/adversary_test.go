@@ -6,6 +6,7 @@ package p2p_test
 // leaks goroutines afterwards.
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -346,7 +347,9 @@ func TestInboundCapEnforced(t *testing.T) {
 	})
 }
 
-func TestDuplicateInboundSupersedes(t *testing.T) {
+// TestDuplicateInboundBothKept: two inbound connections from one host
+// are two peers. Neither closes the other, and the node serves both.
+func TestDuplicateInboundBothKept(t *testing.T) {
 	checkGoroutines(t)
 	h := newNetHarness(t, 1)
 	node := h.nodes[0]
@@ -355,35 +358,38 @@ func TestDuplicateInboundSupersedes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn1.Close() })
-	dead1 := make(chan struct{})
-	go func() {
-		io.Copy(io.Discard, conn1)
-		close(dead1)
-	}()
-	sendRawMsg(t, conn1, h.params.Magic, wire.CmdVersion, nil)
-	waitFor(t, "first inbound connected", func() bool { return node.PeerCount() == 1 })
-
-	// A second inbound connection from the same host supersedes the
-	// first (reconnect-after-crash liveness), never stacking peers.
-	conn2 := dialAttacker(t, addr, h.params.Magic)
-	waitFor(t, "old conn evicted", func() bool {
-		select {
-		case <-dead1:
-			return true
-		default:
-			return false
+	var conns []net.Conn
+	var dead []chan struct{}
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if got := node.PeerCount(); got != 1 {
-		t.Fatalf("peer count %d after supersede, want 1", got)
+		t.Cleanup(func() { conn.Close() })
+		closed := make(chan struct{})
+		go func() {
+			io.Copy(io.Discard, conn)
+			close(closed)
+		}()
+		sendRawMsg(t, conn, h.params.Magic, wire.CmdVersion, nil)
+		conns, dead = append(conns, conn), append(dead, closed)
 	}
-	// The superseding connection is the live one: traffic on it is
-	// still scored.
-	sendRawMsg(t, conn2, h.params.Magic, "zzz-unknown", nil)
-	waitFor(t, "new conn live", func() bool { return node.BanScore("127.0.0.1") >= 1 })
+	waitFor(t, "both inbound connected", func() bool { return node.PeerCount() == 2 })
+	// Traffic on either connection is still read and scored.
+	for i, conn := range conns {
+		sendRawMsg(t, conn, h.params.Magic, "zzz-unknown", nil)
+		waitFor(t, fmt.Sprintf("connection %d served", i), func() bool {
+			return node.BanScore("127.0.0.1") >= int32(i+1)
+		})
+	}
+	for i, closed := range dead {
+		select {
+		case <-closed:
+			t.Fatalf("inbound connection %d was closed", i)
+		default:
+		}
+	}
+	if got := node.PeerCount(); got != 2 {
+		t.Fatalf("peer count %d, want 2", got)
+	}
 }

@@ -320,24 +320,16 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		conn.Close()
 		return nil
 	}
-	// evict, when set, is an older connection this one supersedes.
-	var evict *Peer
+	// Two inbound connections from one host are two peers; a dead one is
+	// reaped by the silence deadline.
 	if inbound {
 		count := 0
 		for _, q := range n.peers {
 			if q.inbound {
 				count++
 			}
-			// A second inbound connection from the same host supersedes
-			// the first: after a crash or network break the remote
-			// redials before this side notices the old conn is dead, so
-			// keeping the old one would wedge the reconnect. net.Pipe
-			// connections all share the "pipe" address and are exempt.
-			if evict == nil && q.inbound && key != "" && key != "pipe" && q.addrKey == key {
-				evict = q
-			}
 		}
-		if evict == nil && count >= maxInbound {
+		if count >= maxInbound {
 			n.mu.Unlock()
 			n.tel.refused.With("inbound_cap").Inc()
 			n.logDebug("refusing inbound connection at cap", "addr", key, "cap", maxInbound)
@@ -397,10 +389,6 @@ func (n *Node) addConn(conn net.Conn, dialAddr string) *Peer {
 		n.tel.tracer.Record(telemetry.EvPeerConnected, key, direction)
 	}
 	n.logDebug("peer connected", "addr", key, "peer", id, "direction", direction)
-	if evict != nil {
-		n.logDebug("inbound connection supersedes existing peer", "addr", key, "peer", evict.id)
-		evict.close()
-	}
 
 	// Handshake: announce our version — carrying our connected tip, whose
 	// every body we hold, so the peer can seed its download scheduler
@@ -616,14 +604,6 @@ func (n *Node) Listen(addr string) (string, error) {
 // is kept until Stop: if this attempt fails, or the connection later
 // drops, the node redials it (see redial).
 func (n *Node) Dial(addr string) error {
-	// Refuse a duplicate before connecting: the remote would otherwise
-	// see a second inbound conn from this host, let it supersede the
-	// live one, and the refused conn would then take both down.
-	if n.HasPeerAddr(addr) {
-		n.tel.refused.With("duplicate").Inc()
-		n.logDebug("refusing duplicate dial", "addr", addr)
-		return nil
-	}
 	conn, err := n.dialOnce(addr)
 	if err != nil {
 		n.mu.Lock()

@@ -150,26 +150,26 @@ func (p *Peer) takeTokens(now time.Time, bytes int) bool {
 }
 
 // noteRequested records an outstanding getdata request (refreshing an
-// existing entry), reporting false when the peer already has
-// maxInflight pending requests — the caller then simply does not
-// request, and a later announcement or resync retries.
+// existing entry), reporting false when the request would be pending
+// and the peer already has maxInflight pending requests — the caller
+// then simply does not request, and a later announcement or resync
+// retries.
 func (p *Peer) noteRequested(typ uint32, hash [32]byte, now time.Time) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := invKey{typ, hash}
-	if e, ok := p.requested[k]; ok {
-		if e.state != reqPending {
-			p.inflight++
+	e, ok := p.requested[k]
+	if !ok || e.state != reqPending {
+		if p.inflight >= maxInflight {
+			return false
 		}
-		e.at = now
-		e.state = reqPending
-		return true
+		p.inflight++
 	}
-	if p.inflight >= maxInflight {
-		return false
+	if !ok {
+		e = &reqInfo{}
+		p.requested[k] = e
 	}
-	p.requested[k] = &reqInfo{at: now}
-	p.inflight++
+	e.at, e.state = now, reqPending
 	return true
 }
 

@@ -12,7 +12,7 @@ import (
 // TestInflightCountMatchesTable drives one peer's request table through
 // a seeded sequence of requests, deliveries, owed bodies, refreshes and
 // sweeps, and holds the peer's count of pending requests equal to a
-// scan of the table after every step.
+// scan of the table, and within maxInflight, after every step.
 func TestInflightCountMatchesTable(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	p := newPeer(nil, nil, 0, now)
@@ -50,6 +50,9 @@ func TestInflightCountMatchesTable(t *testing.T) {
 		}
 		if p.inflight != scan {
 			t.Fatalf("step %d: count %d, scan %d pending", step, p.inflight, scan)
+		}
+		if scan > maxInflight {
+			t.Fatalf("step %d: %d requests pending, cap %d", step, scan, maxInflight)
 		}
 	}
 	if refused == 0 || expired == 0 {

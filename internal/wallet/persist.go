@@ -91,16 +91,8 @@ func (w *Wallet) ObserveUnconfirmed(tx *wire.MsgTx) {
 		if _, ok := w.utxos[op]; ok {
 			continue // already confirmed
 		}
-		owner, mine, meta := w.classify(out.PkScript)
-		if !mine {
-			continue
-		}
-		w.utxos[op] = walletUtxo{
-			value:    out.Value,
-			pkScript: out.PkScript,
-			owner:    owner,
-			height:   -1,
-			metaSlot: meta,
+		if u, mine := w.coin(out, -1, false); mine {
+			w.utxos[op] = u
 		}
 	}
 }

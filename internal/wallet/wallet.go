@@ -118,17 +118,20 @@ func (w *Wallet) Principals() []bkey.Principal {
 	return w.principalsLocked()
 }
 
-// classify determines whether pkScript pays one of our keys, either as
-// P2PKH or as the genuine key slot of a 1-of-2 metadata multisig. It
-// takes only keysMu.
-func (w *Wallet) classify(pkScript []byte) (bkey.Principal, bool, bool) {
+// coin returns the wallet's record of out, created at height (-1 for
+// unconfirmed self-created outputs), and whether one of our keys
+// controls it, either as P2PKH or as the genuine key slot of a 1-of-2
+// metadata multisig. It takes only keysMu.
+func (w *Wallet) coin(out *wire.TxOut, height int, coinbase bool) (walletUtxo, bool) {
+	u := walletUtxo{value: out.Value, pkScript: out.PkScript, height: height, coinbase: coinbase}
 	w.keysMu.Lock()
 	defer w.keysMu.Unlock()
-	if p, ok := script.ExtractPubKeyHash(pkScript); ok {
+	if p, ok := script.ExtractPubKeyHash(out.PkScript); ok {
 		_, mine := w.keys[p]
-		return p, mine, false
+		u.owner = p
+		return u, mine
 	}
-	if m, slots, ok := script.ExtractMultiSig(pkScript); ok && m == 1 {
+	if m, slots, ok := script.ExtractMultiSig(out.PkScript); ok && m == 1 {
 		for _, slot := range slots {
 			if _, isMeta := script.ExtractMetadataKeySlot(slot); isMeta {
 				continue
@@ -139,14 +142,21 @@ func (w *Wallet) classify(pkScript []byte) (bkey.Principal, bool, bool) {
 			}
 			p := pk.Principal()
 			if _, mine := w.keys[p]; mine {
-				return p, true, true
+				u.owner, u.metaSlot = p, true
+				return u, true
 			}
 		}
 	}
-	return bkey.Principal{}, false, false
+	return u, false
 }
 
-// onChainChange updates the UTXO view as blocks connect and disconnect.
+// onChainChange applies each main-chain change to the confirmed view
+// from the event alone: a connect drops the outputs the block spent and
+// adds those it created for our keys; a disconnect undoes that, putting
+// back the spent entries we own, each with its height and coinbase flag,
+// before dropping what the block created, so an output created and
+// spent within the block ends up gone. Unconfirmed self-created change
+// (height -1) and input locks are kept.
 func (w *Wallet) onChainChange(n chain.Notification) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -158,37 +168,34 @@ func (w *Wallet) onChainChange(n chain.Notification) {
 				delete(w.locked, in.PreviousOutPoint)
 			}
 			for i, out := range tx.TxOut {
-				owner, mine, meta := w.classify(out.PkScript)
-				if !mine {
-					continue
-				}
-				w.utxos[wire.OutPoint{Hash: txid, Index: uint32(i)}] = walletUtxo{
-					value:    out.Value,
-					pkScript: out.PkScript,
-					owner:    owner,
-					height:   n.Height,
-					coinbase: tx.IsCoinBase(),
-					metaSlot: meta,
+				if u, mine := w.coin(out, n.Height, tx.IsCoinBase()); mine {
+					w.utxos[wire.OutPoint{Hash: txid, Index: uint32(i)}] = u
 				}
 			}
 		}
 		return
 	}
-	// Disconnected: a reorganization happened. The chain has already
-	// settled on its new best state (notifications are delivered after
-	// the mutation completes), so rebuild the confirmed view from the
-	// UTXO table; this both drops orphaned outputs and restores outputs
-	// the reorg resurrected. Unconfirmed self-created change (height -1)
-	// and input locks are preserved.
-	w.rescanLocked()
+	for _, so := range n.Spent {
+		if u, mine := w.coin(&so.Entry.Out, so.Entry.Height, so.Entry.IsCoinBase); mine {
+			w.utxos[so.OutPoint] = u
+		}
+	}
+	for _, tx := range n.Block.Transactions {
+		txid := tx.TxHash()
+		for i := range tx.TxOut {
+			delete(w.utxos, wire.OutPoint{Hash: txid, Index: uint32(i)})
+		}
+	}
 }
 
-// rescanLocked rebuilds the confirmed UTXO view; the caller holds w.mu.
+// rescanLocked rebuilds the confirmed UTXO view from the chain's
+// unspent table; the caller holds w.mu. Unconfirmed self-created
+// outputs (height -1) are kept.
 func (w *Wallet) rescanLocked() {
 	kept := make(map[wire.OutPoint]walletUtxo)
 	for op, u := range w.utxos {
 		if u.height < 0 {
-			kept[op] = u // unconfirmed self-created outputs
+			kept[op] = u
 		}
 	}
 	w.utxos = kept
@@ -197,17 +204,8 @@ func (w *Wallet) rescanLocked() {
 		if entry == nil {
 			continue
 		}
-		owner, mine, meta := w.classify(entry.Out.PkScript)
-		if !mine {
-			continue
-		}
-		w.utxos[op] = walletUtxo{
-			value:    entry.Out.Value,
-			pkScript: entry.Out.PkScript,
-			owner:    owner,
-			height:   entry.Height,
-			coinbase: entry.IsCoinBase,
-			metaSlot: meta,
+		if u, mine := w.coin(&entry.Out, entry.Height, entry.IsCoinBase); mine {
+			w.utxos[op] = u
 		}
 	}
 }
@@ -400,15 +398,8 @@ func (w *Wallet) Build(outputs []Output, opts BuildOptions) (*wire.MsgTx, error)
 	// confirmation.
 	txid := tx.TxHash()
 	for i, out := range tx.TxOut {
-		owner, mine, meta := w.classify(out.PkScript)
-		if mine {
-			w.utxos[wire.OutPoint{Hash: txid, Index: uint32(i)}] = walletUtxo{
-				value:    out.Value,
-				pkScript: out.PkScript,
-				owner:    owner,
-				height:   -1,
-				metaSlot: meta,
-			}
+		if u, mine := w.coin(out, -1, false); mine {
+			w.utxos[wire.OutPoint{Hash: txid, Index: uint32(i)}] = u
 		}
 	}
 	return tx, nil

@@ -3,10 +3,15 @@ package wallet_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"typecoin/internal/chainhash"
+	"typecoin/internal/miner"
 	"typecoin/internal/script"
 	"typecoin/internal/testutil"
 	"typecoin/internal/wallet"
@@ -255,7 +260,6 @@ func TestReorgRestoresWalletUtxos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.Wallet.Balance()
 	tx, err := h.Wallet.Build([]wallet.Output{
 		{Value: 10_0000_0000, PkScript: script.PayToPubKeyHash(dest)},
 	}, wallet.BuildOptions{})
@@ -281,14 +285,178 @@ func TestReorgRestoresWalletUtxos(t *testing.T) {
 	if h.Chain.BestHash() != other.Chain.BestHash() {
 		t.Fatal("reorg did not take")
 	}
-	// The wallet's confirmed balance is rebuilt automatically: the old
+	// The wallet's confirmed balance follows the reorg: the old
 	// coinbases are gone (different chain), and nothing stale remains.
 	h.Wallet.Unlock(tx) // release the input lock from the abandoned spend
-	got := h.Wallet.Balance()
-	if got != 0 {
+	if got := h.Wallet.Balance(); got != 0 {
 		t.Errorf("balance after reorg to foreign chain = %d, want 0", got)
 	}
-	_ = before
+	requireRescanned(t, "foreign chain", h)
+
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runWalletReorgs(t, seed) })
+	}
+}
+
+// requireRescanned holds the wallet's confirmed view, kept from chain
+// events alone, equal to a fresh rescan of the chain under its keys.
+func requireRescanned(t *testing.T, what string, h *testutil.Harness) {
+	t.Helper()
+	got, want := wallet.Confirmed(h.Wallet)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: wallet holds %d confirmed coins, a rescan finds %d, and they differ", what, len(got), len(want))
+	}
+}
+
+// runWalletReorgs is a seeded schedule of wallet payments, some spending
+// the change of the one before in the same block, and reorganizations of depth 1 to 3. Every
+// disconnected block's coinbase pays the wallet, and a branch may open
+// with a double spend of a wallet coin the first disconnected block
+// spent. After every reorganization the wallet must equal a rescan.
+func runWalletReorgs(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	h := testutil.NewHarness(t, fmt.Sprintf("%s/%d", t.Name(), seed))
+	h.Fund(t)
+	depths := make(map[int]bool)
+	doubleSpends, coinbases, tag := 0, 0, byte(0)
+	for round := 0; round < 20 || len(depths) < 3 || doubleSpends == 0 || coinbases == 0; round++ {
+		if round > 100 {
+			t.Fatalf("after 100 rounds: depths %v, %d double spends, %d wallet coinbases disconnected",
+				depths, doubleSpends, coinbases)
+		}
+		var prev *wire.MsgTx
+		for i := rng.Intn(4); i > 0; i-- {
+			dest, err := h.Wallet.NewKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts wallet.BuildOptions
+			if prev != nil && len(prev.TxOut) == 2 && rng.Intn(2) == 0 {
+				// Spend the last payment's change: a chain within the block.
+				opts.ExtraInputs = []wire.OutPoint{{Hash: prev.TxHash(), Index: 1}}
+			}
+			tx, err := h.Wallet.Build([]wallet.Output{
+				{Value: 60_000 + int64(rng.Intn(1_000_000)), PkScript: script.PayToPubKeyHash(dest)},
+			}, opts)
+			if err != nil {
+				continue
+			}
+			if _, err := h.Pool.Accept(tx); err != nil {
+				h.Wallet.Unlock(tx)
+				continue
+			}
+			prev = tx
+		}
+		h.MineBlocks(t, 1)
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		depth := 1 + rng.Intn(3)
+		forkFrom := h.Chain.BestHeight() - depth
+		first, _ := h.Chain.BlockAtHeight(forkFrom + 1)
+		for height := forkFrom + 1; height <= h.Chain.BestHeight(); height++ {
+			blk, _ := h.Chain.BlockAtHeight(height)
+			if bytes.Equal(blk.Transactions[0].TxOut[0].PkScript, script.PayToPubKeyHash(h.MinerKey)) {
+				coinbases++
+			}
+		}
+		for _, blk := range branchAfter(t, h, forkFrom, depth+1, doubleSpend(t, h, first, forkFrom), &tag) {
+			if _, err := h.Chain.ProcessBlock(blk); err != nil {
+				t.Fatalf("branch block: %v", err)
+			}
+		}
+		if h.Chain.BestHeight() != forkFrom+depth+1 {
+			t.Fatalf("branch of %d blocks above %d did not become the best chain", depth+1, forkFrom)
+		}
+		depths[depth] = true
+		if blk, _ := h.Chain.BlockAtHeight(forkFrom + 1); len(blk.Transactions) > 1 {
+			doubleSpends++
+		}
+		requireRescanned(t, fmt.Sprintf("round %d, depth %d", round, depth), h)
+	}
+}
+
+// doubleSpend returns a transaction that spends, to a fresh wallet key,
+// a wallet coin that blk spends and a block at or below forkFrom
+// created, or nil when blk spends no such coin.
+func doubleSpend(t *testing.T, h *testutil.Harness, blk *wire.MsgBlock, forkFrom int) *wire.MsgTx {
+	t.Helper()
+	for _, tx := range blk.Transactions[1:] {
+		for _, in := range tx.TxIn {
+			op := in.PreviousOutPoint
+			funding, ok := h.Chain.TxByID(op.Hash)
+			height, _, _ := h.Chain.TxPosition(op.Hash)
+			if !ok || height > forkFrom {
+				continue
+			}
+			out := funding.TxOut[op.Index]
+			owner, ok := script.ExtractPubKeyHash(out.PkScript)
+			if !ok {
+				continue
+			}
+			key, err := h.Wallet.Key(owner)
+			if err != nil {
+				continue
+			}
+			dest, err := h.Wallet.NewKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin := wire.NewMsgTx(wire.TxVersion)
+			twin.AddTxIn(&wire.TxIn{PreviousOutPoint: op, Sequence: wire.MaxTxInSequenceNum})
+			twin.AddTxOut(&wire.TxOut{Value: out.Value - wallet.DefaultFee, PkScript: script.PayToPubKeyHash(dest)})
+			sig, err := script.SignatureScript(twin, 0, out.PkScript, script.SigHashAll, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin.TxIn[0].SignatureScript = sig
+			return twin
+		}
+	}
+	return nil
+}
+
+// branchAfter builds n solved blocks on the main-chain block at
+// forkFrom, the first carrying first when it is not nil, each with a
+// coinbase that pays the harness miner key.
+func branchAfter(t *testing.T, h *testutil.Harness, forkFrom, n int, first *wire.MsgTx, tag *byte) []*wire.MsgBlock {
+	t.Helper()
+	prev, _ := h.Chain.BlockAtHeight(forkFrom)
+	var out []*wire.MsgBlock
+	for i := 0; i < n; i++ {
+		height := forkFrom + 1 + i
+		*tag++
+		coinbase := wire.NewMsgTx(wire.TxVersion)
+		coinbase.AddTxIn(&wire.TxIn{
+			PreviousOutPoint: wire.OutPoint{Hash: chainhash.ZeroHash, Index: 0xffffffff},
+			SignatureScript:  []byte{byte(height), byte(height >> 8), 0xfb, *tag},
+			Sequence:         wire.MaxTxInSequenceNum,
+		})
+		coinbase.AddTxOut(&wire.TxOut{
+			Value:    h.Params.CalcBlockSubsidy(height),
+			PkScript: script.PayToPubKeyHash(h.MinerKey),
+		})
+		txs := []*wire.MsgTx{coinbase}
+		if i == 0 && first != nil {
+			txs = append(txs, first)
+		}
+		blk := &wire.MsgBlock{
+			Header: wire.BlockHeader{
+				Version:    1,
+				PrevBlock:  prev.BlockHash(),
+				MerkleRoot: wire.ComputeMerkleRoot(txs),
+				Timestamp:  h.Clock.Advance(time.Minute).UTC().Truncate(time.Second),
+				Bits:       h.Params.PowLimitBits,
+			},
+			Transactions: txs,
+		}
+		if err := miner.SolveBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blk)
+		prev = blk
+	}
+	return out
 }
 
 func TestConcurrentBuilds(t *testing.T) {
